@@ -67,7 +67,6 @@ from .scp import (
     LpTolerances,
     build_problem,
     count_active_g3,
-    exact_support_count,
     solve_lp,
 )
 from .verify import (

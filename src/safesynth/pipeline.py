@@ -9,6 +9,9 @@ One run of the posterior method:
   5. solve the posterior root equation for kappa*;
   6. check the safety margin  objective + L * Uinv(1 - kappa*) <= 0.
 
+The prior method runs the same stages with one dataset of at least the prior
+bound size and a fixed eps in place of steps 4-5 (see `_run`).
+
 A certified verdict requires the margin check AND every sub-step to succeed
 AND grid tightening to be enabled; anything else yields an inconclusive
 report with a machine-readable failure cause.  Failed runs are never retried
@@ -16,10 +19,14 @@ silently: `retries` enables bounded retry with fresh derived seeds, each
 attempt logged in the report.
 """
 
+import concurrent.futures
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any
@@ -52,11 +59,10 @@ from .scp import (
     LpSolution,
     LpStatus,
     LpTolerances,
-    RowTag,
-    LpProblem,
+    box_to_polytope,
     build_problem,
     count_active_g3,
-    g3_rows,
+    sampled_problem,
     solve_lp,
     static_blocks,
 )
@@ -64,30 +70,87 @@ from .verify import estimate_lipschitz, knife_edge_count, violation_frequency
 
 ROOM_LIPSCHITZ_DEFAULT = 11.63
 
-_TOP_KEYS = {
-    "plant", "state_space", "input_box", "initial_set", "unsafe_set",
-    "horizon", "barrier_degree", "controller_degrees", "beta", "lipschitz",
-    "samples", "grid_points", "coeff_bounds", "strict_margin", "tighten",
-    "tolerances", "seeds", "lexicographic", "retries", "workers",
-    "estimate_lipschitz",
+_REQUIRED = object()
+
+# Every top-level key as (JSON type, default), and each object-valued section
+# as a nested table of the same pairs.  A type of None admits any value, to be
+# checked where it is read, and a None default makes null an accepted value.
+# Missing keys are appended to the echoed configuration in this order.
+_DEFAULTS = {
+    **dict.fromkeys(
+        ("plant", "state_space", "input_box", "initial_set", "unsafe_set",
+         "controller_degrees", "samples", "coeff_bounds"),
+        (None, _REQUIRED),
+    ),
+    "horizon": (int, _REQUIRED),
+    "barrier_degree": (int, _REQUIRED),
+    "beta": (float, _REQUIRED),
+    "grid_points": {
+        name: (int, getattr(GridSpec, name)) for name in ("initial", "unsafe", "state")
+    },
+    "strict_margin": (float, 1e-6),
+    "tighten": (bool, True),
+    "tolerances": {
+        f.name: (type(f.default), f.default) for f in dataclasses.fields(LpTolerances)
+    },
+    "seeds": {"scenario": (int, 1), "validation": (int, 2)},
+    # None: the built-in plant's constant, required for any other plant
+    "lipschitz": (float, None),
+    "lexicographic": (bool, False),
+    "retries": (int, 0),
+    "workers": (int, 1),
+    "estimate_lipschitz": (bool, False),
 }
-_REQUIRED_KEYS = {
-    "plant", "state_space", "input_box", "initial_set", "unsafe_set",
-    "horizon", "barrier_degree", "controller_degrees", "beta", "samples",
-    "coeff_bounds",
+_PLANT_COMMAND = {
+    "command": (None, _REQUIRED),
+    "state_dim": (int, _REQUIRED),
+    "input_dim": (int, _REQUIRED),
 }
+_FIXED_SAMPLES = {"scenario": (int, _REQUIRED), "validation": (int, _REQUIRED)}
+_AUTO_SAMPLES = {
+    "auto": {
+        "khat": (float, None),
+        "nstar_hat": (int, 1),
+        "start_scenario": (int, _REQUIRED),
+        "start_validation": (int, _REQUIRED),
+        "growth": (float, 1.5),
+    }
+}
+_COEFF_BOUNDS = {"barrier": (float, _REQUIRED), "controller": (None, _REQUIRED)}
+_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number"}
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _typed(value, kind: type, name: str):
+    """`value` as `kind`, which must be its JSON type: a boolean for bool, an
+    integer (not a boolean) for int, any number (not a boolean) for float."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _read(mapping, table: dict, where: str) -> dict:
+    """The values `table` names in `mapping`, typed, with defaults filled in;
+    unknown, missing required and mistyped keys raise ConfigError."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(mapping) - set(table)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required key '{key}' in {where}")
-    return mapping[key]
+    out = {}
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            section = key if where == "configuration" else f"{where}.{key}"
+            out[key] = _read(mapping.get(key, {}), entry, section)
+            continue
+        kind, default = entry
+        if key not in mapping and default is _REQUIRED:
+            raise ConfigError(f"missing required key '{key}' in {where}")
+        value = mapping.get(key, default)
+        if kind is not None and not (value is None and default is None):
+            value = _typed(value, kind, f"'{key}' in {where}")
+        out[key] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,7 +161,7 @@ class AutoSamples:
     nstar_hat: int
     start_scenario: int
     start_validation: int
-    growth: float = 1.5
+    growth: float
 
 
 @dataclass(frozen=True)
@@ -152,27 +215,24 @@ def validate_config(data: dict) -> SynthesisConfig:
     """Strict schema check; unknown keys are rejected, defaults are echoed."""
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "configuration")
-    for key in _REQUIRED_KEYS:
-        _require(data, key, "configuration")
+    opts = _read(data, _DEFAULTS, "configuration")
+    raw = canonical_dict(data)
 
-    plant_spec = data["plant"]
+    plant_spec = raw["plant"]
     if isinstance(plant_spec, dict):
-        _reject_unknown(plant_spec, {"command", "state_dim", "input_dim"}, "plant")
-        for key in ("command", "state_dim", "input_dim"):
-            _require(plant_spec, key, "plant")
-        state_dim = int(plant_spec["state_dim"])
-        input_dim = int(plant_spec["input_dim"])
+        command = _read(plant_spec, _PLANT_COMMAND, "plant")
+        state_dim = command["state_dim"]
+        input_dim = command["input_dim"]
     elif plant_spec == "room-temp":
         state_dim = input_dim = 1
     else:
         raise ConfigError(f"unknown plant {plant_spec!r}")
 
     try:
-        state_box = Box.from_intervals(data["state_space"])
-        input_box = Box.from_intervals(data["input_box"])
-        initial_region = RegionUnion.from_intervals(data["initial_set"])
-        unsafe_region = RegionUnion.from_intervals(data["unsafe_set"])
+        state_box = Box.from_intervals(raw["state_space"])
+        input_box = Box.from_intervals(raw["input_box"])
+        initial_region = RegionUnion.from_intervals(raw["initial_set"])
+        unsafe_region = RegionUnion.from_intervals(raw["unsafe_set"])
     except SafesynthError as exc:
         raise ConfigError(f"bad region declaration: {exc}") from exc
 
@@ -189,165 +249,99 @@ def validate_config(data: dict) -> SynthesisConfig:
     if initial_region.intersects(unsafe_region):
         raise ConfigError("initial_set and unsafe_set must be disjoint (closed sets)")
 
-    horizon = int(data["horizon"])
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    barrier_degree = int(data["barrier_degree"])
-    controller_degrees = tuple(int(k) for k in data["controller_degrees"])
+    if opts["horizon"] < 1:
+        raise ConfigError(f"horizon must be >= 1, got {opts['horizon']}")
+    controller_degrees = tuple(
+        _typed(k, int, "controller_degrees entry") for k in raw["controller_degrees"]
+    )
     if len(controller_degrees) != input_dim:
         raise ConfigError(
             f"need one controller degree per input dimension ({input_dim}), "
             f"got {len(controller_degrees)}"
         )
-    beta = float(data["beta"])
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    if not 0.0 < opts["beta"] < 1.0:
+        raise ConfigError(f"beta must lie in (0, 1), got {opts['beta']}")
 
-    lipschitz = data.get("lipschitz")
+    lipschitz = raw["lipschitz"]
     if lipschitz is None:
-        if plant_spec == "room-temp":
-            lipschitz = ROOM_LIPSCHITZ_DEFAULT
-        else:
-            raise ConfigError("missing required key 'lipschitz' (no builtin default for this plant)")
-    lipschitz = float(lipschitz)
+        raise ConfigError("missing required key 'lipschitz' (no builtin default for this plant)")
     if lipschitz <= 0:
         raise ConfigError(f"lipschitz must be positive, got {lipschitz}")
 
-    samples = data["samples"]
-    if not isinstance(samples, dict):
-        raise ConfigError("samples must be an object")
+    samples = raw["samples"]
     n_scenario = n_validation = None
     auto = None
-    if "auto" in samples:
-        _reject_unknown(samples, {"auto"}, "samples")
-        auto_raw = samples["auto"]
-        _reject_unknown(
-            auto_raw,
-            {"khat", "nstar_hat", "start_scenario", "start_validation", "growth"},
-            "samples.auto",
-        )
-        auto = AutoSamples(
-            khat=None if auto_raw.get("khat") is None else float(auto_raw["khat"]),
-            nstar_hat=int(auto_raw.get("nstar_hat", 1)),
-            start_scenario=int(_require(auto_raw, "start_scenario", "samples.auto")),
-            start_validation=int(_require(auto_raw, "start_validation", "samples.auto")),
-            growth=float(auto_raw.get("growth", 1.5)),
-        )
+    if isinstance(samples, dict) and "auto" in samples:
+        auto = AutoSamples(**_read(samples, _AUTO_SAMPLES, "samples")["auto"])
     else:
-        _reject_unknown(samples, {"scenario", "validation"}, "samples")
-        n_scenario = int(_require(samples, "scenario", "samples"))
-        n_validation = int(_require(samples, "validation", "samples"))
+        fixed = _read(samples, _FIXED_SAMPLES, "samples")
+        n_scenario = fixed["scenario"]
+        n_validation = fixed["validation"]
         if n_scenario < 1 or n_validation < 1:
             raise ConfigError("sample counts must be >= 1")
 
-    grid_raw = data.get("grid_points", {})
-    _reject_unknown(grid_raw, {"initial", "unsafe", "state"}, "grid_points")
-    grids = GridSpec(
-        initial=int(grid_raw.get("initial", GridSpec.initial)),
-        unsafe=int(grid_raw.get("unsafe", GridSpec.unsafe)),
-        state=int(grid_raw.get("state", GridSpec.state)),
-    )
+    grids = GridSpec(**opts["grid_points"])
     if min(grids.initial, grids.unsafe, grids.state) < 2:
         raise ConfigError("grid_points entries must be >= 2")
 
-    bounds_raw = data["coeff_bounds"]
-    _reject_unknown(bounds_raw, {"barrier", "controller"}, "coeff_bounds")
-    barrier_bound = float(_require(bounds_raw, "barrier", "coeff_bounds"))
-    controller_bounds = tuple(float(b) for b in _require(bounds_raw, "controller", "coeff_bounds"))
+    coeff_bounds = _read(raw["coeff_bounds"], _COEFF_BOUNDS, "coeff_bounds")
+    controller_bounds = tuple(
+        _typed(b, float, "coeff_bounds.controller entry") for b in coeff_bounds["controller"]
+    )
     if len(controller_bounds) != input_dim:
         raise ConfigError("need one controller coefficient bound per input dimension")
 
-    strict_margin = float(data.get("strict_margin", 1e-6))
-    if strict_margin < 0:
+    if opts["strict_margin"] < 0:
         raise ConfigError("strict_margin must be non-negative")
-    tighten = bool(data.get("tighten", True))
 
-    tol_raw = data.get("tolerances", {})
-    _reject_unknown(
-        tol_raw,
-        {"feasibility", "optimality", "activity", "pivot", "max_iterations"},
-        "tolerances",
-    )
-    defaults = LpTolerances()
-    tolerances = LpTolerances(
-        feasibility=float(tol_raw.get("feasibility", defaults.feasibility)),
-        optimality=float(tol_raw.get("optimality", defaults.optimality)),
-        activity=float(tol_raw.get("activity", defaults.activity)),
-        pivot=float(tol_raw.get("pivot", defaults.pivot)),
-        max_iterations=int(tol_raw.get("max_iterations", defaults.max_iterations)),
-    )
-
-    seeds_raw = data.get("seeds", {})
-    _reject_unknown(seeds_raw, {"scenario", "validation"}, "seeds")
-    seed_scenario = int(seeds_raw.get("scenario", 1))
-    seed_validation = int(seeds_raw.get("validation", 2))
-    if seed_scenario == seed_validation:
+    seeds = opts["seeds"]
+    if seeds["scenario"] == seeds["validation"]:
         raise ConfigError(
             "scenario and validation seeds must differ (the validation data "
             "must be independent of the scenario data)"
         )
 
-    retries = int(data.get("retries", 0))
-    workers = int(data.get("workers", 1))
-    if retries < 0 or workers < 1:
+    if opts["retries"] < 0 or opts["workers"] < 1:
         raise ConfigError("retries must be >= 0 and workers >= 1")
 
-    config = SynthesisConfig(
+    return SynthesisConfig(
         plant_spec=plant_spec,
         state_box=state_box,
         input_box=input_box,
         initial_region=initial_region,
         unsafe_region=unsafe_region,
-        horizon=horizon,
-        barrier_degree=barrier_degree,
         controller_degrees=controller_degrees,
-        beta=beta,
-        lipschitz=lipschitz,
+        lipschitz=float(lipschitz),
         n_scenario=n_scenario,
         n_validation=n_validation,
         auto_samples=auto,
         grids=grids,
-        barrier_bound=barrier_bound,
+        barrier_bound=coeff_bounds["barrier"],
         controller_bounds=controller_bounds,
-        strict_margin=strict_margin,
-        tighten=tighten,
-        tolerances=tolerances,
-        seed_scenario=seed_scenario,
-        seed_validation=seed_validation,
-        lexicographic=bool(data.get("lexicographic", False)),
-        retries=retries,
-        workers=workers,
-        estimate_lipschitz=bool(data.get("estimate_lipschitz", False)),
-        raw=canonical_dict(data, state_dim, input_dim),
+        tolerances=LpTolerances(**opts["tolerances"]),
+        seed_scenario=seeds["scenario"],
+        seed_validation=seeds["validation"],
+        raw=raw,
+        # the options that are fields under their own names
+        **{key: opts[key] for key in (
+            "horizon", "barrier_degree", "beta", "strict_margin", "tighten",
+            "lexicographic", "retries", "workers", "estimate_lipschitz",
+        )},
     )
-    return config
 
 
-def canonical_dict(data: dict, state_dim: int, input_dim: int) -> dict:
+def canonical_dict(data: dict) -> dict:
     """The configuration with all defaults applied, as echoed into reports."""
     out = json.loads(json.dumps(data))  # deep copy, JSON-normalised
-    out.setdefault("grid_points", {})
-    for key, default in (("initial", GridSpec.initial), ("unsafe", GridSpec.unsafe),
-                         ("state", GridSpec.state)):
-        out["grid_points"].setdefault(key, default)
-    out.setdefault("strict_margin", 1e-6)
-    out.setdefault("tighten", True)
-    defaults = LpTolerances()
-    out.setdefault("tolerances", {})
-    out["tolerances"].setdefault("feasibility", defaults.feasibility)
-    out["tolerances"].setdefault("optimality", defaults.optimality)
-    out["tolerances"].setdefault("activity", defaults.activity)
-    out["tolerances"].setdefault("pivot", defaults.pivot)
-    out["tolerances"].setdefault("max_iterations", defaults.max_iterations)
-    out.setdefault("seeds", {})
-    out["seeds"].setdefault("scenario", 1)
-    out["seeds"].setdefault("validation", 2)
-    if out.get("lipschitz") is None and out.get("plant") == "room-temp":
+    for key, entry in _DEFAULTS.items():
+        if isinstance(entry, dict):
+            section = out.setdefault(key, {})
+            for name, (_, default) in entry.items():
+                section.setdefault(name, default)
+        elif entry[1] is not _REQUIRED:
+            out.setdefault(key, entry[1])
+    if out["lipschitz"] is None and out.get("plant") == "room-temp":
         out["lipschitz"] = ROOM_LIPSCHITZ_DEFAULT
-    out.setdefault("lexicographic", False)
-    out.setdefault("retries", 0)
-    out.setdefault("workers", 1)
-    out.setdefault("estimate_lipschitz", False)
     return out
 
 
@@ -374,23 +368,12 @@ def room_casestudy_config(
     seed_validation: int = 9090,
     **overrides,
 ) -> dict:
-    """The built-in room-temperature study configuration (JSON-ready dict)."""
-    cfg = {
-        "plant": "room-temp",
-        "state_space": [[22.5, 26.5]],
-        "input_box": [[0.0, 1.0]],
-        "initial_set": [[[24.0, 25.0]]],
-        "unsafe_set": [[[22.5, 23.0]], [[26.0, 26.5]]],
-        "horizon": 5,
-        "barrier_degree": 4,
-        "controller_degrees": [4],
-        "beta": 0.05,
-        "lipschitz": ROOM_LIPSCHITZ_DEFAULT,
-        "samples": {"scenario": n_scenario, "validation": n_validation},
-        "grid_points": {"initial": 10001, "unsafe": 5001, "state": 40001},
-        "coeff_bounds": {"barrier": 0.1, "controller": [0.05]},
-        "seeds": {"scenario": seed_scenario, "validation": seed_validation},
-    }
+    """The bundled room-temperature study configuration with these sizes and
+    seeds and the given top-level overrides (JSON-ready dict)."""
+    with open(bundled_room_config_path()) as fh:
+        cfg = json.load(fh)
+    cfg["samples"] = {"scenario": n_scenario, "validation": n_validation}
+    cfg["seeds"] = {"scenario": seed_scenario, "validation": seed_validation}
     cfg.update(overrides)
     return cfg
 
@@ -401,100 +384,68 @@ def derive_seed(*keys: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63 - 1))
 
 
-@dataclass
+def _derived_seeds(config: SynthesisConfig, index: int) -> dict:
+    """Fresh, distinct seeds for retry attempt or repeat run `index`."""
+    seed_s = derive_seed(config.seed_scenario, index, 0)
+    seed_v = derive_seed(config.seed_validation, index, 1)
+    if seed_s == seed_v:
+        seed_v += 1
+    return {"scenario": seed_s, "validation": seed_v}
+
+
+@dataclass(kw_only=True)
 class CertificateReport:
+    """One run's outcome; an early exit leaves the stages it skipped at their defaults."""
+
     method: str
     verdict: str
-    failure_cause: str | None
-    certificate: CertificateValues | None
+    failure_cause: str | None = None
+    certificate: CertificateValues | None = None
     n_scenario: int
-    n_validation: int | None
-    support_bound: int | None
-    violations: int | None
-    kappa: float | None
-    eps: float | None
-    margin: float | None
-    margin_objective: float | None
-    margin_slack: float | None
+    n_validation: int | None = None
+    support_bound: int | None = None
+    violations: int | None = None
+    kappa: float | None = None
+    eps: float | None = None
+    margin: float | None = None
+    margin_objective: float | None = None
+    margin_slack: float | None = None
     lipschitz: float
     beta: float
     seeds: dict
     solver: dict
-    knife_edges: int
-    violation_detail: list
+    knife_edges: int = 0
+    violation_detail: list = field(default_factory=list)
     timings: dict
-    warnings: list
-    generator: str
-    tool_version: str
+    warnings: list = field(default_factory=list)
+    generator: str = GENERATOR_NAME
+    tool_version: str = __version__
     config: dict
     config_sha256: str
-    attempts: list
+    attempts: list = field(default_factory=list)
 
     @property
     def certified(self) -> bool:
         return self.verdict == "certified"
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "verdict": self.verdict,
-            "failure_cause": self.failure_cause,
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
-            "n_scenario": self.n_scenario,
-            "n_validation": self.n_validation,
-            "support_bound": self.support_bound,
-            "violations": self.violations,
-            "kappa": self.kappa,
-            "eps": self.eps,
-            "margin": self.margin,
-            "margin_objective": self.margin_objective,
-            "margin_slack": self.margin_slack,
-            "lipschitz": self.lipschitz,
-            "beta": self.beta,
-            "seeds": self.seeds,
-            "solver": self.solver,
-            "knife_edges": self.knife_edges,
-            "violation_detail": self.violation_detail,
-            "timings": self.timings,
-            "warnings": self.warnings,
-            "generator": self.generator,
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "config_sha256": self.config_sha256,
-            "attempts": self.attempts,
-        }
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.to_dict()
+        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CertificateReport":
-        cert = data.get("certificate")
-        return cls(
-            method=data["method"],
-            verdict=data["verdict"],
-            failure_cause=data.get("failure_cause"),
-            certificate=None if cert is None else CertificateValues.from_dict(cert),
-            n_scenario=data["n_scenario"],
-            n_validation=data.get("n_validation"),
-            support_bound=data.get("support_bound"),
-            violations=data.get("violations"),
-            kappa=data.get("kappa"),
-            eps=data.get("eps"),
-            margin=data.get("margin"),
-            margin_objective=data.get("margin_objective"),
-            margin_slack=data.get("margin_slack"),
-            lipschitz=data["lipschitz"],
-            beta=data["beta"],
-            seeds=data["seeds"],
-            solver=data["solver"],
-            knife_edges=data.get("knife_edges", 0),
-            violation_detail=data.get("violation_detail", []),
-            timings=data["timings"],
-            warnings=data.get("warnings", []),
-            generator=data.get("generator", GENERATOR_NAME),
-            tool_version=data.get("tool_version", __version__),
-            config=data["config"],
-            config_sha256=data["config_sha256"],
-            attempts=data.get("attempts", []),
-        )
+        """Inverse of `to_json_dict`; a missing key without a default raises KeyError."""
+        values = {
+            f.name: data[f.name]
+            for f in dataclasses.fields(cls)
+            if f.name in data
+            or (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        }
+        if values.get("certificate") is not None:
+            values["certificate"] = CertificateValues.from_dict(values["certificate"])
+        return cls(**values)
 
 
 def _solver_summary(solution: LpSolution, active_g3: int | None) -> dict:
@@ -511,19 +462,6 @@ def _solver_summary(solution: LpSolution, active_g3: int | None) -> dict:
     }
 
 
-def _base_report(config: SynthesisConfig, method: str, seeds: dict) -> dict:
-    return {
-        "method": method,
-        "lipschitz": config.lipschitz,
-        "beta": config.beta,
-        "seeds": seeds,
-        "generator": GENERATOR_NAME,
-        "tool_version": __version__,
-        "config": config.raw,
-        "config_sha256": config.sha256(),
-    }
-
-
 def resolve_sample_sizes(config: SynthesisConfig, plant: BlackBoxSystem | None = None) -> tuple[int, int, PlanResult | None]:
     """Fixed sizes from the config, or run the planner for `auto` configs."""
     if config.auto_samples is None:
@@ -532,7 +470,6 @@ def resolve_sample_sizes(config: SynthesisConfig, plant: BlackBoxSystem | None =
     auto = config.auto_samples
     khat = auto.khat
     nstar_hat = auto.nstar_hat
-    space = config.space()
     if khat is None:
         plant = plant if plant is not None else make_plant(config.plant_spec)
         khat, nstar_hat = pilot_estimates(config, plant, auto.start_scenario)
@@ -540,7 +477,7 @@ def resolve_sample_sizes(config: SynthesisConfig, plant: BlackBoxSystem | None =
         khat=khat,
         nstar_hat=nstar_hat,
         lipschitz=config.lipschitz,
-        space=space,
+        space=config.space(),
         beta=config.beta,
         n_start=auto.start_scenario,
         n0_start=auto.start_validation,
@@ -551,16 +488,9 @@ def resolve_sample_sizes(config: SynthesisConfig, plant: BlackBoxSystem | None =
 
 def pilot_estimates(config: SynthesisConfig, plant: BlackBoxSystem, n_pilot: int) -> tuple[float, int]:
     """Estimate the optimal objective and support bound by one pilot solve."""
-    space = config.space()
-    layout = config.layout()
     pilot_seed = derive_seed(config.seed_scenario, 7771)
-    dataset = collect(plant, space, n_pilot, pilot_seed, Role.SCENARIO)
-    input_a, input_b = _input_polytope(config)
-    problem = build_problem(
-        layout, dataset, config.initial_region, config.unsafe_region,
-        config.state_box, input_a, input_b, config.horizon,
-        config.grids, config.strict_margin, config.tighten,
-    )
+    dataset = collect(plant, config.space(), n_pilot, pilot_seed, Role.SCENARIO)
+    problem = build_problem(config.layout(), dataset, *_row_inputs(config))
     solution = solve_lp(problem, config.tolerances, lexicographic=False)
     if solution.status != LpStatus.OPTIMAL or solution.objective is None:
         raise SolverError(
@@ -571,10 +501,13 @@ def pilot_estimates(config: SynthesisConfig, plant: BlackBoxSystem, n_pilot: int
     return float(solution.objective), max(1, nstar)
 
 
-def _input_polytope(config: SynthesisConfig):
-    from .scp import box_to_polytope
-
-    return box_to_polytope(config.input_box)
+def _row_inputs(config: SynthesisConfig) -> tuple:
+    """What `static_blocks` and `build_problem` take after the layout (and data)."""
+    input_a, input_b = box_to_polytope(config.input_box)
+    return (
+        config.initial_region, config.unsafe_region, config.state_box, input_a, input_b,
+        config.horizon, config.grids, config.strict_margin, config.tighten,
+    )
 
 
 def _snap_growth_budget(cert: CertificateValues, horizon: int) -> CertificateValues:
@@ -594,135 +527,76 @@ def _snap_growth_budget(cert: CertificateValues, horizon: int) -> CertificateVal
         budget = new
     if budget * horizon > corridor or budget == cert.growth_budget:
         return cert
-    return CertificateValues(
-        objective=cert.objective,
-        unsafe_floor=cert.unsafe_floor,
-        initial_cap=cert.initial_cap,
-        growth_budget=budget,
-        barrier=cert.barrier,
-        controllers=cert.controllers,
-    )
+    return dataclasses.replace(cert, growth_budget=budget)
 
 
-def synthesize(
-    config: SynthesisConfig,
-    plant: BlackBoxSystem | None = None,
-    dataset_sink=None,
-) -> CertificateReport:
-    """Posterior-method synthesis with bounded, fully logged retries.
-
-    `dataset_sink(scenario, validation)` is invoked right after collection
-    (per attempt), so callers can persist the data without re-querying the
-    simulator.
-    """
-    plant = plant if plant is not None else make_plant(config.plant_spec)
-    n_scenario, n_validation, plan = resolve_sample_sizes(config, plant)
-    attempts: list[dict] = []
-    report: CertificateReport | None = None
-    for attempt in range(config.retries + 1):
-        if attempt == 0:
-            seed_s, seed_v = config.seed_scenario, config.seed_validation
-        else:
-            seed_s = derive_seed(config.seed_scenario, attempt, 0)
-            seed_v = derive_seed(config.seed_validation, attempt, 1)
-            if seed_s == seed_v:
-                seed_v += 1
-        report = _synthesize_once(
-            config, plant, n_scenario, n_validation, seed_s, seed_v,
-            dataset_sink=dataset_sink,
-        )
-        if plan is not None:
-            report.warnings.append(
-                f"sample sizes ({n_scenario}, {n_validation}) chosen by the planner "
-                f"after {len(plan.steps)} round(s)"
-            )
-        attempts.append(
-            {
-                "attempt": attempt,
-                "seed_scenario": seed_s,
-                "seed_validation": seed_v,
-                "verdict": report.verdict,
-                "failure_cause": report.failure_cause,
-                "margin": report.margin,
-            }
-        )
-        if report.certified:
-            break
-    assert report is not None
-    report.attempts = attempts
-    return report
+def _inconclusive(fields: dict, cause: str, t0: float, error: Exception | None = None) -> CertificateReport:
+    """The report of a run that stopped early, with the fields gathered so far."""
+    fields["timings"]["total"] = time.perf_counter() - t0
+    if error is not None:
+        fields["warnings"].append(str(error))
+    return CertificateReport(verdict="inconclusive", failure_cause=cause, **fields)
 
 
-def _synthesize_once(
+def _run(
     config: SynthesisConfig,
     plant: BlackBoxSystem,
+    seeds: dict,
     n_scenario: int,
-    n_validation: int,
-    seed_scenario: int,
-    seed_validation: int,
+    n_validation: int | None = None,
+    eps: float | None = None,
     static: tuple | None = None,
     dataset_sink=None,
+    warnings: list | None = None,
 ) -> CertificateReport:
-    if seed_scenario == seed_validation:
+    """One run: collect, assemble, solve, snap and support, eps, margin and verdict.
+
+    The eps stage is the only fork between the two methods.  Without a fixed
+    `eps` (posterior) the solution's violations of `n_validation` fresh
+    samples give kappa* and eps = 1 - kappa*; the validation data are
+    collected with the scenario data, so a failing plant stops the run
+    before the LP is solved.  With `eps` (prior) it is taken as given.
+    """
+    posterior = eps is None
+    if posterior and seeds["scenario"] == seeds["validation"]:
         raise ConfigError("scenario and validation seeds must differ")
     space = config.space()
     layout = config.layout()
     timings: dict[str, float] = {}
-    warnings: list[str] = []
-    seeds = {"scenario": seed_scenario, "validation": seed_validation}
-    base = _base_report(config, "posterior", seeds)
+    warnings = list(warnings or [])
+    fields = {
+        "method": "posterior" if posterior else "prior",
+        "n_scenario": n_scenario,
+        "n_validation": n_validation,
+        "eps": eps,
+        "lipschitz": config.lipschitz,
+        "beta": config.beta,
+        "seeds": seeds,
+        "solver": {},
+        "timings": timings,
+        "warnings": warnings,
+        "config": config.raw,
+        "config_sha256": config.sha256(),
+    }
 
     t0 = time.perf_counter()
+    validation = None
     try:
-        scenario_data = collect(plant, space, n_scenario, seed_scenario, Role.SCENARIO)
-        validation_data = collect(plant, space, n_validation, seed_validation, Role.VALIDATION)
+        scenario = collect(plant, space, n_scenario, seeds["scenario"], Role.SCENARIO)
+        if posterior:
+            validation = collect(plant, space, n_validation, seeds["validation"], Role.VALIDATION)
     except CollectionError as exc:
         timings["collect"] = time.perf_counter() - t0
-        timings["total"] = time.perf_counter() - t0
-        return CertificateReport(
-            verdict="inconclusive",
-            failure_cause="dataset_error",
-            certificate=None,
-            n_scenario=n_scenario,
-            n_validation=n_validation,
-            support_bound=None,
-            violations=None,
-            kappa=None,
-            eps=None,
-            margin=None,
-            margin_objective=None,
-            margin_slack=None,
-            solver={},
-            knife_edges=0,
-            violation_detail=[],
-            timings=timings,
-            warnings=warnings + [str(exc)],
-            attempts=[],
-            **base,
-        )
+        return _inconclusive(fields, "dataset_error", t0, exc)
     if dataset_sink is not None:
-        dataset_sink(scenario_data, validation_data)
+        dataset_sink(scenario, validation)
     timings["collect"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    input_a, input_b = _input_polytope(config)
     if static is None:
-        problem = build_problem(
-            layout, scenario_data, config.initial_region, config.unsafe_region,
-            config.state_box, input_a, input_b, config.horizon,
-            config.grids, config.strict_margin, config.tighten,
-        )
+        problem = build_problem(layout, scenario, *_row_inputs(config))
     else:
-        static_G, static_h, static_tags, static_origins = static
-        samp_G, samp_h = g3_rows(layout, scenario_data)
-        problem = LpProblem(
-            np.vstack([static_G, samp_G]),
-            np.concatenate([static_h, samp_h]),
-            np.concatenate([static_tags, np.full(len(samp_G), RowTag.G3, dtype=np.int8)]),
-            np.concatenate([static_origins, np.arange(len(samp_G), dtype=np.int64)]),
-            layout,
-            meta={"tighten": config.tighten, "eta": config.strict_margin},
-        )
+        problem = sampled_problem(layout, static, scenario)
     timings["assemble"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -730,106 +604,60 @@ def _synthesize_once(
         solution = solve_lp(problem, config.tolerances, config.lexicographic)
     except SolverError as exc:
         timings["solve"] = time.perf_counter() - t2
-        timings["total"] = time.perf_counter() - t0
-        return CertificateReport(
-            verdict="inconclusive",
-            failure_cause=f"lp_{exc.status}",
-            certificate=None,
-            n_scenario=n_scenario,
-            n_validation=n_validation,
-            support_bound=None,
-            violations=None,
-            kappa=None,
-            eps=None,
-            margin=None,
-            margin_objective=None,
-            margin_slack=None,
-            solver={"status": exc.status, "error": str(exc)},
-            knife_edges=0,
-            violation_detail=[],
-            timings=timings,
-            warnings=warnings + [str(exc)],
-            attempts=[],
-            **base,
-        )
+        fields["solver"] = {"status": exc.status, "error": str(exc)}
+        return _inconclusive(fields, f"lp_{exc.status}", t0, exc)
     timings["solve"] = time.perf_counter() - t2
     if solution.status != LpStatus.OPTIMAL or solution.d_star is None:
-        timings["total"] = time.perf_counter() - t0
-        return CertificateReport(
-            verdict="inconclusive",
-            failure_cause=f"lp_{solution.status.value}",
-            certificate=None,
-            n_scenario=n_scenario,
-            n_validation=n_validation,
-            support_bound=None,
-            violations=None,
-            kappa=None,
-            eps=None,
-            margin=None,
-            margin_objective=None,
-            margin_slack=None,
-            solver=_solver_summary(solution, None),
-            knife_edges=0,
-            violation_detail=[],
-            timings=timings,
-            warnings=warnings,
-            attempts=[],
-            **base,
-        )
+        fields["solver"] = _solver_summary(solution, None)
+        return _inconclusive(fields, f"lp_{solution.status.value}", t0)
 
     certificate = _snap_growth_budget(solution.certificate(layout), config.horizon)
     support_bound = count_active_g3(problem, solution, config.tolerances.activity)
+    fields.update(
+        certificate=certificate,
+        support_bound=support_bound,
+        margin_objective=float(solution.objective),
+        solver=_solver_summary(solution, support_bound),
+    )
     if solution.degenerate_steps > 0:
         warnings.append(
             f"{solution.degenerate_steps} degenerate pivot(s): the optimum may be "
             "non-unique; lexicographic refinement is available"
         )
 
-    t3 = time.perf_counter()
-    violations, records = violation_frequency(certificate, validation_data)
-    knife = knife_edge_count(records)
-    if knife:
-        warnings.append(f"{knife} validation residual(s) within 1e-12 of zero")
-    detail = [
-        {"index": r.index, "residual": r.residual} for r in records if r.violated
-    ]
-    timings["validate"] = time.perf_counter() - t3
-
-    t4 = time.perf_counter()
-    try:
-        kappa = solve_kappa(
-            PosteriorInputs(n_scenario, n_validation, support_bound, violations, config.beta)
-        )
-    except KappaBracketError as exc:
-        timings["bounds"] = time.perf_counter() - t4
-        timings["total"] = time.perf_counter() - t0
-        return CertificateReport(
-            verdict="inconclusive",
-            failure_cause="kappa_vacuous",
-            certificate=certificate,
-            n_scenario=n_scenario,
-            n_validation=n_validation,
-            support_bound=support_bound,
+    if posterior:
+        t3 = time.perf_counter()
+        violations, records = violation_frequency(certificate, validation)
+        knife = knife_edge_count(records)
+        if knife:
+            warnings.append(f"{knife} validation residual(s) within 1e-12 of zero")
+        fields.update(
             violations=violations,
-            kappa=None,
-            eps=None,
-            margin=None,
-            margin_objective=solution.objective,
-            margin_slack=None,
-            solver=_solver_summary(solution, support_bound),
             knife_edges=knife,
-            violation_detail=detail,
-            timings=timings,
-            warnings=warnings + [str(exc)],
-            attempts=[],
-            **base,
+            violation_detail=[
+                {"index": r.index, "residual": r.residual} for r in records if r.violated
+            ],
         )
-    slack = config.lipschitz * u_inverse(1.0 - kappa, space)
-    margin = float(solution.objective + slack)
-    timings["bounds"] = time.perf_counter() - t4
+        timings["validate"] = time.perf_counter() - t3
 
-    if config.estimate_lipschitz:
-        est = estimate_lipschitz(certificate, plant, space, seed=derive_seed(seed_scenario, 99))
+        t4 = time.perf_counter()
+        try:
+            kappa = solve_kappa(
+                PosteriorInputs(n_scenario, n_validation, support_bound, violations, config.beta)
+            )
+        except KappaBracketError as exc:
+            timings["bounds"] = time.perf_counter() - t4
+            return _inconclusive(fields, "kappa_vacuous", t0, exc)
+        timings["bounds"] = time.perf_counter() - t4
+        fields["kappa"] = float(kappa)
+        eps = 1.0 - kappa
+
+    slack = config.lipschitz * u_inverse(eps, space)
+    margin = float(solution.objective + slack)
+    fields.update(eps=float(eps), margin=margin, margin_slack=float(slack))
+
+    if posterior and config.estimate_lipschitz:
+        est = estimate_lipschitz(certificate, plant, space, seed=derive_seed(seeds["scenario"], 99))
         if est > config.lipschitz:
             warnings.append(
                 f"empirical Lipschitz lower bound {est:.4g} exceeds the configured "
@@ -852,27 +680,48 @@ def _synthesize_once(
             verdict = "inconclusive"
             cause = "tightening_disabled"
     timings["total"] = time.perf_counter() - t0
-    return CertificateReport(
-        verdict=verdict,
-        failure_cause=cause,
-        certificate=certificate,
-        n_scenario=n_scenario,
-        n_validation=n_validation,
-        support_bound=support_bound,
-        violations=violations,
-        kappa=float(kappa),
-        eps=float(1.0 - kappa),
-        margin=margin,
-        margin_objective=float(solution.objective),
-        margin_slack=float(slack),
-        solver=_solver_summary(solution, support_bound),
-        knife_edges=knife,
-        violation_detail=detail,
-        timings=timings,
-        warnings=warnings,
-        attempts=[],
-        **base,
-    )
+    return CertificateReport(verdict=verdict, failure_cause=cause, **fields)
+
+
+def synthesize(
+    config: SynthesisConfig,
+    plant: BlackBoxSystem | None = None,
+    dataset_sink=None,
+) -> CertificateReport:
+    """Posterior-method synthesis with bounded, fully logged retries.
+
+    `dataset_sink(scenario, validation)` is invoked right after collection
+    (per attempt), so callers can persist the data without re-querying the
+    simulator.
+    """
+    plant = plant if plant is not None else make_plant(config.plant_spec)
+    n_scenario, n_validation, plan = resolve_sample_sizes(config, plant)
+    attempts: list[dict] = []
+    for attempt in range(config.retries + 1):
+        if attempt == 0:
+            seeds = {"scenario": config.seed_scenario, "validation": config.seed_validation}
+        else:
+            seeds = _derived_seeds(config, attempt)
+        report = _run(config, plant, seeds, n_scenario, n_validation, dataset_sink=dataset_sink)
+        if plan is not None:
+            report.warnings.append(
+                f"sample sizes ({n_scenario}, {n_validation}) chosen by the planner "
+                f"after {len(plan.steps)} round(s)"
+            )
+        attempts.append(
+            {
+                "attempt": attempt,
+                "seed_scenario": seeds["scenario"],
+                "seed_validation": seeds["validation"],
+                "verdict": report.verdict,
+                "failure_cause": report.failure_cause,
+                "margin": report.margin,
+            }
+        )
+        if report.certified:
+            break
+    report.attempts = attempts
+    return report
 
 
 def prior_synthesize(config: SynthesisConfig, eps: float, plant: BlackBoxSystem | None = None) -> CertificateReport:
@@ -880,149 +729,23 @@ def prior_synthesize(config: SynthesisConfig, eps: float, plant: BlackBoxSystem 
 
     The template dimension entering the tail is Q + P + 3 with Q and P the
     coefficient counts of the barrier and of all controller components.
+    `retries` and `estimate_lipschitz` do not apply to this method.
     """
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     plant = plant if plant is not None else make_plant(config.plant_spec)
-    space = config.space()
     layout = config.layout()
     dim = layout.n_barrier + layout.n_controller + 3
     n_required = prior_sample_size(PriorInputs(eps, config.beta, dim))
-    n_scenario = max(config.n_scenario or 0, n_required)
-    seeds = {"scenario": config.seed_scenario, "validation": None}
-    base = _base_report(config, "prior", seeds)
-    warnings: list[str] = []
+    warnings = []
     if config.n_scenario is not None and config.n_scenario < n_required:
         warnings.append(
             f"configured scenario count {config.n_scenario} raised to the prior "
             f"bound {n_required}"
         )
-    timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    try:
-        dataset = collect(plant, space, n_scenario, config.seed_scenario, Role.SCENARIO)
-    except CollectionError as exc:
-        timings["collect"] = time.perf_counter() - t0
-        timings["total"] = time.perf_counter() - t0
-        return CertificateReport(
-            verdict="inconclusive",
-            failure_cause="dataset_error",
-            certificate=None,
-            n_scenario=n_scenario,
-            n_validation=None,
-            support_bound=None,
-            violations=None,
-            kappa=None,
-            eps=eps,
-            margin=None,
-            margin_objective=None,
-            margin_slack=None,
-            solver={},
-            knife_edges=0,
-            violation_detail=[],
-            timings=timings,
-            warnings=warnings + [str(exc)],
-            attempts=[],
-            **base,
-        )
-    timings["collect"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    input_a, input_b = _input_polytope(config)
-    problem = build_problem(
-        layout, dataset, config.initial_region, config.unsafe_region,
-        config.state_box, input_a, input_b, config.horizon,
-        config.grids, config.strict_margin, config.tighten,
-    )
-    timings["assemble"] = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    try:
-        solution = solve_lp(problem, config.tolerances, config.lexicographic)
-    except SolverError as exc:
-        timings["solve"] = time.perf_counter() - t2
-        timings["total"] = time.perf_counter() - t0
-        return CertificateReport(
-            verdict="inconclusive",
-            failure_cause=f"lp_{exc.status}",
-            certificate=None,
-            n_scenario=n_scenario,
-            n_validation=None,
-            support_bound=None,
-            violations=None,
-            kappa=None,
-            eps=eps,
-            margin=None,
-            margin_objective=None,
-            margin_slack=None,
-            solver={"status": exc.status, "error": str(exc)},
-            knife_edges=0,
-            violation_detail=[],
-            timings=timings,
-            warnings=warnings + [str(exc)],
-            attempts=[],
-            **base,
-        )
-    timings["solve"] = time.perf_counter() - t2
-    if solution.status != LpStatus.OPTIMAL or solution.d_star is None:
-        timings["total"] = time.perf_counter() - t0
-        return CertificateReport(
-            verdict="inconclusive",
-            failure_cause=f"lp_{solution.status.value}",
-            certificate=None,
-            n_scenario=n_scenario,
-            n_validation=None,
-            support_bound=None,
-            violations=None,
-            kappa=None,
-            eps=eps,
-            margin=None,
-            margin_objective=None,
-            margin_slack=None,
-            solver=_solver_summary(solution, None),
-            knife_edges=0,
-            violation_detail=[],
-            timings=timings,
-            warnings=warnings,
-            attempts=[],
-            **base,
-        )
-    certificate = _snap_growth_budget(solution.certificate(layout), config.horizon)
-    support_bound = count_active_g3(problem, solution, config.tolerances.activity)
-    slack = config.lipschitz * u_inverse(eps, space)
-    margin = float(solution.objective + slack)
-    verdict = "certified" if margin <= 0.0 else "inconclusive"
-    cause = None if verdict == "certified" else "margin_positive"
-    if not config.tighten:
-        warnings.append(
-            "grid tightening disabled: robust rows hold at grid points only, "
-            "so this report is non-certifying"
-        )
-        if verdict == "certified":
-            verdict = "inconclusive"
-            cause = "tightening_disabled"
-    timings["total"] = time.perf_counter() - t0
-    return CertificateReport(
-        verdict=verdict,
-        failure_cause=cause,
-        certificate=certificate,
-        n_scenario=n_scenario,
-        n_validation=None,
-        support_bound=support_bound,
-        violations=None,
-        kappa=None,
-        eps=eps,
-        margin=margin,
-        margin_objective=float(solution.objective),
-        margin_slack=float(slack),
-        solver=_solver_summary(solution, support_bound),
-        knife_edges=0,
-        violation_detail=[],
-        timings=timings,
-        warnings=warnings,
-        attempts=[],
-        **base,
+    return _run(
+        config, plant, {"scenario": config.seed_scenario, "validation": None},
+        max(config.n_scenario or 0, n_required), eps=eps, warnings=warnings,
     )
 
 
@@ -1040,18 +763,7 @@ class RepeatRun:
     kappa: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "run_index": self.run_index,
-            "seed_scenario": self.seed_scenario,
-            "seed_validation": self.seed_validation,
-            "verdict": self.verdict,
-            "failure_cause": self.failure_cause,
-            "objective": self.objective,
-            "margin": self.margin,
-            "support_bound": self.support_bound,
-            "violations": self.violations,
-            "kappa": self.kappa,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -1063,104 +775,71 @@ class RepeatResult:
     modal_violations: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "runs": [r.to_dict() for r in self.runs],
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "certified_fraction": self.certified_fraction,
-            "expected_samples": self.expected_samples,
-            "modal_violations": self.modal_violations,
-        }
+        out = dataclasses.asdict(self)
+        out["runs"] = list(out["runs"])
+        out["histogram"] = {str(k): v for k, v in sorted(self.histogram.items())}
+        return out
 
 
-_REPEAT_CACHE: dict = {}
-
-
-def _repeat_run(config: SynthesisConfig, plant: BlackBoxSystem, n_scenario: int,
-                n_validation: int, static: tuple, run_index: int) -> RepeatRun:
-    seed_s = derive_seed(config.seed_scenario, run_index, 0)
-    seed_v = derive_seed(config.seed_validation, run_index, 1)
-    if seed_s == seed_v:
-        seed_v += 1
-    report = _synthesize_once(
-        config, plant, n_scenario, n_validation, seed_s, seed_v, static=static
-    )
-    return RepeatRun(
-        run_index=run_index,
-        seed_scenario=seed_s,
-        seed_validation=seed_v,
-        verdict=report.verdict,
-        failure_cause=report.failure_cause,
-        objective=report.margin_objective,
-        margin=report.margin,
-        support_bound=report.support_bound,
-        violations=report.violations,
-        kappa=report.kappa,
-    )
-
-
-def _repeat_task(raw: dict, run_index: int) -> RepeatRun:
-    """Worker-process entry: per-process cache of the sample-independent state."""
-    key = json.dumps(raw, sort_keys=True)
-    state = _REPEAT_CACHE.get(key)
-    if state is None:
-        config = validate_config(raw)
-        plant = make_plant(config.plant_spec)
-        n_scenario, n_validation, _ = resolve_sample_sizes(config, plant)
-        input_a, input_b = _input_polytope(config)
-        static = static_blocks(
-            config.layout(), config.initial_region, config.unsafe_region,
-            config.state_box, input_a, input_b, config.horizon, config.grids,
-            config.strict_margin, config.tighten,
+def _repeat_runs(
+    config: SynthesisConfig,
+    plant: BlackBoxSystem,
+    n_scenario: int,
+    n_validation: int,
+    indices: range,
+) -> list[RepeatRun]:
+    """Repeat runs `indices`, all assembled on one build of the static rows."""
+    static = static_blocks(config.layout(), *_row_inputs(config))
+    runs = []
+    for i in indices:
+        seeds = _derived_seeds(config, i)
+        report = _run(config, plant, seeds, n_scenario, n_validation, static=static)
+        runs.append(
+            RepeatRun(
+                run_index=i,
+                seed_scenario=seeds["scenario"],
+                seed_validation=seeds["validation"],
+                verdict=report.verdict,
+                failure_cause=report.failure_cause,
+                objective=report.margin_objective,
+                margin=report.margin,
+                support_bound=report.support_bound,
+                violations=report.violations,
+                kappa=report.kappa,
+            )
         )
-        state = (config, plant, n_scenario, n_validation, static)
-        _REPEAT_CACHE.clear()  # one config per worker is the expected shape
-        _REPEAT_CACHE[key] = state
-    config, plant, n_scenario, n_validation, static = state
-    return _repeat_run(config, plant, n_scenario, n_validation, static, run_index)
+    return runs
 
 
 def repeat_experiment(config: SynthesisConfig, runs: int, plant: BlackBoxSystem | None = None) -> RepeatResult:
     """Run the posterior pipeline `runs` times with per-run derived seeds.
 
-    Sample-independent rows are assembled once and shared.  Runs derive
-    their seeds from (base seed, run index), so distributing them across
-    worker processes (config `workers`) changes nothing about the results;
-    external-process plants are always driven sequentially.  The expected
-    total sample count is (N + N0) / certified fraction, reported as None
-    when no run certifies.
+    Sample-independent rows are assembled once per process and shared.  Runs
+    derive their seeds from (base seed, run index), so distributing them
+    across worker processes (config `workers`, one contiguous slice of run
+    indices each) changes nothing about the results; external-process
+    plants are always driven sequentially.  The expected total sample count
+    is (N + N0) / certified fraction, reported as None when no run certifies.
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     plant = plant if plant is not None else make_plant(config.plant_spec)
-    if config.workers > 1 and plant.reentrant:
-        import concurrent.futures
-        import functools
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(functools.partial(_repeat_task, config.raw), range(runs)))
+    n_scenario, n_validation, _ = resolve_sample_sizes(config, plant)
+    workers = min(config.workers, runs) if plant.reentrant else 1
+    slices = [range(runs * k // workers, runs * (k + 1) // workers) for k in range(workers)]
+    task = functools.partial(_repeat_runs, config, plant, n_scenario, n_validation)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(task, slices))
     else:
-        n_scenario, n_validation, _ = resolve_sample_sizes(config, plant)
-        input_a, input_b = _input_polytope(config)
-        static = static_blocks(
-            config.layout(), config.initial_region, config.unsafe_region,
-            config.state_box, input_a, input_b, config.horizon, config.grids,
-            config.strict_margin, config.tighten,
-        )
-        results = [
-            _repeat_run(config, plant, n_scenario, n_validation, static, i)
-            for i in range(runs)
-        ]
-    histogram: dict[int, int] = {}
-    for r in results:
-        if r.violations is not None:
-            histogram[r.violations] = histogram.get(r.violations, 0) + 1
+        parts = [task(slices[0])]
+    results = [run for part in parts for run in part]
+    histogram = dict(Counter(r.violations for r in results if r.violations is not None))
     certified = sum(1 for r in results if r.verdict == "certified")
     frac = certified / runs
     expected = (n_scenario + n_validation) / frac if frac > 0 else None
-    modal = None
-    if histogram:
-        top = max(histogram.values())
-        modal = min(k for k, v in histogram.items() if v == top)
+    # the most frequent violation count, the smallest one on a tie
+    modal = min(histogram, key=lambda k: (-histogram[k], k)) if histogram else None
     return RepeatResult(
         runs=tuple(results),
         histogram=histogram,

@@ -224,13 +224,6 @@ class Dataset:
             and np.array_equal(self.x_nexts, other.x_nexts)
         )
 
-    def subset(self, count: int) -> "Dataset":
-        """Prefix view; same seed so nested-sample experiments stay honest."""
-        return Dataset(
-            self.xs[:count], self.us[:count], self.x_nexts[:count],
-            self.seed, self.role, self.space,
-        )
-
 
 def collect(
     system: BlackBoxSystem,

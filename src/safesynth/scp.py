@@ -62,16 +62,6 @@ class RowTag(IntEnum):
 
 
 @dataclass(frozen=True)
-class ConstraintRow:
-    """One inequality coeffs . d <= rhs with provenance."""
-
-    coeffs: np.ndarray
-    rhs: float
-    tag: RowTag
-    origin: int
-
-
-@dataclass(frozen=True)
 class CoeffBoundScheme:
     """Linearised norm cap for one polynomial block.
 
@@ -221,13 +211,12 @@ class CertificateValues:
 class LpProblem:
     """Assembled scenario program: min objective entry s.t. G d <= h."""
 
-    def __init__(self, G, h, tags, origins, layout: DecisionLayout, meta: dict | None = None):
+    def __init__(self, G, h, tags, origins, layout: DecisionLayout):
         self.G = np.ascontiguousarray(np.asarray(G, dtype=float))
         self.h = np.asarray(h, dtype=float).ravel()
         self.tags = np.asarray(tags, dtype=np.int8)
         self.origins = np.asarray(origins, dtype=np.int64)
         self.layout = layout
-        self.meta = dict(meta or {})
         if not (len(self.G) == len(self.h) == len(self.tags) == len(self.origins)):
             raise AssemblyError("row blocks disagree on length")
         if self.G.shape[1] != layout.n_total:
@@ -250,15 +239,11 @@ class LpProblem:
     def g3_row_indices(self) -> np.ndarray:
         return np.flatnonzero(self.tags == RowTag.G3)
 
-    def row(self, i: int) -> ConstraintRow:
-        return ConstraintRow(self.G[i].copy(), float(self.h[i]), RowTag(self.tags[i]), int(self.origins[i]))
-
     def without_rows(self, drop: Sequence[int]) -> "LpProblem":
         keep = np.ones(self.n_rows, dtype=bool)
         keep[list(drop)] = False
         return LpProblem(
-            self.G[keep], self.h[keep], self.tags[keep], self.origins[keep],
-            self.layout, self.meta,
+            self.G[keep], self.h[keep], self.tags[keep], self.origins[keep], self.layout
         )
 
     def residuals(self, d: np.ndarray) -> np.ndarray:
@@ -476,23 +461,26 @@ def build_problem(
     tighten: bool = True,
 ) -> LpProblem:
     """Assemble the full scenario program for one collected dataset."""
-    static_G, static_h, static_tags, static_origins = static_blocks(
-        layout, initial_region, unsafe_region, state_box, input_a, input_b,
-        horizon, grids, eta, tighten,
+    return sampled_problem(
+        layout,
+        static_blocks(
+            layout, initial_region, unsafe_region, state_box, input_a, input_b,
+            horizon, grids, eta, tighten,
+        ),
+        dataset,
     )
+
+
+def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> LpProblem:
+    """The `static_blocks` rows followed by one g3 row per sample of `dataset`."""
+    static_G, static_h, static_tags, static_origins = static
     samp_G, samp_h = g3_rows(layout, dataset)
-    G = np.vstack([static_G, samp_G])
-    h = np.concatenate([static_h, samp_h])
-    tags = np.concatenate([static_tags, np.full(len(samp_G), RowTag.G3, dtype=np.int8)])
-    origins = np.concatenate([static_origins, np.arange(len(samp_G), dtype=np.int64)])
     return LpProblem(
-        G, h, tags, origins, layout,
-        meta={
-            "tighten": tighten,
-            "eta": eta,
-            "grids": {"initial": grids.initial, "unsafe": grids.unsafe, "state": grids.state},
-            "n_samples": len(dataset),
-        },
+        np.vstack([static_G, samp_G]),
+        np.concatenate([static_h, samp_h]),
+        np.concatenate([static_tags, np.full(len(samp_G), RowTag.G3, dtype=np.int8)]),
+        np.concatenate([static_origins, np.arange(len(samp_G), dtype=np.int64)]),
+        layout,
     )
 
 
@@ -562,15 +550,6 @@ class LpTolerances:
     activity: float = 1e-7
     pivot: float = 1e-11
     max_iterations: int = 20000
-
-    def to_dict(self) -> dict:
-        return {
-            "feasibility": self.feasibility,
-            "optimality": self.optimality,
-            "activity": self.activity,
-            "pivot": self.pivot,
-            "max_iterations": self.max_iterations,
-        }
 
 
 @dataclass
@@ -713,30 +692,3 @@ def count_active_g3(problem: LpProblem, solution: LpSolution, tol: float | None 
     idx = problem.g3_row_indices()
     resid = problem.G[idx] @ solution.d_star - problem.h[idx]
     return int(np.sum(np.abs(resid) <= tol))
-
-
-def exact_support_count(
-    problem: LpProblem,
-    solution: LpSolution,
-    tolerances: LpTolerances = LpTolerances(),
-) -> int:
-    """Test oracle: sampled rows whose removal strictly improves the optimum.
-
-    O(n_samples) full re-solves; intended for small problems only.
-    """
-    if solution.objective is None:
-        raise _no_solution(solution.status)
-    count = 0
-    for i in problem.g3_row_indices():
-        try:
-            sub = problem.without_rows([int(i)])
-        except AssemblyError:
-            count += 1  # dropping the only sampled row unbounds the objective
-            continue
-        res = _raw_solve(sub, sub.cost, tolerances)
-        if res.status != LpStatus.OPTIMAL or res.objective is None:
-            count += 1  # removal made the program unbounded: infinite improvement
-            continue
-        if res.objective < solution.objective - tolerances.optimality:
-            count += 1
-    return count

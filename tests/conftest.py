@@ -1,8 +1,11 @@
 import pytest
 
+from safesynth.errors import AssemblyError
 from safesynth.geometry import Box, RegionUnion, SampleSpace
+from safesynth.lp import LpStatus, solve_dense_lp
 from safesynth.pipeline import room_casestudy_config, validate_config
 from safesynth.polynomial import Polynomial, build_basis
+from safesynth.scp import LpTolerances
 
 # Reference values of the room-temperature case study this tool reproduces.
 ROOM_STUDY = {
@@ -88,3 +91,29 @@ def small_solved(small_config):
     dataset, problem = scenario_problem(small_config)
     solution = solve_lp(problem, small_config.tolerances)
     return small_config, dataset, problem, solution
+
+
+def exact_support_count(problem, solution, tolerances=LpTolerances()):
+    """Test oracle: sampled rows whose removal strictly improves the optimum.
+
+    O(n_samples) full re-solves; intended for small problems only.
+    """
+    assert solution.objective is not None
+    count = 0
+    for i in problem.g3_row_indices():
+        try:
+            sub = problem.without_rows([int(i)])
+        except AssemblyError:
+            count += 1  # dropping the only sampled row unbounds the objective
+            continue
+        res = solve_dense_lp(
+            sub.cost, sub.G, sub.h,
+            opt_tol=tolerances.optimality, pivot_tol=tolerances.pivot,
+            feas_tol=tolerances.feasibility, max_iter=tolerances.max_iterations,
+        )
+        if res.status != LpStatus.OPTIMAL or res.objective is None:
+            count += 1  # removal made the program unbounded: infinite improvement
+            continue
+        if res.objective < solution.objective - tolerances.optimality:
+            count += 1
+    return count

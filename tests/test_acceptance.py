@@ -44,10 +44,10 @@ from safesynth.pipeline import (
     validate_config,
 )
 from safesynth.plant import RoomTemperaturePlant
-from safesynth.scp import CertificateValues, count_active_g3, exact_support_count
+from safesynth.scp import CertificateValues, count_active_g3
 from safesynth.verify import check_cbf_conditions, empirical_safety
 
-from .conftest import ROOM_STUDY, scenario_problem
+from .conftest import ROOM_STUDY, exact_support_count, scenario_problem
 from .test_bounds import dense_scan_root
 from .test_lp import random_bounded_lp, vertex_enumeration_optimum
 

@@ -101,6 +101,18 @@ def test_report_json_roundtrip(tmp_path):
     assert loaded.to_json_dict() == payload
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["method", "verdict", "n_scenario", "lipschitz", "beta", "seeds", "solver",
+     "timings", "config", "config_sha256"],
+)
+def test_report_without_required_key_fails_to_load(key):
+    payload = synthesize(small_room_config()).to_json_dict()
+    del payload[key]
+    with pytest.raises(KeyError, match=key):
+        CertificateReport.from_json_dict(payload)
+
+
 def test_config_rejects_unknown_keys():
     raw = room_casestudy_config()
     raw["frobnicate"] = True
@@ -142,6 +154,37 @@ def test_config_rejects_region_outside_state_space():
     raw["initial_set"] = [[[24.0, 27.5]]]
     with pytest.raises(ConfigError, match="state space"):
         validate_config(raw)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tighten", "false"),
+        ("horizon", 5.7),
+        ("horizon", True),
+        ("retries", 1.9),
+        ("lexicographic", "no"),
+    ],
+)
+def test_config_rejects_wrong_json_types(key, value):
+    # each of these used to run as something other than what the report echoed
+    raw = room_casestudy_config(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        validate_config(raw)
+
+
+def test_config_echo_appends_defaults_in_order():
+    # report.json is written without sort_keys, so this order is its layout
+    raw = room_casestudy_config()
+    del raw["lipschitz"]
+    echoed = validate_config(raw).raw
+    assert list(echoed) == list(raw) + [
+        "strict_margin", "tighten", "tolerances", "lipschitz",
+        "lexicographic", "retries", "workers", "estimate_lipschitz",
+    ]
+    assert list(echoed["tolerances"]) == [
+        "feasibility", "optimality", "activity", "pivot", "max_iterations",
+    ]
 
 
 def test_config_room_defaults_lipschitz():
@@ -190,6 +233,15 @@ def test_prior_synthesize_small_eps():
 
     required = prior_sample_size(PriorInputs(0.05, config.beta, 13))
     assert report.n_scenario == max(2000, required)
+
+
+def test_prior_report_warns_on_degenerate_pivots():
+    # the posterior route has always carried this warning; both share one runner
+    config = small_room_config(samples={"scenario": 2000, "validation": 1000})
+    report = prior_synthesize(config, eps=0.05)
+    steps = report.solver["degenerate_steps"]
+    assert steps > 0
+    assert any(w.startswith(f"{steps} degenerate pivot(s)") for w in report.warnings)
 
 
 def test_prior_synthesize_raises_sample_count():
@@ -377,14 +429,19 @@ def test_derive_seed_deterministic_and_spread():
 
 
 def test_repeat_workers_match_sequential():
-    config_seq = small_room_config(samples={"scenario": 400, "validation": 200})
+    config_seq = small_room_config(
+        samples={"scenario": 400, "validation": 200}, lipschitz=0.5
+    )
     config_par = small_room_config(
-        samples={"scenario": 400, "validation": 200}, workers=2
+        samples={"scenario": 400, "validation": 200}, workers=2, lipschitz=0.5
     )
     seq = repeat_experiment(config_seq, runs=4)
     par = repeat_experiment(config_par, runs=4)
+    assert seq.certified_fraction > 0  # the parallel path must meet certified runs
     assert [r.to_dict() for r in par.runs] == [r.to_dict() for r in seq.runs]
     assert par.histogram == seq.histogram
+    assert par.certified_fraction == seq.certified_fraction
+    assert par.expected_samples == seq.expected_samples
 
 
 def test_lipschitz_estimator_warning_paths():

@@ -14,7 +14,6 @@ from safesynth.scp import (
     box_to_polytope,
     build_problem,
     count_active_g3,
-    exact_support_count,
     g1_rows,
     g2_rows,
     g3_row,
@@ -23,6 +22,8 @@ from safesynth.scp import (
     solve_lp,
     structural_rows,
 )
+
+from .conftest import exact_support_count
 
 
 def tiny_layout(degree=1):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import BoundsDomainError, KappaBracketError, PlannerError
 from .geometry import SampleSpace, u_of_r
@@ -82,6 +82,25 @@ def log_binom_coeff(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a non-empty 1-D float array.
+
+    Same arithmetic as scipy.special.logsumexp (the maximal terms are split
+    off and the rest summed through log1p), so results agree bit for bit,
+    without its per-call array-API dispatch, which dominates on short arrays.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top)
+    with np.errstate(invalid="ignore"):
+        s = np.where(top, 0.0, np.exp(a - a_max)).sum()
+    out = np.log1p(s / m) + np.log(m) + a_max
+    if math.isfinite(out):
+        return float(out)
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.log(np.exp(a).sum()))
+
+
 def _log_binom_tail(n: int, m: int, t: float) -> float:
     """log of sum_{i=0}^{m} C(n,i) t^i (1-t)^(n-i), with exact 0/1 edges."""
     if not 0 <= m <= n:
@@ -94,7 +113,7 @@ def _log_binom_tail(n: int, m: int, t: float) -> float:
         return -math.inf
     i = np.arange(0, m + 1)
     terms = log_binom_coeff(n, i) + i * math.log(t) + (n - i) * math.log1p(-t)
-    return float(logsumexp(terms))
+    return logsumexp(terms)
 
 
 def binom_tail(n: int, m: int, t: float) -> float:
@@ -151,8 +170,8 @@ def _log_kappa_series(n: int, support: int, log_kappa: float) -> float:
     pieces = []
     for start in range(support, n + 1, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, n + 1))
-        pieces.append(float(logsumexp(log_binom_coeff(i, support) + (i - n) * log_kappa)))
-    return pieces[0] if len(pieces) == 1 else float(logsumexp(np.asarray(pieces)))
+        pieces.append(logsumexp(log_binom_coeff(i, support) + (i - n) * log_kappa))
+    return pieces[0] if len(pieces) == 1 else logsumexp(np.asarray(pieces))
 
 
 def posterior_g(kappa: float, inputs: PosteriorInputs) -> PosteriorValue:

@@ -44,7 +44,6 @@ from .plant import (
     ExternalProcessPlant,
     Role,
     RoomTemperaturePlant,
-    Sample,
     collect,
     load_dataset,
     save_dataset,

@@ -22,6 +22,7 @@ import tempfile
 
 from . import __version__
 from .bounds import (
+    PlanResult,
     PosteriorInputs,
     PriorInputs,
     plan_sample_sizes,
@@ -34,6 +35,7 @@ from .pipeline import (
     CertificateReport,
     SynthesisConfig,
     prior_synthesize,
+    read_json_object,
     repeat_experiment,
     resolve_sample_sizes,
     room_casestudy_config,
@@ -119,12 +121,14 @@ def _apply_overrides(args, raw: dict) -> dict:
 
 
 def _load_config_with_overrides(args) -> SynthesisConfig:
-    with open(args.config) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
-    return validate_config(_apply_overrides(args, raw))
+    return validate_config(_apply_overrides(args, read_json_object(args.config, "configuration")))
+
+
+def _load_report(path: str) -> CertificateReport:
+    try:
+        return CertificateReport.from_json_dict(read_json_object(path, "report"))
+    except KeyError as exc:
+        raise ConfigError(f"report {path} lacks required key {exc.args[0]!r}") from exc
 
 
 def _emit_report(run_dir: str, report: CertificateReport) -> str:
@@ -201,19 +205,23 @@ def _cmd_collect(args, argv) -> int:
     return EXIT_OK
 
 
-def _cmd_plan(args, argv) -> int:
-    config = _load_config_with_overrides(args)
-    if config.auto_samples is None:
-        raise ConfigError("plan requires a configuration with samples.auto")
-    n, n0, plan = resolve_sample_sizes(config)
-    assert plan is not None
+def _print_plan(plan: PlanResult) -> None:
     print(f"{'N':>10} {'N0':>10} {'est.R':>8} {'check':>6}")
     for step in plan.steps:
         print(
             f"{step.n_scenario:>10} {step.n_validation:>10} {step.est_violations:>8} "
             f"{'pass' if step.sign >= 0 else 'fail':>6}"
         )
-    print(f"chosen: N={n} N0={n0}")
+    print(f"chosen: N={plan.n_scenario} N0={plan.n_validation}")
+
+
+def _cmd_plan(args, argv) -> int:
+    config = _load_config_with_overrides(args)
+    if config.auto_samples is None:
+        raise ConfigError("plan requires a configuration with samples.auto")
+    n, n0, plan = resolve_sample_sizes(config)
+    assert plan is not None
+    _print_plan(plan)
     if args.out:
         run_dir = _run_dir(args.out, config.raw)
         _write_manifest(run_dir, config, argv)
@@ -237,8 +245,7 @@ def _cmd_plan(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
-    with open(args.report) as fh:
-        report = CertificateReport.from_json_dict(json.load(fh))
+    report = _load_report(args.report)
     if report.certificate is None:
         print("report carries no certificate; nothing to verify")
         return EXIT_INCONCLUSIVE
@@ -290,23 +297,15 @@ def _cmd_bounds(args, argv) -> int:
             space=space, beta=args.beta,
             n_start=args.start_N, n0_start=args.start_N0, growth=args.growth,
         )
-        print(f"{'N':>10} {'N0':>10} {'est.R':>8} {'check':>6}")
-        for step in plan.steps:
-            print(
-                f"{step.n_scenario:>10} {step.n_validation:>10} "
-                f"{step.est_violations:>8} {'pass' if step.sign >= 0 else 'fail':>6}"
-            )
-        print(f"chosen: N={plan.n_scenario} N0={plan.n_validation}")
+        _print_plan(plan)
         return EXIT_OK
     raise ConfigError("bounds needs a subcommand: prior, kappa or plan")
 
 
 def _cmd_casestudy(args, argv) -> int:
-    overrides = {}
     raw = room_casestudy_config(
         n_scenario=args.n_scenario or 140_000,
         n_validation=args.n_validation or 70_000,
-        **overrides,
     )
     raw = _apply_overrides(args, raw)
     config = validate_config(raw)

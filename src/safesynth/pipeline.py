@@ -66,7 +66,7 @@ from .scp import (
     solve_lp,
     static_blocks,
 )
-from .verify import estimate_lipschitz, knife_edge_count, violation_frequency
+from .verify import KNIFE_EDGE_TOL, estimate_lipschitz, knife_edge_count, violation_frequency
 
 ROOM_LIPSCHITZ_DEFAULT = 11.63
 
@@ -345,15 +345,22 @@ def canonical_dict(data: dict) -> dict:
     return out
 
 
-def load_config(path: str) -> SynthesisConfig:
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object at `path`; an unreadable, non-JSON or non-object file is a ConfigError."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return validate_config(data)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must be a JSON object")
+    return data
+
+
+def load_config(path: str) -> SynthesisConfig:
+    return validate_config(read_json_object(path, "configuration"))
 
 
 def bundled_room_config_path() -> str:
@@ -627,15 +634,16 @@ def _run(
 
     if posterior:
         t3 = time.perf_counter()
-        violations, records = violation_frequency(certificate, validation)
-        knife = knife_edge_count(records)
+        violations, residuals = violation_frequency(certificate, validation)
+        knife = knife_edge_count(residuals)
         if knife:
-            warnings.append(f"{knife} validation residual(s) within 1e-12 of zero")
+            warnings.append(f"{knife} validation residual(s) within {KNIFE_EDGE_TOL:g} of zero")
         fields.update(
             violations=violations,
             knife_edges=knife,
             violation_detail=[
-                {"index": r.index, "residual": r.residual} for r in records if r.violated
+                {"index": int(i), "residual": float(residuals[i])}
+                for i in np.flatnonzero(residuals > KNIFE_EDGE_TOL)
             ],
         )
         timings["validate"] = time.perf_counter() - t3

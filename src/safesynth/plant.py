@@ -21,7 +21,6 @@ import re
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -165,15 +164,6 @@ class Role(str, enum.Enum):
     VALIDATION = "validation"
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observed transition (x, u, x')."""
-
-    x: tuple[float, ...]
-    u: tuple[float, ...]
-    x_next: tuple[float, ...]
-
-
 class Dataset:
     """I.i.d. transitions drawn from a sample space, with seed/role metadata."""
 
@@ -207,9 +197,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(tuple(self.xs[i]), tuple(self.us[i]), tuple(self.x_nexts[i]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):

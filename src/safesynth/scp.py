@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AssemblyError
+from .errors import AssemblyError, SolverError
 from .geometry import Box, RegionUnion, box_grid, grid_halfstep
 from .lp import DenseLpResult, LpStatus, solve_dense_lp
 from .plant import Dataset
@@ -558,8 +558,6 @@ class LpSolution:
     d_star: np.ndarray | None
     objective: float | None
     active_row_ids: np.ndarray
-    basis_rows: np.ndarray
-    multipliers: np.ndarray
     iterations: int
     degenerate_steps: int
     bland_iterations: int
@@ -574,16 +572,16 @@ class LpSolution:
 
 
 def _no_solution(status: LpStatus):
-    from .errors import SolverError
-
     return SolverError(f"no solution available (status {status.value})", status=status.value)
 
 
-def _raw_solve(problem: LpProblem, cost: np.ndarray, tolerances: LpTolerances) -> DenseLpResult:
+def _raw_solve(
+    cost: np.ndarray, G: np.ndarray, h: np.ndarray, tolerances: LpTolerances
+) -> DenseLpResult:
     return solve_dense_lp(
         cost,
-        problem.G,
-        problem.h,
+        G,
+        h,
         opt_tol=tolerances.optimality,
         pivot_tol=tolerances.pivot,
         feas_tol=tolerances.feasibility,
@@ -603,15 +601,13 @@ def solve_lp(
     the reported solution the lexicographic-minimal point of the optimal
     face (split variables excluded).
     """
-    res = _raw_solve(problem, problem.cost, tolerances)
+    res = _raw_solve(problem.cost, problem.G, problem.h, tolerances)
     if res.status != LpStatus.OPTIMAL or res.z is None:
         return LpSolution(
             status=res.status,
             d_star=None,
             objective=None,
             active_row_ids=np.empty(0, dtype=int),
-            basis_rows=res.basis_rows,
-            multipliers=res.multipliers,
             iterations=res.iterations,
             degenerate_steps=res.degenerate_steps,
             bland_iterations=res.bland_iterations,
@@ -633,8 +629,6 @@ def solve_lp(
         d_star=d,
         objective=objective,
         active_row_ids=active,
-        basis_rows=res.basis_rows[res.basis_rows < problem.n_rows],
-        multipliers=res.multipliers,
         iterations=iterations,
         degenerate_steps=degenerate,
         bland_iterations=bland,
@@ -666,11 +660,7 @@ def _refine_lexicographic(
             value = float(d[idx])
         else:
             cost[idx] = 1.0
-            res = solve_dense_lp(
-                cost, G, h,
-                opt_tol=tolerances.optimality, pivot_tol=tolerances.pivot,
-                feas_tol=tolerances.feasibility, max_iter=tolerances.max_iterations,
-            )
+            res = _raw_solve(cost, G, h, tolerances)
             if res.status != LpStatus.OPTIMAL or res.z is None:
                 break  # keep the best refinement achieved so far
             extra_iters += res.iterations

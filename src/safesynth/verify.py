@@ -29,17 +29,21 @@ from .geometry import (
     distance_to_region,
     sample_uniform,
 )
-from .plant import BlackBoxSystem, Dataset, Role, Sample
+from .plant import BlackBoxSystem, Dataset, Role
 from .polynomial import eval_poly_many
 from .scp import CertificateValues
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
-    index: int
-    sample: Sample
-    residual: float
-    violated: bool
+def _step_condition(
+    cert: CertificateValues, xs: np.ndarray, us: np.ndarray, x_nexts: np.ndarray
+) -> np.ndarray:
+    """barrier(x') - barrier(x) + sum(u - F(x)), one value per row."""
+    controls = np.column_stack([eval_poly_many(c, xs) for c in cert.controllers])
+    return (
+        eval_poly_many(cert.barrier, x_nexts)
+        - eval_poly_many(cert.barrier, xs)
+        + np.sum(us - controls, axis=1)
+    )
 
 
 def step_residuals(cert: CertificateValues, dataset: Dataset) -> np.ndarray:
@@ -47,15 +51,8 @@ def step_residuals(cert: CertificateValues, dataset: Dataset) -> np.ndarray:
 
         barrier(x') - barrier(x) + sum(u - F(x)) - budget - objective
     """
-    bx = eval_poly_many(cert.barrier, dataset.xs)
-    bxn = eval_poly_many(cert.barrier, dataset.x_nexts)
-    controls = np.column_stack(
-        [eval_poly_many(c, dataset.xs) for c in cert.controllers]
-    )
     return (
-        bxn
-        - bx
-        + np.sum(dataset.us - controls, axis=1)
+        _step_condition(cert, dataset.xs, dataset.us, dataset.x_nexts)
         - cert.growth_budget
         - cert.objective
     )
@@ -66,26 +63,23 @@ KNIFE_EDGE_TOL = 1e-12
 
 def violation_frequency(
     cert: CertificateValues, validation: Dataset
-) -> tuple[int, list[ViolationRecord]]:
+) -> tuple[int, np.ndarray]:
     """Count strict violations of the one-step condition on fresh data.
 
-    The indicator is a strict sign test, except that residuals within
-    1e-12 of zero count as non-violations: they are numerical knife-edges,
-    surfaced via `knife_edge_count` rather than folded into the frequency.
+    Returns the count and the residual of every validation sample.  The
+    indicator is a strict sign test, except that residuals within
+    KNIFE_EDGE_TOL of zero count as non-violations: they are numerical
+    knife-edges, surfaced via `knife_edge_count` rather than folded into the
+    frequency.
     """
     if validation.role != Role.VALIDATION:
         raise GeometryError("violation test requires a validation-role dataset")
     residuals = step_residuals(cert, validation)
-    flags = residuals > KNIFE_EDGE_TOL
-    records = [
-        ViolationRecord(i, validation[i], float(residuals[i]), bool(flags[i]))
-        for i in range(len(validation))
-    ]
-    return int(np.sum(flags)), records
+    return int(np.sum(residuals > KNIFE_EDGE_TOL)), residuals
 
 
-def knife_edge_count(records: Sequence[ViolationRecord], tol: float = KNIFE_EDGE_TOL) -> int:
-    return sum(1 for r in records if abs(r.residual) <= tol)
+def knife_edge_count(residuals: np.ndarray, tol: float = KNIFE_EDGE_TOL) -> int:
+    return int(np.sum(np.abs(residuals) <= tol))
 
 
 @dataclass(frozen=True)
@@ -153,13 +147,7 @@ def check_cbf_conditions(
     pair_x = np.repeat(xs, nu, axis=0)
     pair_u = np.tile(us, (nx, 1))
     x_next = np.asarray(plant.step_batch(pair_x, pair_u), dtype=float)
-    controls = np.column_stack([eval_poly_many(c, pair_x) for c in cert.controllers])
-    step_vals = (
-        eval_poly_many(cert.barrier, x_next)
-        - eval_poly_many(cert.barrier, pair_x)
-        + np.sum(pair_u - controls, axis=1)
-        - cert.growth_budget
-    )
+    step_vals = _step_condition(cert, pair_x, pair_u, x_next) - cert.growth_budget
     worst_budget = cert.growth_budget * horizon - (cert.unsafe_floor - cert.initial_cap)
     return ConditionReport(
         worst_initial=float(np.max(init_vals)),
@@ -297,14 +285,7 @@ def emit_plot_data(
     pair_x = np.repeat(gx, surface_points)[:, None]
     pair_u = np.tile(gu, surface_points)[:, None]
     x_next = np.asarray(plant.step_batch(pair_x, pair_u), dtype=float)
-    controls = np.column_stack([eval_poly_many(c, pair_x) for c in cert.controllers])
-    g3 = (
-        eval_poly_many(cert.barrier, x_next)
-        - eval_poly_many(cert.barrier, pair_x)
-        + np.sum(pair_u - controls, axis=1)
-        - cert.growth_budget
-        - cert.objective
-    )
+    g3 = _step_condition(cert, pair_x, pair_u, x_next) - cert.growth_budget - cert.objective
     with open(surface_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "u", "g3"])
@@ -336,13 +317,7 @@ def estimate_lipschitz(
 
     def gvals(points: np.ndarray) -> np.ndarray:
         xs, us = points[:, :n], points[:, n:]
-        xn = np.asarray(plant.step_batch(xs, us), dtype=float)
-        controls = np.column_stack([eval_poly_many(c, xs) for c in cert.controllers])
-        return (
-            eval_poly_many(cert.barrier, xn)
-            - eval_poly_many(cert.barrier, xs)
-            + np.sum(us - controls, axis=1)
-        )
+        return _step_condition(cert, xs, us, np.asarray(plant.step_batch(xs, us), dtype=float))
 
     num = np.abs(gvals(base) - gvals(other))
     den = np.linalg.norm(base - other, axis=1)

@@ -103,6 +103,27 @@ def test_unknown_config_key_exit(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("verify", '{"method": "posterior"}', "lacks required key 'verdict'"),
+        ("verify", "[1, 2]", "must be a JSON object"),
+        ("verify", "not json", "is not valid JSON"),
+        ("synthesize", None, "cannot read configuration"),
+    ],
+    ids=["report-missing-key", "report-not-object", "report-not-json", "config-missing"],
+)
+def test_bad_input_file_is_config_exit(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    flag = "--report" if command == "verify" else "--config"
+    rc = main([command, flag, str(path), "--out", str(tmp_path / "runs")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
 def test_collect_command(tmp_path, capsys):
     cfg = write_config(tmp_path, small_raw())
     out_file = tmp_path / "data.csv"

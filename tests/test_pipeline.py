@@ -15,6 +15,7 @@ from safesynth.pipeline import (
     validate_config,
 )
 from safesynth.polynomial import eval_poly_many
+from safesynth.scp import g3_row
 from safesynth.geometry import box_grid
 from .conftest import small_room_config
 
@@ -65,6 +66,32 @@ def test_kappa_reproduces_from_report_fields():
         )
     )
     assert again == pytest.approx(report.kappa, abs=1e-9)
+
+
+def test_validation_fields_match_independent_oracle():
+    # residuals recomputed through the LP's own g3 transcription, not verify.py
+    config = small_room_config(samples={"scenario": 200, "validation": 5000})
+    captured = {}
+    report = synthesize(config, dataset_sink=lambda s, v: captured.update(validation=v))
+    validation, layout, cert = captured["validation"], config.layout(), report.certificate
+    d = np.zeros(layout.n_total)
+    d[layout.OBJECTIVE] = cert.objective
+    d[layout.BUDGET] = cert.growth_budget
+    d[layout.q_slice] = cert.barrier.coeffs
+    for i, controller in enumerate(cert.controllers):
+        d[layout.p_slice(i)] = controller.coeffs
+    oracle = []
+    for x, u, x_next in zip(validation.xs, validation.us, validation.x_nexts):
+        row, rhs = g3_row(layout, x, u, x_next)
+        oracle.append(row @ d - rhs)
+    oracle = np.array(oracle)
+    violated = np.flatnonzero(oracle > 1e-12)
+    detail = report.violation_detail
+    assert len(violated) > 0
+    assert [v["index"] for v in detail] == violated.tolist()
+    assert np.allclose([v["residual"] for v in detail], oracle[violated], rtol=0.0, atol=1e-12)
+    assert report.violations == len(detail)
+    assert report.knife_edges == int(np.sum(np.abs(oracle) <= 1e-12))
 
 
 def test_certified_run_mechanics():

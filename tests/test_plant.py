@@ -50,8 +50,9 @@ def test_collect_next_state_matches_step(room_space):
     plant = RoomTemperaturePlant()
     data = collect(plant, room_space, 200, 21)
     for i in (0, 57, 199):
-        s = data[i]
-        assert s.x_next[0] == pytest.approx(step_room(s.x[0], s.u[0]), abs=0.0)
+        assert data.x_nexts[i][0] == pytest.approx(
+            step_room(data.xs[i][0], data.us[i][0]), abs=0.0
+        )
 
 
 def test_collect_rejects_zero_count(room_space):

@@ -138,8 +138,7 @@ def test_g3_batch_matches_single():
     data = collect(RoomTemperaturePlant(), space, 25, 9)
     block, rhs = g3_rows(layout, data)
     for i in (0, 7, 24):
-        s = data[i]
-        row, r = g3_row(layout, s.x, s.u, s.x_next)
+        row, r = g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])
         assert np.allclose(block[i], row, atol=0.0)
         assert rhs[i] == pytest.approx(r, abs=0.0)
 

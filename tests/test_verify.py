@@ -8,6 +8,7 @@ from safesynth.plant import Dataset, Role, RoomTemperaturePlant, collect, step_r
 from safesynth.polynomial import Polynomial, build_basis
 from safesynth.scp import CertificateValues
 from safesynth.verify import (
+    KNIFE_EDGE_TOL,
     check_cbf_conditions,
     emit_plot_data,
     empirical_safety,
@@ -55,22 +56,21 @@ def test_violation_frequency_zero_on_consistent_data(room_space, room_regions):
         controllers=(ROOM_STUDY["controller"],),
     )
     data = collect(RoomTemperaturePlant(), room_space, 100, 4, Role.VALIDATION)
-    count, records = violation_frequency(cert, data)
+    count, residuals = violation_frequency(cert, data)
     assert count == 0
-    assert len(records) == 100
-    assert all(not r.violated for r in records)
+    assert len(residuals) == 100
+    assert not np.any(residuals > KNIFE_EDGE_TOL)
 
 
 def test_violation_frequency_counts_positive_residuals(room_space):
     cert = study_certificate()
     data = collect(RoomTemperaturePlant(), room_space, 500, 6, Role.VALIDATION)
     residuals = step_residuals(cert, data)
-    count, records = violation_frequency(cert, data)
+    count, returned = violation_frequency(cert, data)
     assert count == int(np.sum(residuals > 0))
-    flagged = [r for r in records if r.violated]
+    flagged = returned[returned > KNIFE_EDGE_TOL]
     assert len(flagged) == count
-    if flagged:
-        assert all(r.residual > 0 for r in flagged)
+    assert np.all(flagged > 0)
 
 
 def test_violation_frequency_single_violation(room_space):
@@ -118,7 +118,7 @@ def test_violation_frequency_pure(room_space):
     a, ra = violation_frequency(cert, data)
     b, rb = violation_frequency(cert, data)
     assert a == b
-    assert [r.residual for r in ra] == [r.residual for r in rb]
+    assert np.array_equal(ra, rb)
 
 
 def test_knife_edge_detection():
@@ -136,9 +136,9 @@ def test_knife_edge_detection():
         barrier=cert.barrier,
         controllers=cert.controllers,
     )
-    count, records = violation_frequency(pinned, sample_data)
+    count, residuals = violation_frequency(pinned, sample_data)
     assert count == 0
-    assert knife_edge_count(records) == 1
+    assert knife_edge_count(residuals) == 1
 
 
 def test_case_study_conditions_pass(room_regions):

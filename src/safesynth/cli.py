@@ -124,13 +124,6 @@ def _load_config_with_overrides(args) -> SynthesisConfig:
     return validate_config(_apply_overrides(args, read_json_object(args.config, "configuration")))
 
 
-def _load_report(path: str) -> CertificateReport:
-    try:
-        return CertificateReport.from_json_dict(read_json_object(path, "report"))
-    except KeyError as exc:
-        raise ConfigError(f"report {path} lacks required key {exc.args[0]!r}") from exc
-
-
 def _emit_report(run_dir: str, report: CertificateReport) -> str:
     path = os.path.join(run_dir, "report.json")
     _write_json_atomic(path, report.to_json_dict())
@@ -245,7 +238,10 @@ def _cmd_plan(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
-    report = _load_report(args.report)
+    try:
+        report = CertificateReport.from_json_dict(read_json_object(args.report, "report"))
+    except KeyError as exc:
+        raise ConfigError(f"report {args.report} lacks required key {exc.args[0]!r}") from exc
     if report.certificate is None:
         print("report carries no certificate; nothing to verify")
         return EXIT_INCONCLUSIVE

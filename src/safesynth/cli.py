@@ -242,6 +242,8 @@ def _cmd_verify(args, argv) -> int:
         report = CertificateReport.from_json_dict(read_json_object(args.report, "report"))
     except KeyError as exc:
         raise ConfigError(f"report {args.report} lacks required key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"report {args.report} has a malformed field: {exc}") from exc
     if report.certificate is None:
         print("report carries no certificate; nothing to verify")
         return EXIT_INCONCLUSIVE

@@ -51,16 +51,29 @@ class DenseLpResult:
 
 
 def _pow2_column_scale(G: np.ndarray) -> np.ndarray:
-    col_max = np.max(np.abs(G), axis=0)
+    """Power-of-two column scales; a NaN or inf entry of G raises SolverError.
+
+    The column maxima of |G| come from the maxima and minima of G, so no
+    temporary of G's size is made."""
+    col_max = np.maximum(np.max(G, axis=0), -np.min(G, axis=0))
+    if not np.all(np.isfinite(col_max)):
+        raise SolverError("constraint matrix has non-finite entries")
     col_max[col_max == 0.0] = 1.0
     return 2.0 ** (-np.round(np.log2(col_max)))
 
 
 class _DualSimplex:
-    """Revised simplex on the dual; shared by both phases."""
+    """Revised simplex on the dual; shared by both phases.
 
-    def __init__(self, G, h, b, opt_tol, pivot_tol, stall_limit):
+    Works on the column-scaled rows G * scale without forming them: a basis
+    row is scaled when it is read, and pricing computes G @ (scale * pi),
+    which equals (G * scale) @ pi bit for bit because the scales are powers
+    of two.  The m-long reduced costs reuse one buffer across iterations.
+    """
+
+    def __init__(self, G, scale, h, b, opt_tol, pivot_tol, stall_limit):
         self.G = G
+        self.scale = scale
         self.h = h
         self.b = b
         self.m, self.nv = G.shape
@@ -69,7 +82,7 @@ class _DualSimplex:
         self.stall_limit = stall_limit
         self.art_sign = np.where(b >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.nv)
-        self.in_basis = np.zeros(self.m, dtype=bool)
+        self._reduced = np.empty(self.m)
         self.iterations = 0
         self.degenerate_steps = 0
         self.bland_iterations = 0
@@ -80,7 +93,7 @@ class _DualSimplex:
         A = np.zeros((self.nv, self.nv))
         for pos, col in enumerate(self.basis):
             if col < self.m:
-                A[:, pos] = self.G[col]
+                A[:, pos] = self.G[col] * self.scale
             else:
                 A[col - self.m, pos] = self.art_sign[col - self.m]
         return A
@@ -109,9 +122,12 @@ class _DualSimplex:
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"singular working set in phase {phase}: {exc}",
                                   status=LpStatus.ITERATION_LIMIT.value) from exc
-            base_cost = np.zeros(self.m) if phase == 1 else self.h
-            reduced = base_cost - self.G @ pi
-            reduced[self.in_basis] = np.inf
+            reduced = np.matmul(self.G, self.scale * pi, out=self._reduced)
+            if phase == 1:
+                np.negative(reduced, out=reduced)
+            else:
+                np.subtract(self.h, reduced, out=reduced)
+            reduced[self.basis[self.basis < self.m]] = np.inf
             if self._bland:
                 eligible = np.flatnonzero(reduced < -self.opt_tol)
                 if eligible.size == 0:
@@ -122,15 +138,11 @@ class _DualSimplex:
                 enter = int(np.argmin(reduced))
                 if reduced[enter] >= -self.opt_tol:
                     return "optimal", pi, x_B
-            w = np.linalg.solve(A_B, self.G[enter])
+            w = np.linalg.solve(A_B, self.G[enter] * self.scale)
             leave_pos, theta = self._choose_leaving(x_B, w, phase)
             if leave_pos is None:
                 return "unbounded", pi, x_B
-            left = self.basis[leave_pos]
-            if left < self.m:
-                self.in_basis[left] = False
             self.basis[leave_pos] = enter
-            self.in_basis[enter] = True
             self.iterations += 1
             if theta <= 1e-11:
                 self.degenerate_steps += 1
@@ -184,12 +196,13 @@ def solve_dense_lp(
         raise SolverError(f"shape mismatch: G {G.shape}, h {h.shape}, cost {cost.shape}")
     if m < 1:
         raise SolverError("problem has no rows")
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(cost))):
+        raise SolverError("right-hand side or cost has non-finite entries")
 
     scale = _pow2_column_scale(G)
-    Gs = G * scale[None, :]
     b = -(cost * scale)
 
-    engine = _DualSimplex(Gs, h, b, opt_tol, pivot_tol, stall_limit)
+    engine = _DualSimplex(G, scale, h, b, opt_tol, pivot_tol, stall_limit)
     outcome, pi, x_B = engine.run_phase(1, max_iter)
     if outcome == "unbounded":
         # Phase 1 minimises a sum of non-negative artificials; an unbounded
@@ -209,7 +222,8 @@ def solve_dense_lp(
         return _failure(LpStatus.INFEASIBLE, engine)
 
     z = pi * scale
-    resid = G @ z - h
+    resid = G @ z
+    resid -= h
     max_violation = float(np.max(resid)) if m else 0.0
     real = engine.basis < m
     basis_rows = np.sort(engine.basis[real])

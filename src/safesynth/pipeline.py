@@ -122,10 +122,12 @@ _JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number"}
 
 def _typed(value, kind: type, name: str):
     """`value` as `kind`, which must be its JSON type: a boolean for bool, an
-    integer (not a boolean) for int, any number (not a boolean) for float."""
+    integer (not a boolean) for int, any finite number (not a boolean) for float."""
     allowed = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
         raise ConfigError(f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return kind(value)
 
 

@@ -49,6 +49,11 @@ from .polynomial import (
 )
 
 
+# Samples per block when g3 rows are written: bounds the basis-evaluation
+# temporaries of assembly to a few MB at any dataset size.
+G3_CHUNK = 65_536
+
+
 class RowTag(IntEnum):
     G1 = 1
     G2 = 2
@@ -247,7 +252,9 @@ class LpProblem:
         )
 
     def residuals(self, d: np.ndarray) -> np.ndarray:
-        return self.G @ np.asarray(d, dtype=float) - self.h
+        resid = self.G @ np.asarray(d, dtype=float)
+        resid -= self.h
+        return resid
 
     def dump(self, path: str) -> None:
         """Plain-text tableau: one row per line `tag origin rhs idx:val ...`."""
@@ -309,8 +316,14 @@ def g2_rows(
     return block, np.zeros(len(grid))
 
 
-def g3_rows(layout: DecisionLayout, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """One sampled one-step row per transition (x, u, x')."""
+def g3_rows(
+    layout: DecisionLayout, dataset: Dataset, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sampled one-step row per transition (x, u, x').
+
+    The rows go into `out` (len(dataset) x n_total) when given, else into a
+    new block, written G3_CHUNK samples at a time.
+    """
     if dataset.state_dim != layout.barrier.nvars:
         raise AssemblyError(
             f"dataset state dimension {dataset.state_dim} != template dimension "
@@ -321,14 +334,22 @@ def g3_rows(layout: DecisionLayout, dataset: Dataset) -> tuple[np.ndarray, np.nd
             f"dataset input dimension {dataset.input_dim} != controller count "
             f"{len(layout.controllers)}"
         )
-    block = np.zeros((len(dataset), layout.n_total))
-    block[:, layout.q_slice] = eval_basis_many(layout.barrier, dataset.x_nexts) - eval_basis_many(
-        layout.barrier, dataset.xs
-    )
-    for i, basis in enumerate(layout.controllers):
-        block[:, layout.p_slice(i)] = -eval_basis_many(basis, dataset.xs)
-    block[:, layout.BUDGET] = -1.0
-    block[:, layout.OBJECTIVE] = -1.0
+    block = np.empty((len(dataset), layout.n_total)) if out is None else out
+    if block.shape != (len(dataset), layout.n_total):
+        raise AssemblyError(f"g3 block of shape {block.shape} for {len(dataset)} samples")
+    for lo in range(0, len(dataset), G3_CHUNK):
+        rows = block[lo:lo + G3_CHUNK]
+        xs = dataset.xs[lo:lo + G3_CHUNK]
+        rows.fill(0.0)
+        np.subtract(
+            eval_basis_many(layout.barrier, dataset.x_nexts[lo:lo + G3_CHUNK]),
+            eval_basis_many(layout.barrier, xs),
+            out=rows[:, layout.q_slice],
+        )
+        for i, basis in enumerate(layout.controllers):
+            np.negative(eval_basis_many(basis, xs), out=rows[:, layout.p_slice(i)])
+        rows[:, layout.BUDGET] = -1.0
+        rows[:, layout.OBJECTIVE] = -1.0
     return block, -dataset.us.sum(axis=1)
 
 
@@ -472,14 +493,21 @@ def build_problem(
 
 
 def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> LpProblem:
-    """The `static_blocks` rows followed by one g3 row per sample of `dataset`."""
+    """The `static_blocks` rows followed by one g3 row per sample of `dataset`.
+
+    G is allocated once: the static rows are copied into its head and
+    `g3_rows` writes the sampled rows into its tail in place.
+    """
     static_G, static_h, static_tags, static_origins = static
-    samp_G, samp_h = g3_rows(layout, dataset)
+    n_static, n = len(static_G), len(dataset)
+    G = np.empty((n_static + n, layout.n_total))
+    G[:n_static] = static_G
+    _, samp_h = g3_rows(layout, dataset, out=G[n_static:])
     return LpProblem(
-        np.vstack([static_G, samp_G]),
+        G,
         np.concatenate([static_h, samp_h]),
-        np.concatenate([static_tags, np.full(len(samp_G), RowTag.G3, dtype=np.int8)]),
-        np.concatenate([static_origins, np.arange(len(samp_G), dtype=np.int64)]),
+        np.concatenate([static_tags, np.full(n, RowTag.G3, dtype=np.int8)]),
+        np.concatenate([static_origins, np.arange(n, dtype=np.int64)]),
         layout,
     )
 
@@ -679,6 +707,5 @@ def count_active_g3(problem: LpProblem, solution: LpSolution, tol: float | None 
     if solution.d_star is None:
         raise _no_solution(solution.status)
     tol = LpTolerances().activity if tol is None else tol
-    idx = problem.g3_row_indices()
-    resid = problem.G[idx] @ solution.d_star - problem.h[idx]
-    return int(np.sum(np.abs(resid) <= tol))
+    resid = problem.residuals(solution.d_star)
+    return int(np.count_nonzero((np.abs(resid) <= tol) & (problem.tags == RowTag.G3)))

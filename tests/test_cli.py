@@ -110,8 +110,14 @@ def test_unknown_config_key_exit(tmp_path, capsys):
         ("verify", "[1, 2]", "must be a JSON object"),
         ("verify", "not json", "is not valid JSON"),
         ("synthesize", None, "cannot read configuration"),
+        ("verify", json.dumps({
+            "method": "posterior", "verdict": "certified", "certificate": 5,
+            "n_scenario": 1, "lipschitz": 1.0, "beta": 0.05, "seeds": {}, "solver": {},
+            "timings": {}, "config": {}, "config_sha256": "",
+        }), "has a malformed field"),
     ],
-    ids=["report-missing-key", "report-not-object", "report-not-json", "config-missing"],
+    ids=["report-missing-key", "report-not-object", "report-not-json", "config-missing",
+         "report-certificate-not-object"],
 )
 def test_bad_input_file_is_config_exit(tmp_path, capsys, command, content, message):
     path = tmp_path / "input.json"

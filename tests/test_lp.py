@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from safesynth.errors import SolverError
 from safesynth.lp import LpStatus, solve_dense_lp
 
 
@@ -87,6 +88,16 @@ def test_unbounded_detected():
     h = np.array([1.0])
     res = solve_dense_lp(np.array([1.0]), G, h)
     assert res.status is LpStatus.UNBOUNDED
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["G", "h", "cost"])
+def test_non_finite_input_raises(where, value):
+    # `max_violation > feas_tol` is False for NaN, so a NaN must not reach it
+    cost, G, h = random_bounded_lp(np.random.default_rng(3))
+    {"G": G, "h": h, "cost": cost}[where].flat[1] = value
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_dense_lp(cost, G, h)
 
 
 def test_feasibility_of_reported_point():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from safesynth.bounds import PosteriorInputs, solve_kappa
+from safesynth.cli import EXIT_CONFIG, main
 from safesynth.errors import ConfigError
 from safesynth.pipeline import (
     CertificateReport,
@@ -198,6 +199,27 @@ def test_config_rejects_wrong_json_types(key, value):
     raw = room_casestudy_config(**{key: value})
     with pytest.raises(ConfigError, match=key):
         validate_config(raw)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "path",
+    [("strict_margin",), ("lipschitz",), ("beta",), ("coeff_bounds", "barrier"),
+     ("tolerances", "feasibility")],
+)
+def test_config_rejects_non_finite_numbers(tmp_path, path, value):
+    # a NaN margin or bound used to end as lp_iteration-limit, a NaN
+    # Lipschitz constant as a NaN margin (both exit 2)
+    raw = room_casestudy_config()
+    section = raw
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    with pytest.raises(ConfigError, match=f"'{path[-1]}'.*finite"):
+        validate_config(raw)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))  # NaN and Infinity literals, as Python's json reads them
+    assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
 
 
 def test_config_echo_appends_defaults_in_order():

@@ -4,6 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from safesynth import plant as plant_module
 from safesynth.errors import CollectionError, DatasetFormatError, GeometryError
 from safesynth.plant import (
     Dataset,
@@ -71,6 +72,23 @@ def test_dataset_roundtrip(tmp_path, room_space):
     assert loaded.seed == 42
     assert loaded.space is not None and loaded.space.n == room_space.n
     assert np.array_equal(loaded.space.box.lower_arr, room_space.box.lower_arr)
+
+
+def test_dataset_rows_match_per_value_formatting(tmp_path, monkeypatch, room_space):
+    # reference: the per-value `f"{v:.17g}"` writer; blocks of 7 rows cross
+    # block boundaries in both datasets
+    monkeypatch.setattr(plant_module, "_SAVE_BLOCK", 7)
+    edge = np.array([-0.0, 5e-324, 1e-310, 1.7976931348623157e308, 0.1, -2.5e-7, 24.0])
+    cases = [
+        Dataset(edge[:, None], -edge[::-1, None], np.roll(edge, 3)[:, None], 1, Role.SCENARIO),
+        collect(RoomTemperaturePlant(), room_space, 30, 8),
+    ]
+    for data in cases:
+        path = tmp_path / "data.csv"
+        save_dataset(data, str(path))
+        rows = np.hstack([data.xs, data.us, data.x_nexts])
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+        assert path.read_text().split("\n", 1)[1] == expected
 
 
 def test_dataset_header_format(tmp_path, room_space):

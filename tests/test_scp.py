@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from safesynth import scp
 from safesynth.errors import AssemblyError
 from safesynth.geometry import Box, RegionUnion, SampleSpace
+from safesynth.lp import solve_dense_lp
+from safesynth.pipeline import room_casestudy_config, validate_config
 from safesynth.plant import Dataset, RoomTemperaturePlant, collect
 from safesynth.polynomial import build_basis, eval_basis, eval_poly_many
 from safesynth.scp import (
@@ -19,17 +24,26 @@ from safesynth.scp import (
     g3_row,
     g3_rows,
     g4_rows,
+    sampled_problem,
     solve_lp,
+    static_blocks,
     structural_rows,
 )
 
-from .conftest import exact_support_count
+from .conftest import exact_support_count, scenario_problem
 
 
 def tiny_layout(degree=1):
     return DecisionLayout.build(
         build_basis(1, degree), [build_basis(1, degree)], 1.0, [1.0]
     )
+
+
+ROOM_REGIONS = (
+    RegionUnion.from_intervals([[[24, 25]]]),
+    RegionUnion.from_intervals([[[22.5, 23]], [[26, 26.5]]]),
+    Box.from_intervals([[22.5, 26.5]]),
+)
 
 
 def room_layout():
@@ -43,12 +57,7 @@ def small_problem(n_samples=40, seed=3, grids=GridSpec(201, 101, 401)):
     )
     data = collect(RoomTemperaturePlant(), space, n_samples, seed)
     A, b = box_to_polytope(Box.from_intervals([[0, 1]]))
-    problem = build_problem(
-        layout, data,
-        RegionUnion.from_intervals([[[24, 25]]]),
-        RegionUnion.from_intervals([[[22.5, 23]], [[26, 26.5]]]),
-        Box.from_intervals([[22.5, 26.5]]), A, b, 5, grids, 1e-6, True,
-    )
+    problem = build_problem(layout, data, *ROOM_REGIONS, A, b, 5, grids, 1e-6, True)
     return layout, data, problem
 
 
@@ -141,6 +150,26 @@ def test_g3_batch_matches_single():
         row, r = g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])
         assert np.allclose(block[i], row, atol=0.0)
         assert rhs[i] == pytest.approx(r, abs=0.0)
+
+
+def test_g3_rows_written_in_chunks_into_out(monkeypatch):
+    # chunk boundaries and a caller's uninitialised buffer leave no trace
+    layout = room_layout()
+    space = SampleSpace.product(
+        Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]])
+    )
+    data = collect(RoomTemperaturePlant(), space, 25, 9)
+    whole, rhs_whole = g3_rows(layout, data)
+    monkeypatch.setattr(scp, "G3_CHUNK", 7)
+    out = np.full((25, layout.n_total), np.nan)
+    block, rhs = g3_rows(layout, data, out=out)
+    assert block is out
+    assert np.array_equal(block, whole) and np.array_equal(rhs, rhs_whole)
+    for i in range(25):
+        row, _ = g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])
+        assert np.array_equal(block[i], row)
+    with pytest.raises(AssemblyError):
+        g3_rows(layout, data, out=np.empty((24, layout.n_total)))
 
 
 def test_g3_transcription_matches_direct_evaluation():
@@ -388,3 +417,59 @@ def test_infeasible_template_reported():
     solution = solve_lp(problem)
     assert solution.status is LpStatus.INFEASIBLE
     assert solution.d_star is None
+
+
+def _allocation_peak(fn, *args):
+    """fn(*args) and the most bytes it held allocated at once beyond its start."""
+    before, _ = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    result = fn(*args)
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+def test_assembly_solve_and_support_hold_one_copy_of_G():
+    # at prior scale G is 549 MB, so each extra G-sized array is a budget item
+    layout = room_layout()
+    space = SampleSpace.product(
+        Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]])
+    )
+    A, b = box_to_polytope(Box.from_intervals([[0, 1]]))
+    static = static_blocks(layout, *ROOM_REGIONS, A, b, 5, GridSpec(201, 101, 401), 1e-6, True)
+    data = collect(RoomTemperaturePlant(), space, 200_000 - len(static[0]), 21)
+    chunk_bytes = scp.G3_CHUNK * layout.n_total * 8
+    tracemalloc.start()
+    try:
+        problem, build_peak = _allocation_peak(sampled_problem, layout, static, data)
+        res, lp_peak = _allocation_peak(
+            solve_dense_lp, problem.cost, problem.G, problem.h
+        )
+        solution = solve_lp(problem)
+        active, count_peak = _allocation_peak(count_active_g3, problem, solution)
+    finally:
+        tracemalloc.stop()
+    G_bytes = problem.G.nbytes
+    assert problem.G.shape == (200_000, 24)
+    assert res.status is LpStatus.OPTIMAL and active >= 1
+    assert build_peak <= G_bytes + chunk_bytes
+    assert lp_peak < 0.25 * G_bytes
+    assert count_peak < 0.25 * G_bytes
+
+
+def test_desk_scale_pivot_path_pinned():
+    # captured while the solver still priced a scaled copy of G: pricing,
+    # scaling and basis masking must keep this exact pivot path
+    config = validate_config(room_casestudy_config(
+        n_scenario=20_000, n_validation=10_000, seed_scenario=2025, seed_validation=9090,
+    ))
+    _, problem = scenario_problem(config)
+    tol = config.tolerances
+    res = solve_dense_lp(
+        problem.cost, problem.G, problem.h, opt_tol=tol.optimality,
+        pivot_tol=tol.pivot, feas_tol=tol.feasibility, max_iter=tol.max_iterations,
+    )
+    assert res.objective.hex() == "-0x1.6cba804a7e6e3p-2"
+    assert (res.iterations, res.degenerate_steps) == (65, 32)
+    assert res.basis_rows.tolist() == [
+        0, 2, 3, 4, 6, 9, 10, 13, 14, 15, 17, 20, 22, 23, 25, 26, 28,
+        15029, 15030, 30397, 30497, 60031, 105423, 115503,
+    ]

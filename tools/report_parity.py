@@ -1,0 +1,110 @@
+"""Write the timing-free reports of a fixed set of runs, for comparing two trees.
+
+Usage (from the root of a source checkout):
+
+    python3 tools/report_parity.py OUT_DIR
+
+Each case runs through `safesynth.cli.main` on the `src/` next to this file
+and leaves one `OUT_DIR/<case>.json`: the report (or `repeat.json`) with every
+`timings` entry removed, plus the sha256 of each CSV file the run wrote.
+Run it in two checkouts and compare with `diff -r OUT_A OUT_B`; identical
+output means the same certificates, verdicts, solver counters and datasets.
+
+Cases: `synthesize` and `prior-synthesize --eps 7.492e-6` on the bundled
+configuration, a 200/5000-sample small room configuration, the same with
+`--lexicographic`, and `repeat --runs 4` of a certifying small configuration
+with two workers.
+"""
+
+import contextlib
+import glob
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from safesynth.cli import main as safesynth_main  # noqa: E402
+from safesynth.pipeline import bundled_room_config_path, room_casestudy_config  # noqa: E402
+
+
+def _small_room(**overrides) -> dict:
+    """The unit tests' small room configuration at 200/5000 samples."""
+    raw = room_casestudy_config(n_scenario=200, n_validation=5000,
+                                seed_scenario=11, seed_validation=12)
+    raw["grid_points"] = {"initial": 401, "unsafe": 201, "state": 1601}
+    raw.update(overrides)
+    return raw
+
+
+# case name -> (subcommand and flags, configuration dict or None for the bundled file)
+CASES = {
+    "synthesize": (["synthesize"], None),
+    "prior_synthesize": (["prior-synthesize", "--eps", "7.492e-6"], None),
+    "small": (["synthesize"], _small_room()),
+    "small_lexicographic": (["synthesize", "--lexicographic"], _small_room()),
+    "repeat_workers": (["repeat", "--runs", "4"], _small_room(lipschitz=0.5, workers=2)),
+}
+
+
+def _without_timings(value):
+    if isinstance(value, dict):
+        return {k: _without_timings(v) for k, v in value.items() if k != "timings"}
+    if isinstance(value, list):
+        return [_without_timings(v) for v in value]
+    return value
+
+
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def run_case(name: str, argv: list, raw: dict | None, work: str) -> dict:
+    config = bundled_room_config_path()
+    if raw is not None:
+        config = os.path.join(work, f"{name}.config.json")
+        with open(config, "w") as fh:
+            json.dump(raw, fh)
+    runs = os.path.join(work, name)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = safesynth_main(argv + ["--config", config, "--out", runs])
+    (run_dir,) = glob.glob(os.path.join(runs, "*"))
+    report = "repeat.json" if argv[0] == "repeat" else "report.json"
+    with open(os.path.join(run_dir, report)) as fh:
+        payload = json.load(fh)
+    return {
+        "exit_code": rc,
+        report: _without_timings(payload),
+        "csv_sha256": {
+            os.path.basename(p): _sha256(p)
+            for p in sorted(glob.glob(os.path.join(run_dir, "*.csv")))
+        },
+    }
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/report_parity.py OUT_DIR", file=sys.stderr)
+        return 3
+    out_dir = argv[0]
+    os.makedirs(out_dir, exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        for name, (args, raw) in CASES.items():
+            result = run_case(name, args, raw, work)
+            with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
+                json.dump(result, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            print(f"{name}: exit {result['exit_code']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

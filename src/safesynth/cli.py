@@ -52,6 +52,10 @@ EXIT_RUNTIME = 4
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: `collect --out` is a usage error, not `--output`
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         # argparse exits with 2 by default, which collides with the
         # "inconclusive" exit code; usage errors are configuration errors.
@@ -103,8 +107,6 @@ def _apply_overrides(args, raw: dict) -> dict:
     if getattr(args, "seed_validation", None) is not None:
         raw.setdefault("seeds", {})
         raw["seeds"]["validation"] = args.seed_validation
-    if getattr(args, "retries", None) is not None:
-        raw["retries"] = args.retries
     if getattr(args, "no_tighten", False):
         raw["tighten"] = False
     if getattr(args, "lexicographic", False):
@@ -161,8 +163,7 @@ def _cmd_synthesize(args, argv) -> int:
     sink = None
     if not getattr(args, "no_datasets", False):
         # persist the collected data directly; the simulator is never
-        # re-queried for persistence (later retry attempts overwrite, so the
-        # files always match the reported seeds)
+        # re-queried for persistence
         def sink(scenario, validation):
             save_dataset(scenario, os.path.join(run_dir, "scenario.csv"))
             save_dataset(validation, os.path.join(run_dir, "validation.csv"))
@@ -351,39 +352,44 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"safesynth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="configuration JSON path")
-        p.add_argument("--out", default="runs", help="output directory root")
-        p.add_argument("--seed", type=int, default=None, help="scenario seed override")
-        p.add_argument("--seed-validation", type=int, default=None, dest="seed_validation")
-        p.add_argument("--retries", type=int, default=None)
-        p.add_argument("--no-tighten", action="store_true", dest="no_tighten",
-                       help="disable grid tightening (exploration only, non-certifying)")
-        p.add_argument("--lexicographic", action="store_true")
-        p.add_argument("--N", type=int, default=None, dest="n_scenario")
-        p.add_argument("--N0", type=int, default=None, dest="n_validation")
+    # the flags shared by subcommands; each registers only those it reads
+    common = {
+        "--config": dict(required=True, help="configuration JSON path"),
+        "--out": dict(default="runs", help="output directory root"),
+        "--seed": dict(type=int, default=None, help="scenario seed override"),
+        "--seed-validation": dict(type=int, default=None, dest="seed_validation"),
+        "--no-tighten": dict(action="store_true", dest="no_tighten",
+                             help="disable grid tightening (exploration only, non-certifying)"),
+        "--lexicographic": dict(action="store_true"),
+        "--N": dict(type=int, default=None, dest="n_scenario"),
+        "--N0": dict(type=int, default=None, dest="n_validation"),
+    }
+
+    def add_common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **common[flag])
 
     p = sub.add_parser("synthesize", help="posterior-method synthesis")
-    add_common(p)
+    add_common(p, *common)
     p.add_argument("--no-datasets", action="store_true", dest="no_datasets",
                    help="skip writing the dataset CSVs")
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("prior-synthesize", help="prior-bound baseline synthesis")
-    add_common(p)
+    add_common(p, "--config", "--out", "--seed", "--seed-validation", "--no-tighten",
+               "--lexicographic", "--N")
     p.add_argument("--eps", type=float, required=True, help="violation level")
     p.set_defaults(func=_cmd_prior_synthesize)
 
     p = sub.add_parser("collect", help="collect a dataset CSV")
-    add_common(p)
+    add_common(p, "--config", "--seed", "--seed-validation")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--role", choices=[r.value for r in Role], default=Role.SCENARIO.value)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_collect)
 
     p = sub.add_parser("plan", help="plan (N, N0) from estimates")
-    add_common(p)
+    add_common(p, "--config", "--out", "--seed", "--seed-validation", "--no-tighten")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("verify", help="check a certificate against the true plant")
@@ -425,14 +431,14 @@ def build_parser() -> _Parser:
     bl.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("casestudy", help="built-in room-temperature experiment")
-    add_common(p, config_required=False)
+    add_common(p, *(flag for flag in common if flag != "--config"))
     p.add_argument("--mode", choices=["prior", "posterior"], default="posterior")
     p.add_argument("--eps", type=float, default=7.492e-6,
                    help="violation level for --mode prior")
     p.set_defaults(func=_cmd_casestudy)
 
     p = sub.add_parser("repeat", help="repeat the experiment with derived seeds")
-    add_common(p)
+    add_common(p, *common)
     p.add_argument("--runs", type=int, required=True)
     p.set_defaults(func=_cmd_repeat)
 

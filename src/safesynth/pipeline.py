@@ -14,9 +14,9 @@ bound size and a fixed eps in place of steps 4-5 (see `_run`).
 
 A certified verdict requires the margin check AND every sub-step to succeed
 AND grid tightening to be enabled; anything else yields an inconclusive
-report with a machine-readable failure cause.  Failed runs are never retried
-silently: `retries` enables bounded retry with fresh derived seeds, each
-attempt logged in the report.
+report with a machine-readable failure cause.  A run is never retried: the
+stated confidence 1 - beta belongs to one scenario program, one sample and
+one validation set.  `repeat_experiment` runs many seeds and reports all.
 """
 
 import concurrent.futures
@@ -59,9 +59,9 @@ from .scp import (
     LpSolution,
     LpStatus,
     LpTolerances,
+    RowTag,
     box_to_polytope,
     build_problem,
-    count_active_g3,
     sampled_problem,
     solve_lp,
     static_blocks,
@@ -97,7 +97,6 @@ _DEFAULTS = {
     # None: the built-in plant's constant, required for any other plant
     "lipschitz": (float, None),
     "lexicographic": (bool, False),
-    "retries": (int, 0),
     "workers": (int, 1),
     "estimate_lipschitz": (bool, False),
 }
@@ -190,7 +189,6 @@ class SynthesisConfig:
     seed_scenario: int
     seed_validation: int
     lexicographic: bool
-    retries: int
     workers: int
     estimate_lipschitz: bool
     raw: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
@@ -303,8 +301,8 @@ def validate_config(data: dict) -> SynthesisConfig:
             "must be independent of the scenario data)"
         )
 
-    if opts["retries"] < 0 or opts["workers"] < 1:
-        raise ConfigError("retries must be >= 0 and workers >= 1")
+    if opts["workers"] < 1:
+        raise ConfigError("workers must be >= 1")
 
     return SynthesisConfig(
         plant_spec=plant_spec,
@@ -327,7 +325,7 @@ def validate_config(data: dict) -> SynthesisConfig:
         # the options that are fields under their own names
         **{key: opts[key] for key in (
             "horizon", "barrier_degree", "beta", "strict_margin", "tighten",
-            "lexicographic", "retries", "workers", "estimate_lipschitz",
+            "lexicographic", "workers", "estimate_lipschitz",
         )},
     )
 
@@ -394,7 +392,7 @@ def derive_seed(*keys: int) -> int:
 
 
 def _derived_seeds(config: SynthesisConfig, index: int) -> dict:
-    """Fresh, distinct seeds for retry attempt or repeat run `index`."""
+    """Fresh, distinct seeds for repeat run `index`."""
     seed_s = derive_seed(config.seed_scenario, index, 0)
     seed_v = derive_seed(config.seed_validation, index, 1)
     if seed_s == seed_v:
@@ -431,7 +429,6 @@ class CertificateReport:
     tool_version: str = __version__
     config: dict
     config_sha256: str
-    attempts: list = field(default_factory=list)
 
     @property
     def certified(self) -> bool:
@@ -506,7 +503,7 @@ def pilot_estimates(config: SynthesisConfig, plant: BlackBoxSystem, n_pilot: int
             f"pilot solve failed with status {solution.status.value}",
             status=solution.status.value,
         )
-    nstar = count_active_g3(problem, solution, config.tolerances.activity)
+    nstar = int(np.count_nonzero(problem.tags[solution.active_row_ids] == RowTag.G3))
     return float(solution.objective), max(1, nstar)
 
 
@@ -621,7 +618,8 @@ def _run(
         return _inconclusive(fields, f"lp_{solution.status.value}", t0)
 
     certificate = _snap_growth_budget(solution.certificate(layout), config.horizon)
-    support_bound = count_active_g3(problem, solution, config.tolerances.activity)
+    # sampled rows among the rows `solve_lp` found active at the activity tolerance
+    support_bound = int(np.count_nonzero(problem.tags[solution.active_row_ids] == RowTag.G3))
     fields.update(
         certificate=certificate,
         support_bound=support_bound,
@@ -698,39 +696,20 @@ def synthesize(
     plant: BlackBoxSystem | None = None,
     dataset_sink=None,
 ) -> CertificateReport:
-    """Posterior-method synthesis with bounded, fully logged retries.
+    """Posterior-method synthesis: one run on the configured seeds.
 
-    `dataset_sink(scenario, validation)` is invoked right after collection
-    (per attempt), so callers can persist the data without re-querying the
-    simulator.
+    `dataset_sink(scenario, validation)` is invoked right after collection,
+    so callers can persist the data without re-querying the simulator.
     """
     plant = plant if plant is not None else make_plant(config.plant_spec)
     n_scenario, n_validation, plan = resolve_sample_sizes(config, plant)
-    attempts: list[dict] = []
-    for attempt in range(config.retries + 1):
-        if attempt == 0:
-            seeds = {"scenario": config.seed_scenario, "validation": config.seed_validation}
-        else:
-            seeds = _derived_seeds(config, attempt)
-        report = _run(config, plant, seeds, n_scenario, n_validation, dataset_sink=dataset_sink)
-        if plan is not None:
-            report.warnings.append(
-                f"sample sizes ({n_scenario}, {n_validation}) chosen by the planner "
-                f"after {len(plan.steps)} round(s)"
-            )
-        attempts.append(
-            {
-                "attempt": attempt,
-                "seed_scenario": seeds["scenario"],
-                "seed_validation": seeds["validation"],
-                "verdict": report.verdict,
-                "failure_cause": report.failure_cause,
-                "margin": report.margin,
-            }
+    seeds = {"scenario": config.seed_scenario, "validation": config.seed_validation}
+    report = _run(config, plant, seeds, n_scenario, n_validation, dataset_sink=dataset_sink)
+    if plan is not None:
+        report.warnings.append(
+            f"sample sizes ({n_scenario}, {n_validation}) chosen by the planner "
+            f"after {len(plan.steps)} round(s)"
         )
-        if report.certified:
-            break
-    report.attempts = attempts
     return report
 
 
@@ -739,7 +718,7 @@ def prior_synthesize(config: SynthesisConfig, eps: float, plant: BlackBoxSystem 
 
     The template dimension entering the tail is Q + P + 3 with Q and P the
     coefficient counts of the barrier and of all controller components.
-    `retries` and `estimate_lipschitz` do not apply to this method.
+    `estimate_lipschitz` does not apply to this method.
     """
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
@@ -840,7 +819,12 @@ def repeat_experiment(config: SynthesisConfig, runs: int, plant: BlackBoxSystem 
     task = functools.partial(_repeat_runs, config, plant, n_scenario, n_validation)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(task, slices))
+            futures = [pool.submit(task, indices) for indices in slices]
+        lost = [f"{s.start}-{s.stop - 1}" for s, f in zip(slices, futures)
+                if isinstance(f.exception(), concurrent.futures.BrokenExecutor)]
+        if lost:
+            raise SafesynthError(f"a repeat worker process died; runs {', '.join(lost)} did not finish")
+        parts = [f.result() for f in futures]
     else:
         parts = [task(slices[0])]
     results = [run for part in parts for run in part]

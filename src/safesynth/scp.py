@@ -627,7 +627,8 @@ def solve_lp(
     With `lexicographic` the objective value is pinned and every core
     coordinate is minimised in layout order by exact re-solves, which makes
     the reported solution the lexicographic-minimal point of the optimal
-    face (split variables excluded).
+    face (split variables excluded); `lexicographic` in the result says
+    whether every core coordinate was pinned.
     """
     res = _raw_solve(problem.cost, problem.G, problem.h, tolerances)
     if res.status != LpStatus.OPTIMAL or res.z is None:
@@ -647,7 +648,7 @@ def solve_lp(
     degenerate = res.degenerate_steps
     bland = res.bland_iterations
     if lexicographic:
-        d, extra_iters = _refine_lexicographic(problem, res, tolerances)
+        d, extra_iters, lexicographic = _refine_lexicographic(problem, res, tolerances)
         iterations += extra_iters
     objective = float(problem.cost @ d)
     resid = problem.residuals(d)
@@ -668,11 +669,13 @@ def solve_lp(
 
 def _refine_lexicographic(
     problem: LpProblem, base: DenseLpResult, tolerances: LpTolerances
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, bool]:
     """Pin the objective, then minimise each core coordinate in order.
 
     Every pin is a single upper-bound row: the pinned value is the minimum of
     that coordinate over the current face, so the lower bound is implied.
+    A re-solve that raises or ends non-optimal stops the refinement at the
+    point reached so far, and the third result (all pinned) is False.
     """
     layout = problem.layout
     G = problem.G
@@ -688,15 +691,18 @@ def _refine_lexicographic(
             value = float(d[idx])
         else:
             cost[idx] = 1.0
-            res = _raw_solve(cost, G, h, tolerances)
+            try:
+                res = _raw_solve(cost, G, h, tolerances)
+            except SolverError:
+                return d, extra_iters, False
             if res.status != LpStatus.OPTIMAL or res.z is None:
-                break  # keep the best refinement achieved so far
+                return d, extra_iters, False
             extra_iters += res.iterations
             d = res.z
             value = float(d[idx])
         G = np.vstack([G, pin])
         h = np.concatenate([h, [value]])
-    return d, extra_iters
+    return d, extra_iters, True
 
 
 def count_active_g3(problem: LpProblem, solution: LpSolution, tol: float | None = None) -> int:

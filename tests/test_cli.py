@@ -238,6 +238,39 @@ def test_casestudy_prior_mode_reduced(tmp_path, capsys):
     assert report["n_validation"] is None
 
 
+# (subcommand, flag) pairs where the subcommand would ignore the flag, or
+# for `plan --N`/`--N0` always fail on it; no subcommand takes `--retries`.
+_REMOVED_FLAGS = [
+    *(("collect", flag) for flag in ("--out", "--no-tighten", "--lexicographic", "--N", "--N0")),
+    ("prior-synthesize", "--N0"),
+    *(("plan", flag) for flag in ("--N", "--N0", "--lexicographic")),
+    *((command, "--retries") for command in (
+        "synthesize", "prior-synthesize", "collect", "plan", "casestudy", "repeat")),
+]
+_FLAG_VALUES = {"--out": "elsewhere", "--N": "300", "--N0": "150", "--retries": "1"}
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED_FLAGS)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, command, flag):
+    raw = small_raw(samples={"scenario": 200, "validation": 100})
+    if command == "plan":
+        raw["samples"] = {"auto": {"khat": -0.149, "start_scenario": 1000,
+                                   "start_validation": 500}}
+    cfg = write_config(tmp_path, raw)
+    out = str(tmp_path / "runs")
+    argv = {
+        "synthesize": ["--config", cfg, "--out", out],
+        "prior-synthesize": ["--config", cfg, "--eps", "0.2", "--out", out],
+        "collect": ["--config", cfg, "--count", "5", "--output", str(tmp_path / "d.csv")],
+        "plan": ["--config", cfg, "--out", out],
+        "casestudy": ["--N", "300", "--N0", "150", "--out", out],
+        "repeat": ["--config", cfg, "--runs", "1", "--out", out],
+    }[command]
+    extra = [flag, _FLAG_VALUES[flag]] if flag in _FLAG_VALUES else [flag]
+    assert main([command, *argv, *extra]) == EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,10 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from safesynth.bounds import PosteriorInputs, solve_kappa
-from safesynth.cli import EXIT_CONFIG, main
+from safesynth import pipeline
+from safesynth.cli import EXIT_CONFIG, EXIT_RUNTIME, main
 from safesynth.errors import ConfigError
 from safesynth.pipeline import (
     CertificateReport,
@@ -15,10 +17,11 @@ from safesynth.pipeline import (
     synthesize,
     validate_config,
 )
+from safesynth.plant import RoomTemperaturePlant
 from safesynth.polynomial import eval_poly_many
-from safesynth.scp import g3_row
+from safesynth.scp import g3_row, solve_lp
 from safesynth.geometry import box_grid
-from .conftest import small_room_config
+from .conftest import scenario_problem, small_room_config
 
 
 def certifying_config(**overrides):
@@ -93,6 +96,42 @@ def test_validation_fields_match_independent_oracle():
     assert np.allclose([v["residual"] for v in detail], oracle[violated], rtol=0.0, atol=1e-12)
     assert report.violations == len(detail)
     assert report.knife_edges == int(np.sum(np.abs(oracle) <= 1e-12))
+
+
+@pytest.mark.parametrize("lexicographic", [False, True])
+def test_support_bound_recounts_from_residuals(lexicographic):
+    # the report takes the support bound from the solve's own active set;
+    # recount it from the residuals of an independently rebuilt program
+    config = small_room_config(samples={"scenario": 300, "validation": 100},
+                               lexicographic=lexicographic)
+    report = synthesize(config)
+    _, problem = scenario_problem(config)
+    solution = solve_lp(problem, config.tolerances, lexicographic)
+    resid = problem.residuals(solution.d_star)[problem.g3_row_indices()]
+    recount = int(np.sum(np.abs(resid) <= config.tolerances.activity))
+    assert solution.objective == report.margin_objective
+    assert recount >= 1
+    assert report.support_bound == recount
+    assert report.solver["active_g3"] == recount
+
+
+def test_lexicographic_refinement_survives_a_failing_resolve():
+    # the 12th refinement re-solve of this program raises "singular working
+    # set"; the run keeps the refinement reached so far instead of failing
+    def raw(lexicographic):
+        out = room_casestudy_config(n_scenario=300, n_validation=100,
+                                    seed_scenario=100, seed_validation=999)
+        out["grid_points"] = {"initial": 101, "unsafe": 51, "state": 201}
+        out["lexicographic"] = lexicographic
+        return out
+
+    plain = synthesize(validate_config(raw(False)))
+    refined = synthesize(validate_config(raw(True)))
+    assert plain.solver["status"] == "optimal"
+    assert refined.solver["status"] == "optimal"
+    assert refined.failure_cause == "margin_positive"
+    assert refined.margin_objective == pytest.approx(plain.margin_objective, abs=1e-7)
+    assert refined.solver["lexicographic"] is False
 
 
 def test_certified_run_mechanics():
@@ -190,7 +229,7 @@ def test_config_rejects_region_outside_state_space():
         ("tighten", "false"),
         ("horizon", 5.7),
         ("horizon", True),
-        ("retries", 1.9),
+        ("workers", 1.9),
         ("lexicographic", "no"),
     ],
 )
@@ -229,7 +268,7 @@ def test_config_echo_appends_defaults_in_order():
     echoed = validate_config(raw).raw
     assert list(echoed) == list(raw) + [
         "strict_margin", "tighten", "tolerances", "lipschitz",
-        "lexicographic", "retries", "workers", "estimate_lipschitz",
+        "lexicographic", "workers", "estimate_lipschitz",
     ]
     assert list(echoed["tolerances"]) == [
         "feasibility", "optimality", "activity", "pivot", "max_iterations",
@@ -241,25 +280,6 @@ def test_config_room_defaults_lipschitz():
     del raw["lipschitz"]
     config = validate_config(raw)
     assert config.lipschitz == 11.63
-
-
-def test_retries_logged_and_bounded():
-    config = small_room_config(
-        samples={"scenario": 150, "validation": 80}, retries=2
-    )
-    report = synthesize(config)
-    assert report.verdict == "inconclusive"
-    assert len(report.attempts) == 3
-    seeds = {(a["seed_scenario"], a["seed_validation"]) for a in report.attempts}
-    assert len(seeds) == 3  # fresh derived seeds per attempt
-    assert all(a["verdict"] == "inconclusive" for a in report.attempts)
-
-
-def test_retry_stops_after_certification():
-    config = certifying_config(retries=3)
-    report = synthesize(config)
-    assert report.certified
-    assert len(report.attempts) == 1
 
 
 def test_no_tighten_flagged_non_certifying():
@@ -491,6 +511,32 @@ def test_repeat_workers_match_sequential():
     assert par.histogram == seq.histogram
     assert par.certified_fraction == seq.certified_fraction
     assert par.expected_samples == seq.expected_samples
+
+
+class _ExitingPlant(RoomTemperaturePlant):
+    """The room plant, except that any process other than its creator's exits."""
+
+    def __init__(self):
+        super().__init__()
+        self.parent_pid = os.getpid()
+
+    def step_batch(self, xs, us):
+        if os.getpid() != self.parent_pid:
+            os._exit(1)
+        return super().step_batch(xs, us)
+
+
+def test_repeat_worker_crash_is_runtime_exit(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(room_casestudy_config(
+        n_scenario=100, n_validation=50, seed_scenario=11, seed_validation=12, workers=2,
+    )))
+    monkeypatch.setattr(pipeline, "make_plant", lambda spec: _ExitingPlant())
+    rc = main(["repeat", "--config", str(cfg), "--runs", "2", "--out", str(tmp_path / "runs")])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "worker process died" in err and "0-0" in err and "did not finish" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_lipschitz_estimator_warning_paths():

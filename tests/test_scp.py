@@ -368,6 +368,15 @@ def test_lexicographic_refinement_preserves_objective():
         assert refined.d_star[idx] <= plain.d_star[idx] + 1e-7
 
 
+def test_lexicographic_flag_reports_complete_refinement():
+    # seed 0 pins all 14 core coordinates; at seed 21 a refinement re-solve
+    # ends non-optimal, so the refinement stops early and says so
+    _, _, complete = small_problem(n_samples=50, seed=0)
+    assert solve_lp(complete, lexicographic=True).lexicographic is True
+    _, _, partial = small_problem(n_samples=50, seed=21)
+    assert solve_lp(partial, lexicographic=True).lexicographic is False
+
+
 def test_scenario_problem_matches_highs():
     # independent solver cross-check on the real tall, degenerate row shape
     scipy_opt = pytest.importorskip("scipy.optimize")

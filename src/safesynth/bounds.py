@@ -21,6 +21,7 @@ coefficients at N ~ 1e6..1e7 never overflow.  The two central objects:
 All functions here are pure and safe for concurrent use.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,12 +166,27 @@ class PosteriorValue:
     log_rhs: float
 
 
-def _log_kappa_series(n: int, support: int, log_kappa: float) -> float:
-    """log sum_{i=support}^{n} C(i, support) kappa^(i-n), chunked for huge n."""
-    pieces = []
+@functools.lru_cache(maxsize=1)
+def _kappa_series_terms(n: int, support: int) -> tuple:
+    """Per-chunk read-only (log C(i, support), i - n) for i = support..n.
+
+    These are the kappa-independent parts of `_log_kappa_series`; a root
+    search evaluates the series at one (n, support) many times, and one
+    entry suffices because it never interleaves two of them.
+    """
+    chunks = []
     for start in range(support, n + 1, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, n + 1))
-        pieces.append(logsumexp(log_binom_coeff(i, support) + (i - n) * log_kappa))
+        coeff, offset = log_binom_coeff(i, support), i - n
+        coeff.flags.writeable = offset.flags.writeable = False
+        chunks.append((coeff, offset))
+    return tuple(chunks)
+
+
+def _log_kappa_series(n: int, support: int, log_kappa: float) -> float:
+    """log sum_{i=support}^{n} C(i, support) kappa^(i-n), chunked for huge n."""
+    pieces = [logsumexp(coeff + offset * log_kappa)
+              for coeff, offset in _kappa_series_terms(n, support)]
     return pieces[0] if len(pieces) == 1 else logsumexp(np.asarray(pieces))
 
 

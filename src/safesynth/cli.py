@@ -12,6 +12,7 @@ reports are written atomically.
 """
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -156,19 +157,70 @@ def _verdict_exit(report: CertificateReport) -> int:
     return EXIT_OK if report.certified else EXIT_INCONCLUSIVE
 
 
+class _DatasetWriter:
+    """Dataset sink that writes `scenario.csv` and `validation.csv` of a run.
+
+    The collected data are persisted directly, so the simulator is never
+    re-queried for persistence.  Formatting the CSVs holds the interpreter
+    lock, so the files are written by a forked child while this process
+    assembles, solves and validates; `wait` reaps it.  The child only
+    formats and writes, calling no BLAS routine, so it needs none of the
+    parent's threads.  Where `os.fork` is absent the files are written inline.
+    """
+
+    def __init__(self, run_dir: str):
+        self.run_dir = run_dir
+        self.pid: int | None = None
+
+    def _save(self, scenario, validation) -> None:
+        save_dataset(scenario, os.path.join(self.run_dir, "scenario.csv"))
+        save_dataset(validation, os.path.join(self.run_dir, "validation.csv"))
+
+    def __call__(self, scenario, validation) -> None:
+        if not hasattr(os, "fork"):
+            self._save(scenario, validation)
+            return
+        # the child inherits unflushed buffers; flush them here so they are
+        # written once
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid:
+            self.pid = pid
+            return
+        status = 1
+        try:
+            self._save(scenario, validation)
+            status = 0
+        except Exception as exc:
+            print(f"error: dataset writer: {type(exc).__name__}: {exc}", file=sys.stderr)
+            sys.stderr.flush()
+        finally:
+            # no atexit handlers, stdio flushes or finalizers (an external
+            # plant's Popen) of the parent may run in the child
+            os._exit(status)
+
+    def wait(self) -> int:
+        """Reap the writer and return its exit status (0 when none was forked)."""
+        if self.pid is None:
+            return 0
+        pid, self.pid = self.pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
 def _cmd_synthesize(args, argv) -> int:
     config = _load_config_with_overrides(args)
     run_dir = _run_dir(args.out, config.raw)
     _write_manifest(run_dir, config, argv)
-    sink = None
-    if not getattr(args, "no_datasets", False):
-        # persist the collected data directly; the simulator is never
-        # re-queried for persistence
-        def sink(scenario, validation):
-            save_dataset(scenario, os.path.join(run_dir, "scenario.csv"))
-            save_dataset(validation, os.path.join(run_dir, "validation.csv"))
-
-    report = synthesize(config, dataset_sink=sink)
+    writer = None if args.no_datasets else _DatasetWriter(run_dir)
+    try:
+        report = synthesize(config, dataset_sink=writer)
+    finally:
+        # reaped even when the run raised; that exception then propagates
+        status = writer.wait() if writer is not None else 0
+    if status != 0:
+        # before the report, so no exit-0 report.json lacks its datasets
+        raise SafesynthError(f"dataset writer failed with exit status {status}")
     path = _emit_report(run_dir, report)
     _print_report_summary(report)
     print(f"report: {path}")
@@ -187,13 +239,15 @@ def _cmd_prior_synthesize(args, argv) -> int:
 
 
 def _cmd_collect(args, argv) -> int:
+    # `--seed` is the dataset's own seed (dest `dataset_seed`), never a
+    # rewrite of the config's scenario seed
     config = _load_config_with_overrides(args)
-    plant = make_plant(config.plant_spec)
     role = Role(args.role)
-    seed = args.seed if args.seed is not None else (
+    seed = args.dataset_seed if args.dataset_seed is not None else (
         config.seed_scenario if role is Role.SCENARIO else config.seed_validation
     )
-    dataset = collect(plant, config.space(), args.count, seed, role)
+    with contextlib.closing(make_plant(config.plant_spec)) as plant:
+        dataset = collect(plant, config.space(), args.count, seed, role)
     save_dataset(dataset, args.output)
     print(f"wrote {len(dataset)} samples to {args.output}")
     return EXIT_OK
@@ -249,19 +303,19 @@ def _cmd_verify(args, argv) -> int:
         print("report carries no certificate; nothing to verify")
         return EXIT_INCONCLUSIVE
     config = validate_config(report.config)
-    plant = make_plant(config.plant_spec)
     cert = report.certificate
-    conditions = check_cbf_conditions(
-        cert, plant, config.initial_region, config.unsafe_region,
-        config.state_box, config.input_box, config.horizon,
-        region_points=args.region_points, step_points=args.step_points,
-    )
-    safety = empirical_safety(
-        plant, cert, config.initial_region, config.unsafe_region,
-        config.input_box, config.horizon, grid_points=args.trajectory_grid,
-    )
     out_dir = args.out or os.path.dirname(os.path.abspath(args.report))
-    plots = emit_plot_data(cert, plant, config.state_box, config.input_box, out_dir)
+    with contextlib.closing(make_plant(config.plant_spec)) as plant:
+        conditions = check_cbf_conditions(
+            cert, plant, config.initial_region, config.unsafe_region,
+            config.state_box, config.input_box, config.horizon,
+            region_points=args.region_points, step_points=args.step_points,
+        )
+        safety = empirical_safety(
+            plant, cert, config.initial_region, config.unsafe_region,
+            config.input_box, config.horizon, grid_points=args.trajectory_grid,
+        )
+        plots = emit_plot_data(cert, plant, config.state_box, config.input_box, out_dir)
     payload = {
         "conditions": conditions.summary(),
         "safety": safety.to_dict(),
@@ -316,8 +370,8 @@ def _cmd_casestudy(args, argv) -> int:
         report = synthesize(config)
     path = _emit_report(run_dir, report)
     if report.certificate is not None:
-        plant = make_plant(config.plant_spec)
-        emit_plot_data(report.certificate, plant, config.state_box, config.input_box, run_dir)
+        with contextlib.closing(make_plant(config.plant_spec)) as plant:
+            emit_plot_data(report.certificate, plant, config.state_box, config.input_box, run_dir)
     _print_report_summary(report)
     print(f"report: {path}")
     return _verdict_exit(report)
@@ -382,7 +436,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_prior_synthesize)
 
     p = sub.add_parser("collect", help="collect a dataset CSV")
-    add_common(p, "--config", "--seed", "--seed-validation")
+    add_common(p, "--config", "--seed-validation")
+    p.add_argument("--seed", type=int, default=None, dest="dataset_seed",
+                   help="seed of this dataset (default: the config's seed for --role)")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--role", choices=[r.value for r in Role], default=Role.SCENARIO.value)
     p.add_argument("--output", required=True)

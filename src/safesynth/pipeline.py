@@ -20,6 +20,7 @@ one validation set.  `repeat_experiment` runs many seeds and reports all.
 """
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -468,6 +469,13 @@ def _solver_summary(solution: LpSolution, active_g3: int | None) -> dict:
     }
 
 
+def _plant_scope(config: SynthesisConfig, plant: BlackBoxSystem | None):
+    """`with` scope of a plant: the caller's stays open, one made here is closed."""
+    if plant is not None:
+        return contextlib.nullcontext(plant)
+    return contextlib.closing(make_plant(config.plant_spec))
+
+
 def resolve_sample_sizes(config: SynthesisConfig, plant: BlackBoxSystem | None = None) -> tuple[int, int, PlanResult | None]:
     """Fixed sizes from the config, or run the planner for `auto` configs."""
     if config.auto_samples is None:
@@ -477,8 +485,8 @@ def resolve_sample_sizes(config: SynthesisConfig, plant: BlackBoxSystem | None =
     khat = auto.khat
     nstar_hat = auto.nstar_hat
     if khat is None:
-        plant = plant if plant is not None else make_plant(config.plant_spec)
-        khat, nstar_hat = pilot_estimates(config, plant, auto.start_scenario)
+        with _plant_scope(config, plant) as pilot_plant:
+            khat, nstar_hat = pilot_estimates(config, pilot_plant, auto.start_scenario)
     plan = plan_sample_sizes(
         khat=khat,
         nstar_hat=nstar_hat,
@@ -701,10 +709,10 @@ def synthesize(
     `dataset_sink(scenario, validation)` is invoked right after collection,
     so callers can persist the data without re-querying the simulator.
     """
-    plant = plant if plant is not None else make_plant(config.plant_spec)
-    n_scenario, n_validation, plan = resolve_sample_sizes(config, plant)
-    seeds = {"scenario": config.seed_scenario, "validation": config.seed_validation}
-    report = _run(config, plant, seeds, n_scenario, n_validation, dataset_sink=dataset_sink)
+    with _plant_scope(config, plant) as plant:
+        n_scenario, n_validation, plan = resolve_sample_sizes(config, plant)
+        seeds = {"scenario": config.seed_scenario, "validation": config.seed_validation}
+        report = _run(config, plant, seeds, n_scenario, n_validation, dataset_sink=dataset_sink)
     if plan is not None:
         report.warnings.append(
             f"sample sizes ({n_scenario}, {n_validation}) chosen by the planner "
@@ -722,7 +730,6 @@ def prior_synthesize(config: SynthesisConfig, eps: float, plant: BlackBoxSystem 
     """
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    plant = plant if plant is not None else make_plant(config.plant_spec)
     layout = config.layout()
     dim = layout.n_barrier + layout.n_controller + 3
     n_required = prior_sample_size(PriorInputs(eps, config.beta, dim))
@@ -732,10 +739,11 @@ def prior_synthesize(config: SynthesisConfig, eps: float, plant: BlackBoxSystem 
             f"configured scenario count {config.n_scenario} raised to the prior "
             f"bound {n_required}"
         )
-    return _run(
-        config, plant, {"scenario": config.seed_scenario, "validation": None},
-        max(config.n_scenario or 0, n_required), eps=eps, warnings=warnings,
-    )
+    with _plant_scope(config, plant) as plant:
+        return _run(
+            config, plant, {"scenario": config.seed_scenario, "validation": None},
+            max(config.n_scenario or 0, n_required), eps=eps, warnings=warnings,
+        )
 
 
 @dataclass(frozen=True)
@@ -812,21 +820,21 @@ def repeat_experiment(config: SynthesisConfig, runs: int, plant: BlackBoxSystem 
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
-    plant = plant if plant is not None else make_plant(config.plant_spec)
-    n_scenario, n_validation, _ = resolve_sample_sizes(config, plant)
-    workers = min(config.workers, runs) if plant.reentrant else 1
-    slices = [range(runs * k // workers, runs * (k + 1) // workers) for k in range(workers)]
-    task = functools.partial(_repeat_runs, config, plant, n_scenario, n_validation)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task, indices) for indices in slices]
-        lost = [f"{s.start}-{s.stop - 1}" for s, f in zip(slices, futures)
-                if isinstance(f.exception(), concurrent.futures.BrokenExecutor)]
-        if lost:
-            raise SafesynthError(f"a repeat worker process died; runs {', '.join(lost)} did not finish")
-        parts = [f.result() for f in futures]
-    else:
-        parts = [task(slices[0])]
+    with _plant_scope(config, plant) as plant:
+        n_scenario, n_validation, _ = resolve_sample_sizes(config, plant)
+        workers = min(config.workers, runs) if plant.reentrant else 1
+        slices = [range(runs * k // workers, runs * (k + 1) // workers) for k in range(workers)]
+        task = functools.partial(_repeat_runs, config, plant, n_scenario, n_validation)
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(task, indices) for indices in slices]
+            lost = [f"{s.start}-{s.stop - 1}" for s, f in zip(slices, futures)
+                    if isinstance(f.exception(), concurrent.futures.BrokenExecutor)]
+            if lost:
+                raise SafesynthError(f"a repeat worker process died; runs {', '.join(lost)} did not finish")
+            parts = [f.result() for f in futures]
+        else:
+            parts = [task(slices[0])]
     results = [run for part in parts for run in part]
     histogram = dict(Counter(r.violations for r in results if r.violations is not None))
     certified = sum(1 for r in results if r.verdict == "certified")

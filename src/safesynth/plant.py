@@ -150,6 +150,9 @@ class ExternalProcessPlant(BlackBoxSystem):
                 self._proc.wait(timeout=5)
             except Exception:
                 self._proc.kill()
+                self._proc.wait()
+            if self._proc.stdout is not None:
+                self._proc.stdout.close()
             self._proc = None
 
     def __enter__(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from safesynth import bounds
 from safesynth.bounds import (
     PosteriorInputs,
     PriorInputs,
@@ -142,6 +143,32 @@ def test_posterior_inputs_validation():
 def test_solve_kappa_case_study():
     kappa = solve_kappa(PosteriorInputs(140000, 70000, 1, 0, 0.05))
     assert kappa == pytest.approx(ROOM_STUDY["kappa"], abs=1e-6)
+
+
+def uncached_kappa_series(n, support, log_kappa):
+    """The kappa series with every term recomputed, in the same chunks and order."""
+    pieces = []
+    for start in range(support, n + 1, bounds._CHUNK):
+        i = np.arange(start, min(start + bounds._CHUNK, n + 1))
+        pieces.append(bounds.logsumexp(bounds.log_binom_coeff(i, support) + (i - n) * log_kappa))
+    return pieces[0] if len(pieces) == 1 else bounds.logsumexp(np.asarray(pieces))
+
+
+@pytest.mark.parametrize("n, support", [(50, 0), (140_000, 2), (1_500_000, 3)])
+def test_memoised_kappa_series_is_bit_identical(n, support):
+    kappas = list(np.random.default_rng(n).uniform(0.9, 1.0, 20)) + [1e-12, 1.0 - 1e-12]
+    for kappa in kappas:
+        log_kappa = math.log(kappa)
+        assert bounds._log_kappa_series(n, support, log_kappa) == uncached_kappa_series(
+            n, support, log_kappa
+        )
+    terms = bounds._kappa_series_terms(n, support)
+    assert len(terms) == -(-(n + 1 - support) // bounds._CHUNK)
+    assert not any(a.flags.writeable for chunk in terms for a in chunk)
+
+
+def test_solve_kappa_memoised_series_keeps_pinned_root():
+    assert solve_kappa(PosteriorInputs(140000, 70000, 2, 1, 0.05)) == 0.9999561562716741
 
 
 def dense_scan_root(inputs, stages=3, points=4001):

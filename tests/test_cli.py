@@ -1,9 +1,14 @@
 import json
+import os
 
 import pytest
 
-from safesynth.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, main
-from safesynth.pipeline import room_casestudy_config
+from safesynth import cli
+from safesynth.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RUNTIME, main
+from safesynth.pipeline import bundled_room_config_path, room_casestudy_config, validate_config
+from safesynth.plant import Role, collect, load_dataset, make_plant, save_dataset
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the dataset writer forks")
 
 
 def write_config(tmp_path, raw):
@@ -136,11 +141,65 @@ def test_collect_command(tmp_path, capsys):
     rc = main(["collect", "--config", cfg, "--count", "25",
                "--role", "validation", "--seed", "9", "--output", str(out_file)])
     assert rc == EXIT_OK
-    from safesynth.plant import load_dataset
-
     data = load_dataset(str(out_file))
     assert len(data) == 25
     assert data.seed == 9
+
+
+def test_collect_seed_is_the_validation_dataset_seed(tmp_path, capsys):
+    # the bundled configuration's validation seed is 9090: `--seed` must not
+    # become the scenario seed as well, which would make the two collide
+    out_file = tmp_path / "validation.csv"
+    rc = main(["collect", "--config", bundled_room_config_path(), "--count", "10",
+               "--role", "validation", "--seed", "9090", "--output", str(out_file)])
+    assert rc == EXIT_OK
+    assert out_file.read_text().splitlines()[0].split()[3:5] == ["role=validation", "seed=9090"]
+
+
+@needs_fork
+def test_failing_dataset_writer_exits_runtime_without_report(tmp_path, capsys, monkeypatch):
+    def failing_save(dataset, path):
+        raise OSError("no space left on device")
+
+    # the forked writer inherits the patched module attribute
+    monkeypatch.setattr(cli, "save_dataset", failing_save)
+    cfg = write_config(tmp_path, small_raw(samples={"scenario": 300, "validation": 150}))
+    rc = main(["synthesize", "--config", cfg, "--out", str(tmp_path / "runs")])
+    assert rc == EXIT_RUNTIME
+    assert "dataset writer failed" in capsys.readouterr().err
+    run_dir = next((tmp_path / "runs").iterdir())
+    assert not (run_dir / "report.json").exists()
+    assert not list(run_dir.glob("*.tmp"))
+
+
+@needs_fork
+def test_forked_datasets_match_inline_save_and_writer_is_reaped(tmp_path, capsys, monkeypatch):
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    raw = small_raw(lipschitz=1.0, samples={"scenario": 3000, "validation": 1500})
+    rc = main(["synthesize", "--config", write_config(tmp_path, raw),
+               "--out", str(tmp_path / "runs")])
+    assert rc == EXIT_OK
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked[0], os.WNOHANG)
+
+    run_dir = next((tmp_path / "runs").iterdir())
+    config = validate_config(raw)
+    plant = make_plant(config.plant_spec)
+    for name, n, seed, role in [("scenario", 3000, 11, Role.SCENARIO),
+                                ("validation", 1500, 12, Role.VALIDATION)]:
+        inline = tmp_path / f"inline-{name}.csv"
+        save_dataset(collect(plant, config.space(), n, seed, role), str(inline))
+        assert (run_dir / f"{name}.csv").read_bytes() == inline.read_bytes()
 
 
 def test_seed_override_changes_report(tmp_path):

@@ -402,7 +402,8 @@ def test_repeat_expected_samples():
         assert result.expected_samples is None
 
 
-def test_external_plant_synthesis_end_to_end(tmp_path):
+def external_plant_config(tmp_path):
+    """A 120/60-sample room run whose plant is a child process."""
     import sys
     from .test_plant import EXTERNAL_PLANT_SCRIPT
 
@@ -417,7 +418,11 @@ def test_external_plant_synthesis_end_to_end(tmp_path):
         "input_dim": 1,
     }
     raw["grid_points"] = {"initial": 201, "unsafe": 101, "state": 801}
-    config = validate_config(raw)
+    return validate_config(raw)
+
+
+def test_external_plant_synthesis_end_to_end(tmp_path):
+    config = external_plant_config(tmp_path)
     report = synthesize(config)
     # the child process implements the room dynamics, so the run must agree
     # bit-for-bit with the builtin plant at the same seeds
@@ -427,6 +432,27 @@ def test_external_plant_synthesis_end_to_end(tmp_path):
     ))
     assert report.margin_objective == builtin.margin_objective
     assert report.violations == builtin.violations
+
+
+@pytest.mark.parametrize("run", [
+    synthesize,
+    lambda config: prior_synthesize(config, 0.5),
+    lambda config: repeat_experiment(config, runs=1),
+], ids=["synthesize", "prior_synthesize", "repeat_experiment"])
+def test_runs_close_the_plant_they_make(tmp_path, monkeypatch, run):
+    import subprocess
+
+    children = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    run(external_plant_config(tmp_path))
+    assert children
+    assert all(child.poll() is not None for child in children)
 
 
 def test_external_plant_requires_lipschitz():

@@ -6,11 +6,12 @@ nvars rows is maintained as the basis of the dual standard-form program
 
     min h.y   s.t.  G' y = -cost,   y >= 0,
 
-so each iteration prices every row with a single dense mat-vec and
-refactorises only an nvars x nvars basis.  At optimality the dual basis IS
-the active set of the original program and the simplex multipliers of that
-basis are its solution, which this module re-solves from the final working
-set so the returned point satisfies its active rows to machine precision.
+so each iteration prices every row with one mat-vec per row block of G (see
+`RowStack`) and refactorises only an nvars x nvars basis.  At optimality the
+dual basis IS the active set of the original program and the simplex
+multipliers of that basis are its solution, which this module re-solves from
+the final working set so the returned point satisfies its active rows to
+machine precision.
 
 Pivoting is Dantzig's rule with first-index tie-breaks; while the iteration
 stalls on degenerate vertices it switches to Bland's rule, which cannot
@@ -36,6 +37,88 @@ class LpStatus(str, Enum):
     ITERATION_LIMIT = "iteration-limit"
 
 
+class RowStack:
+    """A constraint matrix stored as a stack of row blocks.
+
+    Block k is `(cols, values)` with `values.shape == (len(cols), rows)`: its
+    rows are zero outside the columns `cols`, and `values[j, i]` is the entry
+    of its i-th row in column `cols[j]`.  A dense row-major matrix is the one
+    block `(arange(ncols), G.T)`, a view.  Rows that are structurally zero in
+    many columns are stored C-contiguous over the others, so a mat-vec reads
+    only the entries that can be non-zero.  `np.asarray` gives the dense
+    matrix.
+    """
+
+    def __init__(self, blocks, ncols: int):
+        self.ncols = int(ncols)
+        self.blocks = []
+        for cols, values in blocks:
+            cols = np.asarray(cols, dtype=np.intp)
+            if (values.ndim != 2 or values.shape[0] != len(cols)
+                    or len(np.unique(cols)) != len(cols)
+                    or np.any(cols < 0) or np.any(cols >= self.ncols)):
+                raise SolverError(
+                    f"row block of shape {values.shape} over columns {cols.tolist()} "
+                    f"of {self.ncols}"
+                )
+            if values.shape[1]:
+                self.blocks.append((cols, values))
+        self.starts = np.cumsum([0] + [values.shape[1] for _, values in self.blocks])
+
+    @classmethod
+    def dense(cls, G) -> "RowStack":
+        G = np.ascontiguousarray(np.asarray(G, dtype=float))
+        if G.ndim != 2:
+            raise SolverError(f"constraint matrix must be 2-D, got shape {G.shape}")
+        return cls([(np.arange(G.shape[1]), G.T)], G.shape[1])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return int(self.starts[-1]), self.ncols
+
+    def __len__(self) -> int:
+        return int(self.starts[-1])
+
+    @property
+    def nbytes(self) -> int:
+        return sum(values.nbytes for _, values in self.blocks)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape)
+        for (cols, values), lo, hi in zip(self.blocks, self.starts, self.starts[1:]):
+            dense[lo:hi, cols] = values.T
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """G @ v, one `np.matmul` per block, into `out` when given."""
+        v = np.asarray(v, dtype=float)
+        out = np.empty(len(self)) if out is None else out
+        for (cols, values), lo, hi in zip(self.blocks, self.starts, self.starts[1:]):
+            np.matmul(v[cols], values, out=out[lo:hi])
+        return out
+
+    def row(self, i: int) -> np.ndarray:
+        if not 0 <= i < len(self):
+            raise IndexError(f"row {i} of {len(self)}")
+        k = int(np.searchsorted(self.starts, i, side="right")) - 1
+        cols, values = self.blocks[k]
+        row = np.zeros(self.ncols)
+        row[cols] = values[:, i - self.starts[k]]
+        return row
+
+    def select(self, keep: np.ndarray) -> "RowStack":
+        """The rows where the boolean mask `keep` is true, in order."""
+        return RowStack(
+            [(cols, values[:, keep[lo:hi]])
+             for (cols, values), lo, hi in zip(self.blocks, self.starts, self.starts[1:])],
+            self.ncols,
+        )
+
+    def with_rows(self, cols, values: np.ndarray) -> "RowStack":
+        """This stack with the block (cols, values) appended after its last row."""
+        return RowStack(self.blocks + [(cols, values)], self.ncols)
+
+
 @dataclass
 class DenseLpResult:
     status: LpStatus
@@ -48,14 +131,18 @@ class DenseLpResult:
     bland_iterations: int
     max_violation: float
     zero_multipliers: int
+    residual: np.ndarray | None = None  # G z - h at the returned z
 
 
-def _pow2_column_scale(G: np.ndarray) -> np.ndarray:
+def _pow2_column_scale(G: RowStack) -> np.ndarray:
     """Power-of-two column scales; a NaN or inf entry of G raises SolverError.
 
-    The column maxima of |G| come from the maxima and minima of G, so no
-    temporary of G's size is made."""
-    col_max = np.maximum(np.max(G, axis=0), -np.min(G, axis=0))
+    The column maxima of |G| come from the maxima and minima of each block,
+    so no temporary of G's size is made; a column a block lacks is 0 there."""
+    col_max = np.zeros(G.ncols)
+    for cols, values in G.blocks:
+        block_max = np.maximum(np.max(values, axis=1), -np.min(values, axis=1))
+        col_max[cols] = np.maximum(col_max[cols], block_max)
     if not np.all(np.isfinite(col_max)):
         raise SolverError("constraint matrix has non-finite entries")
     col_max[col_max == 0.0] = 1.0
@@ -82,7 +169,7 @@ class _DualSimplex:
         self.stall_limit = stall_limit
         self.art_sign = np.where(b >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.nv)
-        self._reduced = np.empty(self.m)
+        self.reduced = np.empty(self.m)
         self.iterations = 0
         self.degenerate_steps = 0
         self.bland_iterations = 0
@@ -93,7 +180,7 @@ class _DualSimplex:
         A = np.zeros((self.nv, self.nv))
         for pos, col in enumerate(self.basis):
             if col < self.m:
-                A[:, pos] = self.G[col] * self.scale
+                A[:, pos] = self.G.row(col) * self.scale
             else:
                 A[col - self.m, pos] = self.art_sign[col - self.m]
         return A
@@ -122,23 +209,23 @@ class _DualSimplex:
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"singular working set in phase {phase}: {exc}",
                                   status=LpStatus.ITERATION_LIMIT.value) from exc
-            reduced = np.matmul(self.G, self.scale * pi, out=self._reduced)
+            reduced = self.G.matvec(self.scale * pi, out=self.reduced)
             if phase == 1:
                 np.negative(reduced, out=reduced)
             else:
                 np.subtract(self.h, reduced, out=reduced)
             reduced[self.basis[self.basis < self.m]] = np.inf
             if self._bland:
-                eligible = np.flatnonzero(reduced < -self.opt_tol)
-                if eligible.size == 0:
+                eligible = reduced < -self.opt_tol
+                enter = int(np.argmax(eligible))  # the first eligible row
+                if not eligible[enter]:
                     return "optimal", pi, x_B
-                enter = int(eligible[0])
                 self.bland_iterations += 1
             else:
                 enter = int(np.argmin(reduced))
                 if reduced[enter] >= -self.opt_tol:
                     return "optimal", pi, x_B
-            w = np.linalg.solve(A_B, self.G[enter] * self.scale)
+            w = np.linalg.solve(A_B, self.G.row(enter) * self.scale)
             leave_pos, theta = self._choose_leaving(x_B, w, phase)
             if leave_pos is None:
                 return "unbounded", pi, x_B
@@ -187,8 +274,11 @@ def solve_dense_lp(
     stall_limit: int = 64,
     _allow_probe: bool = True,
 ) -> DenseLpResult:
-    """Solve min cost.z s.t. G z <= h; see module docstring for the method."""
-    G = np.ascontiguousarray(np.asarray(G, dtype=float))
+    """Solve min cost.z s.t. G z <= h; see module docstring for the method.
+
+    G is a `RowStack` or anything `np.asarray` makes a 2-D matrix of."""
+    if not isinstance(G, RowStack):
+        G = RowStack.dense(G)
     h = np.asarray(h, dtype=float).ravel()
     cost = np.asarray(cost, dtype=float).ravel()
     m, nv = G.shape
@@ -222,7 +312,7 @@ def solve_dense_lp(
         return _failure(LpStatus.INFEASIBLE, engine)
 
     z = pi * scale
-    resid = G @ z
+    resid = G.matvec(z, out=engine.reduced)
     resid -= h
     max_violation = float(np.max(resid)) if m else 0.0
     real = engine.basis < m
@@ -246,6 +336,7 @@ def solve_dense_lp(
         bland_iterations=engine.bland_iterations,
         max_violation=max(max_violation, 0.0),
         zero_multipliers=zero_mult,
+        residual=resid,
     )
 
 
@@ -264,16 +355,28 @@ def _failure(status: LpStatus, engine: _DualSimplex) -> DenseLpResult:
     )
 
 
-def _primal_feasible(G, h, feas_tol, opt_tol, pivot_tol, max_iter, stall_limit) -> bool:
+def _with_row(values: np.ndarray, fill: float) -> np.ndarray:
+    """values with one more row of `fill`, in values' own memory layout, so a
+    dense row-major block stays row-major and its mat-vec rounds as before."""
+    out = np.empty_like(values, shape=(values.shape[0] + 1, values.shape[1]))
+    out[:-1] = values
+    out[-1] = fill
+    return out
+
+
+def _primal_feasible(G: RowStack, h, feas_tol, opt_tol, pivot_tol, max_iter,
+                     stall_limit) -> bool:
     """Distinguish unbounded from infeasible: min t s.t. Gz - t <= h, t >= -1.
 
     Always feasible and bounded, so the recursive solve cannot probe again.
+    The column of t is added to each block of G, not to a dense copy.
     """
     m, nv = G.shape
-    G_aux = np.zeros((m + 1, nv + 1))
-    G_aux[:m, :nv] = G
-    G_aux[:m, nv] = -1.0
-    G_aux[m, nv] = -1.0
+    G_aux = RowStack(
+        [(np.append(cols, nv), _with_row(values, -1.0)) for cols, values in G.blocks]
+        + [([nv], np.full((1, 1), -1.0))],
+        nv + 1,
+    )
     h_aux = np.concatenate([h, [1.0]])
     cost_aux = np.zeros(nv + 1)
     cost_aux[nv] = 1.0

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import AssemblyError, SolverError
 from .geometry import Box, RegionUnion, box_grid, grid_halfstep
-from .lp import DenseLpResult, LpStatus, solve_dense_lp
+from .lp import DenseLpResult, LpStatus, RowStack, solve_dense_lp
 from .plant import Dataset
 from .polynomial import (
     PolyBasis,
@@ -49,7 +49,7 @@ from .polynomial import (
 )
 
 
-# Samples per block when g3 rows are written: bounds the basis-evaluation
+# Samples per chunk when g3 rows are written: bounds the basis-evaluation
 # temporaries of assembly to a few MB at any dataset size.
 G3_CHUNK = 65_536
 
@@ -153,6 +153,12 @@ class DecisionLayout:
         return 4 + self.n_barrier + self.n_controller
 
     @property
+    def g3_columns(self) -> np.ndarray:
+        """The columns a sampled row can be non-zero in: objective, budget,
+        then q and every p, which run contiguously from column 4 to n_core."""
+        return np.concatenate([[self.OBJECTIVE, self.BUDGET], np.arange(4, self.n_core)])
+
+    @property
     def s_q_slice(self) -> slice:
         return slice(self.n_core, self.n_core + self.n_barrier)
 
@@ -214,10 +220,12 @@ class CertificateValues:
 
 
 class LpProblem:
-    """Assembled scenario program: min objective entry s.t. G d <= h."""
+    """Assembled scenario program: min objective entry s.t. G d <= h.
+
+    G is a `RowStack`; a dense matrix passed in becomes its one block."""
 
     def __init__(self, G, h, tags, origins, layout: DecisionLayout):
-        self.G = np.ascontiguousarray(np.asarray(G, dtype=float))
+        self.G = G if isinstance(G, RowStack) else RowStack.dense(G)
         self.h = np.asarray(h, dtype=float).ravel()
         self.tags = np.asarray(tags, dtype=np.int8)
         self.origins = np.asarray(origins, dtype=np.int64)
@@ -248,11 +256,12 @@ class LpProblem:
         keep = np.ones(self.n_rows, dtype=bool)
         keep[list(drop)] = False
         return LpProblem(
-            self.G[keep], self.h[keep], self.tags[keep], self.origins[keep], self.layout
+            self.G.select(keep), self.h[keep], self.tags[keep], self.origins[keep],
+            self.layout,
         )
 
     def residuals(self, d: np.ndarray) -> np.ndarray:
-        resid = self.G @ np.asarray(d, dtype=float)
+        resid = self.G.matvec(d)
         resid -= self.h
         return resid
 
@@ -260,7 +269,7 @@ class LpProblem:
         """Plain-text tableau: one row per line `tag origin rhs idx:val ...`."""
         with open(path, "w") as fh:
             for i in range(self.n_rows):
-                coeffs = self.G[i]
+                coeffs = self.G.row(i)
                 nz = np.flatnonzero(coeffs)
                 entries = " ".join(f"{j}:{coeffs[j]:.17g}" for j in nz)
                 fh.write(
@@ -321,8 +330,10 @@ def g3_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One sampled one-step row per transition (x, u, x').
 
-    The rows go into `out` (len(dataset) x n_total) when given, else into a
-    new block, written G3_CHUNK samples at a time.
+    With `out`, of shape (len(layout.g3_columns), len(dataset)), the rows are
+    written into it column-major over `layout.g3_columns`, G3_CHUNK samples at
+    a time, and `out` is returned.  Without it the rows come back dense,
+    (len(dataset) x n_total).
     """
     if dataset.state_dim != layout.barrier.nvars:
         raise AssemblyError(
@@ -334,23 +345,33 @@ def g3_rows(
             f"dataset input dimension {dataset.input_dim} != controller count "
             f"{len(layout.controllers)}"
         )
-    block = np.empty((len(dataset), layout.n_total)) if out is None else out
-    if block.shape != (len(dataset), layout.n_total):
+    cols = layout.g3_columns
+    block = np.empty((len(cols), len(dataset))) if out is None else out
+    if block.shape != (len(cols), len(dataset)):
         raise AssemblyError(f"g3 block of shape {block.shape} for {len(dataset)} samples")
+
+    def at(s: slice) -> slice:
+        # the block rows of a run of layout columns
+        start = int(np.searchsorted(cols, s.start))
+        return slice(start, start + s.stop - s.start)
+
     for lo in range(0, len(dataset), G3_CHUNK):
-        rows = block[lo:lo + G3_CHUNK]
+        rows = block[:, lo:lo + G3_CHUNK].T
         xs = dataset.xs[lo:lo + G3_CHUNK]
-        rows.fill(0.0)
         np.subtract(
             eval_basis_many(layout.barrier, dataset.x_nexts[lo:lo + G3_CHUNK]),
             eval_basis_many(layout.barrier, xs),
-            out=rows[:, layout.q_slice],
+            out=rows[:, at(layout.q_slice)],
         )
         for i, basis in enumerate(layout.controllers):
-            np.negative(eval_basis_many(basis, xs), out=rows[:, layout.p_slice(i)])
-        rows[:, layout.BUDGET] = -1.0
-        rows[:, layout.OBJECTIVE] = -1.0
-    return block, -dataset.us.sum(axis=1)
+            np.negative(eval_basis_many(basis, xs), out=rows[:, at(layout.p_slice(i))])
+        rows[:, :2] = -1.0  # objective and budget
+    rhs = -dataset.us.sum(axis=1)
+    if out is not None:
+        return block, rhs
+    dense = np.zeros((len(dataset), layout.n_total))
+    dense[:, cols] = block.T
+    return dense, rhs
 
 
 def g3_row(layout: DecisionLayout, x, u, x_next) -> tuple[np.ndarray, float]:
@@ -495,16 +516,16 @@ def build_problem(
 def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> LpProblem:
     """The `static_blocks` rows followed by one g3 row per sample of `dataset`.
 
-    G is allocated once: the static rows are copied into its head and
-    `g3_rows` writes the sampled rows into its tail in place.
+    G is a stack of two row blocks: the static rows, dense and not copied,
+    then the sampled rows, which `g3_rows` writes column-major over the
+    `layout.g3_columns` they can be non-zero in (12 of the room template's 24).
     """
     static_G, static_h, static_tags, static_origins = static
-    n_static, n = len(static_G), len(dataset)
-    G = np.empty((n_static + n, layout.n_total))
-    G[:n_static] = static_G
-    _, samp_h = g3_rows(layout, dataset, out=G[n_static:])
+    n = len(dataset)
+    cols = layout.g3_columns
+    samp_G, samp_h = g3_rows(layout, dataset, out=np.empty((len(cols), n)))
     return LpProblem(
-        G,
+        RowStack.dense(static_G).with_rows(cols, samp_G),
         np.concatenate([static_h, samp_h]),
         np.concatenate([static_tags, np.full(n, RowTag.G3, dtype=np.int8)]),
         np.concatenate([static_origins, np.arange(n, dtype=np.int64)]),
@@ -648,10 +669,13 @@ def solve_lp(
     degenerate = res.degenerate_steps
     bland = res.bland_iterations
     if lexicographic:
+        res.residual = None  # not needed at the refined point; freed for the re-solves
         d, extra_iters, lexicographic = _refine_lexicographic(problem, res, tolerances)
         iterations += extra_iters
+        resid = problem.residuals(d)
+    else:
+        resid = res.residual
     objective = float(problem.cost @ d)
-    resid = problem.residuals(d)
     active = np.flatnonzero(np.abs(resid) <= tolerances.activity)
     return LpSolution(
         status=LpStatus.OPTIMAL,
@@ -674,25 +698,27 @@ def _refine_lexicographic(
 
     Every pin is a single upper-bound row: the pinned value is the minimum of
     that coordinate over the current face, so the lower bound is implied.
+    Each pin is a one-row block appended to the stack, and its right-hand
+    side fills a slot reserved after h, so G and h are not copied per pin.
     A re-solve that raises or ends non-optimal stops the refinement at the
     point reached so far, and the third result (all pinned) is False.
     """
     layout = problem.layout
+    m = problem.n_rows
     G = problem.G
-    h = problem.h
+    h = np.empty(m + layout.n_core)
+    h[:m] = problem.h
     extra_iters = 0
     d = base.z
     assert d is not None
     for idx in range(layout.n_core):
-        pin = np.zeros((1, layout.n_total))
-        pin[0, idx] = 1.0
         cost = np.zeros(layout.n_total)
         if idx == layout.OBJECTIVE:
             value = float(d[idx])
         else:
             cost[idx] = 1.0
             try:
-                res = _raw_solve(cost, G, h, tolerances)
+                res = _raw_solve(cost, G, h[:m + idx], tolerances)
             except SolverError:
                 return d, extra_iters, False
             if res.status != LpStatus.OPTIMAL or res.z is None:
@@ -700,8 +726,9 @@ def _refine_lexicographic(
             extra_iters += res.iterations
             d = res.z
             value = float(d[idx])
-        G = np.vstack([G, pin])
-        h = np.concatenate([h, [value]])
+            del res  # its m-long residual is not held through the next re-solve
+        G = G.with_rows([idx], np.ones((1, 1)))
+        h[m + idx] = value
     return d, extra_iters, True
 
 

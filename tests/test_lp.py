@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from safesynth.errors import SolverError
-from safesynth.lp import LpStatus, solve_dense_lp
+from safesynth.lp import LpStatus, RowStack, solve_dense_lp
 
 
 def vertex_enumeration_optimum(cost, G, h, feas_tol=1e-9):
@@ -194,3 +194,47 @@ def test_column_scaling_insensitivity():
     assert res2.status is LpStatus.OPTIMAL
     assert res2.objective == pytest.approx(res1.objective, rel=1e-8, abs=1e-10)
     assert np.allclose(res2.z * (1 / scales), res1.z, rtol=1e-6, atol=1e-8)
+
+
+def test_row_stack_reads_like_its_dense_matrix():
+    rng = np.random.default_rng(5)
+    head = rng.normal(size=(7, 6))
+    tail = rng.normal(size=(3, 9))
+    stack = RowStack.dense(head).with_rows([0, 2, 5], tail).with_rows([4], np.ones((1, 1)))
+    dense = np.vstack([head, np.zeros((9, 6)), np.zeros((1, 6))])
+    dense[7:16, [0, 2, 5]] = tail.T
+    dense[16, 4] = 1.0
+    assert stack.shape == (17, 6) and len(stack) == 17
+    assert stack.nbytes == head.nbytes + tail.nbytes + 8
+    assert np.array_equal(np.asarray(stack), dense)
+    for i in range(17):
+        assert np.array_equal(stack.row(i), dense[i])
+    v = rng.normal(size=6)
+    assert np.allclose(stack.matvec(v), dense @ v, rtol=1e-15, atol=1e-15)
+    assert np.array_equal(stack.matvec(v)[:7], head @ v)
+    keep = rng.random(17) < 0.6
+    assert np.array_equal(np.asarray(stack.select(keep)), dense[keep])
+    with pytest.raises(IndexError):
+        stack.row(17)
+    with pytest.raises(SolverError):
+        RowStack([([0, 6], np.ones((2, 3)))], 6)
+
+
+def test_row_stack_solves_like_its_dense_matrix():
+    # a stack priced block by block reaches the dense optimum, and the
+    # feasibility probe of an infeasible or unbounded stack works on blocks
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        cost, G, h = random_bounded_lp(rng, nv=4, extra_rows=40)
+        G[:30, [1, 3]] = 0.0
+        stack = RowStack.dense(G[30:]).with_rows([0, 2], np.ascontiguousarray(G[:30, [0, 2]].T))
+        h_stack = np.concatenate([h[30:], h[:30]])
+        dense, blocks = solve_dense_lp(cost, G, h), solve_dense_lp(cost, stack, h_stack)
+        assert blocks.status is LpStatus.OPTIMAL
+        assert blocks.objective == pytest.approx(dense.objective, abs=1e-9)
+    infeasible = RowStack.dense(np.array([[1.0, 0.0]])).with_rows([0], np.array([[-1.0]]))
+    res = solve_dense_lp(np.array([0.0, 1.0]), infeasible, np.array([-1.0, -1.0]))
+    assert res.status is LpStatus.INFEASIBLE
+    unbounded = RowStack.dense(np.array([[0.0, 1.0]])).with_rows([0], np.array([[-1.0]]))
+    res = solve_dense_lp(np.array([-1.0, 0.0]), unbounded, np.array([1.0, 0.0]))
+    assert res.status is LpStatus.UNBOUNDED

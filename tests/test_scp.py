@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from safesynth import scp
-from safesynth.errors import AssemblyError
+from safesynth.errors import AssemblyError, SolverError
 from safesynth.geometry import Box, RegionUnion, SampleSpace
-from safesynth.lp import solve_dense_lp
+from safesynth.lp import RowStack, _pow2_column_scale, solve_dense_lp
 from safesynth.pipeline import room_casestudy_config, validate_config
 from safesynth.plant import Dataset, RoomTemperaturePlant, collect
 from safesynth.polynomial import build_basis, eval_basis, eval_poly_many
@@ -15,6 +15,7 @@ from safesynth.scp import (
     DecisionLayout,
     GridSpec,
     LpStatus,
+    LpTolerances,
     RowTag,
     box_to_polytope,
     build_problem,
@@ -161,15 +162,18 @@ def test_g3_rows_written_in_chunks_into_out(monkeypatch):
     data = collect(RoomTemperaturePlant(), space, 25, 9)
     whole, rhs_whole = g3_rows(layout, data)
     monkeypatch.setattr(scp, "G3_CHUNK", 7)
-    out = np.full((25, layout.n_total), np.nan)
+    cols = layout.g3_columns
+    assert cols.tolist() == [0, 3] + list(range(4, 14))
+    out = np.full((len(cols), 25), np.nan)
     block, rhs = g3_rows(layout, data, out=out)
     assert block is out
-    assert np.array_equal(block, whole) and np.array_equal(rhs, rhs_whole)
+    assert np.array_equal(block.T, whole[:, cols]) and np.array_equal(rhs, rhs_whole)
     for i in range(25):
         row, _ = g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])
-        assert np.array_equal(block[i], row)
+        assert np.array_equal(whole[i], row)
+        assert np.array_equal(block[:, i], row[cols])
     with pytest.raises(AssemblyError):
-        g3_rows(layout, data, out=np.empty((24, layout.n_total)))
+        g3_rows(layout, data, out=np.empty((len(cols), 24)))
 
 
 def test_g3_transcription_matches_direct_evaluation():
@@ -437,7 +441,7 @@ def _allocation_peak(fn, *args):
 
 
 def test_assembly_solve_and_support_hold_one_copy_of_G():
-    # at prior scale G is 549 MB, so each extra G-sized array is a budget item
+    # at prior scale G is 284 MB, so each extra G-sized array is a budget item
     layout = room_layout()
     space = SampleSpace.product(
         Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]])
@@ -482,3 +486,103 @@ def test_desk_scale_pivot_path_pinned():
         0, 2, 3, 4, 6, 9, 10, 13, 14, 15, 17, 20, 22, 23, 25, 26, 28,
         15029, 15030, 30397, 30497, 60031, 105423, 115503,
     ]
+
+
+def _room_static_and_data(layout, n_samples, seed):
+    space = SampleSpace.product(
+        Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]])
+    )
+    A, b = box_to_polytope(Box.from_intervals([[0, 1]]))
+    static = static_blocks(layout, *ROOM_REGIONS, A, b, 5, GridSpec(201, 101, 401), 1e-6, True)
+    return static, collect(RoomTemperaturePlant(), space, n_samples, seed)
+
+
+def test_stacked_G_is_the_dense_assembly(monkeypatch):
+    # the static rows, uncopied, then the sampled rows over their g3 columns:
+    # densified, bit for bit the static rows over the per-sample g3 rows
+    layout = room_layout()
+    static, data = _room_static_and_data(layout, 50, 4)
+    dense = np.vstack([static[0]] + [
+        g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])[0] for i in range(50)
+    ])
+    monkeypatch.setattr(scp, "G3_CHUNK", 7)
+    problem = sampled_problem(layout, static, data)
+    assert problem.G.shape == dense.shape
+    assert np.asarray(problem.G).tobytes() == dense.tobytes()
+    assert np.shares_memory(problem.G.blocks[0][1], static[0])
+    assert problem.G.nbytes == static[0].nbytes + 12 * 50 * 8
+
+
+@pytest.mark.parametrize("degree", [4, 0])
+def test_block_column_scales_match_dense(degree):
+    # at degree 0 the g3 rows' q column is present in the block but all zero
+    layout = DecisionLayout.build(
+        build_basis(1, degree), [build_basis(1, degree)], 0.1, [0.05]
+    )
+    static, data = _room_static_and_data(layout, 40, 6)
+    problem = sampled_problem(layout, static, data)
+    if degree == 0:
+        assert not np.any(problem.G.blocks[-1][1][2])
+    assert np.array_equal(
+        _pow2_column_scale(problem.G),
+        _pow2_column_scale(RowStack.dense(np.asarray(problem.G))),
+    )
+
+
+def test_nan_in_sampled_block_raises():
+    _, _, problem = small_problem()
+    problem.G.blocks[-1][1][3, 5] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_lp(problem)
+
+
+def test_activity_and_violation_come_from_the_solver_residual(small_solved):
+    config, _, problem, solution = small_solved
+    tol = config.tolerances
+    resid = problem.residuals(solution.d_star)
+    res = solve_dense_lp(
+        problem.cost, problem.G, problem.h, opt_tol=tol.optimality,
+        pivot_tol=tol.pivot, feas_tol=tol.feasibility, max_iter=tol.max_iterations,
+    )
+    assert res.residual.tobytes() == resid.tobytes()
+    assert np.array_equal(
+        solution.active_row_ids, np.flatnonzero(np.abs(resid) <= tol.activity)
+    )
+    assert solution.max_violation == max(float(np.max(resid)), 0.0)
+
+
+def test_lexicographic_pins_do_not_copy_G():
+    # each pin is a one-row block and its rhs a reserved slot; a vstack per
+    # pin held a second G at every re-solve
+    _, _, problem = small_problem(n_samples=20_000, seed=3)
+    tracemalloc.start()
+    try:
+        solution, peak = _allocation_peak(solve_lp, problem, LpTolerances(), True)
+    finally:
+        tracemalloc.stop()
+    assert solution.status is LpStatus.OPTIMAL
+    assert peak < 0.25 * problem.G.nbytes
+
+
+@pytest.mark.parametrize("seed", [2025, 2026, 2027, 2028])
+def test_stack_pivots_like_its_dense_matrix(seed):
+    # the sampled block's reduced costs round differently from the dense
+    # mat-vec's; every pivot, the basis and the optimum must not
+    config = validate_config(room_casestudy_config(
+        n_scenario=20_000, n_validation=10_000, seed_scenario=seed, seed_validation=9090,
+    ))
+    _, problem = scenario_problem(config)
+    tol = config.tolerances
+    results = [
+        solve_dense_lp(
+            problem.cost, G, problem.h, opt_tol=tol.optimality, pivot_tol=tol.pivot,
+            feas_tol=tol.feasibility, max_iter=tol.max_iterations,
+        )
+        for G in (problem.G, np.asarray(problem.G))
+    ]
+    stacked, dense = results
+    assert (stacked.iterations, stacked.degenerate_steps) == (
+        dense.iterations, dense.degenerate_steps
+    )
+    assert stacked.basis_rows.tolist() == dense.basis_rows.tolist()
+    assert stacked.objective.hex() == dense.objective.hex()

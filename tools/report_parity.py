@@ -12,8 +12,9 @@ output means the same certificates, verdicts, solver counters and datasets.
 
 Cases: `synthesize` and `prior-synthesize --eps 7.492e-6` on the bundled
 configuration, a 200/5000-sample small room configuration, the same with
-`--lexicographic`, and `repeat --runs 4` of a certifying small configuration
-with two workers.
+`--lexicographic`, `repeat --runs 4` of a certifying small configuration
+with two workers, and a degree-0 small configuration whose program is
+infeasible (its sampled rows have a structurally zero barrier column).
 """
 
 import contextlib
@@ -48,6 +49,7 @@ CASES = {
     "small": (["synthesize"], _small_room()),
     "small_lexicographic": (["synthesize", "--lexicographic"], _small_room()),
     "repeat_workers": (["repeat", "--runs", "4"], _small_room(lipschitz=0.5, workers=2)),
+    "lp_infeasible": (["synthesize"], _small_room(barrier_degree=0, controller_degrees=[0])),
 }
 
 

@@ -21,6 +21,8 @@ powers of two (exact in floating point) so monomial columns of wildly
 different magnitude do not poison the pivot tolerances.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,19 +42,20 @@ class LpStatus(str, Enum):
 class RowStack:
     """A constraint matrix stored as a stack of row blocks.
 
-    Block k is `(cols, values)` with `values.shape == (len(cols), rows)`: its
-    rows are zero outside the columns `cols`, and `values[j, i]` is the entry
-    of its i-th row in column `cols[j]`.  A dense row-major matrix is the one
-    block `(arange(ncols), G.T)`, a view.  Rows that are structurally zero in
-    many columns are stored C-contiguous over the others, so a mat-vec reads
-    only the entries that can be non-zero.  `np.asarray` gives the dense
-    matrix.
+    Block k is `(cols, values, shared)` with `values.shape == (len(cols),
+    rows)`: `values[j, i]` is the entry of its i-th row in column `cols[j]`,
+    and `shared`, an `ncols` vector that is zero on `cols` (or None for
+    zeros), holds the entries every row of the block has outside `cols`.  A
+    dense row-major matrix is the one block `(arange(ncols), G.T, None)`, a
+    view.  Rows that are constant in many columns are stored C-contiguous
+    over the others, so a mat-vec reads only the entries that vary from row
+    to row.  `np.asarray` gives the dense matrix.
     """
 
     def __init__(self, blocks, ncols: int):
         self.ncols = int(ncols)
         self.blocks = []
-        for cols, values in blocks:
+        for cols, values, *rest in blocks:
             cols = np.asarray(cols, dtype=np.intp)
             if (values.ndim != 2 or values.shape[0] != len(cols)
                     or len(np.unique(cols)) != len(cols)
@@ -61,9 +64,21 @@ class RowStack:
                     f"row block of shape {values.shape} over columns {cols.tolist()} "
                     f"of {self.ncols}"
                 )
+            shared = rest[0] if rest else None
+            if shared is not None:
+                shared = np.asarray(shared, dtype=float)
+                if shared.shape != (self.ncols,) or np.any(shared[cols] != 0.0):
+                    raise SolverError(
+                        f"shared row of shape {shared.shape} must have {self.ncols} "
+                        f"entries, zero in the block's columns {cols.tolist()}"
+                    )
             if values.shape[1]:
-                self.blocks.append((cols, values))
-        self.starts = np.cumsum([0] + [values.shape[1] for _, values in self.blocks])
+                self.blocks.append((cols, values, shared))
+        # first row of each block, then the row count; Python ints, because the
+        # small-LP basis reads a few rows per iteration through `row`
+        self.starts = list(itertools.accumulate(
+            (values.shape[1] for _, values, _ in self.blocks), initial=0
+        ))
 
     @classmethod
     def dense(cls, G) -> "RowStack":
@@ -74,49 +89,58 @@ class RowStack:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return int(self.starts[-1]), self.ncols
+        return self.starts[-1], self.ncols
 
     def __len__(self) -> int:
-        return int(self.starts[-1])
+        return self.starts[-1]
 
     @property
     def nbytes(self) -> int:
-        return sum(values.nbytes for _, values in self.blocks)
+        return sum(values.nbytes + (0 if shared is None else shared.nbytes)
+                   for _, values, shared in self.blocks)
+
+    def _spans(self):
+        return zip(self.blocks, self.starts, self.starts[1:])
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros(self.shape)
-        for (cols, values), lo, hi in zip(self.blocks, self.starts, self.starts[1:]):
+        for (cols, values, shared), lo, hi in self._spans():
+            if shared is not None:
+                dense[lo:hi] = shared
             dense[lo:hi, cols] = values.T
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """G @ v, one `np.matmul` per block, into `out` when given."""
+        """G @ v, one `np.matmul` per block plus its shared row's dot, into `out`
+        when given."""
         v = np.asarray(v, dtype=float)
         out = np.empty(len(self)) if out is None else out
-        for (cols, values), lo, hi in zip(self.blocks, self.starts, self.starts[1:]):
+        for (cols, values, shared), lo, hi in self._spans():
             np.matmul(v[cols], values, out=out[lo:hi])
+            if shared is not None:
+                out[lo:hi] += shared @ v
         return out
 
     def row(self, i: int) -> np.ndarray:
-        if not 0 <= i < len(self):
+        if not 0 <= i < self.starts[-1]:
             raise IndexError(f"row {i} of {len(self)}")
-        k = int(np.searchsorted(self.starts, i, side="right")) - 1
-        cols, values = self.blocks[k]
-        row = np.zeros(self.ncols)
+        k = bisect.bisect_right(self.starts, i) - 1
+        cols, values, shared = self.blocks[k]
+        row = np.zeros(self.ncols) if shared is None else shared.copy()
         row[cols] = values[:, i - self.starts[k]]
         return row
 
     def select(self, keep: np.ndarray) -> "RowStack":
         """The rows where the boolean mask `keep` is true, in order."""
         return RowStack(
-            [(cols, values[:, keep[lo:hi]])
-             for (cols, values), lo, hi in zip(self.blocks, self.starts, self.starts[1:])],
+            [(cols, values[:, keep[lo:hi]], shared)
+             for (cols, values, shared), lo, hi in self._spans()],
             self.ncols,
         )
 
-    def with_rows(self, cols, values: np.ndarray) -> "RowStack":
-        """This stack with the block (cols, values) appended after its last row."""
-        return RowStack(self.blocks + [(cols, values)], self.ncols)
+    def with_rows(self, cols, values: np.ndarray, shared: np.ndarray | None = None) -> "RowStack":
+        """This stack with the block (cols, values, shared) appended after its last row."""
+        return RowStack(self.blocks + [(cols, values, shared)], self.ncols)
 
 
 @dataclass
@@ -137,10 +161,12 @@ class DenseLpResult:
 def _pow2_column_scale(G: RowStack) -> np.ndarray:
     """Power-of-two column scales; a NaN or inf entry of G raises SolverError.
 
-    The column maxima of |G| come from the maxima and minima of each block,
-    so no temporary of G's size is made; a column a block lacks is 0 there."""
+    The column maxima of |G| come from the maxima and minima of each block
+    and from its shared row, so no temporary of G's size is made."""
     col_max = np.zeros(G.ncols)
-    for cols, values in G.blocks:
+    for cols, values, shared in G.blocks:
+        if shared is not None:
+            np.maximum(col_max, np.abs(shared), out=col_max)
         block_max = np.maximum(np.max(values, axis=1), -np.min(values, axis=1))
         col_max[cols] = np.maximum(col_max[cols], block_max)
     if not np.all(np.isfinite(col_max)):
@@ -209,10 +235,11 @@ class _DualSimplex:
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"singular working set in phase {phase}: {exc}",
                                   status=LpStatus.ITERATION_LIMIT.value) from exc
-            reduced = self.G.matvec(self.scale * pi, out=self.reduced)
             if phase == 1:
-                np.negative(reduced, out=reduced)
+                # -(G @ v) == G @ -v bit for bit: negation is exact
+                reduced = self.G.matvec(-(self.scale * pi), out=self.reduced)
             else:
+                reduced = self.G.matvec(self.scale * pi, out=self.reduced)
                 np.subtract(self.h, reduced, out=reduced)
             reduced[self.basis[self.basis < self.m]] = np.inf
             if self._bland:
@@ -355,25 +382,18 @@ def _failure(status: LpStatus, engine: _DualSimplex) -> DenseLpResult:
     )
 
 
-def _with_row(values: np.ndarray, fill: float) -> np.ndarray:
-    """values with one more row of `fill`, in values' own memory layout, so a
-    dense row-major block stays row-major and its mat-vec rounds as before."""
-    out = np.empty_like(values, shape=(values.shape[0] + 1, values.shape[1]))
-    out[:-1] = values
-    out[-1] = fill
-    return out
-
-
 def _primal_feasible(G: RowStack, h, feas_tol, opt_tol, pivot_tol, max_iter,
                      stall_limit) -> bool:
     """Distinguish unbounded from infeasible: min t s.t. Gz - t <= h, t >= -1.
 
     Always feasible and bounded, so the recursive solve cannot probe again.
-    The column of t is added to each block of G, not to a dense copy.
+    The column of t is -1 in every row of G, so it goes into each block's
+    shared row and no block is copied.
     """
     m, nv = G.shape
     G_aux = RowStack(
-        [(np.append(cols, nv), _with_row(values, -1.0)) for cols, values in G.blocks]
+        [(cols, values, np.append(np.zeros(nv) if shared is None else shared, -1.0))
+         for cols, values, shared in G.blocks]
         + [([nv], np.full((1, 1), -1.0))],
         nv + 1,
     )

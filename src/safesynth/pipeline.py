@@ -611,6 +611,7 @@ def _run(
         problem = build_problem(layout, scenario, *_row_inputs(config))
     else:
         problem = sampled_problem(layout, static, scenario)
+    del scenario  # copied into the problem; unused from here on
     timings["assemble"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()

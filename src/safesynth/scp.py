@@ -110,6 +110,13 @@ class DecisionLayout:
     CAP = 2
     BUDGET = 3
 
+    def __post_init__(self):
+        # `g3_columns` and `g3_shared_row` take the first term of every basis
+        # to be its constant monomial, as `build_basis` orders it
+        for basis in (self.barrier, *self.controllers):
+            if any(basis.terms[0]):
+                raise AssemblyError("a basis must lead with its constant monomial")
+
     @classmethod
     def build(
         cls,
@@ -154,9 +161,23 @@ class DecisionLayout:
 
     @property
     def g3_columns(self) -> np.ndarray:
-        """The columns a sampled row can be non-zero in: objective, budget,
-        then q and every p, which run contiguously from column 4 to n_core."""
-        return np.concatenate([[self.OBJECTIVE, self.BUDGET], np.arange(4, self.n_core)])
+        """The columns in which sampled rows differ from one another: the
+        non-constant monomials of the barrier, then of every controller."""
+        return np.concatenate([
+            np.arange(s.start + 1, s.stop)
+            for s in (self.q_slice, *map(self.p_slice, range(len(self.controllers))))
+        ])
+
+    @property
+    def g3_shared_row(self) -> np.ndarray:
+        """The entries every sampled row has outside `g3_columns`: -1 at the
+        objective, the budget and each controller's constant monomial, and 0
+        at the barrier's, which cancels in B(x') - B(x)."""
+        row = np.zeros(self.n_total)
+        row[[self.OBJECTIVE, self.BUDGET]] = -1.0
+        for i in range(len(self.controllers)):
+            row[self.p_slice(i).start] = -1.0
+        return row
 
     @property
     def s_q_slice(self) -> slice:
@@ -222,15 +243,23 @@ class CertificateValues:
 class LpProblem:
     """Assembled scenario program: min objective entry s.t. G d <= h.
 
-    G is a `RowStack`; a dense matrix passed in becomes its one block."""
+    G is a `RowStack`; a dense matrix passed in becomes its one block.  `h`
+    is n_rows long, or n_rows + layout.n_core long when the caller reserved
+    the pin slots of a lexicographic solve after it; without them they are
+    reserved here."""
 
     def __init__(self, G, h, tags, origins, layout: DecisionLayout):
         self.G = G if isinstance(G, RowStack) else RowStack.dense(G)
-        self.h = np.asarray(h, dtype=float).ravel()
+        m = len(self.G)
+        h = np.asarray(h, dtype=float).ravel()
+        if len(h) == m:
+            h = np.concatenate([h, np.empty(layout.n_core)])
+        self._h_pinned = h  # h, then one rhs slot per core coordinate
+        self.h = h[:m]
         self.tags = np.asarray(tags, dtype=np.int8)
         self.origins = np.asarray(origins, dtype=np.int64)
         self.layout = layout
-        if not (len(self.G) == len(self.h) == len(self.tags) == len(self.origins)):
+        if not (len(h) == m + layout.n_core and m == len(self.tags) == len(self.origins)):
             raise AssemblyError("row blocks disagree on length")
         if self.G.shape[1] != layout.n_total:
             raise AssemblyError(
@@ -332,7 +361,8 @@ def g3_rows(
 
     With `out`, of shape (len(layout.g3_columns), len(dataset)), the rows are
     written into it column-major over `layout.g3_columns`, G3_CHUNK samples at
-    a time, and `out` is returned.  Without it the rows come back dense,
+    a time, and `out` is returned; every row holds `layout.g3_shared_row`
+    outside those columns.  Without it the rows come back dense,
     (len(dataset) x n_total).
     """
     if dataset.state_dim != layout.barrier.nvars:
@@ -349,27 +379,26 @@ def g3_rows(
     block = np.empty((len(cols), len(dataset))) if out is None else out
     if block.shape != (len(cols), len(dataset)):
         raise AssemblyError(f"g3 block of shape {block.shape} for {len(dataset)} samples")
-
-    def at(s: slice) -> slice:
-        # the block rows of a run of layout columns
-        start = int(np.searchsorted(cols, s.start))
-        return slice(start, start + s.stop - s.start)
+    # the block rows of each basis' non-constant monomials, in layout order
+    spans = np.cumsum([0] + [len(b) - 1 for b in (layout.barrier, *layout.controllers)])
 
     for lo in range(0, len(dataset), G3_CHUNK):
         rows = block[:, lo:lo + G3_CHUNK].T
         xs = dataset.xs[lo:lo + G3_CHUNK]
+        bx = eval_basis_many(layout.barrier, xs)
         np.subtract(
-            eval_basis_many(layout.barrier, dataset.x_nexts[lo:lo + G3_CHUNK]),
-            eval_basis_many(layout.barrier, xs),
-            out=rows[:, at(layout.q_slice)],
+            eval_basis_many(layout.barrier, dataset.x_nexts[lo:lo + G3_CHUNK])[:, 1:],
+            bx[:, 1:],
+            out=rows[:, spans[0]:spans[1]],
         )
         for i, basis in enumerate(layout.controllers):
-            np.negative(eval_basis_many(basis, xs), out=rows[:, at(layout.p_slice(i))])
-        rows[:, :2] = -1.0  # objective and budget
+            phi = bx if basis == layout.barrier else eval_basis_many(basis, xs)
+            np.negative(phi[:, 1:], out=rows[:, spans[i + 1]:spans[i + 2]])
     rhs = -dataset.us.sum(axis=1)
     if out is not None:
         return block, rhs
-    dense = np.zeros((len(dataset), layout.n_total))
+    dense = np.empty((len(dataset), layout.n_total))
+    dense[:] = layout.g3_shared_row
     dense[:, cols] = block.T
     return dense, rhs
 
@@ -518,15 +547,21 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
 
     G is a stack of two row blocks: the static rows, dense and not copied,
     then the sampled rows, which `g3_rows` writes column-major over the
-    `layout.g3_columns` they can be non-zero in (12 of the room template's 24).
+    `layout.g3_columns` they differ in (8 of the room template's 24), with
+    `layout.g3_shared_row` as the block's shared row.  h is assembled with
+    the pin slots of a lexicographic solve reserved after it.
     """
     static_G, static_h, static_tags, static_origins = static
     n = len(dataset)
-    cols = layout.g3_columns
-    samp_G, samp_h = g3_rows(layout, dataset, out=np.empty((len(cols), n)))
+    m = len(static_h) + n
+    samp_G, samp_h = g3_rows(layout, dataset, out=np.empty((len(layout.g3_columns), n)))
+    h = np.empty(m + layout.n_core)
+    h[:len(static_h)] = static_h
+    h[len(static_h):m] = samp_h
+    del samp_h  # copied into h; not held through the tags and origins
     return LpProblem(
-        RowStack.dense(static_G).with_rows(cols, samp_G),
-        np.concatenate([static_h, samp_h]),
+        RowStack.dense(static_G).with_rows(layout.g3_columns, samp_G, layout.g3_shared_row),
+        h,
         np.concatenate([static_tags, np.full(n, RowTag.G3, dtype=np.int8)]),
         np.concatenate([static_origins, np.arange(n, dtype=np.int64)]),
         layout,
@@ -676,7 +711,8 @@ def solve_lp(
     else:
         resid = res.residual
     objective = float(problem.cost @ d)
-    active = np.flatnonzero(np.abs(resid) <= tolerances.activity)
+    max_violation = float(max(np.max(resid), 0.0))
+    active = np.flatnonzero(np.abs(resid, out=resid) <= tolerances.activity)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         d_star=d,
@@ -685,7 +721,7 @@ def solve_lp(
         iterations=iterations,
         degenerate_steps=degenerate,
         bland_iterations=bland,
-        max_violation=float(max(np.max(resid), 0.0)),
+        max_violation=max_violation,
         zero_multipliers=res.zero_multipliers,
         lexicographic=lexicographic,
     )
@@ -699,15 +735,15 @@ def _refine_lexicographic(
     Every pin is a single upper-bound row: the pinned value is the minimum of
     that coordinate over the current face, so the lower bound is implied.
     Each pin is a one-row block appended to the stack, and its right-hand
-    side fills a slot reserved after h, so G and h are not copied per pin.
+    side fills a slot the problem reserved after h, so G and h are not
+    copied.
     A re-solve that raises or ends non-optimal stops the refinement at the
     point reached so far, and the third result (all pinned) is False.
     """
     layout = problem.layout
     m = problem.n_rows
     G = problem.G
-    h = np.empty(m + layout.n_core)
-    h[:m] = problem.h
+    h = problem._h_pinned
     extra_iters = 0
     d = base.z
     assert d is not None
@@ -741,4 +777,5 @@ def count_active_g3(problem: LpProblem, solution: LpSolution, tol: float | None 
         raise _no_solution(solution.status)
     tol = LpTolerances().activity if tol is None else tol
     resid = problem.residuals(solution.d_star)
-    return int(np.count_nonzero((np.abs(resid) <= tol) & (problem.tags == RowTag.G3)))
+    np.abs(resid, out=resid)
+    return int(np.count_nonzero((resid <= tol) & (problem.tags == RowTag.G3)))

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from safesynth import lp
 from safesynth.errors import SolverError
-from safesynth.lp import LpStatus, RowStack, solve_dense_lp
+from safesynth.lp import LpStatus, RowStack, _pow2_column_scale, solve_dense_lp
 
 
 def vertex_enumeration_optimum(cost, G, h, feas_tol=1e-9):
@@ -238,3 +240,88 @@ def test_row_stack_solves_like_its_dense_matrix():
     unbounded = RowStack.dense(np.array([[0.0, 1.0]])).with_rows([0], np.array([[-1.0]]))
     res = solve_dense_lp(np.array([-1.0, 0.0]), unbounded, np.array([1.0, 0.0]))
     assert res.status is LpStatus.UNBOUNDED
+
+
+def _shared_row_stack(rng, head_rows=7, tail_rows=5):
+    """A dense head over 7 columns, then a block over columns 1, 3 and 4 whose
+    shared row is non-zero in columns 0 and 6; column 6 is in no block's
+    columns, so only the shared row has it."""
+    head = rng.normal(size=(head_rows, 7))
+    tail = rng.normal(size=(3, tail_rows))
+    shared = np.zeros(7)
+    shared[[0, 6]] = [-1.0, 2.5e3]
+    stack = RowStack.dense(head).with_rows([1, 3, 4], tail, shared)
+    dense = np.vstack([head, np.tile(shared, (tail_rows, 1))])
+    dense[head_rows:, [1, 3, 4]] = tail.T
+    return stack, dense
+
+
+def test_row_stack_with_a_shared_row_reads_like_its_dense_matrix():
+    rng = np.random.default_rng(8)
+    stack, dense = _shared_row_stack(rng)
+    stack = stack.with_rows([2], np.ones((1, 1)))
+    dense = np.vstack([dense, np.eye(7)[2]])
+    assert stack.shape == dense.shape == (13, 7)
+    assert stack.nbytes == (7 * 7 + 3 * 5 + 1) * 8 + 7 * 8
+    assert np.array_equal(np.asarray(stack), dense)
+    for i in range(13):
+        assert np.array_equal(stack.row(i), dense[i])
+    v = rng.normal(size=7)
+    assert np.allclose(stack.matvec(v), dense @ v, rtol=1e-15, atol=1e-12)
+    keep = rng.random(13) < 0.6
+    assert np.array_equal(np.asarray(stack.select(keep)), dense[keep])
+    # the shared row's scale is taken even where no block's columns reach
+    assert np.array_equal(_pow2_column_scale(stack), _pow2_column_scale(RowStack.dense(dense)))
+    assert _pow2_column_scale(stack)[6] == 2.0 ** -11
+    with pytest.raises(SolverError):  # non-zero in the block's own columns
+        RowStack([([0, 1], np.ones((2, 3)), np.ones(4))], 4)
+    with pytest.raises(SolverError):  # not ncols long
+        RowStack([([0, 1], np.ones((2, 3)), np.zeros(3))], 4)
+
+
+def test_nan_in_a_shared_row_raises():
+    stack, dense = _shared_row_stack(np.random.default_rng(9))
+    stack.blocks[-1][2][6] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_dense_lp(np.ones(7), stack, np.ones(len(stack)))
+
+
+def _probe_stack(rng, rows, infeasible):
+    """min z0 over a tall block whose rows read -z0 + a.q with a > 0 in
+    column 1: unbounded (q1 -> -inf), so phase 1 finds the dual infeasible
+    and the feasibility probe runs; two head rows that contradict each other
+    make it infeasible instead."""
+    head = np.zeros((2, 13))
+    head[:, 12] = [1.0, -1.0]
+    tail = rng.normal(size=(11, rows))
+    tail[0] = rng.uniform(0.5, 1.0, size=rows)
+    shared = np.zeros(13)
+    shared[0] = -1.0
+    stack = RowStack.dense(head).with_rows(np.arange(1, 12), tail, shared)
+    h = np.concatenate([[-1.0 if infeasible else 1.0, 0.0], rng.uniform(0.1, 1.0, size=rows)])
+    return stack, h
+
+
+@pytest.mark.parametrize("infeasible", [False, True])
+def test_feasibility_probe_uses_shared_rows_not_copies(monkeypatch, infeasible):
+    stack, h = _probe_stack(np.random.default_rng(12), 20_000, infeasible)
+    cost = np.eye(13)[0]
+    probes = []
+    probe = lp._primal_feasible
+    monkeypatch.setattr(lp, "_primal_feasible", lambda *a: probes.append(a) or probe(*a))
+    res = solve_dense_lp(cost, stack, h)
+    dense = solve_dense_lp(cost, np.asarray(stack), h)
+    expected = LpStatus.INFEASIBLE if infeasible else LpStatus.UNBOUNDED
+    assert res.status is dense.status is expected
+    assert len(probes) == 2  # the stacked and the dense solve each probed
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        feasible = probe(stack, h, 1e-8, 1e-9, 1e-11, 20000, 64)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert feasible is (not infeasible)
+    # a copy of each block with the t row added held G.nbytes * 13 / 12
+    assert peak < 0.25 * stack.nbytes

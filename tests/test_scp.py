@@ -9,7 +9,7 @@ from safesynth.geometry import Box, RegionUnion, SampleSpace
 from safesynth.lp import RowStack, _pow2_column_scale, solve_dense_lp
 from safesynth.pipeline import room_casestudy_config, validate_config
 from safesynth.plant import Dataset, RoomTemperaturePlant, collect
-from safesynth.polynomial import build_basis, eval_basis, eval_poly_many
+from safesynth.polynomial import PolyBasis, build_basis, eval_basis, eval_poly_many
 from safesynth.scp import (
     CertificateValues,
     DecisionLayout,
@@ -67,6 +67,30 @@ def test_layout_dimensions_match_case_study_template():
     assert layout.n_barrier == 5 and layout.n_controller == 5
     assert layout.n_core == 14
     assert layout.n_total == 24  # core + one split per coefficient
+
+
+def test_g3_columns_and_shared_row_split_every_sampled_row():
+    # two state variables, a degree-2 barrier and controllers of degrees 1
+    # and 2 (the second reuses the barrier's evaluation): every g3 row is the
+    # shared row outside the live columns
+    rng = np.random.default_rng(4)
+    layout = DecisionLayout.build(
+        build_basis(2, 2), [build_basis(2, 1), build_basis(2, 2)], 1.0, [1.0, 1.0]
+    )
+    data = Dataset(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)),
+                   rng.normal(size=(30, 2)), 0, "scenario")
+    cols, shared = layout.g3_columns, layout.g3_shared_row
+    assert len(cols) == 5 + 2 + 5
+    block, _ = g3_rows(layout, data, out=np.empty((len(cols), 30)))
+    for i in range(30):
+        row, _ = g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])
+        assert np.array_equal(block[:, i], row[cols])
+        assert np.array_equal(np.delete(row, cols), np.delete(shared, cols))
+    constant_first = build_basis(1, 2)
+    with pytest.raises(AssemblyError):
+        DecisionLayout.build(
+            PolyBasis(1, 2, constant_first.terms[::-1]), [constant_first], 1.0, [1.0]
+        )
 
 
 def test_gram_scheme_multiplicities():
@@ -163,7 +187,10 @@ def test_g3_rows_written_in_chunks_into_out(monkeypatch):
     whole, rhs_whole = g3_rows(layout, data)
     monkeypatch.setattr(scp, "G3_CHUNK", 7)
     cols = layout.g3_columns
-    assert cols.tolist() == [0, 3] + list(range(4, 14))
+    # the non-constant monomials of q (columns 4-8) and p (9-13)
+    assert cols.tolist() == [5, 6, 7, 8, 10, 11, 12, 13]
+    shared = layout.g3_shared_row
+    assert np.flatnonzero(shared).tolist() == [0, 3, 9] and np.all(shared[[0, 3, 9]] == -1.0)
     out = np.full((len(cols), 25), np.nan)
     block, rhs = g3_rows(layout, data, out=out)
     assert block is out
@@ -172,6 +199,7 @@ def test_g3_rows_written_in_chunks_into_out(monkeypatch):
         row, _ = g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])
         assert np.array_equal(whole[i], row)
         assert np.array_equal(block[:, i], row[cols])
+        assert np.array_equal(np.delete(row, cols), np.delete(shared, cols))
     with pytest.raises(AssemblyError):
         g3_rows(layout, data, out=np.empty((len(cols), 24)))
 
@@ -510,19 +538,21 @@ def test_stacked_G_is_the_dense_assembly(monkeypatch):
     assert problem.G.shape == dense.shape
     assert np.asarray(problem.G).tobytes() == dense.tobytes()
     assert np.shares_memory(problem.G.blocks[0][1], static[0])
-    assert problem.G.nbytes == static[0].nbytes + 12 * 50 * 8
+    # 8 live rows of 50 samples, plus the block's shared row over 24 columns
+    assert problem.G.nbytes == static[0].nbytes + 8 * 50 * 8 + 24 * 8
 
 
 @pytest.mark.parametrize("degree", [4, 0])
 def test_block_column_scales_match_dense(degree):
-    # at degree 0 the g3 rows' q column is present in the block but all zero
+    # at degree 0 the sampled block has no live rows: its shared row alone
+    # carries the g3 rows' objective, budget and controller columns
     layout = DecisionLayout.build(
         build_basis(1, degree), [build_basis(1, degree)], 0.1, [0.05]
     )
     static, data = _room_static_and_data(layout, 40, 6)
     problem = sampled_problem(layout, static, data)
     if degree == 0:
-        assert not np.any(problem.G.blocks[-1][1][2])
+        assert problem.G.blocks[-1][1].shape == (0, 40)
     assert np.array_equal(
         _pow2_column_scale(problem.G),
         _pow2_column_scale(RowStack.dense(np.asarray(problem.G))),

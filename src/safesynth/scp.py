@@ -246,7 +246,10 @@ class LpProblem:
     G is a `RowStack`; a dense matrix passed in becomes its one block.  `h`
     is n_rows long, or n_rows + layout.n_core long when the caller reserved
     the pin slots of a lexicographic solve after it; without them they are
-    reserved here."""
+    reserved here.  `origins` names the first len(origins) rows (a grid
+    index, or -1 for a structural row); every row after them is a sampled
+    row, and its origin is its sample index, the row's position counted
+    from the first of them."""
 
     def __init__(self, G, h, tags, origins, layout: DecisionLayout):
         self.G = G if isinstance(G, RowStack) else RowStack.dense(G)
@@ -259,8 +262,10 @@ class LpProblem:
         self.tags = np.asarray(tags, dtype=np.int8)
         self.origins = np.asarray(origins, dtype=np.int64)
         self.layout = layout
-        if not (len(h) == m + layout.n_core and m == len(self.tags) == len(self.origins)):
+        if not (len(h) == m + layout.n_core and m == len(self.tags) >= len(self.origins)):
             raise AssemblyError("row blocks disagree on length")
+        if np.any(self.tags[len(self.origins):] != RowTag.G3):
+            raise AssemblyError("rows without an origin must be sampled rows")
         if self.G.shape[1] != layout.n_total:
             raise AssemblyError(
                 f"rows have {self.G.shape[1]} columns, layout wants {layout.n_total}"
@@ -284,26 +289,15 @@ class LpProblem:
     def without_rows(self, drop: Sequence[int]) -> "LpProblem":
         keep = np.ones(self.n_rows, dtype=bool)
         keep[list(drop)] = False
+        origins = np.concatenate([self.origins, np.arange(self.n_rows - len(self.origins))])
         return LpProblem(
-            self.G.select(keep), self.h[keep], self.tags[keep], self.origins[keep],
-            self.layout,
+            self.G.select(keep), self.h[keep], self.tags[keep], origins[keep], self.layout,
         )
 
     def residuals(self, d: np.ndarray) -> np.ndarray:
         resid = self.G.matvec(d)
         resid -= self.h
         return resid
-
-    def dump(self, path: str) -> None:
-        """Plain-text tableau: one row per line `tag origin rhs idx:val ...`."""
-        with open(path, "w") as fh:
-            for i in range(self.n_rows):
-                coeffs = self.G.row(i)
-                nz = np.flatnonzero(coeffs)
-                entries = " ".join(f"{j}:{coeffs[j]:.17g}" for j in nz)
-                fh.write(
-                    f"{RowTag(self.tags[i]).label} {self.origins[i]} {self.h[i]:.17g} {entries}\n"
-                )
 
 
 def _tighten_weights(scheme: CoeffBoundScheme, basis: PolyBasis, box: Box, halfstep: float) -> np.ndarray:
@@ -558,12 +552,12 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     h = np.empty(m + layout.n_core)
     h[:len(static_h)] = static_h
     h[len(static_h):m] = samp_h
-    del samp_h  # copied into h; not held through the tags and origins
+    del samp_h  # copied into h; not held through the tags
     return LpProblem(
         RowStack.dense(static_G).with_rows(layout.g3_columns, samp_G, layout.g3_shared_row),
         h,
         np.concatenate([static_tags, np.full(n, RowTag.G3, dtype=np.int8)]),
-        np.concatenate([static_origins, np.arange(n, dtype=np.int64)]),
+        static_origins,  # a sampled row's origin is its position
         layout,
     )
 

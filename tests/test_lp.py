@@ -325,3 +325,166 @@ def test_feasibility_probe_uses_shared_rows_not_copies(monkeypatch, infeasible):
     assert feasible is (not infeasible)
     # a copy of each block with the t row added held G.nbytes * 13 / 12
     assert peak < 0.25 * stack.nbytes
+
+
+def _two_block_lp(rng, head_rows=20, tail_rows=41):
+    """A bounded program over 7 columns: a dense block of random rows and a
+    box, then a block over columns 1, 3 and 4 whose shared row is non-zero
+    in columns 0 and 6."""
+    head = np.vstack([rng.normal(size=(head_rows, 7)), np.eye(7), -np.eye(7)])
+    tail = rng.normal(size=(3, tail_rows))
+    shared = np.zeros(7)
+    shared[[0, 6]] = [-1.0, 0.25]
+    stack = RowStack.dense(head).with_rows([1, 3, 4], tail, shared)
+    h = np.concatenate([rng.uniform(0.1, 2.0, size=head_rows), np.full(14, 10.0),
+                        rng.uniform(0.1, 2.0, size=tail_rows)])
+    return rng.normal(size=7), stack, h
+
+
+def _degenerate_lp(rng, rows=60):
+    """min z0 over rows -z0 + a.(z1, z2) <= 1 in a shared-row block, a third
+    of them with a = 0, inside a box: -cost is a multiple of one row, so the
+    dual basis is degenerate and the solver stalls."""
+    head = np.vstack([np.eye(3), -np.eye(3)])
+    tail = rng.normal(size=(2, rows))
+    tail[:, ::3] = 0.0
+    stack = RowStack.dense(head).with_rows([1, 2], tail, np.array([-1.0, 0.0, 0.0]))
+    return np.eye(3)[0], stack, np.concatenate([np.full(6, 10.0), np.ones(rows)])
+
+
+def _solve_recording(monkeypatch, chunk, *args, **kwargs):
+    """solve_dense_lp priced in chunks of `chunk` rows; also every working set
+    it factorised, and per pricing pass the number of chunks priced."""
+    bases, priced = [], []
+    basis_matrix = lp._DualSimplex._basis_matrix
+    reduced_costs = lp._DualSimplex.reduced_costs
+
+    def counting_reduced_costs(engine, *a):
+        priced.append(0)
+        for item in reduced_costs(engine, *a):
+            priced[-1] += 1
+            yield item
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "_PRICE_CHUNK", chunk)
+        mp.setattr(lp._DualSimplex, "_basis_matrix",
+                   lambda engine: bases.append(engine.basis.tolist()) or basis_matrix(engine))
+        mp.setattr(lp._DualSimplex, "reduced_costs", counting_reduced_costs)
+        return solve_dense_lp(*args, **kwargs), bases, priced
+
+
+@pytest.mark.parametrize("build, kwargs", [(_two_block_lp, {}),
+                                           (_degenerate_lp, {"stall_limit": 1})])
+def test_chunked_pricing_takes_the_unchunked_pivot_path(monkeypatch, build, kwargs):
+    # chunk boundaries inside the dense block and the shared-row block; the
+    # degenerate program runs Bland's rule, which stops at its chunk
+    cost, stack, h = build(np.random.default_rng(21))
+    runs = [_solve_recording(monkeypatch, chunk, cost, stack, h, **kwargs)
+            for chunk in (7, len(stack) + 1)]
+    (chunked, bases, priced), (whole, whole_bases, whole_priced) = runs
+    assert chunked.status is whole.status is LpStatus.OPTIMAL
+    assert bases == whole_bases and len(bases) > 3
+    assert (chunked.iterations, chunked.degenerate_steps, chunked.bland_iterations) == (
+        whole.iterations, whole.degenerate_steps, whole.bland_iterations)
+    assert chunked.objective.hex() == whole.objective.hex()
+    assert chunked.z.tobytes() == whole.z.tobytes()
+    assert max(whole_priced) == 1 and max(priced) == len(list(stack.chunks(7))) > 5
+    if build is _degenerate_lp:
+        assert chunked.bland_iterations > 0
+        assert min(priced) < max(priced)  # Bland's rule skipped the later chunks
+
+
+@pytest.mark.parametrize("build, kwargs", [(_two_block_lp, {}),
+                                           (_degenerate_lp, {"stall_limit": 1})])
+def test_basis_matrix_is_the_working_sets_scaled_rows(monkeypatch, build, kwargs):
+    # the solver swaps one column per pivot instead of reading the working
+    # set again; every matrix it factorises equals a fresh gather, bit for bit
+    cost, stack, h = build(np.random.default_rng(24))
+    dense = np.asarray(stack)
+    real_rows = []
+    basis_matrix = lp._DualSimplex._basis_matrix
+
+    def checked_basis_matrix(engine):
+        A = basis_matrix(engine)
+        fresh = np.zeros((engine.nv, engine.nv))
+        for pos, col in enumerate(engine.basis):
+            if col < engine.m:
+                fresh[:, pos] = dense[col] * engine.scale
+            else:
+                fresh[col - engine.m, pos] = engine.art_sign[col - engine.m]
+        assert A.tobytes() == fresh.tobytes()
+        real_rows.append(int(np.sum(engine.basis < engine.m)))
+        return A
+
+    monkeypatch.setattr(lp._DualSimplex, "_basis_matrix", checked_basis_matrix)
+    assert solve_dense_lp(cost, stack, h, **kwargs).status is LpStatus.OPTIMAL
+    assert real_rows[0] == 0 and max(real_rows) >= 3 and len(real_rows) > 3
+
+
+@pytest.mark.parametrize("chunk", [64, 128, 10**6])
+@pytest.mark.parametrize("phase", [1, 2])
+def test_chunked_reduced_costs_are_those_of_one_mat_vec(monkeypatch, chunk, phase):
+    # a multiple of 64 rows keeps BLAS's row groups; a block's last piece is
+    # never a single row (at 128 the 129-row block is one piece), and the
+    # two one-row blocks at the end share a run
+    rng = np.random.default_rng(22)
+    _, stack, h = _two_block_lp(rng, head_rows=186, tail_rows=129)
+    stack = stack.with_rows([2], np.ones((1, 1))).with_rows([5], np.full((1, 1), -2.0))
+    h = np.concatenate([h, [0.5, 0.25]])
+    monkeypatch.setattr(lp, "_PRICE_CHUNK", chunk)
+    scale = _pow2_column_scale(stack)
+    engine = lp._DualSimplex(stack, scale, h, np.ones(7), 1e-9, 1e-11, 64)
+    engine.basis[:4] = [3, 200, 209, 320]
+    v = scale * rng.normal(size=7)
+    expected = stack.matvec(v)
+    if phase == 2:
+        expected = h - expected
+    expected[[3, 200, 209, 320]] = np.inf
+    starts, parts = [], []
+    for start, r in engine.reduced_costs(v, phase, engine.new_scratch()):
+        starts.append(start)
+        parts.append(r.copy())
+    assert len(parts) == {64: 4 + 2 + 1, 128: 2 + 1 + 1}.get(chunk, 1)
+    assert starts == np.cumsum([0] + [len(p) for p in parts[:-1]]).tolist()
+    assert np.concatenate(parts).tobytes() == expected.tobytes()
+    assert np.array_equal(_pow2_column_scale(stack), _pow2_column_scale(RowStack.dense(
+        np.asarray(stack))))
+
+
+def test_non_finite_multipliers_fail_closed(monkeypatch):
+    # np.argmin would enter a NaN reduced cost and a `<` would skip it
+    cost, stack, h = _two_block_lp(np.random.default_rng(23))
+    monkeypatch.setattr(lp._DualSimplex, "_basis_costs",
+                        lambda engine, phase: np.full(engine.nv, np.nan))
+    with pytest.raises(SolverError, match="non-finite multipliers") as err:
+        solve_dense_lp(cost, stack, h)
+    assert err.value.status == LpStatus.ITERATION_LIMIT.value
+
+
+@pytest.mark.parametrize("bland", [False, True])
+def test_nan_reduced_cost_fails_closed(monkeypatch, bland):
+    # finite multipliers: row 9's block product overflows to inf and its
+    # shared row's term to -inf; the other rows price at +inf
+    monkeypatch.setattr(lp, "_PRICE_CHUNK", 4)
+    values = np.full((1, 11), 0.5)
+    values[0, 9] = 2.0
+    stack = RowStack([([0], values, np.array([0.0, 2.0]))], 2)
+    engine = lp._DualSimplex(stack, np.ones(2), np.ones(11), np.ones(2), 1e-9, 1e-11, 64)
+    engine._bland = bland
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            SolverError, match="NaN reduced cost of row 9") as err:
+        engine._entering_row(np.array([1e308, -1e308]), 2, engine.new_scratch())
+    assert err.value.status == LpStatus.ITERATION_LIMIT.value
+
+
+@pytest.mark.parametrize("bland, expected", [(False, 2), (True, 1)])
+def test_entering_row_across_chunks(monkeypatch, bland, expected):
+    # Dantzig: the lowest reduced cost, rows 2 and 9 tie in different chunks
+    # and the first wins; Bland: the first eligible row, not the lowest
+    monkeypatch.setattr(lp, "_PRICE_CHUNK", 4)
+    G = np.zeros((11, 1))
+    G[[1, 2, 9], 0] = [1.0, 3.0, 3.0]
+    engine = lp._DualSimplex(RowStack.dense(G), np.ones(1), np.zeros(11), np.ones(1),
+                             1e-9, 1e-11, 64)
+    engine._bland = bland
+    assert engine._entering_row(np.ones(1), 2, engine.new_scratch()) == expected

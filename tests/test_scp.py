@@ -422,22 +422,6 @@ def test_scenario_problem_matches_highs():
     assert solution.objective == pytest.approx(ref.fun, abs=1e-7)
 
 
-def test_problem_dump_format(tmp_path, small_solved):
-    _, _, problem, _ = small_solved
-    path = tmp_path / "tableau.txt"
-    problem.dump(str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == problem.n_rows
-    tag, origin, rhs, *entries = lines[0].split()
-    assert tag in {"g1", "g2", "g3", "g4", "structural"}
-    int(origin)
-    float(rhs)
-    for e in entries:
-        idx, val = e.split(":")
-        int(idx)
-        float(val)
-
-
 def test_infeasible_template_reported():
     # degree-0 templates force a constant barrier: the floor can never
     # exceed the cap, so the program is infeasible and must say so
@@ -540,6 +524,21 @@ def test_stacked_G_is_the_dense_assembly(monkeypatch):
     assert np.shares_memory(problem.G.blocks[0][1], static[0])
     # 8 live rows of 50 samples, plus the block's shared row over 24 columns
     assert problem.G.nbytes == static[0].nbytes + 8 * 50 * 8 + 24 * 8
+
+
+def test_sampled_rows_take_their_origin_from_their_position():
+    # only the static rows store an origin; without_rows keeps every row's
+    layout = room_layout()
+    static, data = _room_static_and_data(layout, 30, 5)
+    problem = sampled_problem(layout, static, data)
+    n_static = len(static[1])
+    assert problem.origins.tobytes() == static[3].tobytes()
+    reduced = problem.without_rows([2, n_static + 4])
+    origins = np.concatenate([np.delete(static[3], 2), np.delete(np.arange(30), 4)])
+    assert reduced.origins.tobytes() == origins.tobytes()
+    assert reduced.without_rows([0]).origins.tobytes() == origins[1:].tobytes()
+    with pytest.raises(AssemblyError, match="sampled rows"):
+        scp.LpProblem(problem.G, problem.h, problem.tags, static[3][1:], layout)
 
 
 @pytest.mark.parametrize("degree", [4, 0])

@@ -3,6 +3,7 @@
 Usage (from the root of a source checkout):
 
     python3 tools/pivot_trace.py N SEED [N SEED ...]
+    python3 tools/pivot_trace.py unbounded SEED infeasible SEED
 
 Each pair assembles the room case study's scenario program with N samples
 drawn with scenario seed SEED, exactly as synthesis does, solves it with
@@ -18,6 +19,13 @@ outside `src/`, so the same script runs against any tree:
     diff A.jsonl B.jsonl
 
 Identical lines mean the same pivots, point and active set.
+
+With `unbounded` or `infeasible` in place of N, the case is a 50,000-row
+program whose sampled-like block carries a shared row and whose solve ends
+in the feasibility probe (`lp._primal_feasible`): unbounded, or infeasible
+through two contradicting rows.  Its line gives the status, the counts, the
+sha256 of every working set of the solve and of the probe's solve, and the
+probe's verdict.
 """
 
 import hashlib
@@ -40,6 +48,62 @@ def _sha256(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+class _RecordingBases:
+    """Within the `with` block, hash every working set the dual simplex factorises."""
+
+    def __enter__(self):
+        self.digest = hashlib.sha256()
+        self.count = 0
+        self.basis_matrix = lp._DualSimplex._basis_matrix
+
+        def recording_basis_matrix(engine):
+            self.digest.update(np.asarray(engine.basis, dtype=np.int64).tobytes())
+            self.count += 1
+            return self.basis_matrix(engine)
+
+        lp._DualSimplex._basis_matrix = recording_basis_matrix
+        return self
+
+    def __exit__(self, *exc):
+        lp._DualSimplex._basis_matrix = self.basis_matrix
+
+
+def probe_case(kind: str, seed: int) -> dict:
+    """min z0 over rows -z0 + a.q <= h with a > 0 in column 1, a tall block
+    whose -1 in column 0 is its shared row: unbounded (q1 -> -inf), so phase
+    1 finds the dual infeasible and the probe runs; two head rows that
+    contradict each other make the program infeasible instead."""
+    rows = 50_000
+    rng = np.random.default_rng(seed)
+    head = np.zeros((2, 13))
+    head[:, 12] = [1.0, -1.0]
+    tail = rng.normal(size=(11, rows))
+    tail[0] = rng.uniform(0.5, 1.0, size=rows)
+    shared = np.zeros(13)
+    shared[0] = -1.0
+    G = lp.RowStack.dense(head).with_rows(np.arange(1, 12), tail, shared)
+    h = np.concatenate([[-1.0 if kind == "infeasible" else 1.0, 0.0],
+                        rng.uniform(0.1, 1.0, size=rows)])
+    verdicts = []
+    probe = lp._primal_feasible
+    lp._primal_feasible = lambda *args: verdicts.append(probe(*args)) or verdicts[-1]
+    try:
+        with _RecordingBases() as bases:
+            result = lp.solve_dense_lp(np.eye(13)[0], G, h)
+    finally:
+        lp._primal_feasible = probe
+    return {
+        "case": kind,
+        "seed": seed,
+        "status": result.status.value,
+        "iterations": result.iterations,
+        "degenerate_steps": result.degenerate_steps,
+        "bases": bases.count,
+        "bases_sha256": bases.digest.hexdigest(),
+        "probe_verdicts": verdicts,
+    }
+
+
 def trace_case(n: int, seed: int) -> dict:
     config = validate_config(room_casestudy_config(
         n_scenario=n, n_validation=max(n // 2, 1), seed_scenario=seed, seed_validation=9090,
@@ -52,29 +116,16 @@ def trace_case(n: int, seed: int) -> dict:
     problem = build_problem(config.layout(), dataset, *_row_inputs(config))
     del dataset
 
-    bases = hashlib.sha256()
-    factorised = 0
-    basis_matrix = lp._DualSimplex._basis_matrix
-
-    def recording_basis_matrix(engine):
-        nonlocal factorised
-        bases.update(np.asarray(engine.basis, dtype=np.int64).tobytes())
-        factorised += 1
-        return basis_matrix(engine)
-
-    lp._DualSimplex._basis_matrix = recording_basis_matrix
-    try:
+    with _RecordingBases() as bases:
         solution = solve_lp(problem, config.tolerances)
-    finally:
-        lp._DualSimplex._basis_matrix = basis_matrix
     return {
         "n": n,
         "seed": seed,
         "status": solution.status.value,
         "iterations": solution.iterations,
         "degenerate_steps": solution.degenerate_steps,
-        "bases": factorised,
-        "bases_sha256": bases.hexdigest(),
+        "bases": bases.count,
+        "bases_sha256": bases.digest.hexdigest(),
         "objective": None if solution.objective is None else solution.objective.hex(),
         "z_sha256": None if solution.d_star is None else _sha256(solution.d_star),
         "active_sha256": _sha256(np.asarray(solution.active_row_ids, dtype=np.int64)),
@@ -84,10 +135,13 @@ def trace_case(n: int, seed: int) -> dict:
 
 def main(argv: list) -> int:
     if not argv or len(argv) % 2:
-        print("usage: python3 tools/pivot_trace.py N SEED [N SEED ...]", file=sys.stderr)
+        print("usage: python3 tools/pivot_trace.py N|unbounded|infeasible SEED ...",
+              file=sys.stderr)
         return 3
     for n, seed in zip(argv[::2], argv[1::2]):
-        print(json.dumps(trace_case(int(n), int(seed)), sort_keys=True), flush=True)
+        case = (probe_case(n, int(seed)) if n in ("unbounded", "infeasible")
+                else trace_case(int(n), int(seed)))
+        print(json.dumps(case, sort_keys=True), flush=True)
     return 0
 
 

@@ -6,7 +6,7 @@ nvars rows is maintained as the basis of the dual standard-form program
 
     min h.y   s.t.  G' y = -cost,   y >= 0,
 
-so each iteration prices every row of G (see `RowStack`) and refactorises
+so each iteration prices the rows of G (see `RowStack`) and refactorises
 only an nvars x nvars basis.  Pricing streams each row block in chunks of
 `_PRICE_CHUNK` rows: one mat-vec into a scratch buffer that stays in cache,
 the shared row's term, `h` minus the product, the working set masked out and
@@ -18,9 +18,20 @@ of that basis are its solution, which this module re-solves from the final
 working set so the returned point satisfies its active rows to machine
 precision.
 
-Pivoting is Dantzig's rule with first-index tie-breaks; while the iteration
-stalls on degenerate vertices it switches to Bland's rule, which cannot
-cycle, and reverts once a positive step is taken.  Everything is
+Screened pricing.  A block whose rows are polynomials of a few scalars per
+row (the scenario program's sampled rows, in x and x') can be stored in
+cells of rows with nearby scalars (`Cells`).  Each iteration bounds every
+cell's reduced costs from below through the polynomial structure and a
+rounding margin, then prices only the cells whose bound can beat the best
+reduced cost found so far, in ascending order of bound.  A skipped row is
+one the bound proves cannot enter, and every priced row keeps the bits of
+the unscreened product, so the pivots are those of pricing every row.  Row
+ids stay in row order: only the storage is permuted.
+
+Pivoting is Dantzig's rule with lowest-row tie-breaks; while the iteration
+stalls on degenerate vertices it switches to Bland's rule (the lowest
+eligible row), which cannot cycle, and reverts once a positive step is
+taken.  Everything is
 deterministic for identical input.  Variable columns are equilibrated by
 powers of two (exact in floating point) so monomial columns of wildly
 different magnitude do not poison the pivot tolerances.
@@ -41,6 +52,9 @@ from .errors import SolverError
 # so chunks start where BLAS starts a group of rows (see `_DualSimplex`).
 # 8192 to 65536 priced the prior baseline's LP within 5% of each other.
 _PRICE_CHUNK = 16384
+# Rows of the first batch of cells `_DualSimplex._price_cells` prices; each
+# later batch doubles, up to `_PRICE_CHUNK`.
+_FIRST_BATCH = 2048
 
 
 class LpStatus(str, Enum):
@@ -50,17 +64,125 @@ class LpStatus(str, Enum):
     ITERATION_LIMIT = "iteration-limit"
 
 
+class Cells:
+    """Screening data of a row block whose rows are polynomials of a few
+    scalars: row i's entry in the block's column j is
+    sum over (v, k) of coeff_map[v, k, j] * z_v ** k, for the scalars z of
+    its sample.
+
+    The block stores its rows in cells, runs of rows whose samples lie in a
+    small box.  `order[p]` (int32) is the row stored at position p, counted
+    from the block's first row.  Cell c holds positions starts[c] to
+    starts[c + 1], and every z of its rows lies in [lower[c], upper[c]];
+    `h_min[c]` bounds the right-hand side of its rows from below, for the
+    right-hand side the stack is solved with.  The last n % 4 rows, in row
+    order, are stored after the last cell, in no cell.
+
+    `bounds` turns the box into a lower bound of every reduced cost a row of
+    the cell can price at, so pricing can skip a cell whose bound cannot
+    beat the best reduced cost found so far.
+    """
+
+    def __init__(self, order, starts, lower, upper, h_min, coeff_map):
+        self.order = np.asarray(order, dtype=np.int32)
+        self.starts = np.asarray(starts, dtype=np.intp)
+        self.lower = np.asarray(lower, dtype=float)
+        self.upper = np.asarray(upper, dtype=float)
+        self.h_min = np.asarray(h_min, dtype=float)
+        self.coeff_map = np.asarray(coeff_map, dtype=float)
+        n, ncells = len(self.order), len(self.starts) - 1
+        nz, d1, ncols = self.coeff_map.shape
+        if (self.starts[0] != 0 or self.starts[-1] != n - n % 4
+                or np.any(np.diff(self.starts) < 0) or len(self.h_min) != ncells
+                or self.lower.shape != (ncells, nz) or self.upper.shape != (ncells, nz)):
+            raise SolverError(f"{ncells} cells of {n} rows over {nz} scalars do not tile the block")
+        with np.errstate(all="ignore"):  # an unbounded box gives NaN, which prices its cell
+            mid = (self.lower + self.upper) / 2.0
+            rad = np.nextafter(np.maximum(self.upper - mid, mid - self.lower), np.inf)
+            powers = np.arange(d1)
+            # [v, k, c]: the k-th power of cell c's box midpoint, and radius, in z_v
+            self._mid_pow = np.ascontiguousarray((mid[..., None] ** powers).transpose(1, 2, 0))
+            self._rad_pow = np.ascontiguousarray((rad[..., None] ** powers).transpose(1, 2, 0))
+            reach = np.max(np.maximum(np.abs(self.lower), np.abs(self.upper)), axis=0,
+                           initial=0.0)
+            self._magnitude = np.einsum("vkj,vk->j", np.abs(self.coeff_map),
+                                        reach[:, None] ** powers)
+        self._h_reach = float(np.max(np.abs(self.h_min), initial=0.0))
+        # _binomial[k, i] = C(i + k, k) where i + k < d1: a = M @ mid_pow with
+        # M[k, i] = C(i + k, k) * coeff[i + k] holds the Taylor coefficients
+        i, k = np.indices((d1, d1))
+        self._degree_at = np.minimum(i + k, d1 - 1)
+        self._binomial = np.where(i + k < d1, np.vectorize(math.comb)(i + k, k), 0.0)
+        self._eps = 2.0 * (2 * ncols + 4 * (d1 - 1) + nz + 32) * 2.0 ** -53
+
+    @property
+    def tail(self) -> np.ndarray:
+        """The positions after the last cell."""
+        return np.arange(self.starts[-1], len(self.order))
+
+    def bounds(self, w: np.ndarray, s: float, phase: int) -> np.ndarray:
+        """Per cell, a lower bound of the reduced cost every row of it prices
+        at: s + values.w in phase 1, h - (values.w + s) in phase 2, where
+        `w` is the pricing vector on the block's columns and `s` the shared
+        row's term.  NaN, where the bound overflowed, reads -inf.
+
+        The bound is base + sum over v of min P_v - margin.  Here base is s,
+        or h_min - s in phase 2, and P_v is the polynomial in z_v whose
+        coefficients are coeff_map[v] @ sigma, with sigma = w, or -w in
+        phase 2.  Over the box, P_v is bounded below by its Taylor form at
+        the box midpoint c, a_0 - sum_k |a_k| rho^k with a_k = P_v^(k)(c)/k!
+        and rho the rounded-up radius: exact in real arithmetic.
+
+        Margin.  Let u = 2^-53, J the block's columns, d the degree, nz the
+        scalars, Z_v the largest |z_v| of any box, mag_j = sum over (v, k)
+        of |coeff_map[v, k, j]| Z_v^k, T = sum_j |w_j| mag_j, S = |s| and H
+        the largest |h_min| (phase 2; 0 in phase 1).  The computed reduced
+        cost of a row differs from the exact value of its polynomial by at
+        most:
+          (a) 8u T from the stored entries, each a power within 3 ulps or
+              the rounded difference of two such powers (the assembly);
+          (b) (J + 1)u T from the mat-vec, in any summation order;
+          (c) 2u (T + S) from adding s, and in phase 2 2u (T + S + H) from
+              h - ..., as rounding is monotone and relative to the bound.
+        The computed bound differs from the exact Taylor form by at most:
+          (e) (J + d + 4)u T from coeff_map @ sigma, the midpoint powers and
+              the shifted coefficients: their errors weighted by rho^k sum to
+              a multiple of sum_j |coeff_j| (|c| + rho)^j <= T;
+          (f) (d + 3)u T from the radius powers and the sum over k;
+          (g) (nz + 3)u (T + S + H) from the sums over the scalars, the base
+              and the margin.
+        These add up to less than (2J + 2d + nz + 23)u (T + S + H) to first
+        order; the margin is twice (2J + 4d + nz + 32)u (T + S + H).
+        """
+        sigma = w if phase == 1 else -w
+        coeff = self.coeff_map @ sigma  # (nz, d1)
+        with np.errstate(all="ignore"):
+            low = s if phase == 1 else self.h_min - s
+            for v in range(len(coeff)):
+                a = (self._binomial * coeff[v][self._degree_at]) @ self._mid_pow[v]
+                low = low + a[0]
+                for k in range(1, len(a)):
+                    low -= np.abs(a[k]) * self._rad_pow[v, k]
+            reach = np.abs(w) @ self._magnitude + abs(s) + (self._h_reach if phase == 2 else 0.0)
+            bound = low - self._eps * reach
+        bound[np.isnan(bound)] = -np.inf
+        return bound
+
+
 class RowStack:
     """A constraint matrix stored as a stack of row blocks.
 
-    Block k is `(cols, values, shared)` with `values.shape == (len(cols),
-    rows)`: `values[j, i]` is the entry of its i-th row in column `cols[j]`,
-    and `shared`, an `ncols` vector that is zero on `cols` (or None for
-    zeros), holds the entries every row of the block has outside `cols`.  A
-    dense row-major matrix is the one block `(arange(ncols), G.T, None)`, a
-    view.  Rows that are constant in many columns are stored C-contiguous
-    over the others, so a mat-vec reads only the entries that vary from row
-    to row.  `np.asarray` gives the dense matrix.
+    Block k is `(cols, values, shared, cells)` with `values.shape ==
+    (len(cols), rows)`: `values[j, p]` is the entry in column `cols[j]` of
+    the block's row stored at position p, and `shared`, an `ncols` vector
+    that is zero on `cols` (or None for zeros), holds the entries every row
+    of the block has outside `cols`.  Without `cells` (None) position p
+    holds the block's p-th row; with them (one block of a stack at most)
+    it holds row `cells.order[p]`.  Row ids stay in row order at every
+    method: `row`, `matvec`, `select` and `np.asarray`.  A dense row-major
+    matrix is the one block `(arange(ncols), G.T, None, None)`, a view.
+    Rows that are constant in many columns are stored C-contiguous over the
+    others, so a mat-vec reads only the entries that vary from row to row.
     """
 
     def __init__(self, blocks, ncols: int):
@@ -75,7 +197,7 @@ class RowStack:
                     f"row block of shape {values.shape} over columns {cols.tolist()} "
                     f"of {self.ncols}"
                 )
-            shared = rest[0] if rest else None
+            shared, cells = (list(rest) + [None, None])[:2]
             if shared is not None:
                 shared = np.asarray(shared, dtype=float)
                 if shared.shape != (self.ncols,) or np.any(shared[cols] != 0.0):
@@ -83,12 +205,19 @@ class RowStack:
                         f"shared row of shape {shared.shape} must have {self.ncols} "
                         f"entries, zero in the block's columns {cols.tolist()}"
                     )
+            if cells is not None and (len(cells.order) != values.shape[1]
+                                      or cells.coeff_map.shape[2] != len(cols)):
+                raise SolverError(f"cells of {len(cells.order)} rows over "
+                                  f"{cells.coeff_map.shape[2]} columns for a block of "
+                                  f"shape {values.shape}")
             if values.shape[1]:
-                self.blocks.append((cols, values, shared))
+                self.blocks.append((cols, values, shared, cells))
+        if sum(cells is not None for *_, cells in self.blocks) > 1:
+            raise SolverError("at most one row block of a stack stores its rows in cells")
         # first row of each block, then the row count; Python ints, because
         # `row` finds its block with `bisect` on every iteration
         self.starts = list(itertools.accumulate(
-            (values.shape[1] for _, values, _ in self.blocks), initial=0
+            (values.shape[1] for _, values, _, _ in self.blocks), initial=0
         ))
 
     @classmethod
@@ -107,44 +236,63 @@ class RowStack:
 
     @property
     def nbytes(self) -> int:
+        """Bytes of the entries: values and shared rows, not the cells."""
         return sum(values.nbytes + (0 if shared is None else shared.nbytes)
-                   for _, values, shared in self.blocks)
+                   for _, values, shared, _ in self.blocks)
 
     def _spans(self):
         return zip(self.blocks, self.starts, self.starts[1:])
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros(self.shape)
-        for (cols, values, shared), lo, hi in self._spans():
+        for (cols, values, shared, cells), lo, hi in self._spans():
+            rows = dense[lo:hi] if cells is None else np.zeros((hi - lo, self.ncols))
             if shared is not None:
-                dense[lo:hi] = shared
-            dense[lo:hi, cols] = values.T
+                rows[:] = shared
+            rows[:, cols] = values.T
+            if cells is not None:
+                dense[lo + cells.order] = rows
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """G @ v, one `np.matmul` per block plus its shared row's dot, into `out`
-        when given."""
+        when given.  A block stored in cells is multiplied chunk by chunk, as
+        pricing cuts it, and each chunk written to its rows."""
         v = np.asarray(v, dtype=float)
         out = np.empty(len(self)) if out is None else out
-        for (cols, values, shared), lo, hi in self._spans():
-            np.matmul(v[cols], values, out=out[lo:hi])
-            if shared is not None:
-                out[lo:hi] += shared @ v
+        for (cols, values, shared, cells), lo, hi in self._spans():
+            dot = 0.0 if shared is None else shared @ v
+            if cells is None:
+                np.matmul(v[cols], values, out=out[lo:hi])
+                if shared is not None:
+                    out[lo:hi] += dot
+                continue
+            scratch = np.empty(min(_PRICE_CHUNK + 1, hi - lo))
+            for a, b in _cuts(hi - lo, _PRICE_CHUNK):
+                part = scratch[:b - a]
+                np.matmul(v[cols], values[:, a:b], out=part)
+                if shared is not None:
+                    part += dot
+                np.put(out[lo:hi], cells.order[a:b], part)
         return out
 
     def row(self, i: int) -> np.ndarray:
         if not 0 <= i < self.starts[-1]:
             raise IndexError(f"row {i} of {len(self)}")
         k = bisect.bisect_right(self.starts, i) - 1
-        cols, values, shared = self.blocks[k]
+        cols, values, shared, cells = self.blocks[k]
+        at = i - self.starts[k]
+        if cells is not None:
+            at = int(np.flatnonzero(cells.order == at)[0])
         row = np.zeros(self.ncols) if shared is None else shared.copy()
-        row[cols] = values[:, i - self.starts[k]]
+        row[cols] = values[:, at]
         return row
 
-    def chunks(self, size: int):
-        """Runs of consecutive rows, in row order, for streaming over the
-        stack: (start, stop, pieces), where piece (k, a, b, at) is columns
-        a:b of block k's values, rows start + at onwards of the run.
+    def chunks(self, size: int, skip: int | None = None):
+        """Runs of consecutive rows, in storage order, for streaming over
+        the stack: (start, stop, pieces), where piece (k, a, b, at) is
+        columns a:b of block k's values, rows start + at onwards of the run.
+        Block `skip` is left out, and no run reaches across it.
 
         A block is cut only every `size` of its own rows, and its last piece
         keeps at least two rows, because BLAS computes a one-row product with
@@ -154,8 +302,12 @@ class RowStack:
         """
         start, pieces = 0, []
         for k, lo, hi in zip(itertools.count(), self.starts, self.starts[1:]):
-            cuts = [0, *range(size, hi - lo - 1, size), hi - lo]
-            for a, b in zip(cuts, cuts[1:]):
+            if k == skip:
+                if pieces:
+                    yield start, lo, pieces
+                start, pieces = hi, []
+                continue
+            for a, b in _cuts(hi - lo, size):
                 if pieces and lo + b - start > size:
                     yield start, lo + a, pieces
                     start, pieces = lo + a, []
@@ -164,16 +316,35 @@ class RowStack:
             yield start, len(self), pieces
 
     def select(self, keep: np.ndarray) -> "RowStack":
-        """The rows where the boolean mask `keep` is true, in order."""
-        return RowStack(
-            [(cols, values[:, keep[lo:hi]], shared)
-             for (cols, values, shared), lo, hi in self._spans()],
-            self.ncols,
-        )
+        """The rows where the boolean mask `keep` is true, in order.  A block
+        stored in cells comes back in row order, without them."""
+        blocks = []
+        for (cols, values, shared, cells), lo, hi in self._spans():
+            if cells is None:
+                blocks.append((cols, values[:, keep[lo:hi]], shared))
+                continue
+            where = np.empty(hi - lo, dtype=np.intp)
+            where[cells.order] = np.arange(hi - lo)
+            blocks.append((cols, values.take(where[keep[lo:hi]], axis=1), shared))
+        return RowStack(blocks, self.ncols)
 
     def with_rows(self, cols, values: np.ndarray, shared: np.ndarray | None = None) -> "RowStack":
         """This stack with the block (cols, values, shared) appended after its last row."""
         return RowStack(self.blocks + [(cols, values, shared)], self.ncols)
+
+
+def _positions(starts: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The positions of the given cells' rows, cell after cell."""
+    sizes = starts[cells + 1] - starts[cells]
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts[cells] - ends + sizes, sizes)
+
+
+def _cuts(rows: int, size: int):
+    """(a, b) pieces of `rows` rows, cut every `size` rows; the last keeps at
+    least two rows (see `RowStack.chunks`)."""
+    cuts = [0, *range(size, rows - 1, size), rows]
+    return zip(cuts, cuts[1:])
 
 
 @dataclass
@@ -188,6 +359,7 @@ class DenseLpResult:
     bland_iterations: int
     max_violation: float
     zero_multipliers: int
+    rows_priced: int = 0  # summed over the pricing passes, one per iteration and phase end
     residual: np.ndarray | None = None  # G z - h at the returned z
 
 
@@ -198,12 +370,12 @@ def _pow2_column_scale(G: RowStack) -> np.ndarray:
     both taken from one chunk of `_PRICE_CHUNK` rows while it is in cache,
     and from its shared row, so no temporary of G's size is made."""
     col_max = np.zeros(G.ncols)
-    for _, _, shared in G.blocks:
+    for _, _, shared, _ in G.blocks:
         if shared is not None:
             np.maximum(col_max, np.abs(shared), out=col_max)
     for _, _, pieces in G.chunks(_PRICE_CHUNK):
         for k, a, b, _ in pieces:
-            cols, values, _ = G.blocks[k]
+            cols, values = G.blocks[k][:2]
             part = values[:, a:b]
             col_max[cols] = np.maximum(col_max[cols], np.maximum(np.max(part, axis=1),
                                                                  -np.min(part, axis=1)))
@@ -223,6 +395,7 @@ class _DualSimplex:
     one scratch buffer; each piece of a block starts a multiple of
     `_PRICE_CHUNK` rows into it, where BLAS would start a group of rows in
     one product of the whole block, so every reduced cost keeps its bits.
+    A block stored in cells is priced last, by `_price_cells`.
     """
 
     def __init__(self, G, scale, h, b, opt_tol, pivot_tol, stall_limit):
@@ -237,9 +410,14 @@ class _DualSimplex:
         self.art_sign = np.where(b >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.nv)
         self.A_B = np.diag(self.art_sign)
-        self.chunks = list(G.chunks(_PRICE_CHUNK))
-        self.chunk_starts = np.array([start for start, _, _ in self.chunks] + [self.m])
+        # the block stored in cells is priced by `_price_cells`, the rest in chunks
+        self.screened = next((k for k, block in enumerate(G.blocks) if block[3] is not None),
+                             None)
+        self.chunks = list(G.chunks(_PRICE_CHUNK, skip=self.screened))
+        self.chunk_spans = np.array([(start, stop) for start, stop, _ in self.chunks],
+                                    dtype=np.intp).reshape(-1, 2).T
         self.iterations = 0
+        self.rows_priced = 0
         self.degenerate_steps = 0
         self.bland_iterations = 0
         self._bland = False
@@ -261,21 +439,22 @@ class _DualSimplex:
         return costs
 
     def new_scratch(self) -> np.ndarray:
-        return np.empty(max(stop - start for start, stop, _ in self.chunks))
+        return np.empty(max([stop - start for start, stop, _ in self.chunks], default=0))
 
     def reduced_costs(self, v: np.ndarray, phase: int, scratch: np.ndarray):
         """Yield (start, r), chunk by chunk in row order: the reduced costs of
         rows start to start + len(r), h - G v in phase 2 and G v in phase 1
-        (where the caller negates v), with the working-set rows at inf.
+        (where the caller negates v), with the working-set rows at inf.  The
+        block stored in cells, if any, is left out.
 
         `r` is a view of `scratch` (from `new_scratch`), overwritten by the
         next chunk."""
-        v_cols = [v[cols] for cols, _, _ in self.G.blocks]
-        dots = [None if shared is None else shared @ v for _, _, shared in self.G.blocks]
+        v_cols = [v[cols] for cols, *_ in self.G.blocks]
+        dots = [None if shared is None else shared @ v for _, _, shared, _ in self.G.blocks]
         rows = np.sort(self.basis[self.basis < self.m])
-        # run c holds the working-set rows rows[cuts[c]:cuts[c + 1]]
-        cuts = np.searchsorted(rows, self.chunk_starts).tolist()
-        for (start, stop, pieces), i, j in zip(self.chunks, cuts, cuts[1:]):
+        # run c holds the working-set rows rows[firsts[c]:lasts[c]]
+        firsts, lasts = np.searchsorted(rows, self.chunk_spans).tolist()
+        for (start, stop, pieces), i, j in zip(self.chunks, firsts, lasts):
             r = scratch[:stop - start]
             for k, a, b, at in pieces:
                 part = r[at:at + b - a]
@@ -286,12 +465,13 @@ class _DualSimplex:
                 np.subtract(self.h[start:stop], r, out=r)
             if i < j:
                 r[rows[i:j] - start] = np.inf
+            self.rows_priced += stop - start
             yield start, r
 
     def _entering_row(self, v: np.ndarray, phase: int, scratch: np.ndarray) -> int | None:
-        """The row Dantzig's rule (the lowest reduced cost, first on ties) or,
-        during a stall, Bland's (the first eligible row) enters; None at
-        optimality.  A NaN reduced cost raises SolverError."""
+        """The row Dantzig's rule (the lowest reduced cost, the lowest row on
+        ties) or, during a stall, Bland's (the lowest eligible row) enters;
+        None at optimality.  A NaN reduced cost raises SolverError."""
         best, enter = -self.opt_tol, None
         for start, r in self.reduced_costs(v, phase, scratch):
             low = r.min()  # NaN if r has one; argmin only where a chunk improves
@@ -300,9 +480,102 @@ class _DualSimplex:
                                   f"in phase {phase}", status=LpStatus.ITERATION_LIMIT.value)
             if low < best:  # strict: an equal minimum in a later chunk is a later row
                 if self._bland:  # the chunks after this one are not priced
-                    return start + int(np.argmax(r < -self.opt_tol))
+                    enter = start + int(np.argmax(r < -self.opt_tol))
+                    break
                 best, enter = low, start + int(np.argmin(r))
+        if self.screened is None or (
+                self._bland and enter is not None and enter < self.G.starts[self.screened]):
+            return enter
+        return self._price_cells(v, phase, best, enter)
+
+    def _price_cells(self, v: np.ndarray, phase: int, best: float, enter: int | None):
+        """`_entering_row` over the block stored in cells, given the best
+        reduced cost and row of the other blocks (rows before and after it).
+
+        Dantzig's rule prices the cells whose bound (`Cells.bounds`) is at
+        most the best reduced cost, in ascending order of bound, and stops
+        at the first bound above the best found so far.  Bland's rule prices
+        every cell whose bound is below -opt_tol and takes the lowest
+        eligible row.  The last n % 4 rows are always priced.  Rows are
+        gathered into one C-contiguous product per batch, the cells' rows
+        first, padded to a multiple of 4 rows, then those last rows: BLAS
+        computes every row of such a product on the same path, and so to
+        the same bits, as the chunks of `reduced_costs` and `RowStack.matvec`
+        would.  A cell whose bound is NaN or -inf is priced, so a NaN
+        reduced cost still raises.
+        """
+        cols, values, shared, cells = self.G.blocks[self.screened]
+        lo = self.G.starts[self.screened]
+        w = v[cols]
+        s = 0.0 if shared is None else float(shared @ v)
+        bounds = cells.bounds(w, s, phase)
+        in_basis = self.basis[(self.basis >= lo) & (self.basis < lo + len(cells.order))] - lo
+        h = self.h[lo:lo + len(cells.order)]
+        if self._bland:
+            todo = np.flatnonzero(bounds < -self.opt_tol)
+        else:
+            todo = np.flatnonzero(bounds <= best)
+            todo = todo[np.argsort(bounds[todo], kind="stable")]
+        tail = cells.tail
+        sizes = np.diff(cells.starts)
+        done, batch = 0, _FIRST_BATCH
+        while done < len(todo) or len(tail):
+            rows = np.cumsum(sizes[todo[done:]])
+            take = todo[done:done + int(np.searchsorted(rows, batch)) + 1]
+            done += len(take)
+            ids, r = self._price_positions(cells, values, w, None if shared is None else s,
+                                           phase, h, in_basis, _positions(cells.starts, take),
+                                           tail)
+            tail = tail[:0]
+            if self._bland:
+                eligible = ids[r < -self.opt_tol]
+                if len(eligible) and (enter is None or lo + int(eligible.min()) < enter):
+                    enter = lo + int(eligible.min())
+                continue
+            low = r.min() if len(r) else math.inf
+            if low < best or (low == best and enter is not None):
+                first = lo + int(ids[r == low].min())
+                if low < best or first < enter:
+                    best, enter = low, first
+            todo = todo[:done + int(np.searchsorted(bounds[todo[done:]], best, side="right"))]
+            batch = min(2 * batch, _PRICE_CHUNK)
         return enter
+
+    def _price_positions(self, cells, values, w, s, phase, h, in_basis, positions, tail):
+        """(ids, r): the rows stored at `positions` and then at `tail`, and
+        their reduced costs, with the working-set rows at inf; `s` is the
+        shared row's term, or None for none.  Each product takes at most
+        `_PRICE_CHUNK` positions, padded to a multiple of 4 (and to 4 at
+        least before a tail) with a repeated row whose cost is dropped; the
+        last one ends with `tail`.  A NaN reduced cost raises SolverError."""
+        ids_parts, r_parts = [], []
+        for a in range(0, max(len(positions), 1), _PRICE_CHUNK):
+            piece = positions[a:a + _PRICE_CHUNK]
+            ends = tail if a + _PRICE_CHUNK >= len(positions) else tail[:0]
+            real = len(piece)
+            pad = -real % 4 or (4 if len(ends) and not real else 0)
+            if pad:
+                piece = np.concatenate([piece, np.full(pad, piece[0] if real else ends[0])])
+            piece = np.concatenate([piece, ends])
+            ids = cells.order[piece]
+            r = w @ values.take(piece, axis=1)
+            if s is not None:
+                r += s
+            if phase == 2:
+                np.subtract(h[ids], r, out=r)
+            if len(in_basis):
+                r[np.isin(ids, in_basis)] = np.inf
+            if pad:
+                keep = np.r_[0:real, real + pad:len(piece)]
+                ids, r = ids[keep], r[keep]
+            if len(r) and math.isnan(r.min()):
+                row = self.G.starts[self.screened] + int(ids[np.isnan(r)][0])
+                raise SolverError(f"NaN reduced cost of row {row} in phase {phase}",
+                                  status=LpStatus.ITERATION_LIMIT.value)
+            self.rows_priced += len(r)
+            ids_parts.append(ids)
+            r_parts.append(r)
+        return np.concatenate(ids_parts), np.concatenate(r_parts)
 
     def run_phase(self, phase: int, max_iter: int) -> tuple[str, np.ndarray, np.ndarray]:
         """Returns (outcome, pi, x_B); outcome in {"optimal", "unbounded"}."""
@@ -384,7 +657,8 @@ def solve_dense_lp(
 ) -> DenseLpResult:
     """Solve min cost.z s.t. G z <= h; see module docstring for the method.
 
-    G is a `RowStack` or anything `np.asarray` makes a 2-D matrix of."""
+    G is a `RowStack` or anything `np.asarray` makes a 2-D matrix of.  A
+    block of G stored in cells trusts their `h_min` to bound `h`."""
     if not isinstance(G, RowStack):
         G = RowStack.dense(G)
     h = np.asarray(h, dtype=float).ravel()
@@ -444,6 +718,7 @@ def solve_dense_lp(
         bland_iterations=engine.bland_iterations,
         max_violation=max(max_violation, 0.0),
         zero_multipliers=zero_mult,
+        rows_priced=engine.rows_priced,
         residual=resid,
     )
 
@@ -460,6 +735,7 @@ def _failure(status: LpStatus, engine: _DualSimplex) -> DenseLpResult:
         bland_iterations=engine.bland_iterations,
         max_violation=math.inf,
         zero_multipliers=0,
+        rows_priced=engine.rows_priced,
     )
 
 
@@ -473,8 +749,8 @@ def _primal_feasible(G: RowStack, h, feas_tol, opt_tol, pivot_tol, max_iter,
     """
     m, nv = G.shape
     G_aux = RowStack(
-        [(cols, values, np.append(np.zeros(nv) if shared is None else shared, -1.0))
-         for cols, values, shared in G.blocks]
+        [(cols, values, np.append(np.zeros(nv) if shared is None else shared, -1.0), cells)
+         for cols, values, shared, cells in G.blocks]
         + [([nv], np.full((1, 1), -1.0))],
         nv + 1,
     )

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import AssemblyError, SolverError
 from .geometry import Box, RegionUnion, box_grid, grid_halfstep
-from .lp import DenseLpResult, LpStatus, RowStack, solve_dense_lp
+from .lp import Cells, DenseLpResult, LpStatus, RowStack, solve_dense_lp
 from .plant import Dataset
 from .polynomial import (
     PolyBasis,
@@ -52,6 +52,16 @@ from .polynomial import (
 # Samples per chunk when g3 rows are written: bounds the basis-evaluation
 # temporaries of assembly to a few MB at any dataset size.
 G3_CHUNK = 65_536
+
+# Sampled rows are stored in cells of a CELL_GRID x CELL_GRID grid over the
+# data range of (x, x') when the state is one variable and there are at
+# least SCREEN_MIN_ROWS of them; pricing then skips the cells whose bound
+# proves they cannot enter (see `lp.Cells`).  On the room case study, on one
+# BLAS thread, cells made assembly and solve 17 ms slower at 70k samples,
+# broke even at 140k (assembly +13 ms, LP -14 ms) and saved 1.2 s of 1.5 s
+# in the LP at 2.76M.
+CELL_GRID = 256
+SCREEN_MIN_ROWS = 131_072
 
 
 class RowTag(IntEnum):
@@ -178,6 +188,23 @@ class DecisionLayout:
         for i in range(len(self.controllers)):
             row[self.p_slice(i).start] = -1.0
         return row
+
+    @property
+    def g3_coeff_map(self) -> np.ndarray:
+        """For one state variable, the sampled block's columns as polynomials
+        of (x, x'), in the layout of `lp.Cells.coeff_map`: a barrier column
+        is x'^k - x^k and a controller column -x^k."""
+        bases = (self.barrier, *self.controllers)
+        if self.barrier.nvars != 1:
+            raise AssemblyError("sampled rows are polynomials of (x, x') for one state variable")
+        coeff_map = np.zeros((2, max(b.degree for b in bases) + 1, len(self.g3_columns)))
+        powers = [k for b in bases for (k,) in b.terms[1:]]
+        barrier = len(self.barrier) - 1
+        for j, k in enumerate(powers):
+            coeff_map[0, k, j] = -1.0
+            if j < barrier:
+                coeff_map[1, k, j] = 1.0
+        return coeff_map
 
     @property
     def s_q_slice(self) -> slice:
@@ -349,7 +376,12 @@ def g2_rows(
 
 
 def g3_rows(
-    layout: DecisionLayout, dataset: Dataset, out: np.ndarray | None = None
+    layout: DecisionLayout,
+    dataset: Dataset,
+    out: np.ndarray | None = None,
+    rhs: np.ndarray | None = None,
+    order: np.ndarray | None = None,
+    boxes: "_CellBoxes | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One sampled one-step row per transition (x, u, x').
 
@@ -357,7 +389,10 @@ def g3_rows(
     written into it column-major over `layout.g3_columns`, G3_CHUNK samples at
     a time, and `out` is returned; every row holds `layout.g3_shared_row`
     outside those columns.  Without it the rows come back dense,
-    (len(dataset) x n_total).
+    (len(dataset) x n_total).  With `order`, a permutation of the samples,
+    `out`'s i-th row is sample order[i]'s, and `boxes` collects each cell's
+    data box from the same chunks.  The right-hand side -sum(u) is in sample
+    order, written into `rhs` when given.
     """
     if dataset.state_dim != layout.barrier.nvars:
         raise AssemblyError(
@@ -373,22 +408,29 @@ def g3_rows(
     block = np.empty((len(cols), len(dataset))) if out is None else out
     if block.shape != (len(cols), len(dataset)):
         raise AssemblyError(f"g3 block of shape {block.shape} for {len(dataset)} samples")
+    rhs = np.empty(len(dataset)) if rhs is None else rhs
+    np.sum(dataset.us, axis=1, out=rhs)
+    np.negative(rhs, out=rhs)
     # the block rows of each basis' non-constant monomials, in layout order
     spans = np.cumsum([0] + [len(b) - 1 for b in (layout.barrier, *layout.controllers)])
 
     for lo in range(0, len(dataset), G3_CHUNK):
         rows = block[:, lo:lo + G3_CHUNK].T
-        xs = dataset.xs[lo:lo + G3_CHUNK]
-        bx = eval_basis_many(layout.barrier, xs)
-        np.subtract(
-            eval_basis_many(layout.barrier, dataset.x_nexts[lo:lo + G3_CHUNK])[:, 1:],
-            bx[:, 1:],
-            out=rows[:, spans[0]:spans[1]],
-        )
+        if order is None:
+            xs, x_nexts = dataset.xs[lo:lo + G3_CHUNK], dataset.x_nexts[lo:lo + G3_CHUNK]
+        else:
+            at = order[lo:lo + G3_CHUNK].astype(np.intp)
+            xs, x_nexts = dataset.xs[at], dataset.x_nexts[at]
+            if boxes is not None:
+                boxes.add(lo, (xs, x_nexts), rhs.take(at))
+        bx_next = eval_basis_many(layout.barrier, x_nexts, "F")
+        del x_nexts  # a gathered copy with `order`
+        bx = eval_basis_many(layout.barrier, xs, "F")
+        np.subtract(bx_next[:, 1:], bx[:, 1:], out=rows[:, spans[0]:spans[1]])
+        del bx_next
         for i, basis in enumerate(layout.controllers):
-            phi = bx if basis == layout.barrier else eval_basis_many(basis, xs)
+            phi = bx if basis == layout.barrier else eval_basis_many(basis, xs, "F")
             np.negative(phi[:, 1:], out=rows[:, spans[i + 1]:spans[i + 2]])
-    rhs = -dataset.us.sum(axis=1)
     if out is not None:
         return block, rhs
     dense = np.empty((len(dataset), layout.n_total))
@@ -542,24 +584,104 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     G is a stack of two row blocks: the static rows, dense and not copied,
     then the sampled rows, which `g3_rows` writes column-major over the
     `layout.g3_columns` they differ in (8 of the room template's 24), with
-    `layout.g3_shared_row` as the block's shared row.  h is assembled with
-    the pin slots of a lexicographic solve reserved after it.
+    `layout.g3_shared_row` as the block's shared row.  For one state
+    variable and at least SCREEN_MIN_ROWS samples the sampled rows are
+    stored in cells (`sample_cells`), which pricing screens; their row ids
+    stay in sample order.  h is assembled with the pin slots of a
+    lexicographic solve reserved after it, and the sampled right-hand side
+    is written straight into it.
     """
     static_G, static_h, static_tags, static_origins = static
-    n = len(dataset)
-    m = len(static_h) + n
-    samp_G, samp_h = g3_rows(layout, dataset, out=np.empty((len(layout.g3_columns), n)))
+    n, ns = len(dataset), len(static_h)
+    m = ns + n
     h = np.empty(m + layout.n_core)
-    h[:len(static_h)] = static_h
-    h[len(static_h):m] = samp_h
-    del samp_h  # copied into h; not held through the tags
+    h[:ns] = static_h
+    cells = sample_cells(dataset)
+    samp_G = np.empty((len(layout.g3_columns), n))
+    if cells is None:
+        g3_rows(layout, dataset, out=samp_G, rhs=h[ns:m])
+    else:
+        order, starts = cells
+        boxes = _CellBoxes(starts)
+        g3_rows(layout, dataset, out=samp_G, rhs=h[ns:m], order=order, boxes=boxes)
+        cells = Cells(order, starts, boxes.lower, boxes.upper, boxes.h_min,
+                      layout.g3_coeff_map)
     return LpProblem(
-        RowStack.dense(static_G).with_rows(layout.g3_columns, samp_G, layout.g3_shared_row),
+        RowStack([*RowStack.dense(static_G).blocks,
+                  (layout.g3_columns, samp_G, layout.g3_shared_row, cells)], layout.n_total),
         h,
         np.concatenate([static_tags, np.full(n, RowTag.G3, dtype=np.int8)]),
         static_origins,  # a sampled row's origin is its position
         layout,
     )
+
+
+def sample_cells(dataset: Dataset) -> tuple[np.ndarray, np.ndarray] | None:
+    """(order, starts): the samples of a one-variable `dataset` sorted by
+    their cell of a CELL_GRID x CELL_GRID grid over the data range of
+    (x, x'), stably, and the first position of every non-empty cell, as
+    `lp.Cells` takes them.  The last n % 4 samples stay last, in order.
+    None below SCREEN_MIN_ROWS samples or for a non-finite range.
+
+    The uint16 keys are counted, then placed G3_CHUNK at a time after the
+    equal keys of the chunks before (a counting sort), so no temporary is
+    larger than the keys.
+    """
+    n = len(dataset)
+    sorted_n = n - n % 4
+    if dataset.state_dim != 1 or n < SCREEN_MIN_ROWS:
+        return None
+    columns = (dataset.xs[:sorted_n, 0], dataset.x_nexts[:sorted_n, 0])
+    ranges = [(float(z.min()), float(z.max())) for z in columns]
+    if not np.all(np.isfinite(ranges)):
+        return None
+    key = np.empty(sorted_n, dtype=np.uint16)
+    for a in range(0, sorted_n, G3_CHUNK):
+        x, x_next = [
+            np.minimum((z[a:a + G3_CHUNK] - lo) * (CELL_GRID / (hi - lo) if hi > lo else 0.0),
+                       CELL_GRID - 1).astype(np.uint16)
+            for z, (lo, hi) in zip(columns, ranges)]
+        np.add(x * np.uint16(CELL_GRID), x_next, out=key[a:a + G3_CHUNK])
+    counts = np.bincount(key, minlength=CELL_GRID ** 2)
+    free = np.cumsum(counts) - counts  # the next position of each key
+    order = np.empty(n, dtype=np.int32)
+    for a in range(0, sorted_n, G3_CHUNK):
+        chunk = key[a:a + G3_CHUNK]
+        by_key = np.argsort(chunk, kind="stable")
+        chunk_counts = np.bincount(chunk, minlength=CELL_GRID ** 2)
+        ahead = np.cumsum(chunk_counts) - chunk_counts  # equal keys' first sorted index
+        sorted_keys = chunk[by_key]
+        order[free[sorted_keys] + np.arange(len(chunk)) - ahead[sorted_keys]] = a + by_key
+        free += chunk_counts
+    order[sorted_n:] = np.arange(sorted_n, n)
+    return order, np.concatenate([[0], np.cumsum(counts[counts > 0])])
+
+
+class _CellBoxes:
+    """Per cell of `starts`, the min and max of x and of x' and the min of h
+    over its samples, taken chunk by chunk as `g3_rows` writes them."""
+
+    def __init__(self, starts: np.ndarray):
+        self.starts = starts
+        ncells = len(starts) - 1
+        self.lower = np.full((ncells, 2), np.inf)
+        self.upper = np.full((ncells, 2), -np.inf)
+        self.h_min = np.full(ncells, np.inf)
+
+    def add(self, lo: int, z: tuple, h: np.ndarray) -> None:
+        """The samples stored at positions lo onwards: their (x, x') as two
+        one-column arrays `z`, and their right-hand sides `h`."""
+        hi = min(lo + len(h), int(self.starts[-1]))
+        if hi <= lo:
+            return
+        first = int(np.searchsorted(self.starts, lo, side="right")) - 1
+        last = int(np.searchsorted(self.starts, hi, side="left"))
+        at = np.maximum(self.starts[first:last], lo) - lo
+        for dst, values, reduce in (
+                *((self.lower[first:last, v], z[v][:hi - lo, 0], np.minimum) for v in (0, 1)),
+                *((self.upper[first:last, v], z[v][:hi - lo, 0], np.maximum) for v in (0, 1)),
+                (self.h_min[first:last], h[:hi - lo], np.minimum)):
+            reduce(dst, reduce.reduceat(values, at), out=dst)
 
 
 def static_blocks(
@@ -642,6 +764,7 @@ class LpSolution:
     max_violation: float
     zero_multipliers: int
     lexicographic: bool = False
+    rows_priced: int = 0  # rows the solver priced, summed over its solves' pricing passes
 
     def certificate(self, layout: DecisionLayout) -> CertificateValues:
         if self.d_star is None:
@@ -692,15 +815,19 @@ def solve_lp(
             bland_iterations=res.bland_iterations,
             max_violation=res.max_violation,
             zero_multipliers=res.zero_multipliers,
+            rows_priced=res.rows_priced,
         )
     d = res.z
     iterations = res.iterations
     degenerate = res.degenerate_steps
     bland = res.bland_iterations
+    rows_priced = res.rows_priced
     if lexicographic:
         res.residual = None  # not needed at the refined point; freed for the re-solves
-        d, extra_iters, lexicographic = _refine_lexicographic(problem, res, tolerances)
+        d, extra_iters, extra_rows, lexicographic = _refine_lexicographic(
+            problem, res, tolerances)
         iterations += extra_iters
+        rows_priced += extra_rows
         resid = problem.residuals(d)
     else:
         resid = res.residual
@@ -718,12 +845,13 @@ def solve_lp(
         max_violation=max_violation,
         zero_multipliers=res.zero_multipliers,
         lexicographic=lexicographic,
+        rows_priced=rows_priced,
     )
 
 
 def _refine_lexicographic(
     problem: LpProblem, base: DenseLpResult, tolerances: LpTolerances
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, int, bool]:
     """Pin the objective, then minimise each core coordinate in order.
 
     Every pin is a single upper-bound row: the pinned value is the minimum of
@@ -731,14 +859,15 @@ def _refine_lexicographic(
     Each pin is a one-row block appended to the stack, and its right-hand
     side fills a slot the problem reserved after h, so G and h are not
     copied.
-    A re-solve that raises or ends non-optimal stops the refinement at the
-    point reached so far, and the third result (all pinned) is False.
+    Returns the point, the re-solves' iterations and rows priced, and
+    whether every coordinate was pinned: a re-solve that raises or ends
+    non-optimal stops the refinement at the point reached so far.
     """
     layout = problem.layout
     m = problem.n_rows
     G = problem.G
     h = problem._h_pinned
-    extra_iters = 0
+    extra_iters = extra_rows = 0
     d = base.z
     assert d is not None
     for idx in range(layout.n_core):
@@ -750,16 +879,17 @@ def _refine_lexicographic(
             try:
                 res = _raw_solve(cost, G, h[:m + idx], tolerances)
             except SolverError:
-                return d, extra_iters, False
+                return d, extra_iters, extra_rows, False
+            extra_rows += res.rows_priced
             if res.status != LpStatus.OPTIMAL or res.z is None:
-                return d, extra_iters, False
+                return d, extra_iters, extra_rows, False
             extra_iters += res.iterations
             d = res.z
             value = float(d[idx])
             del res  # its m-long residual is not held through the next re-solve
         G = G.with_rows([idx], np.ones((1, 1)))
         h[m + idx] = value
-    return d, extra_iters, True
+    return d, extra_iters, extra_rows, True
 
 
 def count_active_g3(problem: LpProblem, solution: LpSolution, tol: float | None = None) -> int:

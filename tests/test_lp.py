@@ -488,3 +488,282 @@ def test_entering_row_across_chunks(monkeypatch, bland, expected):
                              1e-9, 1e-11, 64)
     engine._bland = bland
     assert engine._entering_row(np.ones(1), 2, engine.new_scratch()) == expected
+
+
+# Columns of the screened programs below: 0 is the objective, 1-4 read
+# x'^k - x^k and 5-6 read -x^k for a sample (x, x'), 7 is a budget; every
+# sampled row has -1 in columns 0 and 7 (its shared row).
+_SAMPLED_COLS = np.arange(1, 7)
+_SAMPLED_SHARED = np.array([-1.0, 0, 0, 0, 0, 0, 0, -1.0])
+
+
+def _sampled_values(x, x_next):
+    return np.vstack([x_next ** k - x ** k for k in range(1, 5)]
+                     + [-(x ** k) for k in (1, 2)])
+
+
+def _coeff_map():
+    coeff_map = np.zeros((2, 5, 6))
+    for j, k in enumerate([1, 2, 3, 4, 1, 2]):
+        coeff_map[0, k, j] = -1.0
+        if j < 4:
+            coeff_map[1, k, j] = 1.0
+    return coeff_map
+
+
+def _screened_lp(rng, n, grid=6, corners=True, duplicates=0, h_sampled=None):
+    """A bounded program over 8 columns: a dense head (a box and a few random
+    rows), then n sampled rows, stored in the cells of a grid x grid grid
+    over (x, x').  With `corners`, each cell also holds samples at the four
+    corners of its data box; with `duplicates`, the last samples repeat the
+    first.  The sampled rows' right-hand side is -u for random u, or
+    `h_sampled(total rows)`.  Returns (cost, stack, the same rows as a plain
+    stack in row order, h)."""
+    x = rng.uniform(0.5, 1.5, size=n)
+    x_next = x + rng.normal(scale=0.05, size=n)
+    if duplicates:
+        x[-duplicates:], x_next[-duplicates:] = x[:duplicates], x_next[:duplicates]
+
+    def cell_of(x, x_next):
+        cx = np.minimum(((x - x.min()) / np.ptp(x) * grid).astype(int), grid - 1)
+        cn = np.minimum(((x_next - x_next.min()) / np.ptp(x_next) * grid).astype(int), grid - 1)
+        return cx * grid + cn
+
+    if corners:
+        key = cell_of(x, x_next)
+        extra = []
+        for c in np.unique(key):
+            at = key == c
+            extra += [(a, b) for a in (x[at].min(), x[at].max())
+                      for b in (x_next[at].min(), x_next[at].max())]
+        extra = np.array(extra)[rng.permutation(len(extra))]
+        x, x_next = np.concatenate([x, extra[:, 0]]), np.concatenate([x_next, extra[:, 1]])
+    total = len(x)
+    h_samp = -rng.uniform(0.0, 1.0, size=total) if h_sampled is None else h_sampled(total)
+    tail = total % 4
+    key = cell_of(x[:total - tail], x_next[:total - tail])
+    order = np.concatenate([np.argsort(key, kind="stable"), np.arange(total - tail, total)])
+    counts = np.bincount(key)
+    starts = np.concatenate([[0], np.cumsum(counts[counts > 0])])
+    cells_at = starts[:-1]
+    z = np.column_stack([x, x_next])[order[:total - tail]]
+    cells = lp.Cells(order, starts, np.minimum.reduceat(z, cells_at),
+                     np.maximum.reduceat(z, cells_at),
+                     np.minimum.reduceat(h_samp[order[:total - tail]], cells_at), _coeff_map())
+    head = np.vstack([np.eye(8), -np.eye(8), rng.normal(size=(6, 8))])
+    h = np.concatenate([np.full(16, 10.0), rng.uniform(0.5, 2.0, size=6), h_samp])
+    values = _sampled_values(x, x_next)
+    stack = RowStack([*RowStack.dense(head).blocks,
+                      (_SAMPLED_COLS, np.ascontiguousarray(values[:, order]), _SAMPLED_SHARED,
+                       cells)], 8)
+    plain = RowStack.dense(head).with_rows(_SAMPLED_COLS, values, _SAMPLED_SHARED)
+    return np.eye(8)[0], stack, plain, h
+
+
+def _reduced_costs(engine, v, phase):
+    """Every row's reduced cost, priced as one mat-vec, the working set at inf."""
+    r = engine.G.matvec(v)
+    if phase == 2:
+        r = engine.h - r
+    r[engine.basis[engine.basis < engine.m]] = np.inf
+    return r
+
+
+def test_screened_stack_reads_like_its_rows_in_row_order():
+    rng = np.random.default_rng(50)
+    _, stack, plain, _ = _screened_lp(rng, 3001)
+    dense = np.asarray(plain)
+    assert np.asarray(stack).tobytes() == dense.tobytes()
+    for i in rng.integers(0, len(stack), 20):
+        assert stack.row(int(i)).tobytes() == dense[i].tobytes()
+    keep = rng.random(len(stack)) < 0.7
+    assert np.asarray(stack.select(keep)).tobytes() == dense[keep].tobytes()
+    assert stack.select(keep).blocks[-1][3] is None  # back in row order
+    assert stack.nbytes == plain.nbytes
+    with pytest.raises(SolverError, match="at most one"):
+        RowStack(stack.blocks + stack.blocks[-1:], 8)
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_cell_bounds_are_sound_for_rows_at_box_corners(phase):
+    # no row prices below its cell's bound, for pricing vectors of every
+    # size and for the cancelling ones an optimum has (P close to F)
+    rng = np.random.default_rng(51 + phase)
+    _, stack, _, h = _screened_lp(rng, 4000)
+    cols, values, shared, cells = stack.blocks[-1]
+    lo = stack.starts[-2]
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    pruned = []
+    for trial in range(60):
+        v = rng.normal(size=8) * 10.0 ** rng.integers(-3, 13)
+        if trial % 3 == 0:  # controller columns cancel the barrier's x^k terms
+            v[5:7] = -v[1:3] * (1 + 1e-9 * rng.normal(size=2))
+        r = _reduced_costs(engine, v, phase)[lo:][cells.order[:cells.starts[-1]]]
+        bounds = cells.bounds(v[cols], float(shared @ v), phase)
+        lowest = np.minimum.reduceat(r, cells.starts[:-1])
+        assert np.all(lowest >= bounds)
+        pruned.append(np.mean(bounds > np.min(r)))
+    assert np.median(pruned) > 0.5  # the bounds are not vacuous
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+@pytest.mark.parametrize("phase", [1, 2])
+def test_screened_reduced_costs_are_those_of_the_mat_vec(extra, phase):
+    # gathered cells padded to a multiple of 4, then the last n % 4 rows:
+    # every reduced cost has the bits of the one mat-vec of the rows in order
+    rng = np.random.default_rng(60 + extra)
+    _, stack, plain, h = _screened_lp(rng, 2000 + extra, corners=False)
+    cols, values, shared, cells = stack.blocks[-1]
+    assert len(cells.order) % 4 == extra and len(cells.tail) == extra
+    lo = stack.starts[-2]
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine.basis[:3] = [lo + 5, lo + int(cells.order[0]), 3]
+    v = rng.normal(size=8)
+    assert stack.matvec(v).tobytes() == plain.matvec(v).tobytes()
+    expected = _reduced_costs(engine, v, phase)
+    in_basis = engine.basis[engine.basis >= lo] - lo
+    subsets = [np.arange(len(cells.starts) - 1)] + [
+        rng.permutation(len(cells.starts) - 1)[:rng.integers(1, 9)] for _ in range(30)]
+    for take in subsets:
+        for tail in (cells.tail, np.empty(0, dtype=int)):
+            ids, r = engine._price_positions(cells, values, v[cols], float(shared @ v), phase,
+                                             h[lo:], in_basis, lp._positions(cells.starts, take),
+                                             tail)
+            assert r.tobytes() == expected[lo + ids].tobytes()
+            assert len(ids) == np.sum(np.diff(cells.starts)[take]) + len(tail)
+
+
+def _solve_checking_entering_rows(monkeypatch, *args, **kwargs):
+    """solve_dense_lp with every entering row checked against the one an
+    unscreened pass of all rows picks; also every working set."""
+    entering_row = lp._DualSimplex._entering_row
+    bases, calls = [], []
+
+    def checked(engine, v, phase, scratch):
+        enter = entering_row(engine, v, phase, scratch)
+        r = _reduced_costs(engine, v, phase)
+        eligible = np.flatnonzero(r < -engine.opt_tol)
+        expected = (None if not len(eligible) else int(eligible[0]) if engine._bland
+                    else int(np.argmin(r)))
+        assert enter == expected
+        calls.append(engine._bland)
+        bases.append(engine.basis.tolist())
+        return enter
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp._DualSimplex, "_entering_row", checked)
+        return solve_dense_lp(*args, **kwargs), bases, calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_screened_solve_takes_the_unscreened_pivot_path(monkeypatch, seed):
+    rng = np.random.default_rng(70 + seed)
+    cost, stack, plain, h = _screened_lp(rng, 3000 + seed, duplicates=50 * (seed % 2))
+    kwargs = {"stall_limit": 1} if seed >= 4 else {}
+    screened, bases, calls = _solve_checking_entering_rows(monkeypatch, cost, stack, h, **kwargs)
+    whole, whole_bases, _ = _solve_checking_entering_rows(monkeypatch, cost, plain, h, **kwargs)
+    assert screened.status is whole.status is LpStatus.OPTIMAL
+    assert bases == whole_bases and len(bases) > 5
+    assert screened.z.tobytes() == whole.z.tobytes()
+    assert screened.residual.tobytes() == whole.residual.tobytes()
+    assert screened.rows_priced < whole.rows_priced
+    if kwargs:
+        assert any(calls)  # Bland's rule ran
+
+
+@pytest.mark.parametrize("near", [False, True])
+@pytest.mark.parametrize("bland", [False, True])
+def test_screened_entering_row_for_random_pricing_vectors(monkeypatch, bland, near):
+    # the cells' batches, bounds and early stop against one pass of all rows;
+    # `near` puts every sampled h within 1e-3, so many bounds lie close to
+    # the best reduced cost found so far; batches start at one cell
+    monkeypatch.setattr(lp, "_FIRST_BATCH", 4)
+    rng = np.random.default_rng(82)
+    _, stack, _, h = _screened_lp(rng, 6001, grid=12, h_sampled=(
+        lambda total: rng.uniform(-1.0, -0.999, size=total)) if near else None)
+    lo = stack.starts[-2]
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine._bland = bland
+    sampled = 0
+    for trial in range(200):
+        v = rng.normal(size=8) * 10.0 ** rng.uniform(-6 if near else -2, 1)
+        engine.basis[:3] = rng.integers(0, len(stack), 3)
+        phase = 1 + trial % 2
+        r = _reduced_costs(engine, v, phase)
+        eligible = np.flatnonzero(r < -engine.opt_tol)
+        expected = (None if not len(eligible) else int(eligible[0]) if bland
+                    else int(np.argmin(r)))
+        assert engine._entering_row(v, phase, engine.new_scratch()) == expected
+        sampled += expected is not None and expected >= lo
+    assert sampled > 20
+
+
+@pytest.mark.parametrize("first_batch", [4, lp._FIRST_BATCH])
+@pytest.mark.parametrize("bland", [False, True])
+def test_screened_ties_enter_the_lowest_row(monkeypatch, bland, first_batch):
+    # v is zero on the sampled columns, so a row's reduced cost is its h:
+    # equal h in different cells, and duplicated samples, tie exactly, in
+    # one batch or across batches of one cell
+    monkeypatch.setattr(lp, "_FIRST_BATCH", first_batch)
+    def h_sampled(total):
+        h = np.ones(total)
+        h[[2911, 17, 1500, 2970, 10]] = -3.0  # sample 2970 repeats sample 10
+        h[12] = -1.0  # eligible, not the lowest
+        return h
+
+    rng = np.random.default_rng(80)
+    _, stack, _, h = _screened_lp(rng, 3000, duplicates=40, h_sampled=h_sampled)
+    cols, values, shared, cells = stack.blocks[-1]
+    lo = stack.starts[-2]
+    cell_of = np.searchsorted(cells.starts, np.argsort(cells.order)[[10, 17, 1500, 2911]], "right")
+    assert len(set(cell_of.tolist())) >= 3  # ties across cells
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine._bland = bland
+    v = np.zeros(8)
+    assert engine._entering_row(v, 2, engine.new_scratch()) == lo + 10
+    engine.basis[0] = lo + 10
+    assert engine._entering_row(v, 2, engine.new_scratch()) == (lo + 12 if bland else lo + 17)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_rows_after_the_last_cell_are_always_priced(seed):
+    # the last n % 4 rows are in no cell; the lowest reduced cost is there
+    rng = np.random.default_rng(85 + seed)
+    _, stack, _, h = _screened_lp(rng, 1000 + seed, corners=False,
+                                  h_sampled=lambda total: np.r_[np.ones(total - 1), -2.0])
+    assert len(stack.blocks[-1][3].tail) == seed
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    assert engine._entering_row(np.zeros(8), 2, engine.new_scratch()) == len(stack) - 1
+
+
+def test_non_finite_cell_bounds_price_their_cells_and_nan_fails_closed():
+    # finite multipliers: the sampled block's product overflows to +inf where
+    # x > 1.06 and the shared row's term to -inf; the bounds overflow too, so
+    # every cell is priced and the NaN is seen.  The head is only the box.
+    rng = np.random.default_rng(90)
+    _, stack, _, h = _screened_lp(rng, 2000)
+    cols, values, shared, cells = stack.blocks[-1]
+    stack = RowStack([(np.arange(8), stack.blocks[0][1][:, :16]), stack.blocks[-1]], 8)
+    h = np.concatenate([h[:16], h[22:]])  # the box rows, then the sampled rows
+    v = np.zeros(8)
+    v[[0, 5, 7]] = 1.7e308, -1.7e308, 1.7e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(cells.bounds(v[cols], float(shared @ v), 2) == -np.inf)
+        engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+        with pytest.raises(SolverError, match="NaN reduced cost of row") as err:
+            engine._entering_row(v, 2, engine.new_scratch())
+        r = _reduced_costs(engine, v, 2)
+    row = int(str(err.value).split("row ")[1].split()[0])
+    assert row >= 16 and np.isnan(r[row]) and not np.any(np.isnan(r[:16]))
+    assert err.value.status == LpStatus.ITERATION_LIMIT.value
+
+
+def test_cells_must_tile_their_block():
+    rng = np.random.default_rng(91)
+    _, stack, _, _ = _screened_lp(rng, 1000)
+    cols, values, shared, cells = stack.blocks[-1]
+    with pytest.raises(SolverError, match="tile"):
+        lp.Cells(cells.order, cells.starts[:-1], cells.lower, cells.upper, cells.h_min,
+                 cells.coeff_map)
+    with pytest.raises(SolverError, match="cells of"):
+        RowStack([(cols, values[:, 1:], shared, cells)], 8)

@@ -145,3 +145,22 @@ def test_gradient_bound_is_sound_on_random_pairs():
     lhs = np.abs(eval_poly_many(poly, pts) - eval_poly_many(poly, steps))
     rhs = slope_cap * np.abs(pts - steps).sum(axis=1)
     assert np.all(lhs <= rhs + 1e-12)
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_fast_powers_equal_the_broadcast_power_bit_for_bit(nvars):
+    # each exponent's fast form must round exactly as the broadcast `**`
+    # did, and a 2-variable monomial multiply its powers in variable order
+    rng = np.random.default_rng(41 + nvars)
+    basis = build_basis(nvars, 4)
+    points = np.concatenate([
+        rng.uniform(22.5, 26.5, size=(400_000, nvars)),
+        rng.uniform(-1e3, 1e3, size=(300_000, nvars)),
+        rng.normal(size=(300_000, nvars)) * 10.0 ** rng.integers(-60, 60, size=(300_000, nvars)),
+    ])
+    broadcast = np.ones((len(points), len(basis)))
+    for j in range(nvars):
+        broadcast *= points[:, j][:, None] ** basis.exponents[:, j][None, :]
+    assert eval_basis_many(basis, points).tobytes() == broadcast.tobytes()
+    assert eval_basis_many(basis, points, "F").tobytes() == np.asfortranarray(broadcast).tobytes()
+    assert eval_basis_many(basis, points, "F").flags.f_contiguous

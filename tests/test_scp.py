@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from safesynth import lp as scp_lp
 from safesynth import scp
 from safesynth.errors import AssemblyError, SolverError
 from safesynth.geometry import Box, RegionUnion, SampleSpace
@@ -615,3 +616,95 @@ def test_stack_pivots_like_its_dense_matrix(seed):
     )
     assert stacked.basis_rows.tolist() == dense.basis_rows.tolist()
     assert stacked.objective.hex() == dense.objective.hex()
+
+
+def test_screened_assembly_is_the_dense_assembly_in_cells(monkeypatch):
+    # the sampled rows, stored in cells, read back bit for bit in sample
+    # order; each cell's box holds its samples and h_min is their least h
+    monkeypatch.setattr(scp, "SCREEN_MIN_ROWS", 64)
+    monkeypatch.setattr(scp, "G3_CHUNK", 1000)  # cells straddle the chunks
+    layout = room_layout()
+    static, data = _room_static_and_data(layout, 5003, 7)
+    problem = sampled_problem(layout, static, data)
+    monkeypatch.setattr(scp, "SCREEN_MIN_ROWS", 10**9)
+    plain = sampled_problem(layout, static, data)
+    cols, values, shared, cells = problem.G.blocks[-1]
+    assert plain.G.blocks[-1][3] is None and cells is not None
+    assert np.asarray(problem.G).tobytes() == np.asarray(plain.G).tobytes()
+    assert problem.h.tobytes() == plain.h.tobytes()
+    assert problem.G.nbytes == plain.G.nbytes
+    assert sorted(cells.order.tolist()) == list(range(5003))
+    assert cells.order[-3:].tolist() == [5000, 5001, 5002] and cells.starts[-1] == 5000
+    n_static = len(static[1])
+    for c in range(len(cells.starts) - 1):
+        ids = cells.order[cells.starts[c]:cells.starts[c + 1]]
+        z = np.column_stack([data.xs[ids, 0], data.x_nexts[ids, 0]])
+        assert np.array_equal(cells.lower[c], z.min(axis=0))
+        assert np.array_equal(cells.upper[c], z.max(axis=0))
+        assert cells.h_min[c] == problem.h[n_static + ids].min()
+    for z in (data.xs[:5000, 0], data.x_nexts[:5000, 0]):
+        square = np.minimum((z - z.min()) * (scp.CELL_GRID / np.ptp(z)), scp.CELL_GRID - 1)
+        square = square.astype(int)[cells.order[:5000]]
+        for c in range(len(cells.starts) - 1):  # a cell is one grid square
+            assert np.ptp(square[cells.starts[c]:cells.starts[c + 1]]) == 0
+    assert np.array_equal(layout.g3_coeff_map[:, :, :4].sum(axis=0), np.zeros((5, 4)))
+    # dropping rows gives the rows and ids of the unscreened program
+    drop = [3, n_static + 17, n_static + 5002]
+    reduced, reduced_plain = problem.without_rows(drop), plain.without_rows(drop)
+    assert np.asarray(reduced.G).tobytes() == np.asarray(reduced_plain.G).tobytes()
+    assert reduced.origins.tobytes() == reduced_plain.origins.tobytes()
+    assert reduced.h.tobytes() == reduced_plain.h.tobytes()
+
+
+def test_full_scale_room_lp_prices_few_sampled_rows_and_every_pivot_is_unscreened(monkeypatch):
+    # the posterior program (140k samples): the screened entering row is the
+    # one an unscreened pass of every row picks, at every iteration, and
+    # pricing reads under 10% of the sampled rows per pass
+    config = validate_config(room_casestudy_config(
+        n_scenario=140_000, n_validation=70_000, seed_scenario=2025, seed_validation=9090,
+    ))
+    _, problem = scenario_problem(config)
+    assert problem.G.blocks[-1][3] is not None
+    entering_row = scp_lp._DualSimplex._entering_row
+    passes = []
+
+    def checked(engine, v, phase, scratch):
+        enter = entering_row(engine, v, phase, scratch)
+        r = problem.G.matvec(v)
+        if phase == 2:
+            r = engine.h - r
+        r[engine.basis[engine.basis < engine.m]] = np.inf
+        eligible = np.flatnonzero(r < -engine.opt_tol)
+        assert enter == (None if not len(eligible) else int(eligible[0]) if engine._bland
+                         else int(np.argmin(r)))
+        passes.append(engine._bland)
+        return enter
+
+    monkeypatch.setattr(scp_lp._DualSimplex, "_entering_row", checked)
+    solution = solve_lp(problem, config.tolerances)
+    assert solution.objective.hex() == "-0x1.6a9a8bfb3e0afp-2"
+    assert (solution.iterations, len(passes)) == (61, 63) and not any(passes)
+    n_static = problem.n_rows - 140_000
+    assert solution.rows_priced / len(passes) - n_static < 0.1 * 140_000
+
+
+def test_two_state_layout_prices_every_row(monkeypatch):
+    # cells are for one state variable: a 2-state program is one block in
+    # sample order, and every pricing pass reads every row
+    monkeypatch.setattr(scp, "SCREEN_MIN_ROWS", 64)
+    layout = DecisionLayout.build(build_basis(2, 2), [build_basis(2, 2)], 1.0, [1.0])
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-1.0, 1.0, size=(3000, 2))
+    us = rng.uniform(0.0, 1.0, size=(3000, 1))
+    data = Dataset(xs, us, 0.9 * xs + 0.05 * us, seed=3, role="scenario")
+    box = Box.from_intervals([[-1, 1], [-1, 1]])
+    A, b = box_to_polytope(Box.from_intervals([[0, 1]]))
+    problem = build_problem(
+        layout, data, RegionUnion.from_intervals([[[-0.2, 0.2], [-0.2, 0.2]]]),
+        RegionUnion.from_intervals([[[0.8, 1.0], [-1.0, 1.0]]]), box, A, b, 5,
+        GridSpec(5, 5, 9), 1e-6, True,
+    )
+    assert problem.G.blocks[-1][3] is None
+    solution = solve_lp(problem)
+    assert solution.status is LpStatus.OPTIMAL and solution.bland_iterations == 0
+    assert solution.rows_priced == (solution.iterations + 2) * problem.n_rows

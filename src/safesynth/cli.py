@@ -110,8 +110,6 @@ def _apply_overrides(args, raw: dict) -> dict:
         raw["seeds"]["validation"] = args.seed_validation
     if getattr(args, "no_tighten", False):
         raw["tighten"] = False
-    if getattr(args, "lexicographic", False):
-        raw["lexicographic"] = True
     if getattr(args, "n_scenario", None) is not None:
         raw["samples"] = dict(raw.get("samples", {}))
         raw["samples"].pop("auto", None)
@@ -414,7 +412,6 @@ def build_parser() -> _Parser:
         "--seed-validation": dict(type=int, default=None, dest="seed_validation"),
         "--no-tighten": dict(action="store_true", dest="no_tighten",
                              help="disable grid tightening (exploration only, non-certifying)"),
-        "--lexicographic": dict(action="store_true"),
         "--N": dict(type=int, default=None, dest="n_scenario"),
         "--N0": dict(type=int, default=None, dest="n_validation"),
     }
@@ -430,8 +427,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("prior-synthesize", help="prior-bound baseline synthesis")
-    add_common(p, "--config", "--out", "--seed", "--seed-validation", "--no-tighten",
-               "--lexicographic", "--N")
+    add_common(p, "--config", "--out", "--seed", "--seed-validation", "--no-tighten", "--N")
     p.add_argument("--eps", type=float, required=True, help="violation level")
     p.set_defaults(func=_cmd_prior_synthesize)
 

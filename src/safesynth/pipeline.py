@@ -97,7 +97,6 @@ _DEFAULTS = {
     "seeds": {"scenario": (int, 1), "validation": (int, 2)},
     # None: the built-in plant's constant, required for any other plant
     "lipschitz": (float, None),
-    "lexicographic": (bool, False),
     "workers": (int, 1),
     "estimate_lipschitz": (bool, False),
 }
@@ -189,7 +188,6 @@ class SynthesisConfig:
     tolerances: LpTolerances
     seed_scenario: int
     seed_validation: int
-    lexicographic: bool
     workers: int
     estimate_lipschitz: bool
     raw: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
@@ -326,7 +324,7 @@ def validate_config(data: dict) -> SynthesisConfig:
         # the options that are fields under their own names
         **{key: opts[key] for key in (
             "horizon", "barrier_degree", "beta", "strict_margin", "tighten",
-            "lexicographic", "workers", "estimate_lipschitz",
+            "workers", "estimate_lipschitz",
         )},
     )
 
@@ -465,7 +463,6 @@ def _solver_summary(solution: LpSolution, active_g3: int | None) -> dict:
         "max_violation": float(solution.max_violation),
         "active_rows": int(len(solution.active_row_ids)),
         "active_g3": active_g3,
-        "lexicographic": solution.lexicographic,
     }
 
 
@@ -505,7 +502,7 @@ def pilot_estimates(config: SynthesisConfig, plant: BlackBoxSystem, n_pilot: int
     pilot_seed = derive_seed(config.seed_scenario, 7771)
     dataset = collect(plant, config.space(), n_pilot, pilot_seed, Role.SCENARIO)
     problem = build_problem(config.layout(), dataset, *_row_inputs(config))
-    solution = solve_lp(problem, config.tolerances, lexicographic=False)
+    solution = solve_lp(problem, config.tolerances)
     if solution.status != LpStatus.OPTIMAL or solution.objective is None:
         raise SolverError(
             f"pilot solve failed with status {solution.status.value}",
@@ -616,7 +613,7 @@ def _run(
 
     t2 = time.perf_counter()
     try:
-        solution = solve_lp(problem, config.tolerances, config.lexicographic)
+        solution = solve_lp(problem, config.tolerances)
     except SolverError as exc:
         timings["solve"] = time.perf_counter() - t2
         fields["solver"] = {"status": exc.status, "error": str(exc)}
@@ -637,8 +634,7 @@ def _run(
     )
     if solution.degenerate_steps > 0:
         warnings.append(
-            f"{solution.degenerate_steps} degenerate pivot(s): the optimum may be "
-            "non-unique; lexicographic refinement is available"
+            f"{solution.degenerate_steps} degenerate pivot(s): the optimum may be non-unique"
         )
 
     if posterior:

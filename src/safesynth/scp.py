@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import AssemblyError, SolverError
 from .geometry import Box, RegionUnion, box_grid, grid_halfstep
-from .lp import Cells, DenseLpResult, LpStatus, RowStack, solve_dense_lp
+from .lp import Cells, LpStatus, RowStack, solve_dense_lp
 from .plant import Dataset
 from .polynomial import (
     PolyBasis,
@@ -271,25 +271,21 @@ class LpProblem:
     """Assembled scenario program: min objective entry s.t. G d <= h.
 
     G is a `RowStack`; a dense matrix passed in becomes its one block.  `h`
-    is n_rows long, or n_rows + layout.n_core long when the caller reserved
-    the pin slots of a lexicographic solve after it; without them they are
-    reserved here.  `origins` names the first len(origins) rows (a grid
-    index, or -1 for a structural row); every row after them is a sampled
-    row, and its origin is its sample index, the row's position counted
-    from the first of them."""
+    is n_rows long and read-only, because sampled rows stored in cells
+    carry bounds taken from it (`lp.Cells.h_min`) that pricing trusts.
+    `origins` names the first len(origins) rows (a grid index, or -1 for a
+    structural row); every row after them is a sampled row, and its origin
+    is its sample index, the row's position counted from the first of them."""
 
     def __init__(self, G, h, tags, origins, layout: DecisionLayout):
         self.G = G if isinstance(G, RowStack) else RowStack.dense(G)
         m = len(self.G)
-        h = np.asarray(h, dtype=float).ravel()
-        if len(h) == m:
-            h = np.concatenate([h, np.empty(layout.n_core)])
-        self._h_pinned = h  # h, then one rhs slot per core coordinate
-        self.h = h[:m]
+        self.h = np.asarray(h, dtype=float).ravel()
+        self.h.flags.writeable = False
         self.tags = np.asarray(tags, dtype=np.int8)
         self.origins = np.asarray(origins, dtype=np.int64)
         self.layout = layout
-        if not (len(h) == m + layout.n_core and m == len(self.tags) >= len(self.origins)):
+        if not (len(self.h) == m == len(self.tags) >= len(self.origins)):
             raise AssemblyError("row blocks disagree on length")
         if np.any(self.tags[len(self.origins):] != RowTag.G3):
             raise AssemblyError("rows without an origin must be sampled rows")
@@ -587,23 +583,22 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     `layout.g3_shared_row` as the block's shared row.  For one state
     variable and at least SCREEN_MIN_ROWS samples the sampled rows are
     stored in cells (`sample_cells`), which pricing screens; their row ids
-    stay in sample order.  h is assembled with the pin slots of a
-    lexicographic solve reserved after it, and the sampled right-hand side
-    is written straight into it.
+    stay in sample order.  The sampled right-hand side is written straight
+    into h.
     """
     static_G, static_h, static_tags, static_origins = static
     n, ns = len(dataset), len(static_h)
     m = ns + n
-    h = np.empty(m + layout.n_core)
+    h = np.empty(m)
     h[:ns] = static_h
     cells = sample_cells(dataset)
     samp_G = np.empty((len(layout.g3_columns), n))
     if cells is None:
-        g3_rows(layout, dataset, out=samp_G, rhs=h[ns:m])
+        g3_rows(layout, dataset, out=samp_G, rhs=h[ns:])
     else:
         order, starts = cells
         boxes = _CellBoxes(starts)
-        g3_rows(layout, dataset, out=samp_G, rhs=h[ns:m], order=order, boxes=boxes)
+        g3_rows(layout, dataset, out=samp_G, rhs=h[ns:], order=order, boxes=boxes)
         cells = Cells(order, starts, boxes.lower, boxes.upper, boxes.h_min,
                       layout.g3_coeff_map)
     return LpProblem(
@@ -763,8 +758,7 @@ class LpSolution:
     bland_iterations: int
     max_violation: float
     zero_multipliers: int
-    lexicographic: bool = False
-    rows_priced: int = 0  # rows the solver priced, summed over its solves' pricing passes
+    rows_priced: int = 0  # rows the solver priced, summed over its pricing passes
 
     def certificate(self, layout: DecisionLayout) -> CertificateValues:
         if self.d_star is None:
@@ -776,34 +770,17 @@ def _no_solution(status: LpStatus):
     return SolverError(f"no solution available (status {status.value})", status=status.value)
 
 
-def _raw_solve(
-    cost: np.ndarray, G: np.ndarray, h: np.ndarray, tolerances: LpTolerances
-) -> DenseLpResult:
-    return solve_dense_lp(
-        cost,
-        G,
-        h,
+def solve_lp(problem: LpProblem, tolerances: LpTolerances = LpTolerances()) -> LpSolution:
+    """Solve the assembled program."""
+    res = solve_dense_lp(
+        problem.cost,
+        problem.G,
+        problem.h,
         opt_tol=tolerances.optimality,
         pivot_tol=tolerances.pivot,
         feas_tol=tolerances.feasibility,
         max_iter=tolerances.max_iterations,
     )
-
-
-def solve_lp(
-    problem: LpProblem,
-    tolerances: LpTolerances = LpTolerances(),
-    lexicographic: bool = False,
-) -> LpSolution:
-    """Solve the assembled program; optionally canonicalise among ties.
-
-    With `lexicographic` the objective value is pinned and every core
-    coordinate is minimised in layout order by exact re-solves, which makes
-    the reported solution the lexicographic-minimal point of the optimal
-    face (split variables excluded); `lexicographic` in the result says
-    whether every core coordinate was pinned.
-    """
-    res = _raw_solve(problem.cost, problem.G, problem.h, tolerances)
     if res.status != LpStatus.OPTIMAL or res.z is None:
         return LpSolution(
             status=res.status,
@@ -817,79 +794,19 @@ def solve_lp(
             zero_multipliers=res.zero_multipliers,
             rows_priced=res.rows_priced,
         )
-    d = res.z
-    iterations = res.iterations
-    degenerate = res.degenerate_steps
-    bland = res.bland_iterations
-    rows_priced = res.rows_priced
-    if lexicographic:
-        res.residual = None  # not needed at the refined point; freed for the re-solves
-        d, extra_iters, extra_rows, lexicographic = _refine_lexicographic(
-            problem, res, tolerances)
-        iterations += extra_iters
-        rows_priced += extra_rows
-        resid = problem.residuals(d)
-    else:
-        resid = res.residual
-    objective = float(problem.cost @ d)
-    max_violation = float(max(np.max(resid), 0.0))
-    active = np.flatnonzero(np.abs(resid, out=resid) <= tolerances.activity)
+    resid = res.residual
     return LpSolution(
         status=LpStatus.OPTIMAL,
-        d_star=d,
-        objective=objective,
-        active_row_ids=active,
-        iterations=iterations,
-        degenerate_steps=degenerate,
-        bland_iterations=bland,
-        max_violation=max_violation,
+        d_star=res.z,
+        objective=float(problem.cost @ res.z),
+        active_row_ids=np.flatnonzero(np.abs(resid, out=resid) <= tolerances.activity),
+        iterations=res.iterations,
+        degenerate_steps=res.degenerate_steps,
+        bland_iterations=res.bland_iterations,
+        max_violation=res.max_violation,
         zero_multipliers=res.zero_multipliers,
-        lexicographic=lexicographic,
-        rows_priced=rows_priced,
+        rows_priced=res.rows_priced,
     )
-
-
-def _refine_lexicographic(
-    problem: LpProblem, base: DenseLpResult, tolerances: LpTolerances
-) -> tuple[np.ndarray, int, int, bool]:
-    """Pin the objective, then minimise each core coordinate in order.
-
-    Every pin is a single upper-bound row: the pinned value is the minimum of
-    that coordinate over the current face, so the lower bound is implied.
-    Each pin is a one-row block appended to the stack, and its right-hand
-    side fills a slot the problem reserved after h, so G and h are not
-    copied.
-    Returns the point, the re-solves' iterations and rows priced, and
-    whether every coordinate was pinned: a re-solve that raises or ends
-    non-optimal stops the refinement at the point reached so far.
-    """
-    layout = problem.layout
-    m = problem.n_rows
-    G = problem.G
-    h = problem._h_pinned
-    extra_iters = extra_rows = 0
-    d = base.z
-    assert d is not None
-    for idx in range(layout.n_core):
-        cost = np.zeros(layout.n_total)
-        if idx == layout.OBJECTIVE:
-            value = float(d[idx])
-        else:
-            cost[idx] = 1.0
-            try:
-                res = _raw_solve(cost, G, h[:m + idx], tolerances)
-            except SolverError:
-                return d, extra_iters, extra_rows, False
-            extra_rows += res.rows_priced
-            if res.status != LpStatus.OPTIMAL or res.z is None:
-                return d, extra_iters, extra_rows, False
-            extra_iters += res.iterations
-            d = res.z
-            value = float(d[idx])
-            del res  # its m-long residual is not held through the next re-solve
-        G = G.with_rows([idx], np.ones((1, 1)))
-        h[m + idx] = value
-    return d, extra_iters, extra_rows, True
 
 
 def count_active_g3(problem: LpProblem, solution: LpSolution, tol: float | None = None) -> int:

@@ -298,12 +298,13 @@ def test_casestudy_prior_mode_reduced(tmp_path, capsys):
 
 
 # (subcommand, flag) pairs where the subcommand would ignore the flag, or
-# for `plan --N`/`--N0` always fail on it; no subcommand takes `--retries`.
+# for `plan --N`/`--N0` always fail on it; no subcommand takes `--retries`
+# or `--lexicographic`, both deleted.
 _REMOVED_FLAGS = [
-    *(("collect", flag) for flag in ("--out", "--no-tighten", "--lexicographic", "--N", "--N0")),
+    *(("collect", flag) for flag in ("--out", "--no-tighten", "--N", "--N0")),
     ("prior-synthesize", "--N0"),
-    *(("plan", flag) for flag in ("--N", "--N0", "--lexicographic")),
-    *((command, "--retries") for command in (
+    *(("plan", flag) for flag in ("--N", "--N0")),
+    *((command, flag) for flag in ("--retries", "--lexicographic") for command in (
         "synthesize", "prior-synthesize", "collect", "plan", "casestudy", "repeat")),
 ]
 _FLAG_VALUES = {"--out": "elsewhere", "--N": "300", "--N0": "150", "--retries": "1"}

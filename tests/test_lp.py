@@ -151,7 +151,7 @@ def test_tall_problem_smoke():
 
 def test_equality_pair_rows_handled():
     # exact-value pins via opposing row pairs (empty-interior feasible sets)
-    # are what lexicographic refinement builds; they must stay solvable
+    # are valid input; they must stay solvable
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(7)
     for trial in range(20):

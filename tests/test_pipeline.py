@@ -98,40 +98,19 @@ def test_validation_fields_match_independent_oracle():
     assert report.knife_edges == int(np.sum(np.abs(oracle) <= 1e-12))
 
 
-@pytest.mark.parametrize("lexicographic", [False, True])
-def test_support_bound_recounts_from_residuals(lexicographic):
+def test_support_bound_recounts_from_residuals():
     # the report takes the support bound from the solve's own active set;
     # recount it from the residuals of an independently rebuilt program
-    config = small_room_config(samples={"scenario": 300, "validation": 100},
-                               lexicographic=lexicographic)
+    config = small_room_config(samples={"scenario": 300, "validation": 100})
     report = synthesize(config)
     _, problem = scenario_problem(config)
-    solution = solve_lp(problem, config.tolerances, lexicographic)
+    solution = solve_lp(problem, config.tolerances)
     resid = problem.residuals(solution.d_star)[problem.g3_row_indices()]
     recount = int(np.sum(np.abs(resid) <= config.tolerances.activity))
     assert solution.objective == report.margin_objective
     assert recount >= 1
     assert report.support_bound == recount
     assert report.solver["active_g3"] == recount
-
-
-def test_lexicographic_refinement_survives_a_failing_resolve():
-    # the 12th refinement re-solve of this program raises "singular working
-    # set"; the run keeps the refinement reached so far instead of failing
-    def raw(lexicographic):
-        out = room_casestudy_config(n_scenario=300, n_validation=100,
-                                    seed_scenario=100, seed_validation=999)
-        out["grid_points"] = {"initial": 101, "unsafe": 51, "state": 201}
-        out["lexicographic"] = lexicographic
-        return out
-
-    plain = synthesize(validate_config(raw(False)))
-    refined = synthesize(validate_config(raw(True)))
-    assert plain.solver["status"] == "optimal"
-    assert refined.solver["status"] == "optimal"
-    assert refined.failure_cause == "margin_positive"
-    assert refined.margin_objective == pytest.approx(plain.margin_objective, abs=1e-7)
-    assert refined.solver["lexicographic"] is False
 
 
 def test_certified_run_mechanics():
@@ -180,11 +159,18 @@ def test_report_without_required_key_fails_to_load(key):
         CertificateReport.from_json_dict(payload)
 
 
-def test_config_rejects_unknown_keys():
+def test_config_rejects_unknown_keys(tmp_path):
     raw = room_casestudy_config()
     raw["frobnicate"] = True
     with pytest.raises(ConfigError, match="frobnicate"):
         validate_config(raw)
+    # a deleted option is an unknown key, even at its old default
+    raw = room_casestudy_config(lexicographic=False)
+    with pytest.raises(ConfigError, match="lexicographic"):
+        validate_config(raw)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
 
 
 def test_config_rejects_missing_beta():
@@ -230,7 +216,6 @@ def test_config_rejects_region_outside_state_space():
         ("horizon", 5.7),
         ("horizon", True),
         ("workers", 1.9),
-        ("lexicographic", "no"),
     ],
 )
 def test_config_rejects_wrong_json_types(key, value):
@@ -268,7 +253,7 @@ def test_config_echo_appends_defaults_in_order():
     echoed = validate_config(raw).raw
     assert list(echoed) == list(raw) + [
         "strict_margin", "tighten", "tolerances", "lipschitz",
-        "lexicographic", "workers", "estimate_lipschitz",
+        "workers", "estimate_lipschitz",
     ]
     assert list(echoed["tolerances"]) == [
         "feasibility", "optimality", "activity", "pivot", "max_iterations",

@@ -304,6 +304,28 @@ def test_problem_requires_sampled_rows():
                   layout)
 
 
+def test_problem_h_is_exactly_n_rows_long():
+    layout, _, problem = small_problem(n_samples=20, seed=5)
+    longer = np.concatenate([problem.h, np.zeros(layout.n_core)])
+    with pytest.raises(AssemblyError, match="length"):
+        scp.LpProblem(problem.G, longer, problem.tags, problem.origins, layout)
+
+
+def test_problem_h_is_read_only(monkeypatch):
+    # the cells' h_min is computed from h at assembly; an edit after it
+    # could let pricing skip a cell that can enter
+    monkeypatch.setattr(scp, "SCREEN_MIN_ROWS", 64)
+    layout = room_layout()
+    static, data = _room_static_and_data(layout, 500, 4)
+    problem = sampled_problem(layout, static, data)
+    assert problem.G.blocks[-1][3] is not None  # stored in cells
+    with pytest.raises(ValueError, match="read-only"):
+        problem.h[-1] -= 1.0
+    reduced = problem.without_rows([0])
+    with pytest.raises(ValueError, match="read-only"):
+        reduced.h[0] = 0.0
+
+
 def test_solve_small_problem_optimal(small_solved):
     _, _, problem, solution = small_solved
     assert solution.status is LpStatus.OPTIMAL
@@ -385,29 +407,6 @@ def test_removing_inactive_rows_reproduces_objective(small_solved):
     reduced = problem.without_rows(inactive[:-1] if len(inactive) == len(g3_idx) else inactive)
     sol2 = solve_lp(reduced)
     assert sol2.objective == pytest.approx(solution.objective, abs=1e-7)
-
-
-def test_lexicographic_refinement_preserves_objective():
-    layout, data, problem = small_problem(n_samples=50, seed=21)
-    plain = solve_lp(problem)
-    refined = solve_lp(problem, lexicographic=True)
-    assert refined.objective == pytest.approx(plain.objective, abs=1e-8)
-    assert np.max(problem.residuals(refined.d_star)) <= 1e-7
-    # refinement never increases any core coordinate ordering: the refined
-    # point is lexicographically <= the plain vertex on (floor, cap, ...)
-    for idx in range(1, layout.n_core):
-        if refined.d_star[idx] < plain.d_star[idx] - 1e-9:
-            break
-        assert refined.d_star[idx] <= plain.d_star[idx] + 1e-7
-
-
-def test_lexicographic_flag_reports_complete_refinement():
-    # seed 0 pins all 14 core coordinates; at seed 21 a refinement re-solve
-    # ends non-optimal, so the refinement stops early and says so
-    _, _, complete = small_problem(n_samples=50, seed=0)
-    assert solve_lp(complete, lexicographic=True).lexicographic is True
-    _, _, partial = small_problem(n_samples=50, seed=21)
-    assert solve_lp(partial, lexicographic=True).lexicographic is False
 
 
 def test_scenario_problem_matches_highs():
@@ -579,19 +578,6 @@ def test_activity_and_violation_come_from_the_solver_residual(small_solved):
         solution.active_row_ids, np.flatnonzero(np.abs(resid) <= tol.activity)
     )
     assert solution.max_violation == max(float(np.max(resid)), 0.0)
-
-
-def test_lexicographic_pins_do_not_copy_G():
-    # each pin is a one-row block and its rhs a reserved slot; a vstack per
-    # pin held a second G at every re-solve
-    _, _, problem = small_problem(n_samples=20_000, seed=3)
-    tracemalloc.start()
-    try:
-        solution, peak = _allocation_peak(solve_lp, problem, LpTolerances(), True)
-    finally:
-        tracemalloc.stop()
-    assert solution.status is LpStatus.OPTIMAL
-    assert peak < 0.25 * problem.G.nbytes
 
 
 @pytest.mark.parametrize("seed", [2025, 2026, 2027, 2028])

@@ -19,14 +19,16 @@ working set so the returned point satisfies its active rows to machine
 precision.
 
 Screened pricing.  A block whose rows are polynomials of a few scalars per
-row (the scenario program's sampled rows, in x and x') can be stored in
-cells of rows with nearby scalars (`Cells`).  Each iteration bounds every
-cell's reduced costs from below through the polynomial structure and a
-rounding margin, then prices only the cells whose bound can beat the best
-reduced cost found so far, in ascending order of bound.  A skipped row is
-one the bound proves cannot enter, and every priced row keeps the bits of
-the unscreened product, so the pivots are those of pricing every row.  Row
-ids stay in row order: only the storage is permuted.
+row (the scenario program's sampled rows, in x and x') can carry an index
+of cells, runs of its rows with nearby scalars (`Cells`).  Each iteration
+bounds every cell's reduced costs from below through the polynomial
+structure and a rounding margin, then prices only the cells whose bound
+can beat the best reduced cost found so far, in ascending order of bound,
+gathering each cell's rows from the block once per solve.  A skipped row
+is one the bound proves cannot enter, and every priced row keeps the bits
+of the unscreened product, so the pivots are those of pricing every row.
+The block itself stays in row order; only pricing reads it through the
+index.
 
 Pivoting is Dantzig's rule with lowest-row tie-breaks; while the iteration
 stalls on degenerate vertices it switches to Bland's rule (the lowest
@@ -70,13 +72,13 @@ class Cells:
     sum over (v, k) of coeff_map[v, k, j] * z_v ** k, for the scalars z of
     its sample.
 
-    The block stores its rows in cells, runs of rows whose samples lie in a
-    small box.  `order[p]` (int32) is the row stored at position p, counted
-    from the block's first row.  Cell c holds positions starts[c] to
-    starts[c + 1], and every z of its rows lies in [lower[c], upper[c]];
-    `h_min[c]` bounds the right-hand side of its rows from below, for the
-    right-hand side the stack is solved with.  The last n % 4 rows, in row
-    order, are stored after the last cell, in no cell.
+    The cells are an index of the block, which stays in row order: `order`
+    (int32) lists its rows, counted from the block's first row, cell after
+    cell, and cell c is the rows order[starts[c]:starts[c + 1]], whose
+    samples lie in a small box: every z of them lies in [lower[c],
+    upper[c]], and `h_min[c]` bounds their right-hand side from below, for
+    the right-hand side the stack is solved with.  The last n % 4 rows
+    follow the last cell in `order`, in row order and in no cell.
 
     `bounds` turns the box into a lower bound of every reduced cost a row of
     the cell can price at, so pricing can skip a cell whose bound cannot
@@ -117,7 +119,7 @@ class Cells:
 
     @property
     def tail(self) -> np.ndarray:
-        """The positions after the last cell."""
+        """The positions of `order` after the last cell."""
         return np.arange(self.starts[-1], len(self.order))
 
     def bounds(self, w: np.ndarray, s: float, phase: int) -> np.ndarray:
@@ -174,15 +176,14 @@ class RowStack:
 
     Block k is `(cols, values, shared, cells)` with `values.shape ==
     (len(cols), rows)`: `values[j, p]` is the entry in column `cols[j]` of
-    the block's row stored at position p, and `shared`, an `ncols` vector
-    that is zero on `cols` (or None for zeros), holds the entries every row
-    of the block has outside `cols`.  Without `cells` (None) position p
-    holds the block's p-th row; with them (one block of a stack at most)
-    it holds row `cells.order[p]`.  Row ids stay in row order at every
-    method: `row`, `matvec`, `select` and `np.asarray`.  A dense row-major
-    matrix is the one block `(arange(ncols), G.T, None, None)`, a view.
-    Rows that are constant in many columns are stored C-contiguous over the
-    others, so a mat-vec reads only the entries that vary from row to row.
+    the block's p-th row, and `shared`, an `ncols` vector that is zero on
+    `cols` (or None for zeros), holds the entries every row of the block has
+    outside `cols`.  `cells` (None, or `Cells` for one block of a stack at
+    most) index the block's rows for screened pricing and change nothing
+    else.  A dense row-major matrix is the one block
+    `(arange(ncols), G.T, None, None)`, a view.  Rows that are constant in
+    many columns are stored C-contiguous over the others, so a mat-vec reads
+    only the entries that vary from row to row.
     """
 
     def __init__(self, blocks, ncols: int):
@@ -213,7 +214,7 @@ class RowStack:
             if values.shape[1]:
                 self.blocks.append((cols, values, shared, cells))
         if sum(cells is not None for *_, cells in self.blocks) > 1:
-            raise SolverError("at most one row block of a stack stores its rows in cells")
+            raise SolverError("at most one row block of a stack has cells")
         # first row of each block, then the row count; Python ints, because
         # `row` finds its block with `bisect` on every iteration
         self.starts = list(itertools.accumulate(
@@ -245,47 +246,36 @@ class RowStack:
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros(self.shape)
-        for (cols, values, shared, cells), lo, hi in self._spans():
-            rows = dense[lo:hi] if cells is None else np.zeros((hi - lo, self.ncols))
+        for (cols, values, shared, _), lo, hi in self._spans():
             if shared is not None:
-                rows[:] = shared
-            rows[:, cols] = values.T
-            if cells is not None:
-                dense[lo + cells.order] = rows
+                dense[lo:hi] = shared
+            dense[lo:hi, cols] = values.T
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """G @ v, one `np.matmul` per block plus its shared row's dot, into `out`
-        when given.  A block stored in cells is multiplied chunk by chunk, as
-        pricing cuts it, and each chunk written to its rows."""
+        """G @ v into `out` when given: each block multiplied `_PRICE_CHUNK`
+        rows at a time, as pricing cuts it, plus its shared row's dot.  So
+        the product has the bits of the reduced costs pricing computes, and
+        BLAS threads never split a block's rows other than one thread does
+        (two threads over a whole block changed the last bit of some rows)."""
         v = np.asarray(v, dtype=float)
         out = np.empty(len(self)) if out is None else out
-        for (cols, values, shared, cells), lo, hi in self._spans():
-            dot = 0.0 if shared is None else shared @ v
-            if cells is None:
-                np.matmul(v[cols], values, out=out[lo:hi])
-                if shared is not None:
-                    out[lo:hi] += dot
-                continue
-            scratch = np.empty(min(_PRICE_CHUNK + 1, hi - lo))
+        for (cols, values, shared, _), lo, hi in self._spans():
+            w, dot = v[cols], 0.0 if shared is None else shared @ v
             for a, b in _cuts(hi - lo, _PRICE_CHUNK):
-                part = scratch[:b - a]
-                np.matmul(v[cols], values[:, a:b], out=part)
+                part = out[lo + a:lo + b]
+                np.matmul(w, values[:, a:b], out=part)
                 if shared is not None:
                     part += dot
-                np.put(out[lo:hi], cells.order[a:b], part)
         return out
 
     def row(self, i: int) -> np.ndarray:
         if not 0 <= i < self.starts[-1]:
             raise IndexError(f"row {i} of {len(self)}")
         k = bisect.bisect_right(self.starts, i) - 1
-        cols, values, shared, cells = self.blocks[k]
-        at = i - self.starts[k]
-        if cells is not None:
-            at = int(np.flatnonzero(cells.order == at)[0])
+        cols, values, shared, _ = self.blocks[k]
         row = np.zeros(self.ncols) if shared is None else shared.copy()
-        row[cols] = values[:, at]
+        row[cols] = values[:, i - self.starts[k]]
         return row
 
     def chunks(self, size: int, skip: int | None = None):
@@ -316,17 +306,10 @@ class RowStack:
             yield start, len(self), pieces
 
     def select(self, keep: np.ndarray) -> "RowStack":
-        """The rows where the boolean mask `keep` is true, in order.  A block
-        stored in cells comes back in row order, without them."""
-        blocks = []
-        for (cols, values, shared, cells), lo, hi in self._spans():
-            if cells is None:
-                blocks.append((cols, values[:, keep[lo:hi]], shared))
-                continue
-            where = np.empty(hi - lo, dtype=np.intp)
-            where[cells.order] = np.arange(hi - lo)
-            blocks.append((cols, values.take(where[keep[lo:hi]], axis=1), shared))
-        return RowStack(blocks, self.ncols)
+        """The rows where the boolean mask `keep` is true, in order, without
+        cells."""
+        return RowStack([(cols, values[:, keep[lo:hi]], shared)
+                         for (cols, values, shared, _), lo, hi in self._spans()], self.ncols)
 
     def with_rows(self, cols, values: np.ndarray, shared: np.ndarray | None = None) -> "RowStack":
         """This stack with the block (cols, values, shared) appended after its last row."""
@@ -395,7 +378,7 @@ class _DualSimplex:
     one scratch buffer; each piece of a block starts a multiple of
     `_PRICE_CHUNK` rows into it, where BLAS would start a group of rows in
     one product of the whole block, so every reduced cost keeps its bits.
-    A block stored in cells is priced last, by `_price_cells`.
+    A block with cells is priced last, by `_price_cells`.
     """
 
     def __init__(self, G, scale, h, b, opt_tol, pivot_tol, stall_limit):
@@ -410,7 +393,7 @@ class _DualSimplex:
         self.art_sign = np.where(b >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.nv)
         self.A_B = np.diag(self.art_sign)
-        # the block stored in cells is priced by `_price_cells`, the rest in chunks
+        # the block with cells is priced by `_price_cells`, the rest in chunks
         self.screened = next((k for k, block in enumerate(G.blocks) if block[3] is not None),
                              None)
         self.chunks = list(G.chunks(_PRICE_CHUNK, skip=self.screened))
@@ -418,6 +401,7 @@ class _DualSimplex:
                                     dtype=np.intp).reshape(-1, 2).T
         self.iterations = 0
         self.rows_priced = 0
+        self._gathered = {}  # see `_cell_rows`
         self.degenerate_steps = 0
         self.bland_iterations = 0
         self._bland = False
@@ -445,7 +429,7 @@ class _DualSimplex:
         """Yield (start, r), chunk by chunk in row order: the reduced costs of
         rows start to start + len(r), h - G v in phase 2 and G v in phase 1
         (where the caller negates v), with the working-set rows at inf.  The
-        block stored in cells, if any, is left out.
+        block with cells, if any, is left out.
 
         `r` is a view of `scratch` (from `new_scratch`), overwritten by the
         next chunk."""
@@ -489,20 +473,20 @@ class _DualSimplex:
         return self._price_cells(v, phase, best, enter)
 
     def _price_cells(self, v: np.ndarray, phase: int, best: float, enter: int | None):
-        """`_entering_row` over the block stored in cells, given the best
+        """`_entering_row` over the block with cells, given the best
         reduced cost and row of the other blocks (rows before and after it).
 
         Dantzig's rule prices the cells whose bound (`Cells.bounds`) is at
         most the best reduced cost, in ascending order of bound, and stops
         at the first bound above the best found so far.  Bland's rule prices
         every cell whose bound is below -opt_tol and takes the lowest
-        eligible row.  The last n % 4 rows are always priced.  Rows are
-        gathered into one C-contiguous product per batch, the cells' rows
+        eligible row.  The last n % 4 rows are always priced.  Rows go into
+        one C-contiguous product per batch (`_price_batch`), the cells' rows
         first, padded to a multiple of 4 rows, then those last rows: BLAS
         computes every row of such a product on the same path, and so to
-        the same bits, as the chunks of `reduced_costs` and `RowStack.matvec`
-        would.  A cell whose bound is NaN or -inf is priced, so a NaN
-        reduced cost still raises.
+        the same bits, as the chunks of `reduced_costs` and
+        `RowStack.matvec` would.  A cell whose bound is NaN or -inf is
+        priced, so a NaN reduced cost still raises.
         """
         cols, values, shared, cells = self.G.blocks[self.screened]
         lo = self.G.starts[self.screened]
@@ -523,9 +507,8 @@ class _DualSimplex:
             rows = np.cumsum(sizes[todo[done:]])
             take = todo[done:done + int(np.searchsorted(rows, batch)) + 1]
             done += len(take)
-            ids, r = self._price_positions(cells, values, w, None if shared is None else s,
-                                           phase, h, in_basis, _positions(cells.starts, take),
-                                           tail)
+            ids, r = self._price_batch(cells, values, w, None if shared is None else s,
+                                       phase, h, in_basis, take, tail)
             tail = tail[:0]
             if self._bland:
                 eligible = ids[r < -self.opt_tol]
@@ -541,24 +524,41 @@ class _DualSimplex:
             batch = min(2 * batch, _PRICE_CHUNK)
         return enter
 
-    def _price_positions(self, cells, values, w, s, phase, h, in_basis, positions, tail):
-        """(ids, r): the rows stored at `positions` and then at `tail`, and
-        their reduced costs, with the working-set rows at inf; `s` is the
-        shared row's term, or None for none.  Each product takes at most
-        `_PRICE_CHUNK` positions, padded to a multiple of 4 (and to 4 at
-        least before a tail) with a repeated row whose cost is dropped; the
-        last one ends with `tail`.  A NaN reduced cost raises SolverError."""
+    def _cell_rows(self, cells, values, c: int) -> np.ndarray:
+        """Cell c's rows of `values`, C-contiguous, gathered from the block
+        once per solve.  Pricing reads the same cells again and again (on
+        the prior baseline about 100k distinct rows, each some 8 times), and
+        gathering a row from the block, stored column by column in row
+        order, is a random read in each of its columns."""
+        rows = self._gathered.get(c)
+        if rows is None:
+            rows = self._gathered[c] = values.take(
+                cells.order[cells.starts[c]:cells.starts[c + 1]], axis=1)
+        return rows
+
+    def _price_batch(self, cells, values, w, s, phase, h, in_basis, take, tail):
+        """(ids, r): the rows of the cells `take`, cell after cell, and then
+        at positions `tail` of `cells.order`, and their reduced costs, with
+        the working-set rows at inf; `s` is the shared row's term, or None
+        for none.  Each product takes at most `_PRICE_CHUNK` rows of the
+        cells, padded to a multiple of 4 (and to 4 at least before a tail)
+        with a repeated row whose cost is dropped; the last one ends with
+        `tail`.  A NaN reduced cost raises SolverError."""
+        batch_ids = cells.order[_positions(cells.starts, take)]
+        columns = np.concatenate(
+            [values[:, :0]] + [self._cell_rows(cells, values, c) for c in take], axis=1)
         ids_parts, r_parts = [], []
-        for a in range(0, max(len(positions), 1), _PRICE_CHUNK):
-            piece = positions[a:a + _PRICE_CHUNK]
-            ends = tail if a + _PRICE_CHUNK >= len(positions) else tail[:0]
-            real = len(piece)
+        for a in range(0, max(len(batch_ids), 1), _PRICE_CHUNK):
+            ids = batch_ids[a:a + _PRICE_CHUNK]
+            ends = cells.order[tail] if a + _PRICE_CHUNK >= len(batch_ids) else tail[:0]
+            real = len(ids)
             pad = -real % 4 or (4 if len(ends) and not real else 0)
-            if pad:
-                piece = np.concatenate([piece, np.full(pad, piece[0] if real else ends[0])])
-            piece = np.concatenate([piece, ends])
-            ids = cells.order[piece]
-            r = w @ values.take(piece, axis=1)
+            more = np.concatenate([np.repeat(ids[:1] if real else ends[:1], pad), ends])
+            ids = np.concatenate([ids, more])
+            part = columns[:, a:a + _PRICE_CHUNK]
+            if len(more) or part.shape[1] < columns.shape[1]:
+                part = np.concatenate([part, values.take(more, axis=1)], axis=1)
+            r = w @ part
             if s is not None:
                 r += s
             if phase == 2:
@@ -566,7 +566,7 @@ class _DualSimplex:
             if len(in_basis):
                 r[np.isin(ids, in_basis)] = np.inf
             if pad:
-                keep = np.r_[0:real, real + pad:len(piece)]
+                keep = np.r_[0:real, real + pad:len(ids)]
                 ids, r = ids[keep], r[keep]
             if len(r) and math.isnan(r.min()):
                 row = self.G.starts[self.screened] + int(ids[np.isnan(r)][0])
@@ -658,7 +658,7 @@ def solve_dense_lp(
     """Solve min cost.z s.t. G z <= h; see module docstring for the method.
 
     G is a `RowStack` or anything `np.asarray` makes a 2-D matrix of.  A
-    block of G stored in cells trusts their `h_min` to bound `h`."""
+    block of G with cells trusts their `h_min` to bound `h`."""
     if not isinstance(G, RowStack):
         G = RowStack.dense(G)
     h = np.asarray(h, dtype=float).ravel()

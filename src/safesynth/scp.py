@@ -271,8 +271,8 @@ class LpProblem:
     """Assembled scenario program: min objective entry s.t. G d <= h.
 
     G is a `RowStack`; a dense matrix passed in becomes its one block.  `h`
-    is n_rows long and read-only, because sampled rows stored in cells
-    carry bounds taken from it (`lp.Cells.h_min`) that pricing trusts.
+    is n_rows long and read-only, because the sampled block's cells carry
+    bounds taken from it (`lp.Cells.h_min`) that pricing trusts.
     `origins` names the first len(origins) rows (a grid index, or -1 for a
     structural row); every row after them is a sampled row, and its origin
     is its sample index, the row's position counted from the first of them."""
@@ -376,8 +376,6 @@ def g3_rows(
     dataset: Dataset,
     out: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
-    order: np.ndarray | None = None,
-    boxes: "_CellBoxes | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One sampled one-step row per transition (x, u, x').
 
@@ -385,10 +383,8 @@ def g3_rows(
     written into it column-major over `layout.g3_columns`, G3_CHUNK samples at
     a time, and `out` is returned; every row holds `layout.g3_shared_row`
     outside those columns.  Without it the rows come back dense,
-    (len(dataset) x n_total).  With `order`, a permutation of the samples,
-    `out`'s i-th row is sample order[i]'s, and `boxes` collects each cell's
-    data box from the same chunks.  The right-hand side -sum(u) is in sample
-    order, written into `rhs` when given.
+    (len(dataset) x n_total).  The right-hand side -sum(u) is written into
+    `rhs` when given.
     """
     if dataset.state_dim != layout.barrier.nvars:
         raise AssemblyError(
@@ -412,15 +408,8 @@ def g3_rows(
 
     for lo in range(0, len(dataset), G3_CHUNK):
         rows = block[:, lo:lo + G3_CHUNK].T
-        if order is None:
-            xs, x_nexts = dataset.xs[lo:lo + G3_CHUNK], dataset.x_nexts[lo:lo + G3_CHUNK]
-        else:
-            at = order[lo:lo + G3_CHUNK].astype(np.intp)
-            xs, x_nexts = dataset.xs[at], dataset.x_nexts[at]
-            if boxes is not None:
-                boxes.add(lo, (xs, x_nexts), rhs.take(at))
-        bx_next = eval_basis_many(layout.barrier, x_nexts, "F")
-        del x_nexts  # a gathered copy with `order`
+        xs = dataset.xs[lo:lo + G3_CHUNK]
+        bx_next = eval_basis_many(layout.barrier, dataset.x_nexts[lo:lo + G3_CHUNK], "F")
         bx = eval_basis_many(layout.barrier, xs, "F")
         np.subtract(bx_next[:, 1:], bx[:, 1:], out=rows[:, spans[0]:spans[1]])
         del bx_next
@@ -578,29 +567,32 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     """The `static_blocks` rows followed by one g3 row per sample of `dataset`.
 
     G is a stack of two row blocks: the static rows, dense and not copied,
-    then the sampled rows, which `g3_rows` writes column-major over the
-    `layout.g3_columns` they differ in (8 of the room template's 24), with
-    `layout.g3_shared_row` as the block's shared row.  For one state
-    variable and at least SCREEN_MIN_ROWS samples the sampled rows are
-    stored in cells (`sample_cells`), which pricing screens; their row ids
-    stay in sample order.  The sampled right-hand side is written straight
-    into h.
+    then the sampled rows in sample order, which `g3_rows` writes
+    column-major over the `layout.g3_columns` they differ in (8 of the room
+    template's 24), with `layout.g3_shared_row` as the block's shared row.
+    For one state variable and at least SCREEN_MIN_ROWS samples the block
+    carries cells (`sample_cells`), which pricing screens.  The sampled
+    right-hand side is written straight into h.
     """
     static_G, static_h, static_tags, static_origins = static
     n, ns = len(dataset), len(static_h)
     m = ns + n
     h = np.empty(m)
     h[:ns] = static_h
+    # sorted before the block exists, so the sort's temporaries are freed first
     cells = sample_cells(dataset)
     samp_G = np.empty((len(layout.g3_columns), n))
-    if cells is None:
-        g3_rows(layout, dataset, out=samp_G, rhs=h[ns:])
-    else:
-        order, starts = cells
-        boxes = _CellBoxes(starts)
-        g3_rows(layout, dataset, out=samp_G, rhs=h[ns:], order=order, boxes=boxes)
-        cells = Cells(order, starts, boxes.lower, boxes.upper, boxes.h_min,
-                      layout.g3_coeff_map)
+    g3_rows(layout, dataset, out=samp_G, rhs=h[ns:])
+    if cells is not None:
+        cell, order, starts = cells
+        z = [dataset.xs[:len(cell), 0], dataset.x_nexts[:len(cell), 0]]
+        ncells = len(starts) - 1
+        cells = Cells(
+            order, starts,
+            np.column_stack([_by_cell(np.minimum, cell, ncells, v) for v in z]),
+            np.column_stack([_by_cell(np.maximum, cell, ncells, v) for v in z]),
+            _by_cell(np.minimum, cell, ncells, h[ns:ns + len(cell)]), layout.g3_coeff_map,
+        )
     return LpProblem(
         RowStack([*RowStack.dense(static_G).blocks,
                   (layout.g3_columns, samp_G, layout.g3_shared_row, cells)], layout.n_total),
@@ -611,16 +603,22 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     )
 
 
-def sample_cells(dataset: Dataset) -> tuple[np.ndarray, np.ndarray] | None:
-    """(order, starts): the samples of a one-variable `dataset` sorted by
-    their cell of a CELL_GRID x CELL_GRID grid over the data range of
-    (x, x'), stably, and the first position of every non-empty cell, as
-    `lp.Cells` takes them.  The last n % 4 samples stay last, in order.
-    None below SCREEN_MIN_ROWS samples or for a non-finite range.
+def sample_cells(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(cell, order, starts): the cells of a one-variable `dataset` in a
+    CELL_GRID x CELL_GRID grid over the data range of (x, x'), numbered in
+    the grid's row-major order and counting only the non-empty ones.
+    `cell[i]` (uint16) is sample i's cell, for all but the last n % 4
+    samples, which are in none; `order` (int32) lists the samples cell after
+    cell, in sample order within a cell, then those last ones; `starts` is
+    the first index of `order` of every cell, then n - n % 4.  `order` and
+    `starts` are as `lp.Cells` takes them.  None below SCREEN_MIN_ROWS
+    samples or for a non-finite range.
 
-    The uint16 keys are counted, then placed G3_CHUNK at a time after the
-    equal keys of the chunks before (a counting sort), so no temporary is
-    larger than the keys.
+    Each sample's grid square is a uint16 key, and `order` is the keys'
+    stable argsort; the keys are computed, counted and turned into cells
+    G3_CHUNK samples at a time, so no other temporary is N long.  (A
+    temporary of N intp left freed heap resident: bincount of all keys
+    raised prior-full's peak RSS by 16 MB.)
     """
     n = len(dataset)
     sorted_n = n - n % 4
@@ -631,52 +629,28 @@ def sample_cells(dataset: Dataset) -> tuple[np.ndarray, np.ndarray] | None:
     if not np.all(np.isfinite(ranges)):
         return None
     key = np.empty(sorted_n, dtype=np.uint16)
+    counts = np.zeros(CELL_GRID ** 2, dtype=np.intp)
     for a in range(0, sorted_n, G3_CHUNK):
         x, x_next = [
             np.minimum((z[a:a + G3_CHUNK] - lo) * (CELL_GRID / (hi - lo) if hi > lo else 0.0),
                        CELL_GRID - 1).astype(np.uint16)
             for z, (lo, hi) in zip(columns, ranges)]
         np.add(x * np.uint16(CELL_GRID), x_next, out=key[a:a + G3_CHUNK])
-    counts = np.bincount(key, minlength=CELL_GRID ** 2)
-    free = np.cumsum(counts) - counts  # the next position of each key
+        counts += np.bincount(key[a:a + G3_CHUNK], minlength=CELL_GRID ** 2)
     order = np.empty(n, dtype=np.int32)
-    for a in range(0, sorted_n, G3_CHUNK):
-        chunk = key[a:a + G3_CHUNK]
-        by_key = np.argsort(chunk, kind="stable")
-        chunk_counts = np.bincount(chunk, minlength=CELL_GRID ** 2)
-        ahead = np.cumsum(chunk_counts) - chunk_counts  # equal keys' first sorted index
-        sorted_keys = chunk[by_key]
-        order[free[sorted_keys] + np.arange(len(chunk)) - ahead[sorted_keys]] = a + by_key
-        free += chunk_counts
+    order[:sorted_n] = np.argsort(key, kind="stable")
     order[sorted_n:] = np.arange(sorted_n, n)
-    return order, np.concatenate([[0], np.cumsum(counts[counts > 0])])
+    cell = (np.cumsum(counts > 0) - 1).astype(np.uint16)  # of each key
+    for a in range(0, sorted_n, G3_CHUNK):
+        np.take(cell, key[a:a + G3_CHUNK], out=key[a:a + G3_CHUNK])
+    return key, order, np.concatenate([[0], np.cumsum(counts[counts > 0])])
 
 
-class _CellBoxes:
-    """Per cell of `starts`, the min and max of x and of x' and the min of h
-    over its samples, taken chunk by chunk as `g3_rows` writes them."""
-
-    def __init__(self, starts: np.ndarray):
-        self.starts = starts
-        ncells = len(starts) - 1
-        self.lower = np.full((ncells, 2), np.inf)
-        self.upper = np.full((ncells, 2), -np.inf)
-        self.h_min = np.full(ncells, np.inf)
-
-    def add(self, lo: int, z: tuple, h: np.ndarray) -> None:
-        """The samples stored at positions lo onwards: their (x, x') as two
-        one-column arrays `z`, and their right-hand sides `h`."""
-        hi = min(lo + len(h), int(self.starts[-1]))
-        if hi <= lo:
-            return
-        first = int(np.searchsorted(self.starts, lo, side="right")) - 1
-        last = int(np.searchsorted(self.starts, hi, side="left"))
-        at = np.maximum(self.starts[first:last], lo) - lo
-        for dst, values, reduce in (
-                *((self.lower[first:last, v], z[v][:hi - lo, 0], np.minimum) for v in (0, 1)),
-                *((self.upper[first:last, v], z[v][:hi - lo, 0], np.maximum) for v in (0, 1)),
-                (self.h_min[first:last], h[:hi - lo], np.minimum)):
-            reduce(dst, reduce.reduceat(values, at), out=dst)
+def _by_cell(reduce, cell: np.ndarray, ncells: int, values: np.ndarray) -> np.ndarray:
+    """`reduce` (np.minimum or np.maximum) of `values` over each cell's samples."""
+    out = np.full(ncells, np.inf if reduce is np.minimum else -np.inf)
+    reduce.at(out, cell, values)
+    return out
 
 
 def static_blocks(

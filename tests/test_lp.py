@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -513,10 +516,10 @@ def _coeff_map():
 
 def _screened_lp(rng, n, grid=6, corners=True, duplicates=0, h_sampled=None):
     """A bounded program over 8 columns: a dense head (a box and a few random
-    rows), then n sampled rows, stored in the cells of a grid x grid grid
-    over (x, x').  With `corners`, each cell also holds samples at the four
-    corners of its data box; with `duplicates`, the last samples repeat the
-    first.  The sampled rows' right-hand side is -u for random u, or
+    rows), then n sampled rows in row order, with the cells of a grid x grid
+    grid over (x, x').  With `corners`, each cell also holds samples at the
+    four corners of its data box; with `duplicates`, the last samples repeat
+    the first.  The sampled rows' right-hand side is -u for random u, or
     `h_sampled(total rows)`.  Returns (cost, stack, the same rows as a plain
     stack in row order, h)."""
     x = rng.uniform(0.5, 1.5, size=n)
@@ -554,8 +557,7 @@ def _screened_lp(rng, n, grid=6, corners=True, duplicates=0, h_sampled=None):
     h = np.concatenate([np.full(16, 10.0), rng.uniform(0.5, 2.0, size=6), h_samp])
     values = _sampled_values(x, x_next)
     stack = RowStack([*RowStack.dense(head).blocks,
-                      (_SAMPLED_COLS, np.ascontiguousarray(values[:, order]), _SAMPLED_SHARED,
-                       cells)], 8)
+                      (_SAMPLED_COLS, values, _SAMPLED_SHARED, cells)], 8)
     plain = RowStack.dense(head).with_rows(_SAMPLED_COLS, values, _SAMPLED_SHARED)
     return np.eye(8)[0], stack, plain, h
 
@@ -626,11 +628,15 @@ def test_screened_reduced_costs_are_those_of_the_mat_vec(extra, phase):
         rng.permutation(len(cells.starts) - 1)[:rng.integers(1, 9)] for _ in range(30)]
     for take in subsets:
         for tail in (cells.tail, np.empty(0, dtype=int)):
-            ids, r = engine._price_positions(cells, values, v[cols], float(shared @ v), phase,
-                                             h[lo:], in_basis, lp._positions(cells.starts, take),
-                                             tail)
+            ids, r = engine._price_batch(cells, values, v[cols], float(shared @ v), phase,
+                                         h[lo:], in_basis, take, tail)
             assert r.tobytes() == expected[lo + ids].tobytes()
             assert len(ids) == np.sum(np.diff(cells.starts)[take]) + len(tail)
+    with pytest.MonkeyPatch.context() as mp:  # products of 64 rows, cut inside cells
+        mp.setattr(lp, "_PRICE_CHUNK", 64)
+        ids, r = engine._price_batch(cells, values, v[cols], float(shared @ v), phase,
+                                     h[lo:], in_basis, subsets[0], cells.tail)
+    assert r.tobytes() == expected[lo + ids].tobytes() and len(ids) == len(cells.order)
 
 
 def _solve_checking_entering_rows(monkeypatch, *args, **kwargs):
@@ -767,3 +773,29 @@ def test_cells_must_tile_their_block():
                  cells.coeff_map)
     with pytest.raises(SolverError, match="cells of"):
         RowStack([(cols, values[:, 1:], shared, cells)], 8)
+
+
+_TWO_BLOCK_MATVEC = """
+import sys
+import numpy as np
+from safesynth.lp import RowStack
+rng = np.random.default_rng(5)
+shared = np.r_[rng.normal(size=16), np.zeros(8)]
+stack = RowStack.dense(rng.normal(size=(100_033, 24))).with_rows(
+    np.arange(16, 24), rng.normal(size=(8, 200_003)), shared)
+sys.stdout.write(stack.matvec(rng.normal(size=24)).tobytes().hex())
+"""
+
+
+def test_matvec_has_the_same_bits_on_one_and_two_blas_threads():
+    # a dense block and a shared-row block, each multiplied by BLAS in
+    # pieces of the pricing chunk: a second thread must not change a bit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lp.__file__)))
+    products = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        products.append(subprocess.run([sys.executable, "-c", _TWO_BLOCK_MATVEC], env=env,
+                                       capture_output=True, text=True, check=True,
+                                       timeout=60).stdout)
+    assert len(products[0]) == 2 * 8 * 300_036 and products[0] == products[1]

@@ -605,8 +605,10 @@ def test_stack_pivots_like_its_dense_matrix(seed):
 
 
 def test_screened_assembly_is_the_dense_assembly_in_cells(monkeypatch):
-    # the sampled rows, stored in cells, read back bit for bit in sample
-    # order; each cell's box holds its samples and h_min is their least h
+    # the sampled block is the unscreened one, bit for bit, and its cells
+    # are the non-empty grid squares of (x, x'), in the grid's row-major
+    # order, each listing its samples in sample order with their data box
+    # and least h; the last n % 4 samples come last, in no cell
     monkeypatch.setattr(scp, "SCREEN_MIN_ROWS", 64)
     monkeypatch.setattr(scp, "G3_CHUNK", 1000)  # cells straddle the chunks
     layout = room_layout()
@@ -616,23 +618,29 @@ def test_screened_assembly_is_the_dense_assembly_in_cells(monkeypatch):
     plain = sampled_problem(layout, static, data)
     cols, values, shared, cells = problem.G.blocks[-1]
     assert plain.G.blocks[-1][3] is None and cells is not None
+    assert values.tobytes() == plain.G.blocks[-1][1].tobytes()
     assert np.asarray(problem.G).tobytes() == np.asarray(plain.G).tobytes()
     assert problem.h.tobytes() == plain.h.tobytes()
     assert problem.G.nbytes == plain.G.nbytes
-    assert sorted(cells.order.tolist()) == list(range(5003))
-    assert cells.order[-3:].tolist() == [5000, 5001, 5002] and cells.starts[-1] == 5000
     n_static = len(static[1])
-    for c in range(len(cells.starts) - 1):
-        ids = cells.order[cells.starts[c]:cells.starts[c + 1]]
-        z = np.column_stack([data.xs[ids, 0], data.x_nexts[ids, 0]])
-        assert np.array_equal(cells.lower[c], z.min(axis=0))
-        assert np.array_equal(cells.upper[c], z.max(axis=0))
-        assert cells.h_min[c] == problem.h[n_static + ids].min()
-    for z in (data.xs[:5000, 0], data.x_nexts[:5000, 0]):
-        square = np.minimum((z - z.min()) * (scp.CELL_GRID / np.ptp(z)), scp.CELL_GRID - 1)
-        square = square.astype(int)[cells.order[:5000]]
-        for c in range(len(cells.starts) - 1):  # a cell is one grid square
-            assert np.ptp(square[cells.starts[c]:cells.starts[c + 1]]) == 0
+    xs, x_nexts = data.xs[:5000, 0], data.x_nexts[:5000, 0]
+    square = [np.minimum((z - z.min()) * (scp.CELL_GRID / np.ptp(z)), scp.CELL_GRID - 1)
+              .astype(int) for z in (xs, x_nexts)]
+    key = square[0] * scp.CELL_GRID + square[1]
+    order, starts, lower, upper, h_min = [], [0], [], [], []
+    for k in np.unique(key):
+        ids = np.flatnonzero(key == k)
+        order += ids.tolist()
+        starts.append(len(order))
+        lower.append([xs[ids].min(), x_nexts[ids].min()])
+        upper.append([xs[ids].max(), x_nexts[ids].max()])
+        h_min.append(problem.h[n_static + ids].min())
+    assert len(starts) > 100 and max(np.diff(starts)) > 1
+    assert cells.order.tolist() == order + [5000, 5001, 5002]
+    assert cells.starts.tolist() == starts
+    assert cells.lower.tobytes() == np.array(lower).tobytes()
+    assert cells.upper.tobytes() == np.array(upper).tobytes()
+    assert cells.h_min.tobytes() == np.array(h_min).tobytes()
     assert np.array_equal(layout.g3_coeff_map[:, :, :4].sum(axis=0), np.zeros((5, 4)))
     # dropping rows gives the rows and ids of the unscreened program
     drop = [3, n_static + 17, n_static + 5002]

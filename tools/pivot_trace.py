@@ -8,11 +8,13 @@ Usage (from the root of a source checkout):
 Each pair assembles the room case study's scenario program with N samples
 drawn with scenario seed SEED, exactly as synthesis does, solves it with
 `safesynth.scp.solve_lp` at the configuration's tolerances, and prints one
-JSON line: the iteration and degenerate-step counts, the sha256 of the
-sequence of working sets (every basis the dual simplex factorised, in
-order), the objective as `float.hex`, the sha256 of the solution vector and
-of the active row ids, and `max_violation`.  The solver is wrapped from
-outside `src/`, so the same script runs against any tree:
+JSON line: the iteration and degenerate-step counts, the rows priced
+(summed over the pricing passes, so equal counts mean screened pricing read
+the same cells), the sha256 of the sequence of working sets (every basis
+the dual simplex factorised, in order), the objective as `float.hex`, the
+sha256 of the solution vector and of the active row ids, and
+`max_violation`.  The solver is wrapped from outside `src/`, so the same
+script runs against any tree:
 
     python3 tools/pivot_trace.py 20000 2025 140000 2025 > A.jsonl
     (cd OTHER_TREE && python3 tools/pivot_trace.py 20000 2025 140000 2025) > B.jsonl
@@ -23,9 +25,9 @@ Identical lines mean the same pivots, point and active set.
 With `unbounded` or `infeasible` in place of N, the case is a 50,000-row
 program whose sampled-like block carries a shared row and whose solve ends
 in the feasibility probe (`lp._primal_feasible`): unbounded, or infeasible
-through two contradicting rows.  Its line gives the status, the counts, the
-sha256 of every working set of the solve and of the probe's solve, and the
-probe's verdict.
+through two contradicting rows.  Its line gives the status, the counts and
+rows priced of the solve, the sha256 of every working set of the solve and
+of the probe's solve, and the probe's verdict.
 """
 
 import hashlib
@@ -98,6 +100,7 @@ def probe_case(kind: str, seed: int) -> dict:
         "status": result.status.value,
         "iterations": result.iterations,
         "degenerate_steps": result.degenerate_steps,
+        "rows_priced": result.rows_priced,
         "bases": bases.count,
         "bases_sha256": bases.digest.hexdigest(),
         "probe_verdicts": verdicts,
@@ -124,6 +127,7 @@ def trace_case(n: int, seed: int) -> dict:
         "status": solution.status.value,
         "iterations": solution.iterations,
         "degenerate_steps": solution.degenerate_steps,
+        "rows_priced": solution.rows_priced,
         "bases": bases.count,
         "bases_sha256": bases.digest.hexdigest(),
         "objective": None if solution.objective is None else solution.objective.hex(),

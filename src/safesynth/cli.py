@@ -159,11 +159,13 @@ class _DatasetWriter:
     """Dataset sink that writes `scenario.csv` and `validation.csv` of a run.
 
     The collected data are persisted directly, so the simulator is never
-    re-queried for persistence.  Formatting the CSVs holds the interpreter
-    lock, so the files are written by a forked child while this process
-    assembles, solves and validates; `wait` reaps it.  The child only
-    formats and writes, calling no BLAS routine, so it needs none of the
-    parent's threads.  Where `os.fork` is absent the files are written inline.
+    re-queried for persistence.  The files are written by a forked child
+    while this process assembles, solves and validates, so the write costs
+    the run no wall time as long as it is shorter than that work; `wait`
+    reaps it.  The child only formats (NumPy element-wise operations, with
+    Python's `%` for rows holding values outside [1e-4, 1e16)) and writes,
+    calling no BLAS routine, so it needs none of the parent's threads.
+    Where `os.fork` is absent the files are written inline.
     """
 
     def __init__(self, run_dir: str):

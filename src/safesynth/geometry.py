@@ -214,18 +214,29 @@ def u_inverse(eps: float, space: SampleSpace) -> float:
     ) ** (1.0 / n)
 
 
+_SAMPLE_CHUNK = 4096  # rows of unit draws per call of the generator
+
+
 def sample_uniform(space: SampleSpace, count: int, seed: int) -> np.ndarray:
     """Draw `count` i.i.d. uniform points, reproducible for the given seed.
 
-    Returns an array of shape (count, n).  The stream is PCG64; sample i of a
-    given seed is identical no matter how many samples are requested.
+    Returns an array of shape (count, n) in column-major order, so that each
+    coordinate is contiguous.  The stream is PCG64; sample i of a given seed
+    is identical no matter how many samples are requested.  The unit draws
+    are taken _SAMPLE_CHUNK rows at a time and scaled straight into place,
+    so no other temporary is count long.
     """
     if count < 0:
         raise GeometryError("count must be non-negative")
     rng = np.random.Generator(np.random.PCG64(seed))
     box = space.box
-    pts = rng.random((count, space.n))
-    return box.lower_arr + pts * box.sides()
+    sides, lower = box.sides()[:, None], box.lower_arr[:, None]
+    out = np.empty((space.n, count))
+    for lo in range(0, count, _SAMPLE_CHUNK):
+        cols = out[:, lo:lo + _SAMPLE_CHUNK]
+        np.multiply(rng.random((cols.shape[1], space.n)).T, sides, out=cols)
+        cols += lower
+    return out.T
 
 
 def contains(region: "RegionUnion | Box", x: Sequence[float]) -> bool:

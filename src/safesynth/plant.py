@@ -10,12 +10,16 @@ a 45-degree heater, sampled every 5 time units.  External plants are driven
 over a line-oriented child-process protocol so user models stay opaque.
 
 Datasets are stored as plain CSV, one sample per row
-``x1,...,xn,u1,...,um,x'1,...,x'n`` at full float precision, preceded by one
-metadata comment line ``# n=.. m=.. role=.. seed=.. space=..``; reloading is
-lossless.
+``x1,...,xn,u1,...,um,x'1,...,x'n``, preceded by one metadata comment line
+``# n=.. m=.. role=.. seed=.. space=..``.  Each value is printed as C's
+``%.17g``, so reloading is lossless.  `save_dataset` produces those bytes
+block by block with NumPy (`_format_rows`): exact decimal digits from a
+two-product with a power of ten, characters from a lookup table, and the
+`%` operator only for rows holding a value outside [1e-4, 1e16).
 """
 
 import enum
+import functools
 import os
 import re
 import shlex
@@ -235,9 +239,9 @@ def collect(
         raise GeometryError(
             f"sample space dimension {space.n} != state {n} + input {m}"
         )
-    pts = sample_uniform(space, count, seed)
-    xs = pts[:, :n]
-    us = pts[:, n:]
+    coords = sample_uniform(space, count, seed).T  # one contiguous row per coordinate
+    xs = coords[:n].T
+    us = coords[n:].T
     if system.reentrant:
         x_nexts = np.asarray(system.step_batch(xs, us), dtype=float)
         bad = np.flatnonzero(~np.all(np.isfinite(x_nexts), axis=1))
@@ -273,6 +277,127 @@ def _space_from_header(text: str) -> SampleSpace:
 
 
 _SAVE_BLOCK = 65_536  # rows formatted per write by save_dataset
+_WIDTH = 48  # bytes laid out per value before the kept ones are packed
+
+
+def _split(a):
+    """Veltkamp's split: a == hi + lo, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _format_tables():
+    """Tables of `_format_rows`, built on first use.
+
+    Each value is laid out in `_WIDTH` bytes: at 0 a minus sign, at 1-5
+    "0.000", at 7 the leading digit d0 and at 8-23 the digits d1..d16, at 27
+    the decimal point and at 28-43 d1..d16 again, at 44 the separator.  Row
+    ``(sign, k + 4, last)`` of `keep` marks the bytes printed for a value of
+    that sign, decimal exponent k and last non-zero digit.
+    """
+    powers = np.array([float(10**p) for p in range(23)])  # exact
+    q = np.arange(10_000)
+    quad = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + 48
+    zeros = np.zeros(10_000, dtype=np.intp)  # trailing zeros of a four-digit group
+    for z in (1, 2, 3):
+        zeros[q % 10**z == 0] = z
+    zeros[0] = 4
+    template = np.frombuffer(b"-0.000 0" + b"0" * 16 + b"   ." + b"0" * 16 + b",   ", np.uint8)
+    sign = np.arange(2)[:, None, None, None]
+    k = np.arange(-4, 16)[None, :, None, None]
+    last = np.arange(17)[None, None, :, None]
+    pos = np.arange(_WIDTH)
+    keep = (
+        ((pos == 0) & (sign == 1))
+        | ((k < 0) & (pos >= 1) & (pos <= 1 - k))  # "0." and -k - 1 zeros
+        | ((pos >= 7) & (pos <= 7 + np.where(k < 0, last, k)))  # d0 up to d(last), or d(k)
+        | ((k >= 0) & (last > k) & (pos == 27))
+        | ((k >= 0) & (pos >= 28 + k) & (pos <= 27 + last))  # d(k+1) up to d(last)
+        | (pos == 44)
+    ).reshape(-1, _WIDTH)
+    return (
+        (powers, *_split(powers)),
+        quad.astype(np.uint8).view(np.uint32).ravel(),
+        zeros,
+        template.view(np.uint64),
+        keep.view(np.uint64),
+        keep.sum(axis=1),
+    )
+
+
+def _scaled(a, a_hi, a_lo, p, powers):
+    """(hi, lo) with hi == fl(a * 10**p) and hi + lo == a * 10**p exactly.
+
+    Dekker's two-product of a == a_hi + a_lo and the split 10**p: exact
+    without a fused multiply-add, since nothing overflows or underflows here.
+    """
+    b, b_hi, b_lo = (t.take(p) for t in powers)
+    hi = a * b
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _format_rows(block: np.ndarray, line: str):
+    """Yield the bytes of ``(line * len(block)) % tuple(block.ravel().tolist())``.
+
+    `line` holds one ``%.17g`` per column of `block`, comma-separated, and
+    ends in a newline.
+    For 1e-4 <= |x| < 1e16, ``%.17g`` prints D = |x| * 10**(16 - k) rounded
+    half to even, in fixed notation with 16 - k fraction digits and trailing
+    zeros (and a bare point) stripped, k being the decimal exponent of |x|.
+    With 10**p exact for p <= 22, a two-product gives |x| * 10**p = hi + lo
+    exactly, and hi >= 1e16 > 2**53 is an even integer, so D = hi + rint(lo).
+    D never rounds up to 1e17: the largest double below 10**j, for
+    -3 <= j <= 16, lies more than 5e-18 * 10**j below it.  Rows holding any
+    other value (0, -0.0, subnormals, |x| < 1e-4 or >= 1e16, inf, nan) are
+    formatted by `line` and spliced in order.
+    """
+    powers, quad, zeros, template, keep, length = _format_tables()
+    cols = block.shape[1]
+    mag = np.abs(block)
+    fast = ((mag >= 1e-4) & (mag < 1e16)).all(axis=1)
+    a = mag[fast].ravel()
+    a_hi, a_lo = _split(a)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, a_hi, a_lo, 16 - k, powers)
+    # log10 may miss the exponent by one next to a power of ten
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        k[fix] += high[fix].astype(np.intp) - low[fix]
+        hi[fix], lo[fix] = _scaled(a[fix], a_hi[fix], a_lo[fix], 16 - k[fix], powers)
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    chars = np.tile(template, (len(a) // cols, cols)).view(np.uint8).reshape(len(a), _WIDTH)
+    chars.reshape(-1, cols, _WIDTH)[:, -1, 44] = ord("\n")
+    lead, rest = np.divmod(digits, 10**16)
+    chars[:, 7] += lead.astype(np.uint8)
+    groups = np.empty((len(a), 4), dtype=np.int64)
+    for g, scale in enumerate((10**12, 10**8, 10**4)):
+        groups[:, g], rest = np.divmod(rest, scale)
+    groups[:, 3] = rest
+    words = chars.view(np.uint32)
+    words[:, 2:6] = words[:, 7:11] = quad.take(groups)
+    tail = zeros.take(groups)
+    tz = tail[:, 0]  # trailing zeros of d1..d16; d0 is never 0
+    for g in (1, 2, 3):
+        tz = np.where(tail[:, g] == 4, tz + 4, tail[:, g])
+    code = (np.signbit(block[fast]).ravel() * 20 + k + 4) * 17 + 16 - tz
+    packed = chars[keep.take(code, axis=0).view(bool)]
+    ends = np.zeros(len(a) // cols + 1, dtype=np.intp)  # bytes of the first i fast rows
+    np.cumsum(length.take(code).reshape(-1, cols).sum(axis=1), out=ends[1:])
+    slow = np.flatnonzero(~fast)
+    runs = np.flatnonzero(np.diff(slow, prepend=-2) != 1)  # where runs of slow rows start
+    start = 0
+    for i, j in zip(runs, [*runs[1:], len(slow)]):
+        first, stop = slow[i], slow[j - 1] + 1
+        end = ends[first - i]  # i slow rows precede row `first`
+        yield packed[start:end]
+        start = end
+        yield ((line * (stop - first)) % tuple(block[first:stop].ravel().tolist())).encode()
+    yield packed[start:]
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -285,13 +410,12 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(header + "\n")
-            # one C-level %-format call per block of rows
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header.encode() + b"\n")
             line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
             for lo in range(0, len(rows), _SAVE_BLOCK):
-                block = rows[lo:lo + _SAVE_BLOCK]
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+                for piece in _format_rows(rows[lo:lo + _SAVE_BLOCK], line):
+                    fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -91,6 +91,67 @@ def test_dataset_rows_match_per_value_formatting(tmp_path, monkeypatch, room_spa
         assert path.read_text().split("\n", 1)[1] == expected
 
 
+def _percent_rows(rows: np.ndarray) -> str:
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _written_rows(data: Dataset, path) -> str:
+    save_dataset(data, str(path))
+    return path.read_text().split("\n", 1)[1]
+
+
+def _as_dataset(values: np.ndarray) -> Dataset:
+    rows = values.reshape(-1, 3)
+    return Dataset(rows[:, :1], rows[:, 1:2], rows[:, 2:], 0, Role.SCENARIO)
+
+
+def test_dataset_writer_is_percent_formatting_on_millions_of_values(tmp_path, room_space):
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, 690_000, dtype=np.uint64)
+    # exponents of 2**-15 to 2**54: across both ends of the range [1e-4, 1e16)
+    # that is formatted without `%`
+    bits[90_000:] &= ~np.uint64(0x7FF << 52)
+    bits[90_000:] |= rng.integers(1023 - 15, 1023 + 55, 600_000).astype(np.uint64) << np.uint64(52)
+    # m / 2**j with m odd and m * 5**j of 18 digits: the 18th significant
+    # digit is a final 5, a tie that %.17g rounds to even
+    j = rng.integers(2, 26, 300_000)
+    low = np.ceil(1e17 / 5.0**j)
+    high = np.minimum(1e18 / 5.0**j, 2.0**53)
+    ties = (np.floor(low + rng.random(j.size) * (high - low)) // 2 * 2 + 1) / 2.0**j
+    powers = np.array([float(f"1e{e}") for e in range(-5, 18)])
+    special = np.array([
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, np.inf, -np.inf,
+        np.nan, 1.7976931348623157e308, -1.7976931348623157e308, 1572865 / 65536,
+    ])
+    values = np.concatenate([
+        bits.view(np.float64),
+        rng.choice([-1.0, 1.0], 400_000) * 10.0 ** rng.uniform(-4.0, 16.0, 400_000),
+        ties * rng.choice([-1.0, 1.0], ties.size),
+        powers, -powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        special,
+    ])
+    values = np.concatenate([values, np.zeros(-len(values) % 3)])
+    assert "%.17g" % (1572865 / 65536) == "24.000015258789062"
+    big = collect(RoomTemperaturePlant(), room_space, 210_000, 3)
+    for data in (_as_dataset(values), big):
+        rows = np.hstack([data.xs, data.us, data.x_nexts])
+        assert _written_rows(data, tmp_path / "data.csv") == _percent_rows(rows)
+
+
+def test_dataset_writer_splices_per_row_lines_anywhere_in_a_block(tmp_path, monkeypatch):
+    # blocks of 7 rows; rows holding a value outside [1e-4, 1e16) open, end
+    # and sit inside blocks, fill one block, and end the last one
+    monkeypatch.setattr(plant_module, "_SAVE_BLOCK", 7)
+    rows = np.random.default_rng(4).uniform(-30.0, 30.0, (40, 3))
+    for row, col, value in [(0, 1, 0.0), (3, 0, 1e-7), (6, 2, np.nan), (7, 1, -0.0),
+                            (8, 0, 1e16), (13, 2, -np.inf), (17, 1, 5e-324), (39, 0, 1e300)]:
+        rows[row, col] = value
+    rows[21:28, 1] = 2.5e-5
+    data = _as_dataset(rows)
+    assert _written_rows(data, tmp_path / "data.csv") == _percent_rows(rows)
+
+
 def test_dataset_header_format(tmp_path, room_space):
     data = collect(RoomTemperaturePlant(), room_space, 3, 42)
     path = tmp_path / "data.csv"

@@ -11,10 +11,12 @@ Run it in two checkouts and compare with `diff -r OUT_A OUT_B`; identical
 output means the same certificates, verdicts, solver counters and datasets.
 
 Cases: `synthesize` and `prior-synthesize --eps 7.492e-6` on the bundled
-configuration, a 200/5000-sample small room configuration, `repeat --runs 4`
-of a certifying small configuration with two workers, and a degree-0 small
-configuration whose program is infeasible (its sampled rows have a
-structurally zero barrier column).
+configuration, a 200/5000-sample small room configuration, the same with
+the input box [0, 1e-3] (about a tenth of the inputs lie below 1e-4 and are
+printed in exponent form, so their CSV rows take the writer's per-row
+path), `repeat --runs 4` of a certifying small configuration with two
+workers, and a degree-0 small configuration whose program is infeasible
+(its sampled rows have a structurally zero barrier column).
 """
 
 import contextlib
@@ -47,6 +49,7 @@ CASES = {
     "synthesize": (["synthesize"], None),
     "prior_synthesize": (["prior-synthesize", "--eps", "7.492e-6"], None),
     "small": (["synthesize"], _small_room()),
+    "small_tiny_inputs": (["synthesize"], _small_room(input_box=[[0.0, 1e-3]])),
     "repeat_workers": (["repeat", "--runs", "4"], _small_room(lipschitz=0.5, workers=2)),
     "lp_infeasible": (["synthesize"], _small_room(barrier_degree=0, controller_degrees=[0])),
 }

@@ -62,7 +62,7 @@ from .scp import (
     DecisionLayout,
     GridSpec,
     LpProblem,
-    LpSolution,
+    LpResult,
     LpTolerances,
     build_problem,
     count_active_g3,

@@ -42,7 +42,7 @@ different magnitude do not poison the pivot tolerances.
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -331,19 +331,30 @@ def _cuts(rows: int, size: int):
 
 
 @dataclass
-class DenseLpResult:
-    status: LpStatus
-    z: np.ndarray | None
-    objective: float | None
-    basis_rows: np.ndarray
-    multipliers: np.ndarray
-    iterations: int
-    degenerate_steps: int
-    bland_iterations: int
-    max_violation: float
-    zero_multipliers: int
+class LpResult:
+    """The record of one solve, from the dual simplex to the report.
+
+    `_DualSimplex` makes it and counts into it while it pivots, so every
+    outcome carries the counters: optimal, infeasible and unbounded.  At an
+    optimum `solve_dense_lp` adds the point `z`, its objective, the final
+    working set (`basis_rows`, ascending, with their `multipliers`), the
+    largest violation and `residual`, G z - h at z; `scp.solve_lp` moves the
+    rows within its activity tolerance of their bound into `active_row_ids`
+    and drops the residual.  Without a point `max_violation` is None."""
+
+    status: LpStatus | None = None
+    z: np.ndarray | None = None
+    objective: float | None = None
+    basis_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    multipliers: np.ndarray = field(default_factory=lambda: np.empty(0))
+    max_violation: float | None = None
+    zero_multipliers: int = 0
+    residual: np.ndarray | None = None
+    active_row_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    iterations: int = 0
+    degenerate_steps: int = 0
+    bland_iterations: int = 0
     rows_priced: int = 0  # summed over the pricing passes, one per iteration and phase end
-    residual: np.ndarray | None = None  # G z - h at the returned z
 
 
 def _pow2_column_scale(G: RowStack) -> np.ndarray:
@@ -399,11 +410,8 @@ class _DualSimplex:
         self.chunks = list(G.chunks(_PRICE_CHUNK, skip=self.screened))
         self.chunk_spans = np.array([(start, stop) for start, stop, _ in self.chunks],
                                     dtype=np.intp).reshape(-1, 2).T
-        self.iterations = 0
-        self.rows_priced = 0
+        self.result = LpResult()  # counted into while pivoting
         self._gathered = {}  # see `_cell_rows`
-        self.degenerate_steps = 0
-        self.bland_iterations = 0
         self._bland = False
         self._stall = 0
 
@@ -449,7 +457,7 @@ class _DualSimplex:
                 np.subtract(self.h[start:stop], r, out=r)
             if i < j:
                 r[rows[i:j] - start] = np.inf
-            self.rows_priced += stop - start
+            self.result.rows_priced += stop - start
             yield start, r
 
     def _entering_row(self, v: np.ndarray, phase: int, scratch: np.ndarray) -> int | None:
@@ -572,7 +580,7 @@ class _DualSimplex:
                 row = self.G.starts[self.screened] + int(ids[np.isnan(r)][0])
                 raise SolverError(f"NaN reduced cost of row {row} in phase {phase}",
                                   status=LpStatus.ITERATION_LIMIT.value)
-            self.rows_priced += len(r)
+            self.result.rows_priced += len(r)
             ids_parts.append(ids)
             r_parts.append(r)
         return np.concatenate(ids_parts), np.concatenate(r_parts)
@@ -581,7 +589,7 @@ class _DualSimplex:
         """Returns (outcome, pi, x_B); outcome in {"optimal", "unbounded"}."""
         scratch = self.new_scratch()
         while True:
-            if self.iterations >= max_iter:
+            if self.result.iterations >= max_iter:
                 raise SolverError(
                     f"iteration limit {max_iter} reached in phase {phase}",
                     status=LpStatus.ITERATION_LIMIT.value,
@@ -603,7 +611,7 @@ class _DualSimplex:
             if enter is None:
                 return "optimal", pi, x_B
             if self._bland:
-                self.bland_iterations += 1
+                self.result.bland_iterations += 1
             a_q = self.G.row(enter) * self.scale
             w = np.linalg.solve(A_B, a_q)
             leave_pos, theta = self._choose_leaving(x_B, w, phase)
@@ -611,9 +619,9 @@ class _DualSimplex:
                 return "unbounded", pi, x_B
             self.basis[leave_pos] = enter
             self.A_B[:, leave_pos] = a_q
-            self.iterations += 1
+            self.result.iterations += 1
             if theta <= 1e-11:
-                self.degenerate_steps += 1
+                self.result.degenerate_steps += 1
                 self._stall += 1
                 if self._stall >= self.stall_limit:
                     self._bland = True
@@ -654,7 +662,7 @@ def solve_dense_lp(
     max_iter: int = 20000,
     stall_limit: int = 64,
     _allow_probe: bool = True,
-) -> DenseLpResult:
+) -> LpResult:
     """Solve min cost.z s.t. G z <= h; see module docstring for the method.
 
     G is a `RowStack` or anything `np.asarray` makes a 2-D matrix of.  A
@@ -681,62 +689,40 @@ def solve_dense_lp(
         # ray here can only be numerical noise.
         raise SolverError("phase 1 reported an unbounded ray",
                           status=LpStatus.ITERATION_LIMIT.value)
+    result = engine.result
     art_level = float(np.sum(np.maximum(x_B[engine.basis >= m], 0.0)))
     if art_level > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
         # Dual infeasible: the original program is unbounded or infeasible.
-        if _allow_probe and _primal_feasible(G, h, feas_tol, opt_tol, pivot_tol,
-                                             max_iter, stall_limit):
-            return _failure(LpStatus.UNBOUNDED, engine)
-        return _failure(LpStatus.INFEASIBLE if _allow_probe else LpStatus.UNBOUNDED, engine)
+        unbounded = not _allow_probe or _primal_feasible(G, h, feas_tol, opt_tol, pivot_tol,
+                                                        max_iter, stall_limit)
+        result.status = LpStatus.UNBOUNDED if unbounded else LpStatus.INFEASIBLE
+        return result
 
     outcome, pi, x_B = engine.run_phase(2, max_iter)
     if outcome == "unbounded":
-        return _failure(LpStatus.INFEASIBLE, engine)
+        result.status = LpStatus.INFEASIBLE
+        return result
 
     z = pi * scale
     resid = G.matvec(z)
     resid -= h
-    max_violation = float(np.max(resid)) if m else 0.0
-    real = engine.basis < m
-    basis_rows = np.sort(engine.basis[real])
-    order = np.argsort(engine.basis[real])
-    multipliers = np.maximum(x_B[real][order], 0.0)
-    zero_mult = int(np.sum(multipliers <= opt_tol))
+    max_violation = float(np.max(resid))
     if max_violation > feas_tol:
         raise SolverError(
             f"optimal basis violates feasibility tolerance: {max_violation:.3e} > {feas_tol:.0e}",
             status=LpStatus.ITERATION_LIMIT.value,
         )
-    return DenseLpResult(
-        status=LpStatus.OPTIMAL,
-        z=z,
-        objective=float(cost @ z),
-        basis_rows=basis_rows,
-        multipliers=multipliers,
-        iterations=engine.iterations,
-        degenerate_steps=engine.degenerate_steps,
-        bland_iterations=engine.bland_iterations,
-        max_violation=max(max_violation, 0.0),
-        zero_multipliers=zero_mult,
-        rows_priced=engine.rows_priced,
-        residual=resid,
-    )
-
-
-def _failure(status: LpStatus, engine: _DualSimplex) -> DenseLpResult:
-    return DenseLpResult(
-        status=status,
-        z=None,
-        objective=None,
-        basis_rows=np.empty(0, dtype=int),
-        multipliers=np.empty(0),
-        iterations=engine.iterations,
-        degenerate_steps=engine.degenerate_steps,
-        bland_iterations=engine.bland_iterations,
-        max_violation=math.inf,
-        zero_multipliers=0,
-        rows_priced=engine.rows_priced,
-    )
+    real = engine.basis < m
+    order = np.argsort(engine.basis[real])
+    result.status = LpStatus.OPTIMAL
+    result.z = z
+    result.objective = float(cost @ z)
+    result.basis_rows = np.sort(engine.basis[real])
+    result.multipliers = np.maximum(x_B[real][order], 0.0)
+    result.max_violation = max(max_violation, 0.0)
+    result.zero_multipliers = int(np.sum(result.multipliers <= opt_tol))
+    result.residual = resid
+    return result
 
 
 def _primal_feasible(G: RowStack, h, feas_tol, opt_tol, pivot_tol, max_iter,

@@ -57,10 +57,10 @@ from .scp import (
     CertificateValues,
     DecisionLayout,
     GridSpec,
-    LpSolution,
+    LpResult,
     LpStatus,
     LpTolerances,
-    RowTag,
+    active_g3,
     box_to_polytope,
     build_problem,
     sampled_problem,
@@ -116,7 +116,7 @@ _AUTO_SAMPLES = {
     }
 }
 _COEFF_BOUNDS = {"barrier": (float, _REQUIRED), "controller": (None, _REQUIRED)}
-_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number"}
+_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", list: "array"}
 
 
 def _typed(value, kind: type, name: str):
@@ -128,6 +128,14 @@ def _typed(value, kind: type, name: str):
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return kind(value)
+
+
+def _arrays(value, kind: type, name: str, depth: int = 1):
+    """`value` as JSON arrays nested `depth` deep, with `kind` values (see
+    `_typed`) innermost."""
+    if depth == 0:
+        return _typed(value, kind, name)
+    return [_arrays(v, kind, name, depth - 1) for v in _typed(value, list, name)]
 
 
 def _read(mapping, table: dict, where: str) -> dict:
@@ -228,10 +236,12 @@ def validate_config(data: dict) -> SynthesisConfig:
         raise ConfigError(f"unknown plant {plant_spec!r}")
 
     try:
-        state_box = Box.from_intervals(raw["state_space"])
-        input_box = Box.from_intervals(raw["input_box"])
-        initial_region = RegionUnion.from_intervals(raw["initial_set"])
-        unsafe_region = RegionUnion.from_intervals(raw["unsafe_set"])
+        state_box = Box.from_intervals(_arrays(raw["state_space"], float, "state_space", 2))
+        input_box = Box.from_intervals(_arrays(raw["input_box"], float, "input_box", 2))
+        initial_region = RegionUnion.from_intervals(
+            _arrays(raw["initial_set"], float, "initial_set", 3))
+        unsafe_region = RegionUnion.from_intervals(
+            _arrays(raw["unsafe_set"], float, "unsafe_set", 3))
     except SafesynthError as exc:
         raise ConfigError(f"bad region declaration: {exc}") from exc
 
@@ -250,9 +260,9 @@ def validate_config(data: dict) -> SynthesisConfig:
 
     if opts["horizon"] < 1:
         raise ConfigError(f"horizon must be >= 1, got {opts['horizon']}")
-    controller_degrees = tuple(
-        _typed(k, int, "controller_degrees entry") for k in raw["controller_degrees"]
-    )
+    controller_degrees = tuple(_arrays(raw["controller_degrees"], int, "controller_degrees"))
+    if min((opts["barrier_degree"], *controller_degrees)) < 0:
+        raise ConfigError("barrier_degree and controller_degrees must be >= 0")
     if len(controller_degrees) != input_dim:
         raise ConfigError(
             f"need one controller degree per input dimension ({input_dim}), "
@@ -284,11 +294,11 @@ def validate_config(data: dict) -> SynthesisConfig:
         raise ConfigError("grid_points entries must be >= 2")
 
     coeff_bounds = _read(raw["coeff_bounds"], _COEFF_BOUNDS, "coeff_bounds")
-    controller_bounds = tuple(
-        _typed(b, float, "coeff_bounds.controller entry") for b in coeff_bounds["controller"]
-    )
+    controller_bounds = tuple(_arrays(coeff_bounds["controller"], float, "coeff_bounds.controller"))
     if len(controller_bounds) != input_dim:
         raise ConfigError("need one controller coefficient bound per input dimension")
+    if min((coeff_bounds["barrier"], *controller_bounds)) <= 0:
+        raise ConfigError("coeff_bounds entries must be positive")
 
     if opts["strict_margin"] < 0:
         raise ConfigError("strict_margin must be non-negative")
@@ -453,16 +463,16 @@ class CertificateReport:
         return cls(**values)
 
 
-def _solver_summary(solution: LpSolution, active_g3: int | None) -> dict:
+def _solver_summary(solution: LpResult, support_bound: int | None) -> dict:
     return {
         "status": solution.status.value,
         "iterations": solution.iterations,
         "degenerate_steps": solution.degenerate_steps,
         "bland_iterations": solution.bland_iterations,
         "zero_multipliers": solution.zero_multipliers,
-        "max_violation": float(solution.max_violation),
-        "active_rows": int(len(solution.active_row_ids)),
-        "active_g3": active_g3,
+        "max_violation": solution.max_violation,  # None (JSON null) without a point
+        "active_rows": len(solution.active_row_ids),
+        "active_g3": support_bound,
     }
 
 
@@ -503,13 +513,12 @@ def pilot_estimates(config: SynthesisConfig, plant: BlackBoxSystem, n_pilot: int
     dataset = collect(plant, config.space(), n_pilot, pilot_seed, Role.SCENARIO)
     problem = build_problem(config.layout(), dataset, *_row_inputs(config))
     solution = solve_lp(problem, config.tolerances)
-    if solution.status != LpStatus.OPTIMAL or solution.objective is None:
+    if solution.status != LpStatus.OPTIMAL:
         raise SolverError(
             f"pilot solve failed with status {solution.status.value}",
             status=solution.status.value,
         )
-    nstar = int(np.count_nonzero(problem.tags[solution.active_row_ids] == RowTag.G3))
-    return float(solution.objective), max(1, nstar)
+    return float(solution.objective), max(1, active_g3(problem, solution))
 
 
 def _row_inputs(config: SynthesisConfig) -> tuple:
@@ -521,17 +530,22 @@ def _row_inputs(config: SynthesisConfig) -> tuple:
     )
 
 
-def _snap_growth_budget(cert: CertificateValues, horizon: int) -> CertificateValues:
+def _snap_growth_budget(cert: CertificateValues, horizon: int) -> CertificateValues | None:
     """Make budget * horizon <= floor - cap hold exactly in float arithmetic.
 
     The LP keeps that row active, so the extracted budget can overshoot the
     corridor by rounding noise; shaving at most 1e-9 off the budget is far
     inside the solver's feasibility tolerance and only strengthens the
-    certificate, so downstream checks can test against exact zero.
+    certificate, so downstream checks can test against exact zero.  None
+    when the corridor floor - cap is negative, which the feasibility
+    tolerance allows: no budget >= 0 closes it.
     """
     corridor = cert.unsafe_floor - cert.initial_cap
+    if corridor < 0.0:
+        return None
     budget = max(0.0, min(cert.growth_budget, corridor / horizon))
     shaved = 0.0
+    # ends by budget 0 at the latest, as 0 * horizon <= corridor
     while budget * horizon > corridor and shaved < 1e-9:
         new = math.nextafter(budget, -math.inf)
         shaved += budget - new
@@ -619,19 +633,22 @@ def _run(
         fields["solver"] = {"status": exc.status, "error": str(exc)}
         return _inconclusive(fields, f"lp_{exc.status}", t0, exc)
     timings["solve"] = time.perf_counter() - t2
-    if solution.status != LpStatus.OPTIMAL or solution.d_star is None:
+    if solution.status != LpStatus.OPTIMAL:
         fields["solver"] = _solver_summary(solution, None)
         return _inconclusive(fields, f"lp_{solution.status.value}", t0)
 
-    certificate = _snap_growth_budget(solution.certificate(layout), config.horizon)
-    # sampled rows among the rows `solve_lp` found active at the activity tolerance
-    support_bound = int(np.count_nonzero(problem.tags[solution.active_row_ids] == RowTag.G3))
+    support_bound = active_g3(problem, solution)
     fields.update(
-        certificate=certificate,
         support_bound=support_bound,
-        margin_objective=float(solution.objective),
+        margin_objective=solution.objective,
         solver=_solver_summary(solution, support_bound),
     )
+    certificate = _snap_growth_budget(
+        CertificateValues.from_vector(layout, solution.z), config.horizon
+    )
+    if certificate is None:
+        return _inconclusive(fields, "corridor_negative", t0)
+    fields["certificate"] = certificate
     if solution.degenerate_steps > 0:
         warnings.append(
             f"{solution.degenerate_steps} degenerate pivot(s): the optimum may be non-unique"

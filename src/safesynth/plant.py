@@ -20,6 +20,7 @@ two-product with a power of ten, characters from a lookup table, and the
 
 import enum
 import functools
+import math
 import os
 import re
 import shlex
@@ -424,7 +425,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Parse a dataset CSV; malformed content fails with its line number."""
+    """Parse a dataset CSV; malformed or non-finite content fails with its line number."""
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -459,9 +460,12 @@ def load_dataset(path: str) -> Dataset:
                 f"{path}: line {lineno}: expected {want} fields, found {len(fields)}"
             )
         try:
-            data.append([float(f) for f in fields])
+            row = [float(f) for f in fields]
         except ValueError:
             raise DatasetFormatError(f"{path}: line {lineno}: non-numeric field") from None
+        if not all(map(math.isfinite, row)):
+            raise DatasetFormatError(f"{path}: line {lineno}: non-finite field")
+        data.append(row)
     if not data:
         raise DatasetFormatError(f"{path}: no sample rows")
     arr = np.asarray(data, dtype=float)

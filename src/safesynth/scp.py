@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import AssemblyError, SolverError
 from .geometry import Box, RegionUnion, box_grid, grid_halfstep
-from .lp import Cells, LpStatus, RowStack, solve_dense_lp
+from .lp import Cells, LpResult, LpStatus, RowStack, solve_dense_lp
 from .plant import Dataset
 from .polynomial import (
     PolyBasis,
@@ -272,23 +272,17 @@ class LpProblem:
 
     G is a `RowStack`; a dense matrix passed in becomes its one block.  `h`
     is n_rows long and read-only, because the sampled block's cells carry
-    bounds taken from it (`lp.Cells.h_min`) that pricing trusts.
-    `origins` names the first len(origins) rows (a grid index, or -1 for a
-    structural row); every row after them is a sampled row, and its origin
-    is its sample index, the row's position counted from the first of them."""
+    bounds taken from it (`lp.Cells.h_min`) that pricing trusts."""
 
-    def __init__(self, G, h, tags, origins, layout: DecisionLayout):
+    def __init__(self, G, h, tags, layout: DecisionLayout):
         self.G = G if isinstance(G, RowStack) else RowStack.dense(G)
         m = len(self.G)
         self.h = np.asarray(h, dtype=float).ravel()
         self.h.flags.writeable = False
         self.tags = np.asarray(tags, dtype=np.int8)
-        self.origins = np.asarray(origins, dtype=np.int64)
         self.layout = layout
-        if not (len(self.h) == m == len(self.tags) >= len(self.origins)):
+        if not len(self.h) == m == len(self.tags):
             raise AssemblyError("row blocks disagree on length")
-        if np.any(self.tags[len(self.origins):] != RowTag.G3):
-            raise AssemblyError("rows without an origin must be sampled rows")
         if self.G.shape[1] != layout.n_total:
             raise AssemblyError(
                 f"rows have {self.G.shape[1]} columns, layout wants {layout.n_total}"
@@ -312,10 +306,7 @@ class LpProblem:
     def without_rows(self, drop: Sequence[int]) -> "LpProblem":
         keep = np.ones(self.n_rows, dtype=bool)
         keep[list(drop)] = False
-        origins = np.concatenate([self.origins, np.arange(self.n_rows - len(self.origins))])
-        return LpProblem(
-            self.G.select(keep), self.h[keep], self.tags[keep], origins[keep], self.layout,
-        )
+        return LpProblem(self.G.select(keep), self.h[keep], self.tags[keep], self.layout)
 
     def residuals(self, d: np.ndarray) -> np.ndarray:
         resid = self.G.matvec(d)
@@ -446,11 +437,9 @@ def g4_rows(
     input_b: np.ndarray,
     part_box: Box | None = None,
     halfstep: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Input-polytope rows A F(x) <= b at every state grid point.
-
-    Returns (block, rhs, origins) with origins the grid index of each row.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Input-polytope rows A F(x) <= b at every state grid point, one
+    polytope row after another."""
     input_a = np.atleast_2d(np.asarray(input_a, dtype=float))
     input_b = np.asarray(input_b, dtype=float).ravel()
     if input_a.shape[0] != input_b.shape[0]:
@@ -462,7 +451,7 @@ def g4_rows(
         )
     if len(grid) == 0:
         raise AssemblyError("empty state grid")
-    blocks, rhs, origins = [], [], []
+    blocks, rhs = [], []
     phis = [eval_basis_many(basis, grid) for basis in layout.controllers]
     for i in range(input_a.shape[0]):
         block = np.zeros((len(grid), layout.n_total))
@@ -477,8 +466,7 @@ def g4_rows(
                 )
         blocks.append(block)
         rhs.append(np.full(len(grid), input_b[i]))
-        origins.append(np.arange(len(grid)))
-    return np.vstack(blocks), np.concatenate(rhs), np.concatenate(origins)
+    return np.vstack(blocks), np.concatenate(rhs)
 
 
 def structural_rows(layout: DecisionLayout, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -574,7 +562,7 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     carries cells (`sample_cells`), which pricing screens.  The sampled
     right-hand side is written straight into h.
     """
-    static_G, static_h, static_tags, static_origins = static
+    static_G, static_h, static_tags = static
     n, ns = len(dataset), len(static_h)
     m = ns + n
     h = np.empty(m)
@@ -598,7 +586,6 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
                   (layout.g3_columns, samp_G, layout.g3_shared_row, cells)], layout.n_total),
         h,
         np.concatenate([static_tags, np.full(n, RowTag.G3, dtype=np.int8)]),
-        static_origins,  # a sampled row's origin is its position
         layout,
     )
 
@@ -664,17 +651,16 @@ def static_blocks(
     grids: GridSpec,
     eta: float,
     tighten: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sample-independent rows (structural + grids), reusable across runs."""
-    blocks, rhss, tags, origins = [], [], [], []
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sample-independent rows (structural + grids), reusable across
+    runs: (G, h, tags)."""
+    blocks, rhss, tags = [], [], []
 
     sG, sh = structural_rows(layout, horizon)
     blocks.append(sG)
     rhss.append(sh)
     tags.append(np.full(len(sG), RowTag.STRUCTURAL, dtype=np.int8))
-    origins.append(np.full(len(sG), -1, dtype=np.int64))
 
-    offset = 0
     for part in initial_region.parts:
         grid = box_grid(part, grids.initial)
         hs = grid_halfstep(part, grids.initial) if tighten else None
@@ -682,10 +668,7 @@ def static_blocks(
         blocks.append(bG)
         rhss.append(bh)
         tags.append(np.full(len(bG), RowTag.G1, dtype=np.int8))
-        origins.append(np.arange(offset, offset + len(bG), dtype=np.int64))
-        offset += len(bG)
 
-    offset = 0
     for part in unsafe_region.parts:
         grid = box_grid(part, grids.unsafe)
         hs = grid_halfstep(part, grids.unsafe) if tighten else None
@@ -693,23 +676,15 @@ def static_blocks(
         blocks.append(bG)
         rhss.append(bh)
         tags.append(np.full(len(bG), RowTag.G2, dtype=np.int8))
-        origins.append(np.arange(offset, offset + len(bG), dtype=np.int64))
-        offset += len(bG)
 
     grid = box_grid(state_box, grids.state)
     hs = grid_halfstep(state_box, grids.state) if tighten else None
-    bG, bh, borig = g4_rows(layout, grid, input_a, input_b, state_box, hs)
+    bG, bh = g4_rows(layout, grid, input_a, input_b, state_box, hs)
     blocks.append(bG)
     rhss.append(bh)
     tags.append(np.full(len(bG), RowTag.G4, dtype=np.int8))
-    origins.append(borig.astype(np.int64))
 
-    return (
-        np.vstack(blocks),
-        np.concatenate(rhss),
-        np.concatenate(tags),
-        np.concatenate(origins),
-    )
+    return np.vstack(blocks), np.concatenate(rhss), np.concatenate(tags)
 
 
 @dataclass(frozen=True)
@@ -721,32 +696,11 @@ class LpTolerances:
     max_iterations: int = 20000
 
 
-@dataclass
-class LpSolution:
-    status: LpStatus
-    d_star: np.ndarray | None
-    objective: float | None
-    active_row_ids: np.ndarray
-    iterations: int
-    degenerate_steps: int
-    bland_iterations: int
-    max_violation: float
-    zero_multipliers: int
-    rows_priced: int = 0  # rows the solver priced, summed over its pricing passes
-
-    def certificate(self, layout: DecisionLayout) -> CertificateValues:
-        if self.d_star is None:
-            raise _no_solution(self.status)
-        return CertificateValues.from_vector(layout, self.d_star)
-
-
-def _no_solution(status: LpStatus):
-    return SolverError(f"no solution available (status {status.value})", status=status.value)
-
-
-def solve_lp(problem: LpProblem, tolerances: LpTolerances = LpTolerances()) -> LpSolution:
-    """Solve the assembled program."""
-    res = solve_dense_lp(
+def solve_lp(problem: LpProblem, tolerances: LpTolerances = LpTolerances()) -> LpResult:
+    """Solve the assembled program; at an optimum the record's
+    `active_row_ids` are the rows within `tolerances.activity` of their
+    bound, and the m-long residual they were taken from is dropped."""
+    result = solve_dense_lp(
         problem.cost,
         problem.G,
         problem.h,
@@ -755,42 +709,28 @@ def solve_lp(problem: LpProblem, tolerances: LpTolerances = LpTolerances()) -> L
         feas_tol=tolerances.feasibility,
         max_iter=tolerances.max_iterations,
     )
-    if res.status != LpStatus.OPTIMAL or res.z is None:
-        return LpSolution(
-            status=res.status,
-            d_star=None,
-            objective=None,
-            active_row_ids=np.empty(0, dtype=int),
-            iterations=res.iterations,
-            degenerate_steps=res.degenerate_steps,
-            bland_iterations=res.bland_iterations,
-            max_violation=res.max_violation,
-            zero_multipliers=res.zero_multipliers,
-            rows_priced=res.rows_priced,
-        )
-    resid = res.residual
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        d_star=res.z,
-        objective=float(problem.cost @ res.z),
-        active_row_ids=np.flatnonzero(np.abs(resid, out=resid) <= tolerances.activity),
-        iterations=res.iterations,
-        degenerate_steps=res.degenerate_steps,
-        bland_iterations=res.bland_iterations,
-        max_violation=res.max_violation,
-        zero_multipliers=res.zero_multipliers,
-        rows_priced=res.rows_priced,
-    )
+    if result.residual is not None:
+        resid = np.abs(result.residual, out=result.residual)
+        result.active_row_ids = np.flatnonzero(resid <= tolerances.activity)
+        result.residual = None
+    return result
 
 
-def count_active_g3(problem: LpProblem, solution: LpSolution, tol: float | None = None) -> int:
+def active_g3(problem: LpProblem, solution: LpResult) -> int:
+    """The sampled rows among the rows `solve_lp` found active: the support
+    bound N* of the posterior method."""
+    return int(np.count_nonzero(problem.tags[solution.active_row_ids] == RowTag.G3))
+
+
+def count_active_g3(problem: LpProblem, solution: LpResult, tol: float | None = None) -> int:
     """Number of sampled rows active at the solution (residual test).
 
     Under non-degeneracy this upper-bounds the number of support constraints.
     """
-    if solution.d_star is None:
-        raise _no_solution(solution.status)
+    if solution.z is None:
+        raise SolverError(f"no solution available (status {solution.status.value})",
+                          status=solution.status.value)
     tol = LpTolerances().activity if tol is None else tol
-    resid = problem.residuals(solution.d_star)
+    resid = problem.residuals(solution.z)
     np.abs(resid, out=resid)
     return int(np.count_nonzero((resid <= tol) & (problem.tags == RowTag.G3)))

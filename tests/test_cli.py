@@ -135,6 +135,64 @@ def test_bad_input_file_is_config_exit(tmp_path, capsys, command, content, messa
     assert str(path) in err and message in err
 
 
+MALFORMED_SHAPES = {
+    "controller_degrees-not-array": {"controller_degrees": 4},
+    "controller_bounds-not-array": {"coeff_bounds": {"barrier": 1.0, "controller": 5}},
+    "initial_set-flat": {"initial_set": [1, 2]},
+    "state_space-strings": {"state_space": [["a", "b"]]},
+    "controller_degree-negative": {"controller_degrees": [-2]},
+    "barrier_degree-negative": {"barrier_degree": -1},
+    "barrier_bound-negative": {"coeff_bounds": {"barrier": -1, "controller": [0.1]}},
+}
+
+
+@pytest.mark.parametrize("command", ["synthesize", "verify"])
+@pytest.mark.parametrize("overrides", MALFORMED_SHAPES.values(), ids=MALFORMED_SHAPES)
+def test_malformed_config_shape_is_config_exit(tmp_path, capsys, command, overrides):
+    # a configuration, or a report's echoed one, of the wrong shape: these
+    # ended in tracebacks (exit 1) or as runtime failures (exit 4)
+    raw = small_raw(**overrides)
+    if command == "synthesize":
+        path = write_config(tmp_path, raw)
+    else:
+        from safesynth.scp import CertificateValues
+
+        layout = validate_config(small_raw()).layout()
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({
+            "method": "posterior", "verdict": "certified",
+            "certificate": CertificateValues.from_vector(layout, [0.0] * layout.n_total).to_dict(),
+            "n_scenario": 1, "lipschitz": 1.0, "beta": 0.05, "seeds": {}, "solver": {},
+            "timings": {}, "config": raw, "config_sha256": "",
+        }))
+    flag = "--report" if command == "verify" else "--config"
+    assert main([command, flag, str(path), "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("overrides, exit_code, cause", [
+    ({"lipschitz": 1.0, "samples": {"scenario": 3000, "validation": 1500}}, EXIT_OK, None),
+    ({"barrier_degree": 0, "controller_degrees": [0]}, EXIT_INCONCLUSIVE, "lp_infeasible"),
+    ({"tolerances": {"max_iterations": 2}}, EXIT_INCONCLUSIVE, "lp_iteration-limit"),
+    # one sample, active, and one violated validation sample: no root
+    ({"samples": {"scenario": 1, "validation": 1}}, EXIT_INCONCLUSIVE, "kappa_vacuous"),
+], ids=["certified", "lp_infeasible", "lp_iteration-limit", "kappa_vacuous"])
+def test_report_is_strict_json(tmp_path, capsys, overrides, exit_code, cause):
+    # an infeasible solve's max_violation was written as the literal Infinity
+    cfg = write_config(tmp_path, small_raw(**overrides))
+    rc = main(["synthesize", "--config", cfg, "--out", str(tmp_path / "runs"), "--no-datasets"])
+    assert rc == exit_code
+    text = next((tmp_path / "runs").iterdir()).joinpath("report.json").read_text()
+    report = json.loads(text, parse_constant=_no_constant)
+    assert report["failure_cause"] == cause
+    if cause == "lp_infeasible":
+        assert report["solver"]["max_violation"] is None
+
+
 def test_collect_command(tmp_path, capsys):
     cfg = write_config(tmp_path, small_raw())
     out_file = tmp_path / "data.csv"

@@ -105,7 +105,7 @@ def test_support_bound_recounts_from_residuals():
     report = synthesize(config)
     _, problem = scenario_problem(config)
     solution = solve_lp(problem, config.tolerances)
-    resid = problem.residuals(solution.d_star)[problem.g3_row_indices()]
+    resid = problem.residuals(solution.z)[problem.g3_row_indices()]
     recount = int(np.sum(np.abs(resid) <= config.tolerances.activity))
     assert solution.objective == report.margin_objective
     assert recount >= 1
@@ -216,6 +216,7 @@ def test_config_rejects_region_outside_state_space():
         ("horizon", 5.7),
         ("horizon", True),
         ("workers", 1.9),
+        ("state_space", [["22.5", "26.5"]]),
     ],
 )
 def test_config_rejects_wrong_json_types(key, value):
@@ -498,6 +499,36 @@ def test_iteration_limit_yields_inconclusive_report():
     report = synthesize(config)
     assert report.verdict == "inconclusive"
     assert report.failure_cause == "lp_iteration-limit"
+
+
+@pytest.mark.parametrize("corridor, horizon", [(-1e-12, 5), (-1e-8, 10**30), (-5e-324, 1)])
+def test_snap_refuses_a_negative_corridor(corridor, horizon):
+    # no budget >= 0 closes floor - cap < 0: the snap used to step the
+    # budget from 0 through the subnormals towards its 1e-9 cap, for ever
+    layout = small_room_config().layout()
+    d = np.zeros(layout.n_total)
+    d[layout.FLOOR], d[layout.CAP] = corridor, 0.0
+    assert pipeline._snap_growth_budget(
+        pipeline.CertificateValues.from_vector(layout, d), horizon) is None
+
+
+def test_snap_keeps_a_zero_corridor():
+    layout = small_room_config().layout()
+    d = np.zeros(layout.n_total)
+    d[layout.FLOOR] = d[layout.CAP] = -68.0
+    d[layout.BUDGET] = 1e-12
+    cert = pipeline._snap_growth_budget(pipeline.CertificateValues.from_vector(layout, d), 5)
+    assert cert.growth_budget == 0.0
+
+
+def test_negative_corridor_yields_inconclusive_report():
+    # at horizon 1e30 the solution's floor - cap is below zero, inside the
+    # feasibility tolerance; this run used to hang in the snap
+    config = small_room_config(horizon=10**30, samples={"scenario": 200, "validation": 100})
+    report = synthesize(config)
+    assert report.verdict == "inconclusive"
+    assert report.failure_cause == "corridor_negative"
+    assert report.certificate is None and report.solver["status"] == "optimal"
 
 
 def test_derive_seed_deterministic_and_spread():

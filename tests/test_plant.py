@@ -188,6 +188,21 @@ def test_dataset_non_numeric_rejected(tmp_path, room_space):
         load_dataset(str(path))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_dataset_non_finite_field_rejected(tmp_path, room_space, value):
+    # float() reads these, so a row like 1,nan,2 used to load as NaN
+    data = collect(RoomTemperaturePlant(), room_space, 3, 1)
+    path = tmp_path / "data.csv"
+    save_dataset(data, str(path))
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[1] = value
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 3: non-finite"):
+        load_dataset(str(path))
+
+
 def text_first_float(path):
     return path.read_text().splitlines()[1].split(",")[0]
 

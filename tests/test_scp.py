@@ -239,20 +239,19 @@ def test_g4_rows_for_unit_interval_input():
     assert np.array_equal(A, [[1.0], [-1.0]])
     assert np.array_equal(b, [1.0, 0.0])
     grid = np.array([[23.0], [24.0]])
-    block, rhs, origins = g4_rows(layout, grid, A, b)
+    block, rhs = g4_rows(layout, grid, A, b)
     # first polytope row: +F(x) <= 1
     assert np.array_equal(block[0][layout.p_slice(0)], eval_basis(layout.controllers[0], [23.0]))
     assert rhs[0] == 1.0
     # second polytope row: -F(x) <= 0
     assert np.array_equal(block[2][layout.p_slice(0)], -eval_basis(layout.controllers[0], [23.0]))
     assert rhs[2] == 0.0
-    assert list(origins) == [0, 1, 0, 1]
 
 
 def test_g4_zero_controller_feasible_iff_rhs_nonnegative():
     layout = tiny_layout()
     A, b = box_to_polytope(Box.from_intervals([[0, 1]]))
-    block, rhs, _ = g4_rows(layout, np.array([[25.0]]), A, b)
+    block, rhs = g4_rows(layout, np.array([[25.0]]), A, b)
     d = np.zeros(layout.n_total)
     assert np.all(block @ d <= rhs)
 
@@ -300,15 +299,14 @@ def test_problem_requires_sampled_rows():
     with pytest.raises(AssemblyError):
         from safesynth.scp import LpProblem
 
-        LpProblem(sG, sh, np.full(len(sG), RowTag.STRUCTURAL), np.full(len(sG), -1),
-                  layout)
+        LpProblem(sG, sh, np.full(len(sG), RowTag.STRUCTURAL), layout)
 
 
 def test_problem_h_is_exactly_n_rows_long():
     layout, _, problem = small_problem(n_samples=20, seed=5)
     longer = np.concatenate([problem.h, np.zeros(layout.n_core)])
     with pytest.raises(AssemblyError, match="length"):
-        scp.LpProblem(problem.G, longer, problem.tags, problem.origins, layout)
+        scp.LpProblem(problem.G, longer, problem.tags, layout)
 
 
 def test_problem_h_is_read_only(monkeypatch):
@@ -335,18 +333,18 @@ def test_solve_small_problem_optimal(small_solved):
 
 def test_solution_feasible_on_every_row(small_solved):
     _, _, problem, solution = small_solved
-    assert np.max(problem.residuals(solution.d_star)) <= 1e-8
+    assert np.max(problem.residuals(solution.z)) <= 1e-8
 
 
 def test_active_rows_have_small_residual(small_solved):
     _, _, problem, solution = small_solved
-    resid = problem.residuals(solution.d_star)
+    resid = problem.residuals(solution.z)
     assert np.all(np.abs(resid[solution.active_row_ids]) <= 1e-7)
 
 
 def test_certificate_extraction(small_solved):
     config, _, problem, solution = small_solved
-    cert = solution.certificate(problem.layout)
+    cert = CertificateValues.from_vector(problem.layout, solution.z)
     assert cert.objective == pytest.approx(solution.objective)
     assert cert.growth_budget >= -1e-12
     assert cert.unsafe_floor - cert.initial_cap >= 5 * cert.growth_budget - 1e-9
@@ -402,7 +400,7 @@ def test_duplicated_binding_row_has_no_support():
 def test_removing_inactive_rows_reproduces_objective(small_solved):
     _, _, problem, solution = small_solved
     g3_idx = problem.g3_row_indices()
-    resid = problem.residuals(solution.d_star)
+    resid = problem.residuals(solution.z)
     inactive = [int(i) for i in g3_idx if resid[i] < -1e-6]
     reduced = problem.without_rows(inactive[:-1] if len(inactive) == len(g3_idx) else inactive)
     sol2 = solve_lp(reduced)
@@ -441,7 +439,7 @@ def test_infeasible_template_reported():
     )
     solution = solve_lp(problem)
     assert solution.status is LpStatus.INFEASIBLE
-    assert solution.d_star is None
+    assert solution.z is None
 
 
 def _allocation_peak(fn, *args):
@@ -526,19 +524,19 @@ def test_stacked_G_is_the_dense_assembly(monkeypatch):
     assert problem.G.nbytes == static[0].nbytes + 8 * 50 * 8 + 24 * 8
 
 
-def test_sampled_rows_take_their_origin_from_their_position():
-    # only the static rows store an origin; without_rows keeps every row's
+def test_without_rows_drops_the_named_rows():
+    # a static row and a sampled row go; every other row keeps its entries,
+    # right-hand side and tag, in order
     layout = room_layout()
     static, data = _room_static_and_data(layout, 30, 5)
     problem = sampled_problem(layout, static, data)
-    n_static = len(static[1])
-    assert problem.origins.tobytes() == static[3].tobytes()
-    reduced = problem.without_rows([2, n_static + 4])
-    origins = np.concatenate([np.delete(static[3], 2), np.delete(np.arange(30), 4)])
-    assert reduced.origins.tobytes() == origins.tobytes()
-    assert reduced.without_rows([0]).origins.tobytes() == origins[1:].tobytes()
-    with pytest.raises(AssemblyError, match="sampled rows"):
-        scp.LpProblem(problem.G, problem.h, problem.tags, static[3][1:], layout)
+    drop = [2, len(static[1]) + 4]
+    reduced = problem.without_rows(drop)
+    assert np.asarray(reduced.G).tobytes() == np.delete(np.asarray(problem.G), drop, 0).tobytes()
+    assert reduced.h.tobytes() == np.delete(problem.h, drop).tobytes()
+    assert reduced.tags.tobytes() == np.delete(problem.tags, drop).tobytes()
+    with pytest.raises(AssemblyError, match="length"):
+        scp.LpProblem(problem.G, problem.h, problem.tags[1:], layout)
 
 
 @pytest.mark.parametrize("degree", [4, 0])
@@ -568,7 +566,7 @@ def test_nan_in_sampled_block_raises():
 def test_activity_and_violation_come_from_the_solver_residual(small_solved):
     config, _, problem, solution = small_solved
     tol = config.tolerances
-    resid = problem.residuals(solution.d_star)
+    resid = problem.residuals(solution.z)
     res = solve_dense_lp(
         problem.cost, problem.G, problem.h, opt_tol=tol.optimality,
         pivot_tol=tol.pivot, feas_tol=tol.feasibility, max_iter=tol.max_iterations,
@@ -646,7 +644,7 @@ def test_screened_assembly_is_the_dense_assembly_in_cells(monkeypatch):
     drop = [3, n_static + 17, n_static + 5002]
     reduced, reduced_plain = problem.without_rows(drop), plain.without_rows(drop)
     assert np.asarray(reduced.G).tobytes() == np.asarray(reduced_plain.G).tobytes()
-    assert reduced.origins.tobytes() == reduced_plain.origins.tobytes()
+    assert reduced.tags.tobytes() == reduced_plain.tags.tobytes()
     assert reduced.h.tobytes() == reduced_plain.h.tobytes()
 
 

@@ -96,7 +96,7 @@ def test_self_consistency_zero_violations_on_training_data(small_solved):
     # data as a validation set must count zero violations (active rows sit at
     # machine-zero residuals, inside the knife-edge grace band)
     config, dataset, problem, solution = small_solved
-    cert = solution.certificate(problem.layout)
+    cert = CertificateValues.from_vector(problem.layout, solution.z)
     replay = Dataset(
         dataset.xs, dataset.us, dataset.x_nexts,
         dataset.seed, Role.VALIDATION, dataset.space,

@@ -70,6 +70,16 @@ class _RecordingBases:
         lp._DualSimplex._basis_matrix = self.basis_matrix
 
 
+def _counts(result) -> dict:
+    """The status and counters of a solve's record (`lp.LpResult`)."""
+    return {
+        "status": result.status.value,
+        "iterations": result.iterations,
+        "degenerate_steps": result.degenerate_steps,
+        "rows_priced": result.rows_priced,
+    }
+
+
 def probe_case(kind: str, seed: int) -> dict:
     """min z0 over rows -z0 + a.q <= h with a > 0 in column 1, a tall block
     whose -1 in column 0 is its shared row: unbounded (q1 -> -inf), so phase
@@ -97,10 +107,7 @@ def probe_case(kind: str, seed: int) -> dict:
     return {
         "case": kind,
         "seed": seed,
-        "status": result.status.value,
-        "iterations": result.iterations,
-        "degenerate_steps": result.degenerate_steps,
-        "rows_priced": result.rows_priced,
+        **_counts(result),
         "bases": bases.count,
         "bases_sha256": bases.digest.hexdigest(),
         "probe_verdicts": verdicts,
@@ -124,14 +131,11 @@ def trace_case(n: int, seed: int) -> dict:
     return {
         "n": n,
         "seed": seed,
-        "status": solution.status.value,
-        "iterations": solution.iterations,
-        "degenerate_steps": solution.degenerate_steps,
-        "rows_priced": solution.rows_priced,
+        **_counts(solution),
         "bases": bases.count,
         "bases_sha256": bases.digest.hexdigest(),
         "objective": None if solution.objective is None else solution.objective.hex(),
-        "z_sha256": None if solution.d_star is None else _sha256(solution.d_star),
+        "z_sha256": None if solution.z is None else _sha256(solution.z),
         "active_sha256": _sha256(np.asarray(solution.active_row_ids, dtype=np.int64)),
         "max_violation": solution.max_violation,
     }

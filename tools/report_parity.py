@@ -15,8 +15,10 @@ configuration, a 200/5000-sample small room configuration, the same with
 the input box [0, 1e-3] (about a tenth of the inputs lie below 1e-4 and are
 printed in exponent form, so their CSV rows take the writer's per-row
 path), `repeat --runs 4` of a certifying small configuration with two
-workers, and a degree-0 small configuration whose program is infeasible
-(its sampled rows have a structurally zero barrier column).
+workers, a degree-0 small configuration whose program is infeasible
+(its sampled rows have a structurally zero barrier column), and the small
+configuration with `tolerances.max_iterations` 2, whose solve stops at the
+iteration limit (the `SolverError` early exit).
 """
 
 import contextlib
@@ -52,6 +54,7 @@ CASES = {
     "small_tiny_inputs": (["synthesize"], _small_room(input_box=[[0.0, 1e-3]])),
     "repeat_workers": (["repeat", "--runs", "4"], _small_room(lipschitz=0.5, workers=2)),
     "lp_infeasible": (["synthesize"], _small_room(barrier_degree=0, controller_degrees=[0])),
+    "lp_iteration_limit": (["synthesize"], _small_room(tolerances={"max_iterations": 2})),
 }
 
 

@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import csv
 import datetime
-import hashlib
 import json
 import os
 import sys
@@ -30,7 +29,7 @@ from .bounds import (
     prior_sample_size,
     solve_kappa,
 )
-from .errors import ConfigError, SafesynthError
+from .errors import BoundsDomainError, ConfigError, SafesynthError
 from .geometry import Box, SampleSpace
 from .pipeline import (
     CertificateReport,
@@ -79,12 +78,9 @@ def _write_json_atomic(path: str, payload: dict) -> None:
         raise
 
 
-def _run_dir(out_root: str, config_raw: dict) -> str:
-    digest = hashlib.sha256(
-        json.dumps(config_raw, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()[:10]
+def _run_dir(out_root: str, config: SynthesisConfig) -> str:
     stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-    path = os.path.join(out_root, f"{stamp}-{digest}")
+    path = os.path.join(out_root, f"{stamp}-{config.sha256()[:10]}")
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -210,7 +206,7 @@ class _DatasetWriter:
 
 def _cmd_synthesize(args, argv) -> int:
     config = _load_config_with_overrides(args)
-    run_dir = _run_dir(args.out, config.raw)
+    run_dir = _run_dir(args.out, config)
     _write_manifest(run_dir, config, argv)
     writer = None if args.no_datasets else _DatasetWriter(run_dir)
     try:
@@ -229,7 +225,7 @@ def _cmd_synthesize(args, argv) -> int:
 
 def _cmd_prior_synthesize(args, argv) -> int:
     config = _load_config_with_overrides(args)
-    run_dir = _run_dir(args.out, config.raw)
+    run_dir = _run_dir(args.out, config)
     _write_manifest(run_dir, config, argv, extra={"eps": args.eps})
     report = prior_synthesize(config, args.eps)
     path = _emit_report(run_dir, report)
@@ -243,6 +239,8 @@ def _cmd_collect(args, argv) -> int:
     # rewrite of the config's scenario seed
     config = _load_config_with_overrides(args)
     role = Role(args.role)
+    if args.dataset_seed is not None and args.dataset_seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.dataset_seed}")
     seed = args.dataset_seed if args.dataset_seed is not None else (
         config.seed_scenario if role is Role.SCENARIO else config.seed_validation
     )
@@ -271,7 +269,7 @@ def _cmd_plan(args, argv) -> int:
     assert plan is not None
     _print_plan(plan)
     if args.out:
-        run_dir = _run_dir(args.out, config.raw)
+        run_dir = _run_dir(args.out, config)
         _write_manifest(run_dir, config, argv)
         _write_json_atomic(
             os.path.join(run_dir, "plan.json"),
@@ -343,6 +341,10 @@ def _cmd_bounds(args, argv) -> int:
         return EXIT_OK
     if args.bounds_cmd == "plan":
         # unit hyper-cube scaled to the given volume: only n and Vol enter
+        if args.ndim < 1:
+            raise BoundsDomainError(f"--ndim must be >= 1, got {args.ndim}")
+        if not args.volume > 0.0:
+            raise BoundsDomainError(f"--volume must be positive, got {args.volume}")
         side = args.volume ** (1.0 / args.ndim)
         space = SampleSpace(Box((0.0,) * args.ndim, (side,) * args.ndim))
         plan = plan_sample_sizes(
@@ -356,13 +358,8 @@ def _cmd_bounds(args, argv) -> int:
 
 
 def _cmd_casestudy(args, argv) -> int:
-    raw = room_casestudy_config(
-        n_scenario=args.n_scenario or 140_000,
-        n_validation=args.n_validation or 70_000,
-    )
-    raw = _apply_overrides(args, raw)
-    config = validate_config(raw)
-    run_dir = _run_dir(args.out, config.raw)
+    config = validate_config(_apply_overrides(args, room_casestudy_config()))
+    run_dir = _run_dir(args.out, config)
     _write_manifest(run_dir, config, argv, extra={"mode": args.mode})
     if args.mode == "prior":
         report = prior_synthesize(config, args.eps)
@@ -380,7 +377,7 @@ def _cmd_casestudy(args, argv) -> int:
 def _cmd_repeat(args, argv) -> int:
     config = _load_config_with_overrides(args)
     result = repeat_experiment(config, args.runs)
-    run_dir = _run_dir(args.out, config.raw)
+    run_dir = _run_dir(args.out, config)
     _write_manifest(run_dir, config, argv, extra={"runs": args.runs})
     _write_json_atomic(os.path.join(run_dir, "repeat.json"), result.to_dict())
     hist_path = os.path.join(run_dir, "histogram.csv")

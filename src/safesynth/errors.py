@@ -43,11 +43,13 @@ class AssemblyError(SafesynthError):
 
 
 class SolverError(SafesynthError):
-    """LP solve failed; carries the terminal status."""
+    """LP solve failed; carries the terminal status and, once the dual
+    simplex has started, its record of the solve (`lp.LpResult`)."""
 
     def __init__(self, message: str, status: str = "error"):
         super().__init__(message)
         self.status = status
+        self.result = None
 
 
 class ConfigError(SafesynthError):

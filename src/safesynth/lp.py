@@ -335,7 +335,8 @@ class LpResult:
     """The record of one solve, from the dual simplex to the report.
 
     `_DualSimplex` makes it and counts into it while it pivots, so every
-    outcome carries the counters: optimal, infeasible and unbounded.  At an
+    outcome carries the counters: optimal, infeasible and unbounded, and a
+    `SolverError` raised once it exists carries the record too.  At an
     optimum `solve_dense_lp` adds the point `z`, its objective, the final
     working set (`basis_rows`, ascending, with their `multipliers`), the
     largest violation and `residual`, G z - h at z; `scp.solve_lp` moves the
@@ -683,46 +684,51 @@ def solve_dense_lp(
     b = -(cost * scale)
 
     engine = _DualSimplex(G, scale, h, b, opt_tol, pivot_tol, stall_limit)
-    outcome, pi, x_B = engine.run_phase(1, max_iter)
-    if outcome == "unbounded":
-        # Phase 1 minimises a sum of non-negative artificials; an unbounded
-        # ray here can only be numerical noise.
-        raise SolverError("phase 1 reported an unbounded ray",
-                          status=LpStatus.ITERATION_LIMIT.value)
-    result = engine.result
-    art_level = float(np.sum(np.maximum(x_B[engine.basis >= m], 0.0)))
-    if art_level > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
-        # Dual infeasible: the original program is unbounded or infeasible.
-        unbounded = not _allow_probe or _primal_feasible(G, h, feas_tol, opt_tol, pivot_tol,
-                                                        max_iter, stall_limit)
-        result.status = LpStatus.UNBOUNDED if unbounded else LpStatus.INFEASIBLE
-        return result
+    try:
+        outcome, pi, x_B = engine.run_phase(1, max_iter)
+        if outcome == "unbounded":
+            # Phase 1 minimises a sum of non-negative artificials; an unbounded
+            # ray here can only be numerical noise.
+            raise SolverError("phase 1 reported an unbounded ray",
+                              status=LpStatus.ITERATION_LIMIT.value)
+        result = engine.result
+        art_level = float(np.sum(np.maximum(x_B[engine.basis >= m], 0.0)))
+        if art_level > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
+            # Dual infeasible: the original program is unbounded or infeasible.
+            unbounded = not _allow_probe or _primal_feasible(
+                G, h, feas_tol, opt_tol, pivot_tol, max_iter, stall_limit)
+            result.status = LpStatus.UNBOUNDED if unbounded else LpStatus.INFEASIBLE
+            return result
 
-    outcome, pi, x_B = engine.run_phase(2, max_iter)
-    if outcome == "unbounded":
-        result.status = LpStatus.INFEASIBLE
-        return result
+        outcome, pi, x_B = engine.run_phase(2, max_iter)
+        if outcome == "unbounded":
+            result.status = LpStatus.INFEASIBLE
+            return result
 
-    z = pi * scale
-    resid = G.matvec(z)
-    resid -= h
-    max_violation = float(np.max(resid))
-    if max_violation > feas_tol:
-        raise SolverError(
-            f"optimal basis violates feasibility tolerance: {max_violation:.3e} > {feas_tol:.0e}",
-            status=LpStatus.ITERATION_LIMIT.value,
-        )
-    real = engine.basis < m
-    order = np.argsort(engine.basis[real])
-    result.status = LpStatus.OPTIMAL
-    result.z = z
-    result.objective = float(cost @ z)
-    result.basis_rows = np.sort(engine.basis[real])
-    result.multipliers = np.maximum(x_B[real][order], 0.0)
-    result.max_violation = max(max_violation, 0.0)
-    result.zero_multipliers = int(np.sum(result.multipliers <= opt_tol))
-    result.residual = resid
-    return result
+        z = pi * scale
+        resid = G.matvec(z)
+        resid -= h
+        max_violation = float(np.max(resid))
+        if max_violation > feas_tol:
+            raise SolverError(
+                f"optimal basis violates feasibility tolerance: {max_violation:.3e} > "
+                f"{feas_tol:.0e}",
+                status=LpStatus.ITERATION_LIMIT.value,
+            )
+        real = engine.basis < m
+        order = np.argsort(engine.basis[real])
+        result.status = LpStatus.OPTIMAL
+        result.z = z
+        result.objective = float(cost @ z)
+        result.basis_rows = np.sort(engine.basis[real])
+        result.multipliers = np.maximum(x_B[real][order], 0.0)
+        result.max_violation = max(max_violation, 0.0)
+        result.zero_multipliers = int(np.sum(result.multipliers <= opt_tol))
+        result.residual = resid
+        return result
+    except SolverError as exc:
+        exc.result = engine.result
+        raise
 
 
 def _primal_feasible(G: RowStack, h, feas_tol, opt_tol, pivot_tol, max_iter,

@@ -304,6 +304,9 @@ def validate_config(data: dict) -> SynthesisConfig:
         raise ConfigError("strict_margin must be non-negative")
 
     seeds = opts["seeds"]
+    for role, seed in seeds.items():
+        if seed < 0:
+            raise ConfigError(f"seeds.{role} must be >= 0, got {seed}")
     if seeds["scenario"] == seeds["validation"]:
         raise ConfigError(
             "scenario and validation seeds must differ (the validation data "
@@ -378,18 +381,22 @@ def bundled_room_config_path() -> str:
 
 
 def room_casestudy_config(
-    n_scenario: int = 140_000,
-    n_validation: int = 70_000,
-    seed_scenario: int = 2025,
-    seed_validation: int = 9090,
+    n_scenario: int | None = None,
+    n_validation: int | None = None,
+    seed_scenario: int | None = None,
+    seed_validation: int | None = None,
     **overrides,
 ) -> dict:
     """The bundled room-temperature study configuration with these sizes and
-    seeds and the given top-level overrides (JSON-ready dict)."""
+    seeds (the file's where None) and the given top-level overrides
+    (JSON-ready dict)."""
     with open(bundled_room_config_path()) as fh:
         cfg = json.load(fh)
-    cfg["samples"] = {"scenario": n_scenario, "validation": n_validation}
-    cfg["seeds"] = {"scenario": seed_scenario, "validation": seed_validation}
+    for section, values in (("samples", (n_scenario, n_validation)),
+                            ("seeds", (seed_scenario, seed_validation))):
+        for role, value in zip(("scenario", "validation"), values):
+            if value is not None:
+                cfg[section][role] = value
     cfg.update(overrides)
     return cfg
 
@@ -465,7 +472,7 @@ class CertificateReport:
 
 def _solver_summary(solution: LpResult, support_bound: int | None) -> dict:
     return {
-        "status": solution.status.value,
+        "status": None if solution.status is None else solution.status.value,
         "iterations": solution.iterations,
         "degenerate_steps": solution.degenerate_steps,
         "bland_iterations": solution.bland_iterations,
@@ -630,7 +637,8 @@ def _run(
         solution = solve_lp(problem, config.tolerances)
     except SolverError as exc:
         timings["solve"] = time.perf_counter() - t2
-        fields["solver"] = {"status": exc.status, "error": str(exc)}
+        summary = {} if exc.result is None else _solver_summary(exc.result, None)
+        fields["solver"] = {**summary, "status": exc.status, "error": str(exc)}
         return _inconclusive(fields, f"lp_{exc.status}", t0, exc)
     timings["solve"] = time.perf_counter() - t2
     if solution.status != LpStatus.OPTIMAL:

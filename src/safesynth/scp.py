@@ -17,11 +17,14 @@ Row families (tags):
     g4   A F(x) <= b                       on a grid over the whole state box
     structural   floor - cap >= budget*T, budget >= 0, norm caps
 
-Grid-enforced families (g1, g2, g4) must hold everywhere, not just at grid
-points, so each grid row is tightened by half the grid spacing times a sound
-slope bound of its polynomial.  The slope bound is itself linear in the split
-variables (|coeff| <= multiplicity * split), so tightening costs nothing in
-problem class: the LP simply pays for the slopes it actually uses.
+Grid-enforced families (g1, g2, g4) are one construction, `grid_rows`: a
+signed sum of the layout's polynomials on a grid over a box, plus constant
+entries; `static_blocks` lists them in one family table.  They must hold
+everywhere, not just at grid points, so each grid row is tightened by half
+the grid spacing times a sound slope bound of its polynomial.  The slope
+bound is itself linear in the split variables (|coeff| <= multiplicity *
+split), so tightening costs nothing in problem class: the LP simply pays for
+the slopes it actually uses.
 
 Norm caps: for a univariate even-degree block the coefficients map onto a
 symmetric Gram matrix (entry for degree d is coeff_d divided by the number of
@@ -31,8 +34,10 @@ norm, so a spectral-norm cap on the Gram matrix is implied.  Other block
 shapes fall back to capping the l1 norm of the raw coefficients.
 """
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -149,6 +154,20 @@ class DecisionLayout:
             tuple(_bound_scheme(c, b) for c, b in zip(controllers, controller_bounds)),
         )
 
+    @cached_property
+    def polynomials(self) -> tuple[tuple[PolyBasis, slice, slice, CoeffBoundScheme], ...]:
+        """(basis, coefficient slice, split slice, scheme) of the barrier and
+        then of each controller: the coefficients follow the four scalars in
+        this order, and their split variables follow them in the same order."""
+        bases = (self.barrier, *self.controllers)
+        starts = list(itertools.accumulate(map(len, bases), initial=4))
+        shift = starts[-1] - 4
+        return tuple(
+            (basis, slice(a, b), slice(a + shift, b + shift), scheme)
+            for basis, a, b, scheme in zip(bases, starts, starts[1:],
+                                           (self.barrier_scheme, *self.controller_schemes))
+        )
+
     @property
     def n_barrier(self) -> int:
         return len(self.barrier)
@@ -159,11 +178,10 @@ class DecisionLayout:
 
     @property
     def q_slice(self) -> slice:
-        return slice(4, 4 + self.n_barrier)
+        return self.polynomials[0][1]
 
     def p_slice(self, i: int) -> slice:
-        start = 4 + self.n_barrier + sum(len(c) for c in self.controllers[:i])
-        return slice(start, start + len(self.controllers[i]))
+        return self.polynomials[1 + i][1]
 
     @property
     def n_core(self) -> int:
@@ -173,10 +191,7 @@ class DecisionLayout:
     def g3_columns(self) -> np.ndarray:
         """The columns in which sampled rows differ from one another: the
         non-constant monomials of the barrier, then of every controller."""
-        return np.concatenate([
-            np.arange(s.start + 1, s.stop)
-            for s in (self.q_slice, *map(self.p_slice, range(len(self.controllers))))
-        ])
+        return np.concatenate([np.arange(c.start + 1, c.stop) for _, c, _, _ in self.polynomials])
 
     @property
     def g3_shared_row(self) -> np.ndarray:
@@ -185,8 +200,8 @@ class DecisionLayout:
         at the barrier's, which cancels in B(x') - B(x)."""
         row = np.zeros(self.n_total)
         row[[self.OBJECTIVE, self.BUDGET]] = -1.0
-        for i in range(len(self.controllers)):
-            row[self.p_slice(i).start] = -1.0
+        for _, coeffs, _, _ in self.polynomials[1:]:
+            row[coeffs.start] = -1.0
         return row
 
     @property
@@ -208,11 +223,10 @@ class DecisionLayout:
 
     @property
     def s_q_slice(self) -> slice:
-        return slice(self.n_core, self.n_core + self.n_barrier)
+        return self.polynomials[0][2]
 
     def s_p_slice(self, i: int) -> slice:
-        start = self.n_core + self.n_barrier + sum(len(c) for c in self.controllers[:i])
-        return slice(start, start + len(self.controllers[i]))
+        return self.polynomials[1 + i][2]
 
     @property
     def n_total(self) -> int:
@@ -314,54 +328,6 @@ class LpProblem:
         return resid
 
 
-def _tighten_weights(scheme: CoeffBoundScheme, basis: PolyBasis, box: Box, halfstep: float) -> np.ndarray:
-    grad = monomial_gradient_bound(basis, box)
-    return halfstep * np.asarray(scheme.scale) * grad
-
-
-def g1_rows(
-    layout: DecisionLayout,
-    grid: np.ndarray,
-    eta: float,
-    part_box: Box | None = None,
-    halfstep: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """barrier(x) - cap <= -eta (- tightening) at each initial-region grid point."""
-    if len(grid) == 0:
-        raise AssemblyError("empty initial-region grid")
-    block = np.zeros((len(grid), layout.n_total))
-    block[:, layout.q_slice] = eval_basis_many(layout.barrier, grid)
-    block[:, layout.CAP] = -1.0
-    if halfstep:
-        if part_box is None:
-            raise AssemblyError("tightening needs the grid's box")
-        block[:, layout.s_q_slice] += _tighten_weights(
-            layout.barrier_scheme, layout.barrier, part_box, halfstep
-        )
-    return block, np.full(len(grid), -float(eta))
-
-
-def g2_rows(
-    layout: DecisionLayout,
-    grid: np.ndarray,
-    part_box: Box | None = None,
-    halfstep: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """-barrier(x) + floor <= 0 (- tightening) at each unsafe-region grid point."""
-    if len(grid) == 0:
-        raise AssemblyError("empty unsafe-region grid")
-    block = np.zeros((len(grid), layout.n_total))
-    block[:, layout.q_slice] = -eval_basis_many(layout.barrier, grid)
-    block[:, layout.FLOOR] = 1.0
-    if halfstep:
-        if part_box is None:
-            raise AssemblyError("tightening needs the grid's box")
-        block[:, layout.s_q_slice] += _tighten_weights(
-            layout.barrier_scheme, layout.barrier, part_box, halfstep
-        )
-    return block, np.zeros(len(grid))
-
-
 def g3_rows(
     layout: DecisionLayout,
     dataset: Dataset,
@@ -430,45 +396,6 @@ def g3_row(layout: DecisionLayout, x, u, x_next) -> tuple[np.ndarray, float]:
     return coeffs, -float(np.sum(u))
 
 
-def g4_rows(
-    layout: DecisionLayout,
-    grid: np.ndarray,
-    input_a: np.ndarray,
-    input_b: np.ndarray,
-    part_box: Box | None = None,
-    halfstep: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Input-polytope rows A F(x) <= b at every state grid point, one
-    polytope row after another."""
-    input_a = np.atleast_2d(np.asarray(input_a, dtype=float))
-    input_b = np.asarray(input_b, dtype=float).ravel()
-    if input_a.shape[0] != input_b.shape[0]:
-        raise AssemblyError("input polytope A and b disagree on row count")
-    if input_a.shape[1] != len(layout.controllers):
-        raise AssemblyError(
-            f"input polytope has {input_a.shape[1]} columns for "
-            f"{len(layout.controllers)} controller components"
-        )
-    if len(grid) == 0:
-        raise AssemblyError("empty state grid")
-    blocks, rhs = [], []
-    phis = [eval_basis_many(basis, grid) for basis in layout.controllers]
-    for i in range(input_a.shape[0]):
-        block = np.zeros((len(grid), layout.n_total))
-        for j, basis in enumerate(layout.controllers):
-            if input_a[i, j] != 0.0:
-                block[:, layout.p_slice(j)] = input_a[i, j] * phis[j]
-            if halfstep and input_a[i, j] != 0.0:
-                if part_box is None:
-                    raise AssemblyError("tightening needs the grid's box")
-                block[:, layout.s_p_slice(j)] += abs(input_a[i, j]) * _tighten_weights(
-                    layout.controller_schemes[j], basis, part_box, halfstep
-                )
-        blocks.append(block)
-        rhs.append(np.full(len(grid), input_b[i]))
-    return np.vstack(blocks), np.concatenate(rhs)
-
-
 def structural_rows(layout: DecisionLayout, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """floor - cap >= budget * T, budget >= 0, and the linearised norm caps."""
     if horizon < 1:
@@ -504,10 +431,38 @@ def structural_rows(layout: DecisionLayout, horizon: int) -> tuple[np.ndarray, n
             rows.append(row)
             rhs.append(scheme.bound)
 
-    add_scheme(layout.barrier_scheme, layout.q_slice, layout.s_q_slice)
-    for i, scheme in enumerate(layout.controller_schemes):
-        add_scheme(scheme, layout.p_slice(i), layout.s_p_slice(i))
+    for _, coeffs, splits, scheme in layout.polynomials:
+        add_scheme(scheme, coeffs, splits)
     return np.vstack(rows), np.asarray(rhs)
+
+
+def grid_rows(
+    layout: DecisionLayout,
+    box: Box,
+    points: int,
+    terms: Sequence[tuple[float, int]],
+    constants: dict[int, float],
+    rhs: float,
+    tighten: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum of c * P_k(x) over `terms` (c, k), plus the `constants` entries,
+    <= rhs at every point of a `points`-per-axis grid over `box`; P_k is
+    `layout.polynomials[k]`, the barrier for k = 0 and controller k - 1
+    after it.  With `tighten` each term adds |c| times half the grid step
+    times its polynomial's slope bound to the split columns of P_k, so the
+    rows hold everywhere in the box, not only at the grid points."""
+    grid = box_grid(box, points)
+    halfstep = grid_halfstep(box, points)
+    block = np.zeros((len(grid), layout.n_total))
+    for column, value in constants.items():
+        block[:, column] = value
+    for c, k in terms:
+        basis, coeffs, splits, scheme = layout.polynomials[k]
+        np.multiply(c, eval_basis_many(basis, grid), out=block[:, coeffs])
+        if tighten:
+            slope = halfstep * np.asarray(scheme.scale) * monomial_gradient_bound(basis, box)
+            block[:, splits] += abs(c) * slope
+    return block, np.full(len(grid), float(rhs))
 
 
 def box_to_polytope(box: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -652,38 +607,37 @@ def static_blocks(
     eta: float,
     tighten: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sample-independent rows (structural + grids), reusable across
-    runs: (G, h, tags)."""
-    blocks, rhss, tags = [], [], []
+    """The sample-independent rows, reusable across runs: (G, h, tags).
 
-    sG, sh = structural_rows(layout, horizon)
-    blocks.append(sG)
-    rhss.append(sh)
-    tags.append(np.full(len(sG), RowTag.STRUCTURAL, dtype=np.int8))
-
-    for part in initial_region.parts:
-        grid = box_grid(part, grids.initial)
-        hs = grid_halfstep(part, grids.initial) if tighten else None
-        bG, bh = g1_rows(layout, grid, eta, part, hs)
-        blocks.append(bG)
-        rhss.append(bh)
-        tags.append(np.full(len(bG), RowTag.G1, dtype=np.int8))
-
-    for part in unsafe_region.parts:
-        grid = box_grid(part, grids.unsafe)
-        hs = grid_halfstep(part, grids.unsafe) if tighten else None
-        bG, bh = g2_rows(layout, grid, part, hs)
-        blocks.append(bG)
-        rhss.append(bh)
-        tags.append(np.full(len(bG), RowTag.G2, dtype=np.int8))
-
-    grid = box_grid(state_box, grids.state)
-    hs = grid_halfstep(state_box, grids.state) if tighten else None
-    bG, bh = g4_rows(layout, grid, input_a, input_b, state_box, hs)
-    blocks.append(bG)
-    rhss.append(bh)
-    tags.append(np.full(len(bG), RowTag.G4, dtype=np.int8))
-
+    The structural rows, then the grid rows (`grid_rows`) of one family
+    table: g1 per initial-region part, g2 per unsafe-region part and g4 per
+    input-polytope row."""
+    input_a = np.atleast_2d(np.asarray(input_a, dtype=float))
+    input_b = np.asarray(input_b, dtype=float).ravel()
+    if input_a.shape[0] != input_b.shape[0]:
+        raise AssemblyError("input polytope A and b disagree on row count")
+    if input_a.shape[1] != len(layout.controllers):
+        raise AssemblyError(
+            f"input polytope has {input_a.shape[1]} columns for "
+            f"{len(layout.controllers)} controller components"
+        )
+    # (tag, box, points per axis, terms, constant entries, right-hand side)
+    families = [
+        *((RowTag.G1, part, grids.initial, [(1.0, 0)], {layout.CAP: -1.0}, -eta)
+          for part in initial_region.parts),
+        *((RowTag.G2, part, grids.unsafe, [(-1.0, 0)], {layout.FLOOR: 1.0}, 0.0)
+          for part in unsafe_region.parts),
+        *((RowTag.G4, state_box, grids.state,
+           [(a, 1 + j) for j, a in enumerate(row) if a != 0.0], {}, b)
+          for row, b in zip(input_a, input_b)),
+    ]
+    G, h = structural_rows(layout, horizon)
+    blocks, rhss, tags = [G], [h], [np.full(len(G), RowTag.STRUCTURAL, dtype=np.int8)]
+    for tag, box, points, terms, constants, rhs in families:
+        block, block_h = grid_rows(layout, box, points, terms, constants, rhs, tighten)
+        blocks.append(block)
+        rhss.append(block_h)
+        tags.append(np.full(len(block), tag, dtype=np.int8))
     return np.vstack(blocks), np.concatenate(rhss), np.concatenate(tags)
 
 

@@ -55,6 +55,18 @@ def test_bounds_plan_table(capsys):
     assert "chosen: N=140000 N0=70000" in out
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (["--ndim", "0", "--volume", "4"], "--ndim"),
+    (["--ndim", "2", "--volume", "-1"], "--volume"),
+    (["--ndim", "2", "--volume", "0"], "--volume"),
+], ids=["ndim-zero", "volume-negative", "volume-zero"])
+def test_bounds_plan_rejects_a_degenerate_space(capsys, flags, flag):
+    # --ndim 0 divided by zero and --volume -1 made a complex side (exit 1)
+    rc = main(["bounds", "plan", "--khat", "-0.149", "--L", "11.63", "--beta", "0.05", *flags])
+    assert rc == EXIT_RUNTIME
+    assert flag in capsys.readouterr().err
+
+
 def test_usage_error_is_config_exit(capsys):
     rc = main(["bounds", "kappa", "--N", "100"])
     assert rc == EXIT_CONFIG
@@ -73,6 +85,7 @@ def test_synthesize_inconclusive_run(tmp_path, capsys):
     assert report["verdict"] == "inconclusive"
     manifest = json.loads((run_dirs[0] / "manifest.json").read_text())
     assert manifest["config_sha256"] == report["config_sha256"]
+    assert run_dirs[0].name.endswith("-" + report["config_sha256"][:10])
     assert manifest["seeds"] == {"scenario": 11, "validation": 12}
 
 
@@ -191,6 +204,10 @@ def test_report_is_strict_json(tmp_path, capsys, overrides, exit_code, cause):
     assert report["failure_cause"] == cause
     if cause == "lp_infeasible":
         assert report["solver"]["max_violation"] is None
+    if cause == "lp_iteration-limit":
+        # the solve's record survives the SolverError exit
+        assert report["solver"]["iterations"] == 2
+        assert report["solver"]["error"] == "iteration limit 2 reached in phase 1"
 
 
 def test_collect_command(tmp_path, capsys):
@@ -212,6 +229,20 @@ def test_collect_seed_is_the_validation_dataset_seed(tmp_path, capsys):
                "--role", "validation", "--seed", "9090", "--output", str(out_file)])
     assert rc == EXIT_OK
     assert out_file.read_text().splitlines()[0].split()[3:5] == ["role=validation", "seed=9090"]
+
+
+@pytest.mark.parametrize("overrides, argv, key", [
+    ({"seeds": {"scenario": -1, "validation": 12}}, ["synthesize"], "seeds.scenario"),
+    ({}, ["synthesize", "--seed-validation", "-2"], "seeds.validation"),
+    ({}, ["collect", "--seed", "-3", "--count", "5", "--output", "data.csv"], "--seed"),
+], ids=["config", "override", "collect"])
+def test_negative_seed_is_config_exit(tmp_path, capsys, monkeypatch, overrides, argv, key):
+    # PCG64 raised an uncaught ValueError on a negative seed (exit 1)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, small_raw(**overrides))
+    assert main([*argv, "--config", cfg]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "runs").exists()
 
 
 @needs_fork

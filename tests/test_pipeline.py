@@ -619,3 +619,6 @@ def test_bundled_config_reproduces_casestudy_parameters():
     assert (config.n_scenario, config.n_validation) == (140000, 70000)
     assert config.barrier_bound == 0.1 and config.controller_bounds == (0.05,)
     assert config.raw == validate_config(room_casestudy_config()).raw
+    # the file is the one source of the study's sizes and seeds
+    with open(bundled_room_config_path()) as fh:
+        assert room_casestudy_config() == json.load(fh)

@@ -6,11 +6,18 @@ import pytest
 from safesynth import lp as scp_lp
 from safesynth import scp
 from safesynth.errors import AssemblyError, SolverError
-from safesynth.geometry import Box, RegionUnion, SampleSpace
+from safesynth.geometry import Box, RegionUnion, SampleSpace, box_grid, grid_halfstep
 from safesynth.lp import RowStack, _pow2_column_scale, solve_dense_lp
 from safesynth.pipeline import room_casestudy_config, validate_config
 from safesynth.plant import Dataset, RoomTemperaturePlant, collect
-from safesynth.polynomial import PolyBasis, build_basis, eval_basis, eval_poly_many
+from safesynth.polynomial import (
+    PolyBasis,
+    build_basis,
+    eval_basis,
+    eval_basis_many,
+    eval_poly_many,
+    monomial_gradient_bound,
+)
 from safesynth.scp import (
     CertificateValues,
     DecisionLayout,
@@ -21,11 +28,9 @@ from safesynth.scp import (
     box_to_polytope,
     build_problem,
     count_active_g3,
-    g1_rows,
-    g2_rows,
     g3_row,
     g3_rows,
-    g4_rows,
+    grid_rows,
     sampled_problem,
     solve_lp,
     static_blocks,
@@ -107,46 +112,78 @@ def test_l1_scheme_for_multivariate():
     assert len(layout.barrier_scheme.groups) == 1
 
 
-def test_g1_row_transcription():
-    layout = tiny_layout()
-    grid = np.array([[24.5]])
-    block, rhs = g1_rows(layout, grid, eta=1e-6)
-    row = block[0]
-    assert np.array_equal(row[layout.q_slice], eval_basis(layout.barrier, [24.5]))
-    assert row[layout.CAP] == -1.0
-    assert rhs[0] == -1e-6
-    untouched = [layout.OBJECTIVE, layout.FLOOR, layout.BUDGET]
-    assert all(row[i] == 0.0 for i in untouched)
+def expected_grid_row(layout, box, points, x, terms, constants, tighten):
+    """One row of `grid_rows` at grid point x, from `eval_basis`, the layout's
+    slices and schemes, and the tightening weights |c| * halfstep * scale *
+    slope bound."""
+    parts = [(layout.barrier, layout.q_slice, layout.s_q_slice, layout.barrier_scheme)] + [
+        (basis, layout.p_slice(i), layout.s_p_slice(i), layout.controller_schemes[i])
+        for i, basis in enumerate(layout.controllers)
+    ]
+    row = np.zeros(layout.n_total)
+    for column, value in constants.items():
+        row[column] = value
+    for c, k in terms:
+        basis, coeffs, splits, scheme = parts[k]
+        row[coeffs] = c * eval_basis(basis, x)
+        if tighten:
+            row[splits] += abs(c) * (grid_halfstep(box, points) * np.asarray(scheme.scale)
+                                     * monomial_gradient_bound(basis, box))
+    return row
+
+
+# (layout, box, points, terms, constants, rhs): g1 and g2 rows of a degree-1
+# template, the two g4 rows of the room template's input box, and a g4 row
+# of two controllers over two states with coefficients 0.5 and -2
+GRID_FAMILIES = {
+    "g1": (tiny_layout, [[24.0, 25.0]], 3, [(1.0, 0)], {DecisionLayout.CAP: -1.0}, -1e-6),
+    "g2": (tiny_layout, [[22.5, 23.0]], 2, [(-1.0, 0)], {DecisionLayout.FLOOR: 1.0}, 0.0),
+    "g4-upper": (room_layout, [[22.5, 26.5]], 5, [(1.0, 1)], {}, 1.0),
+    "g4-lower": (room_layout, [[22.5, 26.5]], 5, [(-1.0, 1)], {}, 0.0),
+    "g4-two-inputs": (
+        lambda: DecisionLayout.build(build_basis(2, 2), [build_basis(2, 1), build_basis(2, 3)],
+                                     1.0, [1.0, 2.0]),
+        [[-1.0, 2.0], [0.5, 1.5]], 3, [(0.5, 1), (-2.0, 2)], {}, 0.25,
+    ),
+}
+
+
+@pytest.mark.parametrize("tighten", [True, False], ids=["tightened", "untightened"])
+@pytest.mark.parametrize("family", GRID_FAMILIES.values(), ids=GRID_FAMILIES)
+def test_grid_rows_transcription(family, tighten):
+    make_layout, intervals, points, terms, constants, rhs = family
+    layout, box = make_layout(), Box.from_intervals(intervals)
+    block, h = grid_rows(layout, box, points, terms, constants, rhs, tighten)
+    grid = box_grid(box, points)
+    assert block.shape == (len(grid), layout.n_total)
+    assert np.array_equal(h, np.full(len(grid), rhs))
+    for x, row in zip(grid, block):
+        assert np.array_equal(
+            row, expected_grid_row(layout, box, points, x, terms, constants, tighten))
+    split_columns = slice(layout.n_core, layout.n_total)
+    assert np.any(block[:, split_columns] != 0.0) == tighten
 
 
 def test_g1_row_exact_activity_at_cap():
     # a point with barrier value equal to the cap sits exactly on the row
     layout = tiny_layout()
-    block, rhs = g1_rows(layout, np.array([[2.0]]), eta=0.0)
+    block, rhs = grid_rows(layout, Box.from_intervals([[2.0, 2.0]]), 2, [(1.0, 0)],
+                           {layout.CAP: -1.0}, 0.0, True)
     d = np.zeros(layout.n_total)
     d[layout.q_slice] = [1.0, 3.0]     # barrier(x) = 1 + 3x
     d[layout.CAP] = 7.0                # equals barrier(2)
     assert block[0] @ d - rhs[0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_g2_row_transcription():
-    layout = tiny_layout()
-    block, rhs = g2_rows(layout, np.array([[22.6]]))
-    row = block[0]
-    assert np.array_equal(row[layout.q_slice], -eval_basis(layout.barrier, [22.6]))
-    assert row[layout.FLOOR] == 1.0
-    assert rhs[0] == 0.0
-
-
 def test_g2_degenerate_zero_poly_infeasible_with_tightening():
     # zero barrier and floor 0 reads 0 <= -delta: infeasible for delta > 0
     layout = tiny_layout()
-    part = Box.from_intervals([[22.5, 23.0]])
-    block, rhs = g2_rows(layout, np.array([[22.75]]), part_box=part, halfstep=0.05)
+    block, rhs = grid_rows(layout, Box.from_intervals([[22.5, 23.0]]), 2, [(-1.0, 0)],
+                           {layout.FLOOR: 1.0}, 0.0, True)
     d = np.zeros(layout.n_total)
     # the tightening weights hit the split columns, so force splits active
     d[layout.s_q_slice] = 1.0
-    assert block[0] @ d > rhs[0]
+    assert np.all(block @ d > rhs)
 
 
 def test_g3_row_hand_transcription():
@@ -233,27 +270,58 @@ def test_g3_transcription_matches_direct_evaluation():
         assert np.allclose(assembled, direct, atol=1e-10)
 
 
-def test_g4_rows_for_unit_interval_input():
+def test_g4_zero_controller_feasible_iff_rhs_nonnegative():
     layout = tiny_layout()
     A, b = box_to_polytope(Box.from_intervals([[0, 1]]))
     assert np.array_equal(A, [[1.0], [-1.0]])
     assert np.array_equal(b, [1.0, 0.0])
-    grid = np.array([[23.0], [24.0]])
-    block, rhs = g4_rows(layout, grid, A, b)
-    # first polytope row: +F(x) <= 1
-    assert np.array_equal(block[0][layout.p_slice(0)], eval_basis(layout.controllers[0], [23.0]))
-    assert rhs[0] == 1.0
-    # second polytope row: -F(x) <= 0
-    assert np.array_equal(block[2][layout.p_slice(0)], -eval_basis(layout.controllers[0], [23.0]))
-    assert rhs[2] == 0.0
-
-
-def test_g4_zero_controller_feasible_iff_rhs_nonnegative():
-    layout = tiny_layout()
-    A, b = box_to_polytope(Box.from_intervals([[0, 1]]))
-    block, rhs = g4_rows(layout, np.array([[25.0]]), A, b)
     d = np.zeros(layout.n_total)
-    assert np.all(block @ d <= rhs)
+    for a_row, b_row in zip(A, b):
+        block, rhs = grid_rows(layout, Box.from_intervals([[25.0, 25.0]]), 2,
+                               [(a_row[0], 1)], {}, b_row, True)
+        assert np.all(block @ d <= rhs)
+
+
+def test_static_blocks_two_states_two_inputs_general_polytope():
+    # a 2-state, 2-input template under an input polytope with entries other
+    # than +-1 and a zero: every row against `eval_basis` and the tightening
+    # weights, in table order (structural, g1 and g2 per part, g4 per row)
+    layout = GRID_FAMILIES["g4-two-inputs"][0]()
+    initial = RegionUnion.from_intervals([[[0.0, 0.5], [0.0, 0.25]]])
+    unsafe = RegionUnion.from_intervals([[[1.5, 2.0], [1.0, 2.0]], [[-1.0, -0.5], [-1.0, 2.0]]])
+    state = Box.from_intervals([[-1.0, 2.0], [-1.0, 2.0]])
+    A = np.array([[0.5, -2.0], [0.0, 3.0], [-1.0, 0.0]])
+    b = np.array([1.0, 0.5, 0.25])
+    grids = GridSpec(3, 2, 4)
+    for tighten in (True, False):
+        G, h, tags = static_blocks(layout, initial, unsafe, state, A, b, 3, grids, 1e-6, tighten)
+        sG, sh = structural_rows(layout, 3)
+        expected = [(RowTag.STRUCTURAL, row, r) for row, r in zip(sG, sh)]
+        families = [
+            *((part, grids.initial, [(1.0, 0)], {layout.CAP: -1.0}, -1e-6, RowTag.G1)
+              for part in initial.parts),
+            *((part, grids.unsafe, [(-1.0, 0)], {layout.FLOOR: 1.0}, 0.0, RowTag.G2)
+              for part in unsafe.parts),
+            *((state, grids.state, [(a, 1 + j) for j, a in enumerate(a_row) if a], {}, b_i,
+               RowTag.G4) for a_row, b_i in zip(A, b)),
+        ]
+        for box, points, terms, constants, rhs, tag in families:
+            expected += [
+                (tag, expected_grid_row(layout, box, points, x, terms, constants, tighten), rhs)
+                for x in box_grid(box, points)
+            ]
+        assert len(G) == len(expected) == len(sG) + 3 * 3 + 2 * 2 * 2 + 3 * 4 * 4
+        for row, r, tag, (e_tag, e_row, e_r) in zip(G, h, tags, expected):
+            assert tag == e_tag and r == e_r and np.array_equal(row, e_row)
+        g4 = G[tags == RowTag.G4]
+        # the zero entry of the second polytope row leaves the first controller out
+        assert not np.any(g4[16:32, layout.p_slice(0)])
+        assert np.all(g4[16:32, layout.p_slice(1)] == 3.0 * eval_basis_many(
+            layout.controllers[1], box_grid(state, 4)))
+    with pytest.raises(AssemblyError):
+        static_blocks(layout, initial, unsafe, state, A[:, :1], b, 3, grids, 1e-6, True)
+    with pytest.raises(AssemblyError):
+        static_blocks(layout, initial, unsafe, state, A, b[:2], 3, grids, 1e-6, True)
 
 
 def test_structural_rows_transcription():

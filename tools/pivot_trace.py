@@ -8,7 +8,10 @@ Usage (from the root of a source checkout):
 Each pair assembles the room case study's scenario program with N samples
 drawn with scenario seed SEED, exactly as synthesis does, solves it with
 `safesynth.scp.solve_lp` at the configuration's tolerances, and prints one
-JSON line: the iteration and degenerate-step counts, the rows priced
+JSON line: the sha256 of the assembled program (every row of G as a dense
+float64 row, in order, then h and the row tags; so it is the same for the
+same rows however the row blocks store them), the iteration and
+degenerate-step counts, the rows priced
 (summed over the pricing passes, so equal counts mean screened pricing read
 the same cells), the sha256 of the sequence of working sets (every basis
 the dual simplex factorised, in order), the objective as `float.hex`, the
@@ -20,7 +23,7 @@ script runs against any tree:
     (cd OTHER_TREE && python3 tools/pivot_trace.py 20000 2025 140000 2025) > B.jsonl
     diff A.jsonl B.jsonl
 
-Identical lines mean the same pivots, point and active set.
+Identical lines mean the same program, pivots, point and active set.
 
 With `unbounded` or `infeasible` in place of N, the case is a 50,000-row
 program whose sampled-like block carries a shared row and whose solve ends
@@ -68,6 +71,23 @@ class _RecordingBases:
 
     def __exit__(self, *exc):
         lp._DualSimplex._basis_matrix = self.basis_matrix
+
+
+def _program_sha256(problem) -> str:
+    """sha256 of G row by row (dense, `lp._PRICE_CHUNK` rows at a time), then h and tags."""
+    digest = hashlib.sha256()
+    G = problem.G
+    for start, stop, pieces in G.chunks(lp._PRICE_CHUNK):
+        rows = np.zeros((stop - start, G.ncols))
+        for k, a, b, at in pieces:
+            cols, values, shared, _ = G.blocks[k]
+            if shared is not None:
+                rows[at:at + b - a] = shared
+            rows[at:at + b - a, cols] = values[:, a:b].T
+        digest.update(rows.tobytes())
+    digest.update(np.ascontiguousarray(problem.h, dtype=np.float64).tobytes())
+    digest.update(np.ascontiguousarray(problem.tags, dtype=np.int8).tobytes())
+    return digest.hexdigest()
 
 
 def _counts(result) -> dict:
@@ -125,12 +145,14 @@ def trace_case(n: int, seed: int) -> dict:
         plant.close()
     problem = build_problem(config.layout(), dataset, *_row_inputs(config))
     del dataset
+    program = _program_sha256(problem)
 
     with _RecordingBases() as bases:
         solution = solve_lp(problem, config.tolerances)
     return {
         "n": n,
         "seed": seed,
+        "program_sha256": program,
         **_counts(solution),
         "bases": bases.count,
         "bases_sha256": bases.digest.hexdigest(),

@@ -7,18 +7,21 @@ for the built-in room-temperature experiment, and `repeat` for batched runs.
 
 Exit codes: 0 success/certified, 2 completed but inconclusive, 3 bad
 configuration or usage, 4 runtime failure.  Every run writes a manifest
-(config hash, seeds, tool version, argv) sufficient to reproduce it, and all
-reports are written atomically.
+(config hash, seeds, tool version, argv) sufficient to reproduce it.  Every
+file of a run (reports, manifest, datasets, plot CSVs, histogram) is written
+atomically through `plant.atomic_write`, with the permissions the umask gives
+a new file.  `verify` writes `verify.json` for a certificate of any
+dimension and the plot CSVs only when the state and the input are 1-D.
 """
 
 import argparse
 import contextlib
 import csv
+import dataclasses
 import datetime
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .bounds import (
@@ -42,7 +45,7 @@ from .pipeline import (
     synthesize,
     validate_config,
 )
-from .plant import Role, collect, make_plant, save_dataset
+from .plant import Role, atomic_write, collect, make_plant, save_dataset
 from .verify import check_cbf_conditions, emit_plot_data, empirical_safety
 
 EXIT_OK = 0
@@ -64,18 +67,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json_atomic(path: str, payload: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _run_dir(out_root: str, config: SynthesisConfig) -> str:
@@ -313,10 +307,12 @@ def _cmd_verify(args, argv) -> int:
             plant, cert, config.initial_region, config.unsafe_region,
             config.input_box, config.horizon, grid_points=args.trajectory_grid,
         )
-        plots = emit_plot_data(cert, plant, config.state_box, config.input_box, out_dir)
+        plots = {}
+        if config.state_box.dim == config.input_box.dim == 1:
+            plots = emit_plot_data(cert, plant, config.state_box, config.input_box, out_dir)
     payload = {
         "conditions": conditions.summary(),
-        "safety": safety.to_dict(),
+        "safety": dataclasses.asdict(safety),
         "plots": plots,
     }
     _write_json_atomic(os.path.join(out_dir, "verify.json"), payload)
@@ -380,8 +376,7 @@ def _cmd_repeat(args, argv) -> int:
     run_dir = _run_dir(args.out, config)
     _write_manifest(run_dir, config, argv, extra={"runs": args.runs})
     _write_json_atomic(os.path.join(run_dir, "repeat.json"), result.to_dict())
-    hist_path = os.path.join(run_dir, "histogram.csv")
-    with open(hist_path, "w", newline="") as fh:
+    with atomic_write(os.path.join(run_dir, "histogram.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["violations", "frequency"])
         for k in sorted(result.histogram):

@@ -18,14 +18,15 @@ two-product with a power of ten, characters from a lookup table, and the
 `%` operator only for rows holding a value outside [1e-4, 1e16).
 """
 
+import contextlib
 import enum
 import functools
 import math
 import os
 import re
+import secrets
 import shlex
 import subprocess
-import tempfile
 from typing import Sequence
 
 import numpy as np
@@ -401,27 +402,40 @@ def _format_rows(block: np.ndarray, line: str):
     yield packed[start:]
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w", **open_kwargs):
+    """Open `path` for writing (`mode` "w" or "wb") through a temporary file beside it.
+
+    The temporary file is made by a plain `open` (exclusive create), so it
+    gets the permissions the umask gives any new file.  It is renamed over
+    `path` when the block completes and removed when the block raises, so
+    `path` either keeps its old content or holds the whole new one.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_dataset(dataset: Dataset, path: str) -> None:
-    """Atomic full-precision CSV dump (write to temp file, then rename)."""
+    """Atomic full-precision CSV dump (see `atomic_write`)."""
     header = f"# n={dataset.state_dim} m={dataset.input_dim} role={dataset.role.value} seed={dataset.seed}"
     if dataset.space is not None:
         header += f" space={_space_to_header(dataset.space)}"
     rows = np.hstack([dataset.xs, dataset.us, dataset.x_nexts])
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header.encode() + b"\n")
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for lo in range(0, len(rows), _SAVE_BLOCK):
-                for piece in _format_rows(rows[lo:lo + _SAVE_BLOCK], line):
-                    fh.write(piece)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for lo in range(0, len(rows), _SAVE_BLOCK):
+            for piece in _format_rows(rows[lo:lo + _SAVE_BLOCK], line):
+                fh.write(piece)
 
 
 def load_dataset(path: str) -> Dataset:

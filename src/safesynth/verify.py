@@ -15,7 +15,7 @@ Two distinct jobs live here and must not be confused:
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .geometry import (
     distance_to_region,
     sample_uniform,
 )
-from .plant import BlackBoxSystem, Dataset, Role
+from .plant import BlackBoxSystem, Dataset, Role, atomic_write
 from .polynomial import eval_poly_many
 from .scp import CertificateValues
 
@@ -93,12 +93,6 @@ class ConditionReport:
     worst_unsafe: float         # floor - barrier over the unsafe region
     worst_step: float           # one-step condition (with true plant) over X x U
     worst_budget: float         # budget * T - (floor - cap)
-    initial_grid: np.ndarray
-    initial_values: np.ndarray
-    unsafe_grid: np.ndarray
-    unsafe_values: np.ndarray
-    step_grid: np.ndarray
-    step_values: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -110,13 +104,15 @@ class ConditionReport:
         )
 
     def summary(self) -> dict:
-        return {
-            "worst_initial": self.worst_initial,
-            "worst_unsafe": self.worst_unsafe,
-            "worst_step": self.worst_step,
-            "worst_budget": self.worst_budget,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
+
+
+def _true_step_condition(
+    cert: CertificateValues, plant: BlackBoxSystem, points: np.ndarray
+) -> np.ndarray:
+    """`_step_condition` at the (x, u) rows of `points`, x' from the true plant."""
+    xs, us = points[:, :plant.state_dim], points[:, plant.state_dim:]
+    return _step_condition(cert, xs, us, np.asarray(plant.step_batch(xs, us), dtype=float))
 
 
 def check_cbf_conditions(
@@ -134,32 +130,22 @@ def check_cbf_conditions(
 
     Ground truth only: the plant is queried on a dense state x input grid for
     the one-step condition, which the synthesis path is never allowed to do.
+    Rounding is monotone, so max(B) - cap and floor - min(B) are the worst
+    residuals B - cap and floor - B bit for bit.
     """
-    init_grid = np.vstack([box_grid(p, region_points) for p in initial_region.parts])
-    init_vals = eval_poly_many(cert.barrier, init_grid) - cert.initial_cap
 
-    unsafe_grid = np.vstack([box_grid(p, region_points) for p in unsafe_region.parts])
-    unsafe_vals = cert.unsafe_floor - eval_poly_many(cert.barrier, unsafe_grid)
+    def barrier_on(region: RegionUnion) -> np.ndarray:
+        grid = np.vstack([box_grid(p, region_points) for p in region.parts])
+        return eval_poly_many(cert.barrier, grid)
 
-    xs = box_grid(state_box, step_points)
-    us = box_grid(input_box, step_points)
-    nx, nu = len(xs), len(us)
-    pair_x = np.repeat(xs, nu, axis=0)
-    pair_u = np.tile(us, (nx, 1))
-    x_next = np.asarray(plant.step_batch(pair_x, pair_u), dtype=float)
-    step_vals = _step_condition(cert, pair_x, pair_u, x_next) - cert.growth_budget
+    pairs = box_grid(SampleSpace.product(state_box, input_box).box, step_points)
+    step_vals = _true_step_condition(cert, plant, pairs) - cert.growth_budget
     worst_budget = cert.growth_budget * horizon - (cert.unsafe_floor - cert.initial_cap)
     return ConditionReport(
-        worst_initial=float(np.max(init_vals)),
-        worst_unsafe=float(np.max(unsafe_vals)),
+        worst_initial=float(np.max(barrier_on(initial_region))) - cert.initial_cap,
+        worst_unsafe=cert.unsafe_floor - float(np.min(barrier_on(unsafe_region))),
         worst_step=float(np.max(step_vals)),
         worst_budget=float(worst_budget),
-        initial_grid=init_grid,
-        initial_values=init_vals,
-        unsafe_grid=unsafe_grid,
-        unsafe_values=unsafe_vals,
-        step_grid=np.hstack([pair_x, pair_u]),
-        step_values=step_vals,
     )
 
 
@@ -208,15 +194,6 @@ class SafetySummary:
     clamp_events: int
     n_trajectories: int
 
-    def to_dict(self) -> dict:
-        return {
-            "fraction_safe": self.fraction_safe,
-            "min_unsafe_distance": self.min_unsafe_distance,
-            "failing_states": [list(s) for s in self.failing_states],
-            "clamp_events": self.clamp_events,
-            "n_trajectories": self.n_trajectories,
-        }
-
 
 def empirical_safety(
     plant: BlackBoxSystem,
@@ -261,37 +238,32 @@ def emit_plot_data(
     """Write the barrier curve and one-step-condition surface as CSV.
 
     `barrier.csv` has columns x,B,gamma,lambda; `g3_surface.csv` has columns
-    x,u,g3 with surface_points^2 rows.  One-dimensional state and input only.
+    x,u,g3 with surface_points^2 rows, x varying slowest.  One-dimensional
+    state and input only.
     """
     if state_box.dim != 1 or input_box.dim != 1:
         raise GeometryError("plot emission supports 1-D state and input spaces")
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
+    paths = {
+        "barrier": os.path.join(out_dir, "barrier.csv"),
+        "g3_surface": os.path.join(out_dir, "g3_surface.csv"),
+    }
 
-    barrier_path = os.path.join(out_dir, "barrier.csv")
-    xs = np.linspace(state_box.lower[0], state_box.upper[0], barrier_points)
-    bvals = eval_poly_many(cert.barrier, xs[:, None])
-    with open(barrier_path, "w", newline="") as fh:
+    xs = box_grid(state_box, barrier_points)
+    bvals = eval_poly_many(cert.barrier, xs)
+    with atomic_write(paths["barrier"], newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "B", "gamma", "lambda"])
-        for x, b in zip(xs, bvals):
+        for (x,), b in zip(xs, bvals):
             writer.writerow([f"{x:.17g}", f"{b:.17g}",
                              f"{cert.initial_cap:.17g}", f"{cert.unsafe_floor:.17g}"])
-    paths["barrier"] = barrier_path
 
-    surface_path = os.path.join(out_dir, "g3_surface.csv")
-    gx = np.linspace(state_box.lower[0], state_box.upper[0], surface_points)
-    gu = np.linspace(input_box.lower[0], input_box.upper[0], surface_points)
-    pair_x = np.repeat(gx, surface_points)[:, None]
-    pair_u = np.tile(gu, surface_points)[:, None]
-    x_next = np.asarray(plant.step_batch(pair_x, pair_u), dtype=float)
-    g3 = _step_condition(cert, pair_x, pair_u, x_next) - cert.growth_budget - cert.objective
-    with open(surface_path, "w", newline="") as fh:
+    pairs = box_grid(SampleSpace.product(state_box, input_box).box, surface_points)
+    g3 = _true_step_condition(cert, plant, pairs) - cert.growth_budget - cert.objective
+    with atomic_write(paths["g3_surface"], newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "u", "g3"])
-        for x, u, g in zip(pair_x[:, 0], pair_u[:, 0], g3):
+        for (x, u), g in zip(pairs, g3):
             writer.writerow([f"{x:.17g}", f"{u:.17g}", f"{g:.17g}"])
-    paths["g3_surface"] = surface_path
     return paths
 
 
@@ -313,13 +285,7 @@ def estimate_lipschitz(
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     offsets = (rng.random(base.shape) - 0.5) * spread * space.box.sides()
     other = np.clip(base + offsets, space.box.lower_arr, space.box.upper_arr)
-    n = plant.state_dim
-
-    def gvals(points: np.ndarray) -> np.ndarray:
-        xs, us = points[:, :n], points[:, n:]
-        return _step_condition(cert, xs, us, np.asarray(plant.step_batch(xs, us), dtype=float))
-
-    num = np.abs(gvals(base) - gvals(other))
+    num = np.abs(_true_step_condition(cert, plant, base) - _true_step_condition(cert, plant, other))
     den = np.linalg.norm(base - other, axis=1)
     ok = den > 0
     if not np.any(ok):

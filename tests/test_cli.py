@@ -1,5 +1,8 @@
 import json
 import os
+import stat
+import sys
+import textwrap
 
 import pytest
 
@@ -331,6 +334,64 @@ def test_verify_command_on_certified_report(tmp_path, capsys):
     assert payload["conditions"]["passed"] is True
     assert (run_dir / "barrier.csv").exists()
     assert (run_dir / "g3_surface.csv").exists()
+
+
+TWO_STATE_PLANT_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    for line in sys.stdin:
+        x1, x2, u = (float(v) for v in line.split())
+        print(f"{0.9 * x1 + 0.05 * u:.17g} {0.9 * x2:.17g}", flush=True)
+    """
+)
+
+
+def two_state_raw(tmp_path):
+    """A 2,000/1,000-sample run of a 2-state child-process plant that certifies."""
+    script = tmp_path / "plant2.py"
+    script.write_text(TWO_STATE_PLANT_SCRIPT)
+    return {
+        "plant": {"command": [sys.executable, str(script)], "state_dim": 2, "input_dim": 1},
+        "state_space": [[-1, 1], [-1, 1]],
+        "input_box": [[0, 1]],
+        "initial_set": [[[-0.2, 0.2], [-0.2, 0.2]]],
+        "unsafe_set": [[[0.8, 1.0], [-1, 1]], [[-1.0, -0.8], [-1, 1]]],
+        "horizon": 3,
+        "barrier_degree": 2,
+        "controller_degrees": [1],
+        "beta": 0.05,
+        "lipschitz": 0.5,
+        "samples": {"scenario": 2000, "validation": 1000},
+        "grid_points": {"initial": 21, "unsafe": 21, "state": 41},
+        "coeff_bounds": {"barrier": 1.0, "controller": [1.0]},
+        "seeds": {"scenario": 1, "validation": 2},
+    }
+
+
+def test_verify_two_state_certificate_writes_report_without_plots(tmp_path, capsys):
+    # the plots are 1-D only, but verify.json is written for any dimension
+    cfg = write_config(tmp_path, two_state_raw(tmp_path))
+    old_umask = os.umask(0o027)
+    try:
+        rc = main(["synthesize", "--config", cfg, "--out", str(tmp_path / "runs")])
+        assert rc == EXIT_OK
+        run_dir = next((tmp_path / "runs").iterdir())
+        rc = main(["verify", "--report", str(run_dir / "report.json"),
+                   "--region-points", "21", "--step-points", "11", "--trajectory-grid", "5"])
+    finally:
+        os.umask(old_umask)
+    assert rc in (EXIT_OK, EXIT_INCONCLUSIVE)
+    payload = json.loads((run_dir / "verify.json").read_text())
+    assert payload["plots"] == {}
+    assert set(payload["conditions"]) == {
+        "worst_initial", "worst_unsafe", "worst_step", "worst_budget", "passed"}
+    assert payload["safety"]["n_trajectories"] == 25
+    assert not (run_dir / "barrier.csv").exists()
+    # every run file has the permissions a plain open gives under the umask
+    for name in ("manifest.json", "report.json", "scenario.csv", "validation.csv",
+                 "verify.json"):
+        assert stat.S_IMODE((run_dir / name).stat().st_mode) == 0o666 & ~0o027, name
+    assert not list(run_dir.glob("*.tmp"))
 
 
 def test_repeat_command(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import os
+import stat
 import sys
 import textwrap
 
@@ -11,6 +13,7 @@ from safesynth.plant import (
     ExternalProcessPlant,
     Role,
     RoomTemperaturePlant,
+    atomic_write,
     collect,
     load_dataset,
     make_plant,
@@ -150,6 +153,32 @@ def test_dataset_writer_splices_per_row_lines_anywhere_in_a_block(tmp_path, monk
     rows[21:28, 1] = 2.5e-5
     data = _as_dataset(rows)
     assert _written_rows(data, tmp_path / "data.csv") == _percent_rows(rows)
+
+
+def test_atomic_write_keeps_umask_permissions_and_bytes(tmp_path):
+    path = tmp_path / "out" / "file.csv"
+    old_umask = os.umask(0o022)
+    try:
+        with atomic_write(str(path), "wb") as fh:
+            fh.write(b"a,b\r\n1,2\n")
+    finally:
+        os.umask(old_umask)
+    assert path.read_bytes() == b"a,b\r\n1,2\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
+@pytest.mark.parametrize("existing", [None, "old\n"], ids=["new", "replace"])
+def test_atomic_write_failure_leaves_no_file(tmp_path, existing):
+    path = tmp_path / "report.json"
+    if existing is not None:
+        path.write_text(existing)
+    with pytest.raises(RuntimeError):
+        with atomic_write(str(path)) as fh:
+            fh.write("partial")
+            raise RuntimeError("formatting failed")
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["report.json"])
+    if existing is not None:
+        assert path.read_text() == existing
 
 
 def test_dataset_header_format(tmp_path, room_space):

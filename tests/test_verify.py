@@ -1,10 +1,19 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from safesynth.errors import GeometryError
-from safesynth.plant import Dataset, Role, RoomTemperaturePlant, collect, step_room
+from safesynth.geometry import Box, RegionUnion, box_grid
+from safesynth.plant import (
+    BlackBoxSystem,
+    Dataset,
+    Role,
+    RoomTemperaturePlant,
+    collect,
+    step_room,
+)
 from safesynth.polynomial import Polynomial, build_basis
 from safesynth.scp import CertificateValues
 from safesynth.verify import (
@@ -172,6 +181,68 @@ def test_conditions_fail_for_zero_controller(room_regions):
     )
     assert report.worst_step > 0.0
     assert not report.passed
+
+
+def coupled_step(x, u):
+    return np.array([0.9 * x[0] + 0.05 * u[0], 0.8 * x[1] - 0.1 * x[0] * u[0]])
+
+
+class CoupledPlant(BlackBoxSystem):
+    """A 2-state, 1-input plant that records every (x, u) it is asked about."""
+
+    def __init__(self):
+        super().__init__(state_dim=2, input_dim=1)
+        self.queries = []
+
+    def step(self, x, u):
+        self.queries.append((*x, *u))
+        return coupled_step(x, u)
+
+
+def poly_at(p: Polynomial, x) -> float:
+    """p(x) term by term from its exponents, without eval_poly_many."""
+    return sum(c * math.prod(v ** e for v, e in zip(x, t))
+               for c, t in zip(p.coeffs, p.basis.terms))
+
+
+def test_two_state_conditions_match_brute_force_loops():
+    state, inputs = Box((-1.0, -0.5), (1.0, 0.5)), Box((0.0,), (1.0,))
+    initial = RegionUnion.from_intervals([[[-0.2, 0.2], [-0.1, 0.1]]])
+    unsafe = RegionUnion.from_intervals(
+        [[[0.8, 1.0], [-0.5, 0.5]], [[-1.0, -0.8], [-0.5, 0.5]]]
+    )
+    cert = CertificateValues(
+        objective=-0.1, unsafe_floor=0.5, initial_cap=0.1, growth_budget=0.01,
+        barrier=Polynomial(build_basis(2, 2), (-0.05, 0.1, 0.2, 1.5, 0.3, 1.0)),
+        controllers=(Polynomial(build_basis(2, 1), (0.4, -0.2, 0.3)),),
+    )
+    plant = CoupledPlant()
+    report = check_cbf_conditions(
+        cert, plant, initial, unsafe, state, inputs, horizon=4,
+        region_points=9, step_points=7,
+    )
+
+    # the plant sees every grid state with every grid input, the state slowest
+    pairs = [(x, u) for x in box_grid(state, 7) for u in box_grid(inputs, 7)]
+    assert plant.queries == [(*x, *u) for x, u in pairs]
+    worst_step = max(
+        poly_at(cert.barrier, coupled_step(x, u)) - poly_at(cert.barrier, x)
+        + u[0] - poly_at(cert.controllers[0], x) - cert.growth_budget
+        for x, u in pairs
+    )
+    worst_initial = max(poly_at(cert.barrier, x) - cert.initial_cap
+                        for part in initial.parts for x in box_grid(part, 9))
+    worst_unsafe = max(cert.unsafe_floor - poly_at(cert.barrier, x)
+                       for part in unsafe.parts for x in box_grid(part, 9))
+    assert report.worst_step == pytest.approx(worst_step, rel=0, abs=1e-12)
+    assert report.worst_initial == pytest.approx(worst_initial, rel=0, abs=1e-12)
+    assert report.worst_unsafe == pytest.approx(worst_unsafe, rel=0, abs=1e-12)
+    assert report.worst_budget == 0.01 * 4 - (0.5 - 0.1)
+    assert report.summary() == {
+        "worst_initial": report.worst_initial, "worst_unsafe": report.worst_unsafe,
+        "worst_step": report.worst_step, "worst_budget": report.worst_budget,
+        "passed": report.passed,
+    }
 
 
 def test_simulate_closed_loop_case_study(room_regions):

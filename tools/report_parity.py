@@ -18,7 +18,10 @@ path), `repeat --runs 4` of a certifying small configuration with two
 workers, a degree-0 small configuration whose program is infeasible
 (its sampled rows have a structurally zero barrier column), and the small
 configuration with `tolerances.max_iterations` 2, whose solve stops at the
-iteration limit (the `SolverError` early exit).
+iteration limit (the `SolverError` early exit).  The `verify` case runs
+`verify --report` on the `small` case's report with reduced grids and keeps
+`verify.json`, its plot paths cut to file names, and the sha256 of the plot
+CSVs.
 """
 
 import contextlib
@@ -56,6 +59,8 @@ CASES = {
     "lp_infeasible": (["synthesize"], _small_room(barrier_degree=0, controller_degrees=[0])),
     "lp_iteration_limit": (["synthesize"], _small_room(tolerances={"max_iterations": 2})),
 }
+VERIFY_SOURCE = "small"  # the case whose report the `verify` case checks
+VERIFY_FLAGS = ["--region-points", "401", "--step-points", "61", "--trajectory-grid", "101"]
 
 
 def _without_timings(value):
@@ -74,7 +79,8 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def run_case(name: str, argv: list, raw: dict | None, work: str) -> dict:
+def run_case(name: str, argv: list, raw: dict | None, work: str) -> tuple[dict, str]:
+    """Run one case; return its record and its run directory."""
     config = bundled_room_config_path()
     if raw is not None:
         config = os.path.join(work, f"{name}.config.json")
@@ -94,7 +100,30 @@ def run_case(name: str, argv: list, raw: dict | None, work: str) -> dict:
             os.path.basename(p): _sha256(p)
             for p in sorted(glob.glob(os.path.join(run_dir, "*.csv")))
         },
+    }, run_dir
+
+
+def verify_case(run_dir: str) -> dict:
+    """`verify --report` on the report in `run_dir`, which receives its outputs."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = safesynth_main(["verify", "--report", os.path.join(run_dir, "report.json"),
+                             *VERIFY_FLAGS])
+    with open(os.path.join(run_dir, "verify.json")) as fh:
+        payload = json.load(fh)
+    plots = payload["plots"]
+    payload["plots"] = {key: os.path.basename(path) for key, path in plots.items()}
+    return {
+        "exit_code": rc,
+        "verify.json": payload,
+        "csv_sha256": {os.path.basename(p): _sha256(p) for p in sorted(plots.values())},
     }
+
+
+def _write(out_dir: str, name: str, result: dict) -> None:
+    with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
+        json.dump(result, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{name}: exit {result['exit_code']}")
 
 
 def main(argv: list) -> int:
@@ -105,11 +134,10 @@ def main(argv: list) -> int:
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         for name, (args, raw) in CASES.items():
-            result = run_case(name, args, raw, work)
-            with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
-                json.dump(result, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            print(f"{name}: exit {result['exit_code']}")
+            result, run_dir = run_case(name, args, raw, work)
+            _write(out_dir, name, result)
+            if name == VERIFY_SOURCE:
+                _write(out_dir, "verify", verify_case(run_dir))
     return 0
 
 

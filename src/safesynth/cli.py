@@ -5,13 +5,18 @@ Subcommands mirror the synthesis stages: `collect` data, `plan` sample sizes,
 plant, `bounds` for the standalone probabilistic computations, `casestudy`
 for the built-in room-temperature experiment, and `repeat` for batched runs.
 
-Exit codes: 0 success/certified, 2 completed but inconclusive, 3 bad
-configuration or usage, 4 runtime failure.  Every run writes a manifest
-(config hash, seeds, tool version, argv) sufficient to reproduce it.  Every
-file of a run (reports, manifest, datasets, plot CSVs, histogram) is written
-atomically through `plant.atomic_write`, with the permissions the umask gives
-a new file.  `verify` writes `verify.json` for a certificate of any
-dimension and the plot CSVs only when the state and the input are 1-D.
+A configuration is `--config` (for `casestudy` the bundled room file) with
+the override flags `--seed`, `--seed-validation`, `--no-tighten`, `--N` and
+`--N0` set into it.  Exit codes: 0 success/certified, 2 completed but
+inconclusive, 3 bad configuration or usage (such as an override into a
+`samples` or `seeds` that is not an object, or a malformed certificate), 4
+runtime failure.  Every run writes a manifest (config hash, seeds, tool
+version, argv) sufficient to reproduce it; `synthesize`, `prior-synthesize`,
+`casestudy` and `repeat` write it before they collect or solve anything.
+Every file of a run (reports, manifest, datasets, plot CSVs, histogram) is
+written atomically through `plant.atomic_write`, with the permissions the
+umask gives a new file.  `verify` writes `verify.json` for a certificate of
+any dimension and the plot CSVs only when the state and the input are 1-D.
 """
 
 import argparse
@@ -20,6 +25,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -32,20 +38,22 @@ from .bounds import (
     prior_sample_size,
     solve_kappa,
 )
-from .errors import BoundsDomainError, ConfigError, SafesynthError
+from .errors import BoundsDomainError, ConfigError, PolynomialError, SafesynthError
 from .geometry import Box, SampleSpace
 from .pipeline import (
     CertificateReport,
     SynthesisConfig,
+    bundled_room_config_path,
     prior_synthesize,
     read_json_object,
     repeat_experiment,
     resolve_sample_sizes,
-    room_casestudy_config,
+    set_config_key,
     synthesize,
     validate_config,
 )
 from .plant import Role, atomic_write, collect, make_plant, save_dataset
+from .scp import CertificateValues
 from .verify import check_cbf_conditions, emit_plot_data, empirical_safety
 
 EXIT_OK = 0
@@ -72,76 +80,64 @@ def _write_json_atomic(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _run_dir(out_root: str, config: SynthesisConfig) -> str:
+def _new_run(out_root: str, config: SynthesisConfig, argv, **extra) -> str:
+    """Make a run directory under `out_root`, write its `manifest.json` and return its path."""
     stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-    path = os.path.join(out_root, f"{stamp}-{config.sha256()[:10]}")
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _write_manifest(run_dir: str, config: SynthesisConfig, argv, extra: dict | None = None) -> None:
-    manifest = {
+    run_dir = os.path.join(out_root, f"{stamp}-{config.sha256()[:10]}")
+    os.makedirs(run_dir, exist_ok=True)
+    _write_json_atomic(os.path.join(run_dir, "manifest.json"), {
         "tool_version": __version__,
         "config_sha256": config.sha256(),
         "config": config.raw,
         "seeds": {"scenario": config.seed_scenario, "validation": config.seed_validation},
         "argv": list(argv),
-    }
-    manifest.update(extra or {})
-    _write_json_atomic(os.path.join(run_dir, "manifest.json"), manifest)
+        **extra,
+    })
+    return run_dir
 
 
-def _apply_overrides(args, raw: dict) -> dict:
-    if getattr(args, "seed", None) is not None:
-        raw.setdefault("seeds", {})
-        raw["seeds"]["scenario"] = args.seed
-    if getattr(args, "seed_validation", None) is not None:
-        raw.setdefault("seeds", {})
-        raw["seeds"]["validation"] = args.seed_validation
-    if getattr(args, "no_tighten", False):
-        raw["tighten"] = False
-    if getattr(args, "n_scenario", None) is not None:
-        raw["samples"] = dict(raw.get("samples", {}))
-        raw["samples"].pop("auto", None)
-        raw["samples"]["scenario"] = args.n_scenario
-    if getattr(args, "n_validation", None) is not None:
-        raw["samples"] = dict(raw.get("samples", {}))
-        raw["samples"].pop("auto", None)
-        raw["samples"]["validation"] = args.n_validation
-    return raw
+# The flags that set a configuration key: argparse arguments (None when the
+# flag is not given) and the key's path, in registration and application order.
+_OVERRIDES = {
+    "--seed": (dict(type=int, dest="seed", help="scenario seed override"), ("seeds", "scenario")),
+    "--seed-validation": (dict(type=int, dest="seed_validation"), ("seeds", "validation")),
+    "--no-tighten": (dict(action="store_const", const=False, dest="no_tighten",
+                          help="disable grid tightening (exploration only, non-certifying)"),
+                     ("tighten",)),
+    "--N": (dict(type=int, dest="n_scenario"), ("samples", "scenario")),
+    "--N0": (dict(type=int, dest="n_validation"), ("samples", "validation")),
+}
 
 
 def _load_config_with_overrides(args) -> SynthesisConfig:
-    return validate_config(_apply_overrides(args, read_json_object(args.config, "configuration")))
+    """The configuration at `args.config` with the override flags given in `args` set."""
+    raw = read_json_object(args.config, "configuration")
+    for kwargs, path in _OVERRIDES.values():
+        value = getattr(args, kwargs["dest"], None)
+        if value is not None:
+            set_config_key(raw, path, value)
+    return validate_config(raw)
 
 
-def _emit_report(run_dir: str, report: CertificateReport) -> str:
+def _finish_run(run_dir: str, report: CertificateReport) -> int:
+    """Write the run's `report.json`, print its summary and path, and return the exit code."""
     path = os.path.join(run_dir, "report.json")
     _write_json_atomic(path, report.to_json_dict())
-    return path
-
-
-def _print_report_summary(report: CertificateReport) -> None:
     print(f"verdict: {report.verdict}")
-    if report.failure_cause:
-        print(f"cause:   {report.failure_cause}")
-    if report.margin_objective is not None:
-        print(f"objective K*: {report.margin_objective:.6g}")
-    if report.margin_slack is not None:
-        print(f"slack L*Uinv: {report.margin_slack:.6g}")
-    if report.margin is not None:
-        print(f"margin:       {report.margin:.6g}")
-    if report.kappa is not None:
-        print(f"kappa*:       {report.kappa:.7f}")
-    if report.support_bound is not None:
-        print(f"active sampled rows (support bound): {report.support_bound}")
-    if report.violations is not None:
-        print(f"validation violations: {report.violations}")
+    for label, value, spec in (
+        ("cause:   ", report.failure_cause, ""),
+        ("objective K*: ", report.margin_objective, ".6g"),
+        ("slack L*Uinv: ", report.margin_slack, ".6g"),
+        ("margin:       ", report.margin, ".6g"),
+        ("kappa*:       ", report.kappa, ".7f"),
+        ("active sampled rows (support bound): ", report.support_bound, ""),
+        ("validation violations: ", report.violations, ""),
+    ):
+        if value is not None:
+            print(f"{label}{value:{spec}}")
     for w in report.warnings:
         print(f"warning: {w}")
-
-
-def _verdict_exit(report: CertificateReport) -> int:
+    print(f"report: {path}")
     return EXIT_OK if report.certified else EXIT_INCONCLUSIVE
 
 
@@ -200,8 +196,7 @@ class _DatasetWriter:
 
 def _cmd_synthesize(args, argv) -> int:
     config = _load_config_with_overrides(args)
-    run_dir = _run_dir(args.out, config)
-    _write_manifest(run_dir, config, argv)
+    run_dir = _new_run(args.out, config, argv)
     writer = None if args.no_datasets else _DatasetWriter(run_dir)
     try:
         report = synthesize(config, dataset_sink=writer)
@@ -211,21 +206,13 @@ def _cmd_synthesize(args, argv) -> int:
     if status != 0:
         # before the report, so no exit-0 report.json lacks its datasets
         raise SafesynthError(f"dataset writer failed with exit status {status}")
-    path = _emit_report(run_dir, report)
-    _print_report_summary(report)
-    print(f"report: {path}")
-    return _verdict_exit(report)
+    return _finish_run(run_dir, report)
 
 
 def _cmd_prior_synthesize(args, argv) -> int:
     config = _load_config_with_overrides(args)
-    run_dir = _run_dir(args.out, config)
-    _write_manifest(run_dir, config, argv, extra={"eps": args.eps})
-    report = prior_synthesize(config, args.eps)
-    path = _emit_report(run_dir, report)
-    _print_report_summary(report)
-    print(f"report: {path}")
-    return _verdict_exit(report)
+    run_dir = _new_run(args.out, config, argv, eps=args.eps)
+    return _finish_run(run_dir, prior_synthesize(config, args.eps))
 
 
 def _cmd_collect(args, argv) -> int:
@@ -233,6 +220,8 @@ def _cmd_collect(args, argv) -> int:
     # rewrite of the config's scenario seed
     config = _load_config_with_overrides(args)
     role = Role(args.role)
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     if args.dataset_seed is not None and args.dataset_seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.dataset_seed}")
     seed = args.dataset_seed if args.dataset_seed is not None else (
@@ -263,8 +252,7 @@ def _cmd_plan(args, argv) -> int:
     assert plan is not None
     _print_plan(plan)
     if args.out:
-        run_dir = _run_dir(args.out, config)
-        _write_manifest(run_dir, config, argv)
+        run_dir = _new_run(args.out, config, argv)
         _write_json_atomic(
             os.path.join(run_dir, "plan.json"),
             {
@@ -284,18 +272,41 @@ def _cmd_plan(args, argv) -> int:
     return EXIT_OK
 
 
+def _check_certificate(cert: CertificateValues, config: SynthesisConfig) -> None:
+    """A ConfigError naming the field unless `cert` fits `config`'s template
+    and all its values are finite."""
+    layout = config.layout()
+    shapes = [(p.basis.nvars, len(p.coeffs)) for p in (cert.barrier, *cert.controllers)]
+    template = [(b.nvars, len(b)) for b in (layout.barrier, *layout.controllers)]
+    if shapes != template:
+        raise ConfigError(f"certificate barrier and controllers have (nvars, coefficients) "
+                          f"{shapes}, the configuration's template {template}")
+    values = {f.name: [getattr(cert, f.name)] for f in dataclasses.fields(cert) if f.type is float}
+    values["barrier"] = cert.barrier.coeffs
+    values.update((f"controllers[{i}]", c.coeffs) for i, c in enumerate(cert.controllers))
+    for name, value in values.items():
+        if not all(map(math.isfinite, value)):
+            raise ConfigError(f"certificate {name} has a non-finite value")
+
+
 def _cmd_verify(args, argv) -> int:
+    for dest in ("region_points", "step_points", "trajectory_grid"):
+        if getattr(args, dest) < 2:
+            raise ConfigError(f"--{dest.replace('_', '-')} must be >= 2, got {getattr(args, dest)}")
     try:
         report = CertificateReport.from_json_dict(read_json_object(args.report, "report"))
     except KeyError as exc:
         raise ConfigError(f"report {args.report} lacks required key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"report {args.report} has a malformed field: {exc}") from exc
+    except PolynomialError as exc:
+        raise ConfigError(f"report {args.report} has a malformed certificate: {exc}") from exc
     if report.certificate is None:
         print("report carries no certificate; nothing to verify")
         return EXIT_INCONCLUSIVE
     config = validate_config(report.config)
     cert = report.certificate
+    _check_certificate(cert, config)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.report))
     with contextlib.closing(make_plant(config.plant_spec)) as plant:
         conditions = check_cbf_conditions(
@@ -354,33 +365,28 @@ def _cmd_bounds(args, argv) -> int:
 
 
 def _cmd_casestudy(args, argv) -> int:
-    config = validate_config(_apply_overrides(args, room_casestudy_config()))
-    run_dir = _run_dir(args.out, config)
-    _write_manifest(run_dir, config, argv, extra={"mode": args.mode})
-    if args.mode == "prior":
-        report = prior_synthesize(config, args.eps)
-    else:
-        report = synthesize(config)
-    path = _emit_report(run_dir, report)
+    config = _load_config_with_overrides(args)
+    run_dir = _new_run(args.out, config, argv, mode=args.mode)
+    report = prior_synthesize(config, args.eps) if args.mode == "prior" else synthesize(config)
+    exit_code = _finish_run(run_dir, report)
     if report.certificate is not None:
         with contextlib.closing(make_plant(config.plant_spec)) as plant:
             emit_plot_data(report.certificate, plant, config.state_box, config.input_box, run_dir)
-    _print_report_summary(report)
-    print(f"report: {path}")
-    return _verdict_exit(report)
+    return exit_code
 
 
 def _cmd_repeat(args, argv) -> int:
     config = _load_config_with_overrides(args)
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
+    # the manifest comes first, so a repeat that fails still leaves one
+    run_dir = _new_run(args.out, config, argv, runs=args.runs)
     result = repeat_experiment(config, args.runs)
-    run_dir = _run_dir(args.out, config)
-    _write_manifest(run_dir, config, argv, extra={"runs": args.runs})
     _write_json_atomic(os.path.join(run_dir, "repeat.json"), result.to_dict())
     with atomic_write(os.path.join(run_dir, "histogram.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["violations", "frequency"])
-        for k in sorted(result.histogram):
-            writer.writerow([k, result.histogram[k]])
+        writer.writerows(sorted(result.histogram.items()))
     print(f"{'violations':>12} {'frequency':>10}")
     for k in sorted(result.histogram):
         print(f"{k:>12} {result.histogram[k]:>10}")
@@ -402,12 +408,7 @@ def build_parser() -> _Parser:
     common = {
         "--config": dict(required=True, help="configuration JSON path"),
         "--out": dict(default="runs", help="output directory root"),
-        "--seed": dict(type=int, default=None, help="scenario seed override"),
-        "--seed-validation": dict(type=int, default=None, dest="seed_validation"),
-        "--no-tighten": dict(action="store_true", dest="no_tighten",
-                             help="disable grid tightening (exploration only, non-certifying)"),
-        "--N": dict(type=int, default=None, dest="n_scenario"),
-        "--N0": dict(type=int, default=None, dest="n_validation"),
+        **{flag: kwargs for flag, (kwargs, _) in _OVERRIDES.items()},
     }
 
     def add_common(p, *flags):
@@ -481,7 +482,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["prior", "posterior"], default="posterior")
     p.add_argument("--eps", type=float, default=7.492e-6,
                    help="violation level for --mode prior")
-    p.set_defaults(func=_cmd_casestudy)
+    p.set_defaults(func=_cmd_casestudy, config=bundled_room_config_path())
 
     p = sub.add_parser("repeat", help="repeat the experiment with derived seeds")
     add_common(p, *common)

@@ -139,8 +139,8 @@ def _arrays(value, kind: type, name: str, depth: int = 1):
 
 
 def _read(mapping, table: dict, where: str) -> dict:
-    """The values `table` names in `mapping`, typed, with defaults filled in;
-    unknown, missing required and mistyped keys raise ConfigError."""
+    """The values `table` names in `mapping`, typed, with missing defaults also set
+    into `mapping`; unknown, missing required and mistyped keys raise ConfigError."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be an object")
     unknown = set(mapping) - set(table)
@@ -150,16 +150,29 @@ def _read(mapping, table: dict, where: str) -> dict:
     for key, entry in table.items():
         if isinstance(entry, dict):
             section = key if where == "configuration" else f"{where}.{key}"
-            out[key] = _read(mapping.get(key, {}), entry, section)
+            out[key] = _read(mapping.setdefault(key, {}), entry, section)
             continue
         kind, default = entry
         if key not in mapping and default is _REQUIRED:
             raise ConfigError(f"missing required key '{key}' in {where}")
-        value = mapping.get(key, default)
+        value = mapping.setdefault(key, default)
         if kind is not None and not (value is None and default is None):
             value = _typed(value, kind, f"'{key}' in {where}")
         out[key] = value
     return out
+
+
+def set_config_key(raw: dict, path: tuple[str, ...], value) -> None:
+    """Set the key at `path` (sections, then a key) of the configuration `raw`,
+    making missing sections; a sample count replaces `samples.auto`."""
+    *sections, key = path
+    for section in sections:
+        raw = raw.setdefault(section, {})
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{section} must be an object to set {'.'.join(path)}, got {raw!r}")
+    if sections == ["samples"]:
+        raw.pop("auto", None)
+    raw[key] = value
 
 
 @dataclass(frozen=True)
@@ -219,29 +232,29 @@ class SynthesisConfig:
 
 
 def validate_config(data: dict) -> SynthesisConfig:
-    """Strict schema check; unknown keys are rejected, defaults are echoed."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a JSON object")
-    opts = _read(data, _DEFAULTS, "configuration")
-    raw = canonical_dict(data)
+    """Strict schema check; unknown keys are rejected.  The echo `raw` is a JSON
+    copy of `data` with the missing defaults appended in `_DEFAULTS` order."""
+    try:
+        raw = json.loads(json.dumps(data))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"configuration is not JSON data: {exc}") from exc
+    opts = _read(raw, _DEFAULTS, "configuration")
 
-    plant_spec = raw["plant"]
+    plant_spec = opts["plant"]
     if isinstance(plant_spec, dict):
-        command = _read(plant_spec, _PLANT_COMMAND, "plant")
-        state_dim = command["state_dim"]
-        input_dim = command["input_dim"]
+        _, state_dim, input_dim = _read(plant_spec, _PLANT_COMMAND, "plant").values()
     elif plant_spec == "room-temp":
         state_dim = input_dim = 1
     else:
         raise ConfigError(f"unknown plant {plant_spec!r}")
 
     try:
-        state_box = Box.from_intervals(_arrays(raw["state_space"], float, "state_space", 2))
-        input_box = Box.from_intervals(_arrays(raw["input_box"], float, "input_box", 2))
+        state_box = Box.from_intervals(_arrays(opts["state_space"], float, "state_space", 2))
+        input_box = Box.from_intervals(_arrays(opts["input_box"], float, "input_box", 2))
         initial_region = RegionUnion.from_intervals(
-            _arrays(raw["initial_set"], float, "initial_set", 3))
+            _arrays(opts["initial_set"], float, "initial_set", 3))
         unsafe_region = RegionUnion.from_intervals(
-            _arrays(raw["unsafe_set"], float, "unsafe_set", 3))
+            _arrays(opts["unsafe_set"], float, "unsafe_set", 3))
     except SafesynthError as exc:
         raise ConfigError(f"bad region declaration: {exc}") from exc
 
@@ -260,7 +273,7 @@ def validate_config(data: dict) -> SynthesisConfig:
 
     if opts["horizon"] < 1:
         raise ConfigError(f"horizon must be >= 1, got {opts['horizon']}")
-    controller_degrees = tuple(_arrays(raw["controller_degrees"], int, "controller_degrees"))
+    controller_degrees = tuple(_arrays(opts["controller_degrees"], int, "controller_degrees"))
     if min((opts["barrier_degree"], *controller_degrees)) < 0:
         raise ConfigError("barrier_degree and controller_degrees must be >= 0")
     if len(controller_degrees) != input_dim:
@@ -271,21 +284,21 @@ def validate_config(data: dict) -> SynthesisConfig:
     if not 0.0 < opts["beta"] < 1.0:
         raise ConfigError(f"beta must lie in (0, 1), got {opts['beta']}")
 
-    lipschitz = raw["lipschitz"]
+    lipschitz = opts["lipschitz"]
+    if lipschitz is None and plant_spec == "room-temp":
+        lipschitz = raw["lipschitz"] = ROOM_LIPSCHITZ_DEFAULT
     if lipschitz is None:
         raise ConfigError("missing required key 'lipschitz' (no builtin default for this plant)")
     if lipschitz <= 0:
         raise ConfigError(f"lipschitz must be positive, got {lipschitz}")
 
-    samples = raw["samples"]
-    n_scenario = n_validation = None
-    auto = None
+    samples = opts["samples"]
+    n_scenario = n_validation = auto = None
     if isinstance(samples, dict) and "auto" in samples:
-        auto = AutoSamples(**_read(samples, _AUTO_SAMPLES, "samples")["auto"])
+        # on a copy: the planner's defaults are not echoed
+        auto = AutoSamples(**_read(json.loads(json.dumps(samples)), _AUTO_SAMPLES, "samples")["auto"])
     else:
-        fixed = _read(samples, _FIXED_SAMPLES, "samples")
-        n_scenario = fixed["scenario"]
-        n_validation = fixed["validation"]
+        n_scenario, n_validation = _read(samples, _FIXED_SAMPLES, "samples").values()
         if n_scenario < 1 or n_validation < 1:
             raise ConfigError("sample counts must be >= 1")
 
@@ -293,7 +306,7 @@ def validate_config(data: dict) -> SynthesisConfig:
     if min(grids.initial, grids.unsafe, grids.state) < 2:
         raise ConfigError("grid_points entries must be >= 2")
 
-    coeff_bounds = _read(raw["coeff_bounds"], _COEFF_BOUNDS, "coeff_bounds")
+    coeff_bounds = _read(opts["coeff_bounds"], _COEFF_BOUNDS, "coeff_bounds")
     controller_bounds = tuple(_arrays(coeff_bounds["controller"], float, "coeff_bounds.controller"))
     if len(controller_bounds) != input_dim:
         raise ConfigError("need one controller coefficient bound per input dimension")
@@ -323,7 +336,7 @@ def validate_config(data: dict) -> SynthesisConfig:
         initial_region=initial_region,
         unsafe_region=unsafe_region,
         controller_degrees=controller_degrees,
-        lipschitz=float(lipschitz),
+        lipschitz=lipschitz,
         n_scenario=n_scenario,
         n_validation=n_validation,
         auto_samples=auto,
@@ -340,21 +353,6 @@ def validate_config(data: dict) -> SynthesisConfig:
             "workers", "estimate_lipschitz",
         )},
     )
-
-
-def canonical_dict(data: dict) -> dict:
-    """The configuration with all defaults applied, as echoed into reports."""
-    out = json.loads(json.dumps(data))  # deep copy, JSON-normalised
-    for key, entry in _DEFAULTS.items():
-        if isinstance(entry, dict):
-            section = out.setdefault(key, {})
-            for name, (_, default) in entry.items():
-                section.setdefault(name, default)
-        elif entry[1] is not _REQUIRED:
-            out.setdefault(key, entry[1])
-    if out["lipschitz"] is None and out.get("plant") == "room-temp":
-        out["lipschitz"] = ROOM_LIPSCHITZ_DEFAULT
-    return out
 
 
 def read_json_object(path: str, what: str) -> dict:
@@ -390,13 +388,13 @@ def room_casestudy_config(
     """The bundled room-temperature study configuration with these sizes and
     seeds (the file's where None) and the given top-level overrides
     (JSON-ready dict)."""
-    with open(bundled_room_config_path()) as fh:
-        cfg = json.load(fh)
-    for section, values in (("samples", (n_scenario, n_validation)),
-                            ("seeds", (seed_scenario, seed_validation))):
-        for role, value in zip(("scenario", "validation"), values):
-            if value is not None:
-                cfg[section][role] = value
+    cfg = read_json_object(bundled_room_config_path(), "configuration")
+    for path, value in ((("samples", "scenario"), n_scenario),
+                        (("samples", "validation"), n_validation),
+                        (("seeds", "scenario"), seed_scenario),
+                        (("seeds", "validation"), seed_validation)):
+        if value is not None:
+            set_config_key(cfg, path, value)
     cfg.update(overrides)
     return cfg
 

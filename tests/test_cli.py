@@ -6,10 +6,12 @@ import textwrap
 
 import pytest
 
-from safesynth import cli
+from safesynth import cli, pipeline
 from safesynth.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RUNTIME, main
+from safesynth.errors import SafesynthError
 from safesynth.pipeline import bundled_room_config_path, room_casestudy_config, validate_config
 from safesynth.plant import Role, collect, load_dataset, make_plant, save_dataset
+from safesynth.scp import CertificateValues
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the dataset writer forks")
 
@@ -171,19 +173,87 @@ def test_malformed_config_shape_is_config_exit(tmp_path, capsys, command, overri
     if command == "synthesize":
         path = write_config(tmp_path, raw)
     else:
-        from safesynth.scp import CertificateValues
-
-        layout = validate_config(small_raw()).layout()
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps({
-            "method": "posterior", "verdict": "certified",
-            "certificate": CertificateValues.from_vector(layout, [0.0] * layout.n_total).to_dict(),
-            "n_scenario": 1, "lipschitz": 1.0, "beta": 0.05, "seeds": {}, "solver": {},
-            "timings": {}, "config": raw, "config_sha256": "",
-        }))
+        path = write_report(tmp_path, raw, zero_certificate())
     flag = "--report" if command == "verify" else "--config"
     assert main([command, flag, str(path), "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def zero_certificate() -> dict:
+    """The all-zero certificate of `small_raw()`'s template, as a report holds it."""
+    layout = validate_config(small_raw()).layout()
+    return CertificateValues.from_vector(layout, [0.0] * layout.n_total).to_dict()
+
+
+def write_report(tmp_path, raw, certificate) -> str:
+    """A report of a certified run of configuration `raw` with `certificate`."""
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({
+        "method": "posterior", "verdict": "certified", "certificate": certificate,
+        "n_scenario": 1, "lipschitz": 1.0, "beta": 0.05, "seeds": {}, "solver": {},
+        "timings": {}, "config": raw, "config_sha256": "",
+    }))
+    return str(path)
+
+
+def _set(path, value):
+    """An edit of a certificate dict that sets the entry at `path` to `value`."""
+    def edit(cert):
+        *parents, key = path
+        for name in parents:
+            cert = cert[name]
+        cert[key] = value
+    return edit
+
+
+# certificate edit -> the field the error names; each exited 4 or 2
+MALFORMED_CERTIFICATES = {
+    "coeffs-short-of-own-basis": (lambda c: c["barrier"]["coeffs"].pop(),
+                                  "malformed certificate: 4 coefficients"),
+    "extra-controller": (lambda c: c["controllers"].append(c["controllers"][0]),
+                         "(nvars, coefficients) [(1, 5), (1, 5), (1, 5)]"),
+    "barrier-nvars": (_set(["barrier"], {"nvars": 2, "degree": 4, "coeffs": [0.0] * 15}),
+                      "(nvars, coefficients) [(2, 15), (1, 5)]"),
+    "barrier-degree": (_set(["barrier"], {"nvars": 1, "degree": 2, "coeffs": [0.0] * 3}),
+                       "(nvars, coefficients) [(1, 3), (1, 5)]"),
+    "controller-nan-coefficient": (_set(["controllers", 0, "coeffs", 1], float("nan")),
+                                   "controllers[0] has a non-finite value"),
+    "barrier-inf-coefficient": (_set(["barrier", "coeffs", 0], float("inf")),
+                                "barrier has a non-finite value"),
+    "objective-nan": (_set(["objective"], float("nan")), "objective has a non-finite value"),
+    "unsafe_floor-inf": (_set(["unsafe_floor"], float("-inf")),
+                         "unsafe_floor has a non-finite value"),
+}
+
+
+@pytest.mark.parametrize("edit, field", MALFORMED_CERTIFICATES.values(), ids=MALFORMED_CERTIFICATES)
+def test_verify_malformed_certificate_is_config_exit(tmp_path, capsys, edit, field):
+    certificate = zero_certificate()
+    edit(certificate)
+    path = write_report(tmp_path, small_raw(), certificate)
+    rc = main(["verify", "--report", path, "--region-points", "21", "--step-points", "11",
+               "--trajectory-grid", "5"])
+    assert rc == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("collect", "--count", "0"),
+    ("verify", "--region-points", "1"),
+    ("verify", "--step-points", "1"),
+    ("verify", "--trajectory-grid", "0"),
+])
+def test_out_of_range_usage_flag_is_config_exit(tmp_path, capsys, command, flag, value):
+    # each ended as a GeometryError from `collect` or `box_grid` (exit 4)
+    if command == "collect":
+        argv = ["--config", write_config(tmp_path, small_raw()), "--count", "5",
+                "--output", str(tmp_path / "d.csv")]
+    else:
+        argv = ["--report", write_report(tmp_path, small_raw(), zero_certificate())]
+    assert main([command, *argv, flag, value]) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "verify.json").exists()
 
 
 def _no_constant(name):
@@ -246,6 +316,90 @@ def test_negative_seed_is_config_exit(tmp_path, capsys, monkeypatch, overrides, 
     assert main([*argv, "--config", cfg]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "runs").exists()
+
+
+# the override flags that write into a section, and each subcommand that takes them
+_SECTION_FLAGS = {"--seed": "seeds", "--seed-validation": "seeds",
+                  "--N": "samples", "--N0": "samples"}
+_FLAG_COMMANDS = {
+    "synthesize": ("--seed", "--seed-validation", "--N", "--N0"),
+    "prior-synthesize": ("--seed", "--seed-validation", "--N"),
+    "collect": ("--seed-validation",),
+    "plan": ("--seed", "--seed-validation"),
+    "casestudy": ("--seed", "--seed-validation", "--N", "--N0"),
+    "repeat": ("--seed", "--seed-validation", "--N", "--N0"),
+}
+
+
+def _command_argv(command, cfg, tmp_path, monkeypatch):
+    """The arguments `command` needs besides its override flags, run on `cfg`."""
+    out = str(tmp_path / "runs")
+    if command == "casestudy":
+        # the bundled file is the parser's default configuration
+        monkeypatch.setattr(pipeline, "bundled_room_config_path", lambda: cfg)
+        monkeypatch.setattr(cli, "bundled_room_config_path", lambda: cfg, raising=False)
+        return ["--out", out]
+    return {
+        "synthesize": ["--config", cfg, "--out", out],
+        "prior-synthesize": ["--config", cfg, "--eps", "0.2", "--out", out],
+        "collect": ["--config", cfg, "--count", "5", "--output", str(tmp_path / "d.csv")],
+        "plan": ["--config", cfg, "--out", out],
+        "repeat": ["--config", cfg, "--runs", "1", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("shape", [[1, 2], "x", 5], ids=["array", "string", "number"])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in _FLAG_COMMANDS.items() for flag in flags])
+def test_override_into_non_object_section_is_config_exit(
+        tmp_path, capsys, monkeypatch, command, flag, shape):
+    # each raised a TypeError or ValueError out of the override (exit 1)
+    section = _SECTION_FLAGS[flag]
+    cfg = write_config(tmp_path, small_raw(**{section: shape}))
+    argv = _command_argv(command, cfg, tmp_path, monkeypatch)
+    assert main([command, *argv, flag, "7"]) == EXIT_CONFIG
+    assert f"{section} must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("sizes, flags", [
+    ({"n_scenario": 3000, "seed_validation": 8}, ["--N", "3000", "--seed-validation", "8"]),
+    ({"n_validation": 1500, "seed_scenario": 7}, ["--N0", "1500", "--seed", "7"]),
+    ({"n_scenario": 3000, "n_validation": 1500, "seed_scenario": 7, "seed_validation": 8},
+     ["--N", "3000", "--N0", "1500", "--seed", "7", "--seed-validation", "8"]),
+])
+@pytest.mark.parametrize("command", ["casestudy", "synthesize"])
+def test_override_flags_echo_as_room_casestudy_config(tmp_path, monkeypatch, command, sizes, flags):
+    def stop(config, **kwargs):
+        raise SafesynthError("stopped after the manifest")
+
+    monkeypatch.setattr(cli, "synthesize", stop)
+    argv = ["--out", str(tmp_path / "runs")]
+    if command == "synthesize":
+        argv += ["--config", bundled_room_config_path()]
+    assert main([command, *argv, *flags]) == EXIT_RUNTIME
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    config = validate_config(room_casestudy_config(**sizes))
+    assert manifest["config"] == config.raw
+    assert list(manifest["config"]) == list(config.raw)
+    assert manifest["config_sha256"] == config.sha256()
+
+
+def test_repeat_writes_manifest_before_a_failing_pilot(tmp_path, capsys):
+    # the pilot collection of an `auto` configuration fails: exit 4, and the
+    # manifest that reproduces the run is there
+    raw = small_raw(
+        plant={"command": [sys.executable, "-c", "pass"], "state_dim": 1, "input_dim": 1},
+        samples={"auto": {"start_scenario": 100, "start_validation": 50}},
+    )
+    cfg = write_config(tmp_path, raw)
+    assert main(["repeat", "--config", cfg, "--runs", "2", "--out", str(tmp_path / "runs")]) \
+        == EXIT_RUNTIME
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["runs"] == 2 and manifest["config"] == validate_config(raw).raw
 
 
 @needs_fork

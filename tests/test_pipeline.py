@@ -261,6 +261,25 @@ def test_config_echo_appends_defaults_in_order():
     ]
 
 
+def test_config_echo_is_a_copy_with_values_as_written():
+    # the schema walk sets the defaults into a copy: the caller's dict stays
+    # as it is, and the echo keeps an integer where a number was written
+    raw = room_casestudy_config(lipschitz=11)
+    del raw["seeds"]
+    before = json.dumps(raw)
+    config = validate_config(raw)
+    assert json.dumps(raw) == before
+    assert type(config.raw["lipschitz"]) is int and type(config.lipschitz) is float
+    assert config.raw["seeds"] == {"scenario": 1, "validation": 2}
+
+
+@pytest.mark.parametrize("key", ["state_space", "workers"])
+def test_config_with_a_non_json_value_is_config_error(key):
+    # the schema walk runs on a JSON copy of the configuration; a set has none
+    with pytest.raises(ConfigError, match="not JSON data"):
+        validate_config(room_casestudy_config(**{key: {1, 2}}))
+
+
 def test_config_room_defaults_lipschitz():
     raw = room_casestudy_config()
     del raw["lipschitz"]
@@ -578,7 +597,9 @@ def test_repeat_worker_crash_is_runtime_exit(tmp_path, monkeypatch, capsys):
     assert rc == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert "worker process died" in err and "0-0" in err and "did not finish" in err
-    assert not (tmp_path / "runs").exists()
+    # the manifest is written before the runs; no result is
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
 
 
 def test_lipschitz_estimator_warning_paths():

@@ -6,9 +6,10 @@ Usage (from the root of a source checkout):
 
 Each case runs through `safesynth.cli.main` on the `src/` next to this file
 and leaves one `OUT_DIR/<case>.json`: the report (or `repeat.json`) with every
-`timings` entry removed, plus the sha256 of each CSV file the run wrote.
-Run it in two checkouts and compare with `diff -r OUT_A OUT_B`; identical
-output means the same certificates, verdicts, solver counters and datasets.
+`timings` entry removed, `manifest.json` without its `argv`, and the sha256
+of each CSV file the run wrote.  Run it in two checkouts and compare with
+`diff -r OUT_A OUT_B`; identical output means the same certificates,
+verdicts, solver counters, configuration echoes, manifests and datasets.
 
 Cases: `synthesize` and `prior-synthesize --eps 7.492e-6` on the bundled
 configuration, a 200/5000-sample small room configuration, the same with
@@ -18,10 +19,13 @@ path), `repeat --runs 4` of a certifying small configuration with two
 workers, a degree-0 small configuration whose program is infeasible
 (its sampled rows have a structurally zero barrier column), and the small
 configuration with `tolerances.max_iterations` 2, whose solve stops at the
-iteration limit (the `SolverError` early exit).  The `verify` case runs
-`verify --report` on the `small` case's report with reduced grids and keeps
-`verify.json`, its plot paths cut to file names, and the sha256 of the plot
-CSVs.
+iteration limit (the `SolverError` early exit).  Two cases set the
+configuration through the override flags: `casestudy --mode posterior --N
+3000 --N0 1500 --seed 7 --seed-validation 8` on the bundled file, and
+`synthesize --no-tighten --N 300 --N0 150` on the small configuration.
+The `verify` case runs `verify --report` on the `small` case's report with
+reduced grids and keeps `verify.json`, its plot paths cut to file names,
+and the sha256 of the plot CSVs.
 """
 
 import contextlib
@@ -49,15 +53,21 @@ def _small_room(**overrides) -> dict:
     return raw
 
 
-# case name -> (subcommand and flags, configuration dict or None for the bundled file)
+BUNDLED = ["--config", bundled_room_config_path()]
+
+# case name -> (subcommand and flags, configuration dict passed as --config or None)
 CASES = {
-    "synthesize": (["synthesize"], None),
-    "prior_synthesize": (["prior-synthesize", "--eps", "7.492e-6"], None),
+    "synthesize": (["synthesize", *BUNDLED], None),
+    "prior_synthesize": (["prior-synthesize", "--eps", "7.492e-6", *BUNDLED], None),
     "small": (["synthesize"], _small_room()),
     "small_tiny_inputs": (["synthesize"], _small_room(input_box=[[0.0, 1e-3]])),
     "repeat_workers": (["repeat", "--runs", "4"], _small_room(lipschitz=0.5, workers=2)),
     "lp_infeasible": (["synthesize"], _small_room(barrier_degree=0, controller_degrees=[0])),
     "lp_iteration_limit": (["synthesize"], _small_room(tolerances={"max_iterations": 2})),
+    "casestudy_flags": (["casestudy", "--mode", "posterior", "--N", "3000", "--N0", "1500",
+                         "--seed", "7", "--seed-validation", "8"], None),
+    "no_tighten_flags": (["synthesize", "--no-tighten", "--N", "300", "--N0", "150"],
+                         _small_room()),
 }
 VERIFY_SOURCE = "small"  # the case whose report the `verify` case checks
 VERIFY_FLAGS = ["--region-points", "401", "--step-points", "61", "--trajectory-grid", "101"]
@@ -81,21 +91,25 @@ def _sha256(path: str) -> str:
 
 def run_case(name: str, argv: list, raw: dict | None, work: str) -> tuple[dict, str]:
     """Run one case; return its record and its run directory."""
-    config = bundled_room_config_path()
     if raw is not None:
         config = os.path.join(work, f"{name}.config.json")
         with open(config, "w") as fh:
             json.dump(raw, fh)
+        argv = argv + ["--config", config]
     runs = os.path.join(work, name)
     with contextlib.redirect_stdout(io.StringIO()):
-        rc = safesynth_main(argv + ["--config", config, "--out", runs])
+        rc = safesynth_main(argv + ["--out", runs])
     (run_dir,) = glob.glob(os.path.join(runs, "*"))
     report = "repeat.json" if argv[0] == "repeat" else "report.json"
     with open(os.path.join(run_dir, report)) as fh:
         payload = json.load(fh)
+    with open(os.path.join(run_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    del manifest["argv"]  # holds this run's temporary paths
     return {
         "exit_code": rc,
         report: _without_timings(payload),
+        "manifest.json": manifest,
         "csv_sha256": {
             os.path.basename(p): _sha256(p)
             for p in sorted(glob.glob(os.path.join(run_dir, "*.csv")))

@@ -1,7 +1,10 @@
 """Probabilistic machinery: binomial tails, sample bounds, posterior root.
 
-Everything is computed in log space through log-gamma so the binomial
-coefficients at N ~ 1e6..1e7 never overflow.  The two central objects:
+Everything is computed in log space so the binomial coefficients at
+N ~ 1e6..1e7 never overflow.  Every coefficient needed lies along one row
+(C(n, k), k = 0..m) or one column (C(i, s), i = s..n) of Pascal's triangle,
+so each is a running sum of logs of the ratio between neighbours, which
+needs NumPy only.  The two central objects:
 
 * the prior sample bound: the minimal N whose binomial lower tail at the
   requested violation level drops below the confidence budget beta, with the
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BoundsDomainError, KappaBracketError, PlannerError
 from .geometry import SampleSpace, u_of_r
@@ -76,11 +78,21 @@ class PosteriorInputs:
             raise BoundsDomainError(f"beta must lie in (0, 1), got {self.beta}")
 
 
-def log_binom_coeff(n, k):
-    """log C(n, k) via log-gamma; vectorised."""
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+def _log_binom_row(n: int, m: int) -> np.ndarray:
+    """log C(n, k) for k = 0..m: the running sum of log(n - k + 1) - log(k)."""
+    k = np.arange(1, m + 1, dtype=float)
+    return np.cumsum(np.concatenate(([0.0], np.log(n - k + 1.0) - np.log(k))))
+
+
+def _log_binom_column(s: int, lo: int, hi: int, log_at_lo: float = 0.0) -> np.ndarray:
+    """log C(i, s) for i = lo..hi (lo >= s), given log C(lo, s) = `log_at_lo`.
+
+    The running sum of log(i / (i - s)) = log1p(s / (i - s)), added in index
+    order, so a column computed in pieces, each started from the last value
+    of the one before, has the same bits as the whole column.
+    """
+    steps = np.log1p(s / np.arange(lo + 1 - s, hi + 1 - s, dtype=float))
+    return np.cumsum(np.concatenate(([log_at_lo], steps)))
 
 
 def logsumexp(a: np.ndarray) -> float:
@@ -113,7 +125,7 @@ def _log_binom_tail(n: int, m: int, t: float) -> float:
     if t == 1.0:
         return -math.inf
     i = np.arange(0, m + 1)
-    terms = log_binom_coeff(n, i) + i * math.log(t) + (n - i) * math.log1p(-t)
+    terms = _log_binom_row(n, m) + i * math.log(t) + (n - i) * math.log1p(-t)
     return logsumexp(terms)
 
 
@@ -175,9 +187,13 @@ def _kappa_series_terms(n: int, support: int) -> tuple:
     entry suffices because it never interleaves two of them.
     """
     chunks = []
+    log_at_start = 0.0  # log C(support, support)
     for start in range(support, n + 1, _CHUNK):
-        i = np.arange(start, min(start + _CHUNK, n + 1))
-        coeff, offset = log_binom_coeff(i, support), i - n
+        stop = min(start + _CHUNK, n + 1)
+        # one value past the chunk: the next chunk starts from it
+        column = _log_binom_column(support, start, stop, log_at_start)
+        coeff, log_at_start = column[:-1], column[-1]
+        offset = np.arange(start - n, stop - n)
         coeff.flags.writeable = offset.flags.writeable = False
         chunks.append((coeff, offset))
     return tuple(chunks)
@@ -206,7 +222,7 @@ def posterior_g(kappa: float, inputs: PosteriorInputs) -> PosteriorValue:
         - math.log(n + 1.0)
         + _log_kappa_series(n, support, math.log(kappa))
     )
-    log_rhs = float(log_binom_coeff(n, support)) + _log_binom_tail(n0, viol, 1.0 - kappa)
+    log_rhs = float(_log_binom_row(n, support)[-1]) + _log_binom_tail(n0, viol, 1.0 - kappa)
     if log_lhs > log_rhs:
         sign = 1
     elif log_lhs < log_rhs:

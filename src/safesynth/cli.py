@@ -10,9 +10,11 @@ the override flags `--seed`, `--seed-validation`, `--no-tighten`, `--N` and
 `--N0` set into it.  Exit codes: 0 success/certified, 2 completed but
 inconclusive, 3 bad configuration or usage (such as an override into a
 `samples` or `seeds` that is not an object, or a malformed certificate), 4
-runtime failure.  Every run writes a manifest (config hash, seeds, tool
-version, argv) sufficient to reproduce it; `synthesize`, `prior-synthesize`,
-`casestudy` and `repeat` write it before they collect or solve anything.
+runtime failure.  `synthesize`, `prior-synthesize`, `casestudy`, `repeat`
+and `plan --out` make a run directory and write its manifest (config hash,
+seeds, tool version, argv), sufficient to reproduce the run, before they
+collect or solve anything.  `collect` writes only its dataset CSV, whose
+header holds the seed, role and sample space but no config hash.
 Every file of a run (reports, manifest, datasets, plot CSVs, histogram) is
 written atomically through `plant.atomic_write`, with the permissions the
 umask gives a new file.  `verify` writes `verify.json` for a certificate of
@@ -248,11 +250,12 @@ def _cmd_plan(args, argv) -> int:
     config = _load_config_with_overrides(args)
     if config.auto_samples is None:
         raise ConfigError("plan requires a configuration with samples.auto")
+    # the manifest comes first, so a plan whose pilot fails still leaves one
+    run_dir = _new_run(args.out, config, argv) if args.out else None
     n, n0, plan = resolve_sample_sizes(config)
     assert plan is not None
     _print_plan(plan)
-    if args.out:
-        run_dir = _new_run(args.out, config, argv)
+    if run_dir is not None:
         _write_json_atomic(
             os.path.join(run_dir, "plan.json"),
             {

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -146,11 +149,13 @@ def test_solve_kappa_case_study():
 
 
 def uncached_kappa_series(n, support, log_kappa):
-    """The kappa series with every term recomputed, in the same chunks and order."""
+    """The kappa series with every term recomputed (the coefficient column in
+    one piece), summed in the same chunks and order."""
     pieces = []
+    column = bounds._log_binom_column(support, support, n)
     for start in range(support, n + 1, bounds._CHUNK):
         i = np.arange(start, min(start + bounds._CHUNK, n + 1))
-        pieces.append(bounds.logsumexp(bounds.log_binom_coeff(i, support) + (i - n) * log_kappa))
+        pieces.append(bounds.logsumexp(column[i - support] + (i - n) * log_kappa))
     return pieces[0] if len(pieces) == 1 else bounds.logsumexp(np.asarray(pieces))
 
 
@@ -165,6 +170,79 @@ def test_memoised_kappa_series_is_bit_identical(n, support):
     terms = bounds._kappa_series_terms(n, support)
     assert len(terms) == -(-(n + 1 - support) // bounds._CHUNK)
     assert not any(a.flags.writeable for chunk in terms for a in chunk)
+
+
+def exact_log_comb(n: int, k: int) -> float:
+    return math.log(math.comb(n, k))
+
+
+def assert_log_close(got: float, exact: float) -> None:
+    # relative 1e-12; log C = 0 (C = 1) must come out within 1e-12 of zero
+    assert abs(got - exact) <= 1e-12 * max(abs(exact), 1.0), (got, exact)
+
+
+@pytest.mark.parametrize("n", [10, 1000, 70_000, 140_000, 2_758_749])
+def test_log_binom_row_matches_exact_integers(n):
+    m = min(n, 40)
+    row = bounds._log_binom_row(n, m)
+    assert row.shape == (m + 1,) and row[0] == 0.0
+    for k in range(m + 1):
+        assert_log_close(row[k], exact_log_comb(n, k))
+
+
+@pytest.mark.parametrize("n, s", [(140_000, 2), (140_000, 5), (1_500_000, 3)])
+def test_log_binom_column_matches_exact_integers(n, s):
+    column = bounds._log_binom_column(s, s, n)
+    assert column.shape == (n - s + 1,) and column[0] == 0.0
+    sampled = np.r_[s, s + 1, s + 2, np.random.default_rng(n + s).integers(s, n + 1, 40), n]
+    for i in sampled:
+        assert_log_close(column[i - s], exact_log_comb(int(i), s))
+
+
+def test_log_binom_column_in_pieces_has_the_bits_of_the_whole():
+    whole = bounds._log_binom_column(3, 3, 1000)
+    first = bounds._log_binom_column(3, 3, 400)
+    rest = bounds._log_binom_column(3, 400, 1000, first[-1])
+    assert np.array_equal(np.r_[first[:-1], rest], whole)
+
+
+# kappa at sweep points, as float.hex, computed before the binomial
+# coefficients became running sums of logs: the root keeps every bit
+PINNED_KAPPAS = [
+    ((3, 2, 1, 0, 0.1), "0x1.75bfeac181302p-2"),
+    ((200, 100, 2, 1, 0.05), "0x1.f073d0d13def4p-1"),
+    ((2000, 1000, 1, 3, 0.05), "0x1.fe6af3493dd08p-1"),
+    ((2000, 1000, 4, 0, 0.01), "0x1.fdf96d5ebdd18p-1"),
+    ((20000, 10000, 1, 0, 0.05), "0x1.ffe69cf7bdcd6p-1"),
+    ((140000, 70000, 1, 0, 0.05), "0x1.fffc5f7f3dcd2p-1"),
+    ((140000, 70000, 5, 10, 0.001), "0x1.ffedcbfe3dcd4p-1"),
+    ((1500000, 700000, 3, 2, 0.05), "0x1.ffff45133dcd2p-1"),
+]
+
+
+@pytest.mark.parametrize("args, kappa_hex", PINNED_KAPPAS)
+def test_solve_kappa_keeps_pinned_bits(args, kappa_hex):
+    assert solve_kappa(PosteriorInputs(*args)).hex() == kappa_hex
+
+
+_NO_SCIPY = """
+import sys
+import safesynth
+import safesynth.cli
+from safesynth.cli import main
+assert main(["bounds", "prior", "--eps", "0.01", "--beta", "0.05", "--dim", "13"]) == 0
+assert main(["bounds", "kappa", "--N", "2000", "--N0", "1000", "--Nstar", "2", "--R", "1",
+             "--beta", "0.05"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_package_never_imports_scipy():
+    # a fresh interpreter: the test suite itself imports scipy for its oracles
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bounds.__file__)))
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_solve_kappa_memoised_series_keeps_pinned_root():

@@ -573,6 +573,21 @@ def test_plan_command(tmp_path, capsys):
     assert plan["steps"][-1]["passes"] is True
 
 
+def test_plan_writes_manifest_before_a_failing_pilot(tmp_path, capsys):
+    # the external plant closes its output at once, so the pilot collection
+    # fails: exit 4, and the manifest that reproduces the plan is there
+    raw = small_raw(
+        plant={"command": [sys.executable, "-c", "pass"], "state_dim": 1, "input_dim": 1},
+        samples={"auto": {"start_scenario": 100, "start_validation": 50}},
+    )
+    cfg = write_config(tmp_path, raw)
+    assert main(["plan", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_RUNTIME
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["config"] == validate_config(raw).raw
+
+
 def test_casestudy_command_reduced_size(tmp_path, capsys):
     rc = main(["casestudy", "--mode", "posterior", "--N", "3000", "--N0", "1500",
                "--out", str(tmp_path / "runs")])

@@ -5,9 +5,10 @@ Usage (from the root of a source checkout):
     python3 tools/report_parity.py OUT_DIR
 
 Each case runs through `safesynth.cli.main` on the `src/` next to this file
-and leaves one `OUT_DIR/<case>.json`: the report (or `repeat.json`) with every
-`timings` entry removed, `manifest.json` without its `argv`, and the sha256
-of each CSV file the run wrote.  Run it in two checkouts and compare with
+and leaves one `OUT_DIR/<case>.json`: the report (`repeat.json` or
+`plan.json` for those commands) with every `timings` entry removed,
+`manifest.json` without its `argv`, and the sha256 of each CSV file the run
+wrote.  Run it in two checkouts and compare with
 `diff -r OUT_A OUT_B`; identical output means the same certificates,
 verdicts, solver counters, configuration echoes, manifests and datasets.
 
@@ -23,6 +24,9 @@ iteration limit (the `SolverError` early exit).  Two cases set the
 configuration through the override flags: `casestudy --mode posterior --N
 3000 --N0 1500 --seed 7 --seed-validation 8` on the bundled file, and
 `synthesize --no-tighten --N 300 --N0 150` on the small configuration.
+The `plan_khat` case runs `plan --out` on the small configuration with
+`samples.auto` and `khat` given (no pilot solve), keeping `plan.json`: the
+planner's pass/fail decision at each (N, N0) it tried.
 The `verify` case runs `verify --report` on the `small` case's report with
 reduced grids and keeps `verify.json`, its plot paths cut to file names,
 and the sha256 of the plot CSVs.
@@ -68,6 +72,8 @@ CASES = {
                          "--seed", "7", "--seed-validation", "8"], None),
     "no_tighten_flags": (["synthesize", "--no-tighten", "--N", "300", "--N0", "150"],
                          _small_room()),
+    "plan_khat": (["plan"], _small_room(samples={"auto": {
+        "khat": -0.149, "nstar_hat": 1, "start_scenario": 1000, "start_validation": 500}})),
 }
 VERIFY_SOURCE = "small"  # the case whose report the `verify` case checks
 VERIFY_FLAGS = ["--region-points", "401", "--step-points", "61", "--trajectory-grid", "101"]
@@ -100,7 +106,7 @@ def run_case(name: str, argv: list, raw: dict | None, work: str) -> tuple[dict, 
     with contextlib.redirect_stdout(io.StringIO()):
         rc = safesynth_main(argv + ["--out", runs])
     (run_dir,) = glob.glob(os.path.join(runs, "*"))
-    report = "repeat.json" if argv[0] == "repeat" else "report.json"
+    report = {"repeat": "repeat.json", "plan": "plan.json"}.get(argv[0], "report.json")
     with open(os.path.join(run_dir, report)) as fh:
         payload = json.load(fh)
     with open(os.path.join(run_dir, "manifest.json")) as fh:

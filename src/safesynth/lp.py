@@ -24,11 +24,14 @@ of cells, runs of its rows with nearby scalars (`Cells`).  Each iteration
 bounds every cell's reduced costs from below through the polynomial
 structure and a rounding margin, then prices only the cells whose bound
 can beat the best reduced cost found so far, in ascending order of bound,
-gathering each cell's rows from the block once per solve.  A skipped row
+reading each cell's rows from the block once per solve.  A skipped row
 is one the bound proves cannot enter, and every priced row keeps the bits
 of the unscreened product, so the pivots are those of pricing every row.
 The block itself stays in row order; only pricing reads it through the
-index.
+index.  Such a block either stores its values or makes them from its
+per-row scalars when they are read (`PolyRows`), so a solve makes only the
+rows it prices.  The final G z - h is screened by the same bounds: a cell
+is evaluated only if it may hold an active row or the largest violation.
 
 Pivoting is Dantzig's rule with lowest-row tie-breaks; while the iteration
 stalls on degenerate vertices it switches to Bland's rule (the lowest
@@ -48,6 +51,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import SolverError
+from .polynomial import power
 
 # Rows priced per step of the pricing loop: the chunk's reduced costs (128 KB)
 # stay in L2 from the mat-vec to the entering-row choice.  A multiple of 64,
@@ -57,6 +61,8 @@ _PRICE_CHUNK = 16384
 # Rows of the first batch of cells `_DualSimplex._price_cells` prices; each
 # later batch doubles, up to `_PRICE_CHUNK`.
 _FIRST_BATCH = 2048
+# Rows `PolyRows` makes per step of its pass for the column maxima.
+_MAKE_CHUNK = 65536
 
 
 class LpStatus(str, Enum):
@@ -171,19 +177,100 @@ class Cells:
         return bound
 
 
+class PolyRows:
+    """The values of a row block, made from per-row scalars when they are
+    read instead of stored: entry (j, i) sums, over the nonzero
+    coeff_map[v, k, j] in (v, k) order, coeff_map[v, k, j] * z[v][i] ** k,
+    in the layout of `Cells.coeff_map`, with every power taken by
+    `polynomial.power` as `eval_basis_many` takes it.  So a column x'^k -
+    x^k is made as -x^k + x'^k, which rounds as the difference does.
+
+    `values[:, rows]` (a row number, a slice, a mask or row numbers) and
+    `values.take(rows, axis=1)` make those rows, (ncols, len) and
+    C-contiguous, and `np.asarray(values)` makes all of them; an entry has
+    the same bits whichever rows are made with it.  `abs_max`, the largest
+    |entry| of each column (NaN if one is NaN), comes from one pass over the
+    rows at construction, `_MAKE_CHUNK` rows at a time, so no temporary of
+    the block's size is made.  `nbytes` counts the scalars.
+    """
+
+    ndim = 2
+
+    def __init__(self, z, coeff_map):
+        self.z = [np.asarray(v, dtype=float) for v in z]
+        coeff_map = np.asarray(coeff_map, dtype=float)
+        nz, _, ncols = coeff_map.shape
+        if len(self.z) != nz or len({v.shape for v in self.z}) != 1 or self.z[0].ndim != 1:
+            raise SolverError(f"per-row scalars of shapes {[v.shape for v in self.z]} "
+                              f"for a coefficient map over {nz} scalars")
+        self.shape = (ncols, len(self.z[0]))
+        # (v, k, [(j, c, first term of column j)]) per power with a use
+        self._terms, started = [], set()
+        for v, k in zip(*np.nonzero(np.any(coeff_map != 0.0, axis=2))):
+            uses = []
+            for j in np.flatnonzero(coeff_map[v, k]).tolist():
+                uses.append((j, float(coeff_map[v, k, j]), j not in started))
+                started.add(j)
+            self._terms.append((int(v), int(k), uses))
+        self._unused = sorted(set(range(ncols)) - started)
+        self.abs_max = np.zeros(ncols)
+        for a in range(0, self.shape[1], _MAKE_CHUNK):
+            part = self[:, a:a + _MAKE_CHUNK]
+            np.maximum(self.abs_max, np.maximum(part.max(axis=1), -part.min(axis=1)),
+                       out=self.abs_max)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(v.nbytes for v in self.z)
+
+    def _make(self, z) -> np.ndarray:
+        out = np.empty((self.shape[0], len(z[0])))
+        out[self._unused] = 0.0
+        for v, k, uses in self._terms:
+            p = power(z[v], k)
+            for j, c, first in uses:
+                if first:
+                    np.multiply(p, c, out=out[j])
+                elif c == 1.0:
+                    out[j] += p
+                else:
+                    out[j] += c * p
+        return out
+
+    def __getitem__(self, key):
+        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], slice)
+                and key[0] == slice(None)):
+            raise IndexError(f"made rows are read as values[:, rows], not values[{key!r}]")
+        rows = key[1]
+        if isinstance(rows, (int, np.integer)):
+            return self._make([v[[rows]] for v in self.z])[:, 0]
+        return self._make([v[rows] for v in self.z])
+
+    def take(self, rows, axis: int = 1) -> np.ndarray:
+        if axis != 1:
+            raise IndexError("made rows are taken along axis 1")
+        return self._make([v.take(rows) for v in self.z])
+
+    def __array__(self, dtype=None, copy=None):
+        values = self._make(self.z)
+        return values if dtype is None else values.astype(dtype, copy=False)
+
+
 class RowStack:
-    """A constraint matrix stored as a stack of row blocks.
+    """A constraint matrix as a stack of row blocks.
 
     Block k is `(cols, values, shared, cells)` with `values.shape ==
     (len(cols), rows)`: `values[j, p]` is the entry in column `cols[j]` of
     the block's p-th row, and `shared`, an `ncols` vector that is zero on
     `cols` (or None for zeros), holds the entries every row of the block has
-    outside `cols`.  `cells` (None, or `Cells` for one block of a stack at
-    most) index the block's rows for screened pricing and change nothing
-    else.  A dense row-major matrix is the one block
-    `(arange(ncols), G.T, None, None)`, a view.  Rows that are constant in
-    many columns are stored C-contiguous over the others, so a mat-vec reads
-    only the entries that vary from row to row.
+    outside `cols`.  `values` either stores the entries, an array, or makes
+    them from per-row scalars when they are read, `PolyRows`; the scenario
+    program's sampled block with cells makes them.  `cells` (None, or
+    `Cells` for one block of a stack at most) index the block's rows for
+    screened pricing and change nothing else.  A dense row-major matrix is
+    the one block `(arange(ncols), G.T, None, None)`, a view.  Rows that are
+    constant in many columns are stored C-contiguous over the others, so a
+    mat-vec reads only the entries that vary from row to row.
     """
 
     def __init__(self, blocks, ncols: int):
@@ -237,7 +324,8 @@ class RowStack:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the entries: values and shared rows, not the cells."""
+        """Bytes of the entries: values (for `PolyRows`, their scalars) and
+        shared rows, not the cells."""
         return sum(values.nbytes + (0 if shared is None else shared.nbytes)
                    for _, values, shared, _ in self.blocks)
 
@@ -249,7 +337,7 @@ class RowStack:
         for (cols, values, shared, _), lo, hi in self._spans():
             if shared is not None:
                 dense[lo:hi] = shared
-            dense[lo:hi, cols] = values.T
+            dense[lo:hi, cols] = np.asarray(values).T
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -316,6 +404,27 @@ class RowStack:
         return RowStack(self.blocks + [(cols, values, shared)], self.ncols)
 
 
+def _cell_batches(cells: Cells, todo: np.ndarray, bounds: np.ndarray, limit):
+    """Yield (take, tail): the next cells of `todo` to price together, and
+    the positions of `cells.order` after the last cell, which come with the
+    first batch only.  The first batch holds about `_FIRST_BATCH` rows,
+    each later one twice as many, up to `_PRICE_CHUNK`.  After each batch
+    `limit()`, a bound or None, cuts the cells left to those whose bound is
+    at most it; `todo` is then in ascending order of `bounds`."""
+    tail, sizes = cells.tail, np.diff(cells.starts)
+    done, batch = 0, _FIRST_BATCH
+    while done < len(todo) or len(tail):
+        rows = np.cumsum(sizes[todo[done:]])
+        take = todo[done:done + int(np.searchsorted(rows, batch)) + 1]
+        done += len(take)
+        yield take, tail
+        tail = tail[:0]
+        cut = limit()
+        if cut is not None:
+            todo = todo[:done + int(np.searchsorted(bounds[todo[done:]], cut, side="right"))]
+        batch = min(2 * batch, _PRICE_CHUNK)
+
+
 def _positions(starts: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The positions of the given cells' rows, cell after cell."""
     sizes = starts[cells + 1] - starts[cells]
@@ -339,9 +448,9 @@ class LpResult:
     `SolverError` raised once it exists carries the record too.  At an
     optimum `solve_dense_lp` adds the point `z`, its objective, the final
     working set (`basis_rows`, ascending, with their `multipliers`), the
-    largest violation and `residual`, G z - h at z; `scp.solve_lp` moves the
-    rows within its activity tolerance of their bound into `active_row_ids`
-    and drops the residual.  Without a point `max_violation` is None."""
+    largest violation, max(G z - h, 0), and `active_row_ids`, the rows
+    within its activity tolerance of their bound, ascending.  Without a
+    point `max_violation` is None."""
 
     status: LpStatus | None = None
     z: np.ndarray | None = None
@@ -350,7 +459,6 @@ class LpResult:
     multipliers: np.ndarray = field(default_factory=lambda: np.empty(0))
     max_violation: float | None = None
     zero_multipliers: int = 0
-    residual: np.ndarray | None = None
     active_row_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     iterations: int = 0
     degenerate_steps: int = 0
@@ -361,16 +469,21 @@ class LpResult:
 def _pow2_column_scale(G: RowStack) -> np.ndarray:
     """Power-of-two column scales; a NaN or inf entry of G raises SolverError.
 
-    The column maxima of |G| come from the maxima and minima of each block,
-    both taken from one chunk of `_PRICE_CHUNK` rows while it is in cache,
-    and from its shared row, so no temporary of G's size is made."""
+    The column maxima of |G| come from the maxima and minima of each stored
+    block, both taken from one chunk of `_PRICE_CHUNK` rows while it is in
+    cache, from each `PolyRows.abs_max` and from the shared rows, so no
+    temporary of G's size is made and no row is made."""
     col_max = np.zeros(G.ncols)
-    for _, _, shared, _ in G.blocks:
+    for cols, values, shared, _ in G.blocks:
         if shared is not None:
             np.maximum(col_max, np.abs(shared), out=col_max)
+        if isinstance(values, PolyRows):
+            col_max[cols] = np.maximum(col_max[cols], values.abs_max)
     for _, _, pieces in G.chunks(_PRICE_CHUNK):
         for k, a, b, _ in pieces:
             cols, values = G.blocks[k][:2]
+            if isinstance(values, PolyRows):
+                continue
             part = values[:, a:b]
             col_max[cols] = np.maximum(col_max[cols], np.maximum(np.max(part, axis=1),
                                                                  -np.min(part, axis=1)))
@@ -442,24 +555,32 @@ class _DualSimplex:
 
         `r` is a view of `scratch` (from `new_scratch`), overwritten by the
         next chunk."""
-        v_cols = [v[cols] for cols, *_ in self.G.blocks]
-        dots = [None if shared is None else shared @ v for _, _, shared, _ in self.G.blocks]
         rows = np.sort(self.basis[self.basis < self.m])
         # run c holds the working-set rows rows[firsts[c]:lasts[c]]
         firsts, lasts = np.searchsorted(rows, self.chunk_spans).tolist()
-        for (start, stop, pieces), i, j in zip(self.chunks, firsts, lasts):
-            r = scratch[:stop - start]
-            for k, a, b, at in pieces:
-                part = r[at:at + b - a]
-                np.matmul(v_cols[k], self.G.blocks[k][1][:, a:b], out=part)
-                if dots[k] is not None:
-                    part += dots[k]
+        for (start, stop, r), i, j in zip(self._products(v, scratch), firsts, lasts):
             if phase == 2:
                 np.subtract(self.h[start:stop], r, out=r)
             if i < j:
                 r[rows[i:j] - start] = np.inf
             self.result.rows_priced += stop - start
             yield start, r
+
+    def _products(self, v: np.ndarray, scratch: np.ndarray):
+        """Yield (start, stop, r): G v on rows start:stop, a view of
+        `scratch`, chunk by chunk in row order, the block with cells left
+        out; each piece of a block is one product, as `RowStack.matvec`
+        cuts it, so r has the bits of its rows of that mat-vec."""
+        v_cols = [v[cols] for cols, *_ in self.G.blocks]
+        dots = [None if shared is None else shared @ v for _, _, shared, _ in self.G.blocks]
+        for start, stop, pieces in self.chunks:
+            r = scratch[:stop - start]
+            for k, a, b, at in pieces:
+                part = r[at:at + b - a]
+                np.matmul(v_cols[k], self.G.blocks[k][1][:, a:b], out=part)
+                if dots[k] is not None:
+                    part += dots[k]
+            yield start, stop, r
 
     def _entering_row(self, v: np.ndarray, phase: int, scratch: np.ndarray) -> int | None:
         """The row Dantzig's rule (the lowest reduced cost, the lowest row on
@@ -509,16 +630,11 @@ class _DualSimplex:
         else:
             todo = np.flatnonzero(bounds <= best)
             todo = todo[np.argsort(bounds[todo], kind="stable")]
-        tail = cells.tail
-        sizes = np.diff(cells.starts)
-        done, batch = 0, _FIRST_BATCH
-        while done < len(todo) or len(tail):
-            rows = np.cumsum(sizes[todo[done:]])
-            take = todo[done:done + int(np.searchsorted(rows, batch)) + 1]
-            done += len(take)
+        for take, tail in _cell_batches(cells, todo, bounds,
+                                        lambda: None if self._bland else best):
             ids, r = self._price_batch(cells, values, w, None if shared is None else s,
                                        phase, h, in_basis, take, tail)
-            tail = tail[:0]
+            self.result.rows_priced += len(r)
             if self._bland:
                 eligible = ids[r < -self.opt_tol]
                 if len(eligible) and (enter is None or lo + int(eligible.min()) < enter):
@@ -529,21 +645,23 @@ class _DualSimplex:
                 first = lo + int(ids[r == low].min())
                 if low < best or first < enter:
                     best, enter = low, first
-            todo = todo[:done + int(np.searchsorted(bounds[todo[done:]], best, side="right"))]
-            batch = min(2 * batch, _PRICE_CHUNK)
         return enter
 
-    def _cell_rows(self, cells, values, c: int) -> np.ndarray:
-        """Cell c's rows of `values`, C-contiguous, gathered from the block
-        once per solve.  Pricing reads the same cells again and again (on
-        the prior baseline about 100k distinct rows, each some 8 times), and
-        gathering a row from the block, stored column by column in row
-        order, is a random read in each of its columns."""
-        rows = self._gathered.get(c)
-        if rows is None:
-            rows = self._gathered[c] = values.take(
-                cells.order[cells.starts[c]:cells.starts[c + 1]], axis=1)
-        return rows
+    def _cell_rows(self, cells, values, take: np.ndarray) -> np.ndarray:
+        """The rows of the cells `take`, cell after cell, C-contiguous.  Each
+        cell's rows are read from the block once per solve, those of every
+        cell not read yet in one `values.take`, and kept: pricing reads the
+        same cells again and again (on the prior baseline about 90k distinct
+        rows, each some 8 times), and a row of the block is a random read in
+        each of its columns, or is made from its scalars (`PolyRows`)."""
+        new = np.array([c for c in take.tolist() if c not in self._gathered], dtype=np.intp)
+        if len(new):
+            rows = values.take(cells.order[_positions(cells.starts, new)], axis=1)
+            sizes = cells.starts[new + 1] - cells.starts[new]
+            self._gathered.update(zip(new.tolist(),
+                                      np.split(rows, np.cumsum(sizes)[:-1], axis=1)))
+        return np.concatenate([np.empty((values.shape[0], 0))]
+                              + [self._gathered[c] for c in take.tolist()], axis=1)
 
     def _price_batch(self, cells, values, w, s, phase, h, in_basis, take, tail):
         """(ids, r): the rows of the cells `take`, cell after cell, and then
@@ -554,8 +672,7 @@ class _DualSimplex:
         with a repeated row whose cost is dropped; the last one ends with
         `tail`.  A NaN reduced cost raises SolverError."""
         batch_ids = cells.order[_positions(cells.starts, take)]
-        columns = np.concatenate(
-            [values[:, :0]] + [self._cell_rows(cells, values, c) for c in take], axis=1)
+        columns = self._cell_rows(cells, values, take)
         ids_parts, r_parts = [], []
         for a in range(0, max(len(batch_ids), 1), _PRICE_CHUNK):
             ids = batch_ids[a:a + _PRICE_CHUNK]
@@ -581,10 +698,46 @@ class _DualSimplex:
                 row = self.G.starts[self.screened] + int(ids[np.isnan(r)][0])
                 raise SolverError(f"NaN reduced cost of row {row} in phase {phase}",
                                   status=LpStatus.ITERATION_LIMIT.value)
-            self.result.rows_priced += len(r)
             ids_parts.append(ids)
             r_parts.append(r)
         return np.concatenate(ids_parts), np.concatenate(r_parts)
+
+    def residual(self, z: np.ndarray, activity: float) -> tuple[float, np.ndarray]:
+        """(the largest entry of G z - h, the rows where |G z - h| <= activity,
+        ascending), with the bits of `RowStack.matvec(z) - h`.
+
+        Every block but the one with cells is multiplied chunk by chunk.  In
+        that block a cell is evaluated, in ascending order of its bound of
+        h - G z (`Cells.bounds` in phase 2, as z prices there), only while
+        the bound leaves room for an active row (bound <= activity) or for a
+        row above the largest entry so far (bound < -largest); its rows come
+        from `_price_batch`, so from the rows pricing gathered.  Where every
+        row is proven below -activity the largest entry reads -inf."""
+        tops, active = [], [np.empty(0, dtype=np.intp)]
+        for start, stop, r in self._products(z, self.new_scratch()):
+            r -= self.h[start:stop]
+            tops.append(r.max())
+            active.append(start + np.flatnonzero((r >= -activity) & (r <= activity)))
+        if self.screened is not None:
+            cols, values, shared, cells = self.G.blocks[self.screened]
+            lo = self.G.starts[self.screened]
+            w = z[cols]
+            s = None if shared is None else float(shared @ z)
+            bounds = cells.bounds(w, 0.0 if s is None else s, 2)
+            h = self.h[lo:lo + len(cells.order)]
+
+            def reach():
+                return max(activity, -np.max(tops, initial=-np.inf))
+
+            todo = np.flatnonzero(bounds <= reach())
+            todo = todo[np.argsort(bounds[todo], kind="stable")]
+            for take, tail in _cell_batches(cells, todo, bounds, reach):
+                ids, r = self._price_batch(cells, values, w, s, 2, h,
+                                           np.empty(0, dtype=np.intp), take, tail)
+                np.negative(r, out=r)  # h - G z to G z - h, exactly
+                tops.append(np.max(r, initial=-np.inf))
+                active.append(lo + ids[(r >= -activity) & (r <= activity)].astype(np.intp))
+        return float(np.max(tops, initial=-np.inf)), np.sort(np.concatenate(active))
 
     def run_phase(self, phase: int, max_iter: int) -> tuple[str, np.ndarray, np.ndarray]:
         """Returns (outcome, pi, x_B); outcome in {"optimal", "unbounded"}."""
@@ -662,12 +815,15 @@ def solve_dense_lp(
     feas_tol: float = 1e-8,
     max_iter: int = 20000,
     stall_limit: int = 64,
+    activity_tol: float = 1e-7,
     _allow_probe: bool = True,
 ) -> LpResult:
     """Solve min cost.z s.t. G z <= h; see module docstring for the method.
 
     G is a `RowStack` or anything `np.asarray` makes a 2-D matrix of.  A
-    block of G with cells trusts their `h_min` to bound `h`."""
+    block of G with cells trusts their `h_min` to bound `h`.  At an optimum
+    the rows with |G z - h| <= activity_tol are `active_row_ids`; G z - h is
+    screened (`_DualSimplex.residual`), so no m-long vector is made."""
     if not isinstance(G, RowStack):
         G = RowStack.dense(G)
     h = np.asarray(h, dtype=float).ravel()
@@ -706,9 +862,7 @@ def solve_dense_lp(
             return result
 
         z = pi * scale
-        resid = G.matvec(z)
-        resid -= h
-        max_violation = float(np.max(resid))
+        max_violation, active = engine.residual(z, activity_tol)
         if max_violation > feas_tol:
             raise SolverError(
                 f"optimal basis violates feasibility tolerance: {max_violation:.3e} > "
@@ -724,7 +878,7 @@ def solve_dense_lp(
         result.multipliers = np.maximum(x_B[real][order], 0.0)
         result.max_violation = max(max_violation, 0.0)
         result.zero_multipliers = int(np.sum(result.multipliers <= opt_tol))
-        result.residual = resid
+        result.active_row_ids = active
         return result
     except SolverError as exc:
         exc.result = engine.result

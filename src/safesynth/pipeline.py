@@ -627,7 +627,7 @@ def _run(
         problem = build_problem(layout, scenario, *_row_inputs(config))
     else:
         problem = sampled_problem(layout, static, scenario)
-    del scenario  # copied into the problem; unused from here on
+    del scenario  # the problem holds its rows, or views of (x, x') to make them from
     timings["assemble"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -692,9 +692,11 @@ def _run(
     margin = float(solution.objective + slack)
     fields.update(eps=float(eps), margin=margin, margin_slack=float(slack))
 
+    refuted = False
     if posterior and config.estimate_lipschitz:
         est = estimate_lipschitz(certificate, plant, space, seed=derive_seed(seeds["scenario"], 99))
-        if est > config.lipschitz:
+        refuted = est > config.lipschitz
+        if refuted:
             warnings.append(
                 f"empirical Lipschitz lower bound {est:.4g} exceeds the configured "
                 f"bound {config.lipschitz:.4g}; the certificate is NOT trustworthy"
@@ -705,8 +707,11 @@ def _run(
                 "this check cannot validate the configured bound"
             )
 
-    verdict = "certified" if margin <= 0.0 else "inconclusive"
-    cause = None if verdict == "certified" else "margin_positive"
+    if refuted:  # the plant refutes the configured L: the margin K* + L Uinv(eps) proves nothing
+        verdict, cause = "inconclusive", "lipschitz_refuted"
+    else:
+        verdict = "certified" if margin <= 0.0 else "inconclusive"
+        cause = None if verdict == "certified" else "margin_positive"
     if not config.tighten:
         warnings.append(
             "grid tightening disabled: robust rows hold at grid points only, "

@@ -105,27 +105,24 @@ def eval_basis(basis: PolyBasis, x: Sequence[float]) -> np.ndarray:
     return eval_basis_many(basis, x[None, :])[0]
 
 
-# Per exponent, a power of a column that equals, bit for bit, the column the
-# broadcast `points[:, j][:, None] ** exps[None, :]` computes for it (pinned
-# by a test).  The scalar `x ** 2.0` and `x * x` round differently from it.
-# The broadcast's x ** 0 is 1.0, and multiplying by it is exact, so exponent 0
-# is skipped.
-_FAST_POWERS = {
-    1: lambda x: x,
-    2: lambda x: np.power(x, np.full(len(x), 2.0)),
-    3: lambda x: x ** 3.0,
-    4: lambda x: x ** 4.0,
-}
+def power(col: np.ndarray, e: int) -> np.ndarray:
+    """col ** e for a 1-D array, elementwise: each entry has the bits of the
+    broadcast `col[:, None] ** exps[None, :]` for it, whichever entries are
+    taken together (pinned by tests).  The scalar `col ** 2.0` is col * col,
+    which rounds differently, so 2 takes an array exponent."""
+    if e == 1:
+        return col
+    if e == 2:
+        return np.power(col, np.full(len(col), 2.0))
+    return col ** float(e)
 
 
 def eval_basis_many(basis: PolyBasis, points: np.ndarray, order: str = "C") -> np.ndarray:
     """Monomial values at many points; shape (npoints, nterms), in memory
     order `order` ("F" keeps each monomial's values contiguous).
 
-    Each monomial is the product of its variables' powers in variable order,
-    starting from 1.0.  A variable whose exponents all have a form in
-    `_FAST_POWERS` takes each distinct power once, in that form; any other
-    takes the broadcast `**` of all its exponents."""
+    Each monomial is the product of its variables' powers (`power`, each
+    distinct one taken once) in variable order, starting from 1.0."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != basis.nvars:
         raise PolynomialError(
@@ -134,14 +131,10 @@ def eval_basis_many(basis: PolyBasis, points: np.ndarray, order: str = "C") -> n
     exps = basis.exponents
     out = np.ones((points.shape[0], len(basis)), dtype=float, order=order)
     for j in range(basis.nvars):
-        col, col_exps = points[:, j], exps[:, j].tolist()
-        if not set(col_exps) <= {0, *_FAST_POWERS}:
-            out *= col[:, None] ** exps[:, j][None, :]
-            continue
-        for e in sorted(set(col_exps) - {0}):
-            power = _FAST_POWERS[e](col)
+        for e in sorted(set(exps[:, j].tolist()) - {0}):
+            p = power(points[:, j], e)
             for t in np.flatnonzero(exps[:, j] == e):
-                out[:, t] *= power
+                out[:, t] *= p
     return out
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import AssemblyError, SolverError
 from .geometry import Box, RegionUnion, box_grid, grid_halfstep
-from .lp import Cells, LpResult, LpStatus, RowStack, solve_dense_lp
+from .lp import Cells, LpResult, LpStatus, PolyRows, RowStack, solve_dense_lp
 from .plant import Dataset
 from .polynomial import (
     PolyBasis,
@@ -58,10 +58,11 @@ from .polynomial import (
 # temporaries of assembly to a few MB at any dataset size.
 G3_CHUNK = 65_536
 
-# Sampled rows are stored in cells of a CELL_GRID x CELL_GRID grid over the
+# Sampled rows are indexed in cells of a CELL_GRID x CELL_GRID grid over the
 # data range of (x, x') when the state is one variable and there are at
 # least SCREEN_MIN_ROWS of them; pricing then skips the cells whose bound
-# proves they cannot enter (see `lp.Cells`).  On the room case study, on one
+# proves they cannot enter (see `lp.Cells`), and the rows are made from
+# (x, x') when read instead of stored (`lp.PolyRows`).  On the room case study, on one
 # BLAS thread, cells made assembly and solve 17 ms slower at 70k samples,
 # broke even at 140k (assembly +13 ms, LP -14 ms) and saved 1.2 s of 1.5 s
 # in the LP at 2.76M.
@@ -334,32 +335,22 @@ def g3_rows(
     out: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One sampled one-step row per transition (x, u, x').
+    """One sampled one-step row per transition (x, u, x'), stored.
 
     With `out`, of shape (len(layout.g3_columns), len(dataset)), the rows are
     written into it column-major over `layout.g3_columns`, G3_CHUNK samples at
     a time, and `out` is returned; every row holds `layout.g3_shared_row`
     outside those columns.  Without it the rows come back dense,
     (len(dataset) x n_total).  The right-hand side -sum(u) is written into
-    `rhs` when given.
+    `rhs` when given.  `sampled_problem` stores the rows so only for a block
+    without cells; a block with cells makes the same rows, bit for bit, from
+    (x, x') when they are read (`lp.PolyRows`).
     """
-    if dataset.state_dim != layout.barrier.nvars:
-        raise AssemblyError(
-            f"dataset state dimension {dataset.state_dim} != template dimension "
-            f"{layout.barrier.nvars}"
-        )
-    if dataset.input_dim != len(layout.controllers):
-        raise AssemblyError(
-            f"dataset input dimension {dataset.input_dim} != controller count "
-            f"{len(layout.controllers)}"
-        )
+    rhs = g3_rhs(layout, dataset, rhs)
     cols = layout.g3_columns
     block = np.empty((len(cols), len(dataset))) if out is None else out
     if block.shape != (len(cols), len(dataset)):
         raise AssemblyError(f"g3 block of shape {block.shape} for {len(dataset)} samples")
-    rhs = np.empty(len(dataset)) if rhs is None else rhs
-    np.sum(dataset.us, axis=1, out=rhs)
-    np.negative(rhs, out=rhs)
     # the block rows of each basis' non-constant monomials, in layout order
     spans = np.cumsum([0] + [len(b) - 1 for b in (layout.barrier, *layout.controllers)])
 
@@ -379,6 +370,24 @@ def g3_rows(
     dense[:] = layout.g3_shared_row
     dense[:, cols] = block.T
     return dense, rhs
+
+
+def g3_rhs(layout: DecisionLayout, dataset: Dataset, rhs: np.ndarray | None = None) -> np.ndarray:
+    """The sampled rows' right-hand side, -sum(u) per sample, written into
+    `rhs` when given, once the dataset is checked against the layout."""
+    if dataset.state_dim != layout.barrier.nvars:
+        raise AssemblyError(
+            f"dataset state dimension {dataset.state_dim} != template dimension "
+            f"{layout.barrier.nvars}"
+        )
+    if dataset.input_dim != len(layout.controllers):
+        raise AssemblyError(
+            f"dataset input dimension {dataset.input_dim} != controller count "
+            f"{len(layout.controllers)}"
+        )
+    rhs = np.empty(len(dataset)) if rhs is None else rhs
+    np.sum(dataset.us, axis=1, out=rhs)
+    return np.negative(rhs, out=rhs)
 
 
 def g3_row(layout: DecisionLayout, x, u, x_next) -> tuple[np.ndarray, float]:
@@ -510,23 +519,30 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     """The `static_blocks` rows followed by one g3 row per sample of `dataset`.
 
     G is a stack of two row blocks: the static rows, dense and not copied,
-    then the sampled rows in sample order, which `g3_rows` writes
-    column-major over the `layout.g3_columns` they differ in (8 of the room
-    template's 24), with `layout.g3_shared_row` as the block's shared row.
-    For one state variable and at least SCREEN_MIN_ROWS samples the block
-    carries cells (`sample_cells`), which pricing screens.  The sampled
-    right-hand side is written straight into h.
+    then the sampled rows in sample order over the `layout.g3_columns` they
+    differ in (8 of the room template's 24), with `layout.g3_shared_row` as
+    the block's shared row.  For one state variable and at least
+    SCREEN_MIN_ROWS samples the block carries cells (`sample_cells`), which
+    pricing screens, and stores only the samples' (x, x'), views of the
+    dataset, which must not change while the program is in use (the cells'
+    boxes are taken from them).  Its rows are polynomials of them
+    (`layout.g3_coeff_map`), made when they are read (`lp.PolyRows`, whose
+    one pass over the samples takes the column maxima), with the bits
+    `g3_rows` would store.  Any other block is stored, written column-major
+    by `g3_rows`.  The sampled right-hand side is written straight into h.
     """
     static_G, static_h, static_tags = static
     n, ns = len(dataset), len(static_h)
     m = ns + n
     h = np.empty(m)
     h[:ns] = static_h
-    # sorted before the block exists, so the sort's temporaries are freed first
     cells = sample_cells(dataset)
-    samp_G = np.empty((len(layout.g3_columns), n))
-    g3_rows(layout, dataset, out=samp_G, rhs=h[ns:])
-    if cells is not None:
+    if cells is None:
+        samp_G = np.empty((len(layout.g3_columns), n))
+        g3_rows(layout, dataset, out=samp_G, rhs=h[ns:])
+    else:
+        g3_rhs(layout, dataset, rhs=h[ns:])
+        samp_G = PolyRows([dataset.xs[:, 0], dataset.x_nexts[:, 0]], layout.g3_coeff_map)
         cell, order, starts = cells
         z = [dataset.xs[:len(cell), 0], dataset.x_nexts[:len(cell), 0]]
         ncells = len(starts) - 1
@@ -560,7 +576,10 @@ def sample_cells(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     stable argsort; the keys are computed, counted and turned into cells
     G3_CHUNK samples at a time, so no other temporary is N long.  (A
     temporary of N intp left freed heap resident: bincount of all keys
-    raised prior-full's peak RSS by 16 MB.)
+    raised prior-full's peak RSS by 16 MB.)  Since the sampled rows are
+    made rather than stored, the argsort's own temporaries set the prior
+    baseline's peak: VmHWM goes from 143 to 189 MB within this function,
+    and the process holds 177 MB after the solve.
     """
     n = len(dataset)
     sorted_n = n - n % 4
@@ -653,8 +672,8 @@ class LpTolerances:
 def solve_lp(problem: LpProblem, tolerances: LpTolerances = LpTolerances()) -> LpResult:
     """Solve the assembled program; at an optimum the record's
     `active_row_ids` are the rows within `tolerances.activity` of their
-    bound, and the m-long residual they were taken from is dropped."""
-    result = solve_dense_lp(
+    bound."""
+    return solve_dense_lp(
         problem.cost,
         problem.G,
         problem.h,
@@ -662,12 +681,8 @@ def solve_lp(problem: LpProblem, tolerances: LpTolerances = LpTolerances()) -> L
         pivot_tol=tolerances.pivot,
         feas_tol=tolerances.feasibility,
         max_iter=tolerances.max_iterations,
+        activity_tol=tolerances.activity,
     )
-    if result.residual is not None:
-        resid = np.abs(result.residual, out=result.residual)
-        result.active_row_ids = np.flatnonzero(resid <= tolerances.activity)
-        result.residual = None
-    return result
 
 
 def active_g3(problem: LpProblem, solution: LpResult) -> int:

@@ -671,7 +671,8 @@ def test_screened_solve_takes_the_unscreened_pivot_path(monkeypatch, seed):
     assert screened.status is whole.status is LpStatus.OPTIMAL
     assert bases == whole_bases and len(bases) > 5
     assert screened.z.tobytes() == whole.z.tobytes()
-    assert screened.residual.tobytes() == whole.residual.tobytes()
+    assert screened.active_row_ids.tolist() == whole.active_row_ids.tolist()
+    assert screened.max_violation.hex() == whole.max_violation.hex()
     assert screened.rows_priced < whole.rows_priced
     if kwargs:
         assert any(calls)  # Bland's rule ran

@@ -610,6 +610,26 @@ def test_lipschitz_estimator_warning_paths():
     assert any("NOT trustworthy" in w for w in tiny.warnings)
 
 
+def test_refuted_lipschitz_bound_fails_closed(tmp_path):
+    # the bundled study at 20,000/10,000 samples certifies with margin -0.339
+    # under L = 0.5, but the plant's sampled slopes reach 2.389 > 0.5: the
+    # margin K* + L Uinv(eps) rests on a bound the plant refutes
+    raw = room_casestudy_config(n_scenario=20_000, n_validation=10_000)
+    raw.update(lipschitz=0.5, estimate_lipschitz=True)
+    cfg = tmp_path / "refuted.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "runs"),
+                 "--no-datasets"]) == 2
+    (run,) = os.listdir(tmp_path / "runs")
+    with open(tmp_path / "runs" / run / "report.json") as fh:
+        report = json.load(fh)
+    assert report["verdict"] == "inconclusive"
+    assert report["failure_cause"] == "lipschitz_refuted"
+    assert report["margin"] < 0.0
+    assert any("empirical Lipschitz lower bound 2.389 exceeds the configured bound 0.5"
+               in w for w in report["warnings"])
+
+
 def test_dataset_sink_receives_collected_data(tmp_path):
     captured = {}
 

@@ -13,6 +13,7 @@ from safesynth.polynomial import (
     eval_poly,
     eval_poly_many,
     monomial_gradient_bound,
+    power,
 )
 from .conftest import ROOM_STUDY
 
@@ -164,3 +165,23 @@ def test_fast_powers_equal_the_broadcast_power_bit_for_bit(nvars):
     assert eval_basis_many(basis, points).tobytes() == broadcast.tobytes()
     assert eval_basis_many(basis, points, "F").tobytes() == np.asfortranarray(broadcast).tobytes()
     assert eval_basis_many(basis, points, "F").flags.f_contiguous
+
+
+def test_powers_are_elementwise_and_the_broadcast_power_at_degree_six():
+    # made rows (`lp.PolyRows`) take each power of a subset of the samples:
+    # every entry must have the bits of the same entry of the whole column,
+    # and of the broadcast `**` that evaluates a degree-6 basis
+    rng = np.random.default_rng(43)
+    x = np.concatenate([rng.uniform(22.5, 26.5, size=200_001),
+                        rng.normal(size=100_000) * 10.0 ** rng.integers(-40, 40, size=100_000)])
+    basis = build_basis(1, 6)
+    broadcast = x[:, None] ** basis.exponents[:, 0][None, :]
+    assert eval_basis_many(basis, x[:, None]).tobytes() == broadcast.tobytes()
+    ids = rng.integers(0, len(x), size=4097)
+    for e in range(1, 7):
+        whole = power(x, e)
+        assert whole.tobytes() == broadcast[:, e].tobytes()
+        assert power(x[ids], e).tobytes() == whole[ids].tobytes()
+        assert power(x[1::3], e).tobytes() == whole[1::3].tobytes()
+        for i in ids[:5]:
+            assert power(x[[i]], e).tobytes() == whole[[i]].tobytes()

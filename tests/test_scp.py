@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -519,7 +520,9 @@ def _allocation_peak(fn, *args):
 
 
 def test_assembly_solve_and_support_hold_one_copy_of_G():
-    # at prior scale G is 284 MB, so each extra G-sized array is a budget item
+    # at prior scale a stored G is 284 MB, so each extra G-sized array is a
+    # budget item; the sampled block makes its rows from (x, x'), so the
+    # budgets are those of the same G with its 8 sampled columns stored
     layout = room_layout()
     space = SampleSpace.product(
         Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]])
@@ -538,7 +541,7 @@ def test_assembly_solve_and_support_hold_one_copy_of_G():
         active, count_peak = _allocation_peak(count_active_g3, problem, solution)
     finally:
         tracemalloc.stop()
-    G_bytes = problem.G.nbytes
+    G_bytes = problem.G.nbytes + (len(layout.g3_columns) - 2) * 8 * len(data)
     assert problem.G.shape == (200_000, 24)
     assert res.status is LpStatus.OPTIMAL and active >= 1
     assert build_peak <= G_bytes + chunk_bytes
@@ -639,7 +642,8 @@ def test_activity_and_violation_come_from_the_solver_residual(small_solved):
         problem.cost, problem.G, problem.h, opt_tol=tol.optimality,
         pivot_tol=tol.pivot, feas_tol=tol.feasibility, max_iter=tol.max_iterations,
     )
-    assert res.residual.tobytes() == resid.tobytes()
+    assert np.array_equal(res.active_row_ids, np.flatnonzero(np.abs(resid) <= 1e-7))
+    assert res.max_violation == max(float(np.max(resid)), 0.0)
     assert np.array_equal(
         solution.active_row_ids, np.flatnonzero(np.abs(resid) <= tol.activity)
     )
@@ -684,10 +688,11 @@ def test_screened_assembly_is_the_dense_assembly_in_cells(monkeypatch):
     plain = sampled_problem(layout, static, data)
     cols, values, shared, cells = problem.G.blocks[-1]
     assert plain.G.blocks[-1][3] is None and cells is not None
-    assert values.tobytes() == plain.G.blocks[-1][1].tobytes()
+    assert np.asarray(values).tobytes() == plain.G.blocks[-1][1].tobytes()
     assert np.asarray(problem.G).tobytes() == np.asarray(plain.G).tobytes()
     assert problem.h.tobytes() == plain.h.tobytes()
-    assert problem.G.nbytes == plain.G.nbytes
+    # the made block holds (x, x'), 2 scalars a row for the 8 stored values
+    assert problem.G.nbytes == plain.G.nbytes - 6 * 8 * 5003
     n_static = len(static[1])
     xs, x_nexts = data.xs[:5000, 0], data.x_nexts[:5000, 0]
     square = [np.minimum((z - z.min()) * (scp.CELL_GRID / np.ptp(z)), scp.CELL_GRID - 1)
@@ -768,3 +773,102 @@ def test_two_state_layout_prices_every_row(monkeypatch):
     solution = solve_lp(problem)
     assert solution.status is LpStatus.OPTIMAL and solution.bland_iterations == 0
     assert solution.rows_priced == (solution.iterations + 2) * problem.n_rows
+
+
+def test_made_rows_are_the_stored_rows_at_prior_scale():
+    # the prior baseline's 2,758,749 samples: the block made from (x, x') is,
+    # bit for bit, the block g3_rows stores, read whole, gathered and by row
+    config = validate_config(room_casestudy_config(
+        n_scenario=2_758_749, n_validation=10, seed_scenario=2025, seed_validation=9090,
+    ))
+    dataset, problem = scenario_problem(config)
+    cols, values, shared, cells = problem.G.blocks[-1]
+    assert isinstance(values, scp_lp.PolyRows) and cells is not None
+    n, lo = len(dataset), problem.G.starts[-2]
+    stored = np.empty((len(cols), n))
+    g3_rows(problem.layout, dataset, out=stored)
+    made, kept = hashlib.sha256(), hashlib.sha256()
+    for a in range(0, n, 1 << 20):
+        made.update(values[:, a:a + (1 << 20)].tobytes())
+        kept.update(stored[:, a:a + (1 << 20)].tobytes())
+    assert made.hexdigest() == kept.hexdigest()
+    assert values.abs_max.tobytes() == np.maximum(stored.max(axis=1),
+                                                  -stored.min(axis=1)).tobytes()
+    tail = cells.order[cells.tail]
+    assert tail.tolist() == [n - 1]  # n % 4 == 1: the last row is in no cell
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3, 5, 4097):
+        for at in (1, 12_345, 999_999, n - size):
+            rows = np.arange(at, at + size)
+            assert values.take(rows, axis=1).tobytes() == stored[:, rows].tobytes()
+            assert values[:, at:at + size].tobytes() == stored[:, at:at + size].tobytes()
+        rows = np.r_[rng.choice(n, size - 1, replace=False), tail]
+        assert values.take(rows, axis=1).tobytes() == stored[:, rows].tobytes()
+    for i in (0, 1, n // 2 + 1, *tail):
+        row = shared.copy()
+        row[cols] = stored[:, i]
+        assert problem.G.row(lo + int(i)).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("degrees", [(4, 4), (6, 2)])
+def test_made_stack_reads_and_solves_like_the_stored_stack(monkeypatch, degrees):
+    # the same program with the sampled block made or stored: products,
+    # selected rows, the dense matrix, column scales and the whole solve
+    monkeypatch.setattr(scp, "SCREEN_MIN_ROWS", 64)
+    layout = DecisionLayout.build(build_basis(1, degrees[0]), [build_basis(1, degrees[1])],
+                                  0.1, [0.05])
+    static, data = _room_static_and_data(layout, 5003, 8)
+    problem = sampled_problem(layout, static, data)
+    cols, values, shared, cells = problem.G.blocks[-1]
+    assert isinstance(values, scp_lp.PolyRows)
+    block = g3_rows(layout, data, out=np.empty((len(cols), len(data))))[0]
+    stored = RowStack([*problem.G.blocks[:-1], (cols, block, shared, cells)], layout.n_total)
+    assert np.asarray(values).tobytes() == block.tobytes()
+    assert np.asarray(problem.G).tobytes() == np.asarray(stored).tobytes()
+    rng = np.random.default_rng(degrees[0])
+    for _ in range(5):
+        v = rng.normal(size=layout.n_total) * 10.0 ** rng.integers(-4, 4, size=layout.n_total)
+        assert problem.G.matvec(v).tobytes() == stored.matvec(v).tobytes()
+    keep = rng.random(len(stored)) < 0.7
+    assert np.asarray(problem.G.select(keep)).tobytes() == np.asarray(stored.select(keep)).tobytes()
+    assert _pow2_column_scale(problem.G).tobytes() == _pow2_column_scale(stored).tobytes()
+    solves = [solve_dense_lp(problem.cost, G, problem.h) for G in (problem.G, stored)]
+    assert [(r.status, r.iterations, r.rows_priced) for r in solves[:1]] == [
+        (r.status, r.iterations, r.rows_priced) for r in solves[1:]]
+    assert solves[0].basis_rows.tolist() == solves[1].basis_rows.tolist()
+    if solves[0].z is not None:
+        assert solves[0].z.tobytes() == solves[1].z.tobytes()
+        assert solves[0].active_row_ids.tolist() == solves[1].active_row_ids.tolist()
+        assert solves[0].max_violation.hex() == solves[1].max_violation.hex()
+
+
+@pytest.mark.parametrize("seed", [2025, 2026, 2027])
+def test_screened_residual_is_the_unscreened_one(monkeypatch, seed):
+    # the posterior program: the solver's active rows and largest violation
+    # are those of the whole G z - h, though the solve makes only a few of
+    # the sampled rows, those it prices and screens in
+    config = validate_config(room_casestudy_config(
+        n_scenario=140_000, n_validation=70_000, seed_scenario=seed, seed_validation=9090,
+    ))
+    _, problem = scenario_problem(config)
+    made, make = [], scp_lp.PolyRows._make
+    monkeypatch.setattr(scp_lp.PolyRows, "_make",
+                        lambda self, z: made.append(len(z[0])) or make(self, z))
+    solution = solve_lp(problem, config.tolerances)
+    monkeypatch.undo()
+    resid = problem.residuals(solution.z)
+    assert solution.active_row_ids.tolist() == np.flatnonzero(
+        np.abs(resid) <= config.tolerances.activity).tolist()
+    assert solution.max_violation.hex() == max(float(np.max(resid)), 0.0).hex()
+    assert sum(made) < 0.1 * 140_000
+
+
+def test_made_block_holds_two_scalars_a_row():
+    # at SCREEN_MIN_ROWS samples the sampled block keeps (x, x') only; one
+    # sample fewer and it stores its 8 columns
+    layout = room_layout()
+    for n in (scp.SCREEN_MIN_ROWS, scp.SCREEN_MIN_ROWS - 1):
+        static, data = _room_static_and_data(layout, n, 9)
+        G = sampled_problem(layout, static, data).G
+        assert (G.nbytes < 3 * 8 * n) == (n >= scp.SCREEN_MIN_ROWS)
+        assert isinstance(G.blocks[-1][1], scp_lp.PolyRows) == (n >= scp.SCREEN_MIN_ROWS)

@@ -7,37 +7,45 @@ nvars rows is maintained as the basis of the dual standard-form program
     min h.y   s.t.  G' y = -cost,   y >= 0,
 
 so each iteration prices the rows of G (see `RowStack`) and refactorises
-only an nvars x nvars basis.  Pricing streams each row block in chunks of
-`_PRICE_CHUNK` rows: one mat-vec into a scratch buffer that stays in cache,
-the shared row's term, `h` minus the product, the working set masked out and
-the entering row chosen, all before the next chunk is read.  No m-long
-vector is formed while iterating, and on one BLAS thread the reduced costs
-are bit for bit those of one mat-vec per block.  At optimality the dual
-basis IS the active set of the original program and the simplex multipliers
-of that basis are its solution, which this module re-solves from the final
-working set so the returned point satisfies its active rows to machine
-precision.
+only an nvars x nvars basis.  At optimality the dual basis IS the active set
+of the original program and the simplex multipliers of that basis are its
+solution, which this module re-solves from the final working set so the
+returned point satisfies its active rows to machine precision.
+
+One walk over G.  Every read of G v, the pricing of each iteration and the
+final G z - h alike, goes through one walk (`_DualSimplex._walk`), so the
+entering rows and the active rows see the same bits.  The walk first
+streams the blocks without cells in runs of `_PRICE_CHUNK` rows: one
+mat-vec into a scratch buffer that stays in cache, the shared row's term,
+`h` minus the product and the working set masked out, all before the next
+run is read; no m-long vector is formed.  `RowStack.matvec` cuts its
+products the same way, so on one BLAS thread every reduced cost has the
+bits of that mat-vec.  The walk then prices the block with cells, if any,
+batch by batch, each batch the cells whose bound is at most a cut its
+caller sets and asks again after each batch.  A run, or the block with
+cells, that starts at or after a stop row its caller sets is skipped.
 
 Screened pricing.  A block whose rows are polynomials of a few scalars per
 row (the scenario program's sampled rows, in x and x') can carry an index
 of cells, runs of its rows with nearby scalars (`Cells`).  Each iteration
 bounds every cell's reduced costs from below through the polynomial
-structure and a rounding margin, then prices only the cells whose bound
-can beat the best reduced cost found so far, in ascending order of bound,
-reading each cell's rows from the block once per solve.  A skipped row
-is one the bound proves cannot enter, and every priced row keeps the bits
-of the unscreened product, so the pivots are those of pricing every row.
-The block itself stays in row order; only pricing reads it through the
-index.  Such a block either stores its values or makes them from its
-per-row scalars when they are read (`PolyRows`), so a solve makes only the
-rows it prices.  The final G z - h is screened by the same bounds: a cell
-is evaluated only if it may hold an active row or the largest violation.
+structure and a rounding margin; the cut is the best reduced cost found so
+far, so the cells that can beat it are priced, in ascending order of bound,
+each cell's rows read from the block once per solve.  A skipped row is one
+the bound proves cannot enter, and every priced row keeps the bits of the
+unscreened product, so the pivots are those of pricing every row.  The
+block itself stays in row order; only pricing reads it through the index.
+Such a block either stores its values or makes them from its per-row
+scalars when they are read (`PolyRows`), so a solve makes only the rows it
+prices.  The final G z - h is screened by the same bounds: its cut admits a
+cell only if it may hold an active row or the largest violation.
 
 Pivoting is Dantzig's rule with lowest-row tie-breaks; while the iteration
 stalls on degenerate vertices it switches to Bland's rule (the lowest
 eligible row), which cannot cycle, and reverts once a positive step is
-taken.  Everything is
-deterministic for identical input.  Variable columns are equilibrated by
+taken; the walk's stop row is the first eligible row found so far, so
+Bland's rule reads no run after it.  Everything is deterministic for
+identical input.  Variable columns are equilibrated by
 powers of two (exact in floating point) so monomial columns of wildly
 different magnitude do not poison the pivot tolerances.
 """
@@ -55,11 +63,11 @@ from .polynomial import power
 
 # Rows priced per step of the pricing loop: the chunk's reduced costs (128 KB)
 # stay in L2 from the mat-vec to the entering-row choice.  A multiple of 64,
-# so chunks start where BLAS starts a group of rows (see `_DualSimplex`).
+# so chunks start where BLAS starts a group of rows (see `RowStack._product`).
 # 8192 to 65536 priced the prior baseline's LP within 5% of each other.
 _PRICE_CHUNK = 16384
-# Rows of the first batch of cells `_DualSimplex._price_cells` prices; each
-# later batch doubles, up to `_PRICE_CHUNK`.
+# Rows of the first batch of cells pricing reads (`_cell_batches`); each later
+# batch doubles, up to `_PRICE_CHUNK`.
 _FIRST_BATCH = 2048
 # Rows `PolyRows` makes per step of its pass for the column maxima.
 _MAKE_CHUNK = 65536
@@ -122,11 +130,6 @@ class Cells:
         self._degree_at = np.minimum(i + k, d1 - 1)
         self._binomial = np.where(i + k < d1, np.vectorize(math.comb)(i + k, k), 0.0)
         self._eps = 2.0 * (2 * ncols + 4 * (d1 - 1) + nz + 32) * 2.0 ** -53
-
-    @property
-    def tail(self) -> np.ndarray:
-        """The positions of `order` after the last cell."""
-        return np.arange(self.starts[-1], len(self.order))
 
     def bounds(self, w: np.ndarray, s: float, phase: int) -> np.ndarray:
         """Per cell, a lower bound of the reduced cost every row of it prices
@@ -341,21 +344,35 @@ class RowStack:
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """G @ v into `out` when given: each block multiplied `_PRICE_CHUNK`
-        rows at a time, as pricing cuts it, plus its shared row's dot.  So
-        the product has the bits of the reduced costs pricing computes, and
-        BLAS threads never split a block's rows other than one thread does
-        (two threads over a whole block changed the last bit of some rows)."""
+        """G @ v into `out` when given, run by run of `chunks(_PRICE_CHUNK)`
+        (`_product`), so the product has the bits of the reduced costs
+        pricing computes, and BLAS threads never split a block's rows other
+        than one thread does (two threads over a whole block changed the last
+        bit of some rows)."""
         v = np.asarray(v, dtype=float)
         out = np.empty(len(self)) if out is None else out
-        for (cols, values, shared, _), lo, hi in self._spans():
-            w, dot = v[cols], 0.0 if shared is None else shared @ v
-            for a, b in _cuts(hi - lo, _PRICE_CHUNK):
-                part = out[lo + a:lo + b]
-                np.matmul(w, values[:, a:b], out=part)
-                if shared is not None:
-                    part += dot
+        terms = self._terms(v)
+        for start, stop, pieces in self.chunks(_PRICE_CHUNK):
+            self._product(pieces, terms, out[start:stop])
         return out
+
+    def _terms(self, v: np.ndarray) -> list:
+        """Per block, (v on its columns, its shared row's dot with v or None)."""
+        return [(v[cols], None if shared is None else shared @ v)
+                for cols, _, shared, _ in self.blocks]
+
+    def _product(self, pieces, terms, r: np.ndarray) -> None:
+        """G v on one run of `chunks` into r, given `_terms(v)`: one product
+        per piece plus its block's shared-row term.  Each piece of a block
+        starts a multiple of the run size into it, where BLAS would start a
+        group of rows in one product of the whole block, so every row has
+        the bits of that product however the runs are cut."""
+        for k, a, b, at in pieces:
+            w, dot = terms[k]
+            part = r[at:at + b - a]
+            np.matmul(w, self.blocks[k][1][:, a:b], out=part)
+            if dot is not None:
+                part += dot
 
     def row(self, i: int) -> np.ndarray:
         if not 0 <= i < self.starts[-1]:
@@ -399,29 +416,25 @@ class RowStack:
         return RowStack([(cols, values[:, keep[lo:hi]], shared)
                          for (cols, values, shared, _), lo, hi in self._spans()], self.ncols)
 
-    def with_rows(self, cols, values: np.ndarray, shared: np.ndarray | None = None) -> "RowStack":
-        """This stack with the block (cols, values, shared) appended after its last row."""
-        return RowStack(self.blocks + [(cols, values, shared)], self.ncols)
 
-
-def _cell_batches(cells: Cells, todo: np.ndarray, bounds: np.ndarray, limit):
-    """Yield (take, tail): the next cells of `todo` to price together, and
-    the positions of `cells.order` after the last cell, which come with the
-    first batch only.  The first batch holds about `_FIRST_BATCH` rows,
-    each later one twice as many, up to `_PRICE_CHUNK`.  After each batch
-    `limit()`, a bound or None, cuts the cells left to those whose bound is
-    at most it; `todo` is then in ascending order of `bounds`."""
-    tail, sizes = cells.tail, np.diff(cells.starts)
+def _cell_batches(cells: Cells, bounds: np.ndarray, cut):
+    """Yield the cells to price together: those whose bound is at most
+    `cut()`, in ascending order of bound, with `cut` asked again after each
+    batch.  The first batch holds about `_FIRST_BATCH` rows, each later one
+    twice as many, up to `_PRICE_CHUNK`.  The first batch ends with cell
+    number len(bounds), the last n % 4 rows, when there are any."""
+    todo = np.flatnonzero(bounds <= cut())
+    todo = todo[np.argsort(bounds[todo], kind="stable")]
+    sizes = np.diff(cells.starts)
+    tail = np.array([len(sizes)] if len(cells.order) % 4 else [], dtype=np.intp)
     done, batch = 0, _FIRST_BATCH
     while done < len(todo) or len(tail):
         rows = np.cumsum(sizes[todo[done:]])
         take = todo[done:done + int(np.searchsorted(rows, batch)) + 1]
         done += len(take)
-        yield take, tail
+        yield np.concatenate([take, tail])
         tail = tail[:0]
-        cut = limit()
-        if cut is not None:
-            todo = todo[:done + int(np.searchsorted(bounds[todo[done:]], cut, side="right"))]
+        todo = todo[:done + int(np.searchsorted(bounds[todo[done:]], cut(), side="right"))]
         batch = min(2 * batch, _PRICE_CHUNK)
 
 
@@ -499,11 +512,8 @@ class _DualSimplex:
     Works on the column-scaled rows G * scale without forming them: the
     entering row is scaled when it is read, and pricing computes G @ (scale * pi),
     which equals (G * scale) @ pi bit for bit because the scales are powers
-    of two.  Pricing runs chunk by chunk (`G.chunks(_PRICE_CHUNK)`) through
-    one scratch buffer; each piece of a block starts a multiple of
-    `_PRICE_CHUNK` rows into it, where BLAS would start a group of rows in
-    one product of the whole block, so every reduced cost keeps its bits.
-    A block with cells is priced last, by `_price_cells`.
+    of two.  The entering row (`_entering_row`) and the final G z - h
+    (`residual`) both read G through one walk (`_walk`).
     """
 
     def __init__(self, G, scale, h, b, opt_tol, pivot_tol, stall_limit):
@@ -518,12 +528,16 @@ class _DualSimplex:
         self.art_sign = np.where(b >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.nv)
         self.A_B = np.diag(self.art_sign)
-        # the block with cells is priced by `_price_cells`, the rest in chunks
+        # the block with cells is priced batch by batch, the rest in chunks
         self.screened = next((k for k, block in enumerate(G.blocks) if block[3] is not None),
                              None)
         self.chunks = list(G.chunks(_PRICE_CHUNK, skip=self.screened))
         self.chunk_spans = np.array([(start, stop) for start, stop, _ in self.chunks],
                                     dtype=np.intp).reshape(-1, 2).T
+        self.scratch = np.empty(max([stop - start for start, stop, _ in self.chunks], default=0))
+        if self.screened is not None:  # cell c is order[ends[c]:ends[c + 1]], the last
+            cells = G.blocks[self.screened][3]  # n % 4 rows being cell len(starts) - 1
+            self._ends = np.append(cells.starts, len(cells.order))
         self.result = LpResult()  # counted into while pivoting
         self._gathered = {}  # see `_cell_rows`
         self._bland = False
@@ -544,204 +558,147 @@ class _DualSimplex:
         costs[real] = self.h[self.basis[real]]
         return costs
 
-    def new_scratch(self) -> np.ndarray:
-        return np.empty(max([stop - start for start, stop, _ in self.chunks], default=0))
+    def _walk(self, v: np.ndarray, phase: int, cut, stop=lambda: math.inf, working=True):
+        """Yield the reduced costs of G's rows at v, h - G v in phase 2 and
+        G v in phase 1 (where the caller negates v), with the working set's
+        rows at inf (none with `working` false).
 
-    def reduced_costs(self, v: np.ndarray, phase: int, scratch: np.ndarray):
-        """Yield (start, r), chunk by chunk in row order: the reduced costs of
-        rows start to start + len(r), h - G v in phase 2 and G v in phase 1
-        (where the caller negates v), with the working-set rows at inf.  The
-        block with cells, if any, is left out.
-
-        `r` is a view of `scratch` (from `new_scratch`), overwritten by the
-        next chunk."""
-        rows = np.sort(self.basis[self.basis < self.m])
+        First the blocks without cells, run by run in row order, as (start,
+        r) for rows start to start + len(r); r is a view of `scratch`,
+        overwritten by the next run.  Then the block with cells, batch by
+        batch (`_cell_batches`), as (ids, r): row numbers and their costs.
+        A batch holds the cells whose bound (`Cells.bounds`) is at most
+        `cut()`, which is asked again after each batch.  A run, or the block
+        with cells, whose first row is at or after `stop()` is not priced.
+        """
+        rows = np.sort(self.basis[self.basis < self.m]) if working else self.basis[:0]
         # run c holds the working-set rows rows[firsts[c]:lasts[c]]
         firsts, lasts = np.searchsorted(rows, self.chunk_spans).tolist()
-        for (start, stop, r), i, j in zip(self._products(v, scratch), firsts, lasts):
+        terms = self.G._terms(v)
+        for (start, end, pieces), i, j in zip(self.chunks, firsts, lasts):
+            if start >= stop():
+                break
+            r = self.scratch[:end - start]
+            self.G._product(pieces, terms, r)
             if phase == 2:
-                np.subtract(self.h[start:stop], r, out=r)
+                np.subtract(self.h[start:end], r, out=r)
             if i < j:
                 r[rows[i:j] - start] = np.inf
-            self.result.rows_priced += stop - start
             yield start, r
+        if self.screened is None or self.G.starts[self.screened] >= stop():
+            return
+        w, s = terms[self.screened]
+        cells = self.G.blocks[self.screened][3]
+        for take in _cell_batches(cells, cells.bounds(w, 0.0 if s is None else s, phase), cut):
+            ids, r = self._price_batch(w, s, take)
+            if phase == 2:
+                np.subtract(self.h[ids], r, out=r)
+            if len(rows):
+                r[np.isin(ids, rows)] = np.inf
+            yield ids, r
 
-    def _products(self, v: np.ndarray, scratch: np.ndarray):
-        """Yield (start, stop, r): G v on rows start:stop, a view of
-        `scratch`, chunk by chunk in row order, the block with cells left
-        out; each piece of a block is one product, as `RowStack.matvec`
-        cuts it, so r has the bits of its rows of that mat-vec."""
-        v_cols = [v[cols] for cols, *_ in self.G.blocks]
-        dots = [None if shared is None else shared @ v for _, _, shared, _ in self.G.blocks]
-        for start, stop, pieces in self.chunks:
-            r = scratch[:stop - start]
-            for k, a, b, at in pieces:
-                part = r[at:at + b - a]
-                np.matmul(v_cols[k], self.G.blocks[k][1][:, a:b], out=part)
-                if dots[k] is not None:
-                    part += dots[k]
-            yield start, stop, r
-
-    def _entering_row(self, v: np.ndarray, phase: int, scratch: np.ndarray) -> int | None:
+    def _entering_row(self, v: np.ndarray, phase: int) -> int | None:
         """The row Dantzig's rule (the lowest reduced cost, the lowest row on
         ties) or, during a stall, Bland's (the lowest eligible row) enters;
-        None at optimality.  A NaN reduced cost raises SolverError."""
-        best, enter = -self.opt_tol, None
-        for start, r in self.reduced_costs(v, phase, scratch):
-            low = r.min()  # NaN if r has one; argmin only where a chunk improves
-            if math.isnan(low):
-                raise SolverError(f"NaN reduced cost of row {start + int(np.argmin(r))} "
-                                  f"in phase {phase}", status=LpStatus.ITERATION_LIMIT.value)
-            if low < best:  # strict: an equal minimum in a later chunk is a later row
-                if self._bland:  # the chunks after this one are not priced
-                    enter = start + int(np.argmax(r < -self.opt_tol))
-                    break
-                best, enter = low, start + int(np.argmin(r))
-        if self.screened is None or (
-                self._bland and enter is not None and enter < self.G.starts[self.screened]):
-            return enter
-        return self._price_cells(v, phase, best, enter)
+        None at optimality.  A NaN reduced cost raises SolverError.
 
-    def _price_cells(self, v: np.ndarray, phase: int, best: float, enter: int | None):
-        """`_entering_row` over the block with cells, given the best
-        reduced cost and row of the other blocks (rows before and after it).
-
-        Dantzig's rule prices the cells whose bound (`Cells.bounds`) is at
-        most the best reduced cost, in ascending order of bound, and stops
-        at the first bound above the best found so far.  Bland's rule prices
-        every cell whose bound is below -opt_tol and takes the lowest
-        eligible row.  The last n % 4 rows are always priced.  Rows go into
-        one C-contiguous product per batch (`_price_batch`), the cells' rows
-        first, padded to a multiple of 4 rows, then those last rows: BLAS
-        computes every row of such a product on the same path, and so to
-        the same bits, as the chunks of `reduced_costs` and
-        `RowStack.matvec` would.  A cell whose bound is NaN or -inf is
-        priced, so a NaN reduced cost still raises.
-        """
-        cols, values, shared, cells = self.G.blocks[self.screened]
-        lo = self.G.starts[self.screened]
-        w = v[cols]
-        s = 0.0 if shared is None else float(shared @ v)
-        bounds = cells.bounds(w, s, phase)
-        in_basis = self.basis[(self.basis >= lo) & (self.basis < lo + len(cells.order))] - lo
-        h = self.h[lo:lo + len(cells.order)]
-        if self._bland:
-            todo = np.flatnonzero(bounds < -self.opt_tol)
-        else:
-            todo = np.flatnonzero(bounds <= best)
-            todo = todo[np.argsort(bounds[todo], kind="stable")]
-        for take, tail in _cell_batches(cells, todo, bounds,
-                                        lambda: None if self._bland else best):
-            ids, r = self._price_batch(cells, values, w, None if shared is None else s,
-                                       phase, h, in_basis, take, tail)
+        Dantzig's rule prices the cells whose bound is at most the best
+        reduced cost so far.  Bland's prices every cell whose bound is below
+        -opt_tol, and no run or block after the first eligible row found."""
+        best, enter, bland = -self.opt_tol, None, self._bland
+        below = np.nextafter(best, -np.inf)  # bound <= below is bound < -opt_tol
+        for at, r in self._walk(v, phase, lambda: below if bland else best,
+                                lambda: math.inf if enter is None or not bland else enter):
             self.result.rows_priced += len(r)
-            if self._bland:
-                eligible = ids[r < -self.opt_tol]
-                if len(eligible) and (enter is None or lo + int(eligible.min()) < enter):
-                    enter = lo + int(eligible.min())
-                continue
-            low = r.min() if len(r) else math.inf
-            if low < best or (low == best and enter is not None):
-                first = lo + int(ids[r == low].min())
+            chunk = isinstance(at, int)
+            i = int(np.argmin(r))  # the first NaN, if r has one
+            low = r[i]
+            if math.isnan(low):
+                raise SolverError(f"NaN reduced cost of row {at + i if chunk else at[i]} "
+                                  f"in phase {phase}", status=LpStatus.ITERATION_LIMIT.value)
+            if bland:
+                if low < best:
+                    eligible = r < best
+                    first = at + int(np.argmax(eligible)) if chunk else int(at[eligible].min())
+                    enter = first if enter is None else min(enter, first)
+            elif low < best or (low == best and enter is not None):
+                first = at + i if chunk else int(at[r == low].min())
                 if low < best or first < enter:
                     best, enter = low, first
         return enter
 
-    def _cell_rows(self, cells, values, take: np.ndarray) -> np.ndarray:
-        """The rows of the cells `take`, cell after cell, C-contiguous.  Each
-        cell's rows are read from the block once per solve, those of every
-        cell not read yet in one `values.take`, and kept: pricing reads the
-        same cells again and again (on the prior baseline about 90k distinct
-        rows, each some 8 times), and a row of the block is a random read in
-        each of its columns, or is made from its scalars (`PolyRows`)."""
+    def _cell_rows(self, take: np.ndarray) -> np.ndarray:
+        """The rows of the cells `take` (numbered as in `_cell_batches`),
+        cell after cell, C-contiguous.  Each cell's rows are read from the
+        block once per solve, those of every cell not read yet in one
+        `values.take`, and kept: pricing reads the same cells again and
+        again (on the prior baseline about 90k distinct rows, each some 8
+        times), and a row of the block is a random read in each of its
+        columns, or is made from its scalars (`PolyRows`)."""
+        cols, values, _, cells = self.G.blocks[self.screened]
         new = np.array([c for c in take.tolist() if c not in self._gathered], dtype=np.intp)
         if len(new):
-            rows = values.take(cells.order[_positions(cells.starts, new)], axis=1)
-            sizes = cells.starts[new + 1] - cells.starts[new]
+            rows = values.take(cells.order[_positions(self._ends, new)], axis=1)
+            sizes = self._ends[new + 1] - self._ends[new]
             self._gathered.update(zip(new.tolist(),
                                       np.split(rows, np.cumsum(sizes)[:-1], axis=1)))
-        return np.concatenate([np.empty((values.shape[0], 0))]
+        return np.concatenate([np.empty((len(cols), 0))]
                               + [self._gathered[c] for c in take.tolist()], axis=1)
 
-    def _price_batch(self, cells, values, w, s, phase, h, in_basis, take, tail):
-        """(ids, r): the rows of the cells `take`, cell after cell, and then
-        at positions `tail` of `cells.order`, and their reduced costs, with
-        the working-set rows at inf; `s` is the shared row's term, or None
-        for none.  Each product takes at most `_PRICE_CHUNK` rows of the
-        cells, padded to a multiple of 4 (and to 4 at least before a tail)
-        with a repeated row whose cost is dropped; the last one ends with
-        `tail`.  A NaN reduced cost raises SolverError."""
-        batch_ids = cells.order[_positions(cells.starts, take)]
-        columns = self._cell_rows(cells, values, take)
-        ids_parts, r_parts = [], []
-        for a in range(0, max(len(batch_ids), 1), _PRICE_CHUNK):
-            ids = batch_ids[a:a + _PRICE_CHUNK]
-            ends = cells.order[tail] if a + _PRICE_CHUNK >= len(batch_ids) else tail[:0]
-            real = len(ids)
-            pad = -real % 4 or (4 if len(ends) and not real else 0)
-            more = np.concatenate([np.repeat(ids[:1] if real else ends[:1], pad), ends])
-            ids = np.concatenate([ids, more])
-            part = columns[:, a:a + _PRICE_CHUNK]
-            if len(more) or part.shape[1] < columns.shape[1]:
-                part = np.concatenate([part, values.take(more, axis=1)], axis=1)
+    def _price_batch(self, w: np.ndarray, s: float | None, take: np.ndarray):
+        """(ids, r): the rows of the cells `take`, numbered as in
+        `_cell_batches` and so with the last n % 4 rows last if at all, and
+        w . row + s for each (s None for no shared row).
+
+        Each product takes at most `_PRICE_CHUNK` rows of the cells, padded
+        to a multiple of 4 (and to 4 at least before the last rows) by
+        repeating its first row, whose cost is dropped; the last one ends
+        with the last n % 4 rows.  BLAS computes every row of such a
+        C-contiguous product on the same path, and so to the same bits, as
+        the chunks of `RowStack.matvec`."""
+        cells = self.G.blocks[self.screened][3]
+        ids = self.G.starts[self.screened] + cells.order[_positions(self._ends, take)].astype(
+            np.intp)
+        columns = self._cell_rows(take)
+        n = len(ids)
+        real = n - (len(cells.order) % 4 if len(cells.starts) - 1 in take[-1:] else 0)
+        parts = []
+        for a in range(0, max(real, 1), _PRICE_CHUNK):
+            b = min(a + _PRICE_CHUNK, real)
+            end = n if b == real else b
+            pad = -(b - a) % 4 or (4 if a == b < end else 0)
+            part = columns
+            if (a, end, pad) != (0, n, 0):
+                part = columns.take(np.r_[a:b, np.full(pad, a), b:end], axis=1)
             r = w @ part
             if s is not None:
                 r += s
-            if phase == 2:
-                np.subtract(h[ids], r, out=r)
-            if len(in_basis):
-                r[np.isin(ids, in_basis)] = np.inf
-            if pad:
-                keep = np.r_[0:real, real + pad:len(ids)]
-                ids, r = ids[keep], r[keep]
-            if len(r) and math.isnan(r.min()):
-                row = self.G.starts[self.screened] + int(ids[np.isnan(r)][0])
-                raise SolverError(f"NaN reduced cost of row {row} in phase {phase}",
-                                  status=LpStatus.ITERATION_LIMIT.value)
-            ids_parts.append(ids)
-            r_parts.append(r)
-        return np.concatenate(ids_parts), np.concatenate(r_parts)
+            parts.append(np.delete(r, np.s_[b - a:b - a + pad]) if pad else r)
+        return ids, np.concatenate(parts)
 
     def residual(self, z: np.ndarray, activity: float) -> tuple[float, np.ndarray]:
         """(the largest entry of G z - h, the rows where |G z - h| <= activity,
-        ascending), with the bits of `RowStack.matvec(z) - h`.
+        ascending), with the bits of `RowStack.matvec(z) - h` but for the
+        sign of a zero: the walk's phase-2 costs h - G z, with no working
+        set, negated.
 
-        Every block but the one with cells is multiplied chunk by chunk.  In
-        that block a cell is evaluated, in ascending order of its bound of
-        h - G z (`Cells.bounds` in phase 2, as z prices there), only while
-        the bound leaves room for an active row (bound <= activity) or for a
-        row above the largest entry so far (bound < -largest); its rows come
-        from `_price_batch`, so from the rows pricing gathered.  Where every
-        row is proven below -activity the largest entry reads -inf."""
+        A cell of the block with cells is evaluated, in ascending order of
+        its bound of h - G z, only while the bound leaves room for an active
+        row (bound <= activity) or for a row above the largest entry so far
+        (bound < -largest); its rows come from those pricing gathered.
+        Where every row is proven below -activity the largest entry reads
+        -inf."""
         tops, active = [], [np.empty(0, dtype=np.intp)]
-        for start, stop, r in self._products(z, self.new_scratch()):
-            r -= self.h[start:stop]
+        for at, r in self._walk(z, 2, lambda: max(activity, -np.max(tops, initial=-np.inf)),
+                                working=False):
+            np.negative(r, out=r)
             tops.append(r.max())
-            active.append(start + np.flatnonzero((r >= -activity) & (r <= activity)))
-        if self.screened is not None:
-            cols, values, shared, cells = self.G.blocks[self.screened]
-            lo = self.G.starts[self.screened]
-            w = z[cols]
-            s = None if shared is None else float(shared @ z)
-            bounds = cells.bounds(w, 0.0 if s is None else s, 2)
-            h = self.h[lo:lo + len(cells.order)]
-
-            def reach():
-                return max(activity, -np.max(tops, initial=-np.inf))
-
-            todo = np.flatnonzero(bounds <= reach())
-            todo = todo[np.argsort(bounds[todo], kind="stable")]
-            for take, tail in _cell_batches(cells, todo, bounds, reach):
-                ids, r = self._price_batch(cells, values, w, s, 2, h,
-                                           np.empty(0, dtype=np.intp), take, tail)
-                np.negative(r, out=r)  # h - G z to G z - h, exactly
-                tops.append(np.max(r, initial=-np.inf))
-                active.append(lo + ids[(r >= -activity) & (r <= activity)].astype(np.intp))
+            near = np.flatnonzero((r >= -activity) & (r <= activity))
+            active.append(at + near if isinstance(at, int) else at[near])
         return float(np.max(tops, initial=-np.inf)), np.sort(np.concatenate(active))
 
     def run_phase(self, phase: int, max_iter: int) -> tuple[str, np.ndarray, np.ndarray]:
         """Returns (outcome, pi, x_B); outcome in {"optimal", "unbounded"}."""
-        scratch = self.new_scratch()
         while True:
             if self.result.iterations >= max_iter:
                 raise SolverError(
@@ -761,7 +718,7 @@ class _DualSimplex:
                                   status=LpStatus.ITERATION_LIMIT.value)
             # phase 1 prices -(G @ v) as G @ -v, bit for bit: negation is exact
             v = self.scale * pi
-            enter = self._entering_row(-v if phase == 1 else v, phase, scratch)
+            enter = self._entering_row(-v if phase == 1 else v, phase)
             if enter is None:
                 return "optimal", pi, x_B
             if self._bland:
@@ -863,7 +820,7 @@ def solve_dense_lp(
 
         z = pi * scale
         max_violation, active = engine.residual(z, activity_tol)
-        if max_violation > feas_tol:
+        if not max_violation <= feas_tol:  # a NaN fails too
             raise SolverError(
                 f"optimal basis violates feasibility tolerance: {max_violation:.3e} > "
                 f"{feas_tol:.0e}",
@@ -876,7 +833,7 @@ def solve_dense_lp(
         result.objective = float(cost @ z)
         result.basis_rows = np.sort(engine.basis[real])
         result.multipliers = np.maximum(x_B[real][order], 0.0)
-        result.max_violation = max(max_violation, 0.0)
+        result.max_violation = max(0.0, max_violation)  # an exact zero reads +0.0
         result.zero_multipliers = int(np.sum(result.multipliers <= opt_tol))
         result.active_row_ids = active
         return result

@@ -693,7 +693,7 @@ def _run(
     fields.update(eps=float(eps), margin=margin, margin_slack=float(slack))
 
     refuted = False
-    if posterior and config.estimate_lipschitz:
+    if config.estimate_lipschitz:
         est = estimate_lipschitz(certificate, plant, space, seed=derive_seed(seeds["scenario"], 99))
         refuted = est > config.lipschitz
         if refuted:
@@ -751,7 +751,6 @@ def prior_synthesize(config: SynthesisConfig, eps: float, plant: BlackBoxSystem 
 
     The template dimension entering the tail is Q + P + 3 with Q and P the
     coefficient counts of the barrier and of all controller components.
-    `estimate_lipschitz` does not apply to this method.
     """
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +53,9 @@ def test_max_of_list():
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(-1.0, abs=1e-12)
     assert list(res.basis_rows) == [1]
+    # G z - h is exactly 0 at row 1; the residual negates h - G z, and the
+    # reported violation is +0.0 all the same
+    assert math.copysign(1.0, res.max_violation) == 1.0
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -205,7 +209,7 @@ def test_row_stack_reads_like_its_dense_matrix():
     rng = np.random.default_rng(5)
     head = rng.normal(size=(7, 6))
     tail = rng.normal(size=(3, 9))
-    stack = RowStack.dense(head).with_rows([0, 2, 5], tail).with_rows([4], np.ones((1, 1)))
+    stack = RowStack([(np.arange(6), head.T), ([0, 2, 5], tail), ([4], np.ones((1, 1)))], 6)
     dense = np.vstack([head, np.zeros((9, 6)), np.zeros((1, 6))])
     dense[7:16, [0, 2, 5]] = tail.T
     dense[16, 4] = 1.0
@@ -232,15 +236,16 @@ def test_row_stack_solves_like_its_dense_matrix():
     for _ in range(20):
         cost, G, h = random_bounded_lp(rng, nv=4, extra_rows=40)
         G[:30, [1, 3]] = 0.0
-        stack = RowStack.dense(G[30:]).with_rows([0, 2], np.ascontiguousarray(G[:30, [0, 2]].T))
+        stack = RowStack([*RowStack.dense(G[30:]).blocks,
+                          ([0, 2], np.ascontiguousarray(G[:30, [0, 2]].T))], 4)
         h_stack = np.concatenate([h[30:], h[:30]])
         dense, blocks = solve_dense_lp(cost, G, h), solve_dense_lp(cost, stack, h_stack)
         assert blocks.status is LpStatus.OPTIMAL
         assert blocks.objective == pytest.approx(dense.objective, abs=1e-9)
-    infeasible = RowStack.dense(np.array([[1.0, 0.0]])).with_rows([0], np.array([[-1.0]]))
+    infeasible = RowStack([([0, 1], np.array([[1.0], [0.0]])), ([0], np.array([[-1.0]]))], 2)
     res = solve_dense_lp(np.array([0.0, 1.0]), infeasible, np.array([-1.0, -1.0]))
     assert res.status is LpStatus.INFEASIBLE
-    unbounded = RowStack.dense(np.array([[0.0, 1.0]])).with_rows([0], np.array([[-1.0]]))
+    unbounded = RowStack([([0, 1], np.array([[0.0], [1.0]])), ([0], np.array([[-1.0]]))], 2)
     res = solve_dense_lp(np.array([-1.0, 0.0]), unbounded, np.array([1.0, 0.0]))
     assert res.status is LpStatus.UNBOUNDED
 
@@ -253,7 +258,7 @@ def _shared_row_stack(rng, head_rows=7, tail_rows=5):
     tail = rng.normal(size=(3, tail_rows))
     shared = np.zeros(7)
     shared[[0, 6]] = [-1.0, 2.5e3]
-    stack = RowStack.dense(head).with_rows([1, 3, 4], tail, shared)
+    stack = RowStack([(np.arange(7), head.T), ([1, 3, 4], tail, shared)], 7)
     dense = np.vstack([head, np.tile(shared, (tail_rows, 1))])
     dense[head_rows:, [1, 3, 4]] = tail.T
     return stack, dense
@@ -262,7 +267,7 @@ def _shared_row_stack(rng, head_rows=7, tail_rows=5):
 def test_row_stack_with_a_shared_row_reads_like_its_dense_matrix():
     rng = np.random.default_rng(8)
     stack, dense = _shared_row_stack(rng)
-    stack = stack.with_rows([2], np.ones((1, 1)))
+    stack = RowStack(stack.blocks + [([2], np.ones((1, 1)))], 7)
     dense = np.vstack([dense, np.eye(7)[2]])
     assert stack.shape == dense.shape == (13, 7)
     assert stack.nbytes == (7 * 7 + 3 * 5 + 1) * 8 + 7 * 8
@@ -300,7 +305,7 @@ def _probe_stack(rng, rows, infeasible):
     tail[0] = rng.uniform(0.5, 1.0, size=rows)
     shared = np.zeros(13)
     shared[0] = -1.0
-    stack = RowStack.dense(head).with_rows(np.arange(1, 12), tail, shared)
+    stack = RowStack([(np.arange(13), head.T), (np.arange(1, 12), tail, shared)], 13)
     h = np.concatenate([[-1.0 if infeasible else 1.0, 0.0], rng.uniform(0.1, 1.0, size=rows)])
     return stack, h
 
@@ -338,7 +343,7 @@ def _two_block_lp(rng, head_rows=20, tail_rows=41):
     tail = rng.normal(size=(3, tail_rows))
     shared = np.zeros(7)
     shared[[0, 6]] = [-1.0, 0.25]
-    stack = RowStack.dense(head).with_rows([1, 3, 4], tail, shared)
+    stack = RowStack([(np.arange(7), head.T), ([1, 3, 4], tail, shared)], 7)
     h = np.concatenate([rng.uniform(0.1, 2.0, size=head_rows), np.full(14, 10.0),
                         rng.uniform(0.1, 2.0, size=tail_rows)])
     return rng.normal(size=7), stack, h
@@ -351,20 +356,21 @@ def _degenerate_lp(rng, rows=60):
     head = np.vstack([np.eye(3), -np.eye(3)])
     tail = rng.normal(size=(2, rows))
     tail[:, ::3] = 0.0
-    stack = RowStack.dense(head).with_rows([1, 2], tail, np.array([-1.0, 0.0, 0.0]))
+    stack = RowStack([(np.arange(3), head.T), ([1, 2], tail, np.array([-1.0, 0.0, 0.0]))], 3)
     return np.eye(3)[0], stack, np.concatenate([np.full(6, 10.0), np.ones(rows)])
 
 
 def _solve_recording(monkeypatch, chunk, *args, **kwargs):
     """solve_dense_lp priced in chunks of `chunk` rows; also every working set
-    it factorised, and per pricing pass the number of chunks priced."""
+    it factorised, and per walk over G (the pricing passes and the final
+    residual) the number of chunks read."""
     bases, priced = [], []
     basis_matrix = lp._DualSimplex._basis_matrix
-    reduced_costs = lp._DualSimplex.reduced_costs
+    walk = lp._DualSimplex._walk
 
-    def counting_reduced_costs(engine, *a):
+    def counting_walk(engine, *a, **kw):
         priced.append(0)
-        for item in reduced_costs(engine, *a):
+        for item in walk(engine, *a, **kw):
             priced[-1] += 1
             yield item
 
@@ -372,7 +378,7 @@ def _solve_recording(monkeypatch, chunk, *args, **kwargs):
         mp.setattr(lp, "_PRICE_CHUNK", chunk)
         mp.setattr(lp._DualSimplex, "_basis_matrix",
                    lambda engine: bases.append(engine.basis.tolist()) or basis_matrix(engine))
-        mp.setattr(lp._DualSimplex, "reduced_costs", counting_reduced_costs)
+        mp.setattr(lp._DualSimplex, "_walk", counting_walk)
         return solve_dense_lp(*args, **kwargs), bases, priced
 
 
@@ -432,7 +438,7 @@ def test_chunked_reduced_costs_are_those_of_one_mat_vec(monkeypatch, chunk, phas
     # two one-row blocks at the end share a run
     rng = np.random.default_rng(22)
     _, stack, h = _two_block_lp(rng, head_rows=186, tail_rows=129)
-    stack = stack.with_rows([2], np.ones((1, 1))).with_rows([5], np.full((1, 1), -2.0))
+    stack = RowStack(stack.blocks + [([2], np.ones((1, 1))), ([5], np.full((1, 1), -2.0))], 7)
     h = np.concatenate([h, [0.5, 0.25]])
     monkeypatch.setattr(lp, "_PRICE_CHUNK", chunk)
     scale = _pow2_column_scale(stack)
@@ -444,7 +450,7 @@ def test_chunked_reduced_costs_are_those_of_one_mat_vec(monkeypatch, chunk, phas
         expected = h - expected
     expected[[3, 200, 209, 320]] = np.inf
     starts, parts = [], []
-    for start, r in engine.reduced_costs(v, phase, engine.new_scratch()):
+    for start, r in engine._walk(v, phase, lambda: np.inf):
         starts.append(start)
         parts.append(r.copy())
     assert len(parts) == {64: 4 + 2 + 1, 128: 2 + 1 + 1}.get(chunk, 1)
@@ -476,7 +482,7 @@ def test_nan_reduced_cost_fails_closed(monkeypatch, bland):
     engine._bland = bland
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             SolverError, match="NaN reduced cost of row 9") as err:
-        engine._entering_row(np.array([1e308, -1e308]), 2, engine.new_scratch())
+        engine._entering_row(np.array([1e308, -1e308]), 2)
     assert err.value.status == LpStatus.ITERATION_LIMIT.value
 
 
@@ -490,7 +496,7 @@ def test_entering_row_across_chunks(monkeypatch, bland, expected):
     engine = lp._DualSimplex(RowStack.dense(G), np.ones(1), np.zeros(11), np.ones(1),
                              1e-9, 1e-11, 64)
     engine._bland = bland
-    assert engine._entering_row(np.ones(1), 2, engine.new_scratch()) == expected
+    assert engine._entering_row(np.ones(1), 2) == expected
 
 
 # Columns of the screened programs below: 0 is the objective, 1-4 read
@@ -558,7 +564,7 @@ def _screened_lp(rng, n, grid=6, corners=True, duplicates=0, h_sampled=None):
     values = _sampled_values(x, x_next)
     stack = RowStack([*RowStack.dense(head).blocks,
                       (_SAMPLED_COLS, values, _SAMPLED_SHARED, cells)], 8)
-    plain = RowStack.dense(head).with_rows(_SAMPLED_COLS, values, _SAMPLED_SHARED)
+    plain = RowStack([(np.arange(8), head.T), (_SAMPLED_COLS, values, _SAMPLED_SHARED)], 8)
     return np.eye(8)[0], stack, plain, h
 
 
@@ -610,33 +616,37 @@ def test_cell_bounds_are_sound_for_rows_at_box_corners(phase):
 
 @pytest.mark.parametrize("extra", [0, 1, 2, 3])
 @pytest.mark.parametrize("phase", [1, 2])
-def test_screened_reduced_costs_are_those_of_the_mat_vec(extra, phase):
+def test_screened_reduced_costs_are_those_of_the_mat_vec(monkeypatch, extra, phase):
     # gathered cells padded to a multiple of 4, then the last n % 4 rows:
     # every reduced cost has the bits of the one mat-vec of the rows in order
     rng = np.random.default_rng(60 + extra)
     _, stack, plain, h = _screened_lp(rng, 2000 + extra, corners=False)
     cols, values, shared, cells = stack.blocks[-1]
-    assert len(cells.order) % 4 == extra and len(cells.tail) == extra
+    ncells = len(cells.starts) - 1
+    assert len(cells.order) % 4 == extra and len(cells.order) - cells.starts[-1] == extra
     lo = stack.starts[-2]
     engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
     engine.basis[:3] = [lo + 5, lo + int(cells.order[0]), 3]
     v = rng.normal(size=8)
-    assert stack.matvec(v).tobytes() == plain.matvec(v).tobytes()
+    products = stack.matvec(v)
+    assert products.tobytes() == plain.matvec(v).tobytes()
     expected = _reduced_costs(engine, v, phase)
-    in_basis = engine.basis[engine.basis >= lo] - lo
-    subsets = [np.arange(len(cells.starts) - 1)] + [
-        rng.permutation(len(cells.starts) - 1)[:rng.integers(1, 9)] for _ in range(30)]
+    subsets = [np.arange(ncells)] + [
+        rng.permutation(ncells)[:rng.integers(1, 9)] for _ in range(30)]
     for take in subsets:
-        for tail in (cells.tail, np.empty(0, dtype=int)):
-            ids, r = engine._price_batch(cells, values, v[cols], float(shared @ v), phase,
-                                         h[lo:], in_basis, take, tail)
-            assert r.tobytes() == expected[lo + ids].tobytes()
-            assert len(ids) == np.sum(np.diff(cells.starts)[take]) + len(tail)
-    with pytest.MonkeyPatch.context() as mp:  # products of 64 rows, cut inside cells
-        mp.setattr(lp, "_PRICE_CHUNK", 64)
-        ids, r = engine._price_batch(cells, values, v[cols], float(shared @ v), phase,
-                                     h[lo:], in_basis, subsets[0], cells.tail)
-    assert r.tobytes() == expected[lo + ids].tobytes() and len(ids) == len(cells.order)
+        for tail in ([ncells] if extra else [], []):  # cell ncells: the last n % 4 rows
+            ids, r = engine._price_batch(v[cols], float(shared @ v),
+                                         np.r_[take, tail].astype(np.intp))
+            assert r.tobytes() == products[ids].tobytes()
+            assert len(ids) == np.sum(np.diff(cells.starts)[take]) + len(tail) * extra
+    for chunk in (lp._PRICE_CHUNK, 64):  # then products of 64 rows, cut inside cells
+        monkeypatch.setattr(lp, "_PRICE_CHUNK", chunk)
+        seen = np.zeros(len(stack), dtype=int)
+        for at, r in engine._walk(v, phase, lambda: np.inf):
+            ids = np.arange(at, at + len(r)) if isinstance(at, int) else at
+            assert r.tobytes() == expected[ids].tobytes()
+            seen[ids] += 1
+        assert np.all(seen == 1)
 
 
 def _solve_checking_entering_rows(monkeypatch, *args, **kwargs):
@@ -645,8 +655,8 @@ def _solve_checking_entering_rows(monkeypatch, *args, **kwargs):
     entering_row = lp._DualSimplex._entering_row
     bases, calls = [], []
 
-    def checked(engine, v, phase, scratch):
-        enter = entering_row(engine, v, phase, scratch)
+    def checked(engine, v, phase):
+        enter = entering_row(engine, v, phase)
         r = _reduced_costs(engine, v, phase)
         eligible = np.flatnonzero(r < -engine.opt_tol)
         expected = (None if not len(eligible) else int(eligible[0]) if engine._bland
@@ -700,7 +710,7 @@ def test_screened_entering_row_for_random_pricing_vectors(monkeypatch, bland, ne
         eligible = np.flatnonzero(r < -engine.opt_tol)
         expected = (None if not len(eligible) else int(eligible[0]) if bland
                     else int(np.argmin(r)))
-        assert engine._entering_row(v, phase, engine.new_scratch()) == expected
+        assert engine._entering_row(v, phase) == expected
         sampled += expected is not None and expected >= lo
     assert sampled > 20
 
@@ -727,9 +737,9 @@ def test_screened_ties_enter_the_lowest_row(monkeypatch, bland, first_batch):
     engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
     engine._bland = bland
     v = np.zeros(8)
-    assert engine._entering_row(v, 2, engine.new_scratch()) == lo + 10
+    assert engine._entering_row(v, 2) == lo + 10
     engine.basis[0] = lo + 10
-    assert engine._entering_row(v, 2, engine.new_scratch()) == (lo + 12 if bland else lo + 17)
+    assert engine._entering_row(v, 2) == (lo + 12 if bland else lo + 17)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -738,9 +748,80 @@ def test_the_rows_after_the_last_cell_are_always_priced(seed):
     rng = np.random.default_rng(85 + seed)
     _, stack, _, h = _screened_lp(rng, 1000 + seed, corners=False,
                                   h_sampled=lambda total: np.r_[np.ones(total - 1), -2.0])
-    assert len(stack.blocks[-1][3].tail) == seed
+    cells = stack.blocks[-1][3]
+    assert len(cells.order) - cells.starts[-1] == seed
     engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
-    assert engine._entering_row(np.zeros(8), 2, engine.new_scratch()) == len(stack) - 1
+    assert engine._entering_row(np.zeros(8), 2) == len(stack) - 1
+
+
+@pytest.mark.parametrize("bland", [False, True])
+def test_entering_row_with_a_block_after_the_cells(bland):
+    # a dense block after the block with cells, the shape the feasibility
+    # probe builds: its rows are priced before the cells' batches, and
+    # Dantzig's rule enters rows of both; under Bland's rule an eligible row
+    # after the cells is the stop row, and a lower eligible cell row wins
+    rng = np.random.default_rng(83)
+    _, stack, _, h = _screened_lp(rng, 6001, grid=12)
+    stack = RowStack(stack.blocks + [(np.arange(8), rng.normal(size=(40, 8)).T)], 8)
+    h = np.concatenate([h, rng.uniform(-1.0, 1.0, size=40)])
+    lo, hi = stack.starts[-3:-1]
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine._bland = bland
+    where, later = [], 0
+    for trial in range(300):
+        v = rng.normal(size=8) * 10.0 ** rng.uniform(-2, 1)
+        engine.basis[:3] = rng.integers(0, len(stack), 3)
+        phase = 1 + trial % 2
+        r = _reduced_costs(engine, v, phase)
+        eligible = np.flatnonzero(r < -engine.opt_tol)
+        expected = (None if not len(eligible) else int(eligible[0]) if bland
+                    else int(np.argmin(r)))
+        assert engine._entering_row(v, phase) == expected
+        where.append(None if expected is None else int(expected >= lo) + int(expected >= hi))
+        later += where[-1] == 1 and bool(np.any(eligible >= hi))
+    assert where.count(1) > 20 and (later if bland else where.count(2)) > 20
+
+
+def _probe_with_cells(rng, infeasible):
+    """The sampled rows of `_screened_lp` under a box on columns 1-6 only:
+    min z0 is unbounded (the budget column 7 follows z0 down), so the
+    feasibility probe runs; two head rows that contradict each other make
+    it infeasible instead.  Returns (cost, the stack with cells, the same
+    rows without them, h)."""
+    cost, stack, plain, h = _screened_lp(rng, 3000)
+    head = np.vstack([np.eye(8)[1:7], -np.eye(8)[1:7]])
+    h_head = np.full(12, 10.0)
+    if infeasible:
+        head = np.vstack([head, np.eye(8)[1], -np.eye(8)[1]])
+        h_head = np.r_[h_head, -1.0, 0.0]
+    h = np.concatenate([h_head, h[stack.starts[-2]:]])
+    return (cost, RowStack([(np.arange(8), head.T), stack.blocks[-1]], 8),
+            RowStack([(np.arange(8), head.T), plain.blocks[-1]], 8), h)
+
+
+@pytest.mark.parametrize("infeasible", [False, True])
+def test_feasibility_probe_with_cells_takes_the_unscreened_path(monkeypatch, infeasible):
+    # the probe appends its t row after the block with cells; status, every
+    # working set of the solve and of the probe's solve, and the verdict
+    # are those of the same rows without cells
+    cost, stack, plain, h = _probe_with_cells(np.random.default_rng(86), infeasible)
+    probe = lp._primal_feasible
+    runs = []
+    for G in (stack, plain):
+        bases, verdicts = [], []
+        basis_matrix = lp._DualSimplex._basis_matrix
+        with monkeypatch.context() as mp:
+            mp.setattr(lp, "_primal_feasible",
+                       lambda *a: verdicts.append(probe(*a)) or verdicts[-1])
+            mp.setattr(lp._DualSimplex, "_basis_matrix",
+                       lambda engine: bases.append(engine.basis.tolist()) or basis_matrix(engine))
+            runs.append((solve_dense_lp(cost, G, h), bases, verdicts))
+    (screened, bases, verdicts), (whole, whole_bases, whole_verdicts) = runs
+    expected = LpStatus.INFEASIBLE if infeasible else LpStatus.UNBOUNDED
+    assert screened.status is whole.status is expected
+    assert verdicts == whole_verdicts == [not infeasible]
+    assert bases == whole_bases and len(bases) > 3
+    assert screened.rows_priced < whole.rows_priced
 
 
 def test_non_finite_cell_bounds_price_their_cells_and_nan_fails_closed():
@@ -758,7 +839,7 @@ def test_non_finite_cell_bounds_price_their_cells_and_nan_fails_closed():
         assert np.all(cells.bounds(v[cols], float(shared @ v), 2) == -np.inf)
         engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
         with pytest.raises(SolverError, match="NaN reduced cost of row") as err:
-            engine._entering_row(v, 2, engine.new_scratch())
+            engine._entering_row(v, 2)
         r = _reduced_costs(engine, v, 2)
     row = int(str(err.value).split("row ")[1].split()[0])
     assert row >= 16 and np.isnan(r[row]) and not np.any(np.isnan(r[:16]))
@@ -782,8 +863,8 @@ import numpy as np
 from safesynth.lp import RowStack
 rng = np.random.default_rng(5)
 shared = np.r_[rng.normal(size=16), np.zeros(8)]
-stack = RowStack.dense(rng.normal(size=(100_033, 24))).with_rows(
-    np.arange(16, 24), rng.normal(size=(8, 200_003)), shared)
+stack = RowStack([(np.arange(24), rng.normal(size=(100_033, 24)).T),
+                  (np.arange(16, 24), rng.normal(size=(8, 200_003)), shared)], 24)
 sys.stdout.write(stack.matvec(rng.normal(size=24)).tobytes().hex())
 """
 

@@ -630,6 +630,26 @@ def test_refuted_lipschitz_bound_fails_closed(tmp_path):
                in w for w in report["warnings"])
 
 
+def test_refuted_lipschitz_bound_fails_closed_for_the_prior_method(tmp_path):
+    # the prior margin K* + L Uinv(eps) rests on L just as the posterior one
+    # does: at eps 0.05 the scenario count is raised to 410, and the margin
+    # under L = 0.5 is negative, yet the plant's sampled slopes refute L
+    raw = room_casestudy_config(n_scenario=100, n_validation=50)
+    raw.update(lipschitz=0.5, estimate_lipschitz=True)
+    cfg = tmp_path / "refuted.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["prior-synthesize", "--config", str(cfg), "--eps", "0.05",
+                 "--out", str(tmp_path / "runs")]) == 2
+    (run,) = os.listdir(tmp_path / "runs")
+    with open(tmp_path / "runs" / run / "report.json") as fh:
+        report = json.load(fh)
+    assert report["method"] == "prior" and report["n_scenario"] == 410
+    assert report["verdict"] == "inconclusive"
+    assert report["failure_cause"] == "lipschitz_refuted"
+    assert report["margin"] < 0.0
+    assert any("exceeds the configured bound 0.5" in w for w in report["warnings"])
+
+
 def test_dataset_sink_receives_collected_data(tmp_path):
     captured = {}
 

@@ -733,8 +733,8 @@ def test_full_scale_room_lp_prices_few_sampled_rows_and_every_pivot_is_unscreene
     entering_row = scp_lp._DualSimplex._entering_row
     passes = []
 
-    def checked(engine, v, phase, scratch):
-        enter = entering_row(engine, v, phase, scratch)
+    def checked(engine, v, phase):
+        enter = entering_row(engine, v, phase)
         r = problem.G.matvec(v)
         if phase == 2:
             r = engine.h - r
@@ -794,7 +794,7 @@ def test_made_rows_are_the_stored_rows_at_prior_scale():
     assert made.hexdigest() == kept.hexdigest()
     assert values.abs_max.tobytes() == np.maximum(stored.max(axis=1),
                                                   -stored.min(axis=1)).tobytes()
-    tail = cells.order[cells.tail]
+    tail = cells.order[cells.starts[-1]:]
     assert tail.tolist() == [n - 1]  # n % 4 == 1: the last row is in no cell
     rng = np.random.default_rng(7)
     for size in (1, 2, 3, 5, 4097):

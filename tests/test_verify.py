@@ -365,3 +365,27 @@ def test_estimate_lipschitz_is_lower_bound(room_space):
         n_pairs=3000, seed=11,
     )
     assert 0.0 < est <= ROOM_STUDY["lipschitz"]
+
+
+def test_configured_lipschitz_bounds_the_certified_case_study_on_a_grid():
+    # the bundled case study (workload seed 0 of the benchmark) certifies
+    # under L = 11.63; that L must be at least the certificate's grid
+    # Lipschitz constant.  Grid constant: on the 401 x 401 grid of the state
+    # box x input box, the largest axis-wise difference quotient
+    # |g(p + d_k e_k) - g(p)| / d_k of the one-step condition
+    # g(x, u) = B(x') - B(x) + u - F(x), x' from the true plant, where d_k is
+    # the grid spacing of axis k (2.3154 here; 2.3151 on 201 x 201 and
+    # 2.3156 on 801 x 801)
+    from safesynth.pipeline import bundled_room_config_path, load_config, synthesize
+    from safesynth.verify import _true_step_condition
+
+    config = load_config(bundled_room_config_path())
+    report = synthesize(config)
+    assert report.verdict == "certified" and config.lipschitz == 11.63
+    points = 401
+    box = config.space().box
+    g = _true_step_condition(report.certificate, RoomTemperaturePlant(),
+                             box_grid(box, points)).reshape(points, points)  # [x, u]
+    step = box.sides() / (points - 1)
+    grid_lipschitz = max(np.max(np.abs(np.diff(g, axis=k))) / step[k] for k in (0, 1))
+    assert 2.0 < grid_lipschitz <= config.lipschitz

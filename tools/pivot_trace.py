@@ -11,26 +11,31 @@ drawn with scenario seed SEED, exactly as synthesis does, solves it with
 JSON line: the sha256 of the assembled program (every row of G as a dense
 float64 row, in order, then h and the row tags; so it is the same for the
 same rows however the row blocks store them), the iteration and
-degenerate-step counts, the rows priced
-(summed over the pricing passes, so equal counts mean screened pricing read
-the same cells), the sha256 of the sequence of working sets (every basis
-the dual simplex factorised, in order), the objective as `float.hex`, the
-sha256 of the solution vector and of the active row ids, and
-`max_violation`.  The solver is wrapped from outside `src/`, so the same
-script runs against any tree:
+degenerate-step counts, the rows priced (summed over the pricing passes,
+so equal counts mean screened pricing read the same cells), the sha256 of
+the sequence of working sets (every basis the dual simplex factorised, in
+order), the objective as `float.hex`, the sha256 of the solution vector and
+of the active row ids, `max_violation`, and `makes` and `rows_made`: the
+calls of `lp.PolyRows._make` during the solve and the rows they made (the
+sampled block's rows, made from its samples where the solve reads them).
+The solver is wrapped from outside `src/`, so the same script runs against
+any tree:
 
     python3 tools/pivot_trace.py 20000 2025 140000 2025 > A.jsonl
     (cd OTHER_TREE && python3 tools/pivot_trace.py 20000 2025 140000 2025) > B.jsonl
     diff A.jsonl B.jsonl
 
-Identical lines mean the same program, pivots, point and active set.
+Identical lines mean the same program, pivots, point and active set; only
+`makes` and `rows_made` may differ between trees that read the made block in
+fewer or more pieces.
 
 With `unbounded` or `infeasible` in place of N, the case is a 50,000-row
 program whose sampled-like block carries a shared row and whose solve ends
 in the feasibility probe (`lp._primal_feasible`): unbounded, or infeasible
 through two contradicting rows.  Its line gives the status, the counts and
 rows priced of the solve, the sha256 of every working set of the solve and
-of the probe's solve, and the probe's verdict.
+of the probe's solve, the probe's verdict, and `makes` and `rows_made`
+(0: its blocks are stored).
 """
 
 import hashlib
@@ -53,24 +58,37 @@ def _sha256(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-class _RecordingBases:
-    """Within the `with` block, hash every working set the dual simplex factorises."""
+class _Recording:
+    """Within the `with` block, hash every working set the dual simplex
+    factorises, and count the calls of `PolyRows._make` and the rows made."""
 
     def __enter__(self):
         self.digest = hashlib.sha256()
-        self.count = 0
+        self.count = self.makes = self.rows_made = 0
         self.basis_matrix = lp._DualSimplex._basis_matrix
+        self.make = lp.PolyRows._make
 
         def recording_basis_matrix(engine):
             self.digest.update(np.asarray(engine.basis, dtype=np.int64).tobytes())
             self.count += 1
             return self.basis_matrix(engine)
 
+        def counting_make(values, z):
+            self.makes += 1
+            self.rows_made += len(z[0])
+            return self.make(values, z)
+
         lp._DualSimplex._basis_matrix = recording_basis_matrix
+        lp.PolyRows._make = counting_make
         return self
 
     def __exit__(self, *exc):
         lp._DualSimplex._basis_matrix = self.basis_matrix
+        lp.PolyRows._make = self.make
+
+    def fields(self) -> dict:
+        return {"bases": self.count, "bases_sha256": self.digest.hexdigest(),
+                "makes": self.makes, "rows_made": self.rows_made}
 
 
 def _program_sha256(problem) -> str:
@@ -113,14 +131,14 @@ def probe_case(kind: str, seed: int) -> dict:
     tail[0] = rng.uniform(0.5, 1.0, size=rows)
     shared = np.zeros(13)
     shared[0] = -1.0
-    G = lp.RowStack.dense(head).with_rows(np.arange(1, 12), tail, shared)
+    G = lp.RowStack([(np.arange(13), head.T), (np.arange(1, 12), tail, shared)], 13)
     h = np.concatenate([[-1.0 if kind == "infeasible" else 1.0, 0.0],
                         rng.uniform(0.1, 1.0, size=rows)])
     verdicts = []
     probe = lp._primal_feasible
     lp._primal_feasible = lambda *args: verdicts.append(probe(*args)) or verdicts[-1]
     try:
-        with _RecordingBases() as bases:
+        with _Recording() as recording:
             result = lp.solve_dense_lp(np.eye(13)[0], G, h)
     finally:
         lp._primal_feasible = probe
@@ -128,8 +146,7 @@ def probe_case(kind: str, seed: int) -> dict:
         "case": kind,
         "seed": seed,
         **_counts(result),
-        "bases": bases.count,
-        "bases_sha256": bases.digest.hexdigest(),
+        **recording.fields(),
         "probe_verdicts": verdicts,
     }
 
@@ -147,15 +164,14 @@ def trace_case(n: int, seed: int) -> dict:
     del dataset
     program = _program_sha256(problem)
 
-    with _RecordingBases() as bases:
+    with _Recording() as recording:
         solution = solve_lp(problem, config.tolerances)
     return {
         "n": n,
         "seed": seed,
         "program_sha256": program,
         **_counts(solution),
-        "bases": bases.count,
-        "bases_sha256": bases.digest.hexdigest(),
+        **recording.fields(),
         "objective": None if solution.objective is None else solution.objective.hex(),
         "z_sha256": None if solution.z is None else _sha256(solution.z),
         "active_sha256": _sha256(np.asarray(solution.active_row_ids, dtype=np.int64)),

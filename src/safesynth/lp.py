@@ -15,30 +15,30 @@ returned point satisfies its active rows to machine precision.
 One walk over G.  Every read of G v, the pricing of each iteration and the
 final G z - h alike, goes through one walk (`_DualSimplex._walk`), so the
 entering rows and the active rows see the same bits.  The walk first
-streams the blocks without cells in runs of `_PRICE_CHUNK` rows: one
-mat-vec into a scratch buffer that stays in cache, the shared row's term,
-`h` minus the product and the working set masked out, all before the next
-run is read; no m-long vector is formed.  `RowStack.matvec` cuts its
-products the same way, so on one BLAS thread every reduced cost has the
-bits of that mat-vec.  The walk then prices the block with cells, if any,
-batch by batch, each batch the cells whose bound is at most a cut its
-caller sets and asks again after each batch.  A run, or the block with
-cells, that starts at or after a stop row its caller sets is skipped.
+streams the other blocks in runs of `_PRICE_CHUNK` rows: one mat-vec into
+a scratch buffer that stays in cache, the shared row's term, `h` minus the
+product and the working set masked out, all before the next run is read;
+no m-long vector is formed.  `RowStack.matvec` cuts its products the same
+way, so on one BLAS thread every reduced cost has the bits of that
+mat-vec.  The walk then prices the made block, if any, batch by batch,
+each batch the cells whose bound is at most a cut its caller sets and asks
+again after each batch.  A run, or the made block, that starts at or after
+a stop row its caller sets is skipped.
 
 Screened pricing.  A block whose rows are polynomials of a few scalars per
-row (the scenario program's sampled rows, in x and x') can carry an index
-of cells, runs of its rows with nearby scalars (`Cells`).  Each iteration
-bounds every cell's reduced costs from below through the polynomial
-structure and a rounding margin; the cut is the best reduced cost found so
-far, so the cells that can beat it are priced, in ascending order of bound,
-each cell's rows read from the block once per solve.  A skipped row is one
-the bound proves cannot enter, and every priced row keeps the bits of the
-unscreened product, so the pivots are those of pricing every row.  The
-block itself stays in row order; only pricing reads it through the index.
-Such a block either stores its values or makes them from its per-row
-scalars when they are read (`PolyRows`), so a solve makes only the rows it
-prices.  The final G z - h is screened by the same bounds: its cut admits a
-cell only if it may hold an active row or the largest violation.
+row (the scenario program's sampled rows, in x and x') can be made from
+those scalars when its rows are read instead of stored (`PolyRows`), and
+carries an index of cells, runs of its rows with nearby scalars that tile
+it (`Cells`).  Each iteration bounds every cell's reduced costs from below
+through the polynomial structure and a rounding margin; the cut is the
+best reduced cost found so far, so the cells that can beat it are priced,
+in ascending order of bound, each cell's rows made once per solve.  A
+skipped row is one the bound proves cannot enter, and every priced row
+keeps the bits of the unscreened product (`_made_product`), so the pivots
+are those of pricing every row.  The block itself stays in row order; only
+pricing reads it through the index, so a solve makes only the rows it
+prices.  The final G z - h is screened by the same bounds: its cut admits
+a cell only if it may hold an active row or the largest violation.
 
 Pivoting is Dantzig's rule with lowest-row tie-breaks; while the iteration
 stalls on degenerate vertices it switches to Bland's rule (the lowest
@@ -91,8 +91,8 @@ class Cells:
     cell, and cell c is the rows order[starts[c]:starts[c + 1]], whose
     samples lie in a small box: every z of them lies in [lower[c],
     upper[c]], and `h_min[c]` bounds their right-hand side from below, for
-    the right-hand side the stack is solved with.  The last n % 4 rows
-    follow the last cell in `order`, in row order and in no cell.
+    the right-hand side the stack is solved with.  The cells tile the
+    block: every row is in exactly one of them.
 
     `bounds` turns the box into a lower bound of every reduced cost a row of
     the cell can price at, so pricing can skip a cell whose bound cannot
@@ -108,7 +108,7 @@ class Cells:
         self.coeff_map = np.asarray(coeff_map, dtype=float)
         n, ncells = len(self.order), len(self.starts) - 1
         nz, d1, ncols = self.coeff_map.shape
-        if (self.starts[0] != 0 or self.starts[-1] != n - n % 4
+        if (self.starts[0] != 0 or self.starts[-1] != n
                 or np.any(np.diff(self.starts) < 0) or len(self.h_min) != ncells
                 or self.lower.shape != (ncells, nz) or self.upper.shape != (ncells, nz)):
             raise SolverError(f"{ncells} cells of {n} rows over {nz} scalars do not tile the block")
@@ -182,30 +182,33 @@ class Cells:
 
 class PolyRows:
     """The values of a row block, made from per-row scalars when they are
-    read instead of stored: entry (j, i) sums, over the nonzero
-    coeff_map[v, k, j] in (v, k) order, coeff_map[v, k, j] * z[v][i] ** k,
-    in the layout of `Cells.coeff_map`, with every power taken by
+    read instead of stored, with the `cells` that index them: entry (j, i)
+    sums, over the nonzero cells.coeff_map[v, k, j] in (v, k) order,
+    coeff_map[v, k, j] * z[v][i] ** k, with every power taken by
     `polynomial.power` as `eval_basis_many` takes it.  So a column x'^k -
     x^k is made as -x^k + x'^k, which rounds as the difference does.
 
     `values[:, rows]` (a row number, a slice, a mask or row numbers) and
     `values.take(rows, axis=1)` make those rows, (ncols, len) and
     C-contiguous, and `np.asarray(values)` makes all of them; an entry has
-    the same bits whichever rows are made with it.  `abs_max`, the largest
-    |entry| of each column (NaN if one is NaN), comes from one pass over the
-    rows at construction, `_MAKE_CHUNK` rows at a time, so no temporary of
-    the block's size is made.  `nbytes` counts the scalars.
+    the same bits whichever rows are made with it.  Made rows are multiplied
+    only by `_made_product`.  `abs_max`, the largest |entry| of each column
+    (NaN if one is NaN), comes from one pass over the rows at construction,
+    `_MAKE_CHUNK` rows at a time, so no temporary of the block's size is
+    made.  `nbytes` counts the scalars.
     """
 
     ndim = 2
 
-    def __init__(self, z, coeff_map):
+    def __init__(self, z, cells: Cells):
         self.z = [np.asarray(v, dtype=float) for v in z]
-        coeff_map = np.asarray(coeff_map, dtype=float)
+        self.cells = cells
+        coeff_map = cells.coeff_map
         nz, _, ncols = coeff_map.shape
-        if len(self.z) != nz or len({v.shape for v in self.z}) != 1 or self.z[0].ndim != 1:
+        if (len(self.z) != nz or len({v.shape for v in self.z}) != 1 or self.z[0].ndim != 1
+                or len(cells.order) != len(self.z[0])):
             raise SolverError(f"per-row scalars of shapes {[v.shape for v in self.z]} "
-                              f"for a coefficient map over {nz} scalars")
+                              f"for {len(cells.order)} rows in cells over {nz} scalars")
         self.shape = (ncols, len(self.z[0]))
         # (v, k, [(j, c, first term of column j)]) per power with a use
         self._terms, started = [], set()
@@ -262,24 +265,24 @@ class PolyRows:
 class RowStack:
     """A constraint matrix as a stack of row blocks.
 
-    Block k is `(cols, values, shared, cells)` with `values.shape ==
-    (len(cols), rows)`: `values[j, p]` is the entry in column `cols[j]` of
-    the block's p-th row, and `shared`, an `ncols` vector that is zero on
-    `cols` (or None for zeros), holds the entries every row of the block has
-    outside `cols`.  `values` either stores the entries, an array, or makes
-    them from per-row scalars when they are read, `PolyRows`; the scenario
-    program's sampled block with cells makes them.  `cells` (None, or
-    `Cells` for one block of a stack at most) index the block's rows for
-    screened pricing and change nothing else.  A dense row-major matrix is
-    the one block `(arange(ncols), G.T, None, None)`, a view.  Rows that are
-    constant in many columns are stored C-contiguous over the others, so a
-    mat-vec reads only the entries that vary from row to row.
+    Block k is `(cols, values, shared)` with `values.shape == (len(cols),
+    rows)`: `values[j, p]` is the entry in column `cols[j]` of the block's
+    p-th row, and `shared`, an `ncols` vector that is zero on `cols` (or
+    None for zeros, which a block given as `(cols, values)` has), holds the
+    entries every row of the block has outside `cols`.  `values` either
+    stores the entries, an array, or makes them from per-row scalars when
+    they are read, `PolyRows`, whose cells the solver screens by (the first
+    made block of a stack; the scenario program's sampled block, at
+    scale).  A dense row-major matrix is the one block `(arange(ncols),
+    G.T, None)`, a view.  Rows that are constant in many columns are stored
+    C-contiguous over the others, so a mat-vec reads only the entries that
+    vary from row to row.
     """
 
     def __init__(self, blocks, ncols: int):
         self.ncols = int(ncols)
         self.blocks = []
-        for cols, values, *rest in blocks:
+        for cols, values, *shared in blocks:
             cols = np.asarray(cols, dtype=np.intp)
             if (values.ndim != 2 or values.shape[0] != len(cols)
                     or len(np.unique(cols)) != len(cols)
@@ -288,7 +291,7 @@ class RowStack:
                     f"row block of shape {values.shape} over columns {cols.tolist()} "
                     f"of {self.ncols}"
                 )
-            shared, cells = (list(rest) + [None, None])[:2]
+            shared = shared[0] if shared else None
             if shared is not None:
                 shared = np.asarray(shared, dtype=float)
                 if shared.shape != (self.ncols,) or np.any(shared[cols] != 0.0):
@@ -296,19 +299,12 @@ class RowStack:
                         f"shared row of shape {shared.shape} must have {self.ncols} "
                         f"entries, zero in the block's columns {cols.tolist()}"
                     )
-            if cells is not None and (len(cells.order) != values.shape[1]
-                                      or cells.coeff_map.shape[2] != len(cols)):
-                raise SolverError(f"cells of {len(cells.order)} rows over "
-                                  f"{cells.coeff_map.shape[2]} columns for a block of "
-                                  f"shape {values.shape}")
             if values.shape[1]:
-                self.blocks.append((cols, values, shared, cells))
-        if sum(cells is not None for *_, cells in self.blocks) > 1:
-            raise SolverError("at most one row block of a stack has cells")
+                self.blocks.append((cols, values, shared))
         # first row of each block, then the row count; Python ints, because
         # `row` finds its block with `bisect` on every iteration
         self.starts = list(itertools.accumulate(
-            (values.shape[1] for _, values, _, _ in self.blocks), initial=0
+            (values.shape[1] for _, values, _ in self.blocks), initial=0
         ))
 
     @classmethod
@@ -330,14 +326,14 @@ class RowStack:
         """Bytes of the entries: values (for `PolyRows`, their scalars) and
         shared rows, not the cells."""
         return sum(values.nbytes + (0 if shared is None else shared.nbytes)
-                   for _, values, shared, _ in self.blocks)
+                   for _, values, shared in self.blocks)
 
     def _spans(self):
         return zip(self.blocks, self.starts, self.starts[1:])
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros(self.shape)
-        for (cols, values, shared, _), lo, hi in self._spans():
+        for (cols, values, shared), lo, hi in self._spans():
             if shared is not None:
                 dense[lo:hi] = shared
             dense[lo:hi, cols] = np.asarray(values).T
@@ -359,18 +355,23 @@ class RowStack:
     def _terms(self, v: np.ndarray) -> list:
         """Per block, (v on its columns, its shared row's dot with v or None)."""
         return [(v[cols], None if shared is None else shared @ v)
-                for cols, _, shared, _ in self.blocks]
+                for cols, _, shared in self.blocks]
 
     def _product(self, pieces, terms, r: np.ndarray) -> None:
         """G v on one run of `chunks` into r, given `_terms(v)`: one product
         per piece plus its block's shared-row term.  Each piece of a block
         starts a multiple of the run size into it, where BLAS would start a
-        group of rows in one product of the whole block, so every row has
-        the bits of that product however the runs are cut."""
+        group of rows in one product of the whole block, so every stored row
+        has the bits of that product however the runs are cut; made rows
+        are multiplied by `_made_product`."""
         for k, a, b, at in pieces:
             w, dot = terms[k]
             part = r[at:at + b - a]
-            np.matmul(w, self.blocks[k][1][:, a:b], out=part)
+            values = self.blocks[k][1]
+            if isinstance(values, PolyRows):
+                _made_product(w, values[:, a:b], part)
+            else:
+                np.matmul(w, values[:, a:b], out=part)
             if dot is not None:
                 part += dot
 
@@ -378,7 +379,7 @@ class RowStack:
         if not 0 <= i < self.starts[-1]:
             raise IndexError(f"row {i} of {len(self)}")
         k = bisect.bisect_right(self.starts, i) - 1
-        cols, values, shared, _ = self.blocks[k]
+        cols, values, shared = self.blocks[k]
         row = np.zeros(self.ncols) if shared is None else shared.copy()
         row[cols] = values[:, i - self.starts[k]]
         return row
@@ -411,29 +412,41 @@ class RowStack:
             yield start, len(self), pieces
 
     def select(self, keep: np.ndarray) -> "RowStack":
-        """The rows where the boolean mask `keep` is true, in order, without
-        cells."""
+        """The rows where the boolean mask `keep` is true, in order, stored
+        (a made block's selected rows are made once)."""
         return RowStack([(cols, values[:, keep[lo:hi]], shared)
-                         for (cols, values, shared, _), lo, hi in self._spans()], self.ncols)
+                         for (cols, values, shared), lo, hi in self._spans()], self.ncols)
+
+
+def _made_product(w: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """w @ rows into `out`, for made rows (ncols, L), as one C-contiguous
+    product over a multiple of four rows, the rows after the L given ones
+    zero.  BLAS computes the last L mod 4 rows of a product on another
+    path, whose sums can round differently; padded, every made row is
+    computed on the path of the body of a product, and so has the same
+    bits in every product it is priced or multiplied in."""
+    n = rows.shape[1]
+    if n % 4 or not rows.flags.c_contiguous:
+        rows = np.concatenate([rows, np.zeros((len(rows), -n % 4))], axis=1)
+        out[:] = (w @ rows)[:n]
+    else:
+        np.matmul(w, rows, out=out)
 
 
 def _cell_batches(cells: Cells, bounds: np.ndarray, cut):
     """Yield the cells to price together: those whose bound is at most
     `cut()`, in ascending order of bound, with `cut` asked again after each
     batch.  The first batch holds about `_FIRST_BATCH` rows, each later one
-    twice as many, up to `_PRICE_CHUNK`.  The first batch ends with cell
-    number len(bounds), the last n % 4 rows, when there are any."""
+    twice as many, up to `_PRICE_CHUNK`."""
     todo = np.flatnonzero(bounds <= cut())
     todo = todo[np.argsort(bounds[todo], kind="stable")]
     sizes = np.diff(cells.starts)
-    tail = np.array([len(sizes)] if len(cells.order) % 4 else [], dtype=np.intp)
     done, batch = 0, _FIRST_BATCH
-    while done < len(todo) or len(tail):
+    while done < len(todo):
         rows = np.cumsum(sizes[todo[done:]])
         take = todo[done:done + int(np.searchsorted(rows, batch)) + 1]
         done += len(take)
-        yield np.concatenate([take, tail])
-        tail = tail[:0]
+        yield take
         todo = todo[:done + int(np.searchsorted(bounds[todo[done:]], cut(), side="right"))]
         batch = min(2 * batch, _PRICE_CHUNK)
 
@@ -487,7 +500,7 @@ def _pow2_column_scale(G: RowStack) -> np.ndarray:
     cache, from each `PolyRows.abs_max` and from the shared rows, so no
     temporary of G's size is made and no row is made."""
     col_max = np.zeros(G.ncols)
-    for cols, values, shared, _ in G.blocks:
+    for cols, values, shared in G.blocks:
         if shared is not None:
             np.maximum(col_max, np.abs(shared), out=col_max)
         if isinstance(values, PolyRows):
@@ -528,16 +541,13 @@ class _DualSimplex:
         self.art_sign = np.where(b >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.nv)
         self.A_B = np.diag(self.art_sign)
-        # the block with cells is priced batch by batch, the rest in chunks
-        self.screened = next((k for k, block in enumerate(G.blocks) if block[3] is not None),
-                             None)
+        # the made block is priced batch by batch of its cells, the rest in chunks
+        self.screened = next((k for k, (_, values, _) in enumerate(G.blocks)
+                              if isinstance(values, PolyRows)), None)
         self.chunks = list(G.chunks(_PRICE_CHUNK, skip=self.screened))
         self.chunk_spans = np.array([(start, stop) for start, stop, _ in self.chunks],
                                     dtype=np.intp).reshape(-1, 2).T
         self.scratch = np.empty(max([stop - start for start, stop, _ in self.chunks], default=0))
-        if self.screened is not None:  # cell c is order[ends[c]:ends[c + 1]], the last
-            cells = G.blocks[self.screened][3]  # n % 4 rows being cell len(starts) - 1
-            self._ends = np.append(cells.starts, len(cells.order))
         self.result = LpResult()  # counted into while pivoting
         self._gathered = {}  # see `_cell_rows`
         self._bland = False
@@ -563,13 +573,13 @@ class _DualSimplex:
         G v in phase 1 (where the caller negates v), with the working set's
         rows at inf (none with `working` false).
 
-        First the blocks without cells, run by run in row order, as (start,
-        r) for rows start to start + len(r); r is a view of `scratch`,
-        overwritten by the next run.  Then the block with cells, batch by
-        batch (`_cell_batches`), as (ids, r): row numbers and their costs.
-        A batch holds the cells whose bound (`Cells.bounds`) is at most
-        `cut()`, which is asked again after each batch.  A run, or the block
-        with cells, whose first row is at or after `stop()` is not priced.
+        First the other blocks, run by run in row order, as (start, r) for
+        rows start to start + len(r); r is a view of `scratch`, overwritten
+        by the next run.  Then the made block, batch by batch of its cells
+        (`_cell_batches`), as (ids, r): row numbers and their costs.  A
+        batch holds the cells whose bound (`Cells.bounds`) is at most
+        `cut()`, which is asked again after each batch.  A run, or the made
+        block, whose first row is at or after `stop()` is not priced.
         """
         rows = np.sort(self.basis[self.basis < self.m]) if working else self.basis[:0]
         # run c holds the working-set rows rows[firsts[c]:lasts[c]]
@@ -588,7 +598,7 @@ class _DualSimplex:
         if self.screened is None or self.G.starts[self.screened] >= stop():
             return
         w, s = terms[self.screened]
-        cells = self.G.blocks[self.screened][3]
+        cells = self.G.blocks[self.screened][1].cells
         for take in _cell_batches(cells, cells.bounds(w, 0.0 if s is None else s, phase), cut):
             ids, r = self._price_batch(w, s, take)
             if phase == 2:
@@ -628,53 +638,37 @@ class _DualSimplex:
         return enter
 
     def _cell_rows(self, take: np.ndarray) -> np.ndarray:
-        """The rows of the cells `take` (numbered as in `_cell_batches`),
-        cell after cell, C-contiguous.  Each cell's rows are read from the
-        block once per solve, those of every cell not read yet in one
-        `values.take`, and kept: pricing reads the same cells again and
-        again (on the prior baseline about 90k distinct rows, each some 8
-        times), and a row of the block is a random read in each of its
-        columns, or is made from its scalars (`PolyRows`)."""
-        cols, values, _, cells = self.G.blocks[self.screened]
+        """The rows of the cells `take`, cell after cell, C-contiguous.  Each
+        cell's rows are made once per solve, those of every cell not made
+        yet in one `values.take`, and kept: pricing reads the same cells
+        again and again (on the prior baseline about 90k distinct rows, each
+        some 8 times)."""
+        cols, values, _ = self.G.blocks[self.screened]
+        starts = values.cells.starts
         new = np.array([c for c in take.tolist() if c not in self._gathered], dtype=np.intp)
         if len(new):
-            rows = values.take(cells.order[_positions(self._ends, new)], axis=1)
-            sizes = self._ends[new + 1] - self._ends[new]
+            rows = values.take(values.cells.order[_positions(starts, new)], axis=1)
+            sizes = starts[new + 1] - starts[new]
             self._gathered.update(zip(new.tolist(),
                                       np.split(rows, np.cumsum(sizes)[:-1], axis=1)))
         return np.concatenate([np.empty((len(cols), 0))]
                               + [self._gathered[c] for c in take.tolist()], axis=1)
 
     def _price_batch(self, w: np.ndarray, s: float | None, take: np.ndarray):
-        """(ids, r): the rows of the cells `take`, numbered as in
-        `_cell_batches` and so with the last n % 4 rows last if at all, and
-        w . row + s for each (s None for no shared row).
-
-        Each product takes at most `_PRICE_CHUNK` rows of the cells, padded
-        to a multiple of 4 (and to 4 at least before the last rows) by
-        repeating its first row, whose cost is dropped; the last one ends
-        with the last n % 4 rows.  BLAS computes every row of such a
-        C-contiguous product on the same path, and so to the same bits, as
-        the chunks of `RowStack.matvec`."""
-        cells = self.G.blocks[self.screened][3]
-        ids = self.G.starts[self.screened] + cells.order[_positions(self._ends, take)].astype(
+        """(ids, r): the rows of the cells `take`, cell after cell, and
+        w . row + s for each (s None for no shared row), at most
+        `_PRICE_CHUNK` rows to a product (`_made_product`), so each has the
+        bits `RowStack.matvec` gives it."""
+        cells = self.G.blocks[self.screened][1].cells
+        ids = self.G.starts[self.screened] + cells.order[_positions(cells.starts, take)].astype(
             np.intp)
         columns = self._cell_rows(take)
-        n = len(ids)
-        real = n - (len(cells.order) % 4 if len(cells.starts) - 1 in take[-1:] else 0)
-        parts = []
-        for a in range(0, max(real, 1), _PRICE_CHUNK):
-            b = min(a + _PRICE_CHUNK, real)
-            end = n if b == real else b
-            pad = -(b - a) % 4 or (4 if a == b < end else 0)
-            part = columns
-            if (a, end, pad) != (0, n, 0):
-                part = columns.take(np.r_[a:b, np.full(pad, a), b:end], axis=1)
-            r = w @ part
-            if s is not None:
-                r += s
-            parts.append(np.delete(r, np.s_[b - a:b - a + pad]) if pad else r)
-        return ids, np.concatenate(parts)
+        r = np.empty(len(ids))
+        for a in range(0, len(ids), _PRICE_CHUNK):
+            _made_product(w, columns[:, a:a + _PRICE_CHUNK], r[a:a + _PRICE_CHUNK])
+        if s is not None:
+            r += s
+        return ids, r
 
     def residual(self, z: np.ndarray, activity: float) -> tuple[float, np.ndarray]:
         """(the largest entry of G z - h, the rows where |G z - h| <= activity,
@@ -682,7 +676,7 @@ class _DualSimplex:
         sign of a zero: the walk's phase-2 costs h - G z, with no working
         set, negated.
 
-        A cell of the block with cells is evaluated, in ascending order of
+        A cell of the made block is evaluated, in ascending order of
         its bound of h - G z, only while the bound leaves room for an active
         row (bound <= activity) or for a row above the largest entry so far
         (bound < -largest); its rows come from those pricing gathered.
@@ -778,7 +772,7 @@ def solve_dense_lp(
     """Solve min cost.z s.t. G z <= h; see module docstring for the method.
 
     G is a `RowStack` or anything `np.asarray` makes a 2-D matrix of.  A
-    block of G with cells trusts their `h_min` to bound `h`.  At an optimum
+    made block of G trusts its cells' `h_min` to bound `h`.  At an optimum
     the rows with |G z - h| <= activity_tol are `active_row_ids`; G z - h is
     screened (`_DualSimplex.residual`), so no m-long vector is made."""
     if not isinstance(G, RowStack):
@@ -852,8 +846,8 @@ def _primal_feasible(G: RowStack, h, feas_tol, opt_tol, pivot_tol, max_iter,
     """
     m, nv = G.shape
     G_aux = RowStack(
-        [(cols, values, np.append(np.zeros(nv) if shared is None else shared, -1.0), cells)
-         for cols, values, shared, cells in G.blocks]
+        [(cols, values, np.append(np.zeros(nv) if shared is None else shared, -1.0))
+         for cols, values, shared in G.blocks]
         + [([nv], np.full((1, 1), -1.0))],
         nv + 1,
     )

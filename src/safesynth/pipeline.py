@@ -297,6 +297,16 @@ def validate_config(data: dict) -> SynthesisConfig:
     if isinstance(samples, dict) and "auto" in samples:
         # on a copy: the planner's defaults are not echoed
         auto = AutoSamples(**_read(json.loads(json.dumps(samples)), _AUTO_SAMPLES, "samples")["auto"])
+        # the planner checks these too, for `bounds plan`'s flags
+        for key, ok, bound in (
+            ("start_scenario", auto.start_scenario >= 1, ">= 1"),
+            ("start_validation", auto.start_validation >= 1, ">= 1"),
+            ("growth", auto.growth > 1.0, "> 1"),
+            ("nstar_hat", auto.nstar_hat >= 0, ">= 0"),
+            ("khat", auto.khat is None or auto.khat < 0.0, "< 0 when given"),
+        ):
+            if not ok:
+                raise ConfigError(f"samples.auto.{key} must be {bound}, got {getattr(auto, key)}")
     else:
         n_scenario, n_validation = _read(samples, _FIXED_SAMPLES, "samples").values()
         if n_scenario < 1 or n_validation < 1:

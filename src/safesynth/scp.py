@@ -335,16 +335,16 @@ def g3_rows(
     out: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One sampled one-step row per transition (x, u, x'), stored.
+    """(block, rhs): one sampled one-step row per transition (x, u, x'),
+    stored column-major over `layout.g3_columns`, and its right-hand side.
 
-    With `out`, of shape (len(layout.g3_columns), len(dataset)), the rows are
-    written into it column-major over `layout.g3_columns`, G3_CHUNK samples at
-    a time, and `out` is returned; every row holds `layout.g3_shared_row`
-    outside those columns.  Without it the rows come back dense,
-    (len(dataset) x n_total).  The right-hand side -sum(u) is written into
-    `rhs` when given.  `sampled_problem` stores the rows so only for a block
-    without cells; a block with cells makes the same rows, bit for bit, from
-    (x, x') when they are read (`lp.PolyRows`).
+    The block, of shape (len(layout.g3_columns), len(dataset)), is written
+    into `out` when given, else into a new array, G3_CHUNK samples at a
+    time; every row holds `layout.g3_shared_row` outside those columns.  The
+    right-hand side -sum(u) is written into `rhs` when given.
+    `sampled_problem` stores the rows so below SCREEN_MIN_ROWS samples or
+    for more than one state variable; otherwise it makes the same rows, bit
+    for bit, from (x, x') when they are read (`lp.PolyRows`).
     """
     rhs = g3_rhs(layout, dataset, rhs)
     cols = layout.g3_columns
@@ -364,12 +364,7 @@ def g3_rows(
         for i, basis in enumerate(layout.controllers):
             phi = bx if basis == layout.barrier else eval_basis_many(basis, xs, "F")
             np.negative(phi[:, 1:], out=rows[:, spans[i + 1]:spans[i + 2]])
-    if out is not None:
-        return block, rhs
-    dense = np.empty((len(dataset), layout.n_total))
-    dense[:] = layout.g3_shared_row
-    dense[:, cols] = block.T
-    return dense, rhs
+    return block, rhs
 
 
 def g3_rhs(layout: DecisionLayout, dataset: Dataset, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -522,14 +517,16 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     then the sampled rows in sample order over the `layout.g3_columns` they
     differ in (8 of the room template's 24), with `layout.g3_shared_row` as
     the block's shared row.  For one state variable and at least
-    SCREEN_MIN_ROWS samples the block carries cells (`sample_cells`), which
-    pricing screens, and stores only the samples' (x, x'), views of the
-    dataset, which must not change while the program is in use (the cells'
-    boxes are taken from them).  Its rows are polynomials of them
+    SCREEN_MIN_ROWS samples the block is made: it stores only the samples'
+    (x, x'), views of the dataset, which must not change while the program
+    is in use, and its rows are polynomials of them
     (`layout.g3_coeff_map`), made when they are read (`lp.PolyRows`, whose
     one pass over the samples takes the column maxima), with the bits
-    `g3_rows` would store.  Any other block is stored, written column-major
-    by `g3_rows`.  The sampled right-hand side is written straight into h.
+    `g3_rows` would store.  Its cells (`sample_cells`), each with the box of
+    its (x, x') and its least h, are what pricing screens by (the boxes are
+    taken from the dataset too).  Any other block is stored, written
+    column-major by `g3_rows`.  The sampled right-hand side is written
+    straight into h.
     """
     static_G, static_h, static_tags = static
     n, ns = len(dataset), len(static_h)
@@ -538,23 +535,21 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     h[:ns] = static_h
     cells = sample_cells(dataset)
     if cells is None:
-        samp_G = np.empty((len(layout.g3_columns), n))
-        g3_rows(layout, dataset, out=samp_G, rhs=h[ns:])
+        samp_G, _ = g3_rows(layout, dataset, rhs=h[ns:])
     else:
         g3_rhs(layout, dataset, rhs=h[ns:])
-        samp_G = PolyRows([dataset.xs[:, 0], dataset.x_nexts[:, 0]], layout.g3_coeff_map)
         cell, order, starts = cells
-        z = [dataset.xs[:len(cell), 0], dataset.x_nexts[:len(cell), 0]]
+        z = [dataset.xs[:, 0], dataset.x_nexts[:, 0]]
         ncells = len(starts) - 1
-        cells = Cells(
+        samp_G = PolyRows(z, Cells(
             order, starts,
             np.column_stack([_by_cell(np.minimum, cell, ncells, v) for v in z]),
             np.column_stack([_by_cell(np.maximum, cell, ncells, v) for v in z]),
-            _by_cell(np.minimum, cell, ncells, h[ns:ns + len(cell)]), layout.g3_coeff_map,
-        )
+            _by_cell(np.minimum, cell, ncells, h[ns:]), layout.g3_coeff_map,
+        ))
     return LpProblem(
         RowStack([*RowStack.dense(static_G).blocks,
-                  (layout.g3_columns, samp_G, layout.g3_shared_row, cells)], layout.n_total),
+                  (layout.g3_columns, samp_G, layout.g3_shared_row)], layout.n_total),
         h,
         np.concatenate([static_tags, np.full(n, RowTag.G3, dtype=np.int8)]),
         layout,
@@ -565,12 +560,11 @@ def sample_cells(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     """(cell, order, starts): the cells of a one-variable `dataset` in a
     CELL_GRID x CELL_GRID grid over the data range of (x, x'), numbered in
     the grid's row-major order and counting only the non-empty ones.
-    `cell[i]` (uint16) is sample i's cell, for all but the last n % 4
-    samples, which are in none; `order` (int32) lists the samples cell after
-    cell, in sample order within a cell, then those last ones; `starts` is
-    the first index of `order` of every cell, then n - n % 4.  `order` and
-    `starts` are as `lp.Cells` takes them.  None below SCREEN_MIN_ROWS
-    samples or for a non-finite range.
+    `cell[i]` (uint16) is sample i's cell; `order` (int32) lists the
+    samples cell after cell, in sample order within a cell; `starts` is the
+    first index of `order` of every cell, then n.  `order` and `starts` are
+    as `lp.Cells` takes them.  None below SCREEN_MIN_ROWS samples or for a
+    non-finite range.
 
     Each sample's grid square is a uint16 key, and `order` is the keys'
     stable argsort; the keys are computed, counted and turned into cells
@@ -582,27 +576,24 @@ def sample_cells(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     and the process holds 177 MB after the solve.
     """
     n = len(dataset)
-    sorted_n = n - n % 4
     if dataset.state_dim != 1 or n < SCREEN_MIN_ROWS:
         return None
-    columns = (dataset.xs[:sorted_n, 0], dataset.x_nexts[:sorted_n, 0])
+    columns = (dataset.xs[:, 0], dataset.x_nexts[:, 0])
     ranges = [(float(z.min()), float(z.max())) for z in columns]
     if not np.all(np.isfinite(ranges)):
         return None
-    key = np.empty(sorted_n, dtype=np.uint16)
+    key = np.empty(n, dtype=np.uint16)
     counts = np.zeros(CELL_GRID ** 2, dtype=np.intp)
-    for a in range(0, sorted_n, G3_CHUNK):
+    for a in range(0, n, G3_CHUNK):
         x, x_next = [
             np.minimum((z[a:a + G3_CHUNK] - lo) * (CELL_GRID / (hi - lo) if hi > lo else 0.0),
                        CELL_GRID - 1).astype(np.uint16)
             for z, (lo, hi) in zip(columns, ranges)]
         np.add(x * np.uint16(CELL_GRID), x_next, out=key[a:a + G3_CHUNK])
         counts += np.bincount(key[a:a + G3_CHUNK], minlength=CELL_GRID ** 2)
-    order = np.empty(n, dtype=np.int32)
-    order[:sorted_n] = np.argsort(key, kind="stable")
-    order[sorted_n:] = np.arange(sorted_n, n)
+    order = np.argsort(key, kind="stable").astype(np.int32)
     cell = (np.cumsum(counts > 0) - 1).astype(np.uint16)  # of each key
-    for a in range(0, sorted_n, G3_CHUNK):
+    for a in range(0, n, G3_CHUNK):
         np.take(cell, key[a:a + G3_CHUNK], out=key[a:a + G3_CHUNK])
     return key, order, np.concatenate([[0], np.cumsum(counts[counts > 0])])
 

@@ -83,6 +83,20 @@ def scenario_problem(config):
     return dataset, problem
 
 
+def dense_g3_rows(layout, dataset):
+    """The sampled rows as a dense (len(dataset), n_total) matrix and their
+    right-hand side: `g3_rows`' block on `layout.g3_columns`, the shared
+    row elsewhere."""
+    import numpy as np
+
+    from safesynth.scp import g3_rows
+
+    block, rhs = g3_rows(layout, dataset)
+    dense = np.tile(layout.g3_shared_row, (len(dataset), 1))
+    dense[:, layout.g3_columns] = block.T
+    return dense, rhs
+
+
 @pytest.fixture(scope="session")
 def small_solved(small_config):
     """One solved small problem shared by solution-inspection tests."""

@@ -47,7 +47,7 @@ from safesynth.plant import RoomTemperaturePlant
 from safesynth.scp import CertificateValues, count_active_g3
 from safesynth.verify import check_cbf_conditions, empirical_safety
 
-from .conftest import ROOM_STUDY, exact_support_count, scenario_problem
+from .conftest import ROOM_STUDY, dense_g3_rows, exact_support_count, scenario_problem
 from .test_bounds import dense_scan_root
 from .test_lp import random_bounded_lp, vertex_enumeration_optimum
 
@@ -430,12 +430,12 @@ def test_gate_7_oracle_equivalence_suites():
 def test_gate_8_transcription_property(room_space):
     from safesynth.plant import collect
     from safesynth.polynomial import build_basis, eval_poly_many
-    from safesynth.scp import DecisionLayout, g3_rows
+    from safesynth.scp import DecisionLayout
 
     rng = np.random.default_rng(515151)
     layout = DecisionLayout.build(build_basis(1, 4), [build_basis(1, 4)], 0.1, [0.05])
     data = collect(RoomTemperaturePlant(), room_space, 20, 999)
-    block, rhs = g3_rows(layout, data)
+    block, rhs = dense_g3_rows(layout, data)
     # coefficient draws stay inside the template's norm caps, as in any run
     q_cap = 0.1 * np.asarray(layout.barrier_scheme.scale)
     p_cap = 0.05 * np.asarray(layout.controller_schemes[0].scale)

@@ -588,6 +588,22 @@ def test_plan_writes_manifest_before_a_failing_pilot(tmp_path, capsys):
     assert manifest["config"] == validate_config(raw).raw
 
 
+@pytest.mark.parametrize("command", ["plan", "synthesize"])
+@pytest.mark.parametrize("key, value", [
+    ("start_scenario", 0), ("start_validation", 0), ("growth", 0.5), ("growth", 1),
+    ("nstar_hat", -3), ("khat", 0.5), ("khat", 0),
+])
+def test_out_of_range_auto_samples_is_config_exit(tmp_path, capsys, command, key, value):
+    # these reached the planner's own checks, after the pilot solve when
+    # khat is not given, and ended as runtime failures (exit 4) whose
+    # message did not name the key
+    auto = {"nstar_hat": 1, "start_scenario": 100, "start_validation": 50, key: value}
+    cfg = write_config(tmp_path, small_raw(samples={"auto": auto}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    assert f"samples.auto.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_casestudy_command_reduced_size(tmp_path, capsys):
     rc = main(["casestudy", "--mode", "posterior", "--N", "3000", "--N0", "1500",
                "--out", str(tmp_path / "runs")])

@@ -11,6 +11,7 @@ import pytest
 from safesynth import lp
 from safesynth.errors import SolverError
 from safesynth.lp import LpStatus, RowStack, _pow2_column_scale, solve_dense_lp
+from safesynth.polynomial import power
 
 
 def vertex_enumeration_optimum(cost, G, h, feas_tol=1e-9):
@@ -507,8 +508,9 @@ _SAMPLED_SHARED = np.array([-1.0, 0, 0, 0, 0, 0, 0, -1.0])
 
 
 def _sampled_values(x, x_next):
-    return np.vstack([x_next ** k - x ** k for k in range(1, 5)]
-                     + [-(x ** k) for k in (1, 2)])
+    """The rows `_coeff_map` makes, with powers taken as `power` takes them."""
+    return np.vstack([power(x_next, k) - power(x, k) for k in range(1, 5)]
+                     + [-power(x, k) for k in (1, 2)])
 
 
 def _coeff_map():
@@ -522,12 +524,13 @@ def _coeff_map():
 
 def _screened_lp(rng, n, grid=6, corners=True, duplicates=0, h_sampled=None):
     """A bounded program over 8 columns: a dense head (a box and a few random
-    rows), then n sampled rows in row order, with the cells of a grid x grid
-    grid over (x, x').  With `corners`, each cell also holds samples at the
-    four corners of its data box; with `duplicates`, the last samples repeat
-    the first.  The sampled rows' right-hand side is -u for random u, or
-    `h_sampled(total rows)`.  Returns (cost, stack, the same rows as a plain
-    stack in row order, h)."""
+    rows), then n sampled rows in row order, made from (x, x') and indexed
+    by the cells of a grid x grid grid over (x, x').  With `corners`, each
+    cell also holds samples at the four corners of its data box; with
+    `duplicates`, the last samples repeat the first.  The sampled rows'
+    right-hand side is -u for random u, or `h_sampled(total rows)`.
+    Returns (cost, stack, the same stack with unbounded cells, so every
+    cell is priced on every pass, h)."""
     x = rng.uniform(0.5, 1.5, size=n)
     x_next = x + rng.normal(scale=0.05, size=n)
     if duplicates:
@@ -549,23 +552,20 @@ def _screened_lp(rng, n, grid=6, corners=True, duplicates=0, h_sampled=None):
         x, x_next = np.concatenate([x, extra[:, 0]]), np.concatenate([x_next, extra[:, 1]])
     total = len(x)
     h_samp = -rng.uniform(0.0, 1.0, size=total) if h_sampled is None else h_sampled(total)
-    tail = total % 4
-    key = cell_of(x[:total - tail], x_next[:total - tail])
-    order = np.concatenate([np.argsort(key, kind="stable"), np.arange(total - tail, total)])
+    key = cell_of(x, x_next)
+    order = np.argsort(key, kind="stable")
     counts = np.bincount(key)
     starts = np.concatenate([[0], np.cumsum(counts[counts > 0])])
     cells_at = starts[:-1]
-    z = np.column_stack([x, x_next])[order[:total - tail]]
-    cells = lp.Cells(order, starts, np.minimum.reduceat(z, cells_at),
-                     np.maximum.reduceat(z, cells_at),
-                     np.minimum.reduceat(h_samp[order[:total - tail]], cells_at), _coeff_map())
+    z = np.column_stack([x, x_next])[order]
+    lower, upper = np.minimum.reduceat(z, cells_at), np.maximum.reduceat(z, cells_at)
+    h_min = np.minimum.reduceat(h_samp[order], cells_at)
     head = np.vstack([np.eye(8), -np.eye(8), rng.normal(size=(6, 8))])
     h = np.concatenate([np.full(16, 10.0), rng.uniform(0.5, 2.0, size=6), h_samp])
-    values = _sampled_values(x, x_next)
-    stack = RowStack([*RowStack.dense(head).blocks,
-                      (_SAMPLED_COLS, values, _SAMPLED_SHARED, cells)], 8)
-    plain = RowStack([(np.arange(8), head.T), (_SAMPLED_COLS, values, _SAMPLED_SHARED)], 8)
-    return np.eye(8)[0], stack, plain, h
+    stacks = [RowStack([*RowStack.dense(head).blocks, (_SAMPLED_COLS, lp.PolyRows(
+        [x, x_next], lp.Cells(order, starts, lo, hi, h_min, _coeff_map())), _SAMPLED_SHARED)], 8)
+        for lo, hi in ((lower, upper), (np.full_like(lower, -np.inf), np.full_like(upper, np.inf)))]
+    return np.eye(8)[0], *stacks, h
 
 
 def _reduced_costs(engine, v, phase):
@@ -579,17 +579,17 @@ def _reduced_costs(engine, v, phase):
 
 def test_screened_stack_reads_like_its_rows_in_row_order():
     rng = np.random.default_rng(50)
-    _, stack, plain, _ = _screened_lp(rng, 3001)
-    dense = np.asarray(plain)
+    _, stack, _, _ = _screened_lp(rng, 3001)
+    cols, values, shared = stack.blocks[-1]
+    stored = RowStack([*stack.blocks[:-1], (cols, _sampled_values(*values.z), shared)], 8)
+    dense = np.asarray(stored)
     assert np.asarray(stack).tobytes() == dense.tobytes()
     for i in rng.integers(0, len(stack), 20):
         assert stack.row(int(i)).tobytes() == dense[i].tobytes()
     keep = rng.random(len(stack)) < 0.7
     assert np.asarray(stack.select(keep)).tobytes() == dense[keep].tobytes()
-    assert stack.select(keep).blocks[-1][3] is None  # back in row order
-    assert stack.nbytes == plain.nbytes
-    with pytest.raises(SolverError, match="at most one"):
-        RowStack(stack.blocks + stack.blocks[-1:], 8)
+    assert isinstance(stack.select(keep).blocks[-1][1], np.ndarray)  # stored, in row order
+    assert stack.nbytes == stored.nbytes - (6 - 2) * 8 * (len(stack) - stack.starts[-2])
 
 
 @pytest.mark.parametrize("phase", [1, 2])
@@ -598,7 +598,8 @@ def test_cell_bounds_are_sound_for_rows_at_box_corners(phase):
     # size and for the cancelling ones an optimum has (P close to F)
     rng = np.random.default_rng(51 + phase)
     _, stack, _, h = _screened_lp(rng, 4000)
-    cols, values, shared, cells = stack.blocks[-1]
+    cols, values, shared = stack.blocks[-1]
+    cells = values.cells
     lo = stack.starts[-2]
     engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
     pruned = []
@@ -606,7 +607,7 @@ def test_cell_bounds_are_sound_for_rows_at_box_corners(phase):
         v = rng.normal(size=8) * 10.0 ** rng.integers(-3, 13)
         if trial % 3 == 0:  # controller columns cancel the barrier's x^k terms
             v[5:7] = -v[1:3] * (1 + 1e-9 * rng.normal(size=2))
-        r = _reduced_costs(engine, v, phase)[lo:][cells.order[:cells.starts[-1]]]
+        r = _reduced_costs(engine, v, phase)[lo:][cells.order]
         bounds = cells.bounds(v[cols], float(shared @ v), phase)
         lowest = np.minimum.reduceat(r, cells.starts[:-1])
         assert np.all(lowest >= bounds)
@@ -617,28 +618,30 @@ def test_cell_bounds_are_sound_for_rows_at_box_corners(phase):
 @pytest.mark.parametrize("extra", [0, 1, 2, 3])
 @pytest.mark.parametrize("phase", [1, 2])
 def test_screened_reduced_costs_are_those_of_the_mat_vec(monkeypatch, extra, phase):
-    # gathered cells padded to a multiple of 4, then the last n % 4 rows:
-    # every reduced cost has the bits of the one mat-vec of the rows in order
+    # made rows are multiplied in products padded to a multiple of 4 rows, in
+    # the mat-vec and in each batch of cells: every reduced cost has the
+    # bits of the one padded product of the rows in order
     rng = np.random.default_rng(60 + extra)
-    _, stack, plain, h = _screened_lp(rng, 2000 + extra, corners=False)
-    cols, values, shared, cells = stack.blocks[-1]
+    _, stack, _, h = _screened_lp(rng, 2000 + extra, corners=False)
+    cols, values, shared = stack.blocks[-1]
+    cells = values.cells
     ncells = len(cells.starts) - 1
-    assert len(cells.order) % 4 == extra and len(cells.order) - cells.starts[-1] == extra
+    assert len(cells.order) % 4 == extra and cells.starts[-1] == len(cells.order)
     lo = stack.starts[-2]
     engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
     engine.basis[:3] = [lo + 5, lo + int(cells.order[0]), 3]
     v = rng.normal(size=8)
     products = stack.matvec(v)
-    assert products.tobytes() == plain.matvec(v).tobytes()
+    padded = np.concatenate([np.asarray(values), np.zeros((len(cols), -extra % 4))], axis=1)
+    assert products[lo:].tobytes() == ((v[cols] @ padded)[:len(cells.order)]
+                                       + shared @ v).tobytes()
     expected = _reduced_costs(engine, v, phase)
     subsets = [np.arange(ncells)] + [
         rng.permutation(ncells)[:rng.integers(1, 9)] for _ in range(30)]
     for take in subsets:
-        for tail in ([ncells] if extra else [], []):  # cell ncells: the last n % 4 rows
-            ids, r = engine._price_batch(v[cols], float(shared @ v),
-                                         np.r_[take, tail].astype(np.intp))
-            assert r.tobytes() == products[ids].tobytes()
-            assert len(ids) == np.sum(np.diff(cells.starts)[take]) + len(tail) * extra
+        ids, r = engine._price_batch(v[cols], float(shared @ v), take)
+        assert r.tobytes() == products[ids].tobytes()
+        assert len(ids) == np.sum(np.diff(cells.starts)[take])
     for chunk in (lp._PRICE_CHUNK, 64):  # then products of 64 rows, cut inside cells
         monkeypatch.setattr(lp, "_PRICE_CHUNK", chunk)
         seen = np.zeros(len(stack), dtype=int)
@@ -730,7 +733,7 @@ def test_screened_ties_enter_the_lowest_row(monkeypatch, bland, first_batch):
 
     rng = np.random.default_rng(80)
     _, stack, _, h = _screened_lp(rng, 3000, duplicates=40, h_sampled=h_sampled)
-    cols, values, shared, cells = stack.blocks[-1]
+    cells = stack.blocks[-1][1].cells
     lo = stack.starts[-2]
     cell_of = np.searchsorted(cells.starts, np.argsort(cells.order)[[10, 17, 1500, 2911]], "right")
     assert len(set(cell_of.tolist())) >= 3  # ties across cells
@@ -742,16 +745,37 @@ def test_screened_ties_enter_the_lowest_row(monkeypatch, bland, first_batch):
     assert engine._entering_row(v, 2) == (lo + 12 if bland else lo + 17)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_the_rows_after_the_last_cell_are_always_priced(seed):
-    # the last n % 4 rows are in no cell; the lowest reduced cost is there
-    rng = np.random.default_rng(85 + seed)
-    _, stack, _, h = _screened_lp(rng, 1000 + seed, corners=False,
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_screened_entering_row_and_residual_are_those_of_one_mat_vec(extra):
+    # the last n % 4 rows are members of their cells like any other: with
+    # the lowest reduced cost on the last row it enters; for random pricing
+    # vectors the entering row of either rule, and the final G z - h (its
+    # largest entry and active rows), are those of one mat-vec of every row
+    rng = np.random.default_rng(85 + extra)
+    _, stack, _, h = _screened_lp(rng, 4000 + extra, corners=False,
                                   h_sampled=lambda total: np.r_[np.ones(total - 1), -2.0])
-    cells = stack.blocks[-1][3]
-    assert len(cells.order) - cells.starts[-1] == seed
+    assert (len(stack) - stack.starts[-2]) % 4 == extra
     engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
     assert engine._entering_row(np.zeros(8), 2) == len(stack) - 1
+    _, stack, _, h = _screened_lp(rng, 4000 + extra, corners=False)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    active = 0
+    for trial in range(80):
+        v = rng.normal(size=8) * 10.0 ** rng.uniform(-2, 1)
+        engine.basis[:3] = rng.integers(0, len(stack), 3)
+        engine._bland = trial % 4 > 1
+        phase = 1 + trial % 2
+        r = _reduced_costs(engine, v, phase)
+        eligible = np.flatnonzero(r < -engine.opt_tol)
+        expected = (None if not len(eligible) else int(eligible[0]) if engine._bland
+                    else int(np.argmin(r)))
+        assert engine._entering_row(v, phase) == expected
+        resid = stack.matvec(v) - h
+        top, near = engine.residual(v, 0.05)
+        assert top == resid.max()
+        assert near.tolist() == np.flatnonzero(np.abs(resid) <= 0.05).tolist()
+        active += len(near)
+    assert active > 20
 
 
 @pytest.mark.parametrize("bland", [False, True])
@@ -830,7 +854,8 @@ def test_non_finite_cell_bounds_price_their_cells_and_nan_fails_closed():
     # every cell is priced and the NaN is seen.  The head is only the box.
     rng = np.random.default_rng(90)
     _, stack, _, h = _screened_lp(rng, 2000)
-    cols, values, shared, cells = stack.blocks[-1]
+    cols, values, shared = stack.blocks[-1]
+    cells = values.cells
     stack = RowStack([(np.arange(8), stack.blocks[0][1][:, :16]), stack.blocks[-1]], 8)
     h = np.concatenate([h[:16], h[22:]])  # the box rows, then the sampled rows
     v = np.zeros(8)
@@ -849,12 +874,13 @@ def test_non_finite_cell_bounds_price_their_cells_and_nan_fails_closed():
 def test_cells_must_tile_their_block():
     rng = np.random.default_rng(91)
     _, stack, _, _ = _screened_lp(rng, 1000)
-    cols, values, shared, cells = stack.blocks[-1]
+    values = stack.blocks[-1][1]
+    cells = values.cells
     with pytest.raises(SolverError, match="tile"):
-        lp.Cells(cells.order, cells.starts[:-1], cells.lower, cells.upper, cells.h_min,
-                 cells.coeff_map)
-    with pytest.raises(SolverError, match="cells of"):
-        RowStack([(cols, values[:, 1:], shared, cells)], 8)
+        lp.Cells(cells.order, cells.starts[:-1], cells.lower[:-1], cells.upper[:-1],
+                 cells.h_min[:-1], cells.coeff_map)
+    with pytest.raises(SolverError, match="rows in cells"):
+        lp.PolyRows([z[1:] for z in values.z], cells)
 
 
 _TWO_BLOCK_MATVEC = """

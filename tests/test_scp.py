@@ -38,7 +38,7 @@ from safesynth.scp import (
     structural_rows,
 )
 
-from .conftest import exact_support_count, scenario_problem
+from .conftest import dense_g3_rows, exact_support_count, scenario_problem
 
 
 def tiny_layout(degree=1):
@@ -209,7 +209,7 @@ def test_g3_batch_matches_single():
         Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]])
     )
     data = collect(RoomTemperaturePlant(), space, 25, 9)
-    block, rhs = g3_rows(layout, data)
+    block, rhs = dense_g3_rows(layout, data)
     for i in (0, 7, 24):
         row, r = g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])
         assert np.allclose(block[i], row, atol=0.0)
@@ -223,7 +223,7 @@ def test_g3_rows_written_in_chunks_into_out(monkeypatch):
         Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]])
     )
     data = collect(RoomTemperaturePlant(), space, 25, 9)
-    whole, rhs_whole = g3_rows(layout, data)
+    whole, rhs_whole = dense_g3_rows(layout, data)
     monkeypatch.setattr(scp, "G3_CHUNK", 7)
     cols = layout.g3_columns
     # the non-constant monomials of q (columns 4-8) and p (9-13)
@@ -251,7 +251,7 @@ def test_g3_transcription_matches_direct_evaluation():
         Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]])
     )
     data = collect(RoomTemperaturePlant(), space, 200, 10)
-    block, rhs = g3_rows(layout, data)
+    block, rhs = dense_g3_rows(layout, data)
     for _ in range(40):
         d = np.zeros(layout.n_total)
         d[: layout.n_core] = rng.normal(size=layout.n_core)
@@ -385,7 +385,7 @@ def test_problem_h_is_read_only(monkeypatch):
     layout = room_layout()
     static, data = _room_static_and_data(layout, 500, 4)
     problem = sampled_problem(layout, static, data)
-    assert problem.G.blocks[-1][3] is not None  # stored in cells
+    assert isinstance(problem.G.blocks[-1][1], scp_lp.PolyRows)  # made, in cells
     with pytest.raises(ValueError, match="read-only"):
         problem.h[-1] -= 1.0
     reduced = problem.without_rows([0])
@@ -678,7 +678,7 @@ def test_screened_assembly_is_the_dense_assembly_in_cells(monkeypatch):
     # the sampled block is the unscreened one, bit for bit, and its cells
     # are the non-empty grid squares of (x, x'), in the grid's row-major
     # order, each listing its samples in sample order with their data box
-    # and least h; the last n % 4 samples come last, in no cell
+    # and least h; the cells tile the block (5003 samples: n % 4 == 3)
     monkeypatch.setattr(scp, "SCREEN_MIN_ROWS", 64)
     monkeypatch.setattr(scp, "G3_CHUNK", 1000)  # cells straddle the chunks
     layout = room_layout()
@@ -686,15 +686,16 @@ def test_screened_assembly_is_the_dense_assembly_in_cells(monkeypatch):
     problem = sampled_problem(layout, static, data)
     monkeypatch.setattr(scp, "SCREEN_MIN_ROWS", 10**9)
     plain = sampled_problem(layout, static, data)
-    cols, values, shared, cells = problem.G.blocks[-1]
-    assert plain.G.blocks[-1][3] is None and cells is not None
+    values = problem.G.blocks[-1][1]
+    cells = values.cells
+    assert isinstance(plain.G.blocks[-1][1], np.ndarray)
     assert np.asarray(values).tobytes() == plain.G.blocks[-1][1].tobytes()
     assert np.asarray(problem.G).tobytes() == np.asarray(plain.G).tobytes()
     assert problem.h.tobytes() == plain.h.tobytes()
     # the made block holds (x, x'), 2 scalars a row for the 8 stored values
     assert problem.G.nbytes == plain.G.nbytes - 6 * 8 * 5003
     n_static = len(static[1])
-    xs, x_nexts = data.xs[:5000, 0], data.x_nexts[:5000, 0]
+    xs, x_nexts = data.xs[:, 0], data.x_nexts[:, 0]
     square = [np.minimum((z - z.min()) * (scp.CELL_GRID / np.ptp(z)), scp.CELL_GRID - 1)
               .astype(int) for z in (xs, x_nexts)]
     key = square[0] * scp.CELL_GRID + square[1]
@@ -707,7 +708,7 @@ def test_screened_assembly_is_the_dense_assembly_in_cells(monkeypatch):
         upper.append([xs[ids].max(), x_nexts[ids].max()])
         h_min.append(problem.h[n_static + ids].min())
     assert len(starts) > 100 and max(np.diff(starts)) > 1
-    assert cells.order.tolist() == order + [5000, 5001, 5002]
+    assert cells.order.tolist() == order
     assert cells.starts.tolist() == starts
     assert cells.lower.tobytes() == np.array(lower).tobytes()
     assert cells.upper.tobytes() == np.array(upper).tobytes()
@@ -729,7 +730,7 @@ def test_full_scale_room_lp_prices_few_sampled_rows_and_every_pivot_is_unscreene
         n_scenario=140_000, n_validation=70_000, seed_scenario=2025, seed_validation=9090,
     ))
     _, problem = scenario_problem(config)
-    assert problem.G.blocks[-1][3] is not None
+    assert isinstance(problem.G.blocks[-1][1], scp_lp.PolyRows)
     entering_row = scp_lp._DualSimplex._entering_row
     passes = []
 
@@ -769,7 +770,7 @@ def test_two_state_layout_prices_every_row(monkeypatch):
         RegionUnion.from_intervals([[[0.8, 1.0], [-1.0, 1.0]]]), box, A, b, 5,
         GridSpec(5, 5, 9), 1e-6, True,
     )
-    assert problem.G.blocks[-1][3] is None
+    assert isinstance(problem.G.blocks[-1][1], np.ndarray)
     solution = solve_lp(problem)
     assert solution.status is LpStatus.OPTIMAL and solution.bland_iterations == 0
     assert solution.rows_priced == (solution.iterations + 2) * problem.n_rows
@@ -782,8 +783,8 @@ def test_made_rows_are_the_stored_rows_at_prior_scale():
         n_scenario=2_758_749, n_validation=10, seed_scenario=2025, seed_validation=9090,
     ))
     dataset, problem = scenario_problem(config)
-    cols, values, shared, cells = problem.G.blocks[-1]
-    assert isinstance(values, scp_lp.PolyRows) and cells is not None
+    cols, values, shared = problem.G.blocks[-1]
+    assert isinstance(values, scp_lp.PolyRows)
     n, lo = len(dataset), problem.G.starts[-2]
     stored = np.empty((len(cols), n))
     g3_rows(problem.layout, dataset, out=stored)
@@ -794,8 +795,8 @@ def test_made_rows_are_the_stored_rows_at_prior_scale():
     assert made.hexdigest() == kept.hexdigest()
     assert values.abs_max.tobytes() == np.maximum(stored.max(axis=1),
                                                   -stored.min(axis=1)).tobytes()
-    tail = cells.order[cells.starts[-1]:]
-    assert tail.tolist() == [n - 1]  # n % 4 == 1: the last row is in no cell
+    tail = np.array([n - 1])  # n % 4 == 1: the last row, in its cell like any other
+    assert n % 4 == 1 and values.cells.starts[-1] == n and n - 1 in values.cells.order
     rng = np.random.default_rng(7)
     for size in (1, 2, 3, 5, 4097):
         for at in (1, 12_345, 999_999, n - size):
@@ -812,32 +813,45 @@ def test_made_rows_are_the_stored_rows_at_prior_scale():
 
 @pytest.mark.parametrize("degrees", [(4, 4), (6, 2)])
 def test_made_stack_reads_and_solves_like_the_stored_stack(monkeypatch, degrees):
-    # the same program with the sampled block made or stored: products,
-    # selected rows, the dense matrix, column scales and the whole solve
+    # the same program with the sampled block made or stored: the dense
+    # matrix, rows, selected rows and column scales bit for bit; products
+    # are those of the stored rows in one product padded to a multiple of 4
+    # rows (5003 samples: n % 4 == 3); the screened solve is the solve of
+    # the made block with unbounded cells, which prices every cell on every
+    # pass, and pivots as the stored block does
     monkeypatch.setattr(scp, "SCREEN_MIN_ROWS", 64)
     layout = DecisionLayout.build(build_basis(1, degrees[0]), [build_basis(1, degrees[1])],
                                   0.1, [0.05])
     static, data = _room_static_and_data(layout, 5003, 8)
     problem = sampled_problem(layout, static, data)
-    cols, values, shared, cells = problem.G.blocks[-1]
+    cols, values, shared = problem.G.blocks[-1]
     assert isinstance(values, scp_lp.PolyRows)
-    block = g3_rows(layout, data, out=np.empty((len(cols), len(data))))[0]
-    stored = RowStack([*problem.G.blocks[:-1], (cols, block, shared, cells)], layout.n_total)
+    block = g3_rows(layout, data)[0]
+    stored = RowStack([*problem.G.blocks[:-1], (cols, block, shared)], layout.n_total)
     assert np.asarray(values).tobytes() == block.tobytes()
     assert np.asarray(problem.G).tobytes() == np.asarray(stored).tobytes()
     rng = np.random.default_rng(degrees[0])
+    for i in rng.integers(0, len(stored), 20):
+        assert problem.G.row(int(i)).tobytes() == stored.row(int(i)).tobytes()
+    lo, padded = problem.G.starts[-2], np.concatenate([block, np.zeros((len(cols), 1))], axis=1)
     for _ in range(5):
         v = rng.normal(size=layout.n_total) * 10.0 ** rng.integers(-4, 4, size=layout.n_total)
-        assert problem.G.matvec(v).tobytes() == stored.matvec(v).tobytes()
+        products = problem.G.matvec(v)
+        assert products[:lo].tobytes() == stored.matvec(v)[:lo].tobytes()
+        assert products[lo:].tobytes() == ((v[cols] @ padded)[:-1] + shared @ v).tobytes()
     keep = rng.random(len(stored)) < 0.7
     assert np.asarray(problem.G.select(keep)).tobytes() == np.asarray(stored.select(keep)).tobytes()
     assert _pow2_column_scale(problem.G).tobytes() == _pow2_column_scale(stored).tobytes()
-    solves = [solve_dense_lp(problem.cost, G, problem.h) for G in (problem.G, stored)]
-    assert [(r.status, r.iterations, r.rows_priced) for r in solves[:1]] == [
-        (r.status, r.iterations, r.rows_priced) for r in solves[1:]]
-    assert solves[0].basis_rows.tolist() == solves[1].basis_rows.tolist()
+    cells = values.cells
+    unbounded = RowStack([*problem.G.blocks[:-1], (cols, scp_lp.PolyRows(values.z, scp_lp.Cells(
+        cells.order, cells.starts, np.full_like(cells.lower, -np.inf),
+        np.full_like(cells.upper, np.inf), cells.h_min, cells.coeff_map)), shared)],
+        layout.n_total)
+    solves = [solve_dense_lp(problem.cost, G, problem.h) for G in (problem.G, unbounded, stored)]
+    assert len({(r.status, r.iterations, r.basis_rows.tobytes()) for r in solves}) == 1
+    assert solves[0].rows_priced < solves[1].rows_priced == solves[2].rows_priced
     if solves[0].z is not None:
-        assert solves[0].z.tobytes() == solves[1].z.tobytes()
+        assert len({r.z.tobytes() for r in solves}) == 1
         assert solves[0].active_row_ids.tolist() == solves[1].active_row_ids.tolist()
         assert solves[0].max_violation.hex() == solves[1].max_violation.hex()
 

@@ -27,7 +27,11 @@ any tree:
 
 Identical lines mean the same program, pivots, point and active set; only
 `makes` and `rows_made` may differ between trees that read the made block in
-fewer or more pieces.
+fewer or more pieces.  Between a tree that multiplies the made block's last
+N % 4 rows on their own and one that pads every product of made rows to a
+multiple of four rows (N >= 131,072 and N % 4 != 0), `rows_priced` may
+differ too: those rows then join their cells and are priced only when their
+cells are.
 
 With `unbounded` or `infeasible` in place of N, the case is a 50,000-row
 program whose sampled-like block carries a shared row and whose solve ends
@@ -98,7 +102,7 @@ def _program_sha256(problem) -> str:
     for start, stop, pieces in G.chunks(lp._PRICE_CHUNK):
         rows = np.zeros((stop - start, G.ncols))
         for k, a, b, at in pieces:
-            cols, values, shared, _ = G.blocks[k]
+            cols, values, shared = G.blocks[k][:3]
             if shared is not None:
                 rows[at:at + b - a] = shared
             rows[at:at + b - a, cols] = values[:, a:b].T

@@ -69,7 +69,7 @@ _PRICE_CHUNK = 16384
 # Rows of the first batch of cells pricing reads (`_cell_batches`); each later
 # batch doubles, up to `_PRICE_CHUNK`.
 _FIRST_BATCH = 2048
-# Rows `PolyRows` makes per step of its pass for the column maxima.
+# Rows `PolyRows` makes at most at once for its column maxima.
 _MAKE_CHUNK = 65536
 
 
@@ -92,7 +92,9 @@ class Cells:
     samples lie in a small box: every z of them lies in [lower[c],
     upper[c]], and `h_min[c]` bounds their right-hand side from below, for
     the right-hand side the stack is solved with.  The cells tile the
-    block: every row is in exactly one of them.
+    block: every row is in exactly one of them, which is checked, as
+    pricing, the final residual and the column maxima read each row only
+    through its cell.
 
     `bounds` turns the box into a lower bound of every reduced cost a row of
     the cell can price at, so pricing can skip a cell whose bound cannot
@@ -112,6 +114,17 @@ class Cells:
                 or np.any(np.diff(self.starts) < 0) or len(self.h_min) != ncells
                 or self.lower.shape != (ncells, nz) or self.upper.shape != (ncells, nz)):
             raise SolverError(f"{ncells} cells of {n} rows over {nz} scalars do not tile the block")
+        # n ids in 0..n-1 that are all seen are each seen once; the mask is
+        # set a chunk at a time, as an int32 index is copied to intp
+        seen = np.zeros(n, dtype=bool)
+        if n and (self.order.min() < 0 or self.order.max() >= n):
+            raise SolverError(f"cells list a row outside the block's {n} rows, "
+                              f"so they do not tile it")
+        for a in range(0, n, _MAKE_CHUNK):
+            seen[self.order[a:a + _MAKE_CHUNK]] = True
+        if not seen.all():
+            raise SolverError(f"cells leave {n - np.count_nonzero(seen)} of the block's {n} "
+                              f"rows out, so they do not tile it")
         with np.errstate(all="ignore"):  # an unbounded box gives NaN, which prices its cell
             mid = (self.lower + self.upper) / 2.0
             rad = np.nextafter(np.maximum(self.upper - mid, mid - self.lower), np.inf)
@@ -193,9 +206,9 @@ class PolyRows:
     C-contiguous, and `np.asarray(values)` makes all of them; an entry has
     the same bits whichever rows are made with it.  Made rows are multiplied
     only by `_made_product`.  `abs_max`, the largest |entry| of each column
-    (NaN if one is NaN), comes from one pass over the rows at construction,
-    `_MAKE_CHUNK` rows at a time, so no temporary of the block's size is
-    made.  `nbytes` counts the scalars.
+    (NaN if one is NaN), is taken at construction from the rows of the cells
+    whose bounds say they may hold it (`_abs_max`), a few in 1,000 of the
+    room study's rows.  `nbytes` counts the scalars.
     """
 
     ndim = 2
@@ -219,15 +232,41 @@ class PolyRows:
                 started.add(j)
             self._terms.append((int(v), int(k), uses))
         self._unused = sorted(set(range(ncols)) - started)
-        self.abs_max = np.zeros(ncols)
-        for a in range(0, self.shape[1], _MAKE_CHUNK):
-            part = self[:, a:a + _MAKE_CHUNK]
-            np.maximum(self.abs_max, np.maximum(part.max(axis=1), -part.min(axis=1)),
-                       out=self.abs_max)
+        self.abs_max = self._abs_max()
 
     @property
     def nbytes(self) -> int:
         return sum(v.nbytes for v in self.z)
+
+    def _abs_max(self) -> np.ndarray:
+        """The largest |entry| of each column, NaN if one is NaN, made from
+        the cells that may hold it.  `Cells.bounds` at +-e_j bounds every
+        entry of column j in a cell from below and from above, so a cell
+        whose bound of |entry| is at most the largest |entry| made so far in
+        every column cannot raise it.  First the cell of each column's top
+        bound is made, then, a piece at a time, every cell whose bound still
+        exceeds that maximum in some column or overflowed (NaN reads -inf, so
+        such a cell is made whatever the maximum).  A piece is at most
+        `_MAKE_CHUNK` rows, or the rows of one larger cell cut in pieces of
+        `_MAKE_CHUNK` rows, so no temporary of the block's size is made."""
+        cells, ncols = self.cells, self.shape[0]
+        sizes = np.diff(cells.starts)
+        top = np.empty((len(sizes), ncols))  # per cell and column, a bound of |entry|
+        for j, e in enumerate(np.eye(ncols)):
+            np.maximum(-cells.bounds(e, 0.0, 1), -cells.bounds(-e, 0.0, 1), out=top[:, j])
+        abs_max, made = np.zeros(ncols), np.zeros(len(sizes), dtype=bool)
+        todo = np.unique(np.argmax(top, axis=0)) if len(top) else np.empty(0, dtype=np.intp)
+        while len(todo):
+            take = todo[:max(1, int(np.searchsorted(np.cumsum(sizes[todo]), _MAKE_CHUNK,
+                                                    side="right")))]
+            ids = (cells.order[cells.starts[take[0]]:cells.starts[take[0] + 1]] if len(take) == 1
+                   else cells.order[_positions(cells.starts, take)])
+            for a in range(0, len(ids), _MAKE_CHUNK):
+                part = self.take(ids[a:a + _MAKE_CHUNK])
+                np.maximum(abs_max, np.maximum(part.max(axis=1), -part.min(axis=1)), out=abs_max)
+            made[take] = True
+            todo = np.flatnonzero(~made & np.any((top > abs_max) | (top == np.inf), axis=1))
+        return abs_max
 
     def _make(self, z) -> np.ndarray:
         out = np.empty((self.shape[0], len(z[0])))

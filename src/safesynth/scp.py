@@ -520,8 +520,8 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     SCREEN_MIN_ROWS samples the block is made: it stores only the samples'
     (x, x'), views of the dataset, which must not change while the program
     is in use, and its rows are polynomials of them
-    (`layout.g3_coeff_map`), made when they are read (`lp.PolyRows`, whose
-    one pass over the samples takes the column maxima), with the bits
+    (`layout.g3_coeff_map`), made when they are read (`lp.PolyRows`, which
+    makes the few rows that may hold a column maximum), with the bits
     `g3_rows` would store.  Its cells (`sample_cells`), each with the box of
     its (x, x') and its least h, are what pricing screens by (the boxes are
     taken from the dataset too).  Any other block is stored, written
@@ -567,13 +567,15 @@ def sample_cells(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     non-finite range.
 
     Each sample's grid square is a uint16 key, and `order` is the keys'
-    stable argsort; the keys are computed, counted and turned into cells
-    G3_CHUNK samples at a time, so no other temporary is N long.  (A
-    temporary of N intp left freed heap resident: bincount of all keys
-    raised prior-full's peak RSS by 16 MB.)  Since the sampled rows are
-    made rather than stored, the argsort's own temporaries set the prior
-    baseline's peak: VmHWM goes from 143 to 189 MB within this function,
-    and the process holds 177 MB after the solve.
+    stable argsort, made by a counting sort: the keys are computed and
+    counted G3_CHUNK samples at a time, the counts give each key its first
+    slot in `order`, and each chunk's stable argsort is scattered to the
+    next free slots of its keys, so a key's samples stay in sample order;
+    the chunk's keys then become its cells in place.  No
+    temporary is N long: a temporary of N intp leaves freed heap resident
+    (bincount of all keys raised prior-full's peak RSS by 16 MB, and one
+    stable argsort of all 2.76M keys raised the process's VmHWM by 28 MB
+    within this function).
     """
     n = len(dataset)
     if dataset.state_dim != 1 or n < SCREEN_MIN_ROWS:
@@ -591,10 +593,18 @@ def sample_cells(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
             for z, (lo, hi) in zip(columns, ranges)]
         np.add(x * np.uint16(CELL_GRID), x_next, out=key[a:a + G3_CHUNK])
         counts += np.bincount(key[a:a + G3_CHUNK], minlength=CELL_GRID ** 2)
-    order = np.argsort(key, kind="stable").astype(np.int32)
+    order = np.empty(n, dtype=np.int32)
+    free = np.cumsum(counts) - counts  # the next free slot of each key
     cell = (np.cumsum(counts > 0) - 1).astype(np.uint16)  # of each key
     for a in range(0, n, G3_CHUNK):
-        np.take(cell, key[a:a + G3_CHUNK], out=key[a:a + G3_CHUNK])
+        chunk = key[a:a + G3_CHUNK]
+        ranked = np.argsort(chunk, kind="stable")
+        sizes = np.bincount(chunk, minlength=CELL_GRID ** 2)
+        # the chunk's sorted samples of a key go to that key's next free slots
+        slot = (free - (np.cumsum(sizes) - sizes))[chunk[ranked]] + np.arange(len(chunk))
+        order[slot] = ranked + a
+        free += sizes
+        np.take(cell, chunk, out=chunk)
     return key, order, np.concatenate([[0], np.cumsum(counts[counts > 0])])
 
 

@@ -11,7 +11,10 @@ import pytest
 from safesynth import lp
 from safesynth.errors import SolverError
 from safesynth.lp import LpStatus, RowStack, _pow2_column_scale, solve_dense_lp
+from safesynth.pipeline import room_casestudy_config, validate_config
 from safesynth.polynomial import power
+
+from .conftest import scenario_problem
 
 
 def vertex_enumeration_optimum(cost, G, h, feas_tol=1e-9):
@@ -536,13 +539,8 @@ def _screened_lp(rng, n, grid=6, corners=True, duplicates=0, h_sampled=None):
     if duplicates:
         x[-duplicates:], x_next[-duplicates:] = x[:duplicates], x_next[:duplicates]
 
-    def cell_of(x, x_next):
-        cx = np.minimum(((x - x.min()) / np.ptp(x) * grid).astype(int), grid - 1)
-        cn = np.minimum(((x_next - x_next.min()) / np.ptp(x_next) * grid).astype(int), grid - 1)
-        return cx * grid + cn
-
     if corners:
-        key = cell_of(x, x_next)
+        key = _cell_of(x, x_next, grid)
         extra = []
         for c in np.unique(key):
             at = key == c
@@ -552,20 +550,37 @@ def _screened_lp(rng, n, grid=6, corners=True, duplicates=0, h_sampled=None):
         x, x_next = np.concatenate([x, extra[:, 0]]), np.concatenate([x_next, extra[:, 1]])
     total = len(x)
     h_samp = -rng.uniform(0.0, 1.0, size=total) if h_sampled is None else h_sampled(total)
-    key = cell_of(x, x_next)
+    cells = _grid_cells(x, x_next, grid, h_samp)
+    head = np.vstack([np.eye(8), -np.eye(8), rng.normal(size=(6, 8))])
+    h = np.concatenate([np.full(16, 10.0), rng.uniform(0.5, 2.0, size=6), h_samp])
+    stacks = [RowStack([*RowStack.dense(head).blocks, (_SAMPLED_COLS, lp.PolyRows(
+        [x, x_next], lp.Cells(cells.order, cells.starts, lo, hi, cells.h_min, _coeff_map())),
+        _SAMPLED_SHARED)], 8)
+        for lo, hi in ((cells.lower, cells.upper), (np.full_like(cells.lower, -np.inf),
+                                                    np.full_like(cells.upper, np.inf)))]
+    return np.eye(8)[0], *stacks, h
+
+
+def _cell_of(x, x_next, grid):
+    """Each sample's square of a grid x grid grid over the range of (x, x')."""
+    with np.errstate(invalid="ignore"):  # a constant coordinate has one square
+        cx, cn = [np.minimum(np.nan_to_num((z - z.min()) / np.ptp(z) * grid).astype(int),
+                             grid - 1) for z in (x, x_next)]
+    return cx * grid + cn
+
+
+def _grid_cells(x, x_next, grid, h):
+    """The `lp.Cells` of the non-empty squares of `_cell_of`, with their data
+    boxes and least h, over `_coeff_map`."""
+    key = _cell_of(x, x_next, grid)
     order = np.argsort(key, kind="stable")
     counts = np.bincount(key)
     starts = np.concatenate([[0], np.cumsum(counts[counts > 0])])
     cells_at = starts[:-1]
     z = np.column_stack([x, x_next])[order]
-    lower, upper = np.minimum.reduceat(z, cells_at), np.maximum.reduceat(z, cells_at)
-    h_min = np.minimum.reduceat(h_samp[order], cells_at)
-    head = np.vstack([np.eye(8), -np.eye(8), rng.normal(size=(6, 8))])
-    h = np.concatenate([np.full(16, 10.0), rng.uniform(0.5, 2.0, size=6), h_samp])
-    stacks = [RowStack([*RowStack.dense(head).blocks, (_SAMPLED_COLS, lp.PolyRows(
-        [x, x_next], lp.Cells(order, starts, lo, hi, h_min, _coeff_map())), _SAMPLED_SHARED)], 8)
-        for lo, hi in ((lower, upper), (np.full_like(lower, -np.inf), np.full_like(upper, np.inf)))]
-    return np.eye(8)[0], *stacks, h
+    return lp.Cells(order, starts, np.minimum.reduceat(z, cells_at),
+                    np.maximum.reduceat(z, cells_at), np.minimum.reduceat(h[order], cells_at),
+                    _coeff_map())
 
 
 def _reduced_costs(engine, v, phase):
@@ -882,6 +897,110 @@ def test_cells_must_tile_their_block():
     with pytest.raises(SolverError, match="rows in cells"):
         lp.PolyRows([z[1:] for z in values.z], cells)
 
+
+@pytest.mark.parametrize("fault", ["duplicate", "past the end", "negative"])
+def test_cells_must_list_every_row_once(fault):
+    # pricing, the final residual and the column maxima trust that `order`
+    # is a permutation of the block's rows: a row listed twice leaves
+    # another unpriced
+    rng = np.random.default_rng(92)
+    _, stack, _, _ = _screened_lp(rng, 1000)
+    cells = stack.blocks[-1][1].cells
+    order = cells.order.copy()
+    order[5] = {"duplicate": order[6], "past the end": len(order), "negative": -1}[fault]
+    with pytest.raises(SolverError, match="do not tile it"):
+        lp.Cells(order, cells.starts, cells.lower, cells.upper, cells.h_min, cells.coeff_map)
+
+
+def _full_pass_abs_max(values):
+    """The column maxima of |entry| from one chunked pass over every made row."""
+    rows = np.asarray(values)
+    out = np.zeros(len(rows))
+    for a in range(0, rows.shape[1], lp._MAKE_CHUNK):
+        part = rows[:, a:a + lp._MAKE_CHUNK]
+        np.maximum(out, np.maximum(part.max(axis=1), -part.min(axis=1)), out=out)
+    return out
+
+
+def _counting_makes(monkeypatch):
+    """Record the rows of every `PolyRows._make` call into the returned list."""
+    made, make = [], lp.PolyRows._make
+    monkeypatch.setattr(lp.PolyRows, "_make",
+                        lambda self, z: made.append(len(z[0])) or make(self, z))
+    return made
+
+
+@pytest.mark.parametrize("n", [131_073, 140_000])
+@pytest.mark.parametrize("seed", [2025, 7, 11])
+def test_screened_column_maxima_on_room_data(monkeypatch, n, seed):
+    # the made sampled block's column maxima are those of every row, bit
+    # for bit, made from fewer than 1% of the rows
+    config = validate_config(room_casestudy_config(
+        n_scenario=n, n_validation=10, seed_scenario=seed, seed_validation=9090,
+    ))
+    made = _counting_makes(monkeypatch)
+    _, problem = scenario_problem(config)
+    monkeypatch.undo()
+    values = problem.G.blocks[-1][1]
+    assert isinstance(values, lp.PolyRows)
+    assert 0 < sum(made) < 0.01 * n
+    assert values.abs_max.tobytes() == _full_pass_abs_max(values).tobytes()
+
+
+@pytest.mark.parametrize("case", ["crossing zero", "lone extreme", "constant"])
+def test_screened_column_maxima_are_those_of_every_row(monkeypatch, case):
+    rng = np.random.default_rng(93)
+    n = 2 * lp._MAKE_CHUNK + 3 if case == "constant" else 20_000
+    x = rng.uniform(-1.5, 1.0, n) if case == "crossing zero" else rng.uniform(0.5, 1.5, n)
+    x_next = x + rng.normal(scale=0.3, size=n)
+    if case == "lone extreme":  # alone in its column of squares
+        x[1234], x_next[1234] = 40.0, -3.0
+    if case == "constant":  # one cell, made in pieces of at most _MAKE_CHUNK rows
+        x, x_next = np.full(n, 0.75), np.full(n, -1.25)
+    made = _counting_makes(monkeypatch)
+    values = lp.PolyRows([x, x_next], _grid_cells(x, x_next, 16, np.zeros(n)))
+    monkeypatch.undo()
+    assert values.abs_max.tobytes() == _full_pass_abs_max(values).tobytes()
+    assert max(made) <= lp._MAKE_CHUNK
+    if case == "lone extreme":
+        assert values.abs_max[4] == 40.0 and sum(made) < n // 2
+    if case == "constant":
+        assert sum(made) == n
+
+
+def test_overflowing_column_maxima_are_those_of_every_row_and_fail_closed():
+    # z near 1e80: x^4 overflows, so x'^4 - x^4 is NaN where both overflow
+    # and inf where one does; the maxima keep the NaN and the inf, and the
+    # solve refuses the block
+    rng = np.random.default_rng(94)
+    n = 3000
+    x = rng.uniform(0.5, 1.5, n)
+    x_next = x + rng.normal(scale=0.05, size=n)
+    x[:40] = x_next[:40] = 1e80 * rng.uniform(1.0, 2.0, 40)
+    x_next[40:50] = 1e110
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = lp.PolyRows([x, x_next], _grid_cells(x, x_next, 16, np.zeros(n)))
+        full = _full_pass_abs_max(values)
+    assert np.isnan(values.abs_max[3]) and values.abs_max[2] == np.inf
+    np.testing.assert_array_equal(values.abs_max, full)
+    stack = RowStack([(_SAMPLED_COLS, values, _SAMPLED_SHARED)], 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="non-finite entries"):
+            solve_dense_lp(np.eye(8)[0], stack, np.zeros(n))
+
+
+def test_column_maxima_keep_a_nan_found_after_an_inf():
+    # every bound overflows, so every cell is made even once each column's
+    # maximum is inf, and a NaN in a later cell reads NaN as in the full pass
+    x, x_next = np.array([np.inf, np.inf, 1.0, 1.25]), np.array([1.0, np.inf, 1.0, 1.5])
+    lower = np.array([[np.inf, 1.0], [np.inf, np.inf], [1.0, 1.0]])
+    upper = np.array([[np.inf, 1.0], [np.inf, np.inf], [1.25, 1.5]])
+    with np.errstate(invalid="ignore"):
+        values = lp.PolyRows([x, x_next], lp.Cells(np.arange(4), [0, 1, 2, 4], lower, upper,
+                                                    np.zeros(3), _coeff_map()))
+        full = _full_pass_abs_max(values)
+    assert np.all(np.isnan(values.abs_max[:4])) and np.all(values.abs_max[4:] == np.inf)
+    np.testing.assert_array_equal(values.abs_max, full)
 
 _TWO_BLOCK_MATVEC = """
 import sys

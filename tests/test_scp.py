@@ -10,7 +10,7 @@ from safesynth.errors import AssemblyError, SolverError
 from safesynth.geometry import Box, RegionUnion, SampleSpace, box_grid, grid_halfstep
 from safesynth.lp import RowStack, _pow2_column_scale, solve_dense_lp
 from safesynth.pipeline import room_casestudy_config, validate_config
-from safesynth.plant import Dataset, RoomTemperaturePlant, collect
+from safesynth.plant import Dataset, Role, RoomTemperaturePlant, collect
 from safesynth.polynomial import (
     PolyBasis,
     build_basis,
@@ -886,3 +886,85 @@ def test_made_block_holds_two_scalars_a_row():
         G = sampled_problem(layout, static, data).G
         assert (G.nbytes < 3 * 8 * n) == (n >= scp.SCREEN_MIN_ROWS)
         assert isinstance(G.blocks[-1][1], scp_lp.PolyRows) == (n >= scp.SCREEN_MIN_ROWS)
+
+
+def _stable_argsort_cells(dataset):
+    """(cell, order, starts) as one stable argsort of every sample's grid
+    square builds them: the oracle of `sample_cells`' counting sort."""
+    square = []
+    for z in (dataset.xs[:, 0], dataset.x_nexts[:, 0]):
+        lo, hi = float(z.min()), float(z.max())
+        square.append(np.minimum((z - lo) * (scp.CELL_GRID / (hi - lo) if hi > lo else 0.0),
+                                 scp.CELL_GRID - 1).astype(np.intp))
+    key = square[0] * scp.CELL_GRID + square[1]
+    _, cell = np.unique(key, return_inverse=True)
+    return (cell, np.argsort(key, kind="stable").astype(np.int32),
+            np.concatenate([[0], np.cumsum(np.bincount(cell))]))
+
+
+def _keyed_dataset(x, x_next):
+    return Dataset(x[:, None], np.zeros((len(x), 1)), x_next[:, None], 0, Role.SCENARIO)
+
+
+def _adversarial_dataset(kind, n, rng):
+    """Samples whose grid squares are set directly: x and x' are square
+    numbers, with 0 and CELL_GRID - 1 present, so square k's samples are
+    those at k."""
+    top = scp.CELL_GRID - 1
+    if kind == "one cell":
+        return _keyed_dataset(np.full(n, 24.5), np.full(n, 24.25))
+    if kind == "every square":
+        squares = rng.permutation(scp.CELL_GRID ** 2)
+        x = np.concatenate([squares // scp.CELL_GRID, rng.integers(0, top + 1, n)])[:n]
+        x_next = np.concatenate([squares % scp.CELL_GRID, rng.integers(0, top + 1, n)])[:n]
+        return _keyed_dataset(x.astype(float), x_next.astype(float))
+    if kind == "descending":  # every chunk's keys below the last chunk's
+        x = np.sort(rng.integers(0, top + 1, n))[::-1]
+        x[[0, -1]] = top, 0
+        return _keyed_dataset(x.astype(float), np.sort(rng.integers(0, 2, n)).astype(float))
+    # two squares alternating, so each key's samples straddle every chunk
+    x = np.tile([0.0, float(top)], n)[:n]
+    return _keyed_dataset(x, x[::-1].copy())
+
+
+_SORT_SIZES = [scp.SCREEN_MIN_ROWS, 3 * scp.G3_CHUNK - 1, 3 * scp.G3_CHUNK, 3 * scp.G3_CHUNK + 1]
+
+
+@pytest.mark.parametrize("n", _SORT_SIZES)
+def test_counting_sort_is_the_stable_argsort_on_room_data(n):
+    space = SampleSpace.product(Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]]))
+    data = collect(RoomTemperaturePlant(), space, n, n % 97)
+    cell, order, starts = scp.sample_cells(data)
+    expected = _stable_argsort_cells(data)
+    assert (cell.dtype, order.dtype) == (np.uint16, np.int32)
+    assert cell.tolist() == expected[0].tolist()
+    assert order.tobytes() == expected[1].tobytes()
+    assert np.asarray(starts).tolist() == expected[2].tolist()
+
+
+@pytest.mark.parametrize("kind", ["one cell", "every square", "descending", "alternating"])
+@pytest.mark.parametrize("n", _SORT_SIZES)
+def test_counting_sort_is_the_stable_argsort_on_adversarial_keys(kind, n):
+    data = _adversarial_dataset(kind, n, np.random.default_rng(n))
+    cell, order, starts = scp.sample_cells(data)
+    expected = _stable_argsort_cells(data)
+    assert cell.tolist() == expected[0].tolist()
+    assert order.tobytes() == expected[1].tobytes()
+    assert np.asarray(starts).tolist() == expected[2].tolist()
+    ncells = {"one cell": 1, "every square": scp.CELL_GRID ** 2, "alternating": 2}
+    assert len(starts) - 1 == ncells.get(kind, len(starts) - 1)
+
+
+def test_counting_sort_makes_no_temporary_n_long():
+    # beyond its outputs (cell and order, 6 bytes a sample), sample_cells
+    # holds chunk-sized temporaries; one of N intp would be 8 bytes a sample
+    n = 16 * scp.G3_CHUNK
+    rng = np.random.default_rng(3)
+    data = _keyed_dataset(rng.uniform(22.5, 26.5, n), rng.uniform(22.5, 26.5, n))
+    tracemalloc.start()
+    try:
+        cells, peak = _allocation_peak(scp.sample_cells, data)
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n + 64 * scp.G3_CHUNK + 4 * 8 * scp.CELL_GRID ** 2
+    assert cells[1].tobytes() == _stable_argsort_cells(data)[1].tobytes()

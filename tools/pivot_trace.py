@@ -17,21 +17,22 @@ the sequence of working sets (every basis the dual simplex factorised, in
 order), the objective as `float.hex`, the sha256 of the solution vector and
 of the active row ids, `max_violation`, and `makes` and `rows_made`: the
 calls of `lp.PolyRows._make` during the solve and the rows they made (the
-sampled block's rows, made from its samples where the solve reads them).
-The solver is wrapped from outside `src/`, so the same script runs against
-any tree:
+sampled block's rows, made from its samples where the solve reads them),
+and `assembly_makes` and `assembly_rows_made`, the same counts while the
+program is assembled (the made block's column maxima).  The solver is
+wrapped from outside `src/`, so the same script runs against any tree:
 
     python3 tools/pivot_trace.py 20000 2025 140000 2025 > A.jsonl
     (cd OTHER_TREE && python3 tools/pivot_trace.py 20000 2025 140000 2025) > B.jsonl
     diff A.jsonl B.jsonl
 
 Identical lines mean the same program, pivots, point and active set; only
-`makes` and `rows_made` may differ between trees that read the made block in
-fewer or more pieces.  Between a tree that multiplies the made block's last
-N % 4 rows on their own and one that pads every product of made rows to a
-multiple of four rows (N >= 131,072 and N % 4 != 0), `rows_priced` may
-differ too: those rows then join their cells and are priced only when their
-cells are.
+`makes`, `rows_made` and the assembly counts may differ between trees that
+read the made block in fewer or more pieces.  Between a tree that
+multiplies the made block's last N % 4 rows on their own and one that pads
+every product of made rows to a multiple of four rows (N >= 131,072 and
+N % 4 != 0), `rows_priced` may differ too: those rows then join their cells
+and are priced only when their cells are.
 
 With `unbounded` or `infeasible` in place of N, the case is a 50,000-row
 program whose sampled-like block carries a shared row and whose solve ends
@@ -164,7 +165,8 @@ def trace_case(n: int, seed: int) -> dict:
         dataset = collect(plant, config.space(), n, seed, Role.SCENARIO)
     finally:
         plant.close()
-    problem = build_problem(config.layout(), dataset, *_row_inputs(config))
+    with _Recording() as assembly:
+        problem = build_problem(config.layout(), dataset, *_row_inputs(config))
     del dataset
     program = _program_sha256(problem)
 
@@ -173,6 +175,8 @@ def trace_case(n: int, seed: int) -> dict:
     return {
         "n": n,
         "seed": seed,
+        "assembly_makes": assembly.makes,
+        "assembly_rows_made": assembly.rows_made,
         "program_sha256": program,
         **_counts(solution),
         **recording.fields(),

@@ -27,7 +27,8 @@ a stop row its caller sets is skipped.
 
 Screened pricing.  A block whose rows are polynomials of a few scalars per
 row (the scenario program's sampled rows, in x and x') can be made from
-those scalars when its rows are read instead of stored (`PolyRows`), and
+those scalars when its rows are read instead of stored (`PolyRows`, by a
+function its caller gives: for the scenario program, `scp.g3_rows`), and
 carries an index of cells, runs of its rows with nearby scalars that tile
 it (`Cells`).  Each iteration bounds every cell's reduced costs from below
 through the polynomial structure and a rounding margin; the cut is the
@@ -59,7 +60,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import SolverError
-from .polynomial import power
 
 # Rows priced per step of the pricing loop: the chunk's reduced costs (128 KB)
 # stay in L2 from the mat-vec to the entering-row choice.  A multiple of 64,
@@ -195,43 +195,36 @@ class Cells:
 
 class PolyRows:
     """The values of a row block, made from per-row scalars when they are
-    read instead of stored, with the `cells` that index them: entry (j, i)
-    sums, over the nonzero cells.coeff_map[v, k, j] in (v, k) order,
-    coeff_map[v, k, j] * z[v][i] ** k, with every power taken by
-    `polynomial.power` as `eval_basis_many` takes it.  So a column x'^k -
-    x^k is made as -x^k + x'^k, which rounds as the difference does.
+    read instead of stored, with the `cells` that index them: `make(*z)`,
+    for the scalars z of some rows (one 1-D array per scalar), returns
+    those rows' entries, (ncols, len) and C-contiguous, each entry with the
+    same bits whichever rows are made with it.  `cells.coeff_map` must
+    describe what `make` returns, as pricing and the column maxima trust
+    the cell bounds taken from it.  The scenario program's maker calls
+    `scp.g3_rows`, which also writes its stored blocks.
 
     `values[:, rows]` (a row number, a slice, a mask or row numbers) and
-    `values.take(rows, axis=1)` make those rows, (ncols, len) and
-    C-contiguous, and `np.asarray(values)` makes all of them; an entry has
-    the same bits whichever rows are made with it.  Made rows are multiplied
-    only by `_made_product`.  `abs_max`, the largest |entry| of each column
-    (NaN if one is NaN), is taken at construction from the rows of the cells
-    whose bounds say they may hold it (`_abs_max`), a few in 1,000 of the
-    room study's rows.  `nbytes` counts the scalars.
+    `values.take(rows, axis=1)` make those rows, and `np.asarray(values)`
+    makes all of them, each through `_make`, the one call of `make`.  Made
+    rows are multiplied only by `_made_product`.  `abs_max`, the largest
+    |entry| of each column (NaN if one is NaN), is taken at construction
+    from the rows of the cells whose bounds say they may hold it
+    (`_abs_max`), a few in 1,000 of the room study's rows.  `nbytes` counts
+    the scalars.
     """
 
     ndim = 2
 
-    def __init__(self, z, cells: Cells):
+    def __init__(self, z, cells: Cells, make):
         self.z = [np.asarray(v, dtype=float) for v in z]
         self.cells = cells
-        coeff_map = cells.coeff_map
-        nz, _, ncols = coeff_map.shape
+        self.make = make
+        nz, _, ncols = cells.coeff_map.shape
         if (len(self.z) != nz or len({v.shape for v in self.z}) != 1 or self.z[0].ndim != 1
                 or len(cells.order) != len(self.z[0])):
             raise SolverError(f"per-row scalars of shapes {[v.shape for v in self.z]} "
                               f"for {len(cells.order)} rows in cells over {nz} scalars")
         self.shape = (ncols, len(self.z[0]))
-        # (v, k, [(j, c, first term of column j)]) per power with a use
-        self._terms, started = [], set()
-        for v, k in zip(*np.nonzero(np.any(coeff_map != 0.0, axis=2))):
-            uses = []
-            for j in np.flatnonzero(coeff_map[v, k]).tolist():
-                uses.append((j, float(coeff_map[v, k, j]), j not in started))
-                started.add(j)
-            self._terms.append((int(v), int(k), uses))
-        self._unused = sorted(set(range(ncols)) - started)
         self.abs_max = self._abs_max()
 
     @property
@@ -269,18 +262,9 @@ class PolyRows:
         return abs_max
 
     def _make(self, z) -> np.ndarray:
-        out = np.empty((self.shape[0], len(z[0])))
-        out[self._unused] = 0.0
-        for v, k, uses in self._terms:
-            p = power(z[v], k)
-            for j, c, first in uses:
-                if first:
-                    np.multiply(p, c, out=out[j])
-                elif c == 1.0:
-                    out[j] += p
-                else:
-                    out[j] += c * p
-        return out
+        """The rows of scalars z; every make of this block goes through here
+        (`tools/pivot_trace.py` counts makes by wrapping it)."""
+        return self.make(*z)
 
     def __getitem__(self, key):
         if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], slice)

@@ -108,8 +108,10 @@ def eval_basis(basis: PolyBasis, x: Sequence[float]) -> np.ndarray:
 def power(col: np.ndarray, e: int) -> np.ndarray:
     """col ** e for a 1-D array, elementwise: each entry has the bits of the
     broadcast `col[:, None] ** exps[None, :]` for it, whichever entries are
-    taken together (pinned by tests).  The scalar `col ** 2.0` is col * col,
-    which rounds differently, so 2 takes an array exponent."""
+    taken together (pinned by tests), so `scp.g3_rows` writes the same
+    entry for a sample in any chunk or subset of samples, stored or made.
+    The scalar `col ** 2.0` is col * col, which rounds differently, so 2
+    takes an array exponent."""
     if e == 1:
         return col
     if e == 2:

@@ -54,9 +54,16 @@ from .polynomial import (
 )
 
 
-# Samples per chunk when g3 rows are written: bounds the basis-evaluation
-# temporaries of assembly to a few MB at any dataset size.
+# Samples per chunk of the cell index's counting sort (`sample_cells`):
+# bounds its temporaries to a few MB at any dataset size.
 G3_CHUNK = 65_536
+
+# Samples per chunk when `g3_rows` writes: its basis evaluations are
+# (chunk, terms) temporaries of a few tens of KB, so a make of many rows
+# holds little beyond the rows it returns (at 4,096 a chunk, the residual
+# pass of the one-copy-of-G test in tests/test_scp.py nearly spends its
+# allocation budget).
+G3_WRITE_CHUNK = 2_048
 
 # Sampled rows are indexed in cells of a CELL_GRID x CELL_GRID grid over the
 # data range of (x, x') when the state is one variable and there are at
@@ -209,7 +216,9 @@ class DecisionLayout:
     def g3_coeff_map(self) -> np.ndarray:
         """For one state variable, the sampled block's columns as polynomials
         of (x, x'), in the layout of `lp.Cells.coeff_map`: a barrier column
-        is x'^k - x^k and a controller column -x^k."""
+        is x'^k - x^k and a controller column -x^k.  The made block's cell
+        bounds (`lp.Cells.bounds`) read its rows through this map, so it
+        must describe what `g3_rows` writes."""
         bases = (self.barrier, *self.controllers)
         if self.barrier.nvars != 1:
             raise AssemblyError("sampled rows are polynomials of (x, x') for one state variable")
@@ -329,42 +338,32 @@ class LpProblem:
         return resid
 
 
-def g3_rows(
-    layout: DecisionLayout,
-    dataset: Dataset,
-    out: np.ndarray | None = None,
-    rhs: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(block, rhs): one sampled one-step row per transition (x, u, x'),
-    stored column-major over `layout.g3_columns`, and its right-hand side.
+def g3_rows(layout: DecisionLayout, xs: np.ndarray, x_nexts: np.ndarray) -> np.ndarray:
+    """The sampled one-step rows of the transitions from states `xs` to
+    next states `x_nexts` ((n, nvars) each), column-major over
+    `layout.g3_columns`: a new (len(layout.g3_columns), n) block.  Every
+    row holds `layout.g3_shared_row` outside those columns, and `g3_rhs`
+    is its right-hand side.
 
-    The block, of shape (len(layout.g3_columns), len(dataset)), is written
-    into `out` when given, else into a new array, G3_CHUNK samples at a
-    time; every row holds `layout.g3_shared_row` outside those columns.  The
-    right-hand side -sum(u) is written into `rhs` when given.
-    `sampled_problem` stores the rows so below SCREEN_MIN_ROWS samples or
-    for more than one state variable; otherwise it makes the same rows, bit
-    for bit, from (x, x') when they are read (`lp.PolyRows`).
+    This is the one writer of sampled-row entries: `sampled_problem`
+    stores its block, or gives `lp.PolyRows` a maker that calls it on the
+    samples of the rows read.  It writes G3_WRITE_CHUNK samples at a time,
+    and every entry is elementwise in its sample (`polynomial.power`), so
+    an entry has the same bits whichever samples are written with it.
     """
-    rhs = g3_rhs(layout, dataset, rhs)
-    cols = layout.g3_columns
-    block = np.empty((len(cols), len(dataset))) if out is None else out
-    if block.shape != (len(cols), len(dataset)):
-        raise AssemblyError(f"g3 block of shape {block.shape} for {len(dataset)} samples")
+    block = np.empty((len(layout.g3_columns), len(xs)))
     # the block rows of each basis' non-constant monomials, in layout order
     spans = np.cumsum([0] + [len(b) - 1 for b in (layout.barrier, *layout.controllers)])
-
-    for lo in range(0, len(dataset), G3_CHUNK):
-        rows = block[:, lo:lo + G3_CHUNK].T
-        xs = dataset.xs[lo:lo + G3_CHUNK]
-        bx_next = eval_basis_many(layout.barrier, dataset.x_nexts[lo:lo + G3_CHUNK], "F")
-        bx = eval_basis_many(layout.barrier, xs, "F")
+    for lo in range(0, len(xs), G3_WRITE_CHUNK):
+        rows = block[:, lo:lo + G3_WRITE_CHUNK].T
+        x = xs[lo:lo + G3_WRITE_CHUNK]
+        bx_next = eval_basis_many(layout.barrier, x_nexts[lo:lo + G3_WRITE_CHUNK], "F")
+        bx = eval_basis_many(layout.barrier, x, "F")
         np.subtract(bx_next[:, 1:], bx[:, 1:], out=rows[:, spans[0]:spans[1]])
-        del bx_next
         for i, basis in enumerate(layout.controllers):
-            phi = bx if basis == layout.barrier else eval_basis_many(basis, xs, "F")
+            phi = bx if basis == layout.barrier else eval_basis_many(basis, x, "F")
             np.negative(phi[:, 1:], out=rows[:, spans[i + 1]:spans[i + 2]])
-    return block, rhs
+    return block
 
 
 def g3_rhs(layout: DecisionLayout, dataset: Dataset, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -516,28 +515,27 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
     G is a stack of two row blocks: the static rows, dense and not copied,
     then the sampled rows in sample order over the `layout.g3_columns` they
     differ in (8 of the room template's 24), with `layout.g3_shared_row` as
-    the block's shared row.  For one state variable and at least
-    SCREEN_MIN_ROWS samples the block is made: it stores only the samples'
-    (x, x'), views of the dataset, which must not change while the program
-    is in use, and its rows are polynomials of them
-    (`layout.g3_coeff_map`), made when they are read (`lp.PolyRows`, which
-    makes the few rows that may hold a column maximum), with the bits
-    `g3_rows` would store.  Its cells (`sample_cells`), each with the box of
-    its (x, x') and its least h, are what pricing screens by (the boxes are
-    taken from the dataset too).  Any other block is stored, written
-    column-major by `g3_rows`.  The sampled right-hand side is written
+    the block's shared row.  Their entries come from `g3_rows` either way.
+    For one state variable and at least SCREEN_MIN_ROWS samples the block
+    is made: it stores only the samples' (x, x'), views of the dataset,
+    which must not change while the program is in use, and calls `g3_rows`
+    on the samples of the rows read (`lp.PolyRows`, which makes the few
+    rows that may hold a column maximum).  Its cells (`sample_cells`), each
+    with the box of its (x, x') and its least h, are what pricing screens
+    by, through `layout.g3_coeff_map`, the rows' polynomials in (x, x')
+    (the boxes are taken from the dataset too).  Any other block is stored
+    as `g3_rows` writes it.  The sampled right-hand side is written
     straight into h.
     """
     static_G, static_h, static_tags = static
     n, ns = len(dataset), len(static_h)
-    m = ns + n
-    h = np.empty(m)
+    h = np.empty(ns + n)
     h[:ns] = static_h
+    g3_rhs(layout, dataset, rhs=h[ns:])
     cells = sample_cells(dataset)
     if cells is None:
-        samp_G, _ = g3_rows(layout, dataset, rhs=h[ns:])
+        samp_G = g3_rows(layout, dataset.xs, dataset.x_nexts)
     else:
-        g3_rhs(layout, dataset, rhs=h[ns:])
         cell, order, starts = cells
         z = [dataset.xs[:, 0], dataset.x_nexts[:, 0]]
         ncells = len(starts) - 1
@@ -546,7 +544,7 @@ def sampled_problem(layout: DecisionLayout, static: tuple, dataset: Dataset) -> 
             np.column_stack([_by_cell(np.minimum, cell, ncells, v) for v in z]),
             np.column_stack([_by_cell(np.maximum, cell, ncells, v) for v in z]),
             _by_cell(np.minimum, cell, ncells, h[ns:]), layout.g3_coeff_map,
-        ))
+        ), lambda x, x_next: g3_rows(layout, x[:, None], x_next[:, None]))
     return LpProblem(
         RowStack([*RowStack.dense(static_G).blocks,
                   (layout.g3_columns, samp_G, layout.g3_shared_row)], layout.n_total),

@@ -89,12 +89,11 @@ def dense_g3_rows(layout, dataset):
     row elsewhere."""
     import numpy as np
 
-    from safesynth.scp import g3_rows
+    from safesynth.scp import g3_rhs, g3_rows
 
-    block, rhs = g3_rows(layout, dataset)
     dense = np.tile(layout.g3_shared_row, (len(dataset), 1))
-    dense[:, layout.g3_columns] = block.T
-    return dense, rhs
+    dense[:, layout.g3_columns] = g3_rows(layout, dataset.xs, dataset.x_nexts).T
+    return dense, g3_rhs(layout, dataset)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -511,7 +512,8 @@ _SAMPLED_SHARED = np.array([-1.0, 0, 0, 0, 0, 0, 0, -1.0])
 
 
 def _sampled_values(x, x_next):
-    """The rows `_coeff_map` makes, with powers taken as `power` takes them."""
+    """The maker of the screened programs' made rows: the rows `_coeff_map`
+    describes, with powers taken as `power` takes them."""
     return np.vstack([power(x_next, k) - power(x, k) for k in range(1, 5)]
                      + [-power(x, k) for k in (1, 2)])
 
@@ -554,8 +556,8 @@ def _screened_lp(rng, n, grid=6, corners=True, duplicates=0, h_sampled=None):
     head = np.vstack([np.eye(8), -np.eye(8), rng.normal(size=(6, 8))])
     h = np.concatenate([np.full(16, 10.0), rng.uniform(0.5, 2.0, size=6), h_samp])
     stacks = [RowStack([*RowStack.dense(head).blocks, (_SAMPLED_COLS, lp.PolyRows(
-        [x, x_next], lp.Cells(cells.order, cells.starts, lo, hi, cells.h_min, _coeff_map())),
-        _SAMPLED_SHARED)], 8)
+        [x, x_next], lp.Cells(cells.order, cells.starts, lo, hi, cells.h_min, _coeff_map()),
+        _sampled_values), _SAMPLED_SHARED)], 8)
         for lo, hi in ((cells.lower, cells.upper), (np.full_like(cells.lower, -np.inf),
                                                     np.full_like(cells.upper, np.inf)))]
     return np.eye(8)[0], *stacks, h
@@ -895,7 +897,7 @@ def test_cells_must_tile_their_block():
         lp.Cells(cells.order, cells.starts[:-1], cells.lower[:-1], cells.upper[:-1],
                  cells.h_min[:-1], cells.coeff_map)
     with pytest.raises(SolverError, match="rows in cells"):
-        lp.PolyRows([z[1:] for z in values.z], cells)
+        lp.PolyRows([z[1:] for z in values.z], cells, _sampled_values)
 
 
 @pytest.mark.parametrize("fault", ["duplicate", "past the end", "negative"])
@@ -930,6 +932,19 @@ def _counting_makes(monkeypatch):
     return made
 
 
+def test_pivot_trace_counts_the_makes_of_the_made_block():
+    # `tools/pivot_trace.py` counts makes by wrapping `PolyRows._make`: at
+    # 131,073 samples the block is made, at assembly and in the solve, so
+    # the tool would read 0 if makes stopped going through `_make`
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(lp.__file__))))
+    run = subprocess.run([sys.executable, os.path.join(root, "tools", "pivot_trace.py"),
+                          "131073", "7", "unbounded", "1"],
+                         capture_output=True, text=True, check=True, timeout=300)
+    made, probe = [json.loads(line) for line in run.stdout.splitlines()]
+    assert made["n"] == 131_073 and made["makes"] > 0 and made["assembly_makes"] > 0
+    assert probe["case"] == "unbounded" and probe["makes"] == 0
+
+
 @pytest.mark.parametrize("n", [131_073, 140_000])
 @pytest.mark.parametrize("seed", [2025, 7, 11])
 def test_screened_column_maxima_on_room_data(monkeypatch, n, seed):
@@ -958,7 +973,7 @@ def test_screened_column_maxima_are_those_of_every_row(monkeypatch, case):
     if case == "constant":  # one cell, made in pieces of at most _MAKE_CHUNK rows
         x, x_next = np.full(n, 0.75), np.full(n, -1.25)
     made = _counting_makes(monkeypatch)
-    values = lp.PolyRows([x, x_next], _grid_cells(x, x_next, 16, np.zeros(n)))
+    values = lp.PolyRows([x, x_next], _grid_cells(x, x_next, 16, np.zeros(n)), _sampled_values)
     monkeypatch.undo()
     assert values.abs_max.tobytes() == _full_pass_abs_max(values).tobytes()
     assert max(made) <= lp._MAKE_CHUNK
@@ -979,7 +994,7 @@ def test_overflowing_column_maxima_are_those_of_every_row_and_fail_closed():
     x[:40] = x_next[:40] = 1e80 * rng.uniform(1.0, 2.0, 40)
     x_next[40:50] = 1e110
     with np.errstate(over="ignore", invalid="ignore"):
-        values = lp.PolyRows([x, x_next], _grid_cells(x, x_next, 16, np.zeros(n)))
+        values = lp.PolyRows([x, x_next], _grid_cells(x, x_next, 16, np.zeros(n)), _sampled_values)
         full = _full_pass_abs_max(values)
     assert np.isnan(values.abs_max[3]) and values.abs_max[2] == np.inf
     np.testing.assert_array_equal(values.abs_max, full)
@@ -997,7 +1012,7 @@ def test_column_maxima_keep_a_nan_found_after_an_inf():
     upper = np.array([[np.inf, 1.0], [np.inf, np.inf], [1.25, 1.5]])
     with np.errstate(invalid="ignore"):
         values = lp.PolyRows([x, x_next], lp.Cells(np.arange(4), [0, 1, 2, 4], lower, upper,
-                                                    np.zeros(3), _coeff_map()))
+                                                    np.zeros(3), _coeff_map()), _sampled_values)
         full = _full_pass_abs_max(values)
     assert np.all(np.isnan(values.abs_max[:4])) and np.all(values.abs_max[4:] == np.inf)
     np.testing.assert_array_equal(values.abs_max, full)

@@ -168,9 +168,10 @@ def test_fast_powers_equal_the_broadcast_power_bit_for_bit(nvars):
 
 
 def test_powers_are_elementwise_and_the_broadcast_power_at_degree_six():
-    # made rows (`lp.PolyRows`) take each power of a subset of the samples:
-    # every entry must have the bits of the same entry of the whole column,
-    # and of the broadcast `**` that evaluates a degree-6 basis
+    # `scp.g3_rows` takes each power of a chunk of the samples, or, for
+    # made rows (`lp.PolyRows`), of a subset: every entry must have the bits
+    # of the same entry of the whole column, and of the broadcast `**` that
+    # evaluates a degree-6 basis
     rng = np.random.default_rng(43)
     x = np.concatenate([rng.uniform(22.5, 26.5, size=200_001),
                         rng.normal(size=100_000) * 10.0 ** rng.integers(-40, 40, size=100_000)])

@@ -88,7 +88,7 @@ def test_g3_columns_and_shared_row_split_every_sampled_row():
                    rng.normal(size=(30, 2)), 0, "scenario")
     cols, shared = layout.g3_columns, layout.g3_shared_row
     assert len(cols) == 5 + 2 + 5
-    block, _ = g3_rows(layout, data, out=np.empty((len(cols), 30)))
+    block = g3_rows(layout, data.xs, data.x_nexts)
     for i in range(30):
         row, _ = g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])
         assert np.array_equal(block[:, i], row[cols])
@@ -216,31 +216,27 @@ def test_g3_batch_matches_single():
         assert rhs[i] == pytest.approx(r, abs=0.0)
 
 
-def test_g3_rows_written_in_chunks_into_out(monkeypatch):
-    # chunk boundaries and a caller's uninitialised buffer leave no trace
+def test_g3_rows_written_in_chunks(monkeypatch):
+    # chunk boundaries leave no trace
     layout = room_layout()
     space = SampleSpace.product(
         Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]])
     )
     data = collect(RoomTemperaturePlant(), space, 25, 9)
-    whole, rhs_whole = dense_g3_rows(layout, data)
-    monkeypatch.setattr(scp, "G3_CHUNK", 7)
+    whole, _ = dense_g3_rows(layout, data)
+    monkeypatch.setattr(scp, "G3_WRITE_CHUNK", 7)
     cols = layout.g3_columns
     # the non-constant monomials of q (columns 4-8) and p (9-13)
     assert cols.tolist() == [5, 6, 7, 8, 10, 11, 12, 13]
     shared = layout.g3_shared_row
     assert np.flatnonzero(shared).tolist() == [0, 3, 9] and np.all(shared[[0, 3, 9]] == -1.0)
-    out = np.full((len(cols), 25), np.nan)
-    block, rhs = g3_rows(layout, data, out=out)
-    assert block is out
-    assert np.array_equal(block.T, whole[:, cols]) and np.array_equal(rhs, rhs_whole)
+    block = g3_rows(layout, data.xs, data.x_nexts)
+    assert np.array_equal(block.T, whole[:, cols])
     for i in range(25):
         row, _ = g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])
         assert np.array_equal(whole[i], row)
         assert np.array_equal(block[:, i], row[cols])
         assert np.array_equal(np.delete(row, cols), np.delete(shared, cols))
-    with pytest.raises(AssemblyError):
-        g3_rows(layout, data, out=np.empty((len(cols), 24)))
 
 
 def test_g3_transcription_matches_direct_evaluation():
@@ -569,13 +565,19 @@ def test_desk_scale_pivot_path_pinned():
     ]
 
 
-def _room_static_and_data(layout, n_samples, seed):
+def _room_static_and_data(layout, n_samples, seed, inputs=1):
+    """The room's static rows and samples; with `inputs` > 1, each sample's
+    input is repeated, so one state drives that many controllers."""
     space = SampleSpace.product(
         Box.from_intervals([[22.5, 26.5]]), Box.from_intervals([[0, 1]])
     )
-    A, b = box_to_polytope(Box.from_intervals([[0, 1]]))
+    A, b = box_to_polytope(Box.from_intervals([[0, 1]] * inputs))
     static = static_blocks(layout, *ROOM_REGIONS, A, b, 5, GridSpec(201, 101, 401), 1e-6, True)
-    return static, collect(RoomTemperaturePlant(), space, n_samples, seed)
+    data = collect(RoomTemperaturePlant(), space, n_samples, seed)
+    if inputs > 1:
+        data = Dataset(data.xs, np.repeat(data.us, inputs, axis=1), data.x_nexts, seed,
+                       Role.SCENARIO)
+    return static, data
 
 
 def test_stacked_G_is_the_dense_assembly(monkeypatch):
@@ -586,7 +588,7 @@ def test_stacked_G_is_the_dense_assembly(monkeypatch):
     dense = np.vstack([static[0]] + [
         g3_row(layout, data.xs[i], data.us[i], data.x_nexts[i])[0] for i in range(50)
     ])
-    monkeypatch.setattr(scp, "G3_CHUNK", 7)
+    monkeypatch.setattr(scp, "G3_WRITE_CHUNK", 7)
     problem = sampled_problem(layout, static, data)
     assert problem.G.shape == dense.shape
     assert np.asarray(problem.G).tobytes() == dense.tobytes()
@@ -786,8 +788,7 @@ def test_made_rows_are_the_stored_rows_at_prior_scale():
     cols, values, shared = problem.G.blocks[-1]
     assert isinstance(values, scp_lp.PolyRows)
     n, lo = len(dataset), problem.G.starts[-2]
-    stored = np.empty((len(cols), n))
-    g3_rows(problem.layout, dataset, out=stored)
+    stored = g3_rows(problem.layout, dataset.xs, dataset.x_nexts)
     made, kept = hashlib.sha256(), hashlib.sha256()
     for a in range(0, n, 1 << 20):
         made.update(values[:, a:a + (1 << 20)].tobytes())
@@ -811,22 +812,26 @@ def test_made_rows_are_the_stored_rows_at_prior_scale():
         assert problem.G.row(lo + int(i)).tobytes() == row.tobytes()
 
 
-@pytest.mark.parametrize("degrees", [(4, 4), (6, 2)])
+@pytest.mark.parametrize("degrees", [(4, 4), (6, 2), (2, 5), (3, 2, 4)])
 def test_made_stack_reads_and_solves_like_the_stored_stack(monkeypatch, degrees):
-    # the same program with the sampled block made or stored: the dense
-    # matrix, rows, selected rows and column scales bit for bit; products
-    # are those of the stored rows in one product padded to a multiple of 4
-    # rows (5003 samples: n % 4 == 3); the screened solve is the solve of
-    # the made block with unbounded cells, which prices every cell on every
-    # pass, and pivots as the stored block does
+    # the same program with the sampled block made or stored (degrees of
+    # the barrier, then of each controller; (3, 2, 4) has two inputs): the
+    # dense matrix, rows, selected rows and column scales bit for bit;
+    # products are those of the stored rows in one product padded to a
+    # multiple of 4 rows (5003 samples: n % 4 == 3); the cell bounds, read
+    # through `g3_coeff_map`, hold every entry `g3_rows` writes; the
+    # screened solve is the solve of the made block with unbounded cells,
+    # which prices every cell on every pass, and pivots as the stored block
+    # does
     monkeypatch.setattr(scp, "SCREEN_MIN_ROWS", 64)
-    layout = DecisionLayout.build(build_basis(1, degrees[0]), [build_basis(1, degrees[1])],
-                                  0.1, [0.05])
-    static, data = _room_static_and_data(layout, 5003, 8)
+    layout = DecisionLayout.build(build_basis(1, degrees[0]),
+                                  [build_basis(1, d) for d in degrees[1:]],
+                                  0.1, [0.05] * (len(degrees) - 1))
+    static, data = _room_static_and_data(layout, 5003, 8, len(degrees) - 1)
     problem = sampled_problem(layout, static, data)
     cols, values, shared = problem.G.blocks[-1]
     assert isinstance(values, scp_lp.PolyRows)
-    block = g3_rows(layout, data)[0]
+    block = g3_rows(layout, data.xs, data.x_nexts)
     stored = RowStack([*problem.G.blocks[:-1], (cols, block, shared)], layout.n_total)
     assert np.asarray(values).tobytes() == block.tobytes()
     assert np.asarray(problem.G).tobytes() == np.asarray(stored).tobytes()
@@ -843,9 +848,14 @@ def test_made_stack_reads_and_solves_like_the_stored_stack(monkeypatch, degrees)
     assert np.asarray(problem.G.select(keep)).tobytes() == np.asarray(stored.select(keep)).tobytes()
     assert _pow2_column_scale(problem.G).tobytes() == _pow2_column_scale(stored).tobytes()
     cells = values.cells
+    cell = np.empty(len(cells.order), dtype=np.intp)  # of each row
+    cell[cells.order] = np.repeat(np.arange(len(cells.starts) - 1), np.diff(cells.starts))
+    for j, e in enumerate(np.eye(len(cols))):
+        assert np.all(cells.bounds(e, 0.0, 1)[cell] <= block[j])
+        assert np.all(block[j] <= -cells.bounds(-e, 0.0, 1)[cell])
     unbounded = RowStack([*problem.G.blocks[:-1], (cols, scp_lp.PolyRows(values.z, scp_lp.Cells(
         cells.order, cells.starts, np.full_like(cells.lower, -np.inf),
-        np.full_like(cells.upper, np.inf), cells.h_min, cells.coeff_map)), shared)],
+        np.full_like(cells.upper, np.inf), cells.h_min, cells.coeff_map), values.make), shared)],
         layout.n_total)
     solves = [solve_dense_lp(problem.cost, G, problem.h) for G in (problem.G, unbounded, stored)]
     assert len({(r.status, r.iterations, r.basis_rows.tobytes()) for r in solves}) == 1

@@ -17,10 +17,11 @@ the sequence of working sets (every basis the dual simplex factorised, in
 order), the objective as `float.hex`, the sha256 of the solution vector and
 of the active row ids, `max_violation`, and `makes` and `rows_made`: the
 calls of `lp.PolyRows._make` during the solve and the rows they made (the
-sampled block's rows, made from its samples where the solve reads them),
-and `assembly_makes` and `assembly_rows_made`, the same counts while the
-program is assembled (the made block's column maxima).  The solver is
-wrapped from outside `src/`, so the same script runs against any tree:
+sampled block's rows, made from its samples by `scp.g3_rows` where the
+solve reads them), and `assembly_makes` and `assembly_rows_made`, the
+same counts while the program is assembled (the made block's column
+maxima).  The solver is wrapped from outside `src/`, so the same script
+runs against any tree:
 
     python3 tools/pivot_trace.py 20000 2025 140000 2025 > A.jsonl
     (cd OTHER_TREE && python3 tools/pivot_trace.py 20000 2025 140000 2025) > B.jsonl

@@ -362,14 +362,14 @@ class RowStack:
             dense[lo:hi, cols] = np.asarray(values).T
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
-    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """G @ v into `out` when given, run by run of `chunks(_PRICE_CHUNK)`
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """G @ v, run by run of `chunks(_PRICE_CHUNK)`
         (`_product`), so the product has the bits of the reduced costs
         pricing computes, and BLAS threads never split a block's rows other
         than one thread does (two threads over a whole block changed the last
         bit of some rows)."""
         v = np.asarray(v, dtype=float)
-        out = np.empty(len(self)) if out is None else out
+        out = np.empty(len(self))
         terms = self._terms(v)
         for start, stop, pieces in self.chunks(_PRICE_CHUNK):
             self._product(pieces, terms, out[start:stop])
@@ -515,6 +515,20 @@ class LpResult:
     rows_priced: int = 0  # summed over the pricing passes, one per iteration and phase end
 
 
+@dataclass(frozen=True)
+class LpTolerances:
+    """What `solve_dense_lp` accepts: a row violated by at most `feasibility`,
+    a reduced cost entering below -`optimality` (a multiplier at most it is
+    zero), a pivot entry above `pivot`; rows within `activity` of their
+    bound are active, and `max_iterations` pivots end a solve."""
+
+    feasibility: float = 1e-8
+    optimality: float = 1e-8
+    activity: float = 1e-7
+    pivot: float = 1e-11
+    max_iterations: int = 20000
+
+
 def _pow2_column_scale(G: RowStack) -> np.ndarray:
     """Power-of-two column scales; a NaN or inf entry of G raises SolverError.
 
@@ -552,14 +566,15 @@ class _DualSimplex:
     (`residual`) both read G through one walk (`_walk`).
     """
 
-    def __init__(self, G, scale, h, b, opt_tol, pivot_tol, stall_limit):
+    def __init__(self, G, scale, h, b, tolerances: LpTolerances, stall_limit):
         self.G = G
         self.scale = scale
         self.h = h
         self.b = b
         self.m, self.nv = G.shape
-        self.opt_tol = opt_tol
-        self.pivot_tol = pivot_tol
+        self.opt_tol = tolerances.optimality
+        self.pivot_tol = tolerances.pivot
+        self.max_iter = tolerances.max_iterations
         self.stall_limit = stall_limit
         self.art_sign = np.where(b >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.nv)
@@ -714,12 +729,12 @@ class _DualSimplex:
             active.append(at + near if isinstance(at, int) else at[near])
         return float(np.max(tops, initial=-np.inf)), np.sort(np.concatenate(active))
 
-    def run_phase(self, phase: int, max_iter: int) -> tuple[str, np.ndarray, np.ndarray]:
+    def run_phase(self, phase: int) -> tuple[str, np.ndarray, np.ndarray]:
         """Returns (outcome, pi, x_B); outcome in {"optimal", "unbounded"}."""
         while True:
-            if self.result.iterations >= max_iter:
+            if self.result.iterations >= self.max_iter:
                 raise SolverError(
-                    f"iteration limit {max_iter} reached in phase {phase}",
+                    f"iteration limit {self.max_iter} reached in phase {phase}",
                     status=LpStatus.ITERATION_LIMIT.value,
                 )
             A_B = self._basis_matrix()
@@ -784,20 +799,17 @@ def solve_dense_lp(
     cost: np.ndarray,
     G: np.ndarray,
     h: np.ndarray,
-    opt_tol: float = 1e-9,
-    pivot_tol: float = 1e-11,
-    feas_tol: float = 1e-8,
-    max_iter: int = 20000,
+    tolerances: LpTolerances = LpTolerances(),
     stall_limit: int = 64,
-    activity_tol: float = 1e-7,
     _allow_probe: bool = True,
 ) -> LpResult:
     """Solve min cost.z s.t. G z <= h; see module docstring for the method.
 
     G is a `RowStack` or anything `np.asarray` makes a 2-D matrix of.  A
     made block of G trusts its cells' `h_min` to bound `h`.  At an optimum
-    the rows with |G z - h| <= activity_tol are `active_row_ids`; G z - h is
-    screened (`_DualSimplex.residual`), so no m-long vector is made."""
+    the rows with |G z - h| <= tolerances.activity are `active_row_ids`;
+    G z - h is screened (`_DualSimplex.residual`), so no m-long vector is
+    made."""
     if not isinstance(G, RowStack):
         G = RowStack.dense(G)
     h = np.asarray(h, dtype=float).ravel()
@@ -813,9 +825,9 @@ def solve_dense_lp(
     scale = _pow2_column_scale(G)
     b = -(cost * scale)
 
-    engine = _DualSimplex(G, scale, h, b, opt_tol, pivot_tol, stall_limit)
+    engine = _DualSimplex(G, scale, h, b, tolerances, stall_limit)
     try:
-        outcome, pi, x_B = engine.run_phase(1, max_iter)
+        outcome, pi, x_B = engine.run_phase(1)
         if outcome == "unbounded":
             # Phase 1 minimises a sum of non-negative artificials; an unbounded
             # ray here can only be numerical noise.
@@ -825,22 +837,21 @@ def solve_dense_lp(
         art_level = float(np.sum(np.maximum(x_B[engine.basis >= m], 0.0)))
         if art_level > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
             # Dual infeasible: the original program is unbounded or infeasible.
-            unbounded = not _allow_probe or _primal_feasible(
-                G, h, feas_tol, opt_tol, pivot_tol, max_iter, stall_limit)
+            unbounded = not _allow_probe or _primal_feasible(G, h, tolerances, stall_limit)
             result.status = LpStatus.UNBOUNDED if unbounded else LpStatus.INFEASIBLE
             return result
 
-        outcome, pi, x_B = engine.run_phase(2, max_iter)
+        outcome, pi, x_B = engine.run_phase(2)
         if outcome == "unbounded":
             result.status = LpStatus.INFEASIBLE
             return result
 
         z = pi * scale
-        max_violation, active = engine.residual(z, activity_tol)
-        if not max_violation <= feas_tol:  # a NaN fails too
+        max_violation, active = engine.residual(z, tolerances.activity)
+        if not max_violation <= tolerances.feasibility:  # a NaN fails too
             raise SolverError(
                 f"optimal basis violates feasibility tolerance: {max_violation:.3e} > "
-                f"{feas_tol:.0e}",
+                f"{tolerances.feasibility:.0e}",
                 status=LpStatus.ITERATION_LIMIT.value,
             )
         real = engine.basis < m
@@ -851,7 +862,7 @@ def solve_dense_lp(
         result.basis_rows = np.sort(engine.basis[real])
         result.multipliers = np.maximum(x_B[real][order], 0.0)
         result.max_violation = max(0.0, max_violation)  # an exact zero reads +0.0
-        result.zero_multipliers = int(np.sum(result.multipliers <= opt_tol))
+        result.zero_multipliers = int(np.sum(result.multipliers <= tolerances.optimality))
         result.active_row_ids = active
         return result
     except SolverError as exc:
@@ -859,8 +870,7 @@ def solve_dense_lp(
         raise
 
 
-def _primal_feasible(G: RowStack, h, feas_tol, opt_tol, pivot_tol, max_iter,
-                     stall_limit) -> bool:
+def _primal_feasible(G: RowStack, h, tolerances: LpTolerances, stall_limit) -> bool:
     """Distinguish unbounded from infeasible: min t s.t. Gz - t <= h, t >= -1.
 
     Always feasible and bounded, so the recursive solve cannot probe again.
@@ -877,12 +887,8 @@ def _primal_feasible(G: RowStack, h, feas_tol, opt_tol, pivot_tol, max_iter,
     h_aux = np.concatenate([h, [1.0]])
     cost_aux = np.zeros(nv + 1)
     cost_aux[nv] = 1.0
-    res = solve_dense_lp(
-        cost_aux, G_aux, h_aux,
-        opt_tol=opt_tol, pivot_tol=pivot_tol, feas_tol=feas_tol,
-        max_iter=max_iter, stall_limit=stall_limit, _allow_probe=False,
-    )
+    res = solve_dense_lp(cost_aux, G_aux, h_aux, tolerances, stall_limit, _allow_probe=False)
     if res.status != LpStatus.OPTIMAL or res.objective is None:
         raise SolverError("feasibility probe failed to solve",
                           status=LpStatus.ITERATION_LIMIT.value)
-    return res.objective <= feas_tol
+    return res.objective <= tolerances.feasibility

@@ -73,74 +73,96 @@ ROOM_LIPSCHITZ_DEFAULT = 11.63
 
 _REQUIRED = object()
 
-# Every top-level key as (JSON type, default), and each object-valued section
-# as a nested table of the same pairs.  A type of None admits any value, to be
-# checked where it is read, and a None default makes null an accepted value.
-# Missing keys are appended to the echoed configuration in this order.
+
+def _at_least(low):
+    return lambda v: v >= low, f">= {low}"
+
+
+def _above(low):
+    return lambda v: v > low, f"> {low}"
+
+
+# Every top-level key as (JSON type, default, range), and each object-valued
+# section as a nested table of the same triples.  A type [t] is an array of
+# t values.  A range is (test, wording), for each number of an array, or None
+# for any value of the type.  A type of None admits any value, to be checked
+# where it is read, and a None default makes null an accepted value.  Missing
+# keys are appended to the echoed configuration in this order.
 _DEFAULTS = {
     **dict.fromkeys(
-        ("plant", "state_space", "input_box", "initial_set", "unsafe_set",
-         "controller_degrees", "samples", "coeff_bounds"),
-        (None, _REQUIRED),
+        ("plant", "state_space", "input_box", "initial_set", "unsafe_set"),
+        (None, _REQUIRED, None),
     ),
-    "horizon": (int, _REQUIRED),
-    "barrier_degree": (int, _REQUIRED),
-    "beta": (float, _REQUIRED),
+    "controller_degrees": ([int], _REQUIRED, _at_least(0)),
+    "samples": (None, _REQUIRED, None),
+    "coeff_bounds": (None, _REQUIRED, None),
+    "horizon": (int, _REQUIRED, _at_least(1)),
+    "barrier_degree": (int, _REQUIRED, _at_least(0)),
+    "beta": (float, _REQUIRED, (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
     "grid_points": {
-        name: (int, getattr(GridSpec, name)) for name in ("initial", "unsafe", "state")
+        name: (int, getattr(GridSpec, name), _at_least(2))
+        for name in ("initial", "unsafe", "state")
     },
-    "strict_margin": (float, 1e-6),
-    "tighten": (bool, True),
+    "strict_margin": (float, 1e-6, _at_least(0)),
+    "tighten": (bool, True, None),
     "tolerances": {
-        f.name: (type(f.default), f.default) for f in dataclasses.fields(LpTolerances)
+        f.name: (type(f.default), f.default,
+                 _at_least(1) if f.name == "max_iterations" else _above(0))
+        for f in dataclasses.fields(LpTolerances)
     },
-    "seeds": {"scenario": (int, 1), "validation": (int, 2)},
+    "seeds": {"scenario": (int, 1, _at_least(0)), "validation": (int, 2, _at_least(0))},
     # None: the built-in plant's constant, required for any other plant
-    "lipschitz": (float, None),
-    "workers": (int, 1),
-    "estimate_lipschitz": (bool, False),
+    "lipschitz": (float, None, _above(0)),
+    "workers": (int, 1, _at_least(1)),
+    "estimate_lipschitz": (bool, False, None),
 }
 _PLANT_COMMAND = {
-    "command": (None, _REQUIRED),
-    "state_dim": (int, _REQUIRED),
-    "input_dim": (int, _REQUIRED),
+    "command": (None, _REQUIRED, None),
+    "state_dim": (int, _REQUIRED, _at_least(1)),
+    "input_dim": (int, _REQUIRED, _at_least(1)),
 }
-_FIXED_SAMPLES = {"scenario": (int, _REQUIRED), "validation": (int, _REQUIRED)}
+_FIXED_SAMPLES = dict.fromkeys(("scenario", "validation"), (int, _REQUIRED, _at_least(1)))
+# the planner checks these ranges too, for `bounds plan`'s flags
 _AUTO_SAMPLES = {
     "auto": {
-        "khat": (float, None),
-        "nstar_hat": (int, 1),
-        "start_scenario": (int, _REQUIRED),
-        "start_validation": (int, _REQUIRED),
-        "growth": (float, 1.5),
+        "khat": (float, None, (lambda v: v < 0.0, "< 0 when given")),
+        "nstar_hat": (int, 1, _at_least(0)),
+        "start_scenario": (int, _REQUIRED, _at_least(1)),
+        "start_validation": (int, _REQUIRED, _at_least(1)),
+        "growth": (float, 1.5, _above(1)),
     }
 }
-_COEFF_BOUNDS = {"barrier": (float, _REQUIRED), "controller": (None, _REQUIRED)}
+_COEFF_BOUNDS = {"barrier": (float, _REQUIRED, _above(0)),
+                 "controller": ([float], _REQUIRED, _above(0))}
 _JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", list: "array"}
 
 
-def _typed(value, kind: type, name: str):
+def _typed(value, kind: type, name: str, rule=None, path: str | None = None):
     """`value` as `kind`, which must be its JSON type: a boolean for bool, an
-    integer (not a boolean) for int, any finite number (not a boolean) for float."""
+    integer (not a boolean) for int, any finite number (not a boolean) for
+    float; outside the range `rule` it is an error naming `path` (or `name`)."""
     allowed = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
         raise ConfigError(f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if rule is not None and not rule[0](kind(value)):
+        raise ConfigError(f"{path or name} must be {rule[1]}, got {value!r}")
     return kind(value)
 
 
-def _arrays(value, kind: type, name: str, depth: int = 1):
+def _arrays(value, kind: type, name: str, depth: int = 1, rule=None):
     """`value` as JSON arrays nested `depth` deep, with `kind` values (see
-    `_typed`) innermost."""
+    `_typed`) in the range `rule` innermost."""
     if depth == 0:
-        return _typed(value, kind, name)
-    return [_arrays(v, kind, name, depth - 1) for v in _typed(value, list, name)]
+        return _typed(value, kind, name, rule)
+    return [_arrays(v, kind, name, depth - 1, rule) for v in _typed(value, list, name)]
 
 
 def _read(mapping, table: dict, where: str) -> dict:
-    """The values `table` names in `mapping`, typed, with missing defaults also set
-    into `mapping`; unknown, missing required and mistyped keys raise ConfigError."""
+    """The values `table` names in `mapping`, typed, with missing defaults also
+    set into `mapping`; unknown, missing required, mistyped and out-of-range
+    keys raise ConfigError."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be an object")
     unknown = set(mapping) - set(table)
@@ -148,16 +170,18 @@ def _read(mapping, table: dict, where: str) -> dict:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
     out = {}
     for key, entry in table.items():
+        path = key if where == "configuration" else f"{where}.{key}"
         if isinstance(entry, dict):
-            section = key if where == "configuration" else f"{where}.{key}"
-            out[key] = _read(mapping.setdefault(key, {}), entry, section)
+            out[key] = _read(mapping.setdefault(key, {}), entry, path)
             continue
-        kind, default = entry
+        kind, default, rule = entry
         if key not in mapping and default is _REQUIRED:
             raise ConfigError(f"missing required key '{key}' in {where}")
         value = mapping.setdefault(key, default)
-        if kind is not None and not (value is None and default is None):
-            value = _typed(value, kind, f"'{key}' in {where}")
+        if isinstance(kind, list):
+            value = _arrays(value, kind[0], path, rule=rule)
+        elif kind is not None and not (value is None and default is None):
+            value = _typed(value, kind, f"'{key}' in {where}", rule, path)
         out[key] = value
     return out
 
@@ -271,73 +295,43 @@ def validate_config(data: dict) -> SynthesisConfig:
     if initial_region.intersects(unsafe_region):
         raise ConfigError("initial_set and unsafe_set must be disjoint (closed sets)")
 
-    if opts["horizon"] < 1:
-        raise ConfigError(f"horizon must be >= 1, got {opts['horizon']}")
-    controller_degrees = tuple(_arrays(opts["controller_degrees"], int, "controller_degrees"))
-    if min((opts["barrier_degree"], *controller_degrees)) < 0:
-        raise ConfigError("barrier_degree and controller_degrees must be >= 0")
+    controller_degrees = tuple(opts["controller_degrees"])
     if len(controller_degrees) != input_dim:
         raise ConfigError(
             f"need one controller degree per input dimension ({input_dim}), "
             f"got {len(controller_degrees)}"
         )
-    if not 0.0 < opts["beta"] < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {opts['beta']}")
 
     lipschitz = opts["lipschitz"]
     if lipschitz is None and plant_spec == "room-temp":
         lipschitz = raw["lipschitz"] = ROOM_LIPSCHITZ_DEFAULT
     if lipschitz is None:
         raise ConfigError("missing required key 'lipschitz' (no builtin default for this plant)")
-    if lipschitz <= 0:
-        raise ConfigError(f"lipschitz must be positive, got {lipschitz}")
 
     samples = opts["samples"]
     n_scenario = n_validation = auto = None
     if isinstance(samples, dict) and "auto" in samples:
         # on a copy: the planner's defaults are not echoed
         auto = AutoSamples(**_read(json.loads(json.dumps(samples)), _AUTO_SAMPLES, "samples")["auto"])
-        # the planner checks these too, for `bounds plan`'s flags
-        for key, ok, bound in (
-            ("start_scenario", auto.start_scenario >= 1, ">= 1"),
-            ("start_validation", auto.start_validation >= 1, ">= 1"),
-            ("growth", auto.growth > 1.0, "> 1"),
-            ("nstar_hat", auto.nstar_hat >= 0, ">= 0"),
-            ("khat", auto.khat is None or auto.khat < 0.0, "< 0 when given"),
-        ):
-            if not ok:
-                raise ConfigError(f"samples.auto.{key} must be {bound}, got {getattr(auto, key)}")
     else:
         n_scenario, n_validation = _read(samples, _FIXED_SAMPLES, "samples").values()
-        if n_scenario < 1 or n_validation < 1:
-            raise ConfigError("sample counts must be >= 1")
-
-    grids = GridSpec(**opts["grid_points"])
-    if min(grids.initial, grids.unsafe, grids.state) < 2:
-        raise ConfigError("grid_points entries must be >= 2")
 
     coeff_bounds = _read(opts["coeff_bounds"], _COEFF_BOUNDS, "coeff_bounds")
-    controller_bounds = tuple(_arrays(coeff_bounds["controller"], float, "coeff_bounds.controller"))
+    controller_bounds = tuple(coeff_bounds["controller"])
     if len(controller_bounds) != input_dim:
         raise ConfigError("need one controller coefficient bound per input dimension")
-    if min((coeff_bounds["barrier"], *controller_bounds)) <= 0:
-        raise ConfigError("coeff_bounds entries must be positive")
-
-    if opts["strict_margin"] < 0:
-        raise ConfigError("strict_margin must be non-negative")
 
     seeds = opts["seeds"]
-    for role, seed in seeds.items():
-        if seed < 0:
-            raise ConfigError(f"seeds.{role} must be >= 0, got {seed}")
     if seeds["scenario"] == seeds["validation"]:
         raise ConfigError(
             "scenario and validation seeds must differ (the validation data "
             "must be independent of the scenario data)"
         )
 
-    if opts["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
+    tolerances = LpTolerances(**opts["tolerances"])
+    if tolerances.activity < tolerances.feasibility:  # an accepted row counts toward N*
+        raise ConfigError(f"tolerances.activity must be >= tolerances.feasibility "
+                          f"({tolerances.feasibility!r}), got {tolerances.activity!r}")
 
     return SynthesisConfig(
         plant_spec=plant_spec,
@@ -350,10 +344,10 @@ def validate_config(data: dict) -> SynthesisConfig:
         n_scenario=n_scenario,
         n_validation=n_validation,
         auto_samples=auto,
-        grids=grids,
+        grids=GridSpec(**opts["grid_points"]),
         barrier_bound=coeff_bounds["barrier"],
         controller_bounds=controller_bounds,
-        tolerances=LpTolerances(**opts["tolerances"]),
+        tolerances=tolerances,
         seed_scenario=seeds["scenario"],
         seed_validation=seeds["validation"],
         raw=raw,

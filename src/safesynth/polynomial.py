@@ -12,6 +12,7 @@ evaluation and per-term derivative bounds, both linear in the coefficients.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,16 @@ class PolyBasis:
     @property
     def exponents(self) -> np.ndarray:
         return np.asarray(self.terms, dtype=int)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Per variable, each distinct non-zero exponent, ascending, with the
+        terms it multiplies: what `eval_basis_many` loops over."""
+        return tuple(
+            tuple((e, tuple(t for t, term in enumerate(self.terms) if term[j] == e))
+                  for e in sorted({term[j] for term in self.terms} - {0}))
+            for j in range(self.nvars)
+        )
 
 
 def build_basis(nvars: int, degree: int) -> PolyBasis:
@@ -130,12 +141,11 @@ def eval_basis_many(basis: PolyBasis, points: np.ndarray, order: str = "C") -> n
         raise PolynomialError(
             f"points of shape {points.shape} for a basis over {basis.nvars} variables"
         )
-    exps = basis.exponents
     out = np.ones((points.shape[0], len(basis)), dtype=float, order=order)
-    for j in range(basis.nvars):
-        for e in sorted(set(exps[:, j].tolist()) - {0}):
+    for j, factors in enumerate(basis.factors):
+        for e, terms in factors:
             p = power(points[:, j], e)
-            for t in np.flatnonzero(exps[:, j] == e):
+            for t in terms:
                 out[:, t] *= p
     return out
 

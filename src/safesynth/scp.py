@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import AssemblyError, SolverError
 from .geometry import Box, RegionUnion, box_grid, grid_halfstep
-from .lp import Cells, LpResult, LpStatus, PolyRows, RowStack, solve_dense_lp
+from .lp import Cells, LpResult, LpStatus, LpTolerances, PolyRows, RowStack, solve_dense_lp
 from .plant import Dataset
 from .polynomial import (
     PolyBasis,
@@ -494,9 +494,9 @@ def build_problem(
     input_a: np.ndarray,
     input_b: np.ndarray,
     horizon: int,
-    grids: GridSpec = GridSpec(),
-    eta: float = 1e-6,
-    tighten: bool = True,
+    grids: GridSpec,
+    eta: float,
+    tighten: bool,
 ) -> LpProblem:
     """Assemble the full scenario program for one collected dataset."""
     return sampled_problem(
@@ -659,29 +659,11 @@ def static_blocks(
     return np.vstack(blocks), np.concatenate(rhss), np.concatenate(tags)
 
 
-@dataclass(frozen=True)
-class LpTolerances:
-    feasibility: float = 1e-8
-    optimality: float = 1e-8
-    activity: float = 1e-7
-    pivot: float = 1e-11
-    max_iterations: int = 20000
-
-
 def solve_lp(problem: LpProblem, tolerances: LpTolerances = LpTolerances()) -> LpResult:
     """Solve the assembled program; at an optimum the record's
     `active_row_ids` are the rows within `tolerances.activity` of their
     bound."""
-    return solve_dense_lp(
-        problem.cost,
-        problem.G,
-        problem.h,
-        opt_tol=tolerances.optimality,
-        pivot_tol=tolerances.pivot,
-        feas_tol=tolerances.feasibility,
-        max_iter=tolerances.max_iterations,
-        activity_tol=tolerances.activity,
-    )
+    return solve_dense_lp(problem.cost, problem.G, problem.h, tolerances)
 
 
 def active_g3(problem: LpProblem, solution: LpResult) -> int:

@@ -119,11 +119,7 @@ def exact_support_count(problem, solution, tolerances=LpTolerances()):
         except AssemblyError:
             count += 1  # dropping the only sampled row unbounds the objective
             continue
-        res = solve_dense_lp(
-            sub.cost, sub.G, sub.h,
-            opt_tol=tolerances.optimality, pivot_tol=tolerances.pivot,
-            feas_tol=tolerances.feasibility, max_iter=tolerances.max_iterations,
-        )
+        res = solve_dense_lp(sub.cost, sub.G, sub.h, tolerances)
         if res.status != LpStatus.OPTIMAL or res.objective is None:
             count += 1  # removal made the program unbounded: infinite improvement
             continue

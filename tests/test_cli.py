@@ -604,6 +604,26 @@ def test_out_of_range_auto_samples_is_config_exit(tmp_path, capsys, command, key
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("key, value, desk", [
+    ("activity", -1.0, True),
+    ("activity", 0.0, False),
+    ("activity", 1e-9, False),  # below the feasibility tolerance, 1e-8
+    ("pivot", -1.0, False),
+    ("optimality", -1e-3, False),
+    ("max_iterations", 0, False),
+])
+def test_out_of_range_tolerance_is_config_exit(tmp_path, capsys, key, value, desk):
+    # these ran: at desk scale an activity of -1.0 counted no sampled row
+    # active and certified (exit 0), a negative pivot ended in a ValueError
+    # traceback (exit 1), and the others ended inconclusive (exit 2)
+    raw = room_casestudy_config(n_scenario=20_000, n_validation=10_000) if desk else small_raw()
+    raw["tolerances"] = {key: value}
+    cfg = write_config(tmp_path, raw)
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    assert f"tolerances.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_casestudy_command_reduced_size(tmp_path, capsys):
     rc = main(["casestudy", "--mode", "posterior", "--N", "3000", "--N0", "1500",
                "--out", str(tmp_path / "runs")])

@@ -331,7 +331,7 @@ def test_feasibility_probe_uses_shared_rows_not_copies(monkeypatch, infeasible):
     try:
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        feasible = probe(stack, h, 1e-8, 1e-9, 1e-11, 20000, 64)
+        feasible = probe(stack, h, lp.LpTolerances(optimality=1e-9), 64)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -447,7 +447,7 @@ def test_chunked_reduced_costs_are_those_of_one_mat_vec(monkeypatch, chunk, phas
     h = np.concatenate([h, [0.5, 0.25]])
     monkeypatch.setattr(lp, "_PRICE_CHUNK", chunk)
     scale = _pow2_column_scale(stack)
-    engine = lp._DualSimplex(stack, scale, h, np.ones(7), 1e-9, 1e-11, 64)
+    engine = lp._DualSimplex(stack, scale, h, np.ones(7), lp.LpTolerances(optimality=1e-9), 64)
     engine.basis[:4] = [3, 200, 209, 320]
     v = scale * rng.normal(size=7)
     expected = stack.matvec(v)
@@ -483,7 +483,7 @@ def test_nan_reduced_cost_fails_closed(monkeypatch, bland):
     values = np.full((1, 11), 0.5)
     values[0, 9] = 2.0
     stack = RowStack([([0], values, np.array([0.0, 2.0]))], 2)
-    engine = lp._DualSimplex(stack, np.ones(2), np.ones(11), np.ones(2), 1e-9, 1e-11, 64)
+    engine = lp._DualSimplex(stack, np.ones(2), np.ones(11), np.ones(2), lp.LpTolerances(optimality=1e-9), 64)
     engine._bland = bland
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             SolverError, match="NaN reduced cost of row 9") as err:
@@ -499,7 +499,7 @@ def test_entering_row_across_chunks(monkeypatch, bland, expected):
     G = np.zeros((11, 1))
     G[[1, 2, 9], 0] = [1.0, 3.0, 3.0]
     engine = lp._DualSimplex(RowStack.dense(G), np.ones(1), np.zeros(11), np.ones(1),
-                             1e-9, 1e-11, 64)
+                             lp.LpTolerances(optimality=1e-9), 64)
     engine._bland = bland
     assert engine._entering_row(np.ones(1), 2) == expected
 
@@ -618,7 +618,7 @@ def test_cell_bounds_are_sound_for_rows_at_box_corners(phase):
     cols, values, shared = stack.blocks[-1]
     cells = values.cells
     lo = stack.starts[-2]
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
     pruned = []
     for trial in range(60):
         v = rng.normal(size=8) * 10.0 ** rng.integers(-3, 13)
@@ -645,7 +645,7 @@ def test_screened_reduced_costs_are_those_of_the_mat_vec(monkeypatch, extra, pha
     ncells = len(cells.starts) - 1
     assert len(cells.order) % 4 == extra and cells.starts[-1] == len(cells.order)
     lo = stack.starts[-2]
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
     engine.basis[:3] = [lo + 5, lo + int(cells.order[0]), 3]
     v = rng.normal(size=8)
     products = stack.matvec(v)
@@ -719,7 +719,7 @@ def test_screened_entering_row_for_random_pricing_vectors(monkeypatch, bland, ne
     _, stack, _, h = _screened_lp(rng, 6001, grid=12, h_sampled=(
         lambda total: rng.uniform(-1.0, -0.999, size=total)) if near else None)
     lo = stack.starts[-2]
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
     engine._bland = bland
     sampled = 0
     for trial in range(200):
@@ -754,7 +754,7 @@ def test_screened_ties_enter_the_lowest_row(monkeypatch, bland, first_batch):
     lo = stack.starts[-2]
     cell_of = np.searchsorted(cells.starts, np.argsort(cells.order)[[10, 17, 1500, 2911]], "right")
     assert len(set(cell_of.tolist())) >= 3  # ties across cells
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
     engine._bland = bland
     v = np.zeros(8)
     assert engine._entering_row(v, 2) == lo + 10
@@ -772,10 +772,10 @@ def test_screened_entering_row_and_residual_are_those_of_one_mat_vec(extra):
     _, stack, _, h = _screened_lp(rng, 4000 + extra, corners=False,
                                   h_sampled=lambda total: np.r_[np.ones(total - 1), -2.0])
     assert (len(stack) - stack.starts[-2]) % 4 == extra
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
     assert engine._entering_row(np.zeros(8), 2) == len(stack) - 1
     _, stack, _, h = _screened_lp(rng, 4000 + extra, corners=False)
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
     active = 0
     for trial in range(80):
         v = rng.normal(size=8) * 10.0 ** rng.uniform(-2, 1)
@@ -806,7 +806,7 @@ def test_entering_row_with_a_block_after_the_cells(bland):
     stack = RowStack(stack.blocks + [(np.arange(8), rng.normal(size=(40, 8)).T)], 8)
     h = np.concatenate([h, rng.uniform(-1.0, 1.0, size=40)])
     lo, hi = stack.starts[-3:-1]
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
     engine._bland = bland
     where, later = [], 0
     for trial in range(300):
@@ -879,7 +879,7 @@ def test_non_finite_cell_bounds_price_their_cells_and_nan_fails_closed():
     v[[0, 5, 7]] = 1.7e308, -1.7e308, 1.7e308
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.all(cells.bounds(v[cols], float(shared @ v), 2) == -np.inf)
-        engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), 1e-9, 1e-11, 64)
+        engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
         with pytest.raises(SolverError, match="NaN reduced cost of row") as err:
             engine._entering_row(v, 2)
         r = _reduced_costs(engine, v, 2)

@@ -553,10 +553,7 @@ def test_desk_scale_pivot_path_pinned():
     ))
     _, problem = scenario_problem(config)
     tol = config.tolerances
-    res = solve_dense_lp(
-        problem.cost, problem.G, problem.h, opt_tol=tol.optimality,
-        pivot_tol=tol.pivot, feas_tol=tol.feasibility, max_iter=tol.max_iterations,
-    )
+    res = solve_dense_lp(problem.cost, problem.G, problem.h, tol)
     assert res.objective.hex() == "-0x1.6cba804a7e6e3p-2"
     assert (res.iterations, res.degenerate_steps) == (65, 32)
     assert res.basis_rows.tolist() == [
@@ -640,10 +637,7 @@ def test_activity_and_violation_come_from_the_solver_residual(small_solved):
     config, _, problem, solution = small_solved
     tol = config.tolerances
     resid = problem.residuals(solution.z)
-    res = solve_dense_lp(
-        problem.cost, problem.G, problem.h, opt_tol=tol.optimality,
-        pivot_tol=tol.pivot, feas_tol=tol.feasibility, max_iter=tol.max_iterations,
-    )
+    res = solve_dense_lp(problem.cost, problem.G, problem.h, tol)
     assert np.array_equal(res.active_row_ids, np.flatnonzero(np.abs(resid) <= 1e-7))
     assert res.max_violation == max(float(np.max(resid)), 0.0)
     assert np.array_equal(
@@ -662,10 +656,7 @@ def test_stack_pivots_like_its_dense_matrix(seed):
     _, problem = scenario_problem(config)
     tol = config.tolerances
     results = [
-        solve_dense_lp(
-            problem.cost, G, problem.h, opt_tol=tol.optimality, pivot_tol=tol.pivot,
-            feas_tol=tol.feasibility, max_iter=tol.max_iterations,
-        )
+        solve_dense_lp(problem.cost, G, problem.h, tol)
         for G in (problem.G, np.asarray(problem.G))
     ]
     stacked, dense = results

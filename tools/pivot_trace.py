@@ -36,9 +36,10 @@ N % 4 != 0), `rows_priced` may differ too: those rows then join their cells
 and are priced only when their cells are.
 
 With `unbounded` or `infeasible` in place of N, the case is a 50,000-row
-program whose sampled-like block carries a shared row and whose solve ends
-in the feasibility probe (`lp._primal_feasible`): unbounded, or infeasible
-through two contradicting rows.  Its line gives the status, the counts and
+program whose sampled-like block carries a shared row and whose solve, at
+the `lp.LpTolerances()` defaults, ends in the feasibility probe
+(`lp._primal_feasible`): unbounded, or infeasible through two contradicting
+rows.  Its line gives the status, the counts and
 rows priced of the solve, the sha256 of every working set of the solve and
 of the probe's solve, the probe's verdict, and `makes` and `rows_made`
 (0: its blocks are stored).

@@ -22,7 +22,6 @@ any dimension and the plot CSVs only when the state and the input are 1-D.
 """
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import datetime
@@ -229,7 +228,7 @@ def _cmd_collect(args, argv) -> int:
     seed = args.dataset_seed if args.dataset_seed is not None else (
         config.seed_scenario if role is Role.SCENARIO else config.seed_validation
     )
-    with contextlib.closing(make_plant(config.plant_spec)) as plant:
+    with make_plant(config.plant_spec) as plant:
         dataset = collect(plant, config.space(), args.count, seed, role)
     save_dataset(dataset, args.output)
     print(f"wrote {len(dataset)} samples to {args.output}")
@@ -311,7 +310,7 @@ def _cmd_verify(args, argv) -> int:
     cert = report.certificate
     _check_certificate(cert, config)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.report))
-    with contextlib.closing(make_plant(config.plant_spec)) as plant:
+    with make_plant(config.plant_spec) as plant:
         conditions = check_cbf_conditions(
             cert, plant, config.initial_region, config.unsafe_region,
             config.state_box, config.input_box, config.horizon,
@@ -373,7 +372,7 @@ def _cmd_casestudy(args, argv) -> int:
     report = prior_synthesize(config, args.eps) if args.mode == "prior" else synthesize(config)
     exit_code = _finish_run(run_dir, report)
     if report.certificate is not None:
-        with contextlib.closing(make_plant(config.plant_spec)) as plant:
+        with make_plant(config.plant_spec) as plant:
             emit_plot_data(report.certificate, plant, config.state_box, config.input_box, run_dir)
     return exit_code
 

@@ -51,7 +51,7 @@ from .errors import (
     SolverError,
 )
 from .geometry import GENERATOR_NAME, Box, RegionUnion, SampleSpace, u_inverse
-from .plant import BlackBoxSystem, Role, collect, make_plant
+from .plant import BUILTIN_PLANTS, BlackBoxSystem, Role, collect, make_plant
 from .polynomial import build_basis
 from .scp import (
     CertificateValues,
@@ -68,8 +68,6 @@ from .scp import (
     static_blocks,
 )
 from .verify import KNIFE_EDGE_TOL, estimate_lipschitz, knife_edge_count, violation_frequency
-
-ROOM_LIPSCHITZ_DEFAULT = 11.63
 
 _REQUIRED = object()
 
@@ -137,26 +135,26 @@ _COEFF_BOUNDS = {"barrier": (float, _REQUIRED, _above(0)),
 _JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", list: "array"}
 
 
-def _typed(value, kind: type, name: str, rule=None, path: str | None = None):
+def _typed(value, kind: type, path: str, rule=None):
     """`value` as `kind`, which must be its JSON type: a boolean for bool, an
     integer (not a boolean) for int, any finite number (not a boolean) for
-    float; outside the range `rule` it is an error naming `path` (or `name`)."""
+    float, in the range `rule`; errors name the key by its dotted `path`."""
     allowed = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-        raise ConfigError(f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+        raise ConfigError(f"{path} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
     if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     if rule is not None and not rule[0](kind(value)):
-        raise ConfigError(f"{path or name} must be {rule[1]}, got {value!r}")
+        raise ConfigError(f"{path} must be {rule[1]}, got {value!r}")
     return kind(value)
 
 
-def _arrays(value, kind: type, name: str, depth: int = 1, rule=None):
+def _arrays(value, kind: type, path: str, depth: int = 1, rule=None):
     """`value` as JSON arrays nested `depth` deep, with `kind` values (see
     `_typed`) in the range `rule` innermost."""
     if depth == 0:
-        return _typed(value, kind, name, rule)
-    return [_arrays(v, kind, name, depth - 1, rule) for v in _typed(value, list, name)]
+        return _typed(value, kind, path, rule)
+    return [_arrays(v, kind, path, depth - 1, rule) for v in _typed(value, list, path)]
 
 
 def _read(mapping, table: dict, where: str) -> dict:
@@ -176,12 +174,12 @@ def _read(mapping, table: dict, where: str) -> dict:
             continue
         kind, default, rule = entry
         if key not in mapping and default is _REQUIRED:
-            raise ConfigError(f"missing required key '{key}' in {where}")
+            raise ConfigError(f"missing required key {path}")
         value = mapping.setdefault(key, default)
         if isinstance(kind, list):
             value = _arrays(value, kind[0], path, rule=rule)
         elif kind is not None and not (value is None and default is None):
-            value = _typed(value, kind, f"'{key}' in {where}", rule, path)
+            value = _typed(value, kind, path, rule)
         out[key] = value
     return out
 
@@ -265,12 +263,13 @@ def validate_config(data: dict) -> SynthesisConfig:
     opts = _read(raw, _DEFAULTS, "configuration")
 
     plant_spec = opts["plant"]
+    builtin = BUILTIN_PLANTS.get(plant_spec) if isinstance(plant_spec, str) else None
     if isinstance(plant_spec, dict):
         _, state_dim, input_dim = _read(plant_spec, _PLANT_COMMAND, "plant").values()
-    elif plant_spec == "room-temp":
-        state_dim = input_dim = 1
-    else:
+    elif builtin is None:
         raise ConfigError(f"unknown plant {plant_spec!r}")
+    else:
+        state_dim, input_dim = builtin.state_dim, builtin.input_dim
 
     try:
         state_box = Box.from_intervals(_arrays(opts["state_space"], float, "state_space", 2))
@@ -303,10 +302,10 @@ def validate_config(data: dict) -> SynthesisConfig:
         )
 
     lipschitz = opts["lipschitz"]
-    if lipschitz is None and plant_spec == "room-temp":
-        lipschitz = raw["lipschitz"] = ROOM_LIPSCHITZ_DEFAULT
     if lipschitz is None:
-        raise ConfigError("missing required key 'lipschitz' (no builtin default for this plant)")
+        if builtin is None:
+            raise ConfigError("missing required key lipschitz (no builtin default for this plant)")
+        lipschitz = raw["lipschitz"] = builtin.lipschitz
 
     samples = opts["samples"]
     n_scenario = n_validation = auto = None
@@ -489,7 +488,7 @@ def _plant_scope(config: SynthesisConfig, plant: BlackBoxSystem | None):
     """`with` scope of a plant: the caller's stays open, one made here is closed."""
     if plant is not None:
         return contextlib.nullcontext(plant)
-    return contextlib.closing(make_plant(config.plant_spec))
+    return make_plant(config.plant_spec)
 
 
 def resolve_sample_sizes(config: SynthesisConfig, plant: BlackBoxSystem | None = None) -> tuple[int, int, PlanResult | None]:

@@ -1,13 +1,14 @@
 """Black-box plants, the built-in room-temperature system, and datasets.
 
-The synthesis path only ever sees a plant through `step`: initialise at x,
-apply u, observe the next state.  The built-in room model
+Every caller queries a plant through `step_batch` (initialise at each x,
+apply its u, observe the next states) and closes it with `with`.  The room model
 
     x(t+1) = x(t) + tau * (a_env * (T_env - x(t)) + a_heat * (T_heat - x(t)) * u(t))
 
 is the single-room heater loop with an outside temperature of 15 degrees and
 a 45-degree heater, sampled every 5 time units.  External plants are driven
-over a line-oriented child-process protocol so user models stay opaque.
+over a line-oriented child-process protocol so user models stay opaque; a
+child that exits mid-run is a `CollectionError`, never silently restarted.
 
 Datasets are stored as plain CSV, one sample per row
 ``x1,...,xn,u1,...,um,x'1,...,x'n``, preceded by one metadata comment line
@@ -51,11 +52,13 @@ def step_room(x: float, u: float):
 class BlackBoxSystem:
     """Deterministic simulate-only system: (x, u) -> x'.
 
-    `reentrant` declares that step may be issued from several workers at once;
-    external-process plants are not, so they are always queried sequentially.
+    `step_batch` is the one query callers make.  Its default asks `step` for
+    each sample in order and stops at the first that raises `CollectionError`
+    or returns a non-finite state, naming that sample.  `reentrant` declares
+    that the plant may be queried from several processes at once; it only
+    decides whether `repeat` runs in worker processes.  `with` closes the plant.
     """
 
-    name = "blackbox"
     reentrant = False
 
     def __init__(self, state_dim: int, input_dim: int):
@@ -68,24 +71,32 @@ class BlackBoxSystem:
     def step_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
         out = np.empty_like(np.asarray(xs, dtype=float))
         for i in range(len(xs)):
-            out[i] = self.step(xs[i], us[i])
+            try:
+                out[i] = self.step(xs[i], us[i])
+            except CollectionError as exc:
+                raise CollectionError(f"sample {i}: {exc}") from exc
+            if not np.all(np.isfinite(out[i])):
+                raise CollectionError(f"simulator returned non-finite state at sample {i}")
         return out
 
     def close(self):
         pass
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
 
 class RoomTemperaturePlant(BlackBoxSystem):
-    name = "room-temp"
+    name = "room-temp"  # the configuration's `plant` value
     reentrant = True
+    state_dim = input_dim = 1
+    lipschitz = 11.63  # the configuration's `lipschitz` when it gives none
 
     def __init__(self):
-        super().__init__(state_dim=1, input_dim=1)
-
-    def step(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return np.atleast_1d(step_room(x[0], u[0]))
+        super().__init__(self.state_dim, self.input_dim)
 
     def step_batch(self, xs, us):
         xs = np.asarray(xs, dtype=float)
@@ -98,11 +109,11 @@ class ExternalProcessPlant(BlackBoxSystem):
 
     Per query one line ``x1 ... xn u1 ... um`` is written to the child's
     stdin (flushed), and one line of n floats is read back as the next state.
-    The process is spawned lazily on first use and queried strictly
-    sequentially.
+    The process is spawned on first use, and again only after `close`, and
+    queried strictly sequentially.  A child that has exited fails every
+    later query with a `CollectionError` naming its exit status.
     """
 
-    name = "external"
     reentrant = False
 
     def __init__(self, command: Sequence[str], state_dim: int, input_dim: int):
@@ -113,7 +124,7 @@ class ExternalProcessPlant(BlackBoxSystem):
         self._proc: subprocess.Popen | None = None
 
     def _ensure_proc(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
@@ -121,6 +132,9 @@ class ExternalProcessPlant(BlackBoxSystem):
                 text=True,
                 bufsize=1,
             )
+        elif self._proc.poll() is not None:
+            raise CollectionError(f"external plant {shlex.join(self.command)} exited "
+                                  f"with status {self._proc.returncode}")
         return self._proc
 
     def step(self, x, u):
@@ -160,12 +174,6 @@ class ExternalProcessPlant(BlackBoxSystem):
             if self._proc.stdout is not None:
                 self._proc.stdout.close()
             self._proc = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 class Role(str, enum.Enum):
@@ -228,7 +236,7 @@ def collect(
     seed: int,
     role: Role = Role.SCENARIO,
 ) -> Dataset:
-    """Sample (x, u) uniformly, query the simulator once per pair.
+    """Sample (x, u) uniformly, query the simulator for all pairs in one `step_batch`.
 
     Deterministic for fixed (space, count, seed).  Simulator failures are
     reported with the failing sample index; nothing partial is returned.
@@ -244,20 +252,10 @@ def collect(
     coords = sample_uniform(space, count, seed).T  # one contiguous row per coordinate
     xs = coords[:n].T
     us = coords[n:].T
-    if system.reentrant:
-        x_nexts = np.asarray(system.step_batch(xs, us), dtype=float)
-        bad = np.flatnonzero(~np.all(np.isfinite(x_nexts), axis=1))
-        if bad.size:
-            raise CollectionError(f"simulator returned non-finite state at sample {bad[0]}")
-    else:
-        x_nexts = np.empty_like(xs)
-        for i in range(count):
-            try:
-                x_nexts[i] = system.step(xs[i], us[i])
-            except CollectionError as exc:
-                raise CollectionError(f"sample {i}: {exc}") from exc
-            if not np.all(np.isfinite(x_nexts[i])):
-                raise CollectionError(f"simulator returned non-finite state at sample {i}")
+    x_nexts = np.asarray(system.step_batch(xs, us), dtype=float)
+    bad = np.flatnonzero(~np.all(np.isfinite(x_nexts), axis=1))
+    if bad.size:
+        raise CollectionError(f"simulator returned non-finite state at sample {bad[0]}")
     return Dataset(xs, us, x_nexts, seed=seed, role=role, space=space)
 
 
@@ -486,12 +484,15 @@ def load_dataset(path: str) -> Dataset:
     return Dataset(arr[:, :n], arr[:, n : n + m], arr[:, n + m :], seed, role, space)
 
 
+BUILTIN_PLANTS = {RoomTemperaturePlant.name: RoomTemperaturePlant}
+
+
 def make_plant(name_or_spec) -> BlackBoxSystem:
     """Resolve the plant declared in configuration: builtin name or command."""
     if isinstance(name_or_spec, str):
-        if name_or_spec == RoomTemperaturePlant.name:
-            return RoomTemperaturePlant()
-        raise CollectionError(f"unknown builtin plant {name_or_spec!r}")
+        if name_or_spec not in BUILTIN_PLANTS:
+            raise CollectionError(f"unknown builtin plant {name_or_spec!r}")
+        return BUILTIN_PLANTS[name_or_spec]()
     spec = dict(name_or_spec)
     return ExternalProcessPlant(
         spec["command"], state_dim=spec["state_dim"], input_dim=spec["input_dim"]

@@ -179,7 +179,7 @@ def simulate_closed_loop(
         clamped = np.clip(u, input_box.lower_arr, input_box.upper_arr)
         if not np.array_equal(u, clamped):
             clamps += 1
-        x = np.asarray(plant.step(x, clamped), dtype=float)
+        x = np.asarray(plant.step_batch(x[None], clamped[None]), dtype=float)[0]
         states.append(x.copy())
     arr = np.asarray(states)
     safe = not any(unsafe_region.contains_point(s) for s in arr)

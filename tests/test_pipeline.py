@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ def test_config_rejects_non_finite_numbers(tmp_path, path, value):
     for key in path[:-1]:
         section = section.setdefault(key, {})
     section[path[-1]] = value
-    with pytest.raises(ConfigError, match=f"'{path[-1]}'.*finite"):
+    with pytest.raises(ConfigError, match=rf"^{re.escape('.'.join(path))} .*finite"):
         validate_config(raw)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))  # NaN and Infinity literals, as Python's json reads them

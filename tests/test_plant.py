@@ -9,6 +9,7 @@ import pytest
 from safesynth import plant as plant_module
 from safesynth.errors import CollectionError, DatasetFormatError, GeometryError
 from safesynth.plant import (
+    BlackBoxSystem,
     Dataset,
     ExternalProcessPlant,
     Role,
@@ -263,6 +264,77 @@ def test_external_process_plant_failure_names_index(tmp_path, room_space):
     with ExternalProcessPlant([sys.executable, str(script)], 1, 1) as ext:
         with pytest.raises(CollectionError, match="sample \\d+"):
             collect(ext, room_space, 10, 5)
+
+
+def test_external_child_that_exits_mid_run_is_not_restarted(tmp_path):
+    # a dataset must come from one child: the one that answered first
+    script = tmp_path / "three_answers.py"
+    script.write_text("import sys\nfor _ in range(3):\n"
+                      "    print(sys.stdin.readline().split()[0], flush=True)\n")
+    with ExternalProcessPlant([sys.executable, str(script)], 1, 1) as ext:
+        for _ in range(3):
+            ext.step(np.array([20.0]), np.array([0.5]))
+        ext._proc.wait(timeout=10)
+        with pytest.raises(CollectionError, match="exited with status 0"):
+            ext.step(np.array([20.0]), np.array([0.5]))
+
+
+def test_with_make_plant_ends_the_external_child(tmp_path):
+    script = tmp_path / "plant.py"
+    script.write_text(EXTERNAL_PLANT_SCRIPT)
+    spec = {"command": [sys.executable, str(script)], "state_dim": 1, "input_dim": 1}
+    with make_plant(spec) as ext:
+        ext.step(np.array([20.0]), np.array([0.5]))
+        child = ext._proc
+        assert child.poll() is None
+    assert child.poll() is not None
+
+
+class _BatchOnlyPlant(BlackBoxSystem):
+    """A non-reentrant plant with its own `step_batch`, which counts its calls;
+    it has no `step`."""
+
+    def __init__(self):
+        super().__init__(state_dim=1, input_dim=1)
+        self.batches = 0
+
+    def step_batch(self, xs, us):
+        self.batches += 1
+        return step_room(xs, us)
+
+
+def test_collect_queries_a_non_reentrant_plant_through_its_step_batch(room_space):
+    plant = _BatchOnlyPlant()
+    data = collect(plant, room_space, 100, 3)
+    assert plant.batches == 1
+    assert np.array_equal(data.x_nexts, step_room(data.xs, data.us))
+
+
+class _FaultyPlant(BlackBoxSystem):
+    """A per-sample plant whose query `fault_at` raises or returns NaN."""
+
+    def __init__(self, fault_at: int, fault: str):
+        super().__init__(state_dim=1, input_dim=1)
+        self.fault_at, self.fault, self.queries = fault_at, fault, 0
+
+    def step(self, x, u):
+        self.queries += 1
+        if self.queries - 1 == self.fault_at:
+            if self.fault == "raise":
+                raise CollectionError("simulator crashed")
+            return np.array([np.nan])
+        return np.atleast_1d(step_room(x[0], u[0]))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("raise", "^sample 7: simulator crashed$"),
+    ("nan", "^simulator returned non-finite state at sample 7$"),
+])
+def test_collect_stops_a_per_sample_plant_at_its_first_fault(room_space, fault, message):
+    plant = _FaultyPlant(7, fault)
+    with pytest.raises(CollectionError, match=message):
+        collect(plant, room_space, 20, 1)
+    assert plant.queries == 8
 
 
 def test_make_plant_rejects_unknown_name():

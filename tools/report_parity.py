@@ -1,6 +1,7 @@
 """Write the timing-free reports of a fixed set of runs, for comparing two trees.
 
-Usage (from the root of a source checkout):
+Usage (from the root of a source checkout, whose `benchmarks/child_plant.py`
+the `external` case runs):
 
     python3 tools/report_parity.py OUT_DIR
 
@@ -29,7 +30,11 @@ The `plan_khat` case runs `plan --out` on the small configuration with
 planner's pass/fail decision at each (N, N0) it tried.
 The `verify` case runs `verify --report` on the `small` case's report with
 reduced grids and keeps `verify.json`, its plot paths cut to file names,
-and the sha256 of the plot CSVs.
+and the sha256 of the plot CSVs.  The `external` case runs `synthesize` on
+the small configuration with the plant `{command: [python,
+benchmarks/child_plant.py], state_dim: 1, input_dim: 1}`: the room dynamics
+in a child process, queried one line at a time, the path of every plant
+that is not reentrant.
 """
 
 import contextlib
@@ -74,6 +79,8 @@ CASES = {
                          _small_room()),
     "plan_khat": (["plan"], _small_room(samples={"auto": {
         "khat": -0.149, "nstar_hat": 1, "start_scenario": 1000, "start_validation": 500}})),
+    "external": (["synthesize"], _small_room(plant={
+        "command": ["python", "benchmarks/child_plant.py"], "state_dim": 1, "input_dim": 1})),
 }
 VERIFY_SOURCE = "small"  # the case whose report the `verify` case checks
 VERIFY_FLAGS = ["--region-points", "401", "--step-points", "61", "--trajectory-grid", "101"]

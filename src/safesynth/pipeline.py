@@ -563,12 +563,22 @@ def _snap_growth_budget(cert: CertificateValues, horizon: int) -> CertificateVal
     return dataclasses.replace(cert, growth_budget=budget)
 
 
-def _inconclusive(fields: dict, cause: str, t0: float, error: Exception | None = None) -> CertificateReport:
-    """The report of a run that stopped early, with the fields gathered so far."""
-    fields["timings"]["total"] = time.perf_counter() - t0
+def _inconclusive(report: CertificateReport, cause: str, error: Exception | None = None) -> CertificateReport:
+    """`report`, ended early by `cause`, with `error`'s message as a warning."""
+    report.failure_cause = cause
     if error is not None:
-        fields["warnings"].append(str(error))
-    return CertificateReport(verdict="inconclusive", failure_cause=cause, **fields)
+        report.warnings.append(str(error))
+    return report
+
+
+@contextlib.contextmanager
+def _stage(timings: dict, name: str):
+    """Record the wall time of the block as `timings[name]`, also when it returns or raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = time.perf_counter() - start
 
 
 def _run(
@@ -589,142 +599,126 @@ def _run(
     samples give kappa* and eps = 1 - kappa*; the validation data are
     collected with the scenario data, so a failing plant stops the run
     before the LP is solved.  With `eps` (prior) it is taken as given.
+    The one report is filled in as the stages finish; an early exit returns
+    it inconclusive, timed for each stage entered, then `total`.
     """
     posterior = eps is None
     if posterior and seeds["scenario"] == seeds["validation"]:
         raise ConfigError("scenario and validation seeds must differ")
     space = config.space()
     layout = config.layout()
-    timings: dict[str, float] = {}
-    warnings = list(warnings or [])
-    fields = {
-        "method": "posterior" if posterior else "prior",
-        "n_scenario": n_scenario,
-        "n_validation": n_validation,
-        "eps": eps,
-        "lipschitz": config.lipschitz,
-        "beta": config.beta,
-        "seeds": seeds,
-        "solver": {},
-        "timings": timings,
-        "warnings": warnings,
-        "config": config.raw,
-        "config_sha256": config.sha256(),
-    }
-
-    t0 = time.perf_counter()
-    validation = None
-    try:
-        scenario = collect(plant, space, n_scenario, seeds["scenario"], Role.SCENARIO)
-        if posterior:
-            validation = collect(plant, space, n_validation, seeds["validation"], Role.VALIDATION)
-    except CollectionError as exc:
-        timings["collect"] = time.perf_counter() - t0
-        return _inconclusive(fields, "dataset_error", t0, exc)
-    if dataset_sink is not None:
-        dataset_sink(scenario, validation)
-    timings["collect"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    if static is None:
-        problem = build_problem(layout, scenario, *_row_inputs(config))
-    else:
-        problem = sampled_problem(layout, static, scenario)
-    del scenario  # the problem holds its rows, or views of (x, x') to make them from
-    timings["assemble"] = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    try:
-        solution = solve_lp(problem, config.tolerances)
-    except SolverError as exc:
-        timings["solve"] = time.perf_counter() - t2
-        summary = {} if exc.result is None else _solver_summary(exc.result, None)
-        fields["solver"] = {**summary, "status": exc.status, "error": str(exc)}
-        return _inconclusive(fields, f"lp_{exc.status}", t0, exc)
-    timings["solve"] = time.perf_counter() - t2
-    if solution.status != LpStatus.OPTIMAL:
-        fields["solver"] = _solver_summary(solution, None)
-        return _inconclusive(fields, f"lp_{solution.status.value}", t0)
-
-    support_bound = active_g3(problem, solution)
-    fields.update(
-        support_bound=support_bound,
-        margin_objective=solution.objective,
-        solver=_solver_summary(solution, support_bound),
+    report = CertificateReport(
+        method="posterior" if posterior else "prior",
+        verdict="inconclusive",
+        n_scenario=n_scenario,
+        n_validation=n_validation,
+        eps=eps,
+        lipschitz=config.lipschitz,
+        beta=config.beta,
+        seeds=seeds,
+        solver={},
+        timings={},
+        warnings=list(warnings or []),
+        config=config.raw,
+        config_sha256=config.sha256(),
     )
-    certificate = _snap_growth_budget(
-        CertificateValues.from_vector(layout, solution.z), config.horizon
-    )
-    if certificate is None:
-        return _inconclusive(fields, "corridor_negative", t0)
-    fields["certificate"] = certificate
-    if solution.degenerate_steps > 0:
-        warnings.append(
-            f"{solution.degenerate_steps} degenerate pivot(s): the optimum may be non-unique"
-        )
+    warnings = report.warnings
+    stage = functools.partial(_stage, report.timings)
 
-    if posterior:
-        t3 = time.perf_counter()
-        violations, residuals = violation_frequency(certificate, validation)
-        knife = knife_edge_count(residuals)
-        if knife:
-            warnings.append(f"{knife} validation residual(s) within {KNIFE_EDGE_TOL:g} of zero")
-        fields.update(
-            violations=violations,
-            knife_edges=knife,
-            violation_detail=[
-                {"index": int(i), "residual": float(residuals[i])}
-                for i in np.flatnonzero(residuals > KNIFE_EDGE_TOL)
-            ],
-        )
-        timings["validate"] = time.perf_counter() - t3
+    with stage("total"):
+        validation = None
+        with stage("collect"):
+            try:
+                scenario = collect(plant, space, n_scenario, seeds["scenario"], Role.SCENARIO)
+                if posterior:
+                    validation = collect(plant, space, n_validation, seeds["validation"], Role.VALIDATION)
+            except CollectionError as exc:
+                return _inconclusive(report, "dataset_error", exc)
+            if dataset_sink is not None:
+                dataset_sink(scenario, validation)
 
-        t4 = time.perf_counter()
-        try:
-            kappa = solve_kappa(
-                PosteriorInputs(n_scenario, n_validation, support_bound, violations, config.beta)
+        with stage("assemble"):
+            if static is None:
+                problem = build_problem(layout, scenario, *_row_inputs(config))
+            else:
+                problem = sampled_problem(layout, static, scenario)
+            del scenario  # the problem holds its rows, or views of (x, x') to make them from
+
+        with stage("solve"):
+            try:
+                solution = solve_lp(problem, config.tolerances)
+            except SolverError as exc:
+                summary = {} if exc.result is None else _solver_summary(exc.result, None)
+                report.solver = {**summary, "status": exc.status, "error": str(exc)}
+                return _inconclusive(report, f"lp_{exc.status}", exc)
+        if solution.status != LpStatus.OPTIMAL:
+            report.solver = _solver_summary(solution, None)
+            return _inconclusive(report, f"lp_{solution.status.value}")
+
+        support_bound = report.support_bound = active_g3(problem, solution)
+        report.margin_objective = solution.objective
+        report.solver = _solver_summary(solution, support_bound)
+        certificate = _snap_growth_budget(
+            CertificateValues.from_vector(layout, solution.z), config.horizon
+        )
+        if certificate is None:
+            return _inconclusive(report, "corridor_negative")
+        report.certificate = certificate
+        if solution.degenerate_steps > 0:
+            warnings.append(
+                f"{solution.degenerate_steps} degenerate pivot(s): the optimum may be non-unique"
             )
-        except KappaBracketError as exc:
-            timings["bounds"] = time.perf_counter() - t4
-            return _inconclusive(fields, "kappa_vacuous", t0, exc)
-        timings["bounds"] = time.perf_counter() - t4
-        fields["kappa"] = float(kappa)
-        eps = 1.0 - kappa
 
-    slack = config.lipschitz * u_inverse(eps, space)
-    margin = float(solution.objective + slack)
-    fields.update(eps=float(eps), margin=margin, margin_slack=float(slack))
+        if posterior:
+            with stage("validate"):
+                violations, residuals = violation_frequency(certificate, validation)
+                knife = report.knife_edges = knife_edge_count(residuals)
+                if knife:
+                    warnings.append(f"{knife} validation residual(s) within {KNIFE_EDGE_TOL:g} of zero")
+                report.violations = violations
+                report.violation_detail = [
+                    {"index": int(i), "residual": float(residuals[i])}
+                    for i in np.flatnonzero(residuals > KNIFE_EDGE_TOL)
+                ]
+            with stage("bounds"):
+                try:
+                    kappa = solve_kappa(
+                        PosteriorInputs(n_scenario, n_validation, support_bound, violations, config.beta)
+                    )
+                except KappaBracketError as exc:
+                    return _inconclusive(report, "kappa_vacuous", exc)
+            report.kappa = float(kappa)
+            eps = 1.0 - kappa
 
-    refuted = False
-    if config.estimate_lipschitz:
-        est = estimate_lipschitz(certificate, plant, space, seed=derive_seed(seeds["scenario"], 99))
-        refuted = est > config.lipschitz
-        if refuted:
+        slack = config.lipschitz * u_inverse(eps, space)
+        margin = report.margin = float(solution.objective + slack)
+        report.eps, report.margin_slack = float(eps), float(slack)
+
+        refuted = False
+        if config.estimate_lipschitz:
+            est = estimate_lipschitz(certificate, plant, space, seed=derive_seed(seeds["scenario"], 99))
+            refuted = est > config.lipschitz
             warnings.append(
                 f"empirical Lipschitz lower bound {est:.4g} exceeds the configured "
-                f"bound {config.lipschitz:.4g}; the certificate is NOT trustworthy"
-            )
-        else:
-            warnings.append(
-                f"empirical Lipschitz lower bound {est:.4g} (configured {config.lipschitz:.4g}); "
-                "this check cannot validate the configured bound"
+                f"bound {config.lipschitz:.4g}; the certificate is NOT trustworthy" if refuted
+                else f"empirical Lipschitz lower bound {est:.4g} (configured "
+                f"{config.lipschitz:.4g}); this check cannot validate the configured bound"
             )
 
-    if refuted:  # the plant refutes the configured L: the margin K* + L Uinv(eps) proves nothing
-        verdict, cause = "inconclusive", "lipschitz_refuted"
-    else:
-        verdict = "certified" if margin <= 0.0 else "inconclusive"
-        cause = None if verdict == "certified" else "margin_positive"
-    if not config.tighten:
-        warnings.append(
-            "grid tightening disabled: robust rows hold at grid points only, "
-            "so this report is non-certifying"
-        )
-        if verdict == "certified":
-            verdict = "inconclusive"
-            cause = "tightening_disabled"
-    timings["total"] = time.perf_counter() - t0
-    return CertificateReport(verdict=verdict, failure_cause=cause, **fields)
+        if refuted:  # the plant refutes the configured L: the margin K* + L Uinv(eps) proves nothing
+            report.failure_cause = "lipschitz_refuted"
+        elif margin <= 0.0:
+            report.verdict = "certified"
+        else:
+            report.failure_cause = "margin_positive"
+        if not config.tighten:
+            warnings.append(
+                "grid tightening disabled: robust rows hold at grid points only, "
+                "so this report is non-certifying"
+            )
+            if report.certified:
+                report.verdict, report.failure_cause = "inconclusive", "tightening_disabled"
+        return report
 
 
 def synthesize(

@@ -53,10 +53,12 @@ class BlackBoxSystem:
     """Deterministic simulate-only system: (x, u) -> x'.
 
     `step_batch` is the one query callers make.  Its default asks `step` for
-    each sample in order and stops at the first that raises `CollectionError`
-    or returns a non-finite state, naming that sample.  `reentrant` declares
-    that the plant may be queried from several processes at once; it only
-    decides whether `repeat` runs in worker processes.  `with` closes the plant.
+    each sample in order and stops at the first that raises `CollectionError`,
+    returns other than `state_dim` values (a scalar for one state variable
+    is one value) or returns a non-finite state, naming that sample.
+    `reentrant` declares that the plant may be queried from several
+    processes at once; it only decides whether `repeat` runs in worker
+    processes.  `with` closes the plant.
     """
 
     reentrant = False
@@ -72,9 +74,12 @@ class BlackBoxSystem:
         out = np.empty_like(np.asarray(xs, dtype=float))
         for i in range(len(xs)):
             try:
-                out[i] = self.step(xs[i], us[i])
+                x_next = np.ravel(self.step(xs[i], us[i]))
+                if x_next.size != self.state_dim:
+                    raise CollectionError(f"step returned {x_next.size} values, expected {self.state_dim}")
             except CollectionError as exc:
                 raise CollectionError(f"sample {i}: {exc}") from exc
+            out[i] = x_next
             if not np.all(np.isfinite(out[i])):
                 raise CollectionError(f"simulator returned non-finite state at sample {i}")
         return out
@@ -239,7 +244,8 @@ def collect(
     """Sample (x, u) uniformly, query the simulator for all pairs in one `step_batch`.
 
     Deterministic for fixed (space, count, seed).  Simulator failures are
-    reported with the failing sample index; nothing partial is returned.
+    reported with the failing sample index, and an answer that is not
+    (count, state_dim) with both shapes; nothing partial is returned.
     """
     if count < 1:
         raise GeometryError(f"collect needs count >= 1, got {count}")
@@ -253,6 +259,8 @@ def collect(
     xs = coords[:n].T
     us = coords[n:].T
     x_nexts = np.asarray(system.step_batch(xs, us), dtype=float)
+    if x_nexts.shape != xs.shape:
+        raise CollectionError(f"simulator answered with shape {x_nexts.shape}, expected {xs.shape}")
     bad = np.flatnonzero(~np.all(np.isfinite(x_nexts), axis=1))
     if bad.size:
         raise CollectionError(f"simulator returned non-finite state at sample {bad[0]}")

@@ -403,40 +403,23 @@ def structural_rows(layout: DecisionLayout, horizon: int) -> tuple[np.ndarray, n
     """floor - cap >= budget * T, budget >= 0, and the linearised norm caps."""
     if horizon < 1:
         raise AssemblyError(f"horizon must be >= 1, got {horizon}")
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    row = np.zeros(layout.n_total)
-    row[layout.FLOOR] = -1.0
-    row[layout.CAP] = 1.0
-    row[layout.BUDGET] = float(horizon)
-    rows.append(row)
-    rhs.append(0.0)
-
-    row = np.zeros(layout.n_total)
-    row[layout.BUDGET] = -1.0
-    rows.append(row)
-    rhs.append(0.0)
-
-    def add_scheme(scheme: CoeffBoundScheme, coeff_slice: slice, split_slice: slice):
-        width = coeff_slice.stop - coeff_slice.start
-        for d in range(width):
-            for sign in (1.0, -1.0):
-                row = np.zeros(layout.n_total)
-                row[coeff_slice.start + d] = sign / scheme.scale[d]
-                row[split_slice.start + d] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-        for group in scheme.groups:
-            row = np.zeros(layout.n_total)
-            for d in group:
-                row[split_slice.start + d] = 1.0
-            rows.append(row)
-            rhs.append(scheme.bound)
-
+    n = layout.n_total
+    head = np.zeros((2, n))
+    head[0, [layout.FLOOR, layout.CAP, layout.BUDGET]] = -1.0, 1.0, float(horizon)
+    head[1, layout.BUDGET] = -1.0
+    rows, rhs = [head], [np.zeros(2)]
     for _, coeffs, splits, scheme in layout.polynomials:
-        add_scheme(scheme, coeffs, splits)
-    return np.vstack(rows), np.asarray(rhs)
+        width = coeffs.stop - coeffs.start
+        d = np.repeat(np.arange(width), 2)  # +coeff_d / scale_d - split_d <= 0, then -coeff_d
+        at = np.arange(2 * width)
+        caps = np.zeros((2 * width, n))
+        caps[at, coeffs.start + d] = np.tile([1.0, -1.0], width) / np.take(scheme.scale, d)
+        caps[at, splits.start + d] = -1.0
+        groups = np.zeros((len(scheme.groups), n))  # sum of a group's splits <= bound
+        groups[:, splits] = [[i in group for i in range(width)] for group in scheme.groups]
+        rows += [caps, groups]
+        rhs += [np.zeros(2 * width), np.full(len(scheme.groups), scheme.bound)]
+    return np.vstack(rows), np.concatenate(rhs)
 
 
 def grid_rows(

@@ -8,9 +8,11 @@ Two distinct jobs live here and must not be confused:
   the plant.
 
 * everything else (condition grids, closed-loop simulation, empirical safety)
-  is diagnostic tooling that may query the plant directly.  The synthesis
-  path never imports these; they exist so a certificate can be confronted
-  with the true dynamics in tests and reports.
+  is diagnostic tooling that may query the plant directly; it exists so a
+  certificate can be confronted with the true dynamics in tests and reports.
+  The synthesis path uses one of these, `estimate_lipschitz`, and only when
+  the configuration sets `estimate_lipschitz`: a sampled lower bound above
+  the configured Lipschitz constant ends the run `lipschitz_refuted`.
 """
 
 import csv

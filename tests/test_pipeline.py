@@ -18,7 +18,7 @@ from safesynth.pipeline import (
     synthesize,
     validate_config,
 )
-from safesynth.plant import RoomTemperaturePlant
+from safesynth.plant import BlackBoxSystem, RoomTemperaturePlant, step_room
 from safesynth.polynomial import eval_poly_many
 from safesynth.scp import g3_row, solve_lp
 from safesynth.geometry import box_grid
@@ -487,8 +487,6 @@ class _DyingPlant:
         self.calls += 1
         if self.calls > self.failures_after:
             raise CollectionError("simulator crashed at sample 0")
-        from safesynth.plant import step_room
-
         return step_room(xs[:, :1], us[:, :1])
 
 
@@ -498,6 +496,38 @@ def test_dataset_error_yields_inconclusive_report():
     assert report.verdict == "inconclusive"
     assert report.failure_cause == "dataset_error"
     assert any("crashed" in w for w in report.warnings)
+
+
+class _TwoValueStep(BlackBoxSystem):
+    """A one-variable plant whose `step` returns two values."""
+
+    def __init__(self):
+        super().__init__(state_dim=1, input_dim=1)
+
+    def step(self, x, u):
+        return np.repeat(step_room(x, u), 2)
+
+
+class _TwoColumnBatch(RoomTemperaturePlant):
+    def step_batch(self, xs, us):
+        return np.repeat(super().step_batch(xs, us), 2, axis=1)
+
+
+class _FlatBatch(RoomTemperaturePlant):
+    def step_batch(self, xs, us):
+        return super().step_batch(xs, us).ravel()
+
+
+@pytest.mark.parametrize("plant, message", [
+    (_TwoValueStep, "sample 0: step returned 2 values, expected 1"),
+    (_TwoColumnBatch, r"shape \(200, 2\), expected \(200, 1\)"),
+    (_FlatBatch, r"shape \(200,\), expected \(200, 1\)"),
+], ids=["two-value-step", "two-column-batch", "flat-batch"])
+def test_a_misshapen_plant_answer_is_a_dataset_error(plant, message):
+    config = small_room_config(samples={"scenario": 200, "validation": 100})
+    report = synthesize(config, plant=plant())
+    assert (report.verdict, report.failure_cause) == ("inconclusive", "dataset_error")
+    assert re.search(message, report.warnings[-1])
 
 
 def test_infeasible_template_yields_inconclusive_report():
@@ -549,6 +579,38 @@ def test_negative_corridor_yields_inconclusive_report():
     assert report.verdict == "inconclusive"
     assert report.failure_cause == "corridor_negative"
     assert report.certificate is None and report.solver["status"] == "optimal"
+
+
+_STAGES = ["collect", "assemble", "solve"]
+
+
+@pytest.mark.parametrize("run, cause, stages", [
+    (lambda: synthesize(small_room_config(samples={"scenario": 100, "validation": 50}),
+                        plant=_DyingPlant()), "dataset_error", ["collect"]),
+    (lambda: synthesize(small_room_config(samples={"scenario": 100, "validation": 50},
+                                          barrier_degree=0, controller_degrees=[0])),
+     "lp_infeasible", _STAGES),
+    (lambda: synthesize(small_room_config(samples={"scenario": 200, "validation": 100},
+                                          tolerances={"max_iterations": 2})),
+     "lp_iteration-limit", _STAGES),
+    (lambda: synthesize(small_room_config(samples={"scenario": 200, "validation": 100},
+                                          horizon=10**30)),
+     "corridor_negative", _STAGES),
+    (lambda: synthesize(small_room_config(samples={"scenario": 1, "validation": 1})),
+     "kappa_vacuous", _STAGES + ["validate", "bounds"]),
+    (lambda: synthesize(small_room_config(samples={"scenario": 200, "validation": 100})),
+     "margin_positive", _STAGES + ["validate", "bounds"]),
+    (lambda: synthesize(certifying_config()), None, _STAGES + ["validate", "bounds"]),
+    (lambda: prior_synthesize(small_room_config(samples={"scenario": 500, "validation": 100}),
+                              eps=0.9), "margin_positive", _STAGES),
+], ids=["dataset_error", "lp_infeasible", "lp_iteration-limit", "corridor_negative",
+        "kappa_vacuous", "margin_positive", "certified", "prior"])
+def test_timings_hold_each_stage_entered_then_total(run, cause, stages):
+    report = run()
+    assert report.failure_cause == cause
+    assert list(report.timings) == stages + ["total"]
+    assert all(t >= 0.0 for t in report.timings.values())
+    assert report.timings["total"] >= sum(report.timings[s] for s in stages)
 
 
 def test_derive_seed_deterministic_and_spread():

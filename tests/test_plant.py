@@ -337,6 +337,21 @@ def test_collect_stops_a_per_sample_plant_at_its_first_fault(room_space, fault, 
     assert plant.queries == 8
 
 
+class _ScalarPlant(BlackBoxSystem):
+    """A one-variable plant whose `step` answers with a bare float."""
+
+    def __init__(self):
+        super().__init__(state_dim=1, input_dim=1)
+
+    def step(self, x, u):
+        return float(step_room(x[0], u[0]))
+
+
+def test_collect_takes_a_scalar_answer_for_one_state_variable(room_space):
+    data = collect(_ScalarPlant(), room_space, 20, 1)
+    assert np.array_equal(data.x_nexts, step_room(data.xs, data.us))
+
+
 def test_make_plant_rejects_unknown_name():
     with pytest.raises(CollectionError):
         make_plant("fusion-reactor")

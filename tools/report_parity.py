@@ -35,6 +35,14 @@ the small configuration with the plant `{command: [python,
 benchmarks/child_plant.py], state_dim: 1, input_dim: 1}`: the room dynamics
 in a child process, queried one line at a time, the path of every plant
 that is not reentrant.
+
+Four cases end the run at the early exits the others do not reach, each on
+the small configuration: `dataset_error` with the plant `{command: [python,
+-c, pass], state_dim: 1, input_dim: 1}`, a child that exits without
+answering (its start-up outlasts the write of the first query, so the
+warning reads "closed its output stream"); `corridor_negative` with
+`horizon` 10**30 at 200/100 samples; `kappa_vacuous` at 1/1 samples; and
+`lipschitz_refuted` with `lipschitz` 0.5 and `estimate_lipschitz` set.
 """
 
 import contextlib
@@ -81,6 +89,12 @@ CASES = {
         "khat": -0.149, "nstar_hat": 1, "start_scenario": 1000, "start_validation": 500}})),
     "external": (["synthesize"], _small_room(plant={
         "command": ["python", "benchmarks/child_plant.py"], "state_dim": 1, "input_dim": 1})),
+    "dataset_error": (["synthesize"], _small_room(plant={
+        "command": ["python", "-c", "pass"], "state_dim": 1, "input_dim": 1})),
+    "corridor_negative": (["synthesize"], _small_room(
+        horizon=10**30, samples={"scenario": 200, "validation": 100})),
+    "kappa_vacuous": (["synthesize"], _small_room(samples={"scenario": 1, "validation": 1})),
+    "lipschitz_refuted": (["synthesize"], _small_room(lipschitz=0.5, estimate_lipschitz=True)),
 }
 VERIFY_SOURCE = "small"  # the case whose report the `verify` case checks
 VERIFY_FLAGS = ["--region-points", "401", "--step-points", "61", "--trajectory-grid", "101"]

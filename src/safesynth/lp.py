@@ -519,8 +519,9 @@ class LpResult:
 class LpTolerances:
     """What `solve_dense_lp` accepts: a row violated by at most `feasibility`,
     a reduced cost entering below -`optimality` (a multiplier at most it is
-    zero), a pivot entry above `pivot`; rows within `activity` of their
-    bound are active, and `max_iterations` pivots end a solve."""
+    zero), a pivot entry above `pivot`; rows within `activity` >= `feasibility`
+    of their bound are active, so each accepted row counts toward N*, and
+    `max_iterations` pivots (the one field a configuration sets) end a solve."""
 
     feasibility: float = 1e-8
     optimality: float = 1e-8

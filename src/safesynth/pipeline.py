@@ -103,11 +103,8 @@ _DEFAULTS = {
     },
     "strict_margin": (float, 1e-6, _at_least(0)),
     "tighten": (bool, True, None),
-    "tolerances": {
-        f.name: (type(f.default), f.default,
-                 _at_least(1) if f.name == "max_iterations" else _above(0))
-        for f in dataclasses.fields(LpTolerances)
-    },
+    # a compute budget only; the solver's numerical tolerances are fixed constants
+    "tolerances": {"max_iterations": (int, LpTolerances.max_iterations, _at_least(1))},
     "seeds": {"scenario": (int, 1, _at_least(0)), "validation": (int, 2, _at_least(0))},
     # None: the built-in plant's constant, required for any other plant
     "lipschitz": (float, None, _above(0)),
@@ -327,11 +324,6 @@ def validate_config(data: dict) -> SynthesisConfig:
             "must be independent of the scenario data)"
         )
 
-    tolerances = LpTolerances(**opts["tolerances"])
-    if tolerances.activity < tolerances.feasibility:  # an accepted row counts toward N*
-        raise ConfigError(f"tolerances.activity must be >= tolerances.feasibility "
-                          f"({tolerances.feasibility!r}), got {tolerances.activity!r}")
-
     return SynthesisConfig(
         plant_spec=plant_spec,
         state_box=state_box,
@@ -346,7 +338,7 @@ def validate_config(data: dict) -> SynthesisConfig:
         grids=GridSpec(**opts["grid_points"]),
         barrier_bound=coeff_bounds["barrier"],
         controller_bounds=controller_bounds,
-        tolerances=tolerances,
+        tolerances=LpTolerances(**opts["tolerances"]),
         seed_scenario=seeds["scenario"],
         seed_validation=seeds["validation"],
         raw=raw,
@@ -625,100 +617,100 @@ def _run(
     warnings = report.warnings
     stage = functools.partial(_stage, report.timings)
 
-    with stage("total"):
-        validation = None
-        with stage("collect"):
-            try:
+    try:
+        with stage("total"):
+            validation = None
+            with stage("collect"):
                 scenario = collect(plant, space, n_scenario, seeds["scenario"], Role.SCENARIO)
                 if posterior:
                     validation = collect(plant, space, n_validation, seeds["validation"], Role.VALIDATION)
-            except CollectionError as exc:
-                return _inconclusive(report, "dataset_error", exc)
-            if dataset_sink is not None:
-                dataset_sink(scenario, validation)
+                if dataset_sink is not None:
+                    dataset_sink(scenario, validation)
 
-        with stage("assemble"):
-            if static is None:
-                problem = build_problem(layout, scenario, *_row_inputs(config))
-            else:
-                problem = sampled_problem(layout, static, scenario)
-            del scenario  # the problem holds its rows, or views of (x, x') to make them from
+            with stage("assemble"):
+                if static is None:
+                    problem = build_problem(layout, scenario, *_row_inputs(config))
+                else:
+                    problem = sampled_problem(layout, static, scenario)
+                del scenario  # the problem holds its rows, or views of (x, x') to make them from
 
-        with stage("solve"):
-            try:
-                solution = solve_lp(problem, config.tolerances)
-            except SolverError as exc:
-                summary = {} if exc.result is None else _solver_summary(exc.result, None)
-                report.solver = {**summary, "status": exc.status, "error": str(exc)}
-                return _inconclusive(report, f"lp_{exc.status}", exc)
-        if solution.status != LpStatus.OPTIMAL:
-            report.solver = _solver_summary(solution, None)
-            return _inconclusive(report, f"lp_{solution.status.value}")
-
-        support_bound = report.support_bound = active_g3(problem, solution)
-        report.margin_objective = solution.objective
-        report.solver = _solver_summary(solution, support_bound)
-        certificate = _snap_growth_budget(
-            CertificateValues.from_vector(layout, solution.z), config.horizon
-        )
-        if certificate is None:
-            return _inconclusive(report, "corridor_negative")
-        report.certificate = certificate
-        if solution.degenerate_steps > 0:
-            warnings.append(
-                f"{solution.degenerate_steps} degenerate pivot(s): the optimum may be non-unique"
-            )
-
-        if posterior:
-            with stage("validate"):
-                violations, residuals = violation_frequency(certificate, validation)
-                knife = report.knife_edges = knife_edge_count(residuals)
-                if knife:
-                    warnings.append(f"{knife} validation residual(s) within {KNIFE_EDGE_TOL:g} of zero")
-                report.violations = violations
-                report.violation_detail = [
-                    {"index": int(i), "residual": float(residuals[i])}
-                    for i in np.flatnonzero(residuals > KNIFE_EDGE_TOL)
-                ]
-            with stage("bounds"):
+            with stage("solve"):
                 try:
-                    kappa = solve_kappa(
-                        PosteriorInputs(n_scenario, n_validation, support_bound, violations, config.beta)
-                    )
-                except KappaBracketError as exc:
-                    return _inconclusive(report, "kappa_vacuous", exc)
-            report.kappa = float(kappa)
-            eps = 1.0 - kappa
+                    solution = solve_lp(problem, config.tolerances)
+                except SolverError as exc:
+                    summary = {} if exc.result is None else _solver_summary(exc.result, None)
+                    report.solver = {**summary, "status": exc.status, "error": str(exc)}
+                    return _inconclusive(report, f"lp_{exc.status}", exc)
+            if solution.status != LpStatus.OPTIMAL:
+                report.solver = _solver_summary(solution, None)
+                return _inconclusive(report, f"lp_{solution.status.value}")
 
-        slack = config.lipschitz * u_inverse(eps, space)
-        margin = report.margin = float(solution.objective + slack)
-        report.eps, report.margin_slack = float(eps), float(slack)
-
-        refuted = False
-        if config.estimate_lipschitz:
-            est = estimate_lipschitz(certificate, plant, space, seed=derive_seed(seeds["scenario"], 99))
-            refuted = est > config.lipschitz
-            warnings.append(
-                f"empirical Lipschitz lower bound {est:.4g} exceeds the configured "
-                f"bound {config.lipschitz:.4g}; the certificate is NOT trustworthy" if refuted
-                else f"empirical Lipschitz lower bound {est:.4g} (configured "
-                f"{config.lipschitz:.4g}); this check cannot validate the configured bound"
+            support_bound = report.support_bound = active_g3(problem, solution)
+            report.margin_objective = solution.objective
+            report.solver = _solver_summary(solution, support_bound)
+            certificate = _snap_growth_budget(
+                CertificateValues.from_vector(layout, solution.z), config.horizon
             )
+            if certificate is None:
+                return _inconclusive(report, "corridor_negative")
+            report.certificate = certificate
+            if solution.degenerate_steps > 0:
+                warnings.append(
+                    f"{solution.degenerate_steps} degenerate pivot(s): the optimum may be non-unique"
+                )
 
-        if refuted:  # the plant refutes the configured L: the margin K* + L Uinv(eps) proves nothing
-            report.failure_cause = "lipschitz_refuted"
-        elif margin <= 0.0:
-            report.verdict = "certified"
-        else:
-            report.failure_cause = "margin_positive"
-        if not config.tighten:
-            warnings.append(
-                "grid tightening disabled: robust rows hold at grid points only, "
-                "so this report is non-certifying"
-            )
-            if report.certified:
-                report.verdict, report.failure_cause = "inconclusive", "tightening_disabled"
-        return report
+            if posterior:
+                with stage("validate"):
+                    violations, residuals = violation_frequency(certificate, validation)
+                    knife = report.knife_edges = knife_edge_count(residuals)
+                    if knife:
+                        warnings.append(f"{knife} validation residual(s) within {KNIFE_EDGE_TOL:g} of zero")
+                    report.violations = violations
+                    report.violation_detail = [
+                        {"index": int(i), "residual": float(residuals[i])}
+                        for i in np.flatnonzero(residuals > KNIFE_EDGE_TOL)
+                    ]
+                with stage("bounds"):
+                    try:
+                        kappa = solve_kappa(
+                            PosteriorInputs(n_scenario, n_validation, support_bound, violations, config.beta)
+                        )
+                    except KappaBracketError as exc:
+                        return _inconclusive(report, "kappa_vacuous", exc)
+                report.kappa = float(kappa)
+                eps = 1.0 - kappa
+
+            slack = config.lipschitz * u_inverse(eps, space)
+            margin = report.margin = float(solution.objective + slack)
+            report.eps, report.margin_slack = float(eps), float(slack)
+
+            refuted = False
+            if config.estimate_lipschitz:
+                est = estimate_lipschitz(certificate, plant, space, seed=derive_seed(seeds["scenario"], 99))
+                refuted = est > config.lipschitz
+                warnings.append(
+                    f"empirical Lipschitz lower bound {est:.4g} exceeds the configured "
+                    f"bound {config.lipschitz:.4g}; the certificate is NOT trustworthy" if refuted
+                    else f"empirical Lipschitz lower bound {est:.4g} (configured "
+                    f"{config.lipschitz:.4g}); this check cannot validate the configured bound"
+                )
+
+            if refuted:  # the plant refutes the configured L: the margin K* + L Uinv(eps) proves nothing
+                report.failure_cause = "lipschitz_refuted"
+            elif margin <= 0.0:
+                report.verdict = "certified"
+            else:
+                report.failure_cause = "margin_positive"
+            if not config.tighten:
+                warnings.append(
+                    "grid tightening disabled: robust rows hold at grid points only, "
+                    "so this report is non-certifying"
+                )
+                if report.certified:
+                    report.verdict, report.failure_cause = "inconclusive", "tightening_disabled"
+            return report
+    except CollectionError as exc:  # only plant queries raise it: collection, the Lipschitz check
+        return _inconclusive(report, "dataset_error", exc)
 
 
 def synthesize(

@@ -1,7 +1,7 @@
 """Black-box plants, the built-in room-temperature system, and datasets.
 
-Every caller queries a plant through `step_batch` (initialise at each x,
-apply its u, observe the next states) and closes it with `with`.  The room model
+Every caller queries a plant through `query` (a checked `step_batch`: at each x,
+apply its u, observe the next state) and closes it with `with`.  The room model
 
     x(t+1) = x(t) + tau * (a_env * (T_env - x(t)) + a_heat * (T_heat - x(t)) * u(t))
 
@@ -52,8 +52,8 @@ def step_room(x: float, u: float):
 class BlackBoxSystem:
     """Deterministic simulate-only system: (x, u) -> x'.
 
-    `step_batch` is the one query callers make.  Its default asks `step` for
-    each sample in order and stops at the first that raises `CollectionError`,
+    `step_batch` answers every `query`.  Its default asks `step` for each
+    sample in order and stops at the first that raises `CollectionError`,
     returns other than `state_dim` values (a scalar for one state variable
     is one value) or returns a non-finite state, naming that sample.
     `reentrant` declares that the plant may be queried from several
@@ -144,10 +144,10 @@ class ExternalProcessPlant(BlackBoxSystem):
 
     def step(self, x, u):
         proc = self._ensure_proc()
-        query = " ".join(f"{v:.17g}" for v in np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]))
+        request = " ".join(f"{v:.17g}" for v in np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]))
         try:
             assert proc.stdin is not None and proc.stdout is not None
-            proc.stdin.write(query + "\n")
+            proc.stdin.write(request + "\n")
             proc.stdin.flush()
             line = proc.stdout.readline()
         except (BrokenPipeError, OSError) as exc:
@@ -156,13 +156,8 @@ class ExternalProcessPlant(BlackBoxSystem):
             raise CollectionError(
                 f"external plant {shlex.join(self.command)} closed its output stream"
             )
-        vals = line.split()
-        if len(vals) != self.state_dim:
-            raise CollectionError(
-                f"external plant returned {len(vals)} values, expected {self.state_dim}"
-            )
         try:
-            return np.array([float(v) for v in vals])
+            return np.array([float(v) for v in line.split()])
         except ValueError as exc:
             raise CollectionError(f"external plant returned non-numeric output: {line!r}") from exc
 
@@ -234,6 +229,24 @@ class Dataset:
         )
 
 
+def query(system: BlackBoxSystem, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """`system.step_batch(xs, us)` as a (len(xs), state_dim) float array; an
+    answer that is not numeric, of another shape (both named) or holding a
+    non-finite state (the first such sample named) raises CollectionError."""
+    answer = system.step_batch(xs, us)  # outside `try`: a plant's own bugs surface as they are
+    try:
+        x_nexts = np.asarray(answer, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CollectionError(f"simulator answered with non-numeric values: {exc}") from exc
+    if x_nexts.shape != (len(xs), system.state_dim):
+        raise CollectionError(f"simulator answered with shape {x_nexts.shape}, "
+                              f"expected {(len(xs), system.state_dim)}")
+    bad = np.flatnonzero(~np.all(np.isfinite(x_nexts), axis=1))
+    if bad.size:
+        raise CollectionError(f"simulator returned non-finite state at sample {bad[0]}")
+    return x_nexts
+
+
 def collect(
     system: BlackBoxSystem,
     space: SampleSpace,
@@ -241,11 +254,10 @@ def collect(
     seed: int,
     role: Role = Role.SCENARIO,
 ) -> Dataset:
-    """Sample (x, u) uniformly, query the simulator for all pairs in one `step_batch`.
+    """Sample (x, u) uniformly, query the simulator for all pairs in one `query`.
 
-    Deterministic for fixed (space, count, seed).  Simulator failures are
-    reported with the failing sample index, and an answer that is not
-    (count, state_dim) with both shapes; nothing partial is returned.
+    Deterministic for fixed (space, count, seed); a failed query returns
+    nothing partial.
     """
     if count < 1:
         raise GeometryError(f"collect needs count >= 1, got {count}")
@@ -258,13 +270,7 @@ def collect(
     coords = sample_uniform(space, count, seed).T  # one contiguous row per coordinate
     xs = coords[:n].T
     us = coords[n:].T
-    x_nexts = np.asarray(system.step_batch(xs, us), dtype=float)
-    if x_nexts.shape != xs.shape:
-        raise CollectionError(f"simulator answered with shape {x_nexts.shape}, expected {xs.shape}")
-    bad = np.flatnonzero(~np.all(np.isfinite(x_nexts), axis=1))
-    if bad.size:
-        raise CollectionError(f"simulator returned non-finite state at sample {bad[0]}")
-    return Dataset(xs, us, x_nexts, seed=seed, role=role, space=space)
+    return Dataset(xs, us, query(system, xs, us), seed=seed, role=role, space=space)
 
 
 _HEADER_RE = re.compile(

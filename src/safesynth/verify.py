@@ -31,7 +31,7 @@ from .geometry import (
     distance_to_region,
     sample_uniform,
 )
-from .plant import BlackBoxSystem, Dataset, Role, atomic_write
+from .plant import BlackBoxSystem, Dataset, Role, atomic_write, query
 from .polynomial import eval_poly_many
 from .scp import CertificateValues
 
@@ -114,7 +114,7 @@ def _true_step_condition(
 ) -> np.ndarray:
     """`_step_condition` at the (x, u) rows of `points`, x' from the true plant."""
     xs, us = points[:, :plant.state_dim], points[:, plant.state_dim:]
-    return _step_condition(cert, xs, us, np.asarray(plant.step_batch(xs, us), dtype=float))
+    return _step_condition(cert, xs, us, query(plant, xs, us))
 
 
 def check_cbf_conditions(
@@ -181,7 +181,7 @@ def simulate_closed_loop(
         clamped = np.clip(u, input_box.lower_arr, input_box.upper_arr)
         if not np.array_equal(u, clamped):
             clamps += 1
-        x = np.asarray(plant.step_batch(x[None], clamped[None]), dtype=float)[0]
+        x = query(plant, x[None], clamped[None])[0]
         states.append(x.copy())
     arr = np.asarray(states)
     safe = not any(unsafe_region.contains_point(s) for s in arr)

@@ -610,18 +610,34 @@ def test_out_of_range_auto_samples_is_config_exit(tmp_path, capsys, command, key
     ("activity", 1e-9, False),  # below the feasibility tolerance, 1e-8
     ("pivot", -1.0, False),
     ("optimality", -1e-3, False),
+    ("feasibility", 1e-3, True),
     ("max_iterations", 0, False),
 ])
 def test_out_of_range_tolerance_is_config_exit(tmp_path, capsys, key, value, desk):
-    # these ran: at desk scale an activity of -1.0 counted no sampled row
-    # active and certified (exit 0), a negative pivot ended in a ValueError
-    # traceback (exit 1), and the others ended inconclusive (exit 2)
+    # once these ran: at desk scale an activity of -1.0 counted no sampled
+    # row active and certified (exit 0), and a feasibility of 1e-3 could
+    # certify a point that breaks sampled rows.  The numerical tolerances are
+    # constants now, so setting one, at any value, is an unknown key;
+    # max_iterations is the one key left, and 0 is out of its range
     raw = room_casestudy_config(n_scenario=20_000, n_validation=10_000) if desk else small_raw()
     raw["tolerances"] = {key: value}
     cfg = write_config(tmp_path, raw)
     assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
-    assert f"tolerances.{key}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if key == "max_iterations":
+        assert "tolerances.max_iterations must be >= 1" in err
+    else:
+        assert f"unknown key(s) ['{key}'] in tolerances" in err
     assert not (tmp_path / "runs").exists()
+
+
+def test_verify_rejects_a_report_echoing_a_removed_tolerance(tmp_path, capsys):
+    # an earlier version echoed every LP tolerance into the report's config
+    raw = small_raw(tolerances={"activity": 1e-7, "max_iterations": 20000})
+    path = write_report(tmp_path, raw, zero_certificate())
+    assert main(["verify", "--report", path, "--out", str(tmp_path / "verify")]) == EXIT_CONFIG
+    assert "unknown key(s) ['activity'] in tolerances" in capsys.readouterr().err
+    assert not (tmp_path / "verify").exists()
 
 
 def test_casestudy_command_reduced_size(tmp_path, capsys):

@@ -124,6 +124,12 @@ def test_feasibility_of_reported_point():
         assert res.max_violation <= 1e-8
 
 
+def test_activity_tolerance_covers_feasibility():
+    # a row the solver accepts, violated by up to `feasibility`, must count
+    # as active toward the support bound N*
+    assert lp.LpTolerances().activity >= lp.LpTolerances().feasibility
+
+
 def test_deterministic_given_identical_input():
     rng = np.random.default_rng(31)
     cost, G, h = random_bounded_lp(rng, nv=4, extra_rows=100)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -20,7 +21,7 @@ from safesynth.pipeline import (
 )
 from safesynth.plant import BlackBoxSystem, RoomTemperaturePlant, step_room
 from safesynth.polynomial import eval_poly_many
-from safesynth.scp import g3_row, solve_lp
+from safesynth.scp import LpTolerances, g3_row, solve_lp
 from safesynth.geometry import box_grid
 from .conftest import scenario_problem, small_room_config
 
@@ -172,6 +173,11 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))
     assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    # so are the LP's numerical tolerances, which are constants now
+    for key in ("feasibility", "optimality", "activity", "pivot"):
+        raw = room_casestudy_config(tolerances={key: getattr(LpTolerances(), key)})
+        with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\] in tolerances"):
+            validate_config(raw)
 
 
 def test_config_rejects_missing_beta():
@@ -230,8 +236,7 @@ def test_config_rejects_wrong_json_types(key, value):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize(
     "path",
-    [("strict_margin",), ("lipschitz",), ("beta",), ("coeff_bounds", "barrier"),
-     ("tolerances", "feasibility")],
+    [("strict_margin",), ("lipschitz",), ("beta",), ("coeff_bounds", "barrier")],
 )
 def test_config_rejects_non_finite_numbers(tmp_path, path, value):
     # a NaN margin or bound used to end as lp_iteration-limit, a NaN
@@ -252,14 +257,28 @@ def test_config_echo_appends_defaults_in_order():
     # report.json is written without sort_keys, so this order is its layout
     raw = room_casestudy_config()
     del raw["lipschitz"]
-    echoed = validate_config(raw).raw
+    config = validate_config(raw)
+    assert config.tolerances == LpTolerances()
+    echoed = config.raw
     assert list(echoed) == list(raw) + [
         "strict_margin", "tighten", "tolerances", "lipschitz",
         "workers", "estimate_lipschitz",
     ]
-    assert list(echoed["tolerances"]) == [
-        "feasibility", "optimality", "activity", "pivot", "max_iterations",
-    ]
+    assert list(echoed["tolerances"]) == ["max_iterations"]
+
+
+def test_readme_configuration_table_matches_the_schema():
+    # README's table names each top-level key once, and its tolerances row
+    # names exactly the keys of that section (the fixed values are plain text)
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        lines = fh.read().split("\n## Configuration\n", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    rows = [line.split(" | ", 1) for line in table]
+    keys = [key for first, _ in rows for key in re.findall(r"`([^`]+)`", first)]
+    assert sorted(keys) == sorted(pipeline._DEFAULTS)
+    (meaning,) = [rest for first, rest in rows if first == "| `tolerances`"]
+    assert re.findall(r"`([^`]+)`", meaning) == list(pipeline._DEFAULTS["tolerances"])
 
 
 def test_config_echo_is_a_copy_with_values_as_written():
@@ -518,16 +537,47 @@ class _FlatBatch(RoomTemperaturePlant):
         return super().step_batch(xs, us).ravel()
 
 
+class _TextBatch(RoomTemperaturePlant):
+    def step_batch(self, xs, us):
+        return [["a"]] * len(xs)
+
+
 @pytest.mark.parametrize("plant, message", [
     (_TwoValueStep, "sample 0: step returned 2 values, expected 1"),
     (_TwoColumnBatch, r"shape \(200, 2\), expected \(200, 1\)"),
     (_FlatBatch, r"shape \(200,\), expected \(200, 1\)"),
-], ids=["two-value-step", "two-column-batch", "flat-batch"])
+    (_TextBatch, "non-numeric values: could not convert string to float: 'a'"),
+], ids=["two-value-step", "two-column-batch", "flat-batch", "text-batch"])
 def test_a_misshapen_plant_answer_is_a_dataset_error(plant, message):
     config = small_room_config(samples={"scenario": 200, "validation": 100})
     report = synthesize(config, plant=plant())
     assert (report.verdict, report.failure_cause) == ("inconclusive", "dataset_error")
     assert re.search(message, report.warnings[-1])
+
+
+class _NanInLipschitzCheck(RoomTemperaturePlant):
+    """The room plant, except that one next state of each 2,000-pair batch,
+    the size `estimate_lipschitz` queries, is NaN."""
+
+    def step_batch(self, xs, us):
+        out = super().step_batch(xs, us)
+        if len(xs) == 2000:
+            out[1234] = np.nan
+        return out
+
+
+def _lipschitz_refuted_config():
+    return small_room_config(samples={"scenario": 200, "validation": 5000},
+                             lipschitz=0.5, estimate_lipschitz=True)
+
+
+def test_a_nan_in_the_lipschitz_check_is_a_dataset_error():
+    # the real plant refutes L = 0.5; with one NaN in the check's answer the
+    # estimate was NaN, `NaN > L` was false, and the run certified
+    assert synthesize(_lipschitz_refuted_config()).failure_cause == "lipschitz_refuted"
+    report = synthesize(_lipschitz_refuted_config(), plant=_NanInLipschitzCheck())
+    assert (report.verdict, report.failure_cause) == ("inconclusive", "dataset_error")
+    assert report.warnings[-1] == "simulator returned non-finite state at sample 1234"
 
 
 def test_infeasible_template_yields_inconclusive_report():
@@ -603,8 +653,10 @@ _STAGES = ["collect", "assemble", "solve"]
     (lambda: synthesize(certifying_config()), None, _STAGES + ["validate", "bounds"]),
     (lambda: prior_synthesize(small_room_config(samples={"scenario": 500, "validation": 100}),
                               eps=0.9), "margin_positive", _STAGES),
+    (lambda: synthesize(_lipschitz_refuted_config(), plant=_NanInLipschitzCheck()),
+     "dataset_error", _STAGES + ["validate", "bounds"]),
 ], ids=["dataset_error", "lp_infeasible", "lp_iteration-limit", "corridor_negative",
-        "kappa_vacuous", "margin_positive", "certified", "prior"])
+        "kappa_vacuous", "margin_positive", "certified", "prior", "lipschitz_check_dataset_error"])
 def test_timings_hold_each_stage_entered_then_total(run, cause, stages):
     report = run()
     assert report.failure_cause == cause

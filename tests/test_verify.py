@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from safesynth.errors import GeometryError
+from safesynth.errors import CollectionError, GeometryError
 from safesynth.geometry import Box, RegionUnion, box_grid
 from safesynth.plant import (
     BlackBoxSystem,
@@ -254,6 +254,27 @@ def test_simulate_closed_loop_case_study(room_regions):
     assert traj.safe
     assert traj.clamp_events == 0
     assert np.all(traj.states >= 23.0) and np.all(traj.states <= 26.0)
+
+
+class _NanPlant(RoomTemperaturePlant):
+    def step_batch(self, xs, us):
+        return np.full((len(xs), 1), np.nan)
+
+
+@pytest.mark.parametrize("check", [
+    lambda plant, regions: check_cbf_conditions(
+        study_certificate(), plant, regions["initial"], regions["unsafe"],
+        regions["state"], regions["input"], horizon=5, region_points=21, step_points=11,
+    ),
+    lambda plant, regions: simulate_closed_loop(
+        plant, study_certificate(), [24.5], 5, regions["input"], regions["unsafe"],
+    ),
+], ids=["check_cbf_conditions", "simulate_closed_loop"])
+def test_ground_truth_checks_refuse_a_nan_plant_answer(room_regions, check):
+    # a NaN next state used to read as a worst step residual of NaN, which
+    # no comparison flags, and as a NaN trajectory
+    with pytest.raises(CollectionError, match="non-finite state at sample 0"):
+        check(_NanPlant(), room_regions)
 
 
 def test_simulate_zero_horizon(room_regions):

@@ -7,7 +7,7 @@ Usage (from the root of a source checkout):
 
 Each pair assembles the room case study's scenario program with N samples
 drawn with scenario seed SEED, exactly as synthesis does, solves it with
-`safesynth.scp.solve_lp` at the configuration's tolerances, and prints one
+`safesynth.scp.solve_lp` at the solver's tolerances, and prints one
 JSON line: the sha256 of the assembled program (every row of G as a dense
 float64 row, in order, then h and the row tags; so it is the same for the
 same rows however the row blocks store them), the iteration and

@@ -23,7 +23,7 @@ from .geometry import (
     Box,
     RegionUnion,
     SampleSpace,
-    contains,
+    in_region,
     sample_uniform,
     u_inverse,
     u_of_r,

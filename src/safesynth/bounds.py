@@ -34,6 +34,9 @@ from .errors import BoundsDomainError, KappaBracketError, PlannerError
 from .geometry import SampleSpace, u_of_r
 
 _CHUNK = 1_000_000
+KAPPA_INTERVAL_TOL = 1e-10  # solve_kappa bisects until the bracket is this narrow
+KAPPA_MAX_ITER = 200        # ... or for this many halvings
+PLAN_MAX_ROUNDS = 60        # plan_sample_sizes' growth rounds before it gives up
 
 
 @dataclass(frozen=True)
@@ -232,12 +235,8 @@ def posterior_g(kappa: float, inputs: PosteriorInputs) -> PosteriorValue:
     return PosteriorValue(sign, log_lhs, log_rhs)
 
 
-def solve_kappa(
-    inputs: PosteriorInputs,
-    interval_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
-    """Bisect the posterior root function on (0, 1) down to `interval_tol`.
+def solve_kappa(inputs: PosteriorInputs) -> float:
+    """Bisect the posterior root function on (0, 1) down to KAPPA_INTERVAL_TOL.
 
     The function is decreasing in kappa, positive near 0 and negative near 1;
     if the numerical endpoint signs do not bracket a root the posterior bound
@@ -252,7 +251,7 @@ def solve_kappa(
             f"(sign at {lo:g} is {sign_lo:+d}, sign at {hi:g} is {sign_hi:+d})"
         )
     iters = 0
-    while hi - lo > interval_tol and iters < max_iter:
+    while hi - lo > KAPPA_INTERVAL_TOL and iters < KAPPA_MAX_ITER:
         mid = 0.5 * (lo + hi)
         sign = posterior_g(mid, inputs).sign
         if sign == 0:
@@ -294,7 +293,6 @@ def plan_sample_sizes(
     n_start: int,
     n0_start: int,
     growth: float = 1.5,
-    max_rounds: int = 60,
 ) -> PlanResult:
     """Grow (N, N0) until the posterior check passes at the estimated optimum.
 
@@ -319,7 +317,7 @@ def plan_sample_sizes(
     ratio = n0_start / n_start
     n, n0 = int(n_start), int(n0_start)
     steps: list[PlanStep] = []
-    for _ in range(max_rounds):
+    for _ in range(PLAN_MAX_ROUNDS):
         nstar = min(nstar_hat, n)
         est_viol = min(max(round_half_down(n0 * nstar / n), 0), n0)
         value = posterior_g(
@@ -332,6 +330,6 @@ def plan_sample_sizes(
         n = int(math.ceil(n * growth))
         n0 = max(1, int(round(n * ratio)))
     raise PlannerError(
-        f"no passing (N, N0) within {max_rounds} growth rounds; "
+        f"no passing (N, N0) within {PLAN_MAX_ROUNDS} growth rounds; "
         f"last tried N={steps[-1].n_scenario}, N0={steps[-1].n_validation}"
     )

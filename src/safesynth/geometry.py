@@ -80,12 +80,6 @@ class Box:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower_arr + self.upper_arr)
 
-    def contains_point(self, x: Sequence[float]) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise GeometryError(f"point of dimension {x.shape} vs box dimension {self.dim}")
-        return bool(np.all(x >= self.lower_arr) and np.all(x <= self.upper_arr))
-
     def contains_subbox(self, other: "Box") -> bool:
         if other.dim != self.dim:
             raise GeometryError("dimension mismatch between boxes")
@@ -129,9 +123,6 @@ class RegionUnion:
     @property
     def dim(self) -> int:
         return self.parts[0].dim
-
-    def contains_point(self, x: Sequence[float]) -> bool:
-        return any(p.contains_point(x) for p in self.parts)
 
     def intersects_box(self, box: Box) -> bool:
         return any(p.intersects(box) for p in self.parts)
@@ -239,11 +230,6 @@ def sample_uniform(space: SampleSpace, count: int, seed: int) -> np.ndarray:
     return out.T
 
 
-def contains(region: "RegionUnion | Box", x: Sequence[float]) -> bool:
-    """Closed-boundary membership of a point in a box or region union."""
-    return region.contains_point(x)
-
-
 def box_grid(box: Box, points_per_axis: int) -> np.ndarray:
     """Deterministic uniform grid over a box, shape (points^dim, dim), C order."""
     if points_per_axis < 2:
@@ -265,11 +251,26 @@ def grid_halfstep(box: Box, points_per_axis: int) -> float:
     return float(0.5 * np.sum(deltas))
 
 
-def distance_to_box(x: np.ndarray, box: Box) -> float:
-    """Euclidean distance from a point to a (closed) box; 0 inside."""
-    gap = np.maximum(box.lower_arr - x, 0.0) + np.maximum(x - box.upper_arr, 0.0)
-    return float(np.linalg.norm(gap))
+def _gaps(points: np.ndarray, region: RegionUnion) -> np.ndarray:
+    """Per-axis gaps (parts, ..., n) from points (..., n) to each box of the
+    region; a gap is 0 exactly where the point is within that axis' bounds."""
+    x = np.asarray(points, dtype=float)
+    if x.shape[-1:] != (region.dim,):
+        raise GeometryError(f"points of shape {x.shape} vs region dimension {region.dim}")
+    shape = (len(region.parts),) + (1,) * (x.ndim - 1) + (region.dim,)
+    lower = np.array([p.lower for p in region.parts]).reshape(shape)
+    upper = np.array([p.upper for p in region.parts]).reshape(shape)
+    return np.maximum(lower - x, 0.0) + np.maximum(x - upper, 0.0)
 
 
-def distance_to_region(x: np.ndarray, region: RegionUnion) -> float:
-    return min(distance_to_box(x, p) for p in region.parts)
+def in_region(points: np.ndarray, region: RegionUnion) -> np.ndarray:
+    """Closed-set membership of points (..., n) in the region, shape (...).
+
+    Decided on the gaps themselves, not on the distance: a norm of gaps
+    below about 1e-154 underflows to 0 for a point that lies outside."""
+    return np.any(np.all(_gaps(points, region) == 0.0, axis=-1), axis=0)
+
+
+def distance_to_region(points: np.ndarray, region: RegionUnion) -> np.ndarray:
+    """Euclidean distance from points (..., n) to the region, shape (...); 0 inside."""
+    return np.min(np.linalg.norm(_gaps(points, region), axis=-1), axis=0)

@@ -13,12 +13,15 @@ Two distinct jobs live here and must not be confused:
   The synthesis path uses one of these, `estimate_lipschitz`, and only when
   the configuration sets `estimate_lipschitz`: a sampled lower bound above
   the configured Lipschitz constant ends the run `lipschitz_refuted`.
+
+The closed-loop check makes one `query` per time step for all starts, so a
+child plant sees step 1 of every start, then step 2; plants are
+deterministic, so the answers are those of one trajectory at a time.
 """
 
 import csv
 import os
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .geometry import (
     SampleSpace,
     box_grid,
     distance_to_region,
+    in_region,
     sample_uniform,
 )
 from .plant import BlackBoxSystem, Dataset, Role, atomic_write, query
@@ -61,6 +65,7 @@ def step_residuals(cert: CertificateValues, dataset: Dataset) -> np.ndarray:
 
 
 KNIFE_EDGE_TOL = 1e-12
+LIPSCHITZ_SPREAD = 1e-3  # estimate_lipschitz's pair offsets, as a share of each box side
 
 
 def violation_frequency(
@@ -80,8 +85,8 @@ def violation_frequency(
     return int(np.sum(residuals > KNIFE_EDGE_TOL)), residuals
 
 
-def knife_edge_count(residuals: np.ndarray, tol: float = KNIFE_EDGE_TOL) -> int:
-    return int(np.sum(np.abs(residuals) <= tol))
+def knife_edge_count(residuals: np.ndarray) -> int:
+    return int(np.sum(np.abs(residuals) <= KNIFE_EDGE_TOL))
 
 
 @dataclass(frozen=True)
@@ -153,39 +158,38 @@ def check_cbf_conditions(
 
 @dataclass(frozen=True)
 class Trajectory:
-    states: np.ndarray   # (T+1, n)
-    safe: bool
-    clamp_events: int
+    """Closed-loop rollouts from k starts over T steps."""
 
-
-def controller_output(cert: CertificateValues, x: np.ndarray) -> np.ndarray:
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    return np.array([eval_poly_many(c, x2)[0] for c in cert.controllers])
+    states: np.ndarray        # (k, T+1, n)
+    safe: np.ndarray          # (k,) no state of the rollout in the unsafe region
+    clamp_events: np.ndarray  # (k,) steps whose controller output was clamped
 
 
 def simulate_closed_loop(
     plant: BlackBoxSystem,
     cert: CertificateValues,
-    x0: Sequence[float],
+    starts: np.ndarray,
     horizon: int,
     input_box: Box,
     unsafe_region: RegionUnion,
 ) -> Trajectory:
-    """Roll the controller forward; outputs are clamped to the input box and
-    every clamp event is counted (a certified controller should need none)."""
-    x = np.asarray(x0, dtype=float)
-    states = [x.copy()]
-    clamps = 0
-    for _ in range(horizon):
-        u = controller_output(cert, x)
+    """Roll the controller forward from all starts (k, n) at once, one `query`
+    per step; outputs are clamped to the input box and each trajectory's clamp
+    events are counted (a certified controller should need none)."""
+    x = np.asarray(starts, dtype=float)
+    if x.ndim != 2 or x.shape[1] != plant.state_dim:
+        raise GeometryError(f"starts of shape {x.shape} for a plant of {plant.state_dim} states")
+    states = np.empty((len(x), horizon + 1, plant.state_dim))
+    states[:, 0] = x
+    clamps = np.zeros(len(x), dtype=int)
+    for t in range(horizon):
+        u = np.column_stack([eval_poly_many(c, x) for c in cert.controllers])
         clamped = np.clip(u, input_box.lower_arr, input_box.upper_arr)
-        if not np.array_equal(u, clamped):
-            clamps += 1
-        x = query(plant, x[None], clamped[None])[0]
-        states.append(x.copy())
-    arr = np.asarray(states)
-    safe = not any(unsafe_region.contains_point(s) for s in arr)
-    return Trajectory(arr, safe, clamps)
+        clamps += np.any(u != clamped, axis=1)
+        x = query(plant, x, clamped)
+        states[:, t + 1] = x
+    safe = ~np.any(in_region(states, unsafe_region), axis=1)
+    return Trajectory(states, safe, clamps)
 
 
 @dataclass(frozen=True)
@@ -206,24 +210,16 @@ def empirical_safety(
     horizon: int,
     grid_points: int = 401,
 ) -> SafetySummary:
-    """Simulate from a grid over the initial region and summarise safety."""
+    """Simulate from a grid over the initial region and summarise safety;
+    failing starts are listed in grid order."""
     starts = np.vstack([box_grid(p, grid_points) for p in initial_region.parts])
-    failing: list[tuple[float, ...]] = []
-    min_dist = np.inf
-    clamps = 0
-    for x0 in starts:
-        traj = simulate_closed_loop(plant, cert, x0, horizon, input_box, unsafe_region)
-        clamps += traj.clamp_events
-        for s in traj.states:
-            min_dist = min(min_dist, distance_to_region(s, unsafe_region))
-        if not traj.safe:
-            failing.append(tuple(float(v) for v in x0))
-    frac = 1.0 - len(failing) / len(starts)
+    traj = simulate_closed_loop(plant, cert, starts, horizon, input_box, unsafe_region)
+    failing = tuple(map(tuple, starts[~traj.safe].tolist()))
     return SafetySummary(
-        fraction_safe=frac,
-        min_unsafe_distance=float(min_dist),
-        failing_states=tuple(failing),
-        clamp_events=clamps,
+        fraction_safe=1.0 - len(failing) / len(starts),
+        min_unsafe_distance=float(np.min(distance_to_region(traj.states, unsafe_region))),
+        failing_states=failing,
+        clamp_events=int(np.sum(traj.clamp_events)),
         n_trajectories=len(starts),
     )
 
@@ -275,7 +271,6 @@ def estimate_lipschitz(
     space: SampleSpace,
     n_pairs: int = 2000,
     seed: int = 0,
-    spread: float = 1e-3,
 ) -> float:
     """Empirical LOWER bound on the constraint Lipschitz constant.
 
@@ -285,7 +280,7 @@ def estimate_lipschitz(
     """
     base = sample_uniform(space, n_pairs, seed)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
-    offsets = (rng.random(base.shape) - 0.5) * spread * space.box.sides()
+    offsets = (rng.random(base.shape) - 0.5) * LIPSCHITZ_SPREAD * space.box.sides()
     other = np.clip(base + offsets, space.box.lower_arr, space.box.upper_arr)
     num = np.abs(_true_step_condition(cert, plant, base) - _true_step_condition(cert, plant, other))
     den = np.linalg.norm(base - other, axis=1)

@@ -9,10 +9,10 @@ from safesynth.geometry import (
     RegionUnion,
     SampleSpace,
     box_grid,
-    contains,
     distance_to_region,
     gamma_half_plus_one,
     grid_halfstep,
+    in_region,
     sample_uniform,
     u_inverse,
     u_of_r,
@@ -147,14 +147,30 @@ def test_sample_uniform_mean_matches_uniform(room_space):
 
 def test_region_contains_case_study_values(room_regions):
     unsafe = room_regions["unsafe"]
-    assert contains(unsafe, [22.7])
-    assert not contains(unsafe, [24.5])
-    assert contains(unsafe, [23.0])  # closed boundaries
+    assert in_region([22.7], unsafe)
+    assert not in_region([24.5], unsafe)
+    assert in_region([23.0], unsafe)  # closed boundaries
+    # any leading shape of points, one answer per point
+    points = np.array([[[22.7], [24.5]], [[23.0], [26.4]]])
+    assert in_region(points, unsafe).tolist() == [[True, False], [True, True]]
 
 
 def test_region_contains_dimension_mismatch(room_regions):
     with pytest.raises(GeometryError):
-        contains(room_regions["unsafe"], [22.7, 1.0])
+        in_region([22.7, 1.0], room_regions["unsafe"])
+    with pytest.raises(GeometryError):
+        distance_to_region([22.7, 1.0], room_regions["unsafe"])
+
+
+def test_membership_is_exact_on_the_boundary(room_regions):
+    unsafe = room_regions["unsafe"]
+    edges = np.array([[23.0], [26.0], [np.nextafter(23.0, 24.0)], [np.nextafter(26.0, 25.0)]])
+    assert in_region(edges, unsafe).tolist() == [True, True, False, False]
+    # the distance underflows to 0 for a point just outside; membership does not
+    unit = RegionUnion.from_intervals([[[0.0, 1.0]]])
+    assert distance_to_region([-1e-170], unit) == 0.0
+    assert not in_region([-1e-170], unit)
+    assert in_region([0.0], unit)
 
 
 def test_region_union_requires_parts():
@@ -194,3 +210,8 @@ def test_distance_to_region(room_regions):
     unsafe = room_regions["unsafe"]
     assert distance_to_region(np.array([24.5]), unsafe) == pytest.approx(1.5)
     assert distance_to_region(np.array([22.7]), unsafe) == 0.0
+    dist = distance_to_region(np.array([[24.5], [22.7], [25.5], [27.0]]), unsafe)
+    assert dist.shape == (4,)
+    assert dist.tolist() == pytest.approx([1.5, 0.0, 0.5, 0.5])
+    square = RegionUnion.from_intervals([[[0.0, 1.0], [0.0, 1.0]]])
+    assert distance_to_region(np.array([4.0, 5.0]), square) == pytest.approx(5.0)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from safesynth.errors import CollectionError, GeometryError
 from safesynth.geometry import Box, RegionUnion, box_grid
@@ -41,17 +42,20 @@ def study_certificate() -> CertificateValues:
     )
 
 
-def zero_controller_certificate() -> CertificateValues:
-    basis = build_basis(1, 4)
-    zero = Polynomial(basis, (0.0,) * 5)
+def controller_certificate(coeffs) -> CertificateValues:
+    """The study's barrier with the degree-4 controller of these coefficients."""
     return CertificateValues(
         objective=0.0,
         unsafe_floor=ROOM_STUDY["unsafe_floor"],
         initial_cap=ROOM_STUDY["initial_cap"],
         growth_budget=ROOM_STUDY["growth_budget"],
         barrier=ROOM_STUDY["barrier"],
-        controllers=(zero,),
+        controllers=(Polynomial(build_basis(1, 4), coeffs),),
     )
+
+
+def zero_controller_certificate() -> CertificateValues:
+    return controller_certificate((0.0,) * 5)
 
 
 def test_violation_frequency_zero_on_consistent_data(room_space, room_regions):
@@ -247,13 +251,19 @@ def test_two_state_conditions_match_brute_force_loops():
 
 def test_simulate_closed_loop_case_study(room_regions):
     traj = simulate_closed_loop(
-        RoomTemperaturePlant(), study_certificate(), [24.5], 5,
+        RoomTemperaturePlant(), study_certificate(), [[24.5]], 5,
         room_regions["input"], room_regions["unsafe"],
     )
-    assert traj.states.shape == (6, 1)
-    assert traj.safe
-    assert traj.clamp_events == 0
-    assert np.all(traj.states >= 23.0) and np.all(traj.states <= 26.0)
+    assert traj.states[0].shape == (6, 1)
+    assert traj.safe[0]
+    assert traj.clamp_events[0] == 0
+    assert np.all(traj.states[0] >= 23.0) and np.all(traj.states[0] <= 26.0)
+
+
+def test_simulate_closed_loop_rejects_misshapen_starts(room_regions):
+    with pytest.raises(GeometryError, match=r"starts of shape \(1,\)"):
+        simulate_closed_loop(RoomTemperaturePlant(), study_certificate(), [24.5], 5,
+                             room_regions["input"], room_regions["unsafe"])
 
 
 class _NanPlant(RoomTemperaturePlant):
@@ -267,7 +277,7 @@ class _NanPlant(RoomTemperaturePlant):
         regions["state"], regions["input"], horizon=5, region_points=21, step_points=11,
     ),
     lambda plant, regions: simulate_closed_loop(
-        plant, study_certificate(), [24.5], 5, regions["input"], regions["unsafe"],
+        plant, study_certificate(), [[24.5]], 5, regions["input"], regions["unsafe"],
     ),
 ], ids=["check_cbf_conditions", "simulate_closed_loop"])
 def test_ground_truth_checks_refuse_a_nan_plant_answer(room_regions, check):
@@ -279,16 +289,17 @@ def test_ground_truth_checks_refuse_a_nan_plant_answer(room_regions, check):
 
 def test_simulate_zero_horizon(room_regions):
     traj = simulate_closed_loop(
-        RoomTemperaturePlant(), study_certificate(), [24.0], 0,
+        RoomTemperaturePlant(), study_certificate(), [[24.0]], 0,
         room_regions["input"], room_regions["unsafe"],
     )
-    assert traj.states.shape == (1, 1)
-    assert traj.safe
-    unsafe_start = simulate_closed_loop(
-        RoomTemperaturePlant(), study_certificate(), [22.7], 0,
+    assert traj.states[0].shape == (1, 1)
+    assert traj.safe[0]
+    # the unsafe bands are closed: states at exactly 23.0 and 26.0 are in them
+    unsafe_starts = simulate_closed_loop(
+        RoomTemperaturePlant(), study_certificate(), [[22.7], [23.0], [26.0]], 0,
         room_regions["input"], room_regions["unsafe"],
     )
-    assert not unsafe_start.safe
+    assert not np.any(unsafe_starts.safe)
 
 
 def test_simulate_constant_cooling_exits_band(room_regions):
@@ -298,11 +309,11 @@ def test_simulate_constant_cooling_exits_band(room_regions):
         states.append(0.96 * states[-1] + 0.6)
     assert states[3] == pytest.approx(22.962624)
     traj = simulate_closed_loop(
-        RoomTemperaturePlant(), zero_controller_certificate(), [24.0], 5,
+        RoomTemperaturePlant(), zero_controller_certificate(), [[24.0]], 5,
         room_regions["input"], room_regions["unsafe"],
     )
-    assert np.allclose(traj.states[:, 0], states, rtol=0, atol=1e-12)
-    assert not traj.safe  # state 3 lands inside the lower unsafe band
+    assert np.allclose(traj.states[0][:, 0], states, rtol=0, atol=1e-12)
+    assert not traj.safe[0]  # state 3 lands inside the lower unsafe band
 
 
 def test_empirical_safety_case_study(room_regions):
@@ -328,6 +339,75 @@ def test_empirical_safety_detects_unsafe_controller(room_regions):
     assert len(summary.failing_states) == round(
         (1 - summary.fraction_safe) * summary.n_trajectories
     )
+
+
+class _CountingPlant(RoomTemperaturePlant):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def step_batch(self, xs, us):
+        self.calls += 1
+        return super().step_batch(xs, us)
+
+
+def test_empirical_safety_queries_the_plant_once_per_step(room_regions):
+    plant = _CountingPlant()
+    summary = empirical_safety(
+        plant, study_certificate(),
+        room_regions["initial"], room_regions["unsafe"], room_regions["input"],
+        horizon=5, grid_points=401,
+    )
+    assert summary.n_trajectories == 401
+    assert plant.calls == 5  # one query per step for all starts, not one per start and step
+
+
+def reference_safety(cert, regions, horizon, grid_points):
+    """Per-start closed-loop rollout of a 1-D room certificate, from
+    `step_room` and `polyval` alone: the failing starts in grid order, the
+    safe fraction, the least distance of any state to the unsafe bands and
+    the number of clamped steps."""
+    (controller,) = cert.controllers
+    assert controller.basis.terms == tuple((d,) for d in range(5))  # 1, x, ..., x^4
+    u_lo, u_hi = regions["input"].lower[0], regions["input"].upper[0]
+    bands = [(p.lower[0], p.upper[0]) for p in regions["unsafe"].parts]
+    (start_box,) = regions["initial"].parts
+    failing, clamps, least = [], 0, math.inf
+    for x0 in np.linspace(start_box.lower[0], start_box.upper[0], grid_points):
+        x, hit = float(x0), False
+        for t in range(horizon + 1):
+            hit = hit or any(lo <= x <= hi for lo, hi in bands)
+            least = min(least, *(max(lo - x, x - hi, 0.0) for lo, hi in bands))
+            if t == horizon:
+                break
+            u = float(polyval(x, controller.coeffs))
+            if not u_lo <= u <= u_hi:
+                clamps += 1
+            x = float(step_room(x, min(max(u, u_lo), u_hi)))
+        if hit:
+            failing.append((float(x0),))
+    return tuple(failing), 1.0 - len(failing) / grid_points, least, clamps
+
+
+@pytest.mark.parametrize("coeffs", [
+    ROOM_STUDY["controller"].coeffs,
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.3, 0.0, 0.0, 0.0, 0.0),
+    (-7.0, 0.3, 0.0, 0.0, 0.0),
+], ids=["study", "zero", "constant-0.3", "affine-clamped"])
+def test_empirical_safety_matches_a_per_start_reference(room_regions, coeffs):
+    cert = controller_certificate(coeffs)
+    summary = empirical_safety(
+        RoomTemperaturePlant(), cert,
+        room_regions["initial"], room_regions["unsafe"], room_regions["input"],
+        horizon=5, grid_points=401,
+    )
+    failing, fraction, least, clamps = reference_safety(cert, room_regions, 5, 401)
+    assert summary.n_trajectories == 401
+    assert summary.failing_states == failing
+    assert summary.fraction_safe == fraction
+    assert summary.clamp_events == clamps
+    assert summary.min_unsafe_distance == pytest.approx(least, rel=0, abs=1e-12)
 
 
 def test_emit_plot_data(tmp_path, room_regions):

@@ -28,13 +28,21 @@ configuration through the override flags: `casestudy --mode posterior --N
 The `plan_khat` case runs `plan --out` on the small configuration with
 `samples.auto` and `khat` given (no pilot solve), keeping `plan.json`: the
 planner's pass/fail decision at each (N, N0) it tried.
-The `verify` case runs `verify --report` on the `small` case's report with
-reduced grids and keeps `verify.json`, its plot paths cut to file names,
-and the sha256 of the plot CSVs.  The `external` case runs `synthesize` on
-the small configuration with the plant `{command: [python,
-benchmarks/child_plant.py], state_dim: 1, input_dim: 1}`: the room dynamics
-in a child process, queried one line at a time, the path of every plant
-that is not reentrant.
+The `external` case runs `synthesize` on the small configuration with the
+plant `{command: [python, benchmarks/child_plant.py], state_dim: 1,
+input_dim: 1}`: the room dynamics in a child process, queried one line at a
+time, the path of every plant that is not reentrant.
+
+Four `verify` cases run `verify --report` with reduced grids on a copy of a
+report in a directory of their own, and keep `verify.json`, its plot paths
+cut to file names, and the sha256 of the plot CSVs:
+`verify` on the `small` case's report;
+`verify_zero_controller` on that report with its controller set to all
+zeros, whose rollouts enter the unsafe set (the failing-start path);
+`verify_clamped_controller` on that report with its controller set to
+(-7, 0.3, 0, 0, 0), whose outputs leave the input box (the clamp count);
+and `verify_external` on the `external` case's report, whose checks and
+rollouts query the child plant.
 
 Four cases end the run at the early exits the others do not reach, each on
 the small configuration: `dataset_error` with the plant `{command: [python,
@@ -96,7 +104,14 @@ CASES = {
     "kappa_vacuous": (["synthesize"], _small_room(samples={"scenario": 1, "validation": 1})),
     "lipschitz_refuted": (["synthesize"], _small_room(lipschitz=0.5, estimate_lipschitz=True)),
 }
-VERIFY_SOURCE = "small"  # the case whose report the `verify` case checks
+# verify case name -> (the case whose report it checks, the controller
+# coefficients put in place of the report's, or None to keep them)
+VERIFY_CASES = {
+    "verify": ("small", None),
+    "verify_zero_controller": ("small", [0.0] * 5),
+    "verify_clamped_controller": ("small", [-7.0, 0.3, 0.0, 0.0, 0.0]),
+    "verify_external": ("external", None),
+}
 VERIFY_FLAGS = ["--region-points", "401", "--step-points", "61", "--trajectory-grid", "101"]
 
 
@@ -144,12 +159,20 @@ def run_case(name: str, argv: list, raw: dict | None, work: str) -> tuple[dict, 
     }, run_dir
 
 
-def verify_case(run_dir: str) -> dict:
-    """`verify --report` on the report in `run_dir`, which receives its outputs."""
+def verify_case(run_dir: str, controller: list | None, out: str) -> dict:
+    """`verify --report` on a copy of the report in `run_dir`, its controller
+    replaced by `controller` when given, in the new directory `out`."""
+    with open(os.path.join(run_dir, "report.json")) as fh:
+        report = json.load(fh)
+    if controller is not None:
+        report["certificate"]["controllers"][0]["coeffs"] = controller
+    os.makedirs(out)
+    with open(os.path.join(out, "report.json"), "w") as fh:
+        json.dump(report, fh)
     with contextlib.redirect_stdout(io.StringIO()):
-        rc = safesynth_main(["verify", "--report", os.path.join(run_dir, "report.json"),
+        rc = safesynth_main(["verify", "--report", os.path.join(out, "report.json"),
                              *VERIFY_FLAGS])
-    with open(os.path.join(run_dir, "verify.json")) as fh:
+    with open(os.path.join(out, "verify.json")) as fh:
         payload = json.load(fh)
     plots = payload["plots"]
     payload["plots"] = {key: os.path.basename(path) for key, path in plots.items()}
@@ -174,11 +197,13 @@ def main(argv: list) -> int:
     out_dir = argv[0]
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
+        run_dirs = {}
         for name, (args, raw) in CASES.items():
-            result, run_dir = run_case(name, args, raw, work)
+            result, run_dirs[name] = run_case(name, args, raw, work)
             _write(out_dir, name, result)
-            if name == VERIFY_SOURCE:
-                _write(out_dir, "verify", verify_case(run_dir))
+        for name, (source, controller) in VERIFY_CASES.items():
+            _write(out_dir, name,
+                   verify_case(run_dirs[source], controller, os.path.join(work, name)))
     return 0
 
 

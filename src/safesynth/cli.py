@@ -26,7 +26,6 @@ import csv
 import dataclasses
 import datetime
 import json
-import math
 import os
 import sys
 
@@ -54,7 +53,6 @@ from .pipeline import (
     validate_config,
 )
 from .plant import Role, atomic_write, collect, make_plant, save_dataset
-from .scp import CertificateValues
 from .verify import check_cbf_conditions, emit_plot_data, empirical_safety
 
 EXIT_OK = 0
@@ -274,29 +272,13 @@ def _cmd_plan(args, argv) -> int:
     return EXIT_OK
 
 
-def _check_certificate(cert: CertificateValues, config: SynthesisConfig) -> None:
-    """A ConfigError naming the field unless `cert` fits `config`'s template
-    and all its values are finite."""
-    layout = config.layout()
-    shapes = [(p.basis.nvars, len(p.coeffs)) for p in (cert.barrier, *cert.controllers)]
-    template = [(b.nvars, len(b)) for b in (layout.barrier, *layout.controllers)]
-    if shapes != template:
-        raise ConfigError(f"certificate barrier and controllers have (nvars, coefficients) "
-                          f"{shapes}, the configuration's template {template}")
-    values = {f.name: [getattr(cert, f.name)] for f in dataclasses.fields(cert) if f.type is float}
-    values["barrier"] = cert.barrier.coeffs
-    values.update((f"controllers[{i}]", c.coeffs) for i, c in enumerate(cert.controllers))
-    for name, value in values.items():
-        if not all(map(math.isfinite, value)):
-            raise ConfigError(f"certificate {name} has a non-finite value")
-
-
 def _cmd_verify(args, argv) -> int:
     for dest in ("region_points", "step_points", "trajectory_grid"):
         if getattr(args, dest) < 2:
             raise ConfigError(f"--{dest.replace('_', '-')} must be >= 2, got {getattr(args, dest)}")
     try:
-        report = CertificateReport.from_json_dict(read_json_object(args.report, "report"))
+        report = CertificateReport.from_json_dict(read_json_object(args.report, "report"),
+                                                  lambda raw: validate_config(raw).layout())
     except KeyError as exc:
         raise ConfigError(f"report {args.report} lacks required key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
@@ -308,7 +290,6 @@ def _cmd_verify(args, argv) -> int:
         return EXIT_INCONCLUSIVE
     config = validate_config(report.config)
     cert = report.certificate
-    _check_certificate(cert, config)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.report))
     with make_plant(config.plant_spec) as plant:
         conditions = check_cbf_conditions(

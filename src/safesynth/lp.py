@@ -10,7 +10,8 @@ so each iteration prices the rows of G (see `RowStack`) and refactorises
 only an nvars x nvars basis.  At optimality the dual basis IS the active set
 of the original program and the simplex multipliers of that basis are its
 solution, which this module re-solves from the final working set so the
-returned point satisfies its active rows to machine precision.
+returned point satisfies its active rows to machine precision.  Programs
+must be bounded below, as the scenario program is (`solve_dense_lp`).
 
 One walk over G.  Every read of G v, the pricing of each iteration and the
 final G z - h alike, goes through one walk (`_DualSimplex._walk`), so the
@@ -71,12 +72,13 @@ _PRICE_CHUNK = 16384
 _FIRST_BATCH = 2048
 # Rows `PolyRows` makes at most at once for its column maxima.
 _MAKE_CHUNK = 65536
+# Degenerate pivots in a row after which pricing switches to Bland's rule.
+_STALL_LIMIT = 64
 
 
 class LpStatus(str, Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration-limit"
 
 
@@ -493,7 +495,7 @@ class LpResult:
     """The record of one solve, from the dual simplex to the report.
 
     `_DualSimplex` makes it and counts into it while it pivots, so every
-    outcome carries the counters: optimal, infeasible and unbounded, and a
+    outcome carries the counters: optimal and infeasible, and a
     `SolverError` raised once it exists carries the record too.  At an
     optimum `solve_dense_lp` adds the point `z`, its objective, the final
     working set (`basis_rows`, ascending, with their `multipliers`), the
@@ -567,7 +569,7 @@ class _DualSimplex:
     (`residual`) both read G through one walk (`_walk`).
     """
 
-    def __init__(self, G, scale, h, b, tolerances: LpTolerances, stall_limit):
+    def __init__(self, G, scale, h, b, tolerances: LpTolerances):
         self.G = G
         self.scale = scale
         self.h = h
@@ -576,7 +578,6 @@ class _DualSimplex:
         self.opt_tol = tolerances.optimality
         self.pivot_tol = tolerances.pivot
         self.max_iter = tolerances.max_iterations
-        self.stall_limit = stall_limit
         self.art_sign = np.where(b >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.nv)
         self.A_B = np.diag(self.art_sign)
@@ -767,7 +768,7 @@ class _DualSimplex:
             if theta <= 1e-11:
                 self.result.degenerate_steps += 1
                 self._stall += 1
-                if self._stall >= self.stall_limit:
+                if self._stall >= _STALL_LIMIT:
                     self._bland = True
             else:
                 self._stall = 0
@@ -801,8 +802,6 @@ def solve_dense_lp(
     G: np.ndarray,
     h: np.ndarray,
     tolerances: LpTolerances = LpTolerances(),
-    stall_limit: int = 64,
-    _allow_probe: bool = True,
 ) -> LpResult:
     """Solve min cost.z s.t. G z <= h; see module docstring for the method.
 
@@ -810,7 +809,23 @@ def solve_dense_lp(
     made block of G trusts its cells' `h_min` to bound `h`.  At an optimum
     the rows with |G z - h| <= tolerances.activity are `active_row_ids`;
     G z - h is screened (`_DualSimplex.residual`), so no m-long vector is
-    made."""
+    made.
+
+    The program must be bounded below: cost.d >= 0 wherever G d <= 0.  By
+    Farkas' lemma (Bertsimas and Tsitsiklis, *Introduction to Linear
+    Optimization*, 1997, section 4.6) its dual is then feasible for every
+    h, so phase 1 drives its artificials to 0 and the solve ends optimal
+    or, on a dual ray in phase 2, infeasible.  Any other end of phase 1 is
+    rounding, or a program unbounded below: SolverError, status
+    iteration-limit, record attached.  The scenario program (`scp`) is
+    bounded below by construction; for d with G d <= 0:
+      - K, the objective entry, enters only the sampled rows, with -1;
+      - the cap rows (|c_j| <= scale_j s_j, each group's sum of s <=
+        bound) force every coefficient c and split s to 0;
+      - g1, g2 and the two head rows then read cap >= 0, floor <= 0,
+        T budget <= floor - cap and budget >= 0, so the budget is 0;
+      - so every sampled row reads -d_K <= 0: d_K >= 0.
+    """
     if not isinstance(G, RowStack):
         G = RowStack.dense(G)
     h = np.asarray(h, dtype=float).ravel()
@@ -826,21 +841,17 @@ def solve_dense_lp(
     scale = _pow2_column_scale(G)
     b = -(cost * scale)
 
-    engine = _DualSimplex(G, scale, h, b, tolerances, stall_limit)
+    engine = _DualSimplex(G, scale, h, b, tolerances)
     try:
         outcome, pi, x_B = engine.run_phase(1)
-        if outcome == "unbounded":
-            # Phase 1 minimises a sum of non-negative artificials; an unbounded
-            # ray here can only be numerical noise.
-            raise SolverError("phase 1 reported an unbounded ray",
+        art_level = float(np.sum(np.maximum(x_B[engine.basis >= m], 0.0)))
+        if outcome == "unbounded" or art_level > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
+            ended = ("reported an unbounded ray" if outcome == "unbounded"
+                     else f"left its artificials at {art_level:.3e}")
+            raise SolverError(f"phase 1 {ended}: the dual is infeasible, so the program is "
+                              f"not bounded below or rounding broke the solve",
                               status=LpStatus.ITERATION_LIMIT.value)
         result = engine.result
-        art_level = float(np.sum(np.maximum(x_B[engine.basis >= m], 0.0)))
-        if art_level > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
-            # Dual infeasible: the original program is unbounded or infeasible.
-            unbounded = not _allow_probe or _primal_feasible(G, h, tolerances, stall_limit)
-            result.status = LpStatus.UNBOUNDED if unbounded else LpStatus.INFEASIBLE
-            return result
 
         outcome, pi, x_B = engine.run_phase(2)
         if outcome == "unbounded":
@@ -869,27 +880,3 @@ def solve_dense_lp(
     except SolverError as exc:
         exc.result = engine.result
         raise
-
-
-def _primal_feasible(G: RowStack, h, tolerances: LpTolerances, stall_limit) -> bool:
-    """Distinguish unbounded from infeasible: min t s.t. Gz - t <= h, t >= -1.
-
-    Always feasible and bounded, so the recursive solve cannot probe again.
-    The column of t is -1 in every row of G, so it goes into each block's
-    shared row and no block is copied.
-    """
-    m, nv = G.shape
-    G_aux = RowStack(
-        [(cols, values, np.append(np.zeros(nv) if shared is None else shared, -1.0))
-         for cols, values, shared in G.blocks]
-        + [([nv], np.full((1, 1), -1.0))],
-        nv + 1,
-    )
-    h_aux = np.concatenate([h, [1.0]])
-    cost_aux = np.zeros(nv + 1)
-    cost_aux[nv] = 1.0
-    res = solve_dense_lp(cost_aux, G_aux, h_aux, tolerances, stall_limit, _allow_probe=False)
-    if res.status != LpStatus.OPTIMAL or res.objective is None:
-        raise SolverError("feasibility probe failed to solve",
-                          status=LpStatus.ITERATION_LIMIT.value)
-    return res.objective <= tolerances.feasibility

@@ -277,6 +277,10 @@ def validate_config(data: dict) -> SynthesisConfig:
             _arrays(opts["unsafe_set"], float, "unsafe_set", 3))
     except SafesynthError as exc:
         raise ConfigError(f"bad region declaration: {exc}") from exc
+    for name, box in (("state_space", state_box), ("input_box", input_box)):
+        for axis, (lo, hi) in enumerate(zip(box.lower, box.upper)):
+            if lo == hi:  # the sample space would have no volume
+                raise ConfigError(f"{name} axis {axis} has zero width: [{lo}, {hi}]")
 
     if state_box.dim != state_dim:
         raise ConfigError(f"state_space dimension {state_box.dim} != plant state_dim {state_dim}")
@@ -450,16 +454,21 @@ class CertificateReport:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CertificateReport":
-        """Inverse of `to_json_dict`; a missing key without a default raises KeyError."""
+    def from_json_dict(cls, data: dict, template=None) -> "CertificateReport":
+        """Inverse of `to_json_dict`; a missing key without a default raises
+        KeyError.  `template`, given the report's echoed configuration,
+        returns the `DecisionLayout` the certificate must fit
+        (`CertificateValues.from_dict`)."""
         values = {
             f.name: data[f.name]
             for f in dataclasses.fields(cls)
             if f.name in data
             or (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
         }
-        if values.get("certificate") is not None:
-            values["certificate"] = CertificateValues.from_dict(values["certificate"])
+        cert = values.get("certificate")
+        if cert is not None:  # one that is not an object is malformed whatever the configuration
+            layout = template(values["config"]) if template and isinstance(cert, dict) else None
+            values["certificate"] = CertificateValues.from_dict(cert, layout)
         return cls(**values)
 
 

@@ -102,8 +102,11 @@ class Polynomial:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Polynomial":
-        return cls(build_basis(int(data["nvars"]), int(data["degree"])), tuple(data["coeffs"]))
+    def from_dict(cls, data: dict, basis: PolyBasis | None = None) -> "Polynomial":
+        """Inverse of `to_dict`, over `basis` if the caller has checked it."""
+        if basis is None:
+            basis = build_basis(int(data["nvars"]), int(data["degree"]))
+        return cls(basis, tuple(data["coeffs"]))
 
 
 def eval_basis(basis: PolyBasis, x: Sequence[float]) -> np.ndarray:

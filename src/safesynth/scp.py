@@ -35,14 +35,15 @@ shapes fall back to capping the l1 norm of the raw coefficients.
 """
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AssemblyError, SolverError
+from .errors import AssemblyError, PolynomialError, SolverError
 from .geometry import Box, RegionUnion, box_grid, grid_halfstep
 from .lp import Cells, LpResult, LpStatus, LpTolerances, PolyRows, RowStack, solve_dense_lp
 from .plant import Dataset
@@ -280,15 +281,32 @@ class CertificateValues:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CertificateValues":
-        return cls(
-            objective=float(data["objective"]),
-            unsafe_floor=float(data["unsafe_floor"]),
-            initial_cap=float(data["initial_cap"]),
-            growth_budget=float(data["growth_budget"]),
-            barrier=Polynomial.from_dict(data["barrier"]),
-            controllers=tuple(Polynomial.from_dict(c) for c in data["controllers"]),
-        )
+    def from_dict(cls, data: dict, layout: DecisionLayout | None = None) -> "CertificateValues":
+        """Inverse of `to_dict`; a non-finite value raises PolynomialError
+        naming its field.  Given `layout`, each polynomial's `nvars` and
+        `degree` must be the template's, as JSON integers, compared before
+        any basis is built (a degree of 10**30 is refused, not enumerated),
+        and the polynomials take the template's bases."""
+        scalars = {f.name: float(data[f.name]) for f in fields(cls) if f.type is float}
+        polys = {"barrier": data["barrier"],
+                 **{f"controllers[{i}]": c for i, c in enumerate(data["controllers"])}}
+        bases = [None] * len(polys) if layout is None else [layout.barrier, *layout.controllers]
+        if len(bases) != len(polys):
+            raise PolynomialError(f"{len(polys) - 1} controllers, the configuration's "
+                                  f"template has {len(bases) - 1}")
+        for (name, poly), basis in zip(polys.items(), bases):
+            for key in () if basis is None else ("nvars", "degree"):
+                value, expected = poly[key], getattr(basis, key)
+                if isinstance(value, bool) or not isinstance(value, int) or value != expected:
+                    raise PolynomialError(f"{name}.{key} is {value!r}, the configuration's "
+                                          f"template has {expected}")
+            polys[name] = Polynomial.from_dict(poly, basis)
+        for name, values in [*((k, [v]) for k, v in scalars.items()),
+                             *((k, p.coeffs) for k, p in polys.items())]:
+            if not all(map(math.isfinite, values)):
+                raise PolynomialError(f"{name} has a non-finite value")
+        barrier, *controllers = polys.values()
+        return cls(**scalars, barrier=barrier, controllers=tuple(controllers))
 
 
 class LpProblem:

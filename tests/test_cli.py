@@ -3,6 +3,7 @@ import os
 import stat
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -118,6 +119,24 @@ def test_synthesize_config_error_exit(tmp_path, capsys):
     assert "disjoint" in err
 
 
+@pytest.mark.parametrize("key", ["input_box", "state_space"])
+def test_zero_width_sample_box_is_config_exit(tmp_path, capsys, key):
+    # the sample space would have no volume: this ended as a runtime
+    # failure (exit 4) after the run directory was made
+    if key == "input_box":
+        raw = small_raw(input_box=[[0.0, 0.0]])
+    else:
+        raw = two_state_raw(tmp_path)
+        raw["state_space"] = [[-1, 1], [0, 0]]
+        raw["initial_set"] = [[[-0.2, 0.2], [0, 0]]]
+        raw["unsafe_set"] = [[[0.8, 1.0], [0, 0]], [[-1.0, -0.8], [0, 0]]]
+    rc = main(["synthesize", "--config", write_config(tmp_path, raw),
+               "--out", str(tmp_path / "runs")])
+    assert rc == EXIT_CONFIG
+    assert f"{key} axis" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_unknown_config_key_exit(tmp_path, capsys):
     raw = small_raw()
     raw["typo_key"] = 1
@@ -211,11 +230,20 @@ MALFORMED_CERTIFICATES = {
     "coeffs-short-of-own-basis": (lambda c: c["barrier"]["coeffs"].pop(),
                                   "malformed certificate: 4 coefficients"),
     "extra-controller": (lambda c: c["controllers"].append(c["controllers"][0]),
-                         "(nvars, coefficients) [(1, 5), (1, 5), (1, 5)]"),
+                         "2 controllers, the configuration's template has 1"),
     "barrier-nvars": (_set(["barrier"], {"nvars": 2, "degree": 4, "coeffs": [0.0] * 15}),
-                      "(nvars, coefficients) [(2, 15), (1, 5)]"),
+                      "barrier.nvars is 2, the configuration's template has 1"),
     "barrier-degree": (_set(["barrier"], {"nvars": 1, "degree": 2, "coeffs": [0.0] * 3}),
-                       "(nvars, coefficients) [(1, 3), (1, 5)]"),
+                       "barrier.degree is 2, the configuration's template has 4"),
+    # each raised OverflowError out of `main` or built 10**18 terms: the
+    # template refuses them before any basis is built
+    "barrier-degree-1e308": (_set(["barrier", "degree"], 1e308), "barrier.degree is 1e+308"),
+    "barrier-degree-infinity": (_set(["barrier", "degree"], float("inf")),
+                                "barrier.degree is inf"),
+    "controller-degree-1e30": (_set(["controllers", 0, "degree"], 10**30),
+                               f"controllers[0].degree is {10**30}"),
+    "barrier-nvars-3-degree-1e6": (_set(["barrier"], {"nvars": 3, "degree": 10**6,
+                                                      "coeffs": [0.0]}), "barrier.nvars is 3"),
     "controller-nan-coefficient": (_set(["controllers", 0, "coeffs", 1], float("nan")),
                                    "controllers[0] has a non-finite value"),
     "barrier-inf-coefficient": (_set(["barrier", "coeffs", 0], float("inf")),
@@ -231,8 +259,10 @@ def test_verify_malformed_certificate_is_config_exit(tmp_path, capsys, edit, fie
     certificate = zero_certificate()
     edit(certificate)
     path = write_report(tmp_path, small_raw(), certificate)
+    start = time.perf_counter()
     rc = main(["verify", "--report", path, "--region-points", "21", "--step-points", "11",
                "--trajectory-grid", "5"])
+    assert time.perf_counter() - start < 5.0
     assert rc == EXIT_CONFIG
     assert field in capsys.readouterr().err
     assert not (tmp_path / "verify.json").exists()

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,11 +96,16 @@ def test_infeasible_detected():
 
 
 def test_unbounded_detected():
-    # min z with only z <= 1
+    # min z with only z <= 1: the dual is infeasible, so phase 1 keeps an
+    # artificial above its tolerance and the solve fails closed, the record
+    # of the solve attached
     G = np.array([[1.0]])
     h = np.array([1.0])
-    res = solve_dense_lp(np.array([1.0]), G, h)
-    assert res.status is LpStatus.UNBOUNDED
+    with pytest.raises(SolverError, match="not bounded below") as err:
+        solve_dense_lp(np.array([1.0]), G, h)
+    assert err.value.status == LpStatus.ITERATION_LIMIT.value
+    assert err.value.result is not None and err.value.result.status is None
+    assert err.value.result.rows_priced > 0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -241,8 +245,8 @@ def test_row_stack_reads_like_its_dense_matrix():
 
 
 def test_row_stack_solves_like_its_dense_matrix():
-    # a stack priced block by block reaches the dense optimum, and the
-    # feasibility probe of an infeasible or unbounded stack works on blocks
+    # a stack priced block by block reaches the dense optimum; an infeasible
+    # stack ends infeasible in phase 2, and one unbounded below fails closed
     rng = np.random.default_rng(31)
     for _ in range(20):
         cost, G, h = random_bounded_lp(rng, nv=4, extra_rows=40)
@@ -254,11 +258,12 @@ def test_row_stack_solves_like_its_dense_matrix():
         assert blocks.status is LpStatus.OPTIMAL
         assert blocks.objective == pytest.approx(dense.objective, abs=1e-9)
     infeasible = RowStack([([0, 1], np.array([[1.0], [0.0]])), ([0], np.array([[-1.0]]))], 2)
-    res = solve_dense_lp(np.array([0.0, 1.0]), infeasible, np.array([-1.0, -1.0]))
+    res = solve_dense_lp(np.array([1.0, 0.0]), infeasible, np.array([-1.0, -1.0]))
     assert res.status is LpStatus.INFEASIBLE
     unbounded = RowStack([([0, 1], np.array([[0.0], [1.0]])), ([0], np.array([[-1.0]]))], 2)
-    res = solve_dense_lp(np.array([-1.0, 0.0]), unbounded, np.array([1.0, 0.0]))
-    assert res.status is LpStatus.UNBOUNDED
+    with pytest.raises(SolverError, match="not bounded below") as err:
+        solve_dense_lp(np.array([-1.0, 0.0]), unbounded, np.array([1.0, 0.0]))
+    assert err.value.status == LpStatus.ITERATION_LIMIT.value
 
 
 def _shared_row_stack(rng, head_rows=7, tail_rows=5):
@@ -305,47 +310,6 @@ def test_nan_in_a_shared_row_raises():
         solve_dense_lp(np.ones(7), stack, np.ones(len(stack)))
 
 
-def _probe_stack(rng, rows, infeasible):
-    """min z0 over a tall block whose rows read -z0 + a.q with a > 0 in
-    column 1: unbounded (q1 -> -inf), so phase 1 finds the dual infeasible
-    and the feasibility probe runs; two head rows that contradict each other
-    make it infeasible instead."""
-    head = np.zeros((2, 13))
-    head[:, 12] = [1.0, -1.0]
-    tail = rng.normal(size=(11, rows))
-    tail[0] = rng.uniform(0.5, 1.0, size=rows)
-    shared = np.zeros(13)
-    shared[0] = -1.0
-    stack = RowStack([(np.arange(13), head.T), (np.arange(1, 12), tail, shared)], 13)
-    h = np.concatenate([[-1.0 if infeasible else 1.0, 0.0], rng.uniform(0.1, 1.0, size=rows)])
-    return stack, h
-
-
-@pytest.mark.parametrize("infeasible", [False, True])
-def test_feasibility_probe_uses_shared_rows_not_copies(monkeypatch, infeasible):
-    stack, h = _probe_stack(np.random.default_rng(12), 20_000, infeasible)
-    cost = np.eye(13)[0]
-    probes = []
-    probe = lp._primal_feasible
-    monkeypatch.setattr(lp, "_primal_feasible", lambda *a: probes.append(a) or probe(*a))
-    res = solve_dense_lp(cost, stack, h)
-    dense = solve_dense_lp(cost, np.asarray(stack), h)
-    expected = LpStatus.INFEASIBLE if infeasible else LpStatus.UNBOUNDED
-    assert res.status is dense.status is expected
-    assert len(probes) == 2  # the stacked and the dense solve each probed
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        feasible = probe(stack, h, lp.LpTolerances(optimality=1e-9), 64)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert feasible is (not infeasible)
-    # a copy of each block with the t row added held G.nbytes * 13 / 12
-    assert peak < 0.25 * stack.nbytes
-
-
 def _two_block_lp(rng, head_rows=20, tail_rows=41):
     """A bounded program over 7 columns: a dense block of random rows and a
     box, then a block over columns 1, 3 and 4 whose shared row is non-zero
@@ -371,9 +335,10 @@ def _degenerate_lp(rng, rows=60):
     return np.eye(3)[0], stack, np.concatenate([np.full(6, 10.0), np.ones(rows)])
 
 
-def _solve_recording(monkeypatch, chunk, *args, **kwargs):
-    """solve_dense_lp priced in chunks of `chunk` rows; also every working set
-    it factorised, and per walk over G (the pricing passes and the final
+def _solve_recording(monkeypatch, chunk, *args, stall_limit=lp._STALL_LIMIT):
+    """solve_dense_lp priced in chunks of `chunk` rows, switching to Bland's
+    rule after `stall_limit` degenerate pivots; also every working set it
+    factorised, and per walk over G (the pricing passes and the final
     residual) the number of chunks read."""
     bases, priced = [], []
     basis_matrix = lp._DualSimplex._basis_matrix
@@ -387,10 +352,11 @@ def _solve_recording(monkeypatch, chunk, *args, **kwargs):
 
     with monkeypatch.context() as mp:
         mp.setattr(lp, "_PRICE_CHUNK", chunk)
+        mp.setattr(lp, "_STALL_LIMIT", stall_limit)
         mp.setattr(lp._DualSimplex, "_basis_matrix",
                    lambda engine: bases.append(engine.basis.tolist()) or basis_matrix(engine))
         mp.setattr(lp._DualSimplex, "_walk", counting_walk)
-        return solve_dense_lp(*args, **kwargs), bases, priced
+        return solve_dense_lp(*args), bases, priced
 
 
 @pytest.mark.parametrize("build, kwargs", [(_two_block_lp, {}),
@@ -437,7 +403,8 @@ def test_basis_matrix_is_the_working_sets_scaled_rows(monkeypatch, build, kwargs
         return A
 
     monkeypatch.setattr(lp._DualSimplex, "_basis_matrix", checked_basis_matrix)
-    assert solve_dense_lp(cost, stack, h, **kwargs).status is LpStatus.OPTIMAL
+    monkeypatch.setattr(lp, "_STALL_LIMIT", kwargs.get("stall_limit", lp._STALL_LIMIT))
+    assert solve_dense_lp(cost, stack, h).status is LpStatus.OPTIMAL
     assert real_rows[0] == 0 and max(real_rows) >= 3 and len(real_rows) > 3
 
 
@@ -453,7 +420,7 @@ def test_chunked_reduced_costs_are_those_of_one_mat_vec(monkeypatch, chunk, phas
     h = np.concatenate([h, [0.5, 0.25]])
     monkeypatch.setattr(lp, "_PRICE_CHUNK", chunk)
     scale = _pow2_column_scale(stack)
-    engine = lp._DualSimplex(stack, scale, h, np.ones(7), lp.LpTolerances(optimality=1e-9), 64)
+    engine = lp._DualSimplex(stack, scale, h, np.ones(7), lp.LpTolerances(optimality=1e-9))
     engine.basis[:4] = [3, 200, 209, 320]
     v = scale * rng.normal(size=7)
     expected = stack.matvec(v)
@@ -489,7 +456,7 @@ def test_nan_reduced_cost_fails_closed(monkeypatch, bland):
     values = np.full((1, 11), 0.5)
     values[0, 9] = 2.0
     stack = RowStack([([0], values, np.array([0.0, 2.0]))], 2)
-    engine = lp._DualSimplex(stack, np.ones(2), np.ones(11), np.ones(2), lp.LpTolerances(optimality=1e-9), 64)
+    engine = lp._DualSimplex(stack, np.ones(2), np.ones(11), np.ones(2), lp.LpTolerances(optimality=1e-9))
     engine._bland = bland
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             SolverError, match="NaN reduced cost of row 9") as err:
@@ -505,7 +472,7 @@ def test_entering_row_across_chunks(monkeypatch, bland, expected):
     G = np.zeros((11, 1))
     G[[1, 2, 9], 0] = [1.0, 3.0, 3.0]
     engine = lp._DualSimplex(RowStack.dense(G), np.ones(1), np.zeros(11), np.ones(1),
-                             lp.LpTolerances(optimality=1e-9), 64)
+                             lp.LpTolerances(optimality=1e-9))
     engine._bland = bland
     assert engine._entering_row(np.ones(1), 2) == expected
 
@@ -624,7 +591,7 @@ def test_cell_bounds_are_sound_for_rows_at_box_corners(phase):
     cols, values, shared = stack.blocks[-1]
     cells = values.cells
     lo = stack.starts[-2]
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9))
     pruned = []
     for trial in range(60):
         v = rng.normal(size=8) * 10.0 ** rng.integers(-3, 13)
@@ -651,7 +618,7 @@ def test_screened_reduced_costs_are_those_of_the_mat_vec(monkeypatch, extra, pha
     ncells = len(cells.starts) - 1
     assert len(cells.order) % 4 == extra and cells.starts[-1] == len(cells.order)
     lo = stack.starts[-2]
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9))
     engine.basis[:3] = [lo + 5, lo + int(cells.order[0]), 3]
     v = rng.normal(size=8)
     products = stack.matvec(v)
@@ -675,8 +642,9 @@ def test_screened_reduced_costs_are_those_of_the_mat_vec(monkeypatch, extra, pha
         assert np.all(seen == 1)
 
 
-def _solve_checking_entering_rows(monkeypatch, *args, **kwargs):
-    """solve_dense_lp with every entering row checked against the one an
+def _solve_checking_entering_rows(monkeypatch, *args, stall_limit=lp._STALL_LIMIT):
+    """solve_dense_lp, switching to Bland's rule after `stall_limit`
+    degenerate pivots, with every entering row checked against the one an
     unscreened pass of all rows picks; also every working set."""
     entering_row = lp._DualSimplex._entering_row
     bases, calls = [], []
@@ -694,7 +662,8 @@ def _solve_checking_entering_rows(monkeypatch, *args, **kwargs):
 
     with monkeypatch.context() as mp:
         mp.setattr(lp._DualSimplex, "_entering_row", checked)
-        return solve_dense_lp(*args, **kwargs), bases, calls
+        mp.setattr(lp, "_STALL_LIMIT", stall_limit)
+        return solve_dense_lp(*args), bases, calls
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -725,7 +694,7 @@ def test_screened_entering_row_for_random_pricing_vectors(monkeypatch, bland, ne
     _, stack, _, h = _screened_lp(rng, 6001, grid=12, h_sampled=(
         lambda total: rng.uniform(-1.0, -0.999, size=total)) if near else None)
     lo = stack.starts[-2]
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9))
     engine._bland = bland
     sampled = 0
     for trial in range(200):
@@ -760,7 +729,7 @@ def test_screened_ties_enter_the_lowest_row(monkeypatch, bland, first_batch):
     lo = stack.starts[-2]
     cell_of = np.searchsorted(cells.starts, np.argsort(cells.order)[[10, 17, 1500, 2911]], "right")
     assert len(set(cell_of.tolist())) >= 3  # ties across cells
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9))
     engine._bland = bland
     v = np.zeros(8)
     assert engine._entering_row(v, 2) == lo + 10
@@ -778,10 +747,10 @@ def test_screened_entering_row_and_residual_are_those_of_one_mat_vec(extra):
     _, stack, _, h = _screened_lp(rng, 4000 + extra, corners=False,
                                   h_sampled=lambda total: np.r_[np.ones(total - 1), -2.0])
     assert (len(stack) - stack.starts[-2]) % 4 == extra
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9))
     assert engine._entering_row(np.zeros(8), 2) == len(stack) - 1
     _, stack, _, h = _screened_lp(rng, 4000 + extra, corners=False)
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9))
     active = 0
     for trial in range(80):
         v = rng.normal(size=8) * 10.0 ** rng.uniform(-2, 1)
@@ -803,8 +772,8 @@ def test_screened_entering_row_and_residual_are_those_of_one_mat_vec(extra):
 
 @pytest.mark.parametrize("bland", [False, True])
 def test_entering_row_with_a_block_after_the_cells(bland):
-    # a dense block after the block with cells, the shape the feasibility
-    # probe builds: its rows are priced before the cells' batches, and
+    # a dense block after the block with cells: its rows are priced before
+    # the cells' batches, and
     # Dantzig's rule enters rows of both; under Bland's rule an eligible row
     # after the cells is the stop row, and a lower eligible cell row wins
     rng = np.random.default_rng(83)
@@ -812,7 +781,7 @@ def test_entering_row_with_a_block_after_the_cells(bland):
     stack = RowStack(stack.blocks + [(np.arange(8), rng.normal(size=(40, 8)).T)], 8)
     h = np.concatenate([h, rng.uniform(-1.0, 1.0, size=40)])
     lo, hi = stack.starts[-3:-1]
-    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
+    engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9))
     engine._bland = bland
     where, later = [], 0
     for trial in range(300):
@@ -829,48 +798,6 @@ def test_entering_row_with_a_block_after_the_cells(bland):
     assert where.count(1) > 20 and (later if bland else where.count(2)) > 20
 
 
-def _probe_with_cells(rng, infeasible):
-    """The sampled rows of `_screened_lp` under a box on columns 1-6 only:
-    min z0 is unbounded (the budget column 7 follows z0 down), so the
-    feasibility probe runs; two head rows that contradict each other make
-    it infeasible instead.  Returns (cost, the stack with cells, the same
-    rows without them, h)."""
-    cost, stack, plain, h = _screened_lp(rng, 3000)
-    head = np.vstack([np.eye(8)[1:7], -np.eye(8)[1:7]])
-    h_head = np.full(12, 10.0)
-    if infeasible:
-        head = np.vstack([head, np.eye(8)[1], -np.eye(8)[1]])
-        h_head = np.r_[h_head, -1.0, 0.0]
-    h = np.concatenate([h_head, h[stack.starts[-2]:]])
-    return (cost, RowStack([(np.arange(8), head.T), stack.blocks[-1]], 8),
-            RowStack([(np.arange(8), head.T), plain.blocks[-1]], 8), h)
-
-
-@pytest.mark.parametrize("infeasible", [False, True])
-def test_feasibility_probe_with_cells_takes_the_unscreened_path(monkeypatch, infeasible):
-    # the probe appends its t row after the block with cells; status, every
-    # working set of the solve and of the probe's solve, and the verdict
-    # are those of the same rows without cells
-    cost, stack, plain, h = _probe_with_cells(np.random.default_rng(86), infeasible)
-    probe = lp._primal_feasible
-    runs = []
-    for G in (stack, plain):
-        bases, verdicts = [], []
-        basis_matrix = lp._DualSimplex._basis_matrix
-        with monkeypatch.context() as mp:
-            mp.setattr(lp, "_primal_feasible",
-                       lambda *a: verdicts.append(probe(*a)) or verdicts[-1])
-            mp.setattr(lp._DualSimplex, "_basis_matrix",
-                       lambda engine: bases.append(engine.basis.tolist()) or basis_matrix(engine))
-            runs.append((solve_dense_lp(cost, G, h), bases, verdicts))
-    (screened, bases, verdicts), (whole, whole_bases, whole_verdicts) = runs
-    expected = LpStatus.INFEASIBLE if infeasible else LpStatus.UNBOUNDED
-    assert screened.status is whole.status is expected
-    assert verdicts == whole_verdicts == [not infeasible]
-    assert bases == whole_bases and len(bases) > 3
-    assert screened.rows_priced < whole.rows_priced
-
-
 def test_non_finite_cell_bounds_price_their_cells_and_nan_fails_closed():
     # finite multipliers: the sampled block's product overflows to +inf where
     # x > 1.06 and the shared row's term to -inf; the bounds overflow too, so
@@ -885,7 +812,7 @@ def test_non_finite_cell_bounds_price_their_cells_and_nan_fails_closed():
     v[[0, 5, 7]] = 1.7e308, -1.7e308, 1.7e308
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.all(cells.bounds(v[cols], float(shared @ v), 2) == -np.inf)
-        engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9), 64)
+        engine = lp._DualSimplex(stack, np.ones(8), h, np.ones(8), lp.LpTolerances(optimality=1e-9))
         with pytest.raises(SolverError, match="NaN reduced cost of row") as err:
             engine._entering_row(v, 2)
         r = _reduced_costs(engine, v, 2)
@@ -944,11 +871,10 @@ def test_pivot_trace_counts_the_makes_of_the_made_block():
     # the tool would read 0 if makes stopped going through `_make`
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(lp.__file__))))
     run = subprocess.run([sys.executable, os.path.join(root, "tools", "pivot_trace.py"),
-                          "131073", "7", "unbounded", "1"],
+                          "131073", "7"],
                          capture_output=True, text=True, check=True, timeout=300)
-    made, probe = [json.loads(line) for line in run.stdout.splitlines()]
+    (made,) = [json.loads(line) for line in run.stdout.splitlines()]
     assert made["n"] == 131_073 and made["makes"] > 0 and made["assembly_makes"] > 0
-    assert probe["case"] == "unbounded" and probe["makes"] == 0
 
 
 @pytest.mark.parametrize("n", [131_073, 140_000])

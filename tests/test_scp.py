@@ -507,6 +507,37 @@ def test_infeasible_template_reported():
     assert solution.z is None
 
 
+@pytest.mark.parametrize("tighten", [True, False])
+@pytest.mark.parametrize("states, inputs", [(1, 1), (2, 1), (1, 2)])
+def test_scenario_programs_are_bounded_below(states, inputs, tighten):
+    # `lp.solve_dense_lp` needs a program bounded below, which the scenario
+    # program is by construction: no direction d with G d <= 0 lowers the
+    # objective entry d_K.  HiGHS checks it on random data, every degree
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(100 * states + 10 * inputs + tighten)
+    state = Box((-2.0,) * states, (2.0,) * states)
+    initial = RegionUnion((Box((-0.5,) * states, (0.5,) * states),))
+    unsafe = RegionUnion((Box((1.5,) + (-2.0,) * (states - 1), (2.0,) * states),
+                          Box((-2.0,) * states, (-1.5,) + (2.0,) * (states - 1))))
+    A, b = box_to_polytope(Box((0.0,) * inputs, (1.0,) * inputs))
+    for degree in range(5):
+        layout = DecisionLayout.build(
+            build_basis(states, degree),
+            [build_basis(states, (degree + j) % 5) for j in range(inputs)],
+            rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0, inputs),
+        )
+        xs = rng.uniform(-2.0, 2.0, (30, states))
+        data = Dataset(xs, rng.uniform(size=(30, inputs)),
+                       xs + rng.normal(scale=0.3, size=xs.shape), 1, Role.SCENARIO)
+        problem = build_problem(layout, data, initial, unsafe, state, A, b, 3,
+                                GridSpec(5, 4, 6), 1e-6, tighten)
+        G, cost = np.asarray(problem.G), problem.cost
+        ref = scipy_opt.linprog(cost, A_ub=np.vstack([G, -cost]),
+                                b_ub=np.r_[np.zeros(len(G)), 1.0], bounds=(None, None),
+                                method="highs")
+        assert ref.status == 0 and ref.fun >= -1e-9, (degree, ref.message)
+
+
 def _allocation_peak(fn, *args):
     """fn(*args) and the most bytes it held allocated at once beyond its start."""
     before, _ = tracemalloc.get_traced_memory()

@@ -3,7 +3,6 @@
 Usage (from the root of a source checkout):
 
     python3 tools/pivot_trace.py N SEED [N SEED ...]
-    python3 tools/pivot_trace.py unbounded SEED infeasible SEED
 
 Each pair assembles the room case study's scenario program with N samples
 drawn with scenario seed SEED, exactly as synthesis does, solves it with
@@ -34,15 +33,6 @@ multiplies the made block's last N % 4 rows on their own and one that pads
 every product of made rows to a multiple of four rows (N >= 131,072 and
 N % 4 != 0), `rows_priced` may differ too: those rows then join their cells
 and are priced only when their cells are.
-
-With `unbounded` or `infeasible` in place of N, the case is a 50,000-row
-program whose sampled-like block carries a shared row and whose solve, at
-the `lp.LpTolerances()` defaults, ends in the feasibility probe
-(`lp._primal_feasible`): unbounded, or infeasible through two contradicting
-rows.  Its line gives the status, the counts and
-rows priced of the solve, the sha256 of every working set of the solve and
-of the probe's solve, the probe's verdict, and `makes` and `rows_made`
-(0: its blocks are stored).
 """
 
 import hashlib
@@ -115,49 +105,6 @@ def _program_sha256(problem) -> str:
     return digest.hexdigest()
 
 
-def _counts(result) -> dict:
-    """The status and counters of a solve's record (`lp.LpResult`)."""
-    return {
-        "status": result.status.value,
-        "iterations": result.iterations,
-        "degenerate_steps": result.degenerate_steps,
-        "rows_priced": result.rows_priced,
-    }
-
-
-def probe_case(kind: str, seed: int) -> dict:
-    """min z0 over rows -z0 + a.q <= h with a > 0 in column 1, a tall block
-    whose -1 in column 0 is its shared row: unbounded (q1 -> -inf), so phase
-    1 finds the dual infeasible and the probe runs; two head rows that
-    contradict each other make the program infeasible instead."""
-    rows = 50_000
-    rng = np.random.default_rng(seed)
-    head = np.zeros((2, 13))
-    head[:, 12] = [1.0, -1.0]
-    tail = rng.normal(size=(11, rows))
-    tail[0] = rng.uniform(0.5, 1.0, size=rows)
-    shared = np.zeros(13)
-    shared[0] = -1.0
-    G = lp.RowStack([(np.arange(13), head.T), (np.arange(1, 12), tail, shared)], 13)
-    h = np.concatenate([[-1.0 if kind == "infeasible" else 1.0, 0.0],
-                        rng.uniform(0.1, 1.0, size=rows)])
-    verdicts = []
-    probe = lp._primal_feasible
-    lp._primal_feasible = lambda *args: verdicts.append(probe(*args)) or verdicts[-1]
-    try:
-        with _Recording() as recording:
-            result = lp.solve_dense_lp(np.eye(13)[0], G, h)
-    finally:
-        lp._primal_feasible = probe
-    return {
-        "case": kind,
-        "seed": seed,
-        **_counts(result),
-        **recording.fields(),
-        "probe_verdicts": verdicts,
-    }
-
-
 def trace_case(n: int, seed: int) -> dict:
     config = validate_config(room_casestudy_config(
         n_scenario=n, n_validation=max(n // 2, 1), seed_scenario=seed, seed_validation=9090,
@@ -180,7 +127,10 @@ def trace_case(n: int, seed: int) -> dict:
         "assembly_makes": assembly.makes,
         "assembly_rows_made": assembly.rows_made,
         "program_sha256": program,
-        **_counts(solution),
+        "status": solution.status.value,
+        "iterations": solution.iterations,
+        "degenerate_steps": solution.degenerate_steps,
+        "rows_priced": solution.rows_priced,
         **recording.fields(),
         "objective": None if solution.objective is None else solution.objective.hex(),
         "z_sha256": None if solution.z is None else _sha256(solution.z),
@@ -191,13 +141,10 @@ def trace_case(n: int, seed: int) -> dict:
 
 def main(argv: list) -> int:
     if not argv or len(argv) % 2:
-        print("usage: python3 tools/pivot_trace.py N|unbounded|infeasible SEED ...",
-              file=sys.stderr)
+        print("usage: python3 tools/pivot_trace.py N SEED ...", file=sys.stderr)
         return 3
     for n, seed in zip(argv[::2], argv[1::2]):
-        case = (probe_case(n, int(seed)) if n in ("unbounded", "infeasible")
-                else trace_case(int(n), int(seed)))
-        print(json.dumps(case, sort_keys=True), flush=True)
+        print(json.dumps(trace_case(int(n), int(seed)), sort_keys=True), flush=True)
     return 0
 
 

@@ -277,8 +277,7 @@ def _cmd_verify(args, argv) -> int:
         if getattr(args, dest) < 2:
             raise ConfigError(f"--{dest.replace('_', '-')} must be >= 2, got {getattr(args, dest)}")
     try:
-        report = CertificateReport.from_json_dict(read_json_object(args.report, "report"),
-                                                  lambda raw: validate_config(raw).layout())
+        report = CertificateReport.from_json_dict(read_json_object(args.report, "report"))
     except KeyError as exc:
         raise ConfigError(f"report {args.report} lacks required key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

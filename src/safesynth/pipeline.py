@@ -46,6 +46,7 @@ from .bounds import (
 from .errors import (
     CollectionError,
     ConfigError,
+    GeometryError,
     KappaBracketError,
     SafesynthError,
     SolverError,
@@ -281,6 +282,10 @@ def validate_config(data: dict) -> SynthesisConfig:
         for axis, (lo, hi) in enumerate(zip(box.lower, box.upper)):
             if lo == hi:  # the sample space would have no volume
                 raise ConfigError(f"{name} axis {axis} has zero width: [{lo}, {hi}]")
+    try:
+        SampleSpace.product(state_box, input_box)
+    except GeometryError as exc:  # positive widths whose product underflows to 0
+        raise ConfigError(f"state_space and input_box: {exc}") from exc
 
     if state_box.dim != state_dim:
         raise ConfigError(f"state_space dimension {state_box.dim} != plant state_dim {state_dim}")
@@ -454,11 +459,10 @@ class CertificateReport:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict, template=None) -> "CertificateReport":
+    def from_json_dict(cls, data: dict) -> "CertificateReport":
         """Inverse of `to_json_dict`; a missing key without a default raises
-        KeyError.  `template`, given the report's echoed configuration,
-        returns the `DecisionLayout` the certificate must fit
-        (`CertificateValues.from_dict`)."""
+        KeyError.  A certificate must fit the template of the echoed
+        configuration (`CertificateValues.from_dict`)."""
         values = {
             f.name: data[f.name]
             for f in dataclasses.fields(cls)
@@ -467,7 +471,7 @@ class CertificateReport:
         }
         cert = values.get("certificate")
         if cert is not None:  # one that is not an object is malformed whatever the configuration
-            layout = template(values["config"]) if template and isinstance(cert, dict) else None
+            layout = validate_config(values["config"]).layout() if isinstance(cert, dict) else None
             values["certificate"] = CertificateValues.from_dict(cert, layout)
         return cls(**values)
 

@@ -119,21 +119,27 @@ def test_synthesize_config_error_exit(tmp_path, capsys):
     assert "disjoint" in err
 
 
-@pytest.mark.parametrize("key", ["input_box", "state_space"])
-def test_zero_width_sample_box_is_config_exit(tmp_path, capsys, key):
+@pytest.mark.parametrize("case, message", [
+    ("input_box", "input_box axis 0"),
+    ("state_space", "state_space axis 1"),
+    ("tiny-widths", "state_space and input_box"),
+], ids=["input_box", "state_space", "tiny-widths"])
+def test_zero_width_sample_box_is_config_exit(tmp_path, capsys, case, message):
     # the sample space would have no volume: this ended as a runtime
     # failure (exit 4) after the run directory was made
-    if key == "input_box":
+    if case == "input_box":
         raw = small_raw(input_box=[[0.0, 0.0]])
-    else:
+    elif case == "state_space":
         raw = two_state_raw(tmp_path)
         raw["state_space"] = [[-1, 1], [0, 0]]
         raw["initial_set"] = [[[-0.2, 0.2], [0, 0]]]
         raw["unsafe_set"] = [[[0.8, 1.0], [0, 0]], [[-1.0, -0.8], [0, 0]]]
+    else:  # each width is positive, their product underflows to 0
+        raw = small_raw(state_space=[[0.0, 1e-200]], input_box=[[0.0, 1e-200]])
     rc = main(["synthesize", "--config", write_config(tmp_path, raw),
                "--out", str(tmp_path / "runs")])
     assert rc == EXIT_CONFIG
-    assert f"{key} axis" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

@@ -13,8 +13,10 @@ inconclusive, 3 bad configuration or usage (such as an override into a
 runtime failure.  `synthesize`, `prior-synthesize`, `casestudy`, `repeat`
 and `plan --out` make a run directory and write its manifest (config hash,
 seeds, tool version, argv), sufficient to reproduce the run, before they
-collect or solve anything.  `collect` writes only its dataset CSV, whose
-header holds the seed, role and sample space but no config hash.
+collect or solve anything.  `synthesize` writes the collected data as the
+run's `scenario.csv` and `validation.csv` (`plant.save_dataset`) before it
+solves, unless `--no-datasets`.  `collect` writes only its dataset file,
+whose header holds the seed, role and sample space but no config hash.
 Every file of a run (reports, manifest, datasets, plot CSVs, histogram) is
 written atomically through `plant.atomic_write`, with the permissions the
 umask gives a new file.  `verify` writes `verify.json` for a certificate of
@@ -140,72 +142,15 @@ def _finish_run(run_dir: str, report: CertificateReport) -> int:
     return EXIT_OK if report.certified else EXIT_INCONCLUSIVE
 
 
-class _DatasetWriter:
-    """Dataset sink that writes `scenario.csv` and `validation.csv` of a run.
-
-    The collected data are persisted directly, so the simulator is never
-    re-queried for persistence.  The files are written by a forked child
-    while this process assembles, solves and validates, so the write costs
-    the run no wall time as long as it is shorter than that work; `wait`
-    reaps it.  The child only formats (NumPy element-wise operations, with
-    Python's `%` for rows holding values outside [1e-4, 1e16)) and writes,
-    calling no BLAS routine, so it needs none of the parent's threads.
-    Where `os.fork` is absent the files are written inline.
-    """
-
-    def __init__(self, run_dir: str):
-        self.run_dir = run_dir
-        self.pid: int | None = None
-
-    def _save(self, scenario, validation) -> None:
-        save_dataset(scenario, os.path.join(self.run_dir, "scenario.csv"))
-        save_dataset(validation, os.path.join(self.run_dir, "validation.csv"))
-
-    def __call__(self, scenario, validation) -> None:
-        if not hasattr(os, "fork"):
-            self._save(scenario, validation)
-            return
-        # the child inherits unflushed buffers; flush them here so they are
-        # written once
-        sys.stdout.flush()
-        sys.stderr.flush()
-        pid = os.fork()
-        if pid:
-            self.pid = pid
-            return
-        status = 1
-        try:
-            self._save(scenario, validation)
-            status = 0
-        except Exception as exc:
-            print(f"error: dataset writer: {type(exc).__name__}: {exc}", file=sys.stderr)
-            sys.stderr.flush()
-        finally:
-            # no atexit handlers, stdio flushes or finalizers (an external
-            # plant's Popen) of the parent may run in the child
-            os._exit(status)
-
-    def wait(self) -> int:
-        """Reap the writer and return its exit status (0 when none was forked)."""
-        if self.pid is None:
-            return 0
-        pid, self.pid = self.pid, None
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
 def _cmd_synthesize(args, argv) -> int:
     config = _load_config_with_overrides(args)
     run_dir = _new_run(args.out, config, argv)
-    writer = None if args.no_datasets else _DatasetWriter(run_dir)
-    try:
-        report = synthesize(config, dataset_sink=writer)
-    finally:
-        # reaped even when the run raised; that exception then propagates
-        status = writer.wait() if writer is not None else 0
-    if status != 0:
-        # before the report, so no exit-0 report.json lacks its datasets
-        raise SafesynthError(f"dataset writer failed with exit status {status}")
-    return _finish_run(run_dir, report)
+
+    def save(scenario, validation):  # the collected data: the plant is not queried again
+        save_dataset(scenario, os.path.join(run_dir, "scenario.csv"))
+        save_dataset(validation, os.path.join(run_dir, "validation.csv"))
+
+    return _finish_run(run_dir, synthesize(config, dataset_sink=None if args.no_datasets else save))
 
 
 def _cmd_prior_synthesize(args, argv) -> int:
@@ -287,7 +232,7 @@ def _cmd_verify(args, argv) -> int:
     if report.certificate is None:
         print("report carries no certificate; nothing to verify")
         return EXIT_INCONCLUSIVE
-    config = validate_config(report.config)
+    config = report.validated_config
     cert = report.certificate
     out_dir = args.out or os.path.dirname(os.path.abspath(args.report))
     with make_plant(config.plant_spec) as plant:
@@ -328,22 +273,20 @@ def _cmd_bounds(args, argv) -> int:
         )
         print(f"{kappa:.7f}")
         return EXIT_OK
-    if args.bounds_cmd == "plan":
-        # unit hyper-cube scaled to the given volume: only n and Vol enter
-        if args.ndim < 1:
-            raise BoundsDomainError(f"--ndim must be >= 1, got {args.ndim}")
-        if not args.volume > 0.0:
-            raise BoundsDomainError(f"--volume must be positive, got {args.volume}")
-        side = args.volume ** (1.0 / args.ndim)
-        space = SampleSpace(Box((0.0,) * args.ndim, (side,) * args.ndim))
-        plan = plan_sample_sizes(
-            khat=args.khat, nstar_hat=args.Nstar, lipschitz=args.L,
-            space=space, beta=args.beta,
-            n_start=args.start_N, n0_start=args.start_N0, growth=args.growth,
-        )
-        _print_plan(plan)
-        return EXIT_OK
-    raise ConfigError("bounds needs a subcommand: prior, kappa or plan")
+    # "plan": a unit hyper-cube scaled to the given volume, as only n and Vol enter
+    if args.ndim < 1:
+        raise BoundsDomainError(f"--ndim must be >= 1, got {args.ndim}")
+    if not args.volume > 0.0:
+        raise BoundsDomainError(f"--volume must be positive, got {args.volume}")
+    side = args.volume ** (1.0 / args.ndim)
+    space = SampleSpace(Box((0.0,) * args.ndim, (side,) * args.ndim))
+    plan = plan_sample_sizes(
+        khat=args.khat, nstar_hat=args.Nstar, lipschitz=args.L,
+        space=space, beta=args.beta,
+        n_start=args.start_N, n0_start=args.start_N0, growth=args.growth,
+    )
+    _print_plan(plan)
+    return EXIT_OK
 
 
 def _cmd_casestudy(args, argv) -> int:

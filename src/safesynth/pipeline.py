@@ -326,6 +326,23 @@ def validate_config(data: dict) -> SynthesisConfig:
     if len(controller_bounds) != input_dim:
         raise ConfigError("need one controller coefficient bound per input dimension")
 
+    # the sizes the program indexes: basis terms, and grid and sample rows
+    # times the widest row it holds, all below the largest array index
+    degrees = {"barrier_degree": opts["barrier_degree"],
+               **{f"controller_degrees[{i}]": d for i, d in enumerate(controller_degrees)}}
+    sizes = {path: math.comb(state_dim + d, d) for path, d in degrees.items()}
+    width = max(4 + 2 * sum(sizes.values()), 2 * state_dim + input_dim)  # LP columns, or a sample
+    rows = {f"grid_points.{key}": points ** state_dim for key, points in opts["grid_points"].items()}
+    if auto is None:
+        rows.update({"samples.scenario": n_scenario, "samples.validation": n_validation})
+    else:  # the planner's first sizes
+        rows.update({f"samples.auto.{key}": getattr(auto, key)
+                     for key in ("start_scenario", "start_validation")})
+    for path, size in [*sizes.items(), *((path, count * width) for path, count in rows.items())]:
+        if size >= np.iinfo(np.intp).max:
+            raise ConfigError(f"{path} needs an array of {size} entries; "
+                              f"the program indexes fewer than {np.iinfo(np.intp).max}")
+
     seeds = opts["seeds"]
     if seeds["scenario"] == seeds["validation"]:
         raise ConfigError(
@@ -469,11 +486,17 @@ class CertificateReport:
             if f.name in data
             or (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
         }
-        cert = values.get("certificate")
+        report = cls(**values)
+        cert = report.certificate
         if cert is not None:  # one that is not an object is malformed whatever the configuration
-            layout = validate_config(values["config"]).layout() if isinstance(cert, dict) else None
-            values["certificate"] = CertificateValues.from_dict(cert, layout)
-        return cls(**values)
+            layout = report.validated_config.layout() if isinstance(cert, dict) else None
+            report.certificate = CertificateValues.from_dict(cert, layout)
+        return report
+
+    @functools.cached_property
+    def validated_config(self) -> SynthesisConfig:
+        """`validate_config` of the echoed `config`, made once per report."""
+        return validate_config(self.config)
 
 
 def _solver_summary(solution: LpResult, support_bound: int | None) -> dict:
@@ -637,8 +660,8 @@ def _run(
                 scenario = collect(plant, space, n_scenario, seeds["scenario"], Role.SCENARIO)
                 if posterior:
                     validation = collect(plant, space, n_validation, seeds["validation"], Role.VALIDATION)
-                if dataset_sink is not None:
-                    dataset_sink(scenario, validation)
+            if dataset_sink is not None:  # timed in `total` only
+                dataset_sink(scenario, validation)
 
             with stage("assemble"):
                 if static is None:
@@ -733,8 +756,9 @@ def synthesize(
 ) -> CertificateReport:
     """Posterior-method synthesis: one run on the configured seeds.
 
-    `dataset_sink(scenario, validation)` is invoked right after collection,
-    so callers can persist the data without re-querying the simulator.
+    `dataset_sink(scenario, validation)` is invoked right after the collect
+    stage, so callers can persist the data without re-querying the
+    simulator; its time counts in `total` and in no stage.
     """
     with _plant_scope(config, plant) as plant:
         n_scenario, n_validation, plan = resolve_sample_sizes(config, plant)

@@ -10,19 +10,15 @@ a 45-degree heater, sampled every 5 time units.  External plants are driven
 over a line-oriented child-process protocol so user models stay opaque; a
 child that exits mid-run is a `CollectionError`, never silently restarted.
 
-Datasets are stored as plain CSV, one sample per row
+Datasets are stored as text, one sample per line
 ``x1,...,xn,u1,...,um,x'1,...,x'n``, preceded by one metadata comment line
-``# n=.. m=.. role=.. seed=.. space=..``.  Each value is printed as C's
-``%.17g``, so reloading is lossless.  `save_dataset` produces those bytes
-block by block with NumPy (`_format_rows`): exact decimal digits from a
-two-product with a power of ten, characters from a lookup table, and the
-`%` operator only for rows holding a value outside [1e-4, 1e16).
+``# n=.. m=.. role=.. seed=.. space=..``.  Each value is the 16 lowercase hex
+digits of its big-endian IEEE-754 binary64 bit pattern, so it reads back bit
+for bit, -0.0 and subnormals included.
 """
 
 import contextlib
 import enum
-import functools
-import math
 import os
 import re
 import secrets
@@ -273,9 +269,8 @@ def collect(
     return Dataset(xs, us, query(system, xs, us), seed=seed, role=role, space=space)
 
 
-_HEADER_RE = re.compile(
-    r"^#\s*n=(\d+)\s+m=(\d+)\s+role=(\w+)\s+seed=(-?\d+)(?:\s+space=(\S+))?\s*$"
-)
+_HEADER_RE = re.compile(r"^#\s*n=([1-9]\d*)\s+m=([1-9]\d*)\s+role=(scenario|validation)"
+                        r"\s+seed=(-?\d+)(?:\s+space=(\S+))?\s*$")
 
 
 def _space_to_header(space: SampleSpace) -> str:
@@ -283,135 +278,7 @@ def _space_to_header(space: SampleSpace) -> str:
 
 
 def _space_from_header(text: str) -> SampleSpace:
-    pairs = []
-    for chunk in text.split(";"):
-        lo, hi = chunk.split(",")
-        pairs.append([float(lo), float(hi)])
-    return SampleSpace(Box.from_intervals(pairs))
-
-
-_SAVE_BLOCK = 65_536  # rows formatted per write by save_dataset
-_WIDTH = 48  # bytes laid out per value before the kept ones are packed
-
-
-def _split(a):
-    """Veltkamp's split: a == hi + lo, each half with at most 26 significant bits."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-@functools.cache
-def _format_tables():
-    """Tables of `_format_rows`, built on first use.
-
-    Each value is laid out in `_WIDTH` bytes: at 0 a minus sign, at 1-5
-    "0.000", at 7 the leading digit d0 and at 8-23 the digits d1..d16, at 27
-    the decimal point and at 28-43 d1..d16 again, at 44 the separator.  Row
-    ``(sign, k + 4, last)`` of `keep` marks the bytes printed for a value of
-    that sign, decimal exponent k and last non-zero digit.
-    """
-    powers = np.array([float(10**p) for p in range(23)])  # exact
-    q = np.arange(10_000)
-    quad = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + 48
-    zeros = np.zeros(10_000, dtype=np.intp)  # trailing zeros of a four-digit group
-    for z in (1, 2, 3):
-        zeros[q % 10**z == 0] = z
-    zeros[0] = 4
-    template = np.frombuffer(b"-0.000 0" + b"0" * 16 + b"   ." + b"0" * 16 + b",   ", np.uint8)
-    sign = np.arange(2)[:, None, None, None]
-    k = np.arange(-4, 16)[None, :, None, None]
-    last = np.arange(17)[None, None, :, None]
-    pos = np.arange(_WIDTH)
-    keep = (
-        ((pos == 0) & (sign == 1))
-        | ((k < 0) & (pos >= 1) & (pos <= 1 - k))  # "0." and -k - 1 zeros
-        | ((pos >= 7) & (pos <= 7 + np.where(k < 0, last, k)))  # d0 up to d(last), or d(k)
-        | ((k >= 0) & (last > k) & (pos == 27))
-        | ((k >= 0) & (pos >= 28 + k) & (pos <= 27 + last))  # d(k+1) up to d(last)
-        | (pos == 44)
-    ).reshape(-1, _WIDTH)
-    return (
-        (powers, *_split(powers)),
-        quad.astype(np.uint8).view(np.uint32).ravel(),
-        zeros,
-        template.view(np.uint64),
-        keep.view(np.uint64),
-        keep.sum(axis=1),
-    )
-
-
-def _scaled(a, a_hi, a_lo, p, powers):
-    """(hi, lo) with hi == fl(a * 10**p) and hi + lo == a * 10**p exactly.
-
-    Dekker's two-product of a == a_hi + a_lo and the split 10**p: exact
-    without a fused multiply-add, since nothing overflows or underflows here.
-    """
-    b, b_hi, b_lo = (t.take(p) for t in powers)
-    hi = a * b
-    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _format_rows(block: np.ndarray, line: str):
-    """Yield the bytes of ``(line * len(block)) % tuple(block.ravel().tolist())``.
-
-    `line` holds one ``%.17g`` per column of `block`, comma-separated, and
-    ends in a newline.
-    For 1e-4 <= |x| < 1e16, ``%.17g`` prints D = |x| * 10**(16 - k) rounded
-    half to even, in fixed notation with 16 - k fraction digits and trailing
-    zeros (and a bare point) stripped, k being the decimal exponent of |x|.
-    With 10**p exact for p <= 22, a two-product gives |x| * 10**p = hi + lo
-    exactly, and hi >= 1e16 > 2**53 is an even integer, so D = hi + rint(lo).
-    D never rounds up to 1e17: the largest double below 10**j, for
-    -3 <= j <= 16, lies more than 5e-18 * 10**j below it.  Rows holding any
-    other value (0, -0.0, subnormals, |x| < 1e-4 or >= 1e16, inf, nan) are
-    formatted by `line` and spliced in order.
-    """
-    powers, quad, zeros, template, keep, length = _format_tables()
-    cols = block.shape[1]
-    mag = np.abs(block)
-    fast = ((mag >= 1e-4) & (mag < 1e16)).all(axis=1)
-    a = mag[fast].ravel()
-    a_hi, a_lo = _split(a)
-    k = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo = _scaled(a, a_hi, a_lo, 16 - k, powers)
-    # log10 may miss the exponent by one next to a power of ten
-    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        k[fix] += high[fix].astype(np.intp) - low[fix]
-        hi[fix], lo[fix] = _scaled(a[fix], a_hi[fix], a_lo[fix], 16 - k[fix], powers)
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-
-    chars = np.tile(template, (len(a) // cols, cols)).view(np.uint8).reshape(len(a), _WIDTH)
-    chars.reshape(-1, cols, _WIDTH)[:, -1, 44] = ord("\n")
-    lead, rest = np.divmod(digits, 10**16)
-    chars[:, 7] += lead.astype(np.uint8)
-    groups = np.empty((len(a), 4), dtype=np.int64)
-    for g, scale in enumerate((10**12, 10**8, 10**4)):
-        groups[:, g], rest = np.divmod(rest, scale)
-    groups[:, 3] = rest
-    words = chars.view(np.uint32)
-    words[:, 2:6] = words[:, 7:11] = quad.take(groups)
-    tail = zeros.take(groups)
-    tz = tail[:, 0]  # trailing zeros of d1..d16; d0 is never 0
-    for g in (1, 2, 3):
-        tz = np.where(tail[:, g] == 4, tz + 4, tail[:, g])
-    code = (np.signbit(block[fast]).ravel() * 20 + k + 4) * 17 + 16 - tz
-    packed = chars[keep.take(code, axis=0).view(bool)]
-    ends = np.zeros(len(a) // cols + 1, dtype=np.intp)  # bytes of the first i fast rows
-    np.cumsum(length.take(code).reshape(-1, cols).sum(axis=1), out=ends[1:])
-    slow = np.flatnonzero(~fast)
-    runs = np.flatnonzero(np.diff(slow, prepend=-2) != 1)  # where runs of slow rows start
-    start = 0
-    for i, j in zip(runs, [*runs[1:], len(slow)]):
-        first, stop = slow[i], slow[j - 1] + 1
-        end = ends[first - i]  # i slow rows precede row `first`
-        yield packed[start:end]
-        start = end
-        yield ((line * (stop - first)) % tuple(block[first:stop].ravel().tolist())).encode()
-    yield packed[start:]
+    return SampleSpace(Box.from_intervals([[float(v) for v in pair.split(",")] for pair in text.split(";")]))
 
 
 @contextlib.contextmanager
@@ -436,66 +303,81 @@ def atomic_write(path: str, mode: str = "w", **open_kwargs):
         raise
 
 
+_BLOCK = 4096  # rows encoded per write by save_dataset
+_FIELD = 17  # bytes per value: 16 hex digits, then a comma or the line end
+_HEX_BYTES = np.frombuffer(bytes(range(256)).hex().encode(), np.uint16)  # a byte's 2 hex digits
+_HEX_DIGITS = b"0123456789abcdef"
+_NIBBLES = np.full(256, 16, np.uint8)  # the value of each hex digit; 16 for any other byte
+_NIBBLES[np.frombuffer(_HEX_DIGITS, np.uint8)] = range(16)
+
+
 def save_dataset(dataset: Dataset, path: str) -> None:
-    """Atomic full-precision CSV dump (see `atomic_write`)."""
+    """Atomic dump (see `atomic_write`): the header line, then one line per
+    sample, each value the 16 hex digits of its big-endian binary64 bits."""
     header = f"# n={dataset.state_dim} m={dataset.input_dim} role={dataset.role.value} seed={dataset.seed}"
     if dataset.space is not None:
         header += f" space={_space_to_header(dataset.space)}"
     rows = np.hstack([dataset.xs, dataset.us, dataset.x_nexts])
     with atomic_write(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        for lo in range(0, len(rows), _SAVE_BLOCK):
-            for piece in _format_rows(rows[lo:lo + _SAVE_BLOCK], line):
-                fh.write(piece)
+        for lo in range(0, len(rows), _BLOCK):
+            block = rows[lo:lo + _BLOCK]
+            text = np.empty((*block.shape, _FIELD), np.uint8)
+            digits = _HEX_BYTES.take(block.astype(">f8", order="C").view(np.uint8))
+            text[..., :16] = digits.view(np.uint8).reshape(*block.shape, 16)
+            text[..., 16] = ord(",")
+            text[:, -1, 16] = ord("\n")
+            fh.write(text)
+
+
+def _decode(path: str, body: bytes, want: int) -> np.ndarray:
+    """The (rows, want) values of `body`, the lines after the header of the
+    file at `path`; the first line that breaks the format fails, named."""
+    rows, rest = divmod(len(body), want * _FIELD)
+    if rows and not rest:
+        text = np.frombuffer(body, np.uint8).reshape(rows, want, _FIELD)
+        nibbles = _NIBBLES.take(text[..., :16])
+        if ((text[:, :-1, 16] == ord(",")).all() and (text[:, -1, 16] == ord("\n")).all()
+                and (nibbles < 16).all()):
+            bits = (nibbles[..., 0::2] << 4) | nibbles[..., 1::2]  # (rows, want, 8) big-endian bytes
+            return bits.view(">f8")[..., 0].astype(float)
+    *lines, _ = body.split(b"\n")
+    for lineno, line in enumerate(lines, start=2):
+        fields = line.split(b",")
+        if len(fields) != want:
+            raise DatasetFormatError(f"{path}: line {lineno}: expected {want} fields, found {len(fields)}")
+        for j, value in enumerate(fields, start=1):
+            if len(value) != 16 or value.translate(None, _HEX_DIGITS):
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: field {j} is not 16 lowercase hex digits (a decimal file of "
+                    "an earlier version loads with numpy.loadtxt(path, delimiter=','))")
+    raise DatasetFormatError(f"{path}: line {len(lines) + 2}: no line end")  # a truncated last line
 
 
 def load_dataset(path: str) -> Dataset:
-    """Parse a dataset CSV; malformed or non-finite content fails with its line number."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file")
-    match = _HEADER_RE.match(lines[0])
+    """Read a `save_dataset` file; a malformed header or row, or a value
+    that is not finite, fails naming its line."""
+    with open(path, "rb") as fh:
+        match = _HEADER_RE.match(fh.readline().decode("ascii", "replace"))
+        body = fh.read()
     if not match:
         raise DatasetFormatError(f"{path}: line 1: bad or missing metadata header")
-    n, m = int(match.group(1)), int(match.group(2))
-    role_text, seed = match.group(3), int(match.group(4))
-    try:
-        role = Role(role_text)
-    except ValueError:
-        raise DatasetFormatError(f"{path}: line 1: unknown role {role_text!r}") from None
+    n, m, role, seed = int(match[1]), int(match[2]), Role(match[3]), int(match[4])
     space = None
-    if match.group(5):
+    if match[5]:
         try:
-            space = _space_from_header(match.group(5))
+            space = _space_from_header(match[5])
         except (ValueError, GeometryError) as exc:
             raise DatasetFormatError(f"{path}: line 1: bad space metadata: {exc}") from exc
         if space.n != n + m:
-            raise DatasetFormatError(
-                f"{path}: line 1: space dimension {space.n} != n + m = {n + m}"
-            )
-    want = 2 * n + m
-    data = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != want:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: expected {want} fields, found {len(fields)}"
-            )
-        try:
-            row = [float(f) for f in fields]
-        except ValueError:
-            raise DatasetFormatError(f"{path}: line {lineno}: non-numeric field") from None
-        if not all(map(math.isfinite, row)):
-            raise DatasetFormatError(f"{path}: line {lineno}: non-finite field")
-        data.append(row)
-    if not data:
+            raise DatasetFormatError(f"{path}: line 1: space dimension {space.n} != n + m = {n + m}")
+    if not body:
         raise DatasetFormatError(f"{path}: no sample rows")
-    arr = np.asarray(data, dtype=float)
-    return Dataset(arr[:, :n], arr[:, n : n + m], arr[:, n + m :], seed, role, space)
+    values = _decode(path, body, 2 * n + m)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(f"{path}: line {bad[0] + 2}: non-finite field")
+    return Dataset(values[:, :n], values[:, n:n + m], values[:, n + m:], seed, role, space)
 
 
 BUILTIN_PLANTS = {RoomTemperaturePlant.name: RoomTemperaturePlant}

@@ -11,11 +11,8 @@ from safesynth import cli, pipeline
 from safesynth.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RUNTIME, main
 from safesynth.errors import SafesynthError
 from safesynth.pipeline import bundled_room_config_path, room_casestudy_config, validate_config
-from safesynth.plant import Role, collect, load_dataset, make_plant, save_dataset
+from safesynth.plant import Role, collect, load_dataset, make_plant
 from safesynth.scp import CertificateValues
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the dataset writer forks")
-
 
 def write_config(tmp_path, raw):
     path = tmp_path / "config.json"
@@ -178,22 +175,32 @@ def test_bad_input_file_is_config_exit(tmp_path, capsys, command, content, messa
     assert str(path) in err and message in err
 
 
+# configuration edit -> the key the error names
 MALFORMED_SHAPES = {
-    "controller_degrees-not-array": {"controller_degrees": 4},
-    "controller_bounds-not-array": {"coeff_bounds": {"barrier": 1.0, "controller": 5}},
-    "initial_set-flat": {"initial_set": [1, 2]},
-    "state_space-strings": {"state_space": [["a", "b"]]},
-    "controller_degree-negative": {"controller_degrees": [-2]},
-    "barrier_degree-negative": {"barrier_degree": -1},
-    "barrier_bound-negative": {"coeff_bounds": {"barrier": -1, "controller": [0.1]}},
+    "controller_degrees-not-array": ({"controller_degrees": 4}, "controller_degrees"),
+    "controller_bounds-not-array": ({"coeff_bounds": {"barrier": 1.0, "controller": 5}},
+                                    "coeff_bounds.controller"),
+    "initial_set-flat": ({"initial_set": [1, 2]}, "initial_set"),
+    "state_space-strings": ({"state_space": [["a", "b"]]}, "state_space"),
+    "controller_degree-negative": ({"controller_degrees": [-2]}, "controller_degrees"),
+    "barrier_degree-negative": ({"barrier_degree": -1}, "barrier_degree"),
+    "barrier_bound-negative": ({"coeff_bounds": {"barrier": -1, "controller": [0.1]}},
+                               "coeff_bounds.barrier"),
+    # sizes no array can index: each raised OverflowError or NumPy's
+    # "Maximum allowed dimension/size exceeded" out of `main` (exit 1)
+    "barrier_degree-1e30": ({"barrier_degree": 10**30}, "barrier_degree"),
+    "controller_degree-1e30": ({"controller_degrees": [10**30]}, "controller_degrees[0]"),
+    "samples-1e30": ({"samples": {"scenario": 10**30, "validation": 100}}, "samples.scenario"),
+    "grid_points-1e30": ({"grid_points": {"initial": 401, "unsafe": 201, "state": 10**30}},
+                         "grid_points.state"),
 }
 
 
 @pytest.mark.parametrize("command", ["synthesize", "verify"])
-@pytest.mark.parametrize("overrides", MALFORMED_SHAPES.values(), ids=MALFORMED_SHAPES)
-def test_malformed_config_shape_is_config_exit(tmp_path, capsys, command, overrides):
-    # a configuration, or a report's echoed one, of the wrong shape: these
-    # ended in tracebacks (exit 1) or as runtime failures (exit 4)
+@pytest.mark.parametrize("overrides, key", MALFORMED_SHAPES.values(), ids=MALFORMED_SHAPES)
+def test_malformed_config_shape_is_config_exit(tmp_path, capsys, command, overrides, key):
+    # a configuration, or a report's echoed one, of the wrong shape or size:
+    # these ended in tracebacks (exit 1) or as runtime failures (exit 4)
     raw = small_raw(**overrides)
     if command == "synthesize":
         path = write_config(tmp_path, raw)
@@ -201,7 +208,8 @@ def test_malformed_config_shape_is_config_exit(tmp_path, capsys, command, overri
         path = write_report(tmp_path, raw, zero_certificate())
     flag = "--report" if command == "verify" else "--config"
     assert main([command, flag, str(path), "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f" {key} " in err
 
 
 def zero_certificate() -> dict:
@@ -438,50 +446,38 @@ def test_repeat_writes_manifest_before_a_failing_pilot(tmp_path, capsys):
     assert manifest["runs"] == 2 and manifest["config"] == validate_config(raw).raw
 
 
-@needs_fork
 def test_failing_dataset_writer_exits_runtime_without_report(tmp_path, capsys, monkeypatch):
     def failing_save(dataset, path):
         raise OSError("no space left on device")
 
-    # the forked writer inherits the patched module attribute
     monkeypatch.setattr(cli, "save_dataset", failing_save)
     cfg = write_config(tmp_path, small_raw(samples={"scenario": 300, "validation": 150}))
     rc = main(["synthesize", "--config", cfg, "--out", str(tmp_path / "runs")])
     assert rc == EXIT_RUNTIME
-    assert "dataset writer failed" in capsys.readouterr().err
+    assert "no space left on device" in capsys.readouterr().err
     run_dir = next((tmp_path / "runs").iterdir())
     assert not (run_dir / "report.json").exists()
     assert not list(run_dir.glob("*.tmp"))
 
 
-@needs_fork
-def test_forked_datasets_match_inline_save_and_writer_is_reaped(tmp_path, capsys, monkeypatch):
-    forked = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
+def test_run_datasets_load_equal_to_collect_at_the_report_seeds(tmp_path, capsys):
     raw = small_raw(lipschitz=1.0, samples={"scenario": 3000, "validation": 1500})
-    rc = main(["synthesize", "--config", write_config(tmp_path, raw),
-               "--out", str(tmp_path / "runs")])
-    assert rc == EXIT_OK
-    assert len(forked) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(forked[0], os.WNOHANG)
-
+    cfg = write_config(tmp_path, raw)
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_OK
     run_dir = next((tmp_path / "runs").iterdir())
+    report = json.loads((run_dir / "report.json").read_text())
     config = validate_config(raw)
-    plant = make_plant(config.plant_spec)
-    for name, n, seed, role in [("scenario", 3000, 11, Role.SCENARIO),
-                                ("validation", 1500, 12, Role.VALIDATION)]:
-        inline = tmp_path / f"inline-{name}.csv"
-        save_dataset(collect(plant, config.space(), n, seed, role), str(inline))
-        assert (run_dir / f"{name}.csv").read_bytes() == inline.read_bytes()
+    with make_plant(config.plant_spec) as plant:
+        for role, n in [(Role.SCENARIO, report["n_scenario"]),
+                        (Role.VALIDATION, report["n_validation"])]:
+            seed = report["seeds"][role.value]
+            run_file = run_dir / f"{role.value}.csv"
+            assert load_dataset(str(run_file)) == collect(plant, config.space(), n, seed, role)
+            # `collect --output` writes the same bytes for the same samples
+            out = tmp_path / f"collected-{role.value}.csv"
+            assert main(["collect", "--config", cfg, "--count", str(n), "--role", role.value,
+                         "--seed", str(seed), "--output", str(out)]) == EXIT_OK
+            assert out.read_bytes() == run_file.read_bytes()
 
 
 def test_seed_override_changes_report(tmp_path):
@@ -628,6 +624,9 @@ def test_plan_writes_manifest_before_a_failing_pilot(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("start_scenario", 0), ("start_validation", 0), ("growth", 0.5), ("growth", 1),
     ("nstar_hat", -3), ("khat", 0.5), ("khat", 0),
+    # no array can hold them: the pilot raised NumPy's "Maximum allowed
+    # dimension exceeded" out of `main` (exit 1)
+    ("start_scenario", 10**30), ("start_validation", 10**30),
 ])
 def test_out_of_range_auto_samples_is_config_exit(tmp_path, capsys, command, key, value):
     # these reached the planner's own checks, after the pilot solve when

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -778,6 +779,12 @@ def test_dataset_sink_receives_collected_data(tmp_path):
     assert len(captured["validation"]) == 150
     assert captured["scenario"].seed == report.seeds["scenario"]
     assert captured["validation"].seed == report.seeds["validation"]
+
+
+def test_dataset_sink_is_timed_in_total_not_in_collect():
+    config = small_room_config(samples={"scenario": 300, "validation": 150})
+    report = synthesize(config, dataset_sink=lambda scenario, validation: time.sleep(0.5))
+    assert report.timings["collect"] < 0.5 <= report.timings["total"]
 
 
 def test_bundled_config_reproduces_casestudy_parameters():

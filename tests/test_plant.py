@@ -78,82 +78,34 @@ def test_dataset_roundtrip(tmp_path, room_space):
     assert np.array_equal(loaded.space.box.lower_arr, room_space.box.lower_arr)
 
 
-def test_dataset_rows_match_per_value_formatting(tmp_path, monkeypatch, room_space):
-    # reference: the per-value `f"{v:.17g}"` writer; blocks of 7 rows cross
-    # block boundaries in both datasets
-    monkeypatch.setattr(plant_module, "_SAVE_BLOCK", 7)
-    edge = np.array([-0.0, 5e-324, 1e-310, 1.7976931348623157e308, 0.1, -2.5e-7, 24.0])
-    cases = [
-        Dataset(edge[:, None], -edge[::-1, None], np.roll(edge, 3)[:, None], 1, Role.SCENARIO),
-        collect(RoomTemperaturePlant(), room_space, 30, 8),
-    ]
-    for data in cases:
-        path = tmp_path / "data.csv"
-        save_dataset(data, str(path))
-        rows = np.hstack([data.xs, data.us, data.x_nexts])
-        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
-        assert path.read_text().split("\n", 1)[1] == expected
-
-
-def _percent_rows(rows: np.ndarray) -> str:
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return (line * len(rows)) % tuple(rows.ravel().tolist())
-
-
-def _written_rows(data: Dataset, path) -> str:
-    save_dataset(data, str(path))
-    return path.read_text().split("\n", 1)[1]
-
-
-def _as_dataset(values: np.ndarray) -> Dataset:
-    rows = values.reshape(-1, 3)
-    return Dataset(rows[:, :1], rows[:, 1:2], rows[:, 2:], 0, Role.SCENARIO)
-
-
-def test_dataset_writer_is_percent_formatting_on_millions_of_values(tmp_path, room_space):
-    rng = np.random.default_rng(20)
-    bits = rng.integers(0, 2**64, 690_000, dtype=np.uint64)
-    # exponents of 2**-15 to 2**54: across both ends of the range [1e-4, 1e16)
-    # that is formatted without `%`
-    bits[90_000:] &= ~np.uint64(0x7FF << 52)
-    bits[90_000:] |= rng.integers(1023 - 15, 1023 + 55, 600_000).astype(np.uint64) << np.uint64(52)
-    # m / 2**j with m odd and m * 5**j of 18 digits: the 18th significant
-    # digit is a final 5, a tie that %.17g rounds to even
-    j = rng.integers(2, 26, 300_000)
-    low = np.ceil(1e17 / 5.0**j)
-    high = np.minimum(1e18 / 5.0**j, 2.0**53)
-    ties = (np.floor(low + rng.random(j.size) * (high - low)) // 2 * 2 + 1) / 2.0**j
-    powers = np.array([float(f"1e{e}") for e in range(-5, 18)])
+def test_dataset_values_round_trip_bit_for_bit(tmp_path, monkeypatch):
+    # blocks of 7 rows: the values cross block boundaries, and the last
+    # block is short
+    monkeypatch.setattr(plant_module, "_BLOCK", 7)
+    edges = np.array([1e-4, 1e16, 1e17])
     special = np.array([
-        0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, np.inf, -np.inf,
-        np.nan, 1.7976931348623157e308, -1.7976931348623157e308, 1572865 / 65536,
+        0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308,
+        *edges, *np.nextafter(edges, 0.0), *np.nextafter(edges, np.inf),
     ])
-    values = np.concatenate([
-        bits.view(np.float64),
-        rng.choice([-1.0, 1.0], 400_000) * 10.0 ** rng.uniform(-4.0, 16.0, 400_000),
-        ties * rng.choice([-1.0, 1.0], ties.size),
-        powers, -powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
-        special,
-    ])
-    values = np.concatenate([values, np.zeros(-len(values) % 3)])
-    assert "%.17g" % (1572865 / 65536) == "24.000015258789062"
-    big = collect(RoomTemperaturePlant(), room_space, 210_000, 3)
-    for data in (_as_dataset(values), big):
-        rows = np.hstack([data.xs, data.us, data.x_nexts])
-        assert _written_rows(data, tmp_path / "data.csv") == _percent_rows(rows)
-
-
-def test_dataset_writer_splices_per_row_lines_anywhere_in_a_block(tmp_path, monkeypatch):
-    # blocks of 7 rows; rows holding a value outside [1e-4, 1e16) open, end
-    # and sit inside blocks, fill one block, and end the last one
-    monkeypatch.setattr(plant_module, "_SAVE_BLOCK", 7)
-    rows = np.random.default_rng(4).uniform(-30.0, 30.0, (40, 3))
-    for row, col, value in [(0, 1, 0.0), (3, 0, 1e-7), (6, 2, np.nan), (7, 1, -0.0),
-                            (8, 0, 1e16), (13, 2, -np.inf), (17, 1, 5e-324), (39, 0, 1e300)]:
-        rows[row, col] = value
-    rows[21:28, 1] = 2.5e-5
-    data = _as_dataset(rows)
-    assert _written_rows(data, tmp_path / "data.csv") == _percent_rows(rows)
+    bits = np.random.default_rng(20).integers(0, 2**64, 60, dtype=np.uint64)
+    random = bits.view(np.float64)
+    values = np.concatenate([special, -special, random[np.isfinite(random)]])
+    values = np.concatenate([values, np.zeros(-len(values) % 15)])
+    # one state variable, and two in column-major blocks (as `collect` makes them)
+    for state_dim, order in [(1, "C"), (2, "F")]:
+        rows = values.reshape(-1, 2 * state_dim + 1)
+        assert len(rows) % 7
+        blocks = [np.array(rows[:, cols], order=order)
+                  for cols in np.split(np.arange(rows.shape[1]), [state_dim, state_dim + 1])]
+        path = tmp_path / f"data{state_dim}.csv"
+        save_dataset(Dataset(*blocks, 5, Role.SCENARIO), str(path))
+        loaded = load_dataset(str(path))
+        loaded_rows = np.hstack([loaded.xs, loaded.us, loaded.x_nexts])
+        assert loaded_rows.dtype == np.float64
+        assert np.array_equal(loaded_rows.view(np.uint64), rows.view(np.uint64))
+        first = path.read_text().splitlines()[1].split(",")
+        assert first == [f"{b:016x}" for b in rows[0].view(np.uint64)]
 
 
 def test_atomic_write_keeps_umask_permissions_and_bytes(tmp_path):
@@ -218,9 +170,11 @@ def test_dataset_non_numeric_rejected(tmp_path, room_space):
         load_dataset(str(path))
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("value", [
+    "7ff8000000000000", "7ff0000000000000", "fff0000000000000", "fff0000000000001",
+], ids=["nan", "inf", "-inf", "NaN"])
 def test_dataset_non_finite_field_rejected(tmp_path, room_space, value):
-    # float() reads these, so a row like 1,nan,2 used to load as NaN
+    # the bits of a quiet NaN, +inf, -inf and a signalling NaN
     data = collect(RoomTemperaturePlant(), room_space, 3, 1)
     path = tmp_path / "data.csv"
     save_dataset(data, str(path))
@@ -235,6 +189,39 @@ def test_dataset_non_finite_field_rejected(tmp_path, room_space, value):
 
 def text_first_float(path):
     return path.read_text().splitlines()[1].split(",")[0]
+
+
+@pytest.mark.parametrize("field", ["3ff00000000000zz", "3FF0000000000000", "3ff000000000000",
+                                   "3ff00000000000000"], ids=["not-hex", "upper-case", "short", "long"])
+def test_dataset_field_that_is_not_16_hex_digits_rejected(tmp_path, room_space, field):
+    data = collect(RoomTemperaturePlant(), room_space, 3, 1)
+    path = tmp_path / "data.csv"
+    save_dataset(data, str(path))
+    lines = path.read_text().splitlines()
+    lines[3] = f"{lines[3].rsplit(',', 1)[0]},{field}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 4: field 3 is not 16 lowercase hex digits"):
+        load_dataset(str(path))
+
+
+def test_decimal_dataset_of_an_earlier_version_names_line_2(tmp_path, room_space):
+    data = collect(RoomTemperaturePlant(), room_space, 3, 1)
+    rows = np.hstack([data.xs, data.us, data.x_nexts])
+    path = tmp_path / "data.csv"
+    path.write_text("# n=1 m=1 role=scenario seed=1\n"
+                    + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows))
+    with pytest.raises(DatasetFormatError, match=r"line 2: field 1 .*numpy\.loadtxt"):
+        load_dataset(str(path))
+    assert np.array_equal(np.loadtxt(path, delimiter=","), rows)
+
+
+def test_dataset_without_its_last_line_end_rejected(tmp_path, room_space):
+    data = collect(RoomTemperaturePlant(), room_space, 3, 1)
+    path = tmp_path / "data.csv"
+    save_dataset(data, str(path))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(DatasetFormatError, match="line 4: no line end"):
+        load_dataset(str(path))
 
 
 EXTERNAL_PLANT_SCRIPT = textwrap.dedent(

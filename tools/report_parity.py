@@ -8,16 +8,22 @@ the `external` case runs):
 Each case runs through `safesynth.cli.main` on the `src/` next to this file
 and leaves one `OUT_DIR/<case>.json`: the report (`repeat.json` or
 `plan.json` for those commands) with every `timings` entry removed,
-`manifest.json` without its `argv`, and the sha256 of each CSV file the run
-wrote.  Run it in two checkouts and compare with
-`diff -r OUT_A OUT_B`; identical output means the same certificates,
-verdicts, solver counters, configuration echoes, manifests and datasets.
+`manifest.json` without its `argv`, the sha256 of each CSV file the run
+wrote, and, for the dataset files `scenario.csv` and `validation.csv`, the
+sha256 of what `plant.load_dataset` reads from them: the samples' float64
+bytes and the header's dimensions, role, seed and sample space.  Run it in
+two checkouts and compare with `diff -r OUT_A OUT_B`; identical output
+means the same certificates, verdicts, solver counters, configuration
+echoes, manifests and datasets.  Between two trees whose dataset encodings
+differ, only the files' byte hashes differ, and their sample hashes do not.
 
 Cases: `synthesize` and `prior-synthesize --eps 7.492e-6` on the bundled
 configuration, a 200/5000-sample small room configuration, the same with
-the input box [0, 1e-3] (about a tenth of the inputs lie below 1e-4 and are
-printed in exponent form, so their CSV rows take the writer's per-row
-path), `repeat --runs 4` of a certifying small configuration with two
+the input box [0, 1e-3] (a program of another scale; about a tenth of its
+inputs lie below 1e-4, where decimal text switches to exponent form, so
+its sample hashes compare two encodings on magnitudes that the bundled
+study never holds),
+`repeat --runs 4` of a certifying small configuration with two
 workers, a degree-0 small configuration whose program is infeasible
 (its sampled rows have a structurally zero barrier column), and the small
 configuration with `tolerances.max_iterations` 2, whose solve stops at the
@@ -62,11 +68,14 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from safesynth.cli import main as safesynth_main  # noqa: E402
 from safesynth.pipeline import bundled_room_config_path, room_casestudy_config  # noqa: E402
+from safesynth.plant import load_dataset  # noqa: E402
 
 
 def _small_room(**overrides) -> dict:
@@ -131,6 +140,18 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _dataset_sha256(path: str) -> str:
+    """sha256 of the dataset `load_dataset` reads from `path`: its header
+    fields, then the float64 bytes of x, u and x'."""
+    data = load_dataset(path)
+    space = None if data.space is None else [v.hex() for v in data.space.box.lower + data.space.box.upper]
+    digest = hashlib.sha256(json.dumps(
+        [data.state_dim, data.input_dim, data.role.value, data.seed, space]).encode())
+    for block in (data.xs, data.us, data.x_nexts):
+        digest.update(np.ascontiguousarray(block, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 def run_case(name: str, argv: list, raw: dict | None, work: str) -> tuple[dict, str]:
     """Run one case; return its record and its run directory."""
     if raw is not None:
@@ -155,6 +176,11 @@ def run_case(name: str, argv: list, raw: dict | None, work: str) -> tuple[dict, 
         "csv_sha256": {
             os.path.basename(p): _sha256(p)
             for p in sorted(glob.glob(os.path.join(run_dir, "*.csv")))
+        },
+        "dataset_sha256": {
+            dataset: _dataset_sha256(os.path.join(run_dir, dataset))
+            for dataset in ("scenario.csv", "validation.csv")
+            if os.path.exists(os.path.join(run_dir, dataset))
         },
     }, run_dir
 

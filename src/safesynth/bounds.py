@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsDomainError, KappaBracketError, PlannerError
-from .geometry import SampleSpace, u_of_r
+from .geometry import SampleSpace, check_entries, u_of_r
 
 _CHUNK = 1_000_000
 KAPPA_INTERVAL_TOL = 1e-10  # solve_kappa bisects until the bracket is this narrow
@@ -54,6 +54,7 @@ class PriorInputs:
             raise BoundsDomainError(f"beta must lie in (0, 1), got {self.beta}")
         if self.dim < 0:
             raise BoundsDomainError(f"dim must be non-negative, got {self.dim}")
+        check_entries("dim", self.dim + 1, BoundsDomainError)  # the tail's terms
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,9 @@ class PosteriorInputs:
     def __post_init__(self):
         if self.n_scenario < 1 or self.n_validation < 1:
             raise BoundsDomainError("both sample counts must be >= 1")
+        # the kappa series and the validation tail have up to count + 1 terms
+        check_entries("scenario count", self.n_scenario + 1, BoundsDomainError)
+        check_entries("validation count", self.n_validation + 1, BoundsDomainError)
         if not 0 <= self.support_bound <= self.n_scenario:
             raise BoundsDomainError(
                 f"support bound {self.support_bound} outside [0, {self.n_scenario}]"
@@ -327,7 +331,9 @@ def plan_sample_sizes(
         steps.append(PlanStep(n, n0, est_viol, value.sign))
         if value.sign >= 0:
             return PlanResult(n, n0, tuple(steps))
-        n = int(math.ceil(n * growth))
+        grown = n * growth  # inf past the double range
+        check_entries(f"growth {growth}: round {len(steps) + 1}'s N", grown + 1, PlannerError)
+        n = int(math.ceil(grown))
         n0 = max(1, int(round(n * ratio)))
     raise PlannerError(
         f"no passing (N, N0) within {PLAN_MAX_ROUNDS} growth rounds; "

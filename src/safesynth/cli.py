@@ -41,7 +41,7 @@ from .bounds import (
     solve_kappa,
 )
 from .errors import BoundsDomainError, ConfigError, PolynomialError, SafesynthError
-from .geometry import Box, SampleSpace
+from .geometry import Box, SampleSpace, check_entries
 from .pipeline import (
     CertificateReport,
     SynthesisConfig,
@@ -166,6 +166,8 @@ def _cmd_collect(args, argv) -> int:
     role = Role(args.role)
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
+    sample_width = 2 * config.state_box.dim + config.input_box.dim  # x, u and x'
+    check_entries("--count", args.count * sample_width, ConfigError)
     if args.dataset_seed is not None and args.dataset_seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.dataset_seed}")
     seed = args.dataset_seed if args.dataset_seed is not None else (
@@ -233,6 +235,10 @@ def _cmd_verify(args, argv) -> int:
         print("report carries no certificate; nothing to verify")
         return EXIT_INCONCLUSIVE
     config = report.validated_config
+    n, m = config.state_box.dim, config.input_box.dim
+    # each flag sizes a grid of points ** d rows of d coordinates
+    for dest, d in (("region_points", n), ("step_points", n + m), ("trajectory_grid", n)):
+        check_entries(f"--{dest.replace('_', '-')}", getattr(args, dest) ** d * d, ConfigError)
     cert = report.certificate
     out_dir = args.out or os.path.dirname(os.path.abspath(args.report))
     with make_plant(config.plant_spec) as plant:

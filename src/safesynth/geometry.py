@@ -10,10 +10,10 @@ and its analytic inverse converts certified violation levels into Lipschitz
 slack radii.  Non-rectangular spaces or non-uniform distributions are rejected
 rather than approximated.
 
-All values are immutable after construction and every operation is pure, so
-they are safe to share across concurrent workers.  Sampling is reproducible
-per (seed, index): the PCG64 stream of a given seed always assigns the same
-coordinates to sample index i, independent of how many samples are drawn.
+All values are immutable after construction and every operation is pure.
+Sampling is reproducible per (seed, index): the PCG64 stream of a given seed
+always assigns the same coordinates to sample index i, independent of how
+many samples are drawn.
 """
 
 import math
@@ -228,6 +228,17 @@ def sample_uniform(space: SampleSpace, count: int, seed: int) -> np.ndarray:
         np.multiply(rng.random((cols.shape[1], space.n)).T, sides, out=cols)
         cols += lower
     return out.T
+
+
+MAX_ENTRIES = int(np.iinfo(np.intp).max)  # no array of the program holds this many
+
+
+def check_entries(what: str, entries: float, error: type[Exception]) -> None:
+    """Raise `error` naming `what` unless an array of `entries` entries (a
+    number, inf included) is below the largest NumPy index."""
+    if not entries < MAX_ENTRIES:
+        raise error(f"{what} needs an array of {entries} entries; "
+                    f"the program indexes fewer than {MAX_ENTRIES}")
 
 
 def box_grid(box: Box, points_per_axis: int) -> np.ndarray:

@@ -16,10 +16,10 @@ A certified verdict requires the margin check AND every sub-step to succeed
 AND grid tightening to be enabled; anything else yields an inconclusive
 report with a machine-readable failure cause.  A run is never retried: the
 stated confidence 1 - beta belongs to one scenario program, one sample and
-one validation set.  `repeat_experiment` runs many seeds and reports all.
+one validation set.  `repeat_experiment` runs many seeds, one after another
+in one process, and reports all.
 """
 
-import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -51,7 +51,7 @@ from .errors import (
     SafesynthError,
     SolverError,
 )
-from .geometry import GENERATOR_NAME, Box, RegionUnion, SampleSpace, u_inverse
+from .geometry import GENERATOR_NAME, Box, RegionUnion, SampleSpace, check_entries, u_inverse
 from .plant import BUILTIN_PLANTS, BlackBoxSystem, Role, collect, make_plant
 from .polynomial import build_basis
 from .scp import (
@@ -109,7 +109,6 @@ _DEFAULTS = {
     "seeds": {"scenario": (int, 1, _at_least(0)), "validation": (int, 2, _at_least(0))},
     # None: the built-in plant's constant, required for any other plant
     "lipschitz": (float, None, _above(0)),
-    "workers": (int, 1, _at_least(1)),
     "estimate_lipschitz": (bool, False, None),
 }
 _PLANT_COMMAND = {
@@ -229,7 +228,6 @@ class SynthesisConfig:
     tolerances: LpTolerances
     seed_scenario: int
     seed_validation: int
-    workers: int
     estimate_lipschitz: bool
     raw: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
@@ -339,9 +337,7 @@ def validate_config(data: dict) -> SynthesisConfig:
         rows.update({f"samples.auto.{key}": getattr(auto, key)
                      for key in ("start_scenario", "start_validation")})
     for path, size in [*sizes.items(), *((path, count * width) for path, count in rows.items())]:
-        if size >= np.iinfo(np.intp).max:
-            raise ConfigError(f"{path} needs an array of {size} entries; "
-                              f"the program indexes fewer than {np.iinfo(np.intp).max}")
+        check_entries(path, size, ConfigError)
 
     seeds = opts["seeds"]
     if seeds["scenario"] == seeds["validation"]:
@@ -371,7 +367,7 @@ def validate_config(data: dict) -> SynthesisConfig:
         # the options that are fields under their own names
         **{key: opts[key] for key in (
             "horizon", "barrier_degree", "beta", "strict_margin", "tighten",
-            "workers", "estimate_lipschitz",
+            "estimate_lipschitz",
         )},
     )
 
@@ -828,64 +824,37 @@ class RepeatResult:
         return out
 
 
-def _repeat_runs(
-    config: SynthesisConfig,
-    plant: BlackBoxSystem,
-    n_scenario: int,
-    n_validation: int,
-    indices: range,
-) -> list[RepeatRun]:
-    """Repeat runs `indices`, all assembled on one build of the static rows."""
-    static = static_blocks(config.layout(), *_row_inputs(config))
-    runs = []
-    for i in indices:
-        seeds = _derived_seeds(config, i)
-        report = _run(config, plant, seeds, n_scenario, n_validation, static=static)
-        runs.append(
-            RepeatRun(
-                run_index=i,
-                seed_scenario=seeds["scenario"],
-                seed_validation=seeds["validation"],
-                verdict=report.verdict,
-                failure_cause=report.failure_cause,
-                objective=report.margin_objective,
-                margin=report.margin,
-                support_bound=report.support_bound,
-                violations=report.violations,
-                kappa=report.kappa,
-            )
-        )
-    return runs
-
-
 def repeat_experiment(config: SynthesisConfig, runs: int, plant: BlackBoxSystem | None = None) -> RepeatResult:
     """Run the posterior pipeline `runs` times with per-run derived seeds.
 
-    Sample-independent rows are assembled once per process and shared.  Runs
-    derive their seeds from (base seed, run index), so distributing them
-    across worker processes (config `workers`, one contiguous slice of run
-    indices each) changes nothing about the results; external-process
-    plants are always driven sequentially.  The expected total sample count
-    is (N + N0) / certified fraction, reported as None when no run certifies.
+    Sample-independent rows are assembled once and shared by every run; run
+    i is the run `synthesize` makes on the seeds `_derived_seeds(config, i)`.
+    The expected total sample count is (N + N0) / certified fraction,
+    reported as None when no run certifies.
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
+    results = []
     with _plant_scope(config, plant) as plant:
         n_scenario, n_validation, _ = resolve_sample_sizes(config, plant)
-        workers = min(config.workers, runs) if plant.reentrant else 1
-        slices = [range(runs * k // workers, runs * (k + 1) // workers) for k in range(workers)]
-        task = functools.partial(_repeat_runs, config, plant, n_scenario, n_validation)
-        if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(task, indices) for indices in slices]
-            lost = [f"{s.start}-{s.stop - 1}" for s, f in zip(slices, futures)
-                    if isinstance(f.exception(), concurrent.futures.BrokenExecutor)]
-            if lost:
-                raise SafesynthError(f"a repeat worker process died; runs {', '.join(lost)} did not finish")
-            parts = [f.result() for f in futures]
-        else:
-            parts = [task(slices[0])]
-    results = [run for part in parts for run in part]
+        static = static_blocks(config.layout(), *_row_inputs(config))
+        for i in range(runs):
+            seeds = _derived_seeds(config, i)
+            report = _run(config, plant, seeds, n_scenario, n_validation, static=static)
+            results.append(
+                RepeatRun(
+                    run_index=i,
+                    seed_scenario=seeds["scenario"],
+                    seed_validation=seeds["validation"],
+                    verdict=report.verdict,
+                    failure_cause=report.failure_cause,
+                    objective=report.margin_objective,
+                    margin=report.margin,
+                    support_bound=report.support_bound,
+                    violations=report.violations,
+                    kappa=report.kappa,
+                )
+            )
     histogram = dict(Counter(r.violations for r in results if r.violations is not None))
     certified = sum(1 for r in results if r.verdict == "certified")
     frac = certified / runs

@@ -52,12 +52,8 @@ class BlackBoxSystem:
     sample in order and stops at the first that raises `CollectionError`,
     returns other than `state_dim` values (a scalar for one state variable
     is one value) or returns a non-finite state, naming that sample.
-    `reentrant` declares that the plant may be queried from several
-    processes at once; it only decides whether `repeat` runs in worker
-    processes.  `with` closes the plant.
+    `with` closes the plant.
     """
-
-    reentrant = False
 
     def __init__(self, state_dim: int, input_dim: int):
         self.state_dim = int(state_dim)
@@ -92,7 +88,6 @@ class BlackBoxSystem:
 
 class RoomTemperaturePlant(BlackBoxSystem):
     name = "room-temp"  # the configuration's `plant` value
-    reentrant = True
     state_dim = input_dim = 1
     lipschitz = 11.63  # the configuration's `lipschitz` when it gives none
 
@@ -114,8 +109,6 @@ class ExternalProcessPlant(BlackBoxSystem):
     queried strictly sequentially.  A child that has exited fails every
     later query with a `CollectionError` naming its exit status.
     """
-
-    reentrant = False
 
     def __init__(self, command: Sequence[str], state_dim: int, input_dim: int):
         super().__init__(state_dim, input_dim)

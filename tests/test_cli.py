@@ -70,6 +70,40 @@ def test_bounds_plan_rejects_a_degenerate_space(capsys, flags, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["prior", "--eps", "0.1", "--beta", "0.5", "--dim", str(10**30)], "dim needs an array"),
+    (["kappa", "--N", str(10**30), "--N0", "100", "--Nstar", "1", "--R", "0", "--beta", "0.05"],
+     "scenario count needs an array"),
+    (["kappa", "--N", "100", "--N0", str(10**30), "--Nstar", "1", "--R", "0", "--beta", "0.05"],
+     "validation count needs an array"),
+], ids=["prior-dim", "kappa-N", "kappa-N0"])
+def test_bounds_count_past_the_index_range_is_runtime_exit(capsys, argv, message):
+    # `prior` raised NumPy's ValueError out of `main` (exit 1); `kappa` would
+    # build the kappa series a million terms at a time until memory ran out
+    start = time.perf_counter()
+    assert main(["bounds", *argv]) == EXIT_RUNTIME
+    assert time.perf_counter() - start < 5.0
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("growth", [1e300, 1e308])
+@pytest.mark.parametrize("command", ["plan", "bounds plan"])
+def test_planner_growth_past_the_index_range_is_runtime_exit(tmp_path, capsys, command, growth):
+    # 1e308 raised OverflowError from math.ceil (exit 1); 1e300 handed
+    # N = 1e302 to posterior_g, whose cost is linear in N
+    if command == "plan":
+        auto = {"khat": -0.149, "start_scenario": 100, "start_validation": 50, "growth": growth}
+        argv = ["plan", "--config", write_config(tmp_path, small_raw(samples={"auto": auto}))]
+    else:
+        argv = ["bounds", "plan", "--khat", "-0.149", "--L", "11.63", "--beta", "0.05",
+                "--ndim", "2", "--volume", "4", "--start-N", "100", "--start-N0", "50",
+                "--growth", str(growth)]
+    start = time.perf_counter()
+    assert main(argv) == EXIT_RUNTIME
+    assert time.perf_counter() - start < 5.0
+    assert f"growth {growth}: round 2's N needs an array" in capsys.readouterr().err
+
+
 def test_usage_error_is_config_exit(capsys):
     rc = main(["bounds", "kappa", "--N", "100"])
     assert rc == EXIT_CONFIG
@@ -287,9 +321,15 @@ def test_verify_malformed_certificate_is_config_exit(tmp_path, capsys, edit, fie
     ("verify", "--region-points", "1"),
     ("verify", "--step-points", "1"),
     ("verify", "--trajectory-grid", "0"),
+    # no array can hold them: NumPy's ValueError ended `main` (exit 1)
+    ("collect", "--count", str(10**30)),
+    ("verify", "--region-points", str(10**30)),
+    ("verify", "--step-points", str(10**30)),
+    ("verify", "--trajectory-grid", str(10**30)),
 ])
 def test_out_of_range_usage_flag_is_config_exit(tmp_path, capsys, command, flag, value):
-    # each ended as a GeometryError from `collect` or `box_grid` (exit 4)
+    # the ones below range ended as a GeometryError from `collect` or
+    # `box_grid` (exit 4)
     if command == "collect":
         argv = ["--config", write_config(tmp_path, small_raw()), "--count", "5",
                 "--output", str(tmp_path / "d.csv")]
@@ -667,12 +707,17 @@ def test_out_of_range_tolerance_is_config_exit(tmp_path, capsys, key, value, des
 
 
 def test_verify_rejects_a_report_echoing_a_removed_tolerance(tmp_path, capsys):
-    # an earlier version echoed every LP tolerance into the report's config
-    raw = small_raw(tolerances={"activity": 1e-7, "max_iterations": 20000})
-    path = write_report(tmp_path, raw, zero_certificate())
-    assert main(["verify", "--report", path, "--out", str(tmp_path / "verify")]) == EXIT_CONFIG
-    assert "unknown key(s) ['activity'] in tolerances" in capsys.readouterr().err
-    assert not (tmp_path / "verify").exists()
+    # an earlier version echoed every LP tolerance into the report's config,
+    # and `"workers": 1`
+    for edit, message in (
+        ({"tolerances": {"activity": 1e-7, "max_iterations": 20000}},
+         "unknown key(s) ['activity'] in tolerances"),
+        ({"workers": 1}, "unknown key(s) ['workers'] in configuration"),
+    ):
+        path = write_report(tmp_path, small_raw(**edit), zero_certificate())
+        assert main(["verify", "--report", path, "--out", str(tmp_path / "verify")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "verify").exists()
 
 
 def test_casestudy_command_reduced_size(tmp_path, capsys):

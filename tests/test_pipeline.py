@@ -9,7 +9,7 @@ import pytest
 
 from safesynth.bounds import PosteriorInputs, solve_kappa
 from safesynth import pipeline
-from safesynth.cli import EXIT_CONFIG, EXIT_RUNTIME, main
+from safesynth.cli import EXIT_CONFIG, main
 from safesynth.errors import ConfigError
 from safesynth.pipeline import (
     CertificateReport,
@@ -168,12 +168,16 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="frobnicate"):
         validate_config(raw)
     # a deleted option is an unknown key, even at its old default
-    raw = room_casestudy_config(lexicographic=False)
-    with pytest.raises(ConfigError, match="lexicographic"):
-        validate_config(raw)
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(raw))
-    assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    for key, value, command in (("lexicographic", False, ["synthesize"]),
+                                ("workers", 1, ["repeat", "--runs", "2"])):
+        raw = room_casestudy_config(**{key: value})
+        with pytest.raises(ConfigError, match=key):
+            validate_config(raw)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "runs"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
     # so are the LP's numerical tolerances, which are constants now
     for key in ("feasibility", "optimality", "activity", "pivot"):
         raw = room_casestudy_config(tolerances={key: getattr(LpTolerances(), key)})
@@ -223,7 +227,7 @@ def test_config_rejects_region_outside_state_space():
         ("tighten", "false"),
         ("horizon", 5.7),
         ("horizon", True),
-        ("workers", 1.9),
+        ("estimate_lipschitz", 1),
         ("state_space", [["22.5", "26.5"]]),
     ],
 )
@@ -262,8 +266,7 @@ def test_config_echo_appends_defaults_in_order():
     assert config.tolerances == LpTolerances()
     echoed = config.raw
     assert list(echoed) == list(raw) + [
-        "strict_margin", "tighten", "tolerances", "lipschitz",
-        "workers", "estimate_lipschitz",
+        "strict_margin", "tighten", "tolerances", "lipschitz", "estimate_lipschitz",
     ]
     assert list(echoed["tolerances"]) == ["max_iterations"]
 
@@ -294,7 +297,7 @@ def test_config_echo_is_a_copy_with_values_as_written():
     assert config.raw["seeds"] == {"scenario": 1, "validation": 2}
 
 
-@pytest.mark.parametrize("key", ["state_space", "workers"])
+@pytest.mark.parametrize("key", ["state_space", "estimate_lipschitz"])
 def test_config_with_a_non_json_value_is_config_error(key):
     # the schema walk runs on a JSON copy of the configuration; a set has none
     with pytest.raises(ConfigError, match="not JSON data"):
@@ -410,6 +413,23 @@ def test_repeat_experiment_histogram():
     assert [r.violations for r in again.runs] == [r.violations for r in result.runs]
 
 
+def test_repeat_runs_equal_single_runs_on_their_derived_seeds():
+    # repeat assembles every run on one build of the static rows; synthesize
+    # builds its whole program afresh
+    config = small_room_config(samples={"scenario": 400, "validation": 200}, lipschitz=0.5)
+    result = repeat_experiment(config, runs=3)
+    assert any(run.verdict == "certified" for run in result.runs)
+    for i, run in enumerate(result.runs):
+        seeds = pipeline._derived_seeds(config, i)
+        single = synthesize(validate_config({**config.raw, "seeds": seeds}))
+        assert (run.run_index, run.seed_scenario, run.seed_validation) == (
+            i, seeds["scenario"], seeds["validation"])
+        assert (run.verdict, run.failure_cause, run.objective, run.margin, run.support_bound,
+                run.violations, run.kappa) == (
+            single.verdict, single.failure_cause, single.margin_objective, single.margin,
+            single.support_bound, single.violations, single.kappa)
+
+
 def test_repeat_single_run_single_bucket():
     config = small_room_config(samples={"scenario": 400, "validation": 200})
     result = repeat_experiment(config, runs=1)
@@ -493,7 +513,6 @@ class _DyingPlant:
     """Fails after a fixed number of batch queries."""
 
     name = "dying"
-    reentrant = True
     state_dim = 1
     input_dim = 1
 
@@ -672,50 +691,6 @@ def test_derive_seed_deterministic_and_spread():
     c = derive_seed(1, 2, 4)
     assert a == b
     assert a != c
-
-
-def test_repeat_workers_match_sequential():
-    config_seq = small_room_config(
-        samples={"scenario": 400, "validation": 200}, lipschitz=0.5
-    )
-    config_par = small_room_config(
-        samples={"scenario": 400, "validation": 200}, workers=2, lipschitz=0.5
-    )
-    seq = repeat_experiment(config_seq, runs=4)
-    par = repeat_experiment(config_par, runs=4)
-    assert seq.certified_fraction > 0  # the parallel path must meet certified runs
-    assert [r.to_dict() for r in par.runs] == [r.to_dict() for r in seq.runs]
-    assert par.histogram == seq.histogram
-    assert par.certified_fraction == seq.certified_fraction
-    assert par.expected_samples == seq.expected_samples
-
-
-class _ExitingPlant(RoomTemperaturePlant):
-    """The room plant, except that any process other than its creator's exits."""
-
-    def __init__(self):
-        super().__init__()
-        self.parent_pid = os.getpid()
-
-    def step_batch(self, xs, us):
-        if os.getpid() != self.parent_pid:
-            os._exit(1)
-        return super().step_batch(xs, us)
-
-
-def test_repeat_worker_crash_is_runtime_exit(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(room_casestudy_config(
-        n_scenario=100, n_validation=50, seed_scenario=11, seed_validation=12, workers=2,
-    )))
-    monkeypatch.setattr(pipeline, "make_plant", lambda spec: _ExitingPlant())
-    rc = main(["repeat", "--config", str(cfg), "--runs", "2", "--out", str(tmp_path / "runs")])
-    assert rc == EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert "worker process died" in err and "0-0" in err and "did not finish" in err
-    # the manifest is written before the runs; no result is
-    (run_dir,) = (tmp_path / "runs").iterdir()
-    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
 
 
 def test_lipschitz_estimator_warning_paths():

@@ -278,8 +278,8 @@ def test_with_make_plant_ends_the_external_child(tmp_path):
 
 
 class _BatchOnlyPlant(BlackBoxSystem):
-    """A non-reentrant plant with its own `step_batch`, which counts its calls;
-    it has no `step`."""
+    """A plant with its own `step_batch`, which counts its calls; it has no
+    `step`."""
 
     def __init__(self):
         super().__init__(state_dim=1, input_dim=1)

@@ -23,8 +23,8 @@ the input box [0, 1e-3] (a program of another scale; about a tenth of its
 inputs lie below 1e-4, where decimal text switches to exponent form, so
 its sample hashes compare two encodings on magnitudes that the bundled
 study never holds),
-`repeat --runs 4` of a certifying small configuration with two
-workers, a degree-0 small configuration whose program is infeasible
+`repeat --runs 4` of a certifying small configuration, a degree-0 small
+configuration whose program is infeasible
 (its sampled rows have a structurally zero barrier column), and the small
 configuration with `tolerances.max_iterations` 2, whose solve stops at the
 iteration limit (the `SolverError` early exit).  Two cases set the
@@ -37,7 +37,7 @@ planner's pass/fail decision at each (N, N0) it tried.
 The `external` case runs `synthesize` on the small configuration with the
 plant `{command: [python, benchmarks/child_plant.py], state_dim: 1,
 input_dim: 1}`: the room dynamics in a child process, queried one line at a
-time, the path of every plant that is not reentrant.
+time.
 
 Four `verify` cases run `verify --report` with reduced grids on a copy of a
 report in a directory of their own, and keep `verify.json`, its plot paths
@@ -95,7 +95,7 @@ CASES = {
     "prior_synthesize": (["prior-synthesize", "--eps", "7.492e-6", *BUNDLED], None),
     "small": (["synthesize"], _small_room()),
     "small_tiny_inputs": (["synthesize"], _small_room(input_box=[[0.0, 1e-3]])),
-    "repeat_workers": (["repeat", "--runs", "4"], _small_room(lipschitz=0.5, workers=2)),
+    "repeat": (["repeat", "--runs", "4"], _small_room(lipschitz=0.5)),
     "lp_infeasible": (["synthesize"], _small_room(barrier_degree=0, controller_degrees=[0])),
     "lp_iteration_limit": (["synthesize"], _small_room(tolerances={"max_iterations": 2})),
     "casestudy_flags": (["casestudy", "--mode", "posterior", "--N", "3000", "--N0", "1500",

@@ -303,15 +303,16 @@ def plan_sample_sizes(
     The target kappa is 1 - U(-khat / L); the expected violation frequency at
     each candidate is N0 * nstar_hat / N rounded to the nearest integer (ties
     down, matching the tail-truncation semantics of a fractional count).  A
-    non-negative estimate khat can never certify and is rejected.
+    non-negative estimate khat can never certify and is rejected.  The checks
+    are written so that NaN fails each of them.
     """
-    if khat >= 0:
-        raise PlannerError(f"estimated optimum not strictly negative (khat={khat})")
-    if lipschitz <= 0:
-        raise PlannerError(f"Lipschitz bound must be positive, got {lipschitz}")
+    if not -math.inf < khat < 0:
+        raise PlannerError(f"estimated optimum not strictly negative and finite (khat={khat})")
+    if not 0 < lipschitz < math.inf:
+        raise PlannerError(f"Lipschitz bound must be positive and finite, got {lipschitz}")
     if n_start < 1 or n0_start < 1:
         raise PlannerError("starting sample counts must be >= 1")
-    if growth <= 1.0:
+    if not growth > 1.0:
         raise PlannerError(f"growth factor must exceed 1, got {growth}")
     mass = u_of_r(-khat / lipschitz, space)
     if mass >= 1.0:

@@ -1,22 +1,23 @@
 """Command-line surface.
 
-Subcommands mirror the synthesis stages: `collect` data, `plan` sample sizes,
-`synthesize` / `prior-synthesize` a certificate, `verify` it against the true
-plant, `bounds` for the standalone probabilistic computations, `casestudy`
-for the built-in room-temperature experiment, and `repeat` for batched runs.
+Subcommands mirror the synthesis stages: `collect` data, `plan` sample sizes
+from a pilot solve at the configured ones, `synthesize` / `prior-synthesize`
+a certificate, `verify` it against the true plant, `bounds` for the
+standalone probabilistic computations, and `repeat` for batched runs.
 
-A configuration is `--config` (for `casestudy` the bundled room file) with
-the override flags `--seed`, `--seed-validation`, `--no-tighten`, `--N` and
-`--N0` set into it.  Exit codes: 0 success/certified, 2 completed but
-inconclusive, 3 bad configuration or usage (such as an override into a
-`samples` or `seeds` that is not an object, or a malformed certificate), 4
-runtime failure.  `synthesize`, `prior-synthesize`, `casestudy`, `repeat`
-and `plan --out` make a run directory and write its manifest (config hash,
-seeds, tool version, argv), sufficient to reproduce the run, before they
-collect or solve anything.  `synthesize` writes the collected data as the
-run's `scenario.csv` and `validation.csv` (`plant.save_dataset`) before it
-solves, unless `--no-datasets`.  `collect` writes only its dataset file,
-whose header holds the seed, role and sample space but no config hash.
+A configuration is `--config` (by default the bundled room-temperature
+study) with the override flags `--seed`, `--seed-validation`,
+`--no-tighten`, `--N` and `--N0` set into it.  Exit codes: 0
+success/certified, 2 completed but inconclusive, 3 bad configuration or
+usage (such as an override into a `samples` or `seeds` that is not an
+object, or a malformed certificate), 4 runtime failure.  `synthesize`,
+`prior-synthesize`, `repeat` and `plan --out` make a run directory and
+write its manifest (config hash, seeds, tool version, argv), sufficient to
+reproduce the run, before they collect or solve anything.  `synthesize`
+writes the collected data as the run's `scenario.csv` and `validation.csv`
+(`plant.save_dataset`) before it solves, unless `--no-datasets`.  `collect`
+writes only its dataset file, whose header holds the seed, role and sample
+space but no config hash.
 Every file of a run (reports, manifest, datasets, plot CSVs, histogram) is
 written atomically through `plant.atomic_write`, with the permissions the
 umask gives a new file.  `verify` writes `verify.json` for a certificate of
@@ -46,10 +47,10 @@ from .pipeline import (
     CertificateReport,
     SynthesisConfig,
     bundled_room_config_path,
+    pilot_estimates,
     prior_synthesize,
     read_json_object,
     repeat_experiment,
-    resolve_sample_sizes,
     set_config_key,
     synthesize,
     validate_config,
@@ -192,19 +193,25 @@ def _print_plan(plan: PlanResult) -> None:
 
 def _cmd_plan(args, argv) -> int:
     config = _load_config_with_overrides(args)
-    if config.auto_samples is None:
-        raise ConfigError("plan requires a configuration with samples.auto")
     # the manifest comes first, so a plan whose pilot fails still leaves one
     run_dir = _new_run(args.out, config, argv) if args.out else None
-    n, n0, plan = resolve_sample_sizes(config)
-    assert plan is not None
+    with make_plant(config.plant_spec) as plant:
+        khat, nstar_hat = pilot_estimates(config, plant, config.n_scenario)
+    print(f"pilot: K*={khat:.6g} N*={nstar_hat}")
+    plan = plan_sample_sizes(
+        khat=khat, nstar_hat=nstar_hat, lipschitz=config.lipschitz,
+        space=config.space(), beta=config.beta,
+        n_start=config.n_scenario, n0_start=config.n_validation,
+    )
     _print_plan(plan)
     if run_dir is not None:
         _write_json_atomic(
             os.path.join(run_dir, "plan.json"),
             {
-                "n_scenario": n,
-                "n_validation": n0,
+                "khat": khat,
+                "nstar_hat": nstar_hat,
+                "n_scenario": plan.n_scenario,
+                "n_validation": plan.n_validation,
                 "steps": [
                     {
                         "n_scenario": s.n_scenario,
@@ -282,6 +289,7 @@ def _cmd_bounds(args, argv) -> int:
     # "plan": a unit hyper-cube scaled to the given volume, as only n and Vol enter
     if args.ndim < 1:
         raise BoundsDomainError(f"--ndim must be >= 1, got {args.ndim}")
+    check_entries("--ndim", args.ndim, BoundsDomainError)  # the box's sides
     if not args.volume > 0.0:
         raise BoundsDomainError(f"--volume must be positive, got {args.volume}")
     side = args.volume ** (1.0 / args.ndim)
@@ -293,17 +301,6 @@ def _cmd_bounds(args, argv) -> int:
     )
     _print_plan(plan)
     return EXIT_OK
-
-
-def _cmd_casestudy(args, argv) -> int:
-    config = _load_config_with_overrides(args)
-    run_dir = _new_run(args.out, config, argv, mode=args.mode)
-    report = prior_synthesize(config, args.eps) if args.mode == "prior" else synthesize(config)
-    exit_code = _finish_run(run_dir, report)
-    if report.certificate is not None:
-        with make_plant(config.plant_spec) as plant:
-            emit_plot_data(report.certificate, plant, config.state_box, config.input_box, run_dir)
-    return exit_code
 
 
 def _cmd_repeat(args, argv) -> int:
@@ -337,7 +334,8 @@ def build_parser() -> _Parser:
 
     # the flags shared by subcommands; each registers only those it reads
     common = {
-        "--config": dict(required=True, help="configuration JSON path"),
+        "--config": dict(default=bundled_room_config_path(),
+                         help="configuration JSON path (default: the bundled room study)"),
         "--out": dict(default="runs", help="output directory root"),
         **{flag: kwargs for flag, (kwargs, _) in _OVERRIDES.items()},
     }
@@ -366,8 +364,8 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_collect)
 
-    p = sub.add_parser("plan", help="plan (N, N0) from estimates")
-    add_common(p, "--config", "--out", "--seed", "--seed-validation", "--no-tighten")
+    p = sub.add_parser("plan", help="plan (N, N0) from a pilot solve at the configured sizes")
+    add_common(p, *common)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("verify", help="check a certificate against the true plant")
@@ -407,13 +405,6 @@ def build_parser() -> _Parser:
     bl.add_argument("--start-N0", type=int, default=500, dest="start_N0")
     bl.add_argument("--growth", type=float, default=1.5)
     bl.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("casestudy", help="built-in room-temperature experiment")
-    add_common(p, *(flag for flag in common if flag != "--config"))
-    p.add_argument("--mode", choices=["prior", "posterior"], default="posterior")
-    p.add_argument("--eps", type=float, default=7.492e-6,
-                   help="violation level for --mode prior")
-    p.set_defaults(func=_cmd_casestudy, config=bundled_room_config_path())
 
     p = sub.add_parser("repeat", help="repeat the experiment with derived seeds")
     add_common(p, *common)

@@ -162,14 +162,24 @@ def volume(box: Box) -> float:
     return float(np.prod(box.sides()))
 
 
+# the largest n whose Gamma(n/2 + 1) the recurrence below keeps in the float
+# range: 171! (n = 342) is past 1.8e308, and at n = 341 the odd product
+# passes it before its last factor, 1/2
+_GAMMA_MAX_N = 340
+
+
 def gamma_half_plus_one(n: int) -> float:
     """Gamma(n/2 + 1) by the half-integer recurrence, avoiding a gamma dependency.
 
     Even n: (n/2)!.  Odd n: (n/2)(n/2 - 1)...(1/2) * sqrt(pi), the sqrt(pi)
-    being Gamma(1/2) at the bottom of the recursion.
+    being Gamma(1/2) at the bottom of the recursion.  An n past the float
+    range of the recurrence raises GeometryError.
     """
     if n < 0:
         raise GeometryError("dimension must be non-negative")
+    if n > _GAMMA_MAX_N:
+        raise GeometryError(f"dimension {n} is past {_GAMMA_MAX_N}, the largest whose "
+                            f"Gamma(n/2 + 1) is computed in floats")
     if n % 2 == 0:
         return float(math.factorial(n // 2))
     value = math.sqrt(math.pi)
@@ -184,9 +194,9 @@ def u_of_r(r: float, space: SampleSpace) -> float:
     """Probability mass a radius-r Euclidean ball carries under uniform sampling.
 
     Clamped to 1 for radii whose ball mass exceeds the whole space
-    (probability semantics); negative radii are rejected.
+    (probability semantics); negative and NaN radii are rejected.
     """
-    if r < 0:
+    if not r >= 0:
         raise GeometryError(f"radius must be non-negative, got {r}")
     n = space.n
     mass = (math.pi ** (n / 2.0)) * (float(r) ** n) / (

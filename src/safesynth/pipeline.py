@@ -2,7 +2,8 @@
 
 One run of the posterior method:
 
-  1. collect N scenario samples and N0 validation samples (distinct seeds);
+  1. collect N scenario samples and N0 validation samples (distinct seeds),
+     the counts the configuration's `samples` states;
   2. assemble and solve the scenario LP;
   3. upper-bound the support constraints by the active sampled rows;
   4. count violations of the solution on the untouched validation data;
@@ -17,7 +18,9 @@ AND grid tightening to be enabled; anything else yields an inconclusive
 report with a machine-readable failure cause.  A run is never retried: the
 stated confidence 1 - beta belongs to one scenario program, one sample and
 one validation set.  `repeat_experiment` runs many seeds, one after another
-in one process, and reports all.
+in one process, and reports all.  No run chooses its own sample sizes:
+`pilot_estimates` solves one pilot program, from which `safesynth plan`
+plans sizes for the user to write into `samples`.
 """
 
 import contextlib
@@ -35,14 +38,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    PlanResult,
-    PosteriorInputs,
-    PriorInputs,
-    plan_sample_sizes,
-    prior_sample_size,
-    solve_kappa,
-)
+from .bounds import PosteriorInputs, PriorInputs, prior_sample_size, solve_kappa
 from .errors import (
     CollectionError,
     ConfigError,
@@ -93,7 +89,7 @@ _DEFAULTS = {
         (None, _REQUIRED, None),
     ),
     "controller_degrees": ([int], _REQUIRED, _at_least(0)),
-    "samples": (None, _REQUIRED, None),
+    "samples": dict.fromkeys(("scenario", "validation"), (int, _REQUIRED, _at_least(1))),
     "coeff_bounds": (None, _REQUIRED, None),
     "horizon": (int, _REQUIRED, _at_least(1)),
     "barrier_degree": (int, _REQUIRED, _at_least(0)),
@@ -115,17 +111,6 @@ _PLANT_COMMAND = {
     "command": (None, _REQUIRED, None),
     "state_dim": (int, _REQUIRED, _at_least(1)),
     "input_dim": (int, _REQUIRED, _at_least(1)),
-}
-_FIXED_SAMPLES = dict.fromkeys(("scenario", "validation"), (int, _REQUIRED, _at_least(1)))
-# the planner checks these ranges too, for `bounds plan`'s flags
-_AUTO_SAMPLES = {
-    "auto": {
-        "khat": (float, None, (lambda v: v < 0.0, "< 0 when given")),
-        "nstar_hat": (int, 1, _at_least(0)),
-        "start_scenario": (int, _REQUIRED, _at_least(1)),
-        "start_validation": (int, _REQUIRED, _at_least(1)),
-        "growth": (float, 1.5, _above(1)),
-    }
 }
 _COEFF_BOUNDS = {"barrier": (float, _REQUIRED, _above(0)),
                  "controller": ([float], _REQUIRED, _above(0))}
@@ -183,26 +168,13 @@ def _read(mapping, table: dict, where: str) -> dict:
 
 def set_config_key(raw: dict, path: tuple[str, ...], value) -> None:
     """Set the key at `path` (sections, then a key) of the configuration `raw`,
-    making missing sections; a sample count replaces `samples.auto`."""
+    making missing sections."""
     *sections, key = path
     for section in sections:
         raw = raw.setdefault(section, {})
         if not isinstance(raw, dict):
             raise ConfigError(f"{section} must be an object to set {'.'.join(path)}, got {raw!r}")
-    if sections == ["samples"]:
-        raw.pop("auto", None)
     raw[key] = value
-
-
-@dataclass(frozen=True)
-class AutoSamples:
-    """Planner-driven sample sizing; khat=None means estimate by a pilot run."""
-
-    khat: float | None
-    nstar_hat: int
-    start_scenario: int
-    start_validation: int
-    growth: float
 
 
 @dataclass(frozen=True)
@@ -217,9 +189,8 @@ class SynthesisConfig:
     controller_degrees: tuple[int, ...]
     beta: float
     lipschitz: float
-    n_scenario: int | None
-    n_validation: int | None
-    auto_samples: AutoSamples | None
+    n_scenario: int
+    n_validation: int
     grids: GridSpec
     barrier_bound: float
     controller_bounds: tuple[float, ...]
@@ -311,14 +282,6 @@ def validate_config(data: dict) -> SynthesisConfig:
             raise ConfigError("missing required key lipschitz (no builtin default for this plant)")
         lipschitz = raw["lipschitz"] = builtin.lipschitz
 
-    samples = opts["samples"]
-    n_scenario = n_validation = auto = None
-    if isinstance(samples, dict) and "auto" in samples:
-        # on a copy: the planner's defaults are not echoed
-        auto = AutoSamples(**_read(json.loads(json.dumps(samples)), _AUTO_SAMPLES, "samples")["auto"])
-    else:
-        n_scenario, n_validation = _read(samples, _FIXED_SAMPLES, "samples").values()
-
     coeff_bounds = _read(opts["coeff_bounds"], _COEFF_BOUNDS, "coeff_bounds")
     controller_bounds = tuple(coeff_bounds["controller"])
     if len(controller_bounds) != input_dim:
@@ -331,11 +294,7 @@ def validate_config(data: dict) -> SynthesisConfig:
     sizes = {path: math.comb(state_dim + d, d) for path, d in degrees.items()}
     width = max(4 + 2 * sum(sizes.values()), 2 * state_dim + input_dim)  # LP columns, or a sample
     rows = {f"grid_points.{key}": points ** state_dim for key, points in opts["grid_points"].items()}
-    if auto is None:
-        rows.update({"samples.scenario": n_scenario, "samples.validation": n_validation})
-    else:  # the planner's first sizes
-        rows.update({f"samples.auto.{key}": getattr(auto, key)
-                     for key in ("start_scenario", "start_validation")})
+    rows.update({f"samples.{key}": count for key, count in opts["samples"].items()})
     for path, size in [*sizes.items(), *((path, count * width) for path, count in rows.items())]:
         check_entries(path, size, ConfigError)
 
@@ -354,9 +313,8 @@ def validate_config(data: dict) -> SynthesisConfig:
         unsafe_region=unsafe_region,
         controller_degrees=controller_degrees,
         lipschitz=lipschitz,
-        n_scenario=n_scenario,
-        n_validation=n_validation,
-        auto_samples=auto,
+        n_scenario=opts["samples"]["scenario"],
+        n_validation=opts["samples"]["validation"],
         grids=GridSpec(**opts["grid_points"]),
         barrier_bound=coeff_bounds["barrier"],
         controller_bounds=controller_bounds,
@@ -515,32 +473,9 @@ def _plant_scope(config: SynthesisConfig, plant: BlackBoxSystem | None):
     return make_plant(config.plant_spec)
 
 
-def resolve_sample_sizes(config: SynthesisConfig, plant: BlackBoxSystem | None = None) -> tuple[int, int, PlanResult | None]:
-    """Fixed sizes from the config, or run the planner for `auto` configs."""
-    if config.auto_samples is None:
-        assert config.n_scenario is not None and config.n_validation is not None
-        return config.n_scenario, config.n_validation, None
-    auto = config.auto_samples
-    khat = auto.khat
-    nstar_hat = auto.nstar_hat
-    if khat is None:
-        with _plant_scope(config, plant) as pilot_plant:
-            khat, nstar_hat = pilot_estimates(config, pilot_plant, auto.start_scenario)
-    plan = plan_sample_sizes(
-        khat=khat,
-        nstar_hat=nstar_hat,
-        lipschitz=config.lipschitz,
-        space=config.space(),
-        beta=config.beta,
-        n_start=auto.start_scenario,
-        n0_start=auto.start_validation,
-        growth=auto.growth,
-    )
-    return plan.n_scenario, plan.n_validation, plan
-
-
 def pilot_estimates(config: SynthesisConfig, plant: BlackBoxSystem, n_pilot: int) -> tuple[float, int]:
-    """Estimate the optimal objective and support bound by one pilot solve."""
+    """Estimate the optimal objective and support bound by one pilot solve
+    of `n_pilot` scenario samples, on a seed derived from the scenario seed."""
     pilot_seed = derive_seed(config.seed_scenario, 7771)
     dataset = collect(plant, config.space(), n_pilot, pilot_seed, Role.SCENARIO)
     problem = build_problem(config.layout(), dataset, *_row_inputs(config))
@@ -756,16 +691,10 @@ def synthesize(
     stage, so callers can persist the data without re-querying the
     simulator; its time counts in `total` and in no stage.
     """
+    seeds = {"scenario": config.seed_scenario, "validation": config.seed_validation}
     with _plant_scope(config, plant) as plant:
-        n_scenario, n_validation, plan = resolve_sample_sizes(config, plant)
-        seeds = {"scenario": config.seed_scenario, "validation": config.seed_validation}
-        report = _run(config, plant, seeds, n_scenario, n_validation, dataset_sink=dataset_sink)
-    if plan is not None:
-        report.warnings.append(
-            f"sample sizes ({n_scenario}, {n_validation}) chosen by the planner "
-            f"after {len(plan.steps)} round(s)"
-        )
-    return report
+        return _run(config, plant, seeds, config.n_scenario, config.n_validation,
+                    dataset_sink=dataset_sink)
 
 
 def prior_synthesize(config: SynthesisConfig, eps: float, plant: BlackBoxSystem | None = None) -> CertificateReport:
@@ -780,7 +709,7 @@ def prior_synthesize(config: SynthesisConfig, eps: float, plant: BlackBoxSystem 
     dim = layout.n_barrier + layout.n_controller + 3
     n_required = prior_sample_size(PriorInputs(eps, config.beta, dim))
     warnings = []
-    if config.n_scenario is not None and config.n_scenario < n_required:
+    if config.n_scenario < n_required:
         warnings.append(
             f"configured scenario count {config.n_scenario} raised to the prior "
             f"bound {n_required}"
@@ -788,7 +717,7 @@ def prior_synthesize(config: SynthesisConfig, eps: float, plant: BlackBoxSystem 
     with _plant_scope(config, plant) as plant:
         return _run(
             config, plant, {"scenario": config.seed_scenario, "validation": None},
-            max(config.n_scenario or 0, n_required), eps=eps, warnings=warnings,
+            max(config.n_scenario, n_required), eps=eps, warnings=warnings,
         )
 
 
@@ -836,11 +765,11 @@ def repeat_experiment(config: SynthesisConfig, runs: int, plant: BlackBoxSystem 
         raise ConfigError(f"runs must be >= 1, got {runs}")
     results = []
     with _plant_scope(config, plant) as plant:
-        n_scenario, n_validation, _ = resolve_sample_sizes(config, plant)
         static = static_blocks(config.layout(), *_row_inputs(config))
         for i in range(runs):
             seeds = _derived_seeds(config, i)
-            report = _run(config, plant, seeds, n_scenario, n_validation, static=static)
+            report = _run(config, plant, seeds, config.n_scenario, config.n_validation,
+                          static=static)
             results.append(
                 RepeatRun(
                     run_index=i,
@@ -858,7 +787,7 @@ def repeat_experiment(config: SynthesisConfig, runs: int, plant: BlackBoxSystem 
     histogram = dict(Counter(r.violations for r in results if r.violations is not None))
     certified = sum(1 for r in results if r.verdict == "certified")
     frac = certified / runs
-    expected = (n_scenario + n_validation) / frac if frac > 0 else None
+    expected = (config.n_scenario + config.n_validation) / frac if frac > 0 else None
     # the most frequent violation count, the smallest one on a tie
     modal = min(histogram, key=lambda k: (-histogram[k], k)) if histogram else None
     return RepeatResult(

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import stat
 import sys
 import textwrap
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from safesynth import cli, pipeline
+from safesynth.bounds import plan_sample_sizes
 from safesynth.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RUNTIME, main
 from safesynth.errors import SafesynthError
 from safesynth.pipeline import bundled_room_config_path, room_casestudy_config, validate_config
@@ -87,21 +89,47 @@ def test_bounds_count_past_the_index_range_is_runtime_exit(capsys, argv, message
 
 
 @pytest.mark.parametrize("growth", [1e300, 1e308])
-@pytest.mark.parametrize("command", ["plan", "bounds plan"])
-def test_planner_growth_past_the_index_range_is_runtime_exit(tmp_path, capsys, command, growth):
+@pytest.mark.parametrize("command", ["bounds plan"])
+def test_planner_growth_past_the_index_range_is_runtime_exit(capsys, command, growth):
     # 1e308 raised OverflowError from math.ceil (exit 1); 1e300 handed
     # N = 1e302 to posterior_g, whose cost is linear in N
-    if command == "plan":
-        auto = {"khat": -0.149, "start_scenario": 100, "start_validation": 50, "growth": growth}
-        argv = ["plan", "--config", write_config(tmp_path, small_raw(samples={"auto": auto}))]
-    else:
-        argv = ["bounds", "plan", "--khat", "-0.149", "--L", "11.63", "--beta", "0.05",
-                "--ndim", "2", "--volume", "4", "--start-N", "100", "--start-N0", "50",
-                "--growth", str(growth)]
+    argv = [*command.split(), "--khat", "-0.149", "--L", "11.63", "--beta", "0.05",
+            "--ndim", "2", "--volume", "4", "--start-N", "100", "--start-N0", "50",
+            "--growth", str(growth)]
     start = time.perf_counter()
     assert main(argv) == EXIT_RUNTIME
     assert time.perf_counter() - start < 5.0
     assert f"growth {growth}: round 2's N needs an array" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--khat", "nan", "--L", "11.63"], "khat=nan"),
+    (["--khat=-inf", "--L", "11.63"], "khat=-inf"),
+    (["--khat", "-0.149", "--L", "nan"], "Lipschitz bound must be positive and finite, got nan"),
+    (["--khat", "-0.149", "--L", "inf"], "Lipschitz bound must be positive and finite, got inf"),
+    (["--khat", "-0.149", "--L", "11.63", "--growth", "nan"], "growth factor must exceed 1, got nan"),
+], ids=["khat-nan", "khat-minus-inf", "L-nan", "L-inf", "growth-nan"])
+def test_bounds_plan_rejects_a_non_finite_input(capsys, flags, message):
+    # a NaN --khat or --L, or a --khat of -inf, planned the start sizes as
+    # passing (exit 0), as u_of_r clamped a NaN or infinite ball mass to 1;
+    # --L inf ended in posterior_g with "kappa must lie in (0, 1), got 1.0",
+    # and --growth nan in round 2's index check
+    rc = main(["bounds", "plan", *flags, "--beta", "0.05", "--ndim", "2", "--volume", "4"])
+    assert rc == EXIT_RUNTIME
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ndim, message", [
+    (str(10**30), "--ndim needs an array"),
+    ("400", "dimension 400 is past 340"),
+], ids=["ndim-1e30", "ndim-400"])
+def test_bounds_plan_dimension_past_its_range_is_runtime_exit(capsys, ndim, message):
+    # both raised OverflowError out of `main` (exit 1): 10**30 building the
+    # box, 400 converting 200! to a float in gamma_half_plus_one
+    rc = main(["bounds", "plan", "--khat", "-0.149", "--L", "11.63", "--beta", "0.05",
+               "--ndim", ndim, "--volume", "4"])
+    assert rc == EXIT_RUNTIME
+    assert message in capsys.readouterr().err
 
 
 def test_usage_error_is_config_exit(capsys):
@@ -409,20 +437,14 @@ _FLAG_COMMANDS = {
     "synthesize": ("--seed", "--seed-validation", "--N", "--N0"),
     "prior-synthesize": ("--seed", "--seed-validation", "--N"),
     "collect": ("--seed-validation",),
-    "plan": ("--seed", "--seed-validation"),
-    "casestudy": ("--seed", "--seed-validation", "--N", "--N0"),
+    "plan": ("--seed", "--seed-validation", "--N", "--N0"),
     "repeat": ("--seed", "--seed-validation", "--N", "--N0"),
 }
 
 
-def _command_argv(command, cfg, tmp_path, monkeypatch):
+def _command_argv(command, cfg, tmp_path):
     """The arguments `command` needs besides its override flags, run on `cfg`."""
     out = str(tmp_path / "runs")
-    if command == "casestudy":
-        # the bundled file is the parser's default configuration
-        monkeypatch.setattr(pipeline, "bundled_room_config_path", lambda: cfg)
-        monkeypatch.setattr(cli, "bundled_room_config_path", lambda: cfg, raising=False)
-        return ["--out", out]
     return {
         "synthesize": ["--config", cfg, "--out", out],
         "prior-synthesize": ["--config", cfg, "--eps", "0.2", "--out", out],
@@ -435,12 +457,11 @@ def _command_argv(command, cfg, tmp_path, monkeypatch):
 @pytest.mark.parametrize("shape", [[1, 2], "x", 5], ids=["array", "string", "number"])
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for command, flags in _FLAG_COMMANDS.items() for flag in flags])
-def test_override_into_non_object_section_is_config_exit(
-        tmp_path, capsys, monkeypatch, command, flag, shape):
+def test_override_into_non_object_section_is_config_exit(tmp_path, capsys, command, flag, shape):
     # each raised a TypeError or ValueError out of the override (exit 1)
     section = _SECTION_FLAGS[flag]
     cfg = write_config(tmp_path, small_raw(**{section: shape}))
-    argv = _command_argv(command, cfg, tmp_path, monkeypatch)
+    argv = _command_argv(command, cfg, tmp_path)
     assert main([command, *argv, flag, "7"]) == EXIT_CONFIG
     assert f"{section} must be an object" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists() and not (tmp_path / "d.csv").exists()
@@ -452,15 +473,13 @@ def test_override_into_non_object_section_is_config_exit(
     ({"n_scenario": 3000, "n_validation": 1500, "seed_scenario": 7, "seed_validation": 8},
      ["--N", "3000", "--N0", "1500", "--seed", "7", "--seed-validation", "8"]),
 ])
-@pytest.mark.parametrize("command", ["casestudy", "synthesize"])
+@pytest.mark.parametrize("command", ["synthesize"])
 def test_override_flags_echo_as_room_casestudy_config(tmp_path, monkeypatch, command, sizes, flags):
     def stop(config, **kwargs):
         raise SafesynthError("stopped after the manifest")
 
     monkeypatch.setattr(cli, "synthesize", stop)
-    argv = ["--out", str(tmp_path / "runs")]
-    if command == "synthesize":
-        argv += ["--config", bundled_room_config_path()]
+    argv = ["--out", str(tmp_path / "runs"), "--config", bundled_room_config_path()]
     assert main([command, *argv, *flags]) == EXIT_RUNTIME
     (run_dir,) = (tmp_path / "runs").iterdir()
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -468,22 +487,6 @@ def test_override_flags_echo_as_room_casestudy_config(tmp_path, monkeypatch, com
     assert manifest["config"] == config.raw
     assert list(manifest["config"]) == list(config.raw)
     assert manifest["config_sha256"] == config.sha256()
-
-
-def test_repeat_writes_manifest_before_a_failing_pilot(tmp_path, capsys):
-    # the pilot collection of an `auto` configuration fails: exit 4, and the
-    # manifest that reproduces the run is there
-    raw = small_raw(
-        plant={"command": [sys.executable, "-c", "pass"], "state_dim": 1, "input_dim": 1},
-        samples={"auto": {"start_scenario": 100, "start_validation": 50}},
-    )
-    cfg = write_config(tmp_path, raw)
-    assert main(["repeat", "--config", cfg, "--runs", "2", "--out", str(tmp_path / "runs")]) \
-        == EXIT_RUNTIME
-    (run_dir,) = (tmp_path / "runs").iterdir()
-    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["runs"] == 2 and manifest["config"] == validate_config(raw).raw
 
 
 def test_failing_dataset_writer_exits_runtime_without_report(tmp_path, capsys, monkeypatch):
@@ -632,17 +635,38 @@ def test_repeat_command(tmp_path, capsys):
 
 
 def test_plan_command(tmp_path, capsys):
-    raw = small_raw()
-    raw["samples"] = {"auto": {"khat": -0.149, "nstar_hat": 1,
-                               "start_scenario": 1000, "start_validation": 500}}
-    cfg = write_config(tmp_path, raw)
-    rc = main(["plan", "--config", cfg, "--out", str(tmp_path / "runs")])
+    cfg = write_config(tmp_path, small_raw())
+    rc = main(["plan", "--config", cfg, "--N", "1000", "--N0", "500",
+               "--out", str(tmp_path / "runs")])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
-    assert "chosen:" in out
+    assert "pilot: K*=" in out and "chosen:" in out
     run_dir = next((tmp_path / "runs").iterdir())
     plan = json.loads((run_dir / "plan.json").read_text())
+    assert plan["steps"][0]["n_scenario"] == 1000 and plan["steps"][0]["n_validation"] == 500
     assert plan["steps"][-1]["passes"] is True
+
+
+def test_plan_is_the_planner_on_a_pilot_at_the_configured_sizes(tmp_path, capsys):
+    # `plan` on the counts (a, b) pilots at a and plans from (a, b) at the
+    # default growth: the plan an earlier version's `samples.auto` with
+    # start sizes (a, b) and no `khat` made
+    raw = small_raw(samples={"scenario": 300, "validation": 200})
+    assert main(["plan", "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "runs")]) == EXIT_OK
+    run_dir = next((tmp_path / "runs").iterdir())
+    written = json.loads((run_dir / "plan.json").read_text())
+    config = validate_config(raw)
+    with make_plant(config.plant_spec) as plant:
+        khat, nstar_hat = pipeline.pilot_estimates(config, plant, 300)
+    plan = plan_sample_sizes(khat, nstar_hat, config.lipschitz, config.space(), config.beta,
+                             n_start=300, n0_start=200)
+    assert (written["khat"], written["nstar_hat"]) == (khat, nstar_hat)
+    assert (written["n_scenario"], written["n_validation"]) == (plan.n_scenario, plan.n_validation)
+    assert [(s["n_scenario"], s["n_validation"], s["est_violations"], s["passes"])
+            for s in written["steps"]] == [
+        (s.n_scenario, s.n_validation, s.est_violations, s.sign >= 0) for s in plan.steps]
+    assert f"pilot: K*={khat:.6g} N*={nstar_hat}" in capsys.readouterr().out
 
 
 def test_plan_writes_manifest_before_a_failing_pilot(tmp_path, capsys):
@@ -650,7 +674,6 @@ def test_plan_writes_manifest_before_a_failing_pilot(tmp_path, capsys):
     # fails: exit 4, and the manifest that reproduces the plan is there
     raw = small_raw(
         plant={"command": [sys.executable, "-c", "pass"], "state_dim": 1, "input_dim": 1},
-        samples={"auto": {"start_scenario": 100, "start_validation": 50}},
     )
     cfg = write_config(tmp_path, raw)
     assert main(["plan", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_RUNTIME
@@ -660,22 +683,21 @@ def test_plan_writes_manifest_before_a_failing_pilot(tmp_path, capsys):
     assert manifest["config"] == validate_config(raw).raw
 
 
-@pytest.mark.parametrize("command", ["plan", "synthesize"])
+@pytest.mark.parametrize("command", ["plan", "synthesize", "prior-synthesize", "repeat"])
 @pytest.mark.parametrize("key, value", [
     ("start_scenario", 0), ("start_validation", 0), ("growth", 0.5), ("growth", 1),
     ("nstar_hat", -3), ("khat", 0.5), ("khat", 0),
-    # no array can hold them: the pilot raised NumPy's "Maximum allowed
-    # dimension exceeded" out of `main` (exit 1)
     ("start_scenario", 10**30), ("start_validation", 10**30),
 ])
 def test_out_of_range_auto_samples_is_config_exit(tmp_path, capsys, command, key, value):
-    # these reached the planner's own checks, after the pilot solve when
-    # khat is not given, and ended as runtime failures (exit 4) whose
-    # message did not name the key
+    # `samples.auto` is gone: a section written for an earlier version, in
+    # or out of the ranges that version checked, is an unknown key before
+    # any of its values is read, and no run directory is made
     auto = {"nstar_hat": 1, "start_scenario": 100, "start_validation": 50, key: value}
     cfg = write_config(tmp_path, small_raw(samples={"auto": auto}))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
-    assert f"samples.auto.{key}" in capsys.readouterr().err
+    argv = _command_argv(command, cfg, tmp_path)
+    assert main([command, *argv]) == EXIT_CONFIG
+    assert "unknown key(s) ['auto'] in samples" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -708,11 +730,13 @@ def test_out_of_range_tolerance_is_config_exit(tmp_path, capsys, key, value, des
 
 def test_verify_rejects_a_report_echoing_a_removed_tolerance(tmp_path, capsys):
     # an earlier version echoed every LP tolerance into the report's config,
-    # and `"workers": 1`
+    # `"workers": 1`, and a `samples.auto` section as it was written
     for edit, message in (
         ({"tolerances": {"activity": 1e-7, "max_iterations": 20000}},
          "unknown key(s) ['activity'] in tolerances"),
         ({"workers": 1}, "unknown key(s) ['workers'] in configuration"),
+        ({"samples": {"auto": {"start_scenario": 1000, "start_validation": 500}}},
+         "unknown key(s) ['auto'] in samples"),
     ):
         path = write_report(tmp_path, small_raw(**edit), zero_certificate())
         assert main(["verify", "--report", path, "--out", str(tmp_path / "verify")]) == EXIT_CONFIG
@@ -720,66 +744,66 @@ def test_verify_rejects_a_report_echoing_a_removed_tolerance(tmp_path, capsys):
         assert not (tmp_path / "verify").exists()
 
 
-def test_casestudy_command_reduced_size(tmp_path, capsys):
-    rc = main(["casestudy", "--mode", "posterior", "--N", "3000", "--N0", "1500",
-               "--out", str(tmp_path / "runs")])
+def test_synthesize_without_config_runs_the_bundled_study(tmp_path, capsys):
+    rc = main(["synthesize", "--N", "3000", "--N0", "1500", "--out", str(tmp_path / "runs")])
     assert rc in (EXIT_OK, EXIT_INCONCLUSIVE)
-    out = capsys.readouterr().out
-    assert "verdict:" in out
+    assert "verdict:" in capsys.readouterr().out
     run_dir = next((tmp_path / "runs").iterdir())
     report = json.loads((run_dir / "report.json").read_text())
     assert report["method"] == "posterior"
-    assert report["n_scenario"] == 3000
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["mode"] == "posterior"
+    assert report["n_scenario"] == 3000 and report["n_validation"] == 1500
+    assert report["config"] == validate_config(
+        room_casestudy_config(n_scenario=3000, n_validation=1500)).raw
+    assert (run_dir / "scenario.csv").exists() and (run_dir / "validation.csv").exists()
     if rc == EXIT_OK:
         assert report["verdict"] == "certified" and report["margin"] <= 0
 
 
-def test_casestudy_prior_mode_reduced(tmp_path, capsys):
+def test_prior_synthesize_without_config_runs_the_bundled_study(tmp_path, capsys):
     # huge eps keeps the prior bound tiny; exercises the prior path end to end
-    rc = main(["casestudy", "--mode", "prior", "--eps", "0.2",
-               "--N", "1000", "--N0", "500", "--out", str(tmp_path / "runs")])
+    rc = main(["prior-synthesize", "--eps", "0.2", "--N", "1000",
+               "--out", str(tmp_path / "runs")])
     assert rc in (EXIT_OK, EXIT_INCONCLUSIVE)
     run_dir = next((tmp_path / "runs").iterdir())
     report = json.loads((run_dir / "report.json").read_text())
     assert report["method"] == "prior"
     assert report["eps"] == 0.2
     assert report["n_validation"] is None
+    assert report["config"] == validate_config(room_casestudy_config(n_scenario=1000)).raw
 
 
-# (subcommand, flag) pairs where the subcommand would ignore the flag, or
-# for `plan --N`/`--N0` always fail on it; no subcommand takes `--retries`
-# or `--lexicographic`, both deleted.
+# (subcommand, flag) pairs where the subcommand would ignore the flag; no
+# subcommand takes `--retries` or `--lexicographic`, both deleted.
 _REMOVED_FLAGS = [
     *(("collect", flag) for flag in ("--out", "--no-tighten", "--N", "--N0")),
     ("prior-synthesize", "--N0"),
-    *(("plan", flag) for flag in ("--N", "--N0")),
     *((command, flag) for flag in ("--retries", "--lexicographic") for command in (
-        "synthesize", "prior-synthesize", "collect", "plan", "casestudy", "repeat")),
+        "synthesize", "prior-synthesize", "collect", "plan", "repeat")),
 ]
 _FLAG_VALUES = {"--out": "elsewhere", "--N": "300", "--N0": "150", "--retries": "1"}
 
 
 @pytest.mark.parametrize("command, flag", _REMOVED_FLAGS)
 def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, command, flag):
-    raw = small_raw(samples={"scenario": 200, "validation": 100})
-    if command == "plan":
-        raw["samples"] = {"auto": {"khat": -0.149, "start_scenario": 1000,
-                                   "start_validation": 500}}
-    cfg = write_config(tmp_path, raw)
-    out = str(tmp_path / "runs")
-    argv = {
-        "synthesize": ["--config", cfg, "--out", out],
-        "prior-synthesize": ["--config", cfg, "--eps", "0.2", "--out", out],
-        "collect": ["--config", cfg, "--count", "5", "--output", str(tmp_path / "d.csv")],
-        "plan": ["--config", cfg, "--out", out],
-        "casestudy": ["--N", "300", "--N0", "150", "--out", out],
-        "repeat": ["--config", cfg, "--runs", "1", "--out", out],
-    }[command]
+    cfg = write_config(tmp_path, small_raw(samples={"scenario": 200, "validation": 100}))
+    argv = _command_argv(command, cfg, tmp_path)
     extra = [flag, _FLAG_VALUES[flag]] if flag in _FLAG_VALUES else [flag]
     assert main([command, *argv, *extra]) == EXIT_CONFIG
     assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+def test_readme_quick_start_commands_parse():
+    # a subcommand or flag that is removed cannot stay in the Quick start
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        section = fh.read().split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    text = "\n".join(blocks).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in text.splitlines()
+                if line.startswith("safesynth ")]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for command in commands:
+        parser.parse_args(command[1:])
 
 
 def test_version_flag(capsys):

@@ -53,6 +53,16 @@ def test_gamma_half_integer_matches_gamma_function():
         )
 
 
+def test_gamma_half_plus_one_past_the_float_range_raises():
+    # 342 raised OverflowError converting 171! to a float, and 341 returned
+    # inf, as the odd product passes 1.8e308 before its last factor 1/2
+    assert gamma_half_plus_one(340) == float(math.factorial(170))
+    assert gamma_half_plus_one(339) == pytest.approx(math.gamma(339 / 2 + 1), rel=1e-12)
+    for n in (341, 342, 400, 10**30):
+        with pytest.raises(GeometryError, match=f"dimension {n} is past 340"):
+            gamma_half_plus_one(n)
+
+
 def test_u_of_r_room_value(room_space):
     # n=2, Vol=4: mass of a radius-r ball is pi r^2 / 16
     assert u_of_r(6.177e-3, room_space) == pytest.approx(
@@ -79,6 +89,9 @@ def test_u_of_r_clamps_to_one(room_space):
 def test_u_of_r_rejects_negative_radius(room_space):
     with pytest.raises(GeometryError):
         u_of_r(-1e-9, room_space)
+    # a NaN radius gave the mass min(1.0, nan) = 1.0
+    with pytest.raises(GeometryError, match="got nan"):
+        u_of_r(float("nan"), room_space)
 
 
 def test_u_of_r_monotone(room_space):

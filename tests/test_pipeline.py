@@ -357,48 +357,6 @@ def test_prior_synthesize_guaranteed_inconclusive_when_slack_dominates():
     assert report.margin > 0 and report.verdict == "inconclusive"
 
 
-def test_auto_samples_planner_path():
-    raw = room_casestudy_config()
-    raw["samples"] = {
-        "auto": {
-            "khat": -0.149,
-            "nstar_hat": 1,
-            "start_scenario": 140000,
-            "start_validation": 70000,
-        }
-    }
-    config = validate_config(raw)
-    from safesynth.pipeline import resolve_sample_sizes
-
-    n, n0, plan = resolve_sample_sizes(config)
-    assert (n, n0) == (140000, 70000)
-    assert plan is not None and plan.steps[-1].sign >= 0
-
-
-def test_auto_samples_pilot_estimation():
-    # omitted khat: a pilot solve supplies the estimates before planning
-    raw = room_casestudy_config()
-    raw["grid_points"] = {"initial": 401, "unsafe": 201, "state": 1601}
-    raw["samples"] = {
-        "auto": {"nstar_hat": 1, "start_scenario": 1500, "start_validation": 750}
-    }
-    config = validate_config(raw)
-    from safesynth.pipeline import resolve_sample_sizes
-
-    n, n0, plan = resolve_sample_sizes(config)
-    assert plan is not None
-    assert n >= 1500 and n0 >= 750
-    # the pilot estimate is near the structural optimum, so the plan lands in
-    # the same region as planning from the known optimum
-    n_ref, _, _ = resolve_sample_sizes(
-        validate_config({**raw, "samples": {"auto": {
-            "khat": -0.35, "nstar_hat": 1,
-            "start_scenario": 1500, "start_validation": 750,
-        }}})
-    )
-    assert n == pytest.approx(n_ref, rel=0.8)
-
-
 def test_repeat_experiment_histogram():
     config = small_room_config(samples={"scenario": 600, "validation": 300})
     result = repeat_experiment(config, runs=4)

@@ -28,12 +28,13 @@ configuration whose program is infeasible
 (its sampled rows have a structurally zero barrier column), and the small
 configuration with `tolerances.max_iterations` 2, whose solve stops at the
 iteration limit (the `SolverError` early exit).  Two cases set the
-configuration through the override flags: `casestudy --mode posterior --N
-3000 --N0 1500 --seed 7 --seed-validation 8` on the bundled file, and
-`synthesize --no-tighten --N 300 --N0 150` on the small configuration.
-The `plan_khat` case runs `plan --out` on the small configuration with
-`samples.auto` and `khat` given (no pilot solve), keeping `plan.json`: the
-planner's pass/fail decision at each (N, N0) it tried.
+configuration through the override flags: `bundled_flags` runs `synthesize
+--N 3000 --N0 1500 --seed 7 --seed-validation 8` without `--config`, so on
+the bundled file, and `no_tighten_flags` runs `synthesize --no-tighten --N
+300 --N0 150` on the small configuration.  The `plan_pilot` case runs `plan
+--N 1000 --N0 500 --out` on the small configuration, keeping `plan.json`:
+the pilot solve's K* and N*, and the planner's pass/fail decision at each
+(N, N0) it tried.
 The `external` case runs `synthesize` on the small configuration with the
 plant `{command: [python, benchmarks/child_plant.py], state_dim: 1,
 input_dim: 1}`: the room dynamics in a child process, queried one line at a
@@ -98,12 +99,11 @@ CASES = {
     "repeat": (["repeat", "--runs", "4"], _small_room(lipschitz=0.5)),
     "lp_infeasible": (["synthesize"], _small_room(barrier_degree=0, controller_degrees=[0])),
     "lp_iteration_limit": (["synthesize"], _small_room(tolerances={"max_iterations": 2})),
-    "casestudy_flags": (["casestudy", "--mode", "posterior", "--N", "3000", "--N0", "1500",
-                         "--seed", "7", "--seed-validation", "8"], None),
+    "bundled_flags": (["synthesize", "--N", "3000", "--N0", "1500",
+                       "--seed", "7", "--seed-validation", "8"], None),
     "no_tighten_flags": (["synthesize", "--no-tighten", "--N", "300", "--N0", "150"],
                          _small_room()),
-    "plan_khat": (["plan"], _small_room(samples={"auto": {
-        "khat": -0.149, "nstar_hat": 1, "start_scenario": 1000, "start_validation": 500}})),
+    "plan_pilot": (["plan", "--N", "1000", "--N0", "500"], _small_room()),
     "external": (["synthesize"], _small_room(plant={
         "command": ["python", "benchmarks/child_plant.py"], "state_dim": 1, "input_dim": 1})),
     "dataset_error": (["synthesize"], _small_room(plant={

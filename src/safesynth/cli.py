@@ -204,6 +204,15 @@ def _cmd_plan(args, argv) -> int:
         n_start=config.n_scenario, n0_start=config.n_validation,
     )
     _print_plan(plan)
+    warnings = []
+    if plan.n_scenario > config.n_scenario:
+        warnings.append(
+            f"the pilot ran at N={config.n_scenario}, below the chosen N={plan.n_scenario}; "
+            f"K* tends to rise with N, so the pilot understates it: re-run plan at "
+            f"--N {plan.n_scenario} --N0 {plan.n_validation}"
+        )
+    for w in warnings:
+        print(f"warning: {w}")
     if run_dir is not None:
         _write_json_atomic(
             os.path.join(run_dir, "plan.json"),
@@ -221,6 +230,7 @@ def _cmd_plan(args, argv) -> int:
                     }
                     for s in plan.steps
                 ],
+                "warnings": warnings,
             },
         )
     return EXIT_OK

@@ -38,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -59,11 +59,11 @@ from .polynomial import (
 # bounds its temporaries to a few MB at any dataset size.
 G3_CHUNK = 65_536
 
-# Samples per chunk when `g3_rows` writes: its basis evaluations are
-# (chunk, terms) temporaries of a few tens of KB, so a make of many rows
-# holds little beyond the rows it returns (at 4,096 a chunk, the residual
-# pass of the one-copy-of-G test in tests/test_scp.py nearly spends its
-# allocation budget).
+# Samples per chunk when `g3_rows` writes and `verify.step_residuals`
+# evaluates: their basis evaluations are (chunk, terms) temporaries of a
+# few tens of KB, so a make of many rows holds little beyond the rows it
+# returns (at 4,096 a chunk, the residual pass of the one-copy-of-G test in
+# tests/test_scp.py nearly spends its allocation budget).
 G3_WRITE_CHUNK = 2_048
 
 # Sampled rows are indexed in cells of a CELL_GRID x CELL_GRID grid over the
@@ -417,27 +417,48 @@ def g3_row(layout: DecisionLayout, x, u, x_next) -> tuple[np.ndarray, float]:
     return coeffs, -float(np.sum(u))
 
 
-def structural_rows(layout: DecisionLayout, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """floor - cap >= budget * T, budget >= 0, and the linearised norm caps."""
+def structural_row_count(layout: DecisionLayout) -> int:
+    """The rows `structural_rows` writes: two, then per polynomial two caps
+    per coefficient and one row per group of its scheme."""
+    return 2 + sum(2 * (coeffs.stop - coeffs.start) + len(scheme.groups)
+                   for _, coeffs, _, scheme in layout.polynomials)
+
+
+def _rows_out(out: np.ndarray | None, rows: int, layout: DecisionLayout, family: str) -> np.ndarray:
+    """`out`, the zeroed block a writer fills, checked to hold exactly its
+    `rows` rows; a new zero block when None."""
+    if out is None:
+        return np.zeros((rows, layout.n_total))
+    if out.shape != (rows, layout.n_total):
+        raise AssemblyError(f"{family} writes {rows} rows of {layout.n_total} columns "
+                            f"into a block of shape {out.shape}")
+    return out
+
+
+def structural_rows(
+    layout: DecisionLayout, horizon: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """floor - cap >= budget * T, budget >= 0, and the linearised norm caps:
+    (G, h), G written into `out` (zeros, `structural_row_count` rows) when
+    given."""
     if horizon < 1:
         raise AssemblyError(f"horizon must be >= 1, got {horizon}")
-    n = layout.n_total
-    head = np.zeros((2, n))
-    head[0, [layout.FLOOR, layout.CAP, layout.BUDGET]] = -1.0, 1.0, float(horizon)
-    head[1, layout.BUDGET] = -1.0
-    rows, rhs = [head], [np.zeros(2)]
+    G = _rows_out(out, structural_row_count(layout), layout, "structural")
+    h = np.zeros(len(G))
+    G[0, [layout.FLOOR, layout.CAP, layout.BUDGET]] = -1.0, 1.0, float(horizon)
+    G[1, layout.BUDGET] = -1.0
+    row = 2
     for _, coeffs, splits, scheme in layout.polynomials:
         width = coeffs.stop - coeffs.start
         d = np.repeat(np.arange(width), 2)  # +coeff_d / scale_d - split_d <= 0, then -coeff_d
-        at = np.arange(2 * width)
-        caps = np.zeros((2 * width, n))
-        caps[at, coeffs.start + d] = np.tile([1.0, -1.0], width) / np.take(scheme.scale, d)
-        caps[at, splits.start + d] = -1.0
-        groups = np.zeros((len(scheme.groups), n))  # sum of a group's splits <= bound
-        groups[:, splits] = [[i in group for i in range(width)] for group in scheme.groups]
-        rows += [caps, groups]
-        rhs += [np.zeros(2 * width), np.full(len(scheme.groups), scheme.bound)]
-    return np.vstack(rows), np.concatenate(rhs)
+        at = row + np.arange(2 * width)
+        G[at, coeffs.start + d] = np.tile([1.0, -1.0], width) / np.take(scheme.scale, d)
+        G[at, splits.start + d] = -1.0
+        groups = slice(row + 2 * width, row + 2 * width + len(scheme.groups))
+        G[groups, splits] = [[i in group for i in range(width)] for group in scheme.groups]
+        h[groups] = scheme.bound  # sum of a group's splits <= bound
+        row = groups.stop
+    return G, h
 
 
 def grid_rows(
@@ -448,16 +469,19 @@ def grid_rows(
     constants: dict[int, float],
     rhs: float,
     tighten: bool,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """sum of c * P_k(x) over `terms` (c, k), plus the `constants` entries,
     <= rhs at every point of a `points`-per-axis grid over `box`; P_k is
     `layout.polynomials[k]`, the barrier for k = 0 and controller k - 1
     after it.  With `tighten` each term adds |c| times half the grid step
     times its polynomial's slope bound to the split columns of P_k, so the
-    rows hold everywhere in the box, not only at the grid points."""
+    rows hold everywhere in the box, not only at the grid points.  Returns
+    (G, h), G written into `out` (zeros, `points ** box.dim` rows) when
+    given."""
     grid = box_grid(box, points)
     halfstep = grid_halfstep(box, points)
-    block = np.zeros((len(grid), layout.n_total))
+    block = _rows_out(out, len(grid), layout, "grid")
     for column, value in constants.items():
         block[:, column] = value
     for c, k in terms:
@@ -630,7 +654,9 @@ def static_blocks(
 
     The structural rows, then the grid rows (`grid_rows`) of one family
     table: g1 per initial-region part, g2 per unsafe-region part and g4 per
-    input-polytope row."""
+    input-polytope row.  The rows are counted first and each family writes
+    into its slice of one zeroed block, so G is never held twice; a family
+    that writes other than its counted rows raises AssemblyError."""
     input_a = np.atleast_2d(np.asarray(input_a, dtype=float))
     input_b = np.asarray(input_b, dtype=float).ravel()
     if input_a.shape[0] != input_b.shape[0]:
@@ -650,14 +676,24 @@ def static_blocks(
            [(a, 1 + j) for j, a in enumerate(row) if a != 0.0], {}, b)
           for row, b in zip(input_a, input_b)),
     ]
-    G, h = structural_rows(layout, horizon)
-    blocks, rhss, tags = [G], [h], [np.full(len(G), RowTag.STRUCTURAL, dtype=np.int8)]
-    for tag, box, points, terms, constants, rhs in families:
-        block, block_h = grid_rows(layout, box, points, terms, constants, rhs, tighten)
-        blocks.append(block)
-        rhss.append(block_h)
-        tags.append(np.full(len(block), tag, dtype=np.int8))
-    return np.vstack(blocks), np.concatenate(rhss), np.concatenate(tags)
+    # (tag, rows, writer into a block of those rows)
+    writers = [
+        (RowTag.STRUCTURAL, structural_row_count(layout),
+         partial(structural_rows, layout, horizon)),
+        *((tag, points ** box.dim,
+           partial(grid_rows, layout, box, points, terms, constants, rhs, tighten))
+          for tag, box, points, terms, constants, rhs in families),
+    ]
+    G = np.zeros((sum(rows for _, rows, _ in writers), layout.n_total))
+    h = np.empty(len(G))
+    tags = np.empty(len(G), dtype=np.int8)
+    start = 0
+    for tag, rows, write in writers:
+        part = slice(start, start + rows)
+        _, h[part] = write(out=G[part])
+        tags[part] = tag
+        start = part.stop
+    return G, h, tags
 
 
 def solve_lp(problem: LpProblem, tolerances: LpTolerances = LpTolerances()) -> LpResult:

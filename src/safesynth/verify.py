@@ -20,11 +20,13 @@ deterministic, so the answers are those of one trajectory at a time.
 """
 
 import csv
+import itertools
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import scp
 from .errors import GeometryError
 from .geometry import (
     Box,
@@ -56,12 +58,21 @@ def step_residuals(cert: CertificateValues, dataset: Dataset) -> np.ndarray:
     """Sampled one-step condition residuals, positive means violated:
 
         barrier(x') - barrier(x) + sum(u - F(x)) - budget - objective
+
+    Evaluated `scp.G3_WRITE_CHUNK` samples at a time into one array, so
+    the temporaries are chunk-sized, with the bits of the whole-array form
+    (pinned by tests).  A lone last sample joins the chunk before it: a
+    one-row matrix-vector product rounds as a dot product, which can differ
+    in the last bit.
     """
-    return (
-        _step_condition(cert, dataset.xs, dataset.us, dataset.x_nexts)
-        - cert.growth_budget
-        - cert.objective
-    )
+    n = len(dataset)
+    residuals = np.empty(n)
+    for lo, hi in itertools.pairwise([*range(0, max(n - 1, 1), scp.G3_WRITE_CHUNK), n]):
+        residuals[lo:hi] = _step_condition(
+            cert, dataset.xs[lo:hi], dataset.us[lo:hi], dataset.x_nexts[lo:hi])
+    residuals -= cert.growth_budget
+    residuals -= cert.objective
+    return residuals
 
 
 KNIFE_EDGE_TOL = 1e-12

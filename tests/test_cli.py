@@ -669,6 +669,25 @@ def test_plan_is_the_planner_on_a_pilot_at_the_configured_sizes(tmp_path, capsys
     assert f"pilot: K*={khat:.6g} N*={nstar_hat}" in capsys.readouterr().out
 
 
+def test_plan_warns_that_a_pilot_below_its_plan_is_optimistic(tmp_path, capsys):
+    # K* tends to rise with N: on the bundled study a 20-sample pilot reads
+    # K* = -0.502 and plans 19,926/9,963, while K* at 140,000 is -0.354, so
+    # a plan that grows past its pilot says so; at 40,000/20,000 the first
+    # step passes and there is nothing to say
+    for n, n0, grows in (("20", "10", True), ("40000", "20000", False)):
+        runs = tmp_path / n
+        assert main(["plan", "--config", bundled_room_config_path(), "--N", n, "--N0", n0,
+                     "--out", str(runs)]) == EXIT_OK
+        plan = json.loads((next(runs.iterdir()) / "plan.json").read_text())
+        printed = capsys.readouterr().out
+        assert (plan["n_scenario"] > int(n)) is grows
+        assert len(plan["warnings"]) == grows
+        for w in plan["warnings"]:
+            assert f"warning: {w}" in printed
+            assert "K* tends to rise with N" in w and "re-run plan at --N 19926 --N0 9963" in w
+        assert ("warning:" in printed) is grows
+
+
 def test_plan_writes_manifest_before_a_failing_pilot(tmp_path, capsys):
     # the external plant closes its output at once, so the pilot collection
     # fails: exit 4, and the manifest that reproduces the plan is there

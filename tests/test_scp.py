@@ -324,6 +324,8 @@ def test_static_blocks_two_states_two_inputs_general_polytope():
 def test_structural_rows_transcription():
     layout = tiny_layout()
     block, rhs = structural_rows(layout, horizon=5)
+    # two rows, then per degree-1 polynomial two caps per coefficient and one l1 group
+    assert block.shape == (12, layout.n_total) == (scp.structural_row_count(layout), layout.n_total)
     row = block[0]
     assert row[layout.FLOOR] == -1.0
     assert row[layout.CAP] == 1.0
@@ -544,6 +546,49 @@ def _allocation_peak(fn, *args):
     tracemalloc.reset_peak()
     result = fn(*args)
     return result, tracemalloc.get_traced_memory()[1] - before
+
+
+def test_static_blocks_hold_one_copy_of_their_rows():
+    # the bundled grids' 100,033 rows are 19.2 MB: counted first, they are
+    # allocated once with h and the tags, and each family writes into its
+    # slice.  Beyond what is returned, the peak may hold one family's
+    # temporaries: its grid (the meshgrid's copies and their stack, 2 * dim
+    # floats a point), its basis values (terms a point), one power and its
+    # exponent array, and its right-hand side.  A stack of family blocks
+    # holds the rows twice.
+    config = validate_config(room_casestudy_config())
+    layout = config.layout()
+    A, b = box_to_polytope(config.input_box)
+    args = (config.initial_region, config.unsafe_region, config.state_box, A, b,
+            config.horizon, config.grids, config.strict_margin, config.tighten)
+    tracemalloc.start()
+    try:
+        static, peak = _allocation_peak(static_blocks, layout, *args)
+    finally:
+        tracemalloc.stop()
+    G, h, tags = static
+    dim = config.state_box.dim
+    points = max(config.grids.initial, config.grids.unsafe, config.grids.state) ** dim
+    terms = max(len(basis) for basis, *_ in layout.polynomials)
+    family = points * (2 * dim + terms + 3) * 8
+    assert G.shape == (100_033, 24) and G.nbytes > 19e6
+    assert peak <= G.nbytes + h.nbytes + tags.nbytes + family
+    # the sampled program's first row block is the static block, not a copy
+    data = collect(RoomTemperaturePlant(), config.space(), 20, 3)
+    problem = sampled_problem(layout, static, data)
+    assert np.shares_memory(problem.G.blocks[0][1], G)
+
+
+def test_static_blocks_refuse_a_family_of_other_than_its_counted_rows(monkeypatch):
+    # a family's rows are counted as points ** dim before it writes them
+    layout = room_layout()
+    A, b = box_to_polytope(Box.from_intervals([[0, 1]]))
+    grids = GridSpec(5, 4, 6)
+    assert len(static_blocks(layout, *ROOM_REGIONS, A, b, 5, grids, 1e-6, True)[0]) == (
+        scp.structural_row_count(layout) + 5 + 2 * 4 + 2 * 6)
+    monkeypatch.setattr(scp, "box_grid", lambda box, points: box_grid(box, points)[1:])
+    with pytest.raises(AssemblyError, match="grid writes 4 rows"):
+        static_blocks(layout, *ROOM_REGIONS, A, b, 5, grids, 1e-6, True)
 
 
 def test_assembly_solve_and_support_hold_one_copy_of_G():

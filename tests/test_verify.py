@@ -15,7 +15,8 @@ from safesynth.plant import (
     collect,
     step_room,
 )
-from safesynth.polynomial import Polynomial, build_basis
+from safesynth import scp
+from safesynth.polynomial import Polynomial, build_basis, eval_poly_many
 from safesynth.scp import CertificateValues
 from safesynth.verify import (
     KNIFE_EDGE_TOL,
@@ -102,6 +103,31 @@ def test_violation_frequency_single_violation(room_space):
     )
     count, _ = violation_frequency(shifted, data)
     assert count == 1
+
+
+def test_step_residuals_chunked_have_the_whole_array_bits(room_space, monkeypatch):
+    # residuals written chunk by chunk equal the one whole-array evaluation
+    # bit for bit: across chunk boundaries, on a last chunk shorter than the
+    # rest (50 = 3 * 16 + 2) and on a lone last sample (50 = 7 * 7 + 1), which
+    # joins the chunk before it, as a one-row product rounds as a dot product
+    data = collect(RoomTemperaturePlant(), room_space, 50, 12, Role.VALIDATION)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        cert = CertificateValues(
+            objective=float(rng.normal()), unsafe_floor=0.0, initial_cap=0.0,
+            growth_budget=float(rng.uniform()),
+            barrier=Polynomial(build_basis(1, 4), tuple(rng.normal(scale=1e-3, size=5))),
+            controllers=(Polynomial(build_basis(1, 4), tuple(rng.normal(scale=1e-3, size=5))),),
+        )
+        whole = (
+            eval_poly_many(cert.barrier, data.x_nexts) - eval_poly_many(cert.barrier, data.xs)
+            + np.sum(data.us - eval_poly_many(cert.controllers[0], data.xs)[:, None], axis=1)
+            - cert.growth_budget - cert.objective
+        )
+        for chunk in (16, 7, 2048):
+            monkeypatch.setattr(scp, "G3_WRITE_CHUNK", chunk)
+            chunked = step_residuals(cert, data)
+            assert np.array_equal(chunked.view(np.int64), whole.view(np.int64)), chunk
 
 
 def test_self_consistency_zero_violations_on_training_data(small_solved):

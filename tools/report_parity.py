@@ -33,8 +33,9 @@ configuration through the override flags: `bundled_flags` runs `synthesize
 the bundled file, and `no_tighten_flags` runs `synthesize --no-tighten --N
 300 --N0 150` on the small configuration.  The `plan_pilot` case runs `plan
 --N 1000 --N0 500 --out` on the small configuration, keeping `plan.json`:
-the pilot solve's K* and N*, and the planner's pass/fail decision at each
-(N, N0) it tried.
+the pilot solve's K* and N*, the planner's pass/fail decision at each
+(N, N0) it tried, and the warning that a plan grown past its pilot is
+optimistic.
 The `external` case runs `synthesize` on the small configuration with the
 plant `{command: [python, benchmarks/child_plant.py], state_dim: 1,
 input_dim: 1}`: the room dynamics in a child process, queried one line at a
